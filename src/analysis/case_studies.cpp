@@ -27,9 +27,9 @@ void CaseStudyAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   num_days_ = static_cast<std::size_t>(std::max<std::int64_t>(num_days, 1));
   cur_user_ = kNoUser;
   per_app_.assign(apps_.size(), PerApp{});
-  if (spill_ == nullptr) {
-    // Fold mode never allocates the dense O(users) energy arrays or the
-    // O(users x days) day bitmaps (DESIGN.md §15).
+  if (!single_user()) {
+    // Fold mode and shard clones never allocate the dense O(users) energy
+    // arrays or the O(users x days) day bitmaps (DESIGN.md §15).
     for (PerApp& pa : per_app_) {
       pa.joules_by_user.resize(meta.num_users, 0.0);
       pa.joules_touched.resize(meta.num_users, false);
@@ -55,6 +55,7 @@ void CaseStudyAnalysis::switch_user(trace::UserId user) {
 }
 
 void CaseStudyAnalysis::on_user_begin(trace::UserId user) {
+  live_user_ = user;
   switch_user(user);
   assembler_.on_user_begin(user);
 }
@@ -64,9 +65,10 @@ void CaseStudyAnalysis::on_packet(const trace::PacketRecord& p) {
   PerApp* pa = slot(p.app);
   if (pa == nullptr) return;
   if (p.user != cur_user_) switch_user(p.user);
-  if (spill_ != nullptr) {
-    // Fold mode: the live user accumulates in scalars and one day bitmap;
-    // fold_user spills and clears them after the user bracket.
+  if (single_user()) {
+    // Fold mode and clones: the live user accumulates in scalars and one day
+    // bitmap; fold_user or the parent's merge_from takes them after the
+    // user bracket.
     pa->live_joules += p.joules;
     pa->live_touched = true;
     pa->bytes += p.bytes;
@@ -107,58 +109,41 @@ void CaseStudyAnalysis::on_user_end(trace::UserId user) {
 void CaseStudyAnalysis::on_study_end() {}
 
 std::unique_ptr<trace::TraceSink> CaseStudyAnalysis::clone_shard() const {
-  return std::make_unique<CaseStudyAnalysis>(apps_);
+  auto clone = std::make_unique<CaseStudyAnalysis>(apps_);
+  clone->shard_ = true;
+  return clone;
 }
 
 void CaseStudyAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<CaseStudyAnalysis&>(shard);
+  const trace::UserId user = other.live_user_;
   for (std::size_t i = 0; i < per_app_.size() && i < other.per_app_.size(); ++i) {
     PerApp& mine = per_app_[i];
-    const PerApp& theirs = other.per_app_[i];
-    if (spill_ != nullptr) {
-      // Fold mode: shards run resident over their one user; stage their rows
-      // until the engine's fold_user call collapses and spills them. The gap
-      // samples land in the parent's (cleared-at-each-fold) distributions.
-      mine.bytes += theirs.bytes;
-      mine.flows += theirs.flows;
-      mine.early_gaps.merge_from(theirs.early_gaps);
-      mine.late_gaps.merge_from(theirs.late_gaps);
-      const std::size_t num_users = std::max<std::size_t>(other.meta_.num_users, 1);
-      const std::size_t days = theirs.active_day.empty()
-                                   ? num_days_
-                                   : std::max<std::size_t>(theirs.active_day.size() / num_users, 1);
-      for (trace::UserId user = 0; user < theirs.joules_by_user.size(); ++user) {
-        if (!theirs.joules_touched[user]) continue;
-        StagedPart part;
-        part.joules = theirs.joules_by_user[user];
-        part.days.assign(days, false);
-        const std::size_t base = static_cast<std::size_t>(user) * days;
-        for (std::size_t d = 0; d < days && base + d < theirs.active_day.size(); ++d) {
-          if (theirs.active_day[base + d]) part.days[d] = true;
-        }
-        mine.staged.emplace_back(user, std::move(part));
-      }
-      continue;
-    }
-    if (theirs.joules_by_user.size() > mine.joules_by_user.size()) {
-      mine.joules_by_user.resize(theirs.joules_by_user.size(), 0.0);
-      mine.joules_touched.resize(theirs.joules_by_user.size(), false);
-    }
-    for (trace::UserId user = 0; user < theirs.joules_by_user.size(); ++user) {
-      if (!theirs.joules_touched[user]) continue;
-      mine.joules_by_user[user] += theirs.joules_by_user[user];
-      mine.joules_touched[user] = true;
-    }
+    PerApp& theirs = other.per_app_[i];
     mine.bytes += theirs.bytes;
     mine.flows += theirs.flows;
-    if (mine.active_day.size() < theirs.active_day.size()) {
-      mine.active_day.resize(theirs.active_day.size());
-    }
-    for (std::size_t d = 0; d < theirs.active_day.size(); ++d) {
-      if (theirs.active_day[d]) mine.active_day[d] = true;
-    }
     mine.early_gaps.merge_from(theirs.early_gaps);
     mine.late_gaps.merge_from(theirs.late_gaps);
+    if (!theirs.live_touched) continue;
+    if (spill_ != nullptr) {
+      // Fold mode: stage the clone's row until the engine's fold_user call
+      // collapses and spills it. The gap samples landed in the parent's
+      // (cleared-at-each-fold) distributions above.
+      mine.staged.emplace_back(user, StagedPart{theirs.live_joules, std::move(theirs.live_days)});
+      continue;
+    }
+    if (user >= mine.joules_by_user.size()) {
+      mine.joules_by_user.resize(user + 1, 0.0);
+      mine.joules_touched.resize(user + 1, false);
+    }
+    mine.joules_by_user[user] += theirs.live_joules;
+    mine.joules_touched[user] = true;
+    const std::size_t base = static_cast<std::size_t>(user) * num_days_;
+    for (std::size_t d = 0; d < theirs.live_days.size(); ++d) {
+      if (!theirs.live_days[d]) continue;
+      if (base + d >= mine.active_day.size()) mine.active_day.resize(base + d + 1, false);
+      mine.active_day[base + d] = true;
+    }
   }
 }
 

@@ -129,7 +129,7 @@ class CaseStudyAnalysis final : public trace::TraceSink,
     /// user-bracketed, so one anchor per app suffices).
     TimePoint last_flow_start;
     bool has_last_flow = false;
-    // Fold-and-release state (unused outside fold mode). In fold mode
+    // Single-user state (fold mode and shard clones). In fold mode
     // early_gaps/late_gaps hold only the not-yet-folded samples.
     double live_joules = 0.0;
     bool live_touched = false;
@@ -151,6 +151,8 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   /// Reset per-app flow anchors when the stream moves to a new user.
   void switch_user(trace::UserId user);
   void on_flow(const trace::FlowRecord& flow);
+  /// Fold mode and shard clones keep the live user in PerApp::live_*.
+  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
   /// Stream spilled "case" sections' gap samples back into spill_early /
   /// spill_late (query-time only). Idempotent; errors latch hydrate_status_.
   void hydrate();
@@ -164,6 +166,8 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   trace::UserId cur_user_ = kNoUser;
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
   trace::FlowAssembler assembler_;
+  bool shard_ = false;           ///< made by clone_shard(): one user
+  trace::UserId live_user_ = 0;  ///< the user PerApp::live_* belongs to
 
   // Fold-and-release state (zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine

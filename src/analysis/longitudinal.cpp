@@ -37,9 +37,9 @@ void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   num_days_ = static_cast<std::int64_t>(std::ceil(meta.span().days()));
   num_weeks_ = std::max<std::size_t>(static_cast<std::size_t>((num_days_ + 6) / 7), 1);
   users_.clear();
-  // Fold mode never allocates the dense per-user partial array: the live
-  // user accumulates in live_ and folds release it (DESIGN.md §15).
-  if (spill_ == nullptr) users_.resize(meta.num_users);
+  // Fold mode and shard clones never allocate the dense per-user partial
+  // array: the live user accumulates in live_ (DESIGN.md §15).
+  if (!single_user()) users_.resize(meta.num_users);
   cur_ = nullptr;
   spilled_self_ = 0;
   live_valid_ = false;
@@ -51,7 +51,7 @@ void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
 }
 
 LongitudinalAnalysis::UserPart& LongitudinalAnalysis::user_part(trace::UserId user) {
-  if (spill_ != nullptr) {
+  if (single_user()) {
     if (!live_valid_ || live_user_ != user) {
       live_.fg_weeks.assign(num_weeks_, 0.0);
       live_.bg_weeks.assign(num_weeks_, 0.0);
@@ -131,31 +131,27 @@ void LongitudinalAnalysis::on_batch(const trace::EventBatch& batch) {
 }
 
 std::unique_ptr<trace::TraceSink> LongitudinalAnalysis::clone_shard() const {
-  return std::make_unique<LongitudinalAnalysis>(tracked_);
+  auto clone = std::make_unique<LongitudinalAnalysis>(tracked_);
+  clone->shard_ = true;
+  return clone;
 }
 
 void LongitudinalAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<LongitudinalAnalysis&>(shard);
-  if (spill_ != nullptr) {
-    // Fold mode: stage the shard's rows until the engine's fold_user call
-    // collapses and spills them (shards run resident over their one user).
-    for (std::size_t user = 0; user < other.users_.size(); ++user) {
-      if (!other.users_[user]) continue;
-      staged_.emplace_back(static_cast<trace::UserId>(user), std::move(*other.users_[user]));
-      other.users_[user].reset();
-    }
-    cur_ = nullptr;
-    other.cur_ = nullptr;
-    dirty_ = true;
-    return;
-  }
-  if (other.users_.size() > users_.size()) users_.resize(other.users_.size());
-  for (std::size_t user = 0; user < other.users_.size(); ++user) {
-    if (other.users_[user]) users_[user] = std::move(other.users_[user]);
-  }
   cur_ = nullptr;
   other.cur_ = nullptr;
   dirty_ = true;
+  if (!other.live_valid_) return;  // the clone's user had no traffic
+  other.live_valid_ = false;
+  const trace::UserId user = other.live_user_;
+  if (spill_ != nullptr) {
+    // Fold mode: stage the clone's row until the engine's fold_user call
+    // collapses and spills it.
+    staged_.emplace_back(user, std::move(other.live_));
+    return;
+  }
+  if (user >= users_.size()) users_.resize(user + 1);
+  users_[user] = std::make_unique<UserPart>(std::move(other.live_));
 }
 
 void LongitudinalAnalysis::fold_user(trace::UserId user) {

@@ -68,8 +68,8 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   void on_packet(const trace::PacketRecord& packet) override;
   void on_batch(const trace::EventBatch& batch) override;
 
-  // ShardableSink: per-user week/era partials stolen from the shard and
-  // folded in user-id order at query time.
+  // ShardableSink: the clone's one week/era partial is stolen and folded in
+  // user-id order at query time.
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
@@ -113,6 +113,8 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   static constexpr std::uint32_t kUntracked = UINT32_MAX;
 
   UserPart& user_part(trace::UserId user);
+  /// Fold mode and shard clones keep the live user in live_.
+  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
   /// Fold per-user partials (user-id order) into overall_/eras_.
   void fold() const;
 
@@ -128,11 +130,12 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   // Hot-path cache: the current user's partial (packets arrive user-grouped).
   trace::UserId cur_user_ = 0;
   UserPart* cur_ = nullptr;
+  bool shard_ = false;  ///< made by clone_shard(): one user, in live_
 
   // Fold-and-release state (all empty/zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
-  UserPart live_;  ///< the live user's partial (serial fold mode)
+  UserPart live_;  ///< the live user's partial (fold mode, shard clones)
   trace::UserId live_user_ = 0;
   bool live_valid_ = false;
   /// Merged shard rows awaiting their fold_user call (sharded fold mode).

@@ -22,9 +22,10 @@ WastedUpdateAnalysis::WastedUpdateAnalysis(std::vector<trace::AppId> apps, Durat
 void WastedUpdateAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   cur_user_ = kNoUser;
   per_app_.assign(apps_.size(), PerApp{});
-  if (spill_ == nullptr) {
-    // Fold mode never allocates the dense O(apps x users) partial arrays —
-    // that is the entire point of the lifecycle (DESIGN.md §15).
+  if (!single_user()) {
+    // Fold mode and shard clones never allocate the dense O(apps x users)
+    // partial arrays — that is the entire point of the lifecycle
+    // (DESIGN.md §15).
     for (PerApp& pa : per_app_) pa.user_parts.resize(meta.num_users);
   }
   spilled_self_ = 0;
@@ -39,9 +40,9 @@ WastedUpdateAnalysis::PerApp* WastedUpdateAnalysis::slot(trace::AppId app) {
 }
 
 WastedUpdateAnalysis::UserPart& WastedUpdateAnalysis::part(PerApp& pa, trace::UserId user) {
-  if (spill_ != nullptr) {
+  if (single_user()) {
     // Stream callbacks only ever touch the live user (the stream is
-    // user-bracketed and fold_user cleared the previous one).
+    // user-bracketed, and fold_user cleared the previous one).
     pa.live.touched = true;
     return pa.live;
   }
@@ -66,6 +67,7 @@ void WastedUpdateAnalysis::switch_user(trace::UserId user) {
 }
 
 void WastedUpdateAnalysis::on_user_begin(trace::UserId user) {
+  live_user_ = user;
   switch_user(user);
   assembler_.on_user_begin(user);
 }
@@ -129,7 +131,9 @@ void WastedUpdateAnalysis::settle_on_foreground(trace::AppId app, trace::UserId 
 }
 
 std::unique_ptr<trace::TraceSink> WastedUpdateAnalysis::clone_shard() const {
-  return std::make_unique<WastedUpdateAnalysis>(apps_, useful_window_);
+  auto clone = std::make_unique<WastedUpdateAnalysis>(apps_, useful_window_);
+  clone->shard_ = true;
+  return clone;
 }
 
 void WastedUpdateAnalysis::merge_from(trace::TraceSink& shard) {
@@ -139,19 +143,16 @@ void WastedUpdateAnalysis::merge_from(trace::TraceSink& shard) {
     const PerApp& theirs = other.per_app_[i];
     mine.updates += theirs.updates;
     mine.wasted_updates += theirs.wasted_updates;
-    for (trace::UserId user = 0; user < theirs.user_parts.size(); ++user) {
-      const UserPart& up = theirs.user_parts[user];
-      if (!up.touched) continue;
-      if (spill_ != nullptr) {
-        // Fold mode: keep the shard's rows staged until the engine's
-        // fold_user call collapses and spills them.
-        mine.staged.emplace_back(user, up);
-        continue;
-      }
-      UserPart& target = part(mine, user);
-      target.joules += up.joules;
-      target.wasted_joules += up.wasted_joules;
+    if (!theirs.live.touched) continue;
+    if (spill_ != nullptr) {
+      // Fold mode: keep the clone's row staged until the engine's fold_user
+      // call collapses and spills it.
+      mine.staged.emplace_back(other.live_user_, theirs.live);
+      continue;
     }
+    UserPart& target = part(mine, other.live_user_);
+    target.joules += theirs.live.joules;
+    target.wasted_joules += theirs.live.wasted_joules;
   }
 }
 

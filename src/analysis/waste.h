@@ -113,7 +113,7 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
     /// Current user's not-yet-settled updates (one user is live at a time).
     std::deque<PendingUpdate> pending;
     // Fold-and-release state (unused outside fold mode).
-    UserPart live;  ///< the live user's partial (serial fold mode)
+    UserPart live;  ///< the live user's partial (fold mode, shard clones)
     /// Merged shard rows awaiting their fold_user call (sharded fold mode).
     std::vector<std::pair<trace::UserId, UserPart>> staged;
     double folded_joules = 0.0;
@@ -131,6 +131,8 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   void on_flow(const trace::FlowRecord& flow);
   void expire(PerApp& pa, trace::UserId user, TimePoint now);
   void settle_on_foreground(trace::AppId app, trace::UserId user, TimePoint now);
+  /// Fold mode and shard clones keep the live user's parts in PerApp::live.
+  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
 
   std::vector<trace::AppId> apps_;
   std::vector<std::uint32_t> tracked_index_;  ///< AppId -> per_app_ slot
@@ -138,6 +140,8 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   trace::UserId cur_user_ = kNoUser;
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
   trace::FlowAssembler assembler_;
+  bool shard_ = false;              ///< made by clone_shard(): one user
+  trace::UserId live_user_ = 0;     ///< the user PerApp::live belongs to
 
   // Fold-and-release state (zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine

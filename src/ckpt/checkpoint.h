@@ -1,10 +1,11 @@
 // Checkpoint snapshots: versioned, checksummed, atomically-written state of
 // a run in progress (DESIGN.md §13).
 //
-// A Snapshot is the generic payload both engines share: the StudyMeta it was
-// taken under (stale detection), per-user completion progress, named u64
-// counters (RunStats partials, radio counters, sweep progress), and named
-// per-sink sections holding each CheckpointableSink's serialized state.
+// A Snapshot is the generic payload every checkpointing run shares: the
+// StudyMeta it was taken under (stale detection), per-user completion
+// progress, named u64 counters (RunStats partials, radio counters, sweep
+// progress), and named per-sink sections holding each CheckpointableSink's
+// serialized state.
 //
 // On disk a snapshot is framed like a WETR trace: "WECK" magic, a version
 // byte, the payload, and an FNV-1a checksum trailer over everything before

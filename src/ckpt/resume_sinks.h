@@ -1,9 +1,10 @@
 // Resume decorators for serial (forward-only) streams.
 //
-// The sharded engine resumes by dropping completed users from its work list
-// before building shards. Serial sources — CSV/binary files fed through
-// `analyze`, or the serial pipeline path — replay every user in order, so
-// resuming needs stream-level surgery instead: UserSkipFilter swallows the
+// The execution engine (core/engine.h) resumes by dropping completed users
+// from its task list before building shards. Streams consumed outside it —
+// CSV/binary files fed through the CLI's `analyze`, a spilling store's
+// capture — replay every user in order, so resuming needs stream-level
+// surgery instead: UserSkipFilter swallows the
 // brackets of users a checkpoint already covers, and CheckpointingSink counts
 // the users that do complete and fires a snapshot callback every N of them.
 // Stacked as source -> UserSkipFilter -> CheckpointingSink -> real sinks, the

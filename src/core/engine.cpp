@@ -1,0 +1,860 @@
+#include "core/engine.h"
+
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "ckpt/checkpoint.h"
+#include "ckpt/checkpointable.h"
+#include "energy/ledger.h"
+#include "fault/plan.h"
+#include "obs/memory.h"
+#include "obs/metrics.h"
+#include "obs/stopwatch.h"
+#include "trace/batch.h"
+#include "trace/instrumented_sink.h"
+#include "trace/interface_filter.h"
+#include "trace/shardable.h"
+#include "trace/store_backend.h"
+#include "util/thread_pool.h"
+
+namespace wildenergy::core::internal {
+namespace {
+
+/// Radio counters summed from the chains' registries. Every radio mutation
+/// of a run happens under a chain-scoped registry, so the sum is the run's
+/// delta — and unlike a global delta, it restores from a checkpoint.
+constexpr std::array<const char*, 4> kRadioCounters = {
+    "radio.bursts", "radio.bursts_queued", "radio.promotions", "radio.repromotions"};
+
+/// One task's private sink chain. Heap-allocated: the filter and attributor
+/// hold pointers into it, so it must not move.
+struct ShardChain {
+  obs::MetricsRegistry registry;  ///< chain-local radio/ingest counters
+  trace::TraceMulticast fanout;
+  std::vector<std::unique_ptr<trace::TraceSink>> clones;  ///< parallel to Plan::shardable
+  std::unique_ptr<energy::EnergyAttributor> attributor;
+  std::unique_ptr<trace::TraceSink> policy;
+  std::unique_ptr<trace::InterfaceFilter> filter;
+  std::unique_ptr<trace::TraceSink> fault;  ///< FaultPlan decorator, if any
+  trace::TraceSink* entry = nullptr;
+  /// Stage profiling: every stage wrapped in an InstrumentedSink on this
+  /// chain's own PhaseStack. Built sinks first, then attribute, policy,
+  /// filter.
+  obs::PhaseStack phase_stack;
+  std::vector<std::unique_ptr<trace::InstrumentedSink>> wrappers;
+
+  /// Display order — filter, policy, attribute, then the sinks — the same
+  /// shape for every chain of a scenario, so stage i folds with stage i.
+  [[nodiscard]] std::vector<obs::StageStats> stage_stats(std::size_t num_sinks) const {
+    std::vector<obs::StageStats> out;
+    for (std::size_t i = wrappers.size(); i > num_sinks; --i) {
+      out.push_back(wrappers[i - 1]->stats());
+    }
+    for (std::size_t i = 0; i < num_sinks && i < wrappers.size(); ++i) {
+      out.push_back(wrappers[i]->stats());
+    }
+    return out;
+  }
+  [[nodiscard]] std::uint64_t resident_bytes() const {
+    std::uint64_t total = attributor->memory_use().resident_bytes;
+    for (const auto& clone : clones) total += clone->memory_use().resident_bytes;
+    return total;
+  }
+};
+
+/// Shardability adapter for a custom sink that does not implement
+/// trace::ShardableSink: the parent forwards the study bracket to the wrapped
+/// sink, each clone records its one user's annotated stream, and merge_from
+/// replays the recording into the wrapped sink. Merges arrive in stream
+/// order, so the wrapped sink sees the exact surviving-user study a serial
+/// pass would feed it. Counted in RunStats::serial_fallback_sinks.
+class CollectSpliceSink final : public trace::TraceSink, public trace::ShardableSink {
+ public:
+  explicit CollectSpliceSink(trace::TraceSink* target) : target_(target) {}
+
+  void on_study_begin(const trace::StudyMeta& meta) override {
+    if (target_ != nullptr) target_->on_study_begin(meta);
+  }
+  void on_study_end() override {
+    if (target_ != nullptr) target_->on_study_end();
+  }
+  void on_user_begin(trace::UserId user) override { user_ = user; }
+  void on_packet(const trace::PacketRecord& p) override { events_.add(p); }
+  void on_transition(const trace::StateTransition& t) override { events_.add(t); }
+  void on_batch(const trace::EventBatch& batch) override {
+    events_.packets.insert(events_.packets.end(), batch.packets.begin(), batch.packets.end());
+    events_.transitions.insert(events_.transitions.end(), batch.transitions.begin(),
+                               batch.transitions.end());
+    events_.order.insert(events_.order.end(), batch.order.begin(), batch.order.end());
+  }
+
+  [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override {
+    return std::make_unique<CollectSpliceSink>(nullptr);
+  }
+  void merge_from(trace::TraceSink& shard) override {
+    auto& other = dynamic_cast<CollectSpliceSink&>(shard);
+    target_->on_user_begin(other.user_);
+    trace::replay(other.events_, *target_);
+    target_->on_user_end(other.user_);
+    other.events_.clear();
+  }
+
+  [[nodiscard]] obs::MemoryUse memory_use() const override {
+    return {.resident_bytes = events_.packets.capacity() * sizeof(trace::PacketRecord) +
+                              events_.transitions.capacity() * sizeof(trace::StateTransition) +
+                              events_.order.capacity() * sizeof(trace::EventKind),
+            .spilled_bytes = 0};
+  }
+
+ private:
+  trace::TraceSink* target_;  ///< null in recording clones
+  trace::UserId user_ = 0;
+  trace::EventBatch events_;
+};
+
+/// One (scenario, user) task and its scheduling record.
+struct Task {
+  std::size_t scenario = 0;
+  trace::UserId user = 0;
+  std::unique_ptr<ShardChain> chain;
+  unsigned attempts = 0;
+  unsigned worker = 0;
+  double wall_ms = 0.0;
+  std::int64_t span_start_us = 0;
+  std::uint64_t chain_bytes = 0;  ///< chain footprint once its stream finished
+  util::Status error;             ///< non-OK while the latest attempt has failed
+  std::exception_ptr thrown;      ///< what the latest attempt threw, if anything
+  bool done = false;              ///< set under the window mutex by a worker
+};
+
+/// One scenario's run state.
+struct Plan {
+  EngineScenario* sc = nullptr;
+  std::vector<std::unique_ptr<CollectSpliceSink>> adapters;
+  std::vector<trace::ShardableSink*> shardable;  ///< parallel to sc->sinks
+  std::vector<trace::TraceSink*> parents;        ///< each sink, or its adapter
+  std::vector<trace::UserId> done;       ///< sorted users a checkpoint covers
+  std::vector<trace::UserId> completed;  ///< merged users, stream order (checkpointing only)
+  std::size_t pending = 0;               ///< tasks not yet merged
+  std::size_t since_checkpoint = 0;      ///< tasks merged since the last snapshot
+  std::uint64_t dropped_packets = 0;
+  std::uint64_t dropped_bytes = 0;
+  std::array<std::uint64_t, kRadioCounters.size()> radio{};
+  std::vector<obs::StageStats> stages;  ///< per-chain profiles, folded in merge order
+  double source_ms = 0.0;               ///< per-chain wall the stages did not account for
+};
+
+std::string prefix(std::size_t scenario) { return "s" + std::to_string(scenario) + "."; }
+
+void add_to_aggregate(obs::RunStats& aggregate, const obs::RunStats& s) {
+  aggregate.packets += s.packets;
+  aggregate.transitions += s.transitions;
+  aggregate.bytes += s.bytes;
+  aggregate.joules += s.joules;
+  aggregate.off_interface_packets += s.off_interface_packets;
+  aggregate.off_interface_bytes += s.off_interface_bytes;
+  aggregate.shard_retries += s.shard_retries;
+  aggregate.serial_fallback_sinks += s.serial_fallback_sinks;
+  aggregate.radio_bursts += s.radio_bursts;
+  aggregate.radio_bursts_queued += s.radio_bursts_queued;
+  aggregate.radio_promotions += s.radio_promotions;
+  aggregate.radio_repromotions += s.radio_repromotions;
+  aggregate.memory.ledger += s.memory.ledger;
+  aggregate.memory.analyses += s.memory.analyses;
+  aggregate.memory.accounts += s.memory.accounts;
+}
+
+class Engine {
+ public:
+  Engine(trace::TraceSource& source, std::vector<EngineScenario>& scenarios,
+         const EngineOptions& options)
+      : source_(source),
+        scenarios_(scenarios),
+        opt_(options),
+        random_access_(source.supports_user_access()),
+        retry_then_skip_(options.failure_policy == FailurePolicy::kRetryThenSkip),
+        timed_(options.collect_stage_stats || options.trace_writer != nullptr),
+        // Forward-only sources take no scripted shard faults: a chain cannot
+        // be rebuilt for a stream that has already gone by.
+        fault_plan_(random_access_ ? options.fault_plan : nullptr) {}
+
+  util::StatusOr<obs::RunStats> run();
+
+  // -- stream hooks, for the forward-only splitter --------------------------
+  util::Status open(const trace::StudyMeta& meta);
+  [[nodiscard]] bool covered(trace::UserId user) const {
+    return std::binary_search(plans_[0].done.begin(), plans_[0].done.end(), user);
+  }
+  std::unique_ptr<Task> make_task(std::size_t scenario, trace::UserId user);
+  util::Status settle(Task& task);
+  void note_window(std::uint64_t bytes) { window_bytes_ = std::max(window_bytes_, bytes); }
+  [[nodiscard]] const trace::StudyMeta& meta() const { return meta_; }
+  [[nodiscard]] obs::TraceWriter* writer() const { return opt_.trace_writer; }
+
+ private:
+  util::Status prepare();
+  util::Status restore(const ckpt::Snapshot& snap);
+  util::Status run_window();
+  void execute(Task& task, unsigned worker) const;
+  void absorb(Task& task) const;
+  void merge(Plan& plan, Task& task, obs::ShardRunStats& row);
+  util::Status close_ready();
+  util::Status close(std::size_t scenario);
+  void write_snapshot();
+  [[nodiscard]] std::size_t num_users() const {
+    return random_access_ ? user_ids_.size() : meta_.num_users;
+  }
+
+  trace::TraceSource& source_;
+  std::vector<EngineScenario>& scenarios_;
+  const EngineOptions& opt_;
+  const bool random_access_;
+  const bool retry_then_skip_;
+  const bool timed_;
+  fault::FaultPlan* const fault_plan_;
+  bool keep_rows_ = false;  ///< record a ShardRunStats row per task
+  unsigned threads_ = 1;    ///< worker threads actually used
+  std::vector<Plan> plans_;
+  trace::StudyMeta meta_;
+  std::vector<trace::UserId> user_ids_;  ///< random-access sources only
+  std::unique_ptr<ckpt::CheckpointWriter> writer_;
+  std::optional<ckpt::Snapshot> resumed_;
+  std::size_t resumed_done_ = 0;  ///< scenarios the loaded snapshot had finished
+  std::size_t restored_ = 0;      ///< scenarios the loaded snapshot held state for
+  std::size_t closed_ = 0;        ///< scenarios closed so far, in order
+  std::size_t total_tasks_ = 0;
+  std::size_t merged_tasks_ = 0;
+  std::uint64_t window_bytes_ = 0;  ///< high-water of finished, unmerged chains
+  obs::RunStats run_;               ///< run-level resume accounting
+};
+
+/// The forward-only path: opens a chain at each user bracket on the reading
+/// thread, forwards the bracket's events into it, and settles it when the
+/// bracket closes — the same merge path as the window, at W = 1.
+class UserSplitter final : public trace::TraceSink {
+ public:
+  explicit UserSplitter(Engine& engine) : engine_(engine) {}
+
+  [[nodiscard]] const util::Status& status() const { return status_; }
+  [[nodiscard]] bool opened() const { return opened_; }
+
+  void on_study_begin(const trace::StudyMeta& meta) override {
+    opened_ = true;
+    status_ = engine_.open(meta);
+  }
+  void on_user_begin(trace::UserId user) override {
+    if (!status_.ok() || engine_.covered(user)) return;  // a checkpoint covers the user
+    task_ = engine_.make_task(0, user);
+    scope_.emplace(&task_->chain->registry);
+    task_->attempts = 1;
+    task_->span_start_us = engine_.writer() != nullptr ? engine_.writer()->now_us() : 0;
+    watch_.restart();
+    task_->chain->entry->on_study_begin(engine_.meta());
+    task_->chain->entry->on_user_begin(user);
+  }
+  void on_packet(const trace::PacketRecord& packet) override {
+    if (task_) task_->chain->entry->on_packet(packet);
+  }
+  void on_transition(const trace::StateTransition& transition) override {
+    if (task_) task_->chain->entry->on_transition(transition);
+  }
+  void on_batch(const trace::EventBatch& batch) override {
+    if (task_) task_->chain->entry->on_batch(batch);
+  }
+  void on_user_end(trace::UserId user) override {
+    if (!task_) return;
+    task_->chain->entry->on_user_end(user);
+    task_->chain->entry->on_study_end();
+    scope_.reset();
+    task_->wall_ms = watch_.elapsed_ms();
+    task_->chain_bytes = task_->chain->resident_bytes();
+    engine_.note_window(task_->chain_bytes);
+    status_ = engine_.settle(*task_);
+    task_.reset();
+  }
+  void on_study_end() override {}
+
+ private:
+  Engine& engine_;
+  util::Status status_;
+  bool opened_ = false;
+  std::unique_ptr<Task> task_;
+  std::optional<obs::ScopedMetricsRegistry> scope_;  ///< destroyed before task_
+  obs::Stopwatch watch_;
+};
+
+util::Status Engine::prepare() {
+  const bool checkpointing = !opt_.checkpoint_dir.empty();
+  plans_.resize(scenarios_.size());
+  for (std::size_t si = 0; si < plans_.size(); ++si) {
+    Plan& plan = plans_[si];
+    plan.sc = &scenarios_[si];
+    *plan.sc->stats = {};
+    for (const auto& [name, sink] : plan.sc->sinks) {
+      // Checkpoints serialize every sink; one without save/restore would be
+      // silently absent from the snapshot, so refuse up front, naming it.
+      if (checkpointing && ckpt::as_checkpointable(sink) == nullptr) {
+        return util::Status::failed_precondition(
+            "sink '" + name + "'" +
+            (plan.sc->name.empty() ? "" : " of scenario '" + plan.sc->name + "'") +
+            " does not implement ckpt::CheckpointableSink; checkpointing would lose its "
+            "state — drop the sink or implement save_state/restore_state");
+      }
+      if (auto* s = trace::as_shardable(sink)) {
+        plan.shardable.push_back(s);
+        plan.parents.push_back(sink);
+      } else {
+        plan.adapters.push_back(std::make_unique<CollectSpliceSink>(sink));
+        plan.shardable.push_back(plan.adapters.back().get());
+        plan.parents.push_back(plan.adapters.back().get());
+      }
+    }
+    plan.sc->stats->serial_fallback_sinks = plan.adapters.size();
+    // Arm (or, with nullptr, disarm — sinks may be armed by an earlier run)
+    // fold-and-release before any study bracket opens.
+    plan.sc->attributor->set_account_spill(plan.sc->spill);
+    for (auto* s : plan.shardable) s->set_account_spill(plan.sc->spill);
+  }
+  if (!checkpointing) return util::Status::ok_status();
+  ckpt::CheckpointWriterOptions writer_options;
+  writer_options.fault_plan = opt_.fault_plan;
+  writer_ = std::make_unique<ckpt::CheckpointWriter>(opt_.checkpoint_dir, writer_options);
+  if (!opt_.resume) return util::Status::ok_status();
+  auto loaded = ckpt::CheckpointReader::load_latest(opt_.checkpoint_dir);
+  if (!loaded.ok()) return loaded.status();
+  writer_->set_next_seq(loaded->seq + 1);
+  run_.recovered_from_seq = loaded->recovered_from_seq;
+  resumed_ = std::move(loaded->snapshot);
+  return util::Status::ok_status();
+}
+
+util::Status Engine::open(const trace::StudyMeta& meta) {
+  meta_ = meta;
+  if (resumed_) {
+    if (util::Status st = ckpt::check_snapshot_meta(*resumed_, meta); !st.ok()) return st;
+  }
+  // Parents open their study bracket once; merges then stack users on top
+  // in stream order, and a resume folds the snapshot's partials in first.
+  for (Plan& plan : plans_) {
+    plan.sc->attributor->on_study_begin(meta);
+    for (auto* parent : plan.parents) parent->on_study_begin(meta);
+  }
+  if (resumed_) {
+    if (util::Status st = restore(*resumed_); !st.ok()) return st;
+  }
+  for (std::size_t si = 0; si < plans_.size(); ++si) {
+    Plan& plan = plans_[si];
+    if (si >= resumed_done_ && random_access_) plan.pending = num_users() - plan.done.size();
+    total_tasks_ += plan.pending;
+    if (energy::AccountSpill* spill = plan.sc->spill) {
+      // Keep the account-file prefix the checkpoint vouches for; later files
+      // hold rows of users the resume re-runs (they respill).
+      util::Status st = si < restored_
+                            ? spill->resume(resumed_->counter(prefix(si) + "account_sealed_files"))
+                            : spill->open_fresh();
+      if (!st.ok()) return st;
+    }
+  }
+  return util::Status::ok_status();
+}
+
+util::Status Engine::restore(const ckpt::Snapshot& snap) {
+  const auto restore_section = [&snap](const std::string& name,
+                                       ckpt::CheckpointableSink& sink) -> util::Status {
+    const std::string* payload = snap.section(name);
+    if (payload == nullptr) {
+      return util::Status::failed_precondition(
+          "checkpoint holds no section '" + name + "' — it was taken under a different sink set");
+    }
+    ckpt::ByteReader in{*payload};
+    if (util::Status st = sink.restore_state(in); !st.ok()) {
+      return {st.code(), "section '" + name + "': " + st.message()};
+    }
+    if (!in.at_end()) {
+      return util::Status::data_loss("section '" + name + "': " + std::to_string(in.remaining()) +
+                                     " trailing bytes in checkpoint");
+    }
+    return util::Status::ok_status();
+  };
+  resumed_done_ = snap.counter("scenarios_done");
+  if (resumed_done_ > plans_.size()) {
+    return util::Status::failed_precondition(
+        "checkpoint covers " + std::to_string(resumed_done_) + " finished scenarios but only " +
+        std::to_string(plans_.size()) + " are registered — the scenario list changed");
+  }
+  for (std::size_t si = 0; si < plans_.size() && si <= resumed_done_; ++si) {
+    Plan& plan = plans_[si];
+    const std::string p = prefix(si);
+    const std::string* name = snap.section(p + "scenario");
+    if (name == nullptr && si == resumed_done_) break;  // nothing was in progress
+    if (name == nullptr || *name != plan.sc->name) {
+      return util::Status::failed_precondition(
+          "checkpointed scenario '" + (name != nullptr ? *name : "<missing>") +
+          "' does not match registered scenario '" + plan.sc->name +
+          "' — the scenario list changed");
+    }
+    obs::RunStats& stats = *plan.sc->stats;
+    stats.shard_retries = snap.counter(p + "shard_retries");
+    plan.dropped_packets = snap.counter(p + "off_interface_packets");
+    plan.dropped_bytes = snap.counter(p + "off_interface_bytes");
+    for (std::size_t r = 0; r < kRadioCounters.size(); ++r) {
+      plan.radio[r] = snap.counter(p + kRadioCounters[r]);
+    }
+    if (const std::string* failed = snap.section(p + "failed")) {
+      ckpt::ByteReader peek{*failed};
+      const auto count = peek.get_varint("failed users");
+      if (!count.ok()) return count.status();
+      if (*count > failed->size()) return util::Status::data_loss("corrupt failed-user list");
+      stats.failed_users.resize(*count);
+      ckpt::ByteReader in{*failed};
+      if (util::Status st = in.get_u64_span(stats.failed_users, "failed users"); !st.ok()) {
+        return st;
+      }
+    }
+    if (util::Status st = restore_section(p + "attributor", *plan.sc->attributor); !st.ok()) {
+      return st;
+    }
+    for (const auto& [sink_name, sink] : plan.sc->sinks) {
+      if (util::Status st = restore_section(p + sink_name, *ckpt::as_checkpointable(sink));
+          !st.ok()) {
+        return st;
+      }
+    }
+    restored_ = si + 1;
+    if (si < resumed_done_) continue;  // finished: nothing of it runs again
+    plan.completed = snap.completed_users;
+    plan.done = plan.completed;
+    plan.done.insert(plan.done.end(), stats.failed_users.begin(), stats.failed_users.end());
+    std::sort(plan.done.begin(), plan.done.end());
+  }
+  run_.resumed_users = resumed_done_ * num_users();
+  if (resumed_done_ < plans_.size()) run_.resumed_users += plans_[resumed_done_].done.size();
+  return util::Status::ok_status();
+}
+
+std::unique_ptr<Task> Engine::make_task(std::size_t scenario, trace::UserId user) {
+  const Plan& plan = plans_[scenario];
+  auto task = std::make_unique<Task>();
+  task->scenario = scenario;
+  task->user = user;
+  task->chain = std::make_unique<ShardChain>();
+  ShardChain& chain = *task->chain;
+  const auto wrap = [&](std::string name, trace::TraceSink* sink) -> trace::TraceSink* {
+    if (!timed_) return sink;
+    chain.wrappers.push_back(
+        std::make_unique<trace::InstrumentedSink>(std::move(name), sink, &chain.phase_stack));
+    return chain.wrappers.back().get();
+  };
+  for (std::size_t i = 0; i < plan.shardable.size(); ++i) {
+    chain.clones.push_back(plan.shardable[i]->clone_shard());
+    chain.fanout.add(wrap(plan.sc->sinks[i].first, chain.clones.back().get()));
+  }
+  chain.attributor = plan.sc->attributor->clone_shard(&chain.fanout);
+  trace::TraceSink* head = wrap("attribute", chain.attributor.get());
+  if (plan.sc->policy) {
+    chain.policy = plan.sc->policy(head);
+    head = wrap("policy", chain.policy.get());
+  }
+  chain.filter = std::make_unique<trace::InterfaceFilter>(head, plan.sc->interface);
+  chain.entry = wrap("filter", chain.filter.get());
+  if (fault_plan_ != nullptr) {
+    // wrap() counts one attempt per build, so a retry's rebuild re-arms or
+    // disarms the fault deterministically. It sits above the (possibly
+    // instrumented) filter, so injected callbacks are profiled too.
+    chain.fault = fault_plan_->wrap(user, chain.entry);
+    if (chain.fault != nullptr) chain.entry = chain.fault.get();
+  }
+  return task;
+}
+
+void Engine::execute(Task& task, unsigned worker) const {
+  // Chain-local metrics: the radio model built in on_user_begin resolves its
+  // counters from current(), i.e. this chain's registry.
+  const obs::ScopedMetricsRegistry scoped{&task.chain->registry};
+  task.worker = worker;
+  ++task.attempts;
+  task.span_start_us = opt_.trace_writer != nullptr ? opt_.trace_writer->now_us() : 0;
+  const obs::Stopwatch watch;
+  try {
+    task.error = source_.emit_user(task.user, *task.chain->entry, opt_.batch_size);
+    task.chain_bytes = task.chain->resident_bytes();
+  } catch (...) {
+    task.thrown = std::current_exception();
+  }
+  task.wall_ms = watch.elapsed_ms();
+}
+
+// A throwing attempt propagates under kFailFast — rethrown here, on the
+// calling thread, in task order — and becomes a failed status under
+// kRetryThenSkip.
+void Engine::absorb(Task& task) const {
+  if (!task.thrown) return;
+  const std::exception_ptr thrown = std::exchange(task.thrown, nullptr);
+  if (!retry_then_skip_) std::rethrow_exception(thrown);
+  try {
+    std::rethrow_exception(thrown);
+  } catch (const std::exception& e) {
+    task.error = util::Status::aborted(e.what());
+  }
+}
+
+util::Status Engine::run_window() {
+  const std::size_t users = user_ids_.size();
+  const std::size_t window =
+      opt_.num_threads <= 1
+          ? 1
+          : std::clamp<std::size_t>(2 * std::size_t{opt_.num_threads}, 1,
+                                    std::max<std::size_t>(users, 1));
+  // Declared before the pool: its destructor finishes every queued job, so
+  // the tasks and the mutex those jobs touch outlive them even when a merge
+  // throws or returns early.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<std::unique_ptr<Task>> inflight;
+  std::optional<util::ThreadPool> pool;
+  if (window > 1) pool.emplace(std::min<unsigned>(opt_.num_threads, window));
+  threads_ = pool ? pool->size() : 1;
+  keep_rows_ =
+      threads_ > 1 || retry_then_skip_ || (fault_plan_ != nullptr && !fault_plan_->empty());
+
+  // Task cursor: scenario-major over the users, skipping covered ones.
+  std::size_t si = resumed_done_;
+  std::size_t ui = 0;
+  const auto next_task = [&]() -> bool {
+    for (; si < plans_.size(); ++si, ui = 0) {
+      const std::vector<trace::UserId>& done = plans_[si].done;
+      while (ui < users && std::binary_search(done.begin(), done.end(), user_ids_[ui])) ++ui;
+      if (ui < users) return true;
+    }
+    return false;
+  };
+  const auto in_flight = [&](trace::UserId user) {
+    return std::any_of(inflight.begin(), inflight.end(),
+                       [user](const auto& t) { return t->user == user; });
+  };
+
+  if (util::Status st = close_ready(); !st.ok()) return st;
+  for (;;) {
+    while (inflight.size() < window && next_task() && !in_flight(user_ids_[ui])) {
+      inflight.push_back(make_task(si, user_ids_[ui++]));
+      Task* task = inflight.back().get();
+      if (!pool) {
+        execute(*task, 0);
+        task->done = true;
+        continue;
+      }
+      pool->submit([this, task, &mu, &cv](unsigned worker) {
+        execute(*task, worker);
+        {
+          const std::lock_guard<std::mutex> lock{mu};
+          task->done = true;
+        }
+        cv.notify_all();
+      });
+    }
+    if (inflight.empty()) break;
+    Task& front = *inflight.front();
+    {
+      std::unique_lock<std::mutex> lock{mu};
+      cv.wait(lock, [&front] { return front.done; });
+      std::uint64_t bytes = 0;
+      for (const auto& t : inflight) bytes += t->done ? t->chain_bytes : 0;
+      note_window(bytes);
+    }
+    if (util::Status st = settle(front); !st.ok()) return st;
+    --plans_[front.scenario].pending;
+    inflight.pop_front();
+    if (util::Status st = close_ready(); !st.ok()) return st;
+  }
+  return util::Status::ok_status();
+}
+
+util::Status Engine::settle(Task& task) {
+  Plan& plan = plans_[task.scenario];
+  obs::RunStats& stats = *plan.sc->stats;
+  absorb(task);
+  if (!task.error.ok() && !retry_then_skip_) return task.error;  // the source failed
+  // Retries run here, serially: a fresh build has no partial state, so a
+  // re-run is the same deterministic computation.
+  for (unsigned retry = 0; !task.error.ok() && retry < opt_.max_shard_retries; ++retry) {
+    ++stats.shard_retries;
+    const unsigned attempts = task.attempts;
+    task.chain.reset();  // free the failed chain first: the window bound holds
+    task.chain = std::move(make_task(task.scenario, task.user)->chain);
+    task.attempts = attempts;
+    task.error = util::Status::ok_status();
+    execute(task, task.worker);
+    absorb(task);
+  }
+  obs::ShardRunStats row;
+  row.user = task.user;
+  row.worker = task.worker;
+  row.wall_ms = task.wall_ms;
+  row.attempts = std::max(1u, task.attempts);
+  row.skipped = !task.error.ok();
+  row.status = task.error;
+  if (row.skipped) {
+    stats.failed_users.push_back(task.user);  // nothing of the user survives
+  } else {
+    merge(plan, task, row);
+  }
+  if (keep_rows_) stats.shards.push_back(std::move(row));
+  if (opt_.trace_writer != nullptr) {
+    opt_.trace_writer->add_complete("user " + std::to_string(task.user), "shard",
+                                    task.span_start_us,
+                                    static_cast<std::int64_t>(task.wall_ms * 1e3),
+                                    1 + static_cast<int>(task.worker));
+  }
+  if (opt_.progress) opt_.progress(++merged_tasks_, total_tasks_, task.scenario, task.user);
+  if (writer_ != nullptr &&
+      ++plan.since_checkpoint >= std::max<std::size_t>(1, opt_.checkpoint_every_users)) {
+    write_snapshot();
+    plan.since_checkpoint = 0;
+  }
+  return util::Status::ok_status();
+}
+
+void Engine::merge(Plan& plan, Task& task, obs::ShardRunStats& row) {
+  ShardChain& chain = *task.chain;
+  // The ledger is sinks[0]; read its totals before merge_from empties it.
+  const auto& ledger = dynamic_cast<const energy::EnergyLedger&>(*chain.clones[0]);
+  row.packets = ledger.total_packets();
+  row.bytes = ledger.total_bytes();
+  row.joules = ledger.total_joules();
+  plan.sc->attributor->merge_from(*chain.attributor);
+  for (std::size_t i = 0; i < plan.shardable.size(); ++i) {
+    plan.shardable[i]->merge_from(*chain.clones[i]);
+  }
+  if (energy::AccountSpill* spill = plan.sc->spill) {
+    // Fold-and-release right after the user's detail landed in the parents:
+    // merges run in stream order, so folds do too. Section order:
+    // attributor, ledger, analyses.
+    spill->begin_user(task.user);
+    plan.sc->attributor->fold_user(task.user);
+    for (auto* s : plan.shardable) s->fold_user(task.user);
+    spill->end_user();
+  }
+  plan.dropped_packets += chain.filter->dropped_packets();
+  plan.dropped_bytes += chain.filter->dropped_bytes();
+  for (std::size_t r = 0; r < kRadioCounters.size(); ++r) {
+    plan.radio[r] += chain.registry.counter_value(kRadioCounters[r]);
+  }
+  obs::MetricsRegistry::global().merge_from(chain.registry);
+  if (writer_ != nullptr) plan.completed.push_back(task.user);
+  if (!timed_) return;
+  const std::vector<obs::StageStats> stages = chain.stage_stats(plan.shardable.size());
+  if (plan.stages.empty()) plan.stages.resize(stages.size());
+  double accounted_ms = 0.0;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    accounted_ms += stages[i].self_ms;
+    plan.stages[i].merge_from(stages[i]);
+  }
+  plan.source_ms += std::max(0.0, task.wall_ms - accounted_ms);
+}
+
+util::Status Engine::close_ready() {
+  while (closed_ < plans_.size() && plans_[closed_].pending == 0) {
+    if (util::Status st = close(closed_); !st.ok()) return st;
+  }
+  return util::Status::ok_status();
+}
+
+util::Status Engine::close(std::size_t scenario) {
+  Plan& plan = plans_[scenario];
+  if (writer_ != nullptr && plan.since_checkpoint > 0) {
+    write_snapshot();  // the scenario's last stretch
+    plan.since_checkpoint = 0;
+  }
+  for (auto* parent : plan.parents) parent->on_study_end();
+  obs::RunStats& s = *plan.sc->stats;
+  const auto& ledger = dynamic_cast<const energy::EnergyLedger&>(*plan.sc->sinks[0].second);
+  s.num_threads = threads_;
+  s.users = num_users();
+  s.packets = ledger.total_packets();
+  s.bytes = ledger.total_bytes();
+  s.joules = ledger.total_joules();
+  s.off_interface_packets = plan.dropped_packets;
+  s.off_interface_bytes = plan.dropped_bytes;
+  const energy::AttributionCounters& ac = plan.sc->attributor->counters();
+  s.transitions = ac.transitions;
+  s.tail_attributions = ac.tail_attributions;
+  s.proportional_splits = ac.proportional_splits;
+  s.promotion_segments = ac.promotion_segments;
+  s.transfer_segments = ac.transfer_segments;
+  s.tail_segments = ac.tail_segments;
+  s.drx_segments = ac.drx_segments;
+  s.idle_segments = ac.idle_segments;
+  s.radio_bursts = plan.radio[0];
+  s.radio_bursts_queued = plan.radio[1];
+  s.radio_promotions = plan.radio[2];
+  s.radio_repromotions = plan.radio[3];
+  s.memory.ledger = ledger.memory_use();
+  for (std::size_t i = 1; i < plan.sc->sinks.size(); ++i) {
+    s.memory.analyses += plan.sc->sinks[i].second->memory_use();
+  }
+  if (const auto* backend = dynamic_cast<const trace::StoreBackend*>(&source_)) {
+    s.memory.store = backend->memory_use();
+  }
+  if (energy::AccountSpill* spill = plan.sc->spill) {
+    // Resident is read before the final seal so the number describes the
+    // bounded pending-writer footprint the run held, not the post-seal zero.
+    s.memory.accounts.resident_bytes = spill->resident_bytes();
+    if (util::Status st = spill->seal(); !st.ok()) return st;
+    if (util::Status st = spill->health(); !st.ok()) return st;
+    s.memory.accounts.spilled_bytes = spill->spilled_bytes();
+  }
+  s.memory.peak_rss_bytes = obs::peak_rss_bytes();
+  ++closed_;
+  // Between scenarios, snapshot the closed one too, so a resume restores it
+  // as finished rather than re-closing it.
+  if (writer_ != nullptr && closed_ < plans_.size() && scenario >= resumed_done_) {
+    write_snapshot();
+  }
+  return util::Status::ok_status();
+}
+
+// The one snapshot writer. Every closed scenario plus the one in progress
+// (if any task of it merged) saves its name, counters, failed users, and the
+// state of its attributor and sinks under the "s<index>." prefix; the
+// in-progress scenario's merged users go in completed_users. A failed write
+// is counted and the run continues; an injected hard stop throws here.
+void Engine::write_snapshot() {
+  ckpt::Snapshot snap;
+  snap.meta = meta_;
+  snap.set_counter("scenarios_done", closed_);
+  for (std::size_t si = 0; si <= closed_ && si < plans_.size(); ++si) {
+    Plan& plan = plans_[si];
+    const obs::RunStats& stats = *plan.sc->stats;
+    if (si == closed_) {
+      if (plan.completed.empty() && stats.failed_users.empty()) break;
+      snap.completed_users = plan.completed;
+    }
+    const std::string p = prefix(si);
+    snap.add_section(p + "scenario", plan.sc->name);
+    snap.set_counter(p + "shard_retries", stats.shard_retries);
+    snap.set_counter(p + "off_interface_packets", plan.dropped_packets);
+    snap.set_counter(p + "off_interface_bytes", plan.dropped_bytes);
+    for (std::size_t r = 0; r < kRadioCounters.size(); ++r) {
+      snap.set_counter(p + kRadioCounters[r], plan.radio[r]);
+    }
+    if (energy::AccountSpill* spill = plan.sc->spill) {
+      // Seal BEFORE recording the counter: a resume keeps exactly the files
+      // the snapshot vouches for. Failures latch into health().
+      (void)spill->seal();
+      snap.set_counter(p + "account_sealed_files", spill->sealed_files());
+    }
+    ckpt::ByteWriter failed;
+    failed.put_u64_span(stats.failed_users);
+    snap.add_section(p + "failed", failed.take());
+    ckpt::ByteWriter attributor;
+    plan.sc->attributor->save_state(attributor);
+    snap.add_section(p + "attributor", attributor.take());
+    for (const auto& [name, sink] : plan.sc->sinks) {
+      ckpt::ByteWriter out;
+      ckpt::as_checkpointable(sink)->save_state(out);
+      snap.add_section(p + name, out.take());
+    }
+  }
+  (void)writer_->write(snap);
+}
+
+util::StatusOr<obs::RunStats> Engine::run() {
+  const obs::Stopwatch total;
+  if (util::Status st = prepare(); !st.ok()) return st;
+  if (random_access_) {
+    user_ids_ = source_.users();
+    if (util::Status st = open(source_.meta()); !st.ok()) return st;
+    if (util::Status st = run_window(); !st.ok()) return st;
+  } else {
+    assert(plans_.size() == 1);  // sweeps always replay a store
+    UserSplitter splitter{*this};
+    const util::Status emitted = source_.emit(splitter, opt_.batch_size);
+    if (!splitter.status().ok()) return splitter.status();
+    if (!emitted.ok()) return emitted;
+    if (!splitter.opened()) {
+      if (util::Status st = open(source_.meta()); !st.ok()) return st;
+    }
+    if (util::Status st = close_ready(); !st.ok()) return st;
+  }
+
+  obs::RunStats run = run_;
+  run.wall_ms = total.elapsed_ms();
+  run.num_threads = threads_;
+  run.users = num_users();
+  for (Plan& plan : plans_) {
+    obs::RunStats& s = *plan.sc->stats;
+    s.timed = timed_;
+    if (timed_) {
+      // The source row is each chain's wall its stages did not account for.
+      // One thread running one scenario has the run's wall as its only
+      // budget, so there the row absorbs everything else (builds, merges)
+      // and the stage self times sum to the wall.
+      obs::StageStats source_row;
+      source_row.name =
+          dynamic_cast<const trace::StoreBackend*>(&source_) != nullptr ? "replay" : "generate";
+      source_row.self_ms = plan.source_ms;
+      if (threads_ == 1 && plans_.size() == 1) {
+        double accounted_ms = 0.0;
+        for (const auto& st : plan.stages) accounted_ms += st.self_ms;
+        source_row.self_ms = std::max(0.0, run.wall_ms - accounted_ms);
+      }
+      source_row.packets = s.packets + s.off_interface_packets;
+      source_row.transitions = s.transitions;
+      source_row.bytes = s.bytes + s.off_interface_bytes;
+      s.stages.push_back(source_row);
+      for (auto& st : plan.stages) s.stages.push_back(std::move(st));
+    }
+    add_to_aggregate(run, s);
+  }
+  if (const auto* backend = dynamic_cast<const trace::StoreBackend*>(&source_)) {
+    run.memory.store = backend->memory_use();
+  }
+  run.memory.shards.resident_bytes = window_bytes_;
+  run.memory.peak_rss_bytes = obs::peak_rss_bytes();
+  if (writer_ != nullptr) {
+    run.checkpoints_written = writer_->checkpoints_written();
+    run.checkpoint_bytes = writer_->bytes_written();
+    run.checkpoint_write_failures = writer_->write_failures();
+  }
+  auto& reg = obs::MetricsRegistry::global();
+  reg.gauge("mem.ledger_bytes").set(static_cast<double>(run.memory.ledger.resident_bytes));
+  reg.gauge("mem.analyses_bytes").set(static_cast<double>(run.memory.analyses.resident_bytes));
+  reg.gauge("mem.store_bytes").set(static_cast<double>(run.memory.store.resident_bytes));
+  reg.gauge("mem.store_spilled_bytes").set(static_cast<double>(run.memory.store.spilled_bytes));
+  reg.gauge("mem.accounts_bytes").set(static_cast<double>(run.memory.accounts.resident_bytes));
+  reg.gauge("mem.accounts_spilled_bytes")
+      .set(static_cast<double>(run.memory.accounts.spilled_bytes));
+  reg.gauge("mem.shards_bytes").set(static_cast<double>(run.memory.shards.resident_bytes));
+  reg.gauge("mem.peak_rss_bytes").set(static_cast<double>(run.memory.peak_rss_bytes));
+  if (obs::TraceWriter* writer = opt_.trace_writer) {
+    const std::int64_t start_us = writer->now_us() - static_cast<std::int64_t>(run.wall_ms * 1e3);
+    writer->set_track_name(0, "pipeline");
+    for (unsigned w = 0; w < threads_; ++w) {
+      writer->set_track_name(1 + static_cast<int>(w), "worker " + std::to_string(w));
+    }
+    writer->add_complete("run", "pipeline", start_us, static_cast<std::int64_t>(run.wall_ms * 1e3),
+                         0);
+  }
+  return run;
+}
+
+}  // namespace
+
+util::StatusOr<obs::RunStats> run_scenarios(trace::TraceSource& source,
+                                            std::vector<EngineScenario>& scenarios,
+                                            const EngineOptions& options) {
+  Engine engine{source, scenarios, options};
+  return engine.run();
+}
+
+}  // namespace wildenergy::core::internal

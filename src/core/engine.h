@@ -1,0 +1,92 @@
+// The one execution engine behind StudyPipeline (one scenario) and
+// SweepEngine (K scenarios). DESIGN.md §7 describes it in full.
+//
+// Work is the (scenario × user) task list in scenario-major order. Each task
+// runs one user's stream through a private shard chain — clones of every
+// parent sink behind a fresh attributor, optional policy filter, and
+// interface filter — and merges back into the parents in task order, so every
+// output is bit-identical at any thread count (trace/shardable.h).
+//
+// A bounded, ordered window schedules the tasks. At most
+// W = 2 × threads chains are alive at once, clamped to [1, users per
+// scenario]; the window also never holds two tasks of the same user, so a
+// user's retries settle before its next-scenario chain is built and
+// fault::FaultPlan arming does not depend on thread timing. The calling
+// thread builds chains serially, in task order (policy factories and
+// clone_shard() need not be thread-safe); workers only run
+// TraceSource::emit_user; the calling thread merges the completed prefix, in
+// order: retries, merge_from, the fold-and-release round, and the
+// ShardRunStats row. W = 1 (one thread) runs each task inline, no pool.
+//
+// Forward-only sources (the CSV and binary readers) feed the same merge path
+// at W = 1: a per-user splitter on the reading thread opens a chain at each
+// user bracket and settles it when the bracket closes.
+//
+// Checkpoints (src/ckpt/) fire every checkpoint_every_users merged tasks of
+// a scenario, when a scenario's last task has merged, and as a scenario
+// closes with more to follow; one writer and one restore path serve both
+// façades.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/pipeline.h"
+#include "energy/account_file.h"
+#include "energy/attributor.h"
+#include "obs/run_stats.h"
+#include "obs/trace_writer.h"
+#include "trace/sink.h"
+#include "trace/trace_source.h"
+#include "util/status.h"
+
+namespace wildenergy::core::internal {
+
+/// One scenario as the engine runs it. The façade owns every pointer; they
+/// must outlive run_scenarios().
+struct EngineScenario {
+  std::string name;
+  /// Parent attributor: its radio factory and tail policy shape every shard
+  /// chain, and the chains' attributors merge back into it.
+  energy::EnergyAttributor* attributor = nullptr;
+  PolicyFactory policy;  ///< may be empty (no policy stage)
+  trace::Interface interface = trace::Interface::kCellular;
+  /// Parent sinks in fan-out order, the energy::EnergyLedger first.
+  std::vector<std::pair<std::string, trace::TraceSink*>> sinks;
+  /// Fold-and-release target (DESIGN.md §15), not yet opened; null keeps
+  /// every sink resident. The engine opens it fresh or resumes it.
+  energy::AccountSpill* spill = nullptr;
+  /// This scenario's results: totals, counters, shard rows, stage profile.
+  obs::RunStats* stats = nullptr;
+};
+
+struct EngineOptions {
+  unsigned num_threads = 1;
+  std::size_t batch_size = trace::kDefaultBatchSize;
+  FailurePolicy failure_policy = FailurePolicy::kFailFast;
+  unsigned max_shard_retries = 2;
+  fault::FaultPlan* fault_plan = nullptr;
+  std::string checkpoint_dir;  ///< empty = no checkpoints
+  std::size_t checkpoint_every_users = 4;
+  bool resume = false;
+  bool collect_stage_stats = false;
+  obs::TraceWriter* trace_writer = nullptr;
+  /// Called on the calling thread as each task merges:
+  /// (tasks merged, tasks this run, scenario index, user).
+  std::function<void(std::size_t, std::size_t, std::size_t, trace::UserId)> progress;
+};
+
+/// Run every scenario over `source`. Per-scenario results land in each
+/// EngineScenario::stats; the returned RunStats carries the run-level
+/// numbers (wall time, threads, users, totals summed over scenarios,
+/// checkpoint and memory accounting). A source or spill error returns its
+/// status; under FailurePolicy::kFailFast a throwing shard rethrows here.
+[[nodiscard]] util::StatusOr<obs::RunStats> run_scenarios(
+    trace::TraceSource& source, std::vector<EngineScenario>& scenarios,
+    const EngineOptions& options);
+
+}  // namespace wildenergy::core::internal

@@ -1,133 +1,26 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
 #include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
-#include "ckpt/checkpointable.h"
-#include "ckpt/resume_sinks.h"
-#include "core/shard_chain.h"
-#include "fault/plan.h"
-#include "obs/memory.h"
-#include "obs/metrics.h"
-#include "obs/stopwatch.h"
+#include "core/engine.h"
 #include "radio/burst_machine.h"
-#include "trace/batch.h"
-#include "trace/instrumented_sink.h"
-#include "trace/interface_filter.h"
-#include "trace/shardable.h"
-#include "trace/store_backend.h"
-#include "util/thread_pool.h"
 
 namespace wildenergy::core {
 
 namespace {
-energy::RadioModelFactory resolve_factory(PipelineOptions& options) {
+PipelineOptions with_default_radio(PipelineOptions options) {
   if (!options.radio_factory) options.radio_factory = radio::make_lte_model;
-  return options.radio_factory;
+  return options;
 }
-
-// Names of the global radio counters snapshotted around each run so
-// RunStats reports per-run deltas even though the registry is process-wide.
-struct RadioCounterSnapshot {
-  std::uint64_t bursts, bursts_queued, promotions, repromotions;
-
-  static RadioCounterSnapshot take() {
-    const auto& reg = obs::MetricsRegistry::global();
-    return {reg.counter_value("radio.bursts"), reg.counter_value("radio.bursts_queued"),
-            reg.counter_value("radio.promotions"), reg.counter_value("radio.repromotions")};
-  }
-};
-
-// Serialize each checkpointable sink's state into a named snapshot section.
-void save_sections(
-    ckpt::Snapshot& snapshot,
-    const std::vector<std::pair<std::string, ckpt::CheckpointableSink*>>& sinks) {
-  for (const auto& [name, sink] : sinks) {
-    ckpt::ByteWriter out;
-    sink->save_state(out);
-    snapshot.add_section(name, out.take());
-  }
-}
-
-// Restore each sink from its snapshot section. Sinks must already have seen
-// on_study_begin (restore overwrites the reset state). Errors name the sink.
-util::Status restore_sections(
-    const ckpt::Snapshot& snapshot,
-    const std::vector<std::pair<std::string, ckpt::CheckpointableSink*>>& sinks) {
-  for (const auto& [name, sink] : sinks) {
-    const std::string* payload = snapshot.section(name);
-    if (payload == nullptr) {
-      return util::Status::failed_precondition(
-          "checkpoint holds no state for sink '" + name +
-          "' — it was taken under a different sink set");
-    }
-    ckpt::ByteReader in{*payload};
-    if (util::Status st = sink->restore_state(in); !st.ok()) {
-      return {st.code(), "sink '" + name + "': " + st.message()};
-    }
-    if (!in.at_end()) {
-      return util::Status::data_loss("sink '" + name + "': " + std::to_string(in.remaining()) +
-                                     " trailing bytes in checkpoint section");
-    }
-  }
-  return util::Status::ok_status();
-}
-
-// Serial-engine fold dispatcher (DESIGN.md §15): forwards the stream
-// unchanged and fires the pipeline's fold round after each user's bracket
-// closes downstream — so the attributor has flushed the user's tail energy
-// and every sink holds the user's complete detail before it folds. Sits
-// above the interface filter (folds see fully attributed users) and below
-// the checkpoint decorators (a snapshot is taken only after the fold and
-// its spill rows landed).
-class FoldDispatchSink final : public trace::TraceSink {
- public:
-  FoldDispatchSink(trace::TraceSink* inner, std::function<void(trace::UserId)> fold)
-      : inner_(inner), fold_(std::move(fold)) {}
-
-  void on_study_begin(const trace::StudyMeta& meta) override { inner_->on_study_begin(meta); }
-  void on_user_begin(trace::UserId user) override { inner_->on_user_begin(user); }
-  void on_packet(const trace::PacketRecord& packet) override { inner_->on_packet(packet); }
-  void on_transition(const trace::StateTransition& t) override { inner_->on_transition(t); }
-  void on_user_end(trace::UserId user) override {
-    inner_->on_user_end(user);
-    fold_(user);
-  }
-  void on_study_end() override { inner_->on_study_end(); }
-  // Batches arrive strictly inside the user bracket (trace/sink.h), so
-  // forwarding them whole never reorders a batch across a fold.
-  void on_batch(const trace::EventBatch& batch) override { inner_->on_batch(batch); }
-
- private:
-  trace::TraceSink* inner_;
-  std::function<void(trace::UserId)> fold_;
-};
 }  // namespace
 
 StudyPipeline::StudyPipeline(trace::TraceSource* source, PipelineOptions options)
     : source_(source),
-      attributor_(resolve_factory(options), &downstream_, options.tail_policy),
-      radio_factory_(options.radio_factory),
-      tail_policy_(options.tail_policy),
-      interface_(options.interface),
-      num_threads_(options.num_threads),
-      failure_policy_(options.failure_policy),
-      max_shard_retries_(options.max_shard_retries),
-      fault_plan_(options.fault_plan),
-      batch_size_(options.batch_size),
-      checkpoint_dir_(options.checkpoint_dir),
-      checkpoint_every_users_(options.checkpoint_every_users),
-      resume_(options.resume),
-      account_dir_(options.account_dir),
-      account_budget_bytes_(options.account_budget_bytes),
-      collect_stage_stats_(options.collect_stage_stats),
-      trace_writer_(options.trace_writer) {}
+      options_(with_default_radio(std::move(options))),
+      attributor_(options_.radio_factory, &downstream_, options_.tail_policy) {}
 
 void StudyPipeline::add_analysis(trace::TraceSink* sink) {
   add_analysis("analysis " + std::to_string(analyses_.size()), sink);
@@ -142,689 +35,56 @@ void StudyPipeline::set_policy(PolicyFactory factory) { policy_factory_ = std::m
 util::StatusOr<obs::RunStats> StudyPipeline::run() {
   stats_ = {};
   off_interface_bytes_ = 0;  // repeated run() must not report a stale count
-
-  const bool checkpointing = !checkpoint_dir_.empty();
-  if (resume_ && !checkpointing) {
+  if (options_.resume && options_.checkpoint_dir.empty()) {
     return util::Status::invalid_argument(
         "resume requested without a checkpoint directory (set checkpoint_dir)");
   }
-  if (checkpointing) {
-    // Checkpointing serializes every sink's merge-protocol state; a custom
-    // sink without a save/restore implementation would be silently absent
-    // from the snapshot, so refuse up front, naming the sink.
-    std::vector<std::pair<std::string, trace::TraceSink*>> registered;
-    registered.emplace_back("ledger", &ledger_);
-    for (const auto& [name, sink] : analyses_) registered.emplace_back(name, sink);
-    for (const auto& [name, sink] : registered) {
-      if (ckpt::as_checkpointable(sink) == nullptr) {
-        return util::Status::failed_precondition(
-            "sink '" + name +
-            "' does not implement ckpt::CheckpointableSink; checkpointing would lose its "
-            "state — drop the sink or implement save_state/restore_state");
-      }
-    }
-  }
-
-  // Fold-and-release (DESIGN.md §15): arm the account spill before the
-  // engines run so every opted-in sink routes per-user detail through
-  // fold_user. Re-arming on every run — with nullptr when account_dir_ is
-  // empty — keeps a pipeline that drops its account_dir between runs fully
-  // resident again.
-  account_spill_.reset();
-  if (account_dir_.empty() && account_budget_bytes_ != 0) {
+  if (options_.account_dir.empty() && options_.account_budget_bytes != 0) {
     return util::Status::invalid_argument(
         "account budget requires an account directory (set account_dir)");
   }
-  if (!account_dir_.empty()) {
-    energy::AccountSpill::Options spill_options;
-    spill_options.dir = account_dir_;
-    spill_options.budget_bytes = account_budget_bytes_;
-    account_spill_ = std::make_unique<energy::AccountSpill>(std::move(spill_options));
-    if (!resume_) {
-      if (util::Status st = account_spill_->open_fresh(); !st.ok()) return st;
-    }
-    // A resuming run keeps the checkpoint-vouched file prefix instead: the
-    // engine calls resume() once it has the snapshot's sealed-file counter.
-  }
-  attributor_.set_account_spill(account_spill_.get());
-  ledger_.set_account_spill(account_spill_.get());
-  for (const auto& [name, sink] : analyses_) {
-    if (auto* s = trace::as_shardable(sink)) s->set_account_spill(account_spill_.get());
+  // Fold-and-release (DESIGN.md §15): a fresh spill per run, or none — so a
+  // pipeline that drops its account_dir between runs is fully resident again.
+  account_spill_.reset();
+  if (!options_.account_dir.empty()) {
+    account_spill_ = std::make_unique<energy::AccountSpill>(
+        energy::AccountSpill::Options{options_.account_dir, options_.account_budget_bytes});
   }
 
-  // Sharding requires per-user random access; forward-only sources (the file
-  // readers) always stream through the serial engine.
-  const bool random_access = source_->supports_user_access();
-  const std::vector<trace::UserId> user_ids =
-      random_access ? source_->users() : std::vector<trace::UserId>{};
-  const std::size_t num_users = user_ids.size();
-  const unsigned shard_threads = std::min<unsigned>(
-      num_threads_, static_cast<unsigned>(std::max<std::size_t>(num_users, 1)));
-  // Retry/skip and scripted faults need per-user isolation, which only the
-  // sharded engine provides — route through it even at num_threads == 1
-  // (results are bit-identical for every thread count by construction).
-  // Checkpointing routes the same way on random-access sources: epochs of
-  // user shards are its unit of progress; forward-only sources checkpoint
-  // mid-stream through the serial decorators (ckpt/resume_sinks.h) instead.
-  const bool needs_isolation = failure_policy_ == FailurePolicy::kRetryThenSkip ||
-                               (fault_plan_ != nullptr && !fault_plan_->empty()) ||
-                               checkpointing;
-  util::Status status;
-  if (!random_access || num_users == 0 ||
-      (!needs_isolation && (shard_threads <= 1 || num_users <= 1))) {
-    status = run_serial();
-  } else {
-    status = run_sharded(shard_threads, user_ids);
-  }
-  if (!status.ok()) return status;
+  // One scenario of the execution engine; the ledger leads the fan-out.
+  std::vector<internal::EngineScenario> scenario(1);
+  scenario[0].attributor = &attributor_;
+  scenario[0].policy = policy_factory_;
+  scenario[0].interface = options_.interface;
+  scenario[0].sinks.emplace_back("ledger", &ledger_);
+  scenario[0].sinks.insert(scenario[0].sinks.end(), analyses_.begin(), analyses_.end());
+  scenario[0].spill = account_spill_.get();
+  scenario[0].stats = &stats_;
 
-  // Memory accounting (obs::RunStats::memory): sink footprints as the sinks
-  // estimate them, the source's cached columns (TraceStore replays), and the
-  // process peak RSS. Mirrored into mem.* gauges for the --metrics dump.
-  stats_.memory.ledger = ledger_.memory_use();
-  for (const auto& [name, sink] : analyses_) stats_.memory.analyses += sink->memory_use();
-  if (const auto* backend = dynamic_cast<const trace::StoreBackend*>(source_)) {
-    stats_.memory.store = backend->memory_use();
-  }
-  if (account_spill_ != nullptr) {
-    // Resident is read before the final seal so the number describes the
-    // bounded pending-writer footprint the run held, not the post-seal zero.
-    stats_.memory.accounts.resident_bytes = account_spill_->resident_bytes();
-    if (util::Status st = account_spill_->seal(); !st.ok()) return st;
-    if (util::Status st = account_spill_->health(); !st.ok()) return st;
-    stats_.memory.accounts.spilled_bytes = account_spill_->spilled_bytes();
-  }
-  stats_.memory.peak_rss_bytes = obs::peak_rss_bytes();
-  auto& reg = obs::MetricsRegistry::global();
-  reg.gauge("mem.ledger_bytes").set(static_cast<double>(stats_.memory.ledger.resident_bytes));
-  reg.gauge("mem.analyses_bytes").set(static_cast<double>(stats_.memory.analyses.resident_bytes));
-  reg.gauge("mem.store_bytes").set(static_cast<double>(stats_.memory.store.resident_bytes));
-  reg.gauge("mem.store_spilled_bytes")
-      .set(static_cast<double>(stats_.memory.store.spilled_bytes));
-  reg.gauge("mem.accounts_bytes")
-      .set(static_cast<double>(stats_.memory.accounts.resident_bytes));
-  reg.gauge("mem.accounts_spilled_bytes")
-      .set(static_cast<double>(stats_.memory.accounts.spilled_bytes));
-  reg.gauge("mem.peak_rss_bytes").set(static_cast<double>(stats_.memory.peak_rss_bytes));
+  internal::EngineOptions engine;
+  engine.num_threads = options_.num_threads;
+  engine.batch_size = options_.batch_size;
+  engine.failure_policy = options_.failure_policy;
+  engine.max_shard_retries = options_.max_shard_retries;
+  engine.fault_plan = options_.fault_plan;
+  engine.checkpoint_dir = options_.checkpoint_dir;
+  engine.checkpoint_every_users = options_.checkpoint_every_users;
+  engine.resume = options_.resume;
+  engine.collect_stage_stats = options_.collect_stage_stats;
+  engine.trace_writer = options_.trace_writer;
+  const auto run = internal::run_scenarios(*source_, scenario, engine);
+  if (!run.ok()) return run.status();
+
+  // Run-level numbers the engine keeps outside the scenario.
+  stats_.wall_ms = run->wall_ms;
+  stats_.checkpoints_written = run->checkpoints_written;
+  stats_.checkpoint_bytes = run->checkpoint_bytes;
+  stats_.checkpoint_write_failures = run->checkpoint_write_failures;
+  stats_.resumed_users = run->resumed_users;
+  stats_.recovered_from_seq = run->recovered_from_seq;
+  stats_.memory.shards = run->memory.shards;
+  off_interface_bytes_ = stats_.off_interface_bytes;
   return stats_;
-}
-
-void StudyPipeline::fold_round(trace::UserId user) {
-  account_spill_->begin_user(user);
-  attributor_.fold_user(user);
-  ledger_.fold_user(user);
-  for (const auto& [name, sink] : analyses_) {
-    if (auto* s = trace::as_shardable(sink)) s->fold_user(user);
-  }
-  account_spill_->end_user();
-}
-
-util::Status StudyPipeline::run_serial() {
-  const bool timed = collect_stage_stats_ || trace_writer_ != nullptr;
-  const RadioCounterSnapshot radio_before = RadioCounterSnapshot::take();
-
-  // When profiling, every stage is decorated with an InstrumentedSink sharing
-  // one PhaseStack, so nested callbacks charge each stage only its own work.
-  obs::PhaseStack phase_stack;
-  std::vector<std::unique_ptr<trace::InstrumentedSink>> wrappers;
-  int next_tid = 2;  // tid 0 = pipeline, tid 1 = generate
-  const auto wrap = [&](std::string name, trace::TraceSink* sink) -> trace::TraceSink* {
-    if (!timed) return sink;
-    const int tid = next_tid++;
-    wrappers.push_back(std::make_unique<trace::InstrumentedSink>(std::move(name), sink,
-                                                                 &phase_stack, trace_writer_, tid));
-    if (trace_writer_ != nullptr) trace_writer_->set_track_name(tid, wrappers.back()->name());
-    return wrappers.back().get();
-  };
-
-  // Rebuild the fan-out chain (wrapped or bare) for this run. The attributor
-  // was constructed pointing at downstream_, so only its contents change.
-  downstream_.clear();
-  downstream_.add(wrap("ledger", &ledger_));
-  for (const auto& [name, sink] : analyses_) downstream_.add(wrap(name, sink));
-
-  trace::TraceSink* head = wrap("attribute", &attributor_);
-  std::unique_ptr<trace::TraceSink> policy;
-  if (policy_factory_) {
-    policy = policy_factory_(head);
-    head = wrap("policy", policy.get());
-  }
-  trace::InterfaceFilter filter{head, interface_};
-  trace::TraceSink* entry = wrap("filter", &filter);
-
-  std::unique_ptr<FoldDispatchSink> fold_dispatch;
-  if (account_spill_ != nullptr) {
-    fold_dispatch = std::make_unique<FoldDispatchSink>(
-        entry, [this](trace::UserId user) { fold_round(user); });
-    entry = fold_dispatch.get();
-  }
-
-  // Checkpoint/resume decorators for forward-only streams
-  // (ckpt/resume_sinks.h): the skip filter drops completed users' brackets
-  // upstream of the counting sink, both upstream of the interface filter so
-  // a skipped user touches nothing. Random-access sources checkpoint through
-  // the sharded engine instead (run() routes them there).
-  const bool checkpointing = !checkpoint_dir_.empty();
-  std::unique_ptr<ckpt::CheckpointWriter> ckpt_writer;
-  std::unique_ptr<ckpt::CheckpointingSink> ckpt_sink;
-  std::unique_ptr<ckpt::UserSkipFilter> skip_filter;
-  std::optional<ckpt::Snapshot> resumed;
-  util::Status restore_status;
-  std::vector<std::pair<std::string, ckpt::CheckpointableSink*>> checkpointables;
-  // Resumed base values folded under this run's own counter deltas.
-  std::uint64_t base_off_packets = 0;
-  std::uint64_t base_off_bytes = 0;
-  RadioCounterSnapshot base_radio{0, 0, 0, 0};
-  trace::TraceSink* stream_entry = entry;
-  if (checkpointing) {
-    checkpointables.emplace_back("attributor", &attributor_);
-    checkpointables.emplace_back("ledger", &ledger_);
-    for (const auto& [name, sink] : analyses_) {
-      checkpointables.emplace_back(name, ckpt::as_checkpointable(sink));  // non-null: run() checked
-    }
-    ckpt::CheckpointWriterOptions writer_options;
-    writer_options.fault_plan = fault_plan_;
-    ckpt_writer = std::make_unique<ckpt::CheckpointWriter>(checkpoint_dir_, writer_options);
-    if (resume_) {
-      auto loaded = ckpt::CheckpointReader::load_latest(checkpoint_dir_);
-      if (!loaded.ok()) return loaded.status();
-      stats_.recovered_from_seq = loaded->recovered_from_seq;
-      ckpt_writer->set_next_seq(loaded->seq + 1);
-      resumed = std::move(loaded->snapshot);
-      stats_.resumed_users = resumed->completed_users.size();
-      base_off_packets = resumed->counter("off_interface_packets");
-      base_off_bytes = resumed->counter("off_interface_bytes");
-      base_radio = {resumed->counter("radio.bursts"), resumed->counter("radio.bursts_queued"),
-                    resumed->counter("radio.promotions"),
-                    resumed->counter("radio.repromotions")};
-      if (account_spill_ != nullptr) {
-        // Keep the checkpoint-vouched account-file prefix; later files hold
-        // rows of users the resume will re-run (they respill).
-        if (util::Status st = account_spill_->resume(resumed->counter("account_sealed_files"));
-            !st.ok()) {
-          return st;
-        }
-      }
-    }
-    ckpt_sink = std::make_unique<ckpt::CheckpointingSink>(
-        entry, checkpoint_every_users_, [&] {
-          if (!restore_status.ok()) return;  // never snapshot on top of a bad restore
-          ckpt::Snapshot snapshot;
-          snapshot.meta = source_->meta();  // mid-stream: the header has passed
-          snapshot.completed_users = ckpt_sink->completed_users();
-          snapshot.set_counter("off_interface_packets",
-                               base_off_packets + filter.dropped_packets());
-          snapshot.set_counter("off_interface_bytes",
-                               base_off_bytes + filter.dropped_bytes());
-          const RadioCounterSnapshot now = RadioCounterSnapshot::take();
-          snapshot.set_counter("radio.bursts",
-                               base_radio.bursts + now.bursts - radio_before.bursts);
-          snapshot.set_counter(
-              "radio.bursts_queued",
-              base_radio.bursts_queued + now.bursts_queued - radio_before.bursts_queued);
-          snapshot.set_counter("radio.promotions",
-                               base_radio.promotions + now.promotions - radio_before.promotions);
-          snapshot.set_counter(
-              "radio.repromotions",
-              base_radio.repromotions + now.repromotions - radio_before.repromotions);
-          if (account_spill_ != nullptr) {
-            // Seal BEFORE recording the counter: a resume keeps exactly the
-            // files the snapshot vouches for. Failures latch into health().
-            (void)account_spill_->seal();
-            snapshot.set_counter("account_sealed_files", account_spill_->sealed_files());
-          }
-          save_sections(snapshot, checkpointables);
-          (void)ckpt_writer->write(snapshot);  // failures are counted; the run continues
-        });
-    if (resumed) {
-      ckpt_sink->seed_completed(resumed->completed_users);
-      // Restore fires after on_study_begin has reset the sinks — the only
-      // moment folding serialized partials into them is sound.
-      ckpt_sink->set_restore_hook([&](const trace::StudyMeta& meta) {
-        restore_status = ckpt::check_snapshot_meta(*resumed, meta);
-        if (restore_status.ok()) restore_status = restore_sections(*resumed, checkpointables);
-      });
-      skip_filter =
-          std::make_unique<ckpt::UserSkipFilter>(ckpt_sink.get(), resumed->completed_users);
-      stream_entry = skip_filter.get();
-    } else {
-      stream_entry = ckpt_sink.get();
-    }
-  }
-
-  const std::int64_t run_start_us = trace_writer_ != nullptr ? trace_writer_->now_us() : 0;
-  obs::Stopwatch total;
-  const util::Status status = source_->emit(*stream_entry, batch_size_);
-  stats_.wall_ms = total.elapsed_ms();
-  if (!restore_status.ok()) return restore_status;  // stale/damaged checkpoint, never silent
-  off_interface_bytes_ = base_off_bytes + filter.dropped_bytes();
-
-  // Totals come from counters the stages maintain regardless of profiling.
-  // meta() is read after emit so stream sources have seen their header.
-  stats_.num_threads = 1;
-  stats_.users = source_->meta().num_users;
-  stats_.packets = ledger_.total_packets();
-  stats_.bytes = ledger_.total_bytes();
-  stats_.joules = ledger_.total_joules();
-  stats_.off_interface_packets = base_off_packets + filter.dropped_packets();
-  stats_.off_interface_bytes = base_off_bytes + filter.dropped_bytes();
-
-  const energy::AttributionCounters& ac = attributor_.counters();
-  stats_.transitions = ac.transitions;
-  stats_.tail_attributions = ac.tail_attributions;
-  stats_.proportional_splits = ac.proportional_splits;
-  stats_.promotion_segments = ac.promotion_segments;
-  stats_.transfer_segments = ac.transfer_segments;
-  stats_.tail_segments = ac.tail_segments;
-  stats_.drx_segments = ac.drx_segments;
-  stats_.idle_segments = ac.idle_segments;
-
-  const RadioCounterSnapshot radio_after = RadioCounterSnapshot::take();
-  stats_.radio_bursts = base_radio.bursts + radio_after.bursts - radio_before.bursts;
-  stats_.radio_bursts_queued =
-      base_radio.bursts_queued + radio_after.bursts_queued - radio_before.bursts_queued;
-  stats_.radio_promotions =
-      base_radio.promotions + radio_after.promotions - radio_before.promotions;
-  stats_.radio_repromotions =
-      base_radio.repromotions + radio_after.repromotions - radio_before.repromotions;
-
-  if (ckpt_writer != nullptr) {
-    stats_.checkpoints_written = ckpt_writer->checkpoints_written();
-    stats_.checkpoint_bytes = ckpt_writer->bytes_written();
-    stats_.checkpoint_write_failures = ckpt_writer->write_failures();
-  }
-
-  stats_.timed = timed;
-  if (timed) {
-    // Display in pipeline order: generate, filter, policy, attribute, sinks.
-    // Wrappers were created in reverse chain order (sinks first), so collect
-    // them back to front; "generate" is the wall time no stage accounted for.
-    double accounted_ms = 0.0;
-    for (const auto& w : wrappers) accounted_ms += w->stats().self_ms;
-    obs::StageStats generate;
-    generate.name = "generate";
-    generate.self_ms = std::max(0.0, stats_.wall_ms - accounted_ms);
-    generate.packets = stats_.packets + stats_.off_interface_packets;
-    generate.transitions = stats_.transitions;
-    generate.bytes = stats_.bytes + stats_.off_interface_bytes;
-    stats_.stages.push_back(generate);
-    // wrappers = [ledger, analyses..., attribute, (policy), filter]: emit the
-    // head chain reversed (filter, policy, attribute), then the fan-out sinks
-    // in registration order.
-    const std::size_t num_sinks = 1 + analyses_.size();
-    for (std::size_t i = wrappers.size(); i > num_sinks; --i) {
-      stats_.stages.push_back(wrappers[i - 1]->stats());
-    }
-    for (std::size_t i = 0; i < num_sinks; ++i) {
-      stats_.stages.push_back(wrappers[i]->stats());
-    }
-
-    if (trace_writer_ != nullptr) {
-      trace_writer_->set_track_name(0, "pipeline");
-      trace_writer_->set_track_name(1, "generate");
-      trace_writer_->add_complete("run", "pipeline", run_start_us,
-                                  static_cast<std::int64_t>(stats_.wall_ms * 1e3), 0);
-      trace_writer_->add_complete("generate (self time)", "generate", run_start_us,
-                                  static_cast<std::int64_t>(generate.self_ms * 1e3), 1);
-    }
-  }
-  return status;
-}
-
-util::Status StudyPipeline::run_sharded(unsigned num_threads,
-                                        const std::vector<trace::UserId>& user_ids) {
-  const trace::StudyMeta meta = source_->meta();
-  const bool checkpointing = !checkpoint_dir_.empty();
-
-  // The parent sink list, ledger first (matching the serial fan-out order).
-  std::vector<std::pair<std::string, trace::TraceSink*>> sinks;
-  sinks.emplace_back("ledger", &ledger_);
-  for (const auto& [name, sink] : analyses_) sinks.emplace_back(name, sink);
-
-  // Every sink rides the shard/merge protocol. A custom sink that is not
-  // shardable is wrapped in a collect-splice adapter (core/shard_chain.h)
-  // whose clones capture each user's annotated stream and whose merge
-  // replays the captures serially in user-id order; it is counted in
-  // serial_fallback_sinks. The default analysis set adapts nothing.
-  std::vector<std::unique_ptr<internal::CollectSpliceSink>> adapters;
-  std::vector<trace::ShardableSink*> shardable;   // parallel to `sharded_parents`
-  std::vector<trace::TraceSink*> sharded_parents;
-  std::vector<std::string> shardable_names;
-  for (const auto& [name, sink] : sinks) {
-    if (auto* s = trace::as_shardable(sink)) {
-      shardable.push_back(s);
-      sharded_parents.push_back(sink);
-    } else {
-      adapters.push_back(std::make_unique<internal::CollectSpliceSink>(sink));
-      shardable.push_back(adapters.back().get());
-      sharded_parents.push_back(adapters.back().get());
-    }
-    shardable_names.push_back(name);
-  }
-  stats_.serial_fallback_sinks = adapters.size();
-
-  // Checkpointing: the parent attributor plus every parent sink serializes
-  // into a named snapshot section. run() refused non-checkpointable sinks,
-  // so when checkpointing, `adapters` is empty and every parent qualifies.
-  std::vector<std::pair<std::string, ckpt::CheckpointableSink*>> checkpointables;
-  std::unique_ptr<ckpt::CheckpointWriter> ckpt_writer;
-  if (checkpointing) {
-    checkpointables.emplace_back("attributor", &attributor_);
-    for (const auto& [name, sink] : sinks) {
-      checkpointables.emplace_back(name, ckpt::as_checkpointable(sink));
-    }
-    ckpt::CheckpointWriterOptions writer_options;
-    writer_options.fault_plan = fault_plan_;
-    ckpt_writer = std::make_unique<ckpt::CheckpointWriter>(checkpoint_dir_, writer_options);
-  }
-
-  // Resume: load the newest good checkpoint, reject a stale one, and shrink
-  // the work list to the users it does not cover. Users it marked failed
-  // stay skipped — their partial state never made it into the snapshot.
-  std::vector<trace::UserId> pending = user_ids;
-  std::vector<trace::UserId> completed;
-  std::optional<ckpt::Snapshot> resumed;
-  if (resume_) {
-    auto loaded = ckpt::CheckpointReader::load_latest(checkpoint_dir_);
-    if (!loaded.ok()) return loaded.status();
-    if (util::Status st = ckpt::check_snapshot_meta(loaded->snapshot, meta); !st.ok()) return st;
-    stats_.recovered_from_seq = loaded->recovered_from_seq;
-    ckpt_writer->set_next_seq(loaded->seq + 1);
-    resumed = std::move(loaded->snapshot);
-    if (account_spill_ != nullptr) {
-      // Keep the checkpoint-vouched account-file prefix; later files hold
-      // rows of users the resume will re-run (they respill).
-      if (util::Status st = account_spill_->resume(resumed->counter("account_sealed_files"));
-          !st.ok()) {
-        return st;
-      }
-    }
-    completed = resumed->completed_users;
-    stats_.resumed_users = completed.size();
-    stats_.shard_retries = resumed->counter("shard_retries");
-    for (const trace::UserId user : resumed->failed_users) stats_.failed_users.push_back(user);
-    std::vector<trace::UserId> done = completed;
-    done.insert(done.end(), resumed->failed_users.begin(), resumed->failed_users.end());
-    std::sort(done.begin(), done.end());
-    std::erase_if(pending, [&](trace::UserId u) {
-      return std::binary_search(done.begin(), done.end(), u);
-    });
-  }
-  const std::size_t num_pending = pending.size();
-
-  // Shards are built via the shared chain builder (core/shard_chain.h) — the
-  // same chain the sweep engine stamps out per (scenario, user). When
-  // profiling, each chain carries its own PhaseStack and stage wrappers; the
-  // per-shard profiles are folded below.
-  const bool timed = collect_stage_stats_ || trace_writer_ != nullptr;
-  const internal::ChainConfig chain_config{radio_factory_,  tail_policy_, policy_factory_,
-                                           interface_,      fault_plan_,  timed,
-                                           shardable_names};
-  const bool retry_then_skip = failure_policy_ == FailurePolicy::kRetryThenSkip;
-
-  // Accumulators that live across epochs — and, via the snapshot counters,
-  // across a kill. Radio counters are summed from shard registries (the
-  // sweep engine's discipline): every radio mutation of this run happens
-  // under a shard-scoped registry, so the sum equals the global-registry
-  // delta the serial path reports — and unlike a delta, it restores.
-  std::uint64_t dropped_packets = resumed ? resumed->counter("off_interface_packets") : 0;
-  off_interface_bytes_ = resumed ? resumed->counter("off_interface_bytes") : 0;
-  RadioCounterSnapshot radio_acc{0, 0, 0, 0};
-  if (resumed) {
-    radio_acc = {resumed->counter("radio.bursts"), resumed->counter("radio.bursts_queued"),
-                 resumed->counter("radio.promotions"), resumed->counter("radio.repromotions")};
-  }
-
-  // Parents open the study bracket once, before the first epoch; a resumed
-  // run folds the snapshot's partials back in right after the reset. Epoch
-  // merges then stack new users on top, in user-id order — the same fold an
-  // uninterrupted run performs, so results are bit-identical.
-  downstream_.clear();
-  attributor_.on_study_begin(meta);  // resets parent totals; fan-out is empty
-  for (auto* parent : sharded_parents) parent->on_study_begin(meta);
-  if (resumed) {
-    if (util::Status st = restore_sections(*resumed, checkpointables); !st.ok()) return st;
-  }
-
-  const std::int64_t run_start_us = trace_writer_ != nullptr ? trace_writer_->now_us() : 0;
-  obs::Stopwatch total;
-  // Epochs: checkpoint_every_users shards per pool pass, a checkpoint after
-  // each. With checkpointing off there is exactly one epoch — the classic
-  // single-pass sharded run.
-  const std::size_t epoch_users =
-      checkpointing ? std::max<std::size_t>(std::size_t{1}, checkpoint_every_users_)
-                    : std::max<std::size_t>(num_pending, 1);
-  struct ShardTotals {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    double joules = 0.0;
-  };
-  for (std::size_t epoch_begin = 0; epoch_begin < num_pending; epoch_begin += epoch_users) {
-    const std::size_t epoch_end = std::min(num_pending, epoch_begin + epoch_users);
-    const std::size_t epoch_count = epoch_end - epoch_begin;
-    std::vector<std::unique_ptr<internal::ShardChain>> shards;
-    shards.reserve(epoch_count);
-    for (std::size_t i = epoch_begin; i < epoch_end; ++i) {
-      shards.push_back(internal::build_chain(chain_config, shardable, pending[i]));
-    }
-    {
-      util::ThreadPool pool{
-          std::min<unsigned>(num_threads, static_cast<unsigned>(epoch_count))};
-      pool.run_indexed(epoch_count, [&](std::size_t index, unsigned worker) {
-        internal::ShardChain& shard = *shards[index];
-        // Shard-local metrics: the radio model built in on_user_begin
-        // resolves its counters from current(), i.e. this shard's registry.
-        const obs::ScopedMetricsRegistry scoped{&shard.registry};
-        shard.worker = worker;
-        ++shard.attempts;
-        shard.span_start_us = trace_writer_ != nullptr ? trace_writer_->now_us() : 0;
-        const obs::Stopwatch watch;
-        if (retry_then_skip) {
-          try {
-            shard.error =
-                source_->emit_user(pending[epoch_begin + index], *shard.entry, batch_size_);
-          } catch (const std::exception& e) {
-            shard.error = util::Status::aborted(e.what());
-          }
-        } else {
-          // kFailFast: the pool rethrows the first exception out of run().
-          const util::Status st =
-              source_->emit_user(pending[epoch_begin + index], *shard.entry, batch_size_);
-          if (!st.ok()) throw std::runtime_error(st.to_string());
-        }
-        shard.wall_ms = watch.elapsed_ms();
-      });
-    }
-
-    // Retry failed shards serially (failures are the exception, and the
-    // builders — policy factory, clone_shard — need not be thread-safe). Each
-    // retry is a fresh build, so the re-run is deterministic by construction;
-    // a shard that exhausts its retries gets its user skipped below.
-    if (retry_then_skip) {
-      for (std::size_t index = 0; index < epoch_count; ++index) {
-        const trace::UserId user = pending[epoch_begin + index];
-        internal::ShardChain* shard = shards[index].get();
-        for (unsigned retry = 0; !shard->error.ok() && retry < max_shard_retries_; ++retry) {
-          auto fresh = internal::build_chain(chain_config, shardable, user);
-          fresh->worker = shard->worker;
-          fresh->attempts = shard->attempts + 1;
-          ++stats_.shard_retries;
-          const obs::ScopedMetricsRegistry scoped{&fresh->registry};
-          fresh->span_start_us = trace_writer_ != nullptr ? trace_writer_->now_us() : 0;
-          const obs::Stopwatch watch;
-          try {
-            fresh->error = source_->emit_user(user, *fresh->entry, batch_size_);
-          } catch (const std::exception& e) {
-            fresh->error = util::Status::aborted(e.what());
-          }
-          fresh->wall_ms = watch.elapsed_ms();
-          shards[index] = std::move(fresh);
-          shard = shards[index].get();
-        }
-        if (!shard->error.ok()) stats_.failed_users.push_back(user);
-      }
-    }
-
-    // Per-shard ledger totals for ShardRunStats, snapshotted before the
-    // merge (merge_from moves the clone's state into the parent).
-    std::vector<ShardTotals> shard_totals(epoch_count);
-    for (std::size_t index = 0; index < epoch_count; ++index) {
-      const internal::ShardChain& shard = *shards[index];
-      if (!shard.error.ok()) continue;
-      const auto& shard_ledger =
-          dynamic_cast<const energy::EnergyLedger&>(*shard.clones[0]);  // ledger is sinks[0]
-      shard_totals[index] = {shard_ledger.total_packets(), shard_ledger.total_bytes(),
-                             shard_ledger.total_joules()};
-    }
-
-    // Deterministic merge, in stream (user-id) order, skipping failed shards.
-    for (std::size_t index = 0; index < epoch_count; ++index) {
-      internal::ShardChain& shard = *shards[index];
-      if (!shard.error.ok()) continue;  // skipped user: nothing of it survives
-      attributor_.merge_from(*shard.attributor);
-      for (std::size_t i = 0; i < shardable.size(); ++i) {
-        shardable[i]->merge_from(*shard.clones[i]);
-      }
-      // Fold-and-release: the user's detail just merged into the parents
-      // (shard clones are always fully resident), so fold it right here —
-      // the merge loop runs in stream order, the order the serial engine
-      // folds in.
-      if (account_spill_ != nullptr) fold_round(pending[epoch_begin + index]);
-      dropped_packets += shard.filter->dropped_packets();
-      off_interface_bytes_ += shard.filter->dropped_bytes();
-      radio_acc.bursts += shard.registry.counter_value("radio.bursts");
-      radio_acc.bursts_queued += shard.registry.counter_value("radio.bursts_queued");
-      radio_acc.promotions += shard.registry.counter_value("radio.promotions");
-      radio_acc.repromotions += shard.registry.counter_value("radio.repromotions");
-      obs::MetricsRegistry::global().merge_from(shard.registry);
-      completed.push_back(pending[epoch_begin + index]);
-    }
-
-    for (std::size_t index = 0; index < epoch_count; ++index) {
-      const internal::ShardChain& shard = *shards[index];
-      obs::ShardRunStats s;
-      s.user = pending[epoch_begin + index];
-      s.worker = shard.worker;
-      s.wall_ms = shard.wall_ms;
-      s.attempts = std::max(1u, shard.attempts);
-      s.skipped = !shard.error.ok();
-      s.status = shard.error;
-      if (timed) s.stages = shard.stage_stats();
-      if (!s.skipped) {
-        s.packets = shard_totals[index].packets;
-        s.bytes = shard_totals[index].bytes;
-        s.joules = shard_totals[index].joules;
-      }
-      stats_.shards.push_back(s);
-    }
-
-    if (trace_writer_ != nullptr) {
-      const std::size_t row_base = stats_.shards.size() - epoch_count;
-      for (std::size_t index = 0; index < epoch_count; ++index) {
-        const obs::ShardRunStats& s = stats_.shards[row_base + index];
-        trace_writer_->add_complete("user " + std::to_string(s.user), "shard",
-                                    shards[index]->span_start_us,
-                                    static_cast<std::int64_t>(s.wall_ms * 1e3),
-                                    1 + static_cast<int>(s.worker));
-      }
-    }
-
-    // Checkpoint at the epoch boundary: the parents now hold exactly the
-    // merged state of every completed user, and per-user transients are
-    // empty (checkpointable.h contract). A failed write is counted and the
-    // run continues; an injected hard stop throws out of run() here.
-    if (checkpointing) {
-      ckpt::Snapshot snapshot;
-      snapshot.meta = meta;
-      snapshot.completed_users = completed;
-      for (const std::uint64_t user : stats_.failed_users) {
-        snapshot.failed_users.push_back(static_cast<trace::UserId>(user));
-      }
-      snapshot.set_counter("off_interface_packets", dropped_packets);
-      snapshot.set_counter("off_interface_bytes", off_interface_bytes_);
-      snapshot.set_counter("shard_retries", stats_.shard_retries);
-      snapshot.set_counter("radio.bursts", radio_acc.bursts);
-      snapshot.set_counter("radio.bursts_queued", radio_acc.bursts_queued);
-      snapshot.set_counter("radio.promotions", radio_acc.promotions);
-      snapshot.set_counter("radio.repromotions", radio_acc.repromotions);
-      if (account_spill_ != nullptr) {
-        // Seal BEFORE recording the counter: a resume keeps exactly the
-        // files the snapshot vouches for. Failures latch into health().
-        (void)account_spill_->seal();
-        snapshot.set_counter("account_sealed_files", account_spill_->sealed_files());
-      }
-      save_sections(snapshot, checkpointables);
-      (void)ckpt_writer->write(snapshot);  // failures are counted; the run continues
-    }
-  }
-  for (auto* parent : sharded_parents) parent->on_study_end();
-  stats_.wall_ms = total.elapsed_ms();
-
-  stats_.num_threads = num_threads;
-  stats_.users = static_cast<std::uint64_t>(user_ids.size());
-  stats_.packets = ledger_.total_packets();
-  stats_.bytes = ledger_.total_bytes();
-  stats_.joules = ledger_.total_joules();
-  stats_.off_interface_packets = dropped_packets;
-  stats_.off_interface_bytes = off_interface_bytes_;
-
-  const energy::AttributionCounters& ac = attributor_.counters();
-  stats_.transitions = ac.transitions;
-  stats_.tail_attributions = ac.tail_attributions;
-  stats_.proportional_splits = ac.proportional_splits;
-  stats_.promotion_segments = ac.promotion_segments;
-  stats_.transfer_segments = ac.transfer_segments;
-  stats_.tail_segments = ac.tail_segments;
-  stats_.drx_segments = ac.drx_segments;
-  stats_.idle_segments = ac.idle_segments;
-
-  stats_.radio_bursts = radio_acc.bursts;
-  stats_.radio_bursts_queued = radio_acc.bursts_queued;
-  stats_.radio_promotions = radio_acc.promotions;
-  stats_.radio_repromotions = radio_acc.repromotions;
-
-  if (ckpt_writer != nullptr) {
-    stats_.checkpoints_written = ckpt_writer->checkpoints_written();
-    stats_.checkpoint_bytes = ckpt_writer->bytes_written();
-    stats_.checkpoint_write_failures = ckpt_writer->write_failures();
-  }
-
-  // Fold the per-shard stage profiles into the run-level profile, in user-id
-  // order, surviving shards only: stage i of every chain is the same stage
-  // (build_chain stamps out one shape per run), so self times and counters
-  // add and the batch-latency histograms merge binwise. The "generate" row
-  // is each shard's wall time its own stages did not account for — source
-  // emission (replay or simulation) plus dispatch.
-  stats_.timed = timed;
-  if (timed) {
-    obs::StageStats generate;
-    generate.name = "generate";
-    std::vector<obs::StageStats> folded;
-    for (const obs::ShardRunStats& s : stats_.shards) {
-      if (s.skipped || s.stages.empty()) continue;
-      double accounted_ms = 0.0;
-      for (const auto& st : s.stages) accounted_ms += st.self_ms;
-      generate.self_ms += std::max(0.0, s.wall_ms - accounted_ms);
-      if (folded.empty()) folded.resize(s.stages.size());
-      for (std::size_t i = 0; i < s.stages.size() && i < folded.size(); ++i) {
-        folded[i].merge_from(s.stages[i]);
-      }
-    }
-    generate.packets = stats_.packets + stats_.off_interface_packets;
-    generate.transitions = stats_.transitions;
-    generate.bytes = stats_.bytes + stats_.off_interface_bytes;
-    stats_.stages.push_back(generate);
-    for (auto& st : folded) stats_.stages.push_back(std::move(st));
-  }
-  if (trace_writer_ != nullptr) {
-    trace_writer_->set_track_name(0, "pipeline");
-    for (unsigned w = 0; w < num_threads; ++w) {
-      trace_writer_->set_track_name(1 + static_cast<int>(w), "worker " + std::to_string(w));
-    }
-    trace_writer_->add_complete("run", "pipeline", run_start_us,
-                                static_cast<std::int64_t>(stats_.wall_ms * 1e3), 0);
-  }
-  return util::Status{};
 }
 
 }  // namespace wildenergy::core

@@ -77,16 +77,16 @@ struct PipelineOptions {
   /// Optional Chrome-trace span export (implies stage profiling). Non-owning;
   /// must outlive run(). Load the written file at https://ui.perfetto.dev.
   obs::TraceWriter* trace_writer = nullptr;
-  /// Worker threads for the sharded execution engine. 1 (default) runs the
-  /// classic single-pass serial pipeline; N > 1 runs one shard per user on
-  /// min(N, num_users) pool workers and merges results in user-id order.
-  /// Every output is bit-identical for every value (see trace/shardable.h).
-  /// With N > 1 the radio factory must be safe to invoke concurrently.
+  /// Worker threads for the execution engine (core/engine.h). The study
+  /// runs as one shard per user; at most 2 × num_threads shard chains are
+  /// alive at once and they merge back in user-id order. 1 (default) runs
+  /// every shard inline on the calling thread; N > 1 uses
+  /// min(N, num_users) pool workers. Every output is bit-identical for every
+  /// value (see trace/shardable.h). With N > 1 the radio factory must be
+  /// safe to invoke concurrently.
   unsigned num_threads = 1;
-  /// Shard failure handling. kRetryThenSkip (like a non-empty fault_plan)
-  /// routes the run through the sharded engine even when num_threads == 1,
-  /// because retry/skip needs per-user isolation; outputs stay bit-identical
-  /// across thread counts either way.
+  /// Shard failure handling. Retries run on the calling thread, so outputs
+  /// stay bit-identical across thread counts either way.
   FailurePolicy failure_policy = FailurePolicy::kFailFast;
   /// Extra attempts a failed shard gets under kRetryThenSkip before its
   /// user is skipped.
@@ -95,9 +95,9 @@ struct PipelineOptions {
   /// Non-owning; must outlive run(). Under kFailFast an injected fault
   /// propagates out of run() as fault::ShardFault.
   fault::FaultPlan* fault_plan = nullptr;
-  /// Events per EventBatch on the source -> sinks path (both serial and
-  /// sharded engines). 0 streams per record (the classic path). Outputs are
-  /// bit-identical for every value — batching only amortizes dispatch
+  /// Events per EventBatch on the source -> sinks path. 0 streams per
+  /// record (the classic path). Outputs are bit-identical for every value —
+  /// batching only amortizes dispatch
   /// (trace/batch.h); the shared default (trace::kDefaultBatchSize, also
   /// used by trace::ReadOptions and the CLI --batch-size flag) is a
   /// cache-friendly span that measures well on the micro_pipeline sweep.
@@ -106,10 +106,10 @@ struct PipelineOptions {
   /// --checkpoint-dir). Empty (default) disables checkpointing. When set,
   /// every registered sink must implement ckpt::CheckpointableSink (the
   /// default analysis set does) — run() refuses otherwise, naming the sink.
-  /// Random-access sources checkpoint through the sharded engine in epochs
-  /// of checkpoint_every_users; forward-only sources snapshot mid-stream at
-  /// the same cadence. A checkpointed run's outputs are bit-identical to an
-  /// unchecked one at every thread count.
+  /// A snapshot is written after every checkpoint_every_users merged users
+  /// and after the last one, for every source and thread count; the
+  /// forward-only readers snapshot mid-stream the same way. A checkpointed
+  /// run's outputs are bit-identical to an unchecked one.
   std::string checkpoint_dir;
   /// Completed users between checkpoints (CLI --checkpoint-every). Clamped
   /// up to 1.
@@ -142,9 +142,11 @@ class StudyPipeline {
  public:
   /// Run over a trace source (caller-owned sim::StudyGenerator, file
   /// reader, or cached TraceStore). Non-owning; must outlive the pipeline.
-  /// Forward-only sources (supports_user_access() == false) always run the
-  /// serial engine regardless of num_threads, and scripted fault plans /
-  /// retry policies — which need per-user isolation — do not apply to them.
+  /// A run is one scenario of the execution engine (core/engine.h).
+  /// Forward-only sources (supports_user_access() == false) are split into
+  /// per-user shards on the reading thread, one at a time, whatever
+  /// num_threads says; scripted fault plans and retries — which rebuild a
+  /// user's shard — do not apply to them.
   explicit StudyPipeline(trace::TraceSource* source, PipelineOptions options = {});
 
   /// Register an analysis sink that receives the energy-annotated stream.
@@ -160,9 +162,8 @@ class StudyPipeline {
   void set_policy(PolicyFactory factory);
 
   /// Stream + attribute + analyze. May be called repeatedly; each run
-  /// resets the ledger and re-streams the study. With num_threads > 1 the
-  /// study is sharded by user across a worker pool; results (ledger,
-  /// analyses, figures) are bit-identical to the serial run.
+  /// resets the ledger and re-streams the study. Results (ledger, analyses,
+  /// figures) are bit-identical at every num_threads.
   ///
   /// Returns the run's RunStats, or the source's error when it failed to
   /// emit (unreadable file, corrupt stream under a strict read policy).
@@ -179,47 +180,18 @@ class StudyPipeline {
   [[nodiscard]] const energy::EnergyAttributor& attributor() const { return attributor_; }
 
  private:
-  /// The classic single-pass serial pipeline (num_threads == 1, or any
-  /// forward-only source). Returns the source's emit status.
-  util::Status run_serial();
-  /// One fold-and-release round for a completed user: bracket the spill row
-  /// group and fold the attributor, the ledger, then every shardable
-  /// analysis in registration order. Only called when account_spill_ is
-  /// armed; both engines fire it in stream order (ascending user id).
-  void fold_round(trace::UserId user);
-  /// One shard per user (in `user_ids` stream order) on `num_threads`
-  /// workers; deterministic merge in stream order. Non-shardable custom
-  /// sinks are wrapped in collect-splice adapters (core/shard_chain.h).
-  util::Status run_sharded(unsigned num_threads, const std::vector<trace::UserId>& user_ids);
-
   trace::TraceSource* source_;  ///< caller-owned
+  PipelineOptions options_;
   energy::EnergyLedger ledger_;
-  trace::TraceMulticast downstream_;
+  trace::TraceMulticast downstream_;  ///< stays empty: shard chains feed the sinks
   energy::EnergyAttributor attributor_;
-  // Retained from PipelineOptions so run_sharded() can build per-shard
-  // attributor chains (the members above only serve the serial path).
-  energy::RadioModelFactory radio_factory_;
-  energy::TailPolicy tail_policy_ = energy::TailPolicy::kLastPacket;
   PolicyFactory policy_factory_;
-  trace::Interface interface_ = trace::Interface::kCellular;
-  unsigned num_threads_ = 1;
-  FailurePolicy failure_policy_ = FailurePolicy::kFailFast;
-  unsigned max_shard_retries_ = 2;
-  fault::FaultPlan* fault_plan_ = nullptr;
-  std::size_t batch_size_ = trace::kDefaultBatchSize;
-  std::string checkpoint_dir_;
-  std::size_t checkpoint_every_users_ = 4;
-  bool resume_ = false;
-  std::string account_dir_;
-  std::uint64_t account_budget_bytes_ = 0;
-  /// Live only while account_dir_ is set; owned here (not per-run) because
+  /// Live only while account_dir is set; owned here (not per-run) because
   /// post-run queries read the sealed files through ledger_.account_spill().
   std::unique_ptr<energy::AccountSpill> account_spill_;
   std::uint64_t off_interface_bytes_ = 0;
-  /// Registered analyses, in registration order; fan-out is rebuilt per run.
+  /// Registered analyses, in registration order.
   std::vector<std::pair<std::string, trace::TraceSink*>> analyses_;
-  bool collect_stage_stats_ = false;
-  obs::TraceWriter* trace_writer_ = nullptr;
   obs::RunStats stats_;
 };
 

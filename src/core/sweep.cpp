@@ -1,372 +1,16 @@
 #include "core/sweep.h"
 
-#include <algorithm>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
-#include "ckpt/checkpointable.h"
-#include "core/shard_chain.h"
-#include "fault/plan.h"
-#include "obs/memory.h"
-#include "obs/metrics.h"
+#include "core/engine.h"
 #include "obs/stopwatch.h"
 #include "radio/burst_machine.h"
-#include "trace/shardable.h"
 #include "trace/spilling_store.h"
-#include "util/thread_pool.h"
 
 namespace wildenergy::core {
-
-namespace {
-
-/// Per-scenario sink split and chain config, shared by the flat pool and the
-/// checkpointed scenario-sequential path.
-struct ScenarioPlan {
-  internal::ChainConfig config;
-  /// Adapters wrapping non-shardable custom analyses (collect-splice,
-  /// core/shard_chain.h); counted in serial_fallback_sinks.
-  std::vector<std::unique_ptr<internal::CollectSpliceSink>> adapters;
-  std::vector<trace::ShardableSink*> shardable;
-  std::vector<trace::TraceSink*> sharded_parents;
-  std::vector<std::unique_ptr<internal::ShardChain>> shards;  ///< flat path only
-};
-
-ScenarioPlan make_scenario_plan(const Scenario& scenario, energy::EnergyLedger* ledger,
-                                fault::FaultPlan* fault_plan, bool collect_stage_stats,
-                                energy::AccountSpill* spill) {
-  ScenarioPlan plan;
-  plan.config = internal::ChainConfig{
-      scenario.radio_factory ? scenario.radio_factory : radio::make_lte_model,
-      scenario.tail_policy, scenario.policy, scenario.interface, fault_plan,
-      collect_stage_stats, {}};
-  // Ledger first, matching the pipeline fan-out order.
-  std::vector<std::pair<std::string, trace::TraceSink*>> sinks;
-  sinks.emplace_back("ledger", ledger);
-  for (const auto& [name, sink] : scenario.analyses) sinks.emplace_back(name, sink);
-  for (const auto& [name, sink] : sinks) {
-    if (auto* s = trace::as_shardable(sink)) {
-      plan.shardable.push_back(s);
-      plan.sharded_parents.push_back(sink);
-    } else {
-      plan.adapters.push_back(std::make_unique<internal::CollectSpliceSink>(sink));
-      plan.shardable.push_back(plan.adapters.back().get());
-      plan.sharded_parents.push_back(plan.adapters.back().get());
-    }
-    plan.config.sink_names.push_back(name);
-  }
-  // Arm (or, with nullptr, disarm — the sinks are caller-owned and may have
-  // been armed by an earlier run) the fold-and-release spill before any
-  // on_study_begin reset.
-  for (auto* s : plan.shardable) s->set_account_spill(spill);
-  return plan;
-}
-
-/// Counters a scenario accumulates across its shard merges (and, on the
-/// checkpointed path, across a kill via the snapshot counters).
-struct ScenarioAccum {
-  std::uint64_t dropped_packets = 0;
-  std::uint64_t dropped_bytes = 0;
-  std::uint64_t radio_bursts = 0;
-  std::uint64_t radio_bursts_queued = 0;
-  std::uint64_t radio_promotions = 0;
-  std::uint64_t radio_repromotions = 0;
-};
-
-/// Serial retries + deterministic merge + ShardRunStats rows for one batch of
-/// shards — a whole scenario on the flat path, one epoch on the checkpointed
-/// path. `users` is parallel to `shards`, in stream order. Appends the users
-/// whose shard survived to `completed`, in that same order.
-void settle_and_merge(trace::StoreBackend& store, ScenarioPlan& plan,
-                      std::vector<std::unique_ptr<internal::ShardChain>>& shards,
-                      const std::vector<trace::UserId>& users,
-                      energy::EnergyAttributor& parent_attributor, ScenarioAccum& acc,
-                      ScenarioResult& res, std::vector<trace::UserId>& completed,
-                      const SweepOptions& options, energy::AccountSpill* spill) {
-  const bool retry_then_skip = options.failure_policy == FailurePolicy::kRetryThenSkip;
-  const std::size_t count = shards.size();
-  if (retry_then_skip) {
-    // Retry failed shards serially; a fresh build is the same deterministic
-    // computation, and a shard that exhausts its retries skips its user in
-    // this scenario only.
-    for (std::size_t i = 0; i < count; ++i) {
-      internal::ShardChain* shard = shards[i].get();
-      for (unsigned retry = 0; !shard->error.ok() && retry < options.max_shard_retries;
-           ++retry) {
-        auto fresh = internal::build_chain(plan.config, plan.shardable, users[i]);
-        fresh->worker = shard->worker;
-        fresh->attempts = shard->attempts + 1;
-        ++res.stats.shard_retries;
-        const obs::ScopedMetricsRegistry scoped{&fresh->registry};
-        const obs::Stopwatch watch;
-        try {
-          fresh->error = store.emit_user(users[i], *fresh->entry, options.batch_size);
-        } catch (const std::exception& e) {
-          fresh->error = util::Status::aborted(e.what());
-        }
-        fresh->wall_ms = watch.elapsed_ms();
-        shards[i] = std::move(fresh);
-        shard = shards[i].get();
-      }
-      if (!shard->error.ok()) res.stats.failed_users.push_back(users[i]);
-    }
-  }
-
-  // Per-shard ledger totals for ShardRunStats, snapshotted before the merge
-  // (merge_from moves the clone's state into the parent).
-  struct ShardTotals {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    double joules = 0.0;
-  };
-  std::vector<ShardTotals> shard_totals(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const internal::ShardChain& shard = *shards[i];
-    if (!shard.error.ok()) continue;
-    const auto& shard_ledger =
-        dynamic_cast<const energy::EnergyLedger&>(*shard.clones[0]);  // ledger is sinks[0]
-    shard_totals[i] = {shard_ledger.total_packets(), shard_ledger.total_bytes(),
-                       shard_ledger.total_joules()};
-  }
-
-  // Merge in stream (user-id) order, skipping failed shards.
-  for (std::size_t i = 0; i < count; ++i) {
-    internal::ShardChain& shard = *shards[i];
-    if (!shard.error.ok()) continue;  // skipped user: nothing of it survives
-    parent_attributor.merge_from(*shard.attributor);
-    for (std::size_t s = 0; s < plan.shardable.size(); ++s) {
-      plan.shardable[s]->merge_from(*shard.clones[s]);
-    }
-    // Fold-and-release: the merge loop runs in stream order, so folding
-    // right after the user's detail lands in the parents matches the
-    // pipeline engines' fold order exactly (same section order too:
-    // attributor, ledger, analyses).
-    if (spill != nullptr) {
-      spill->begin_user(users[i]);
-      parent_attributor.fold_user(users[i]);
-      for (auto* s : plan.shardable) s->fold_user(users[i]);
-      spill->end_user();
-    }
-    acc.dropped_packets += shard.filter->dropped_packets();
-    acc.dropped_bytes += shard.filter->dropped_bytes();
-    acc.radio_bursts += shard.registry.counter_value("radio.bursts");
-    acc.radio_bursts_queued += shard.registry.counter_value("radio.bursts_queued");
-    acc.radio_promotions += shard.registry.counter_value("radio.promotions");
-    acc.radio_repromotions += shard.registry.counter_value("radio.repromotions");
-    obs::MetricsRegistry::global().merge_from(shard.registry);
-    completed.push_back(users[i]);
-  }
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const internal::ShardChain& shard = *shards[i];
-    obs::ShardRunStats s;
-    s.user = users[i];
-    s.worker = shard.worker;
-    s.wall_ms = shard.wall_ms;
-    s.attempts = std::max(1u, shard.attempts);
-    s.skipped = !shard.error.ok();
-    s.status = shard.error;
-    if (options.collect_stage_stats) s.stages = shard.stage_stats();
-    if (!s.skipped) {
-      s.packets = shard_totals[i].packets;
-      s.bytes = shard_totals[i].bytes;
-      s.joules = shard_totals[i].joules;
-    }
-    res.stats.shards.push_back(s);
-  }
-}
-
-/// Scenario totals, stage-profile fold, and memory accounting — everything
-/// derivable once the scenario's shards are merged.
-void fill_scenario_totals(ScenarioResult& res, const Scenario& scenario,
-                          const energy::EnergyAttributor& parent_attributor,
-                          const ScenarioAccum& acc, const trace::StoreBackend& store,
-                          std::size_t num_users, const SweepOptions& options) {
-  res.stats.num_threads = options.num_threads;
-  res.stats.users = static_cast<std::uint64_t>(num_users);
-  res.stats.packets = res.ledger.total_packets();
-  res.stats.bytes = res.ledger.total_bytes();
-  res.stats.joules = res.ledger.total_joules();
-  res.stats.off_interface_packets = acc.dropped_packets;
-  res.stats.off_interface_bytes = acc.dropped_bytes;
-  const energy::AttributionCounters& ac = parent_attributor.counters();
-  res.stats.transitions = ac.transitions;
-  res.stats.tail_attributions = ac.tail_attributions;
-  res.stats.proportional_splits = ac.proportional_splits;
-  res.stats.promotion_segments = ac.promotion_segments;
-  res.stats.transfer_segments = ac.transfer_segments;
-  res.stats.tail_segments = ac.tail_segments;
-  res.stats.drx_segments = ac.drx_segments;
-  res.stats.idle_segments = ac.idle_segments;
-  res.stats.radio_bursts = acc.radio_bursts;
-  res.stats.radio_bursts_queued = acc.radio_bursts_queued;
-  res.stats.radio_promotions = acc.radio_promotions;
-  res.stats.radio_repromotions = acc.radio_repromotions;
-
-  // Fold the per-shard stage profiles into the scenario profile, in user-id
-  // order over surviving shards — the same fold as
-  // StudyPipeline::run_sharded. The "replay" row is per-shard wall time the
-  // stages did not account for (store replay + dispatch).
-  res.stats.timed = options.collect_stage_stats;
-  if (options.collect_stage_stats) {
-    obs::StageStats replay;
-    replay.name = "replay";
-    std::vector<obs::StageStats> folded;
-    for (const obs::ShardRunStats& s : res.stats.shards) {
-      if (s.skipped || s.stages.empty()) continue;
-      double accounted_ms = 0.0;
-      for (const auto& st : s.stages) accounted_ms += st.self_ms;
-      replay.self_ms += std::max(0.0, s.wall_ms - accounted_ms);
-      if (folded.empty()) folded.resize(s.stages.size());
-      for (std::size_t i = 0; i < s.stages.size() && i < folded.size(); ++i) {
-        folded[i].merge_from(s.stages[i]);
-      }
-    }
-    replay.packets = res.stats.packets + res.stats.off_interface_packets;
-    replay.transitions = res.stats.transitions;
-    replay.bytes = res.stats.bytes + res.stats.off_interface_bytes;
-    res.stats.stages.push_back(replay);
-    for (auto& st : folded) res.stats.stages.push_back(std::move(st));
-  }
-
-  // Per-scenario memory accounting; the store is shared by every scenario.
-  res.stats.memory.ledger = res.ledger.memory_use();
-  for (const auto& [name, sink] : scenario.analyses) {
-    res.stats.memory.analyses += sink->memory_use();
-  }
-  res.stats.memory.store = store.memory_use();
-  res.stats.memory.peak_rss_bytes = obs::peak_rss_bytes();
-}
-
-void add_to_aggregate(obs::RunStats& aggregate, const ScenarioResult& res) {
-  aggregate.packets += res.stats.packets;
-  aggregate.transitions += res.stats.transitions;
-  aggregate.bytes += res.stats.bytes;
-  aggregate.joules += res.stats.joules;
-  aggregate.off_interface_packets += res.stats.off_interface_packets;
-  aggregate.off_interface_bytes += res.stats.off_interface_bytes;
-  aggregate.shard_retries += res.stats.shard_retries;
-  aggregate.serial_fallback_sinks += res.stats.serial_fallback_sinks;
-  aggregate.radio_bursts += res.stats.radio_bursts;
-  aggregate.radio_bursts_queued += res.stats.radio_bursts_queued;
-  aggregate.radio_promotions += res.stats.radio_promotions;
-  aggregate.radio_repromotions += res.stats.radio_repromotions;
-  aggregate.memory.ledger += res.stats.memory.ledger;
-  aggregate.memory.analyses += res.stats.memory.analyses;
-  aggregate.memory.accounts += res.stats.memory.accounts;
-}
-
-/// Finished-scenario summary persisted in the "s<i>.stats" snapshot section:
-/// the counters a resumed run cannot recompute without replaying. Per-shard
-/// rows and stage profiles are deliberately dropped.
-std::string encode_scenario_stats(const ScenarioResult& res) {
-  ckpt::ByteWriter out;
-  out.put_string(res.name);  // stale detection: scenario list must match
-  const obs::RunStats& s = res.stats;
-  out.put_varint(s.users);
-  out.put_varint(s.packets);
-  out.put_varint(s.transitions);
-  out.put_varint(s.bytes);
-  out.put_varint(s.off_interface_packets);
-  out.put_varint(s.off_interface_bytes);
-  out.put_f64(s.joules);
-  out.put_varint(s.tail_attributions);
-  out.put_varint(s.proportional_splits);
-  out.put_varint(s.promotion_segments);
-  out.put_varint(s.transfer_segments);
-  out.put_varint(s.tail_segments);
-  out.put_varint(s.drx_segments);
-  out.put_varint(s.idle_segments);
-  out.put_varint(s.radio_bursts);
-  out.put_varint(s.radio_bursts_queued);
-  out.put_varint(s.radio_promotions);
-  out.put_varint(s.radio_repromotions);
-  out.put_varint(s.shard_retries);
-  out.put_varint(s.serial_fallback_sinks);
-  out.put_u64_span(s.failed_users);
-  out.put_u8(static_cast<std::uint8_t>(res.status.code()));
-  out.put_string(res.status.message());
-  return out.take();
-}
-
-util::Status decode_scenario_stats(std::string_view bytes, ScenarioResult& res) {
-  ckpt::ByteReader in{bytes};
-  auto name = in.get_string("scenario.name");
-  if (!name.ok()) return name.status();
-  if (*name != res.name) {
-    return util::Status::failed_precondition("checkpointed scenario '" + *name +
-                                             "' does not match registered scenario '" +
-                                             res.name + "' — the scenario list changed");
-  }
-  obs::RunStats& s = res.stats;
-  struct Field {
-    const char* name;
-    std::uint64_t* out;
-  };
-  const Field fields[] = {
-      {"users", &s.users},
-      {"packets", &s.packets},
-      {"transitions", &s.transitions},
-      {"bytes", &s.bytes},
-      {"off_interface_packets", &s.off_interface_packets},
-      {"off_interface_bytes", &s.off_interface_bytes},
-  };
-  for (const Field& f : fields) {
-    auto v = in.get_varint(std::string("scenario.") + f.name);
-    if (!v.ok()) return v.status();
-    *f.out = *v;
-  }
-  auto joules = in.get_f64("scenario.joules");
-  if (!joules.ok()) return joules.status();
-  s.joules = *joules;
-  const Field counters[] = {
-      {"tail_attributions", &s.tail_attributions},
-      {"proportional_splits", &s.proportional_splits},
-      {"promotion_segments", &s.promotion_segments},
-      {"transfer_segments", &s.transfer_segments},
-      {"tail_segments", &s.tail_segments},
-      {"drx_segments", &s.drx_segments},
-      {"idle_segments", &s.idle_segments},
-      {"radio_bursts", &s.radio_bursts},
-      {"radio_bursts_queued", &s.radio_bursts_queued},
-      {"radio_promotions", &s.radio_promotions},
-      {"radio_repromotions", &s.radio_repromotions},
-      {"shard_retries", &s.shard_retries},
-      {"serial_fallback_sinks", &s.serial_fallback_sinks},
-  };
-  for (const Field& f : counters) {
-    auto v = in.get_varint(std::string("scenario.") + f.name);
-    if (!v.ok()) return v.status();
-    *f.out = *v;
-  }
-  // put_u64_span wire format: varint count, then varint values.
-  auto failed = in.get_varint("scenario.failed_users");
-  if (!failed.ok()) return failed.status();
-  if (*failed > in.remaining()) return util::Status::data_loss("truncated scenario stats");
-  s.failed_users.resize(*failed);
-  for (std::uint64_t& u : s.failed_users) {
-    auto v = in.get_varint("scenario.failed_users");
-    if (!v.ok()) return v.status();
-    u = *v;
-  }
-  auto code = in.get_u8("scenario.status_code");
-  if (!code.ok()) return code.status();
-  auto message = in.get_string("scenario.status_message");
-  if (!message.ok()) return message.status();
-  res.status = util::Status{static_cast<util::StatusCode>(*code), std::move(*message)};
-  if (!in.at_end()) {
-    return util::Status::data_loss("trailing bytes in scenario stats section for '" +
-                                   res.name + "'");
-  }
-  return util::Status::ok_status();
-}
-
-}  // namespace
 
 SweepEngine::SweepEngine(trace::TraceSource* base, SweepOptions options)
     : base_(base), options_(std::move(options)) {
@@ -415,451 +59,66 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
     return util::Status::invalid_argument(
         "account budget requires an account directory (set account_dir)");
   }
-  if (!options_.account_dir.empty() && !options_.checkpoint_dir.empty()) {
-    return util::Status::invalid_argument(
-        "the account plane does not compose with checkpointed sweeps yet — drop account_dir "
-        "or checkpoint_dir");
-  }
-  if (options_.checkpoint_dir.empty()) return run_flat();
-  return run_checkpointed();
-}
-
-util::StatusOr<obs::RunStats> SweepEngine::run_flat() {
-  obs::Stopwatch total;
+  const obs::Stopwatch total;
   if (const util::Status captured = ensure_captured(); !captured.ok()) return captured;
 
-  const trace::StudyMeta meta = store_->meta();
-  const std::vector<trace::UserId> user_ids = store_->users();
-  const std::size_t num_users = user_ids.size();
+  // Results are rebuilt per run; their ledgers are the parents the shard
+  // clones merge into, so the vector must not reallocate once the engine
+  // holds pointers to them — size it up front.
   const std::size_t num_scenarios = scenarios_.size();
-
-  // Results are rebuilt per run; the ledgers living here are the shardable
-  // parents the per-shard clones merge back into, so the vector must not
-  // reallocate once chains hold pointers to them — size it up front.
   results_.clear();
   results_.resize(num_scenarios);
-
-  // Per-scenario sink split and per-(scenario, user) chains, built serially
-  // up front (policy factories and clone_shard() need not be thread-safe).
-  std::vector<ScenarioPlan> plans(num_scenarios);
   account_spills_.clear();
+  // Per-scenario parent attributors fold the attribution counters in the
+  // order a standalone pipeline would; nothing listens downstream of them.
+  trace::TraceMulticast no_downstream;
+  std::vector<std::unique_ptr<energy::EnergyAttributor>> attributors;
+  std::vector<internal::EngineScenario> plan(num_scenarios);
   for (std::size_t si = 0; si < num_scenarios; ++si) {
-    results_[si].name = scenarios_[si].name;
-    energy::AccountSpill* spill = nullptr;
+    const Scenario& scenario = scenarios_[si];
+    ScenarioResult& res = results_[si];
+    res.name = scenario.name;
+    attributors.push_back(std::make_unique<energy::EnergyAttributor>(
+        scenario.radio_factory ? scenario.radio_factory : radio::make_lte_model, &no_downstream,
+        scenario.tail_policy));
     if (!options_.account_dir.empty()) {
       // One spill per scenario, under an index-named subdirectory (scenario
       // names are user strings, not filesystem-safe).
-      energy::AccountSpill::Options spill_options;
-      spill_options.dir = options_.account_dir + "/s" + std::to_string(si);
-      spill_options.budget_bytes = options_.account_budget_bytes;
-      account_spills_.push_back(std::make_unique<energy::AccountSpill>(std::move(spill_options)));
-      spill = account_spills_.back().get();
-      if (util::Status st = spill->open_fresh(); !st.ok()) return st;
+      account_spills_.push_back(
+          std::make_unique<energy::AccountSpill>(energy::AccountSpill::Options{
+              options_.account_dir + "/s" + std::to_string(si), options_.account_budget_bytes}));
     }
-    plans[si] = make_scenario_plan(scenarios_[si], &results_[si].ledger, options_.fault_plan,
-                                   options_.collect_stage_stats, spill);
-    results_[si].stats.serial_fallback_sinks = plans[si].adapters.size();
-    plans[si].shards.reserve(num_users);
-    for (const trace::UserId user : user_ids) {
-      plans[si].shards.push_back(
-          internal::build_chain(plans[si].config, plans[si].shardable, user));
-    }
+    plan[si].name = scenario.name;
+    plan[si].attributor = attributors.back().get();
+    plan[si].policy = scenario.policy;
+    plan[si].interface = scenario.interface;
+    plan[si].sinks.emplace_back("ledger", &res.ledger);
+    plan[si].sinks.insert(plan[si].sinks.end(), scenario.analyses.begin(),
+                          scenario.analyses.end());
+    plan[si].spill = account_spills_.empty() ? nullptr : account_spills_.back().get();
+    plan[si].stats = &res.stats;
   }
 
-  // Flat (scenario × user) task space on ONE pool — scenario-major, so task
-  // index maps to (index / num_users, index % num_users). Replay is const
-  // over the store's columns, so any number of workers can read one user
-  // concurrently across scenarios.
-  const bool retry_then_skip = options_.failure_policy == FailurePolicy::kRetryThenSkip;
-  const std::size_t total_shards = num_scenarios * num_users;
-  // Progress reporting: first-attempt completions, serialized under a mutex
-  // so the callback never runs concurrently with itself.
-  std::mutex progress_mu;
-  std::size_t progress_done = 0;
-  const auto report_progress = [&](std::size_t si, trace::UserId user) {
-    if (!options_.progress) return;
-    const std::lock_guard<std::mutex> lock{progress_mu};
-    ++progress_done;
-    options_.progress(SweepProgress{progress_done, total_shards, si, user});
-  };
-  if (total_shards > 0) {
-    const unsigned pool_threads = std::max<unsigned>(
-        1, std::min<unsigned>(options_.num_threads,
-                              static_cast<unsigned>(std::min<std::size_t>(
-                                  total_shards, 1u << 16))));
-    util::ThreadPool pool{pool_threads};
-    pool.run_indexed(total_shards, [&](std::size_t index, unsigned worker) {
-      const std::size_t si = index / num_users;
-      const std::size_t ui = index % num_users;
-      internal::ShardChain& shard = *plans[si].shards[ui];
-      // Shard-local metrics: each scenario's radio model counts into its own
-      // shard registry (summed per scenario below).
-      const obs::ScopedMetricsRegistry scoped{&shard.registry};
-      shard.worker = worker;
-      ++shard.attempts;
-      const obs::Stopwatch watch;
-      if (retry_then_skip) {
-        try {
-          shard.error = store_->emit_user(user_ids[ui], *shard.entry, options_.batch_size);
-        } catch (const std::exception& e) {
-          shard.error = util::Status::aborted(e.what());
-        }
-      } else {
-        // kFailFast: the pool rethrows the first exception out of run().
-        const util::Status st =
-            store_->emit_user(user_ids[ui], *shard.entry, options_.batch_size);
-        if (!st.ok()) throw std::runtime_error(st.to_string());
-      }
-      shard.wall_ms = watch.elapsed_ms();
-      report_progress(si, user_ids[ui]);
-    });
+  internal::EngineOptions engine;
+  engine.num_threads = options_.num_threads;
+  engine.batch_size = options_.batch_size;
+  engine.failure_policy = options_.failure_policy;
+  engine.max_shard_retries = options_.max_shard_retries;
+  engine.fault_plan = options_.fault_plan;
+  engine.checkpoint_dir = options_.checkpoint_dir;
+  engine.checkpoint_every_users = options_.checkpoint_every_users;
+  engine.resume = options_.resume && !options_.checkpoint_dir.empty();
+  engine.collect_stage_stats = options_.collect_stage_stats;
+  if (options_.progress) {
+    engine.progress = [this](std::size_t done, std::size_t total_shards, std::size_t si,
+                             trace::UserId user) {
+      options_.progress(SweepProgress{done, total_shards, si, user});
+    };
   }
-
-  // Per-scenario: serial retries, deterministic merge in stream order,
-  // stats. Exactly the pipeline's discipline, applied K times.
-  obs::RunStats aggregate;
-  for (std::size_t si = 0; si < num_scenarios; ++si) {
-    ScenarioPlan& plan = plans[si];
-    ScenarioResult& res = results_[si];
-
-    // Merge in stream (user-id) order, skipping failed shards. The parent
-    // attributor exists only to fold the scenario's attribution counters in
-    // the same order a standalone pipeline would.
-    energy::AccountSpill* spill =
-        account_spills_.empty() ? nullptr : account_spills_[si].get();
-    trace::TraceMulticast parent_fanout;  // stays empty
-    energy::EnergyAttributor parent_attributor{plan.config.radio_factory, &parent_fanout,
-                                               plan.config.tail_policy};
-    parent_attributor.set_account_spill(spill);
-    parent_attributor.on_study_begin(meta);
-    for (auto* parent : plan.sharded_parents) parent->on_study_begin(meta);
-    ScenarioAccum acc;
-    std::vector<trace::UserId> completed;
-    settle_and_merge(*store_, plan, plan.shards, user_ids, parent_attributor, acc, res,
-                     completed, options_, spill);
-    for (auto* parent : plan.sharded_parents) parent->on_study_end();
-
-    if (spill != nullptr) {
-      // Resident is read before the final seal so the number describes the
-      // bounded pending-writer footprint, not the post-seal zero.
-      res.stats.memory.accounts.resident_bytes = spill->resident_bytes();
-      if (util::Status st = spill->seal(); !st.ok()) return st;
-      if (util::Status st = spill->health(); !st.ok()) return st;
-      res.stats.memory.accounts.spilled_bytes = spill->spilled_bytes();
-    }
-    fill_scenario_totals(res, scenarios_[si], parent_attributor, acc, *store_, num_users,
-                         options_);
-    add_to_aggregate(aggregate, res);
-  }
-
-  aggregate.num_threads = options_.num_threads;
-  aggregate.users = static_cast<std::uint64_t>(num_users);
-  aggregate.wall_ms = total.elapsed_ms();
-  aggregate.memory.store = store_->memory_use();
-  aggregate.memory.peak_rss_bytes = obs::peak_rss_bytes();
-  return aggregate;
-}
-
-util::StatusOr<obs::RunStats> SweepEngine::run_checkpointed() {
-  obs::Stopwatch total;
-  if (const util::Status captured = ensure_captured(); !captured.ok()) return captured;
-
-  const trace::StudyMeta meta = store_->meta();
-  const std::vector<trace::UserId> user_ids = store_->users();
-  const std::size_t num_users = user_ids.size();
-  const std::size_t num_scenarios = scenarios_.size();
-
-  // Checkpointing serializes every scenario sink; refuse a sink without a
-  // save/restore implementation up front, naming it (never silent loss).
-  for (const Scenario& scenario : scenarios_) {
-    for (const auto& [name, sink] : scenario.analyses) {
-      if (ckpt::as_checkpointable(sink) == nullptr) {
-        return util::Status::failed_precondition(
-            "scenario '" + scenario.name + "' sink '" + name +
-            "' does not implement ckpt::CheckpointableSink; checkpointing would lose its "
-            "state");
-      }
-    }
-  }
-
-  results_.clear();
-  results_.resize(num_scenarios);
-  for (std::size_t si = 0; si < num_scenarios; ++si) results_[si].name = scenarios_[si].name;
-
-  ckpt::CheckpointWriterOptions writer_options;
-  writer_options.fault_plan = options_.fault_plan;
-  ckpt::CheckpointWriter writer{options_.checkpoint_dir, writer_options};
-
-  obs::RunStats aggregate;
-  std::size_t scenarios_done = 0;  ///< scenarios fully merged (restored or run)
-  std::vector<trace::UserId> completed;  ///< current scenario's merged users
-  std::optional<ckpt::Snapshot> resumed;
-  if (options_.resume) {
-    auto loaded = ckpt::CheckpointReader::load_latest(options_.checkpoint_dir);
-    if (!loaded.ok()) return loaded.status();
-    if (util::Status st = ckpt::check_snapshot_meta(loaded->snapshot, meta); !st.ok()) {
-      return st;
-    }
-    aggregate.recovered_from_seq = loaded->recovered_from_seq;
-    writer.set_next_seq(loaded->seq + 1);
-    resumed = std::move(loaded->snapshot);
-    scenarios_done = resumed->counter("scenarios_done");
-    if (scenarios_done > num_scenarios) {
-      return util::Status::failed_precondition(
-          "checkpoint covers " + std::to_string(scenarios_done) +
-          " finished scenarios but only " + std::to_string(num_scenarios) +
-          " are registered — the scenario list changed");
-    }
-    completed = resumed->completed_users;
-    aggregate.resumed_users =
-        scenarios_done * num_users + completed.size() + resumed->failed_users.size();
-  }
-
-  // Writes the full sweep state: every finished scenario's final sink state
-  // and stats summary, plus the in-progress scenario's partials and
-  // progress. `cur` is null at a scenario boundary.
-  struct Current {
-    ScenarioResult* res;
-    energy::EnergyAttributor* attributor;
-    const ScenarioAccum* acc;
-  };
-  const auto write_snapshot = [&](const Current* cur) {
-    ckpt::Snapshot snapshot;
-    snapshot.meta = meta;
-    snapshot.set_counter("scenarios_done", scenarios_done);
-    snapshot.completed_users = completed;
-    for (std::size_t j = 0; j < scenarios_done; ++j) {
-      const std::string prefix = "s" + std::to_string(j) + ".";
-      snapshot.add_section(prefix + "stats", encode_scenario_stats(results_[j]));
-      ckpt::ByteWriter ledger_bytes;
-      results_[j].ledger.save_state(ledger_bytes);
-      snapshot.add_section(prefix + "ledger", ledger_bytes.take());
-      for (const auto& [name, sink] : scenarios_[j].analyses) {
-        ckpt::ByteWriter sink_bytes;
-        ckpt::as_checkpointable(sink)->save_state(sink_bytes);
-        snapshot.add_section(prefix + name, sink_bytes.take());
-      }
-    }
-    if (cur != nullptr) {
-      const std::string prefix = "s" + std::to_string(scenarios_done) + ".";
-      // The in-progress scenario's name, so a resume can detect a reordered
-      // or renamed scenario list before folding partials into the wrong one
-      // (finished scenarios carry theirs inside the stats blob).
-      snapshot.add_section(prefix + "scenario", cur->res->name);
-      for (const std::uint64_t user : cur->res->stats.failed_users) {
-        snapshot.failed_users.push_back(static_cast<trace::UserId>(user));
-      }
-      snapshot.set_counter("shard_retries", cur->res->stats.shard_retries);
-      snapshot.set_counter("off_interface_packets", cur->acc->dropped_packets);
-      snapshot.set_counter("off_interface_bytes", cur->acc->dropped_bytes);
-      snapshot.set_counter("radio.bursts", cur->acc->radio_bursts);
-      snapshot.set_counter("radio.bursts_queued", cur->acc->radio_bursts_queued);
-      snapshot.set_counter("radio.promotions", cur->acc->radio_promotions);
-      snapshot.set_counter("radio.repromotions", cur->acc->radio_repromotions);
-      ckpt::ByteWriter attributor_bytes;
-      cur->attributor->save_state(attributor_bytes);
-      snapshot.add_section(prefix + "attributor", attributor_bytes.take());
-      ckpt::ByteWriter ledger_bytes;
-      cur->res->ledger.save_state(ledger_bytes);
-      snapshot.add_section(prefix + "ledger", ledger_bytes.take());
-      for (const auto& [name, sink] : scenarios_[scenarios_done].analyses) {
-        ckpt::ByteWriter sink_bytes;
-        ckpt::as_checkpointable(sink)->save_state(sink_bytes);
-        snapshot.add_section(prefix + name, sink_bytes.take());
-      }
-    }
-    (void)writer.write(snapshot);  // failures are counted; the sweep continues
-  };
-
-  const auto restore_section = [&](const ckpt::Snapshot& snapshot, const std::string& name,
-                                   ckpt::CheckpointableSink& sink) -> util::Status {
-    const std::string* payload = snapshot.section(name);
-    if (payload == nullptr) {
-      return util::Status::failed_precondition("checkpoint holds no section '" + name +
-                                               "' — sweep shape changed");
-    }
-    ckpt::ByteReader in{*payload};
-    if (util::Status st = sink.restore_state(in); !st.ok()) {
-      return {st.code(), "section '" + name + "': " + st.message()};
-    }
-    if (!in.at_end()) {
-      return util::Status::data_loss("section '" + name + "': " +
-                                     std::to_string(in.remaining()) + " trailing bytes");
-    }
-    return util::Status::ok_status();
-  };
-
-  // Restore finished scenarios verbatim: sinks get the standard study
-  // bracket around the restore so derived state is finalized exactly once.
-  for (std::size_t j = 0; j < scenarios_done; ++j) {
-    ScenarioResult& res = results_[j];
-    const std::string prefix = "s" + std::to_string(j) + ".";
-    const std::string* blob = resumed->section(prefix + "stats");
-    if (blob == nullptr) {
-      return util::Status::failed_precondition("checkpoint holds no section '" + prefix +
-                                               "stats' — sweep shape changed");
-    }
-    if (util::Status st = decode_scenario_stats(*blob, res); !st.ok()) {
-      return util::Status{st.code(), "restoring scenario '" + res.name + "': " + st.message()};
-    }
-    res.ledger.on_study_begin(meta);
-    if (util::Status st = restore_section(*resumed, prefix + "ledger", res.ledger); !st.ok()) {
-      return st;
-    }
-    res.ledger.on_study_end();
-    for (const auto& [name, sink] : scenarios_[j].analyses) {
-      sink->on_study_begin(meta);
-      if (util::Status st = restore_section(*resumed, prefix + name,
-                                            *ckpt::as_checkpointable(sink));
-          !st.ok()) {
-        return st;
-      }
-      sink->on_study_end();
-    }
-    // Footprints are live-process facts, not history — recompute them.
-    res.stats.num_threads = options_.num_threads;
-    res.stats.memory.ledger = res.ledger.memory_use();
-    for (const auto& [name, sink] : scenarios_[j].analyses) {
-      res.stats.memory.analyses += sink->memory_use();
-    }
-    res.stats.memory.store = store_->memory_use();
-    res.stats.memory.peak_rss_bytes = obs::peak_rss_bytes();
-    add_to_aggregate(aggregate, res);
-  }
-
-  // Progress reporting counts this process's shards only.
-  const std::size_t total_shards = (num_scenarios - scenarios_done) * num_users;
-  std::mutex progress_mu;
-  std::size_t progress_done = 0;
-  const auto report_progress = [&](std::size_t si, trace::UserId user) {
-    if (!options_.progress) return;
-    const std::lock_guard<std::mutex> lock{progress_mu};
-    ++progress_done;
-    options_.progress(SweepProgress{progress_done, total_shards, si, user});
-  };
-
-  const bool retry_then_skip = options_.failure_policy == FailurePolicy::kRetryThenSkip;
-  const std::size_t epoch_users = std::max<std::size_t>(1, options_.checkpoint_every_users);
-  const std::size_t resume_scenario = scenarios_done;  ///< the interrupted one, if any
-  for (std::size_t si = scenarios_done; si < num_scenarios; ++si) {
-    ScenarioResult& res = results_[si];
-    // run() rejected account_dir + checkpoint_dir; the nullptr disarms sinks
-    // an earlier flat run may have left armed.
-    ScenarioPlan plan = make_scenario_plan(scenarios_[si], &res.ledger, options_.fault_plan,
-                                           options_.collect_stage_stats, nullptr);
-    res.stats.serial_fallback_sinks = plan.adapters.size();
-
-    trace::TraceMulticast parent_fanout;  // stays empty
-    energy::EnergyAttributor parent_attributor{plan.config.radio_factory, &parent_fanout,
-                                               plan.config.tail_policy};
-    parent_attributor.on_study_begin(meta);
-    for (auto* parent : plan.sharded_parents) parent->on_study_begin(meta);
-
-    ScenarioAccum acc;
-    std::vector<trace::UserId> pending = user_ids;
-    if (si == resume_scenario && resumed && (!completed.empty() || !resumed->failed_users.empty())) {
-      // Resume mid-scenario: fold the partial state back in and drop the
-      // users the checkpoint already covers (completed and failed alike).
-      const std::string prefix = "s" + std::to_string(si) + ".";
-      const std::string* ckpt_name = resumed->section(prefix + "scenario");
-      if (ckpt_name == nullptr || *ckpt_name != res.name) {
-        return util::Status::failed_precondition(
-            "checkpointed in-progress scenario '" +
-            (ckpt_name != nullptr ? *ckpt_name : "<missing>") +
-            "' does not match registered scenario '" + res.name +
-            "' — the scenario list changed");
-      }
-      if (util::Status st = restore_section(*resumed, prefix + "attributor", parent_attributor);
-          !st.ok()) {
-        return st;
-      }
-      if (util::Status st = restore_section(*resumed, prefix + "ledger", res.ledger); !st.ok()) {
-        return st;
-      }
-      for (const auto& [name, sink] : scenarios_[si].analyses) {
-        if (util::Status st =
-                restore_section(*resumed, prefix + name, *ckpt::as_checkpointable(sink));
-            !st.ok()) {
-          return st;
-        }
-      }
-      res.stats.shard_retries = resumed->counter("shard_retries");
-      for (const trace::UserId user : resumed->failed_users) {
-        res.stats.failed_users.push_back(user);
-      }
-      acc = {resumed->counter("off_interface_packets"), resumed->counter("off_interface_bytes"),
-             resumed->counter("radio.bursts"), resumed->counter("radio.bursts_queued"),
-             resumed->counter("radio.promotions"), resumed->counter("radio.repromotions")};
-      std::vector<trace::UserId> done = completed;
-      done.insert(done.end(), resumed->failed_users.begin(), resumed->failed_users.end());
-      std::sort(done.begin(), done.end());
-      std::erase_if(pending, [&](trace::UserId u) {
-        return std::binary_search(done.begin(), done.end(), u);
-      });
-    } else {
-      completed.clear();
-    }
-
-    for (std::size_t epoch_begin = 0; epoch_begin < pending.size();
-         epoch_begin += epoch_users) {
-      const std::size_t epoch_end = std::min(pending.size(), epoch_begin + epoch_users);
-      const std::vector<trace::UserId> epoch_ids(pending.begin() + epoch_begin,
-                                                 pending.begin() + epoch_end);
-      std::vector<std::unique_ptr<internal::ShardChain>> shards;
-      shards.reserve(epoch_ids.size());
-      for (const trace::UserId user : epoch_ids) {
-        shards.push_back(internal::build_chain(plan.config, plan.shardable, user));
-      }
-      {
-        util::ThreadPool pool{std::max<unsigned>(
-            1, std::min<unsigned>(options_.num_threads,
-                                  static_cast<unsigned>(epoch_ids.size())))};
-        pool.run_indexed(epoch_ids.size(), [&](std::size_t index, unsigned worker) {
-          internal::ShardChain& shard = *shards[index];
-          const obs::ScopedMetricsRegistry scoped{&shard.registry};
-          shard.worker = worker;
-          ++shard.attempts;
-          const obs::Stopwatch watch;
-          if (retry_then_skip) {
-            try {
-              shard.error = store_->emit_user(epoch_ids[index], *shard.entry,
-                                              options_.batch_size);
-            } catch (const std::exception& e) {
-              shard.error = util::Status::aborted(e.what());
-            }
-          } else {
-            const util::Status st =
-                store_->emit_user(epoch_ids[index], *shard.entry, options_.batch_size);
-            if (!st.ok()) throw std::runtime_error(st.to_string());
-          }
-          shard.wall_ms = watch.elapsed_ms();
-          report_progress(si, epoch_ids[index]);
-        });
-      }
-      settle_and_merge(*store_, plan, shards, epoch_ids, parent_attributor, acc, res,
-                       completed, options_, nullptr);
-      const Current cur{&res, &parent_attributor, &acc};
-      write_snapshot(&cur);
-    }
-
-    for (auto* parent : plan.sharded_parents) parent->on_study_end();
-    fill_scenario_totals(res, scenarios_[si], parent_attributor, acc, *store_, num_users,
-                         options_);
-    add_to_aggregate(aggregate, res);
-    scenarios_done = si + 1;
-    completed.clear();
-    write_snapshot(nullptr);  // scenario boundary: everything so far is final
-  }
-
-  aggregate.num_threads = options_.num_threads;
-  aggregate.users = static_cast<std::uint64_t>(num_users);
-  aggregate.wall_ms = total.elapsed_ms();
-  aggregate.memory.store = store_->memory_use();
-  aggregate.memory.peak_rss_bytes = obs::peak_rss_bytes();
-  aggregate.checkpoints_written = writer.checkpoints_written();
-  aggregate.checkpoint_bytes = writer.bytes_written();
-  aggregate.checkpoint_write_failures = writer.write_failures();
-  return aggregate;
+  auto run = internal::run_scenarios(*store_, plan, engine);
+  if (!run.ok()) return run.status();
+  run->wall_ms = total.elapsed_ms();  // the capture counts too
+  return run;
 }
 
 }  // namespace wildenergy::core

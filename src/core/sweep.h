@@ -17,9 +17,10 @@
 //
 // Every scenario's outputs (ledger, analyses, per-scenario RunStats counters)
 // are bit-identical to a standalone StudyPipeline run of that scenario over
-// the same source, for every thread count: shards merge in stream (user-id)
-// order through the same chain builder (core/shard_chain.h) and the same
-// ShardableSink merge discipline (trace/shardable.h) the pipeline uses.
+// the same source, for every thread count: a sweep is a K-scenario run of the
+// same execution engine (core/engine.h) a pipeline is a one-scenario run of,
+// merging shards in stream (user-id) order under the same ShardableSink
+// discipline (trace/shardable.h).
 #pragma once
 
 #include <cstddef>
@@ -56,31 +57,32 @@ struct Scenario {
   /// Analysis sinks receiving this scenario's energy-annotated stream.
   /// Non-owning; must outlive run(). Shardable sinks ride the parallel
   /// merge; a custom non-shardable sink is wrapped in a collect-splice
-  /// adapter (core/shard_chain.h) and merged in user-id order.
+  /// adapter (core/engine.cpp) and merged in user-id order.
   std::vector<std::pair<std::string, trace::TraceSink*>> analyses;
 };
 
 /// One completed (scenario × user) shard, reported through
 /// SweepOptions::progress so long sweeps are not silent (CLI --progress).
 struct SweepProgress {
-  std::size_t completed = 0;       ///< shards finished so far (first attempt)
-  std::size_t total = 0;           ///< num_scenarios × num_users
+  std::size_t completed = 0;       ///< shards merged so far
+  std::size_t total = 0;           ///< shards this run merges (K × users unless resuming)
   std::size_t scenario_index = 0;  ///< scenario of the shard that just finished
   trace::UserId user = 0;          ///< its user
 };
 
 struct SweepOptions {
-  /// Worker threads shared by ALL (scenario × user) shards. 1 keeps the
-  /// whole sweep serial (still one capture, K replays).
+  /// Worker threads shared by ALL (scenario × user) shards. The engine
+  /// keeps at most 2 × num_threads shard chains alive, in scenario-major
+  /// order; 1 runs every shard inline (still one capture, K replays).
   unsigned num_threads = 1;
   /// Profile each chain's stages into the per-scenario
   /// ScenarioResult::stats.stages (self time + batch latency), exactly like
   /// PipelineOptions::collect_stage_stats. Off by default (two clock reads
   /// per callback per stage per shard).
   bool collect_stage_stats = false;
-  /// Invoked once per completed (scenario, user) shard, from worker threads
-  /// but serialized by the engine (never concurrently). Keep it cheap — it
-  /// runs inside the shard scheduling path.
+  /// Invoked once per completed (scenario, user) shard, on the thread that
+  /// called run(), as the shard merges (never concurrently). Keep it cheap —
+  /// it runs inside the merge path.
   std::function<void(const SweepProgress&)> progress;
   /// Events per EventBatch on both the capture and replay paths. Shares
   /// trace::kDefaultBatchSize with PipelineOptions / ReadOptions.
@@ -92,17 +94,18 @@ struct SweepOptions {
   unsigned max_shard_retries = 2;
   /// Scripted shard faults (--inject-fault). Non-owning; must outlive run().
   /// A spec matching user U arms once per (scenario, user) chain build, in
-  /// scenario order.
+  /// scenario order; a user's retries settle before its next scenario's
+  /// chain is built, so arming never depends on thread timing.
   fault::FaultPlan* fault_plan = nullptr;
   /// Directory for crash-recovery checkpoints (src/ckpt/, CLI
-  /// --checkpoint-dir). Empty (default) keeps the flat (scenario × user)
-  /// pool. When set, the sweep runs scenario-sequentially in epochs of
-  /// checkpoint_every_users user shards, snapshotting after each epoch and
-  /// after each finished scenario; every scenario analysis sink must
-  /// implement ckpt::CheckpointableSink. Outputs stay bit-identical to the
-  /// flat path at every thread count. Per-shard rows and stage profiles of
-  /// work done before a kill are not checkpointed (counters and results
-  /// are).
+  /// --checkpoint-dir). Empty (default) disables checkpointing. When set, a
+  /// snapshot is written after every checkpoint_every_users merged shards of
+  /// a scenario, after its last shard, and once more as a scenario closes
+  /// with more to follow;
+  /// every scenario analysis sink must implement ckpt::CheckpointableSink.
+  /// Outputs stay bit-identical to an unchecked sweep at every thread count.
+  /// Per-shard rows and stage profiles of work done before a kill are not
+  /// checkpointed (counters and results are).
   std::string checkpoint_dir;
   /// Completed user shards between checkpoints within a scenario.
   std::size_t checkpoint_every_users = 4;
@@ -125,8 +128,8 @@ struct SweepOptions {
   /// detail rows spill to WEAC files under the per-scenario subdirectory
   /// s<index> (registration order) as its shard merges, and the per-user
   /// slabs are freed. Scenario ledgers answer cursor-based queries from the
-  /// spilled rows, bit-identically to a resident sweep. Flat path only:
-  /// combining with checkpoint_dir fails run().
+  /// spilled rows, bit-identically to a resident sweep. Composes with
+  /// checkpoint_dir: a resume must pass the same directory.
   std::string account_dir;
   /// Soft resident budget per scenario's account spill (CLI
   /// --account-budget); 0 applies the AccountSpill default. Requires
@@ -178,10 +181,6 @@ class SweepEngine {
 
  private:
   util::Status ensure_captured();
-  /// The classic flat (scenario × user) pool (checkpointing off).
-  util::StatusOr<obs::RunStats> run_flat();
-  /// Scenario-sequential epochs with a checkpoint at every boundary.
-  util::StatusOr<obs::RunStats> run_checkpointed();
 
   trace::TraceSource* base_ = nullptr;  ///< captured on first run(); may be null
   /// Backing store for the base ctor: TraceStore, or SpillingTraceStore when

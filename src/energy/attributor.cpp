@@ -35,13 +35,13 @@ EnergyAttributor::EnergyAttributor(RadioModelFactory factory, trace::TraceSink* 
 
 void EnergyAttributor::on_study_begin(const trace::StudyMeta& meta) {
   meta_ = meta;
-  if (spill_ == nullptr) {
+  if (!single_user()) {
     per_user_.assign(meta.num_users, UserEnergy{});
     user_touched_.assign(meta.num_users, false);
   } else {
-    // Fold mode never allocates the dense per-user array: one live slot
-    // (serial) or a small staging buffer (sharded merges) is the whole
-    // per-user footprint.
+    // Fold mode and shard clones never allocate the dense per-user array:
+    // one live slot (a stream or a clone) or a small staging buffer (merges)
+    // is the whole per-user footprint.
     per_user_.clear();
     user_touched_.clear();
   }
@@ -58,7 +58,7 @@ void EnergyAttributor::on_user_begin(trace::UserId user) {
   ++counters_.users;
   model_ = factory_();
   burst_ = dynamic_cast<radio::BurstMachine*>(model_.get());
-  if (spill_ != nullptr) {
+  if (single_user()) {
     live_ = UserEnergy{};
     live_user_ = user;
     live_valid_ = true;
@@ -480,29 +480,30 @@ util::Status EnergyAttributor::restore_state(ckpt::ByteReader& in) {
   return util::Status::ok_status();
 }
 
+std::unique_ptr<EnergyAttributor> EnergyAttributor::clone_shard(
+    trace::TraceSink* downstream) const {
+  auto clone = std::make_unique<EnergyAttributor>(factory_, downstream, policy_);
+  clone->shard_ = true;
+  return clone;
+}
+
 void EnergyAttributor::merge_from(const EnergyAttributor& shard) {
+  counters_.merge_from(shard.counters_);
+  if (!shard.live_valid_) return;  // the clone's user never began a bracket
   if (spill_ != nullptr) {
-    // Fold mode: stage the shard's rows (one touched user per shard chain)
-    // until the engine's fold_user call collapses and spills them — the
-    // parent never grows a dense per-user array.
-    for (std::size_t user = 0; user < shard.per_user_.size(); ++user) {
-      if (!shard.user_touched_[user]) continue;
-      staged_.emplace_back(static_cast<trace::UserId>(user), shard.per_user_[user]);
-    }
-    counters_.merge_from(shard.counters_);
+    // Fold mode: stage the row until the engine's fold_user call collapses
+    // and spills it — the parent never grows a dense per-user array.
+    staged_.emplace_back(shard.live_user_, shard.live_);
     return;
   }
-  if (shard.per_user_.size() > per_user_.size()) {
-    per_user_.resize(shard.per_user_.size());
-    user_touched_.resize(shard.per_user_.size(), false);
+  const trace::UserId user = shard.live_user_;
+  if (user >= per_user_.size()) {
+    per_user_.resize(user + 1);
+    user_touched_.resize(user + 1, false);
   }
-  for (std::size_t user = 0; user < shard.per_user_.size(); ++user) {
-    if (!shard.user_touched_[user]) continue;
-    assert(!user_touched_[user]);
-    per_user_[user] = shard.per_user_[user];
-    user_touched_[user] = true;
-  }
-  counters_.merge_from(shard.counters_);
+  assert(!user_touched_[user]);
+  per_user_[user] = shard.live_;
+  user_touched_[user] = true;
 }
 
 }  // namespace wildenergy::energy

@@ -138,8 +138,12 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   /// Event counters for this run (reset on each study begin).
   [[nodiscard]] const AttributionCounters& counters() const { return counters_; }
 
-  /// Fold a shard attributor's per-user energy and counters into this one
-  /// (called by the pipeline in user-id order; users must be disjoint).
+  /// A fresh attributor with this one's radio factory and tail policy,
+  /// feeding `downstream`, for one user's shard chain. It holds only that
+  /// user's partials, whatever the study size.
+  [[nodiscard]] std::unique_ptr<EnergyAttributor> clone_shard(trace::TraceSink* downstream) const;
+  /// Fold a clone's per-user energy and counters into this one (called by
+  /// the engine in stream order; users must be disjoint).
   void merge_from(const EnergyAttributor& shard);
 
   // -- fold-and-release (DESIGN.md §15) -------------------------------------
@@ -182,6 +186,9 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   /// downstream_ otherwise.
   void emit_packet(const trace::PacketRecord& packet);
   void emit_transition(const trace::StateTransition& transition);
+  /// Fold mode and shard clones keep the current user in live_ instead of
+  /// the dense per-user array.
+  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
 
   RadioModelFactory factory_;
   trace::TraceSink* downstream_;
@@ -209,12 +216,13 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   std::vector<bool> user_touched_;
   UserEnergy* current_ = nullptr;  ///< this user's partials (set in on_user_begin)
   AttributionCounters counters_;
+  bool shard_ = false;  ///< made by clone_shard(): one user, in live_
 
   // Fold-and-release state (all empty/zero outside fold mode).
   AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
   UserEnergy folded_;              ///< study-wide fold over released users
-  UserEnergy live_;                ///< serial fold-mode accumulator
+  UserEnergy live_;                ///< the one user of a stream or clone
   trace::UserId live_user_ = 0;
   bool live_valid_ = false;
   /// Sharded fold mode: merged rows awaiting their fold_user call.

@@ -17,6 +17,8 @@ EnergyLedger& EnergyLedger::operator=(const EnergyLedger& other) {
   num_days_ = other.num_days_;
   num_apps_hint_ = other.num_apps_hint_;
   num_accounts_ = other.num_accounts_;
+  shard_ = other.shard_;
+  base_ = other.base_;
   users_.clear();
   users_.resize(other.users_.size());
   for (std::size_t user = 0; user < other.users_.size(); ++user) {
@@ -37,7 +39,9 @@ void EnergyLedger::on_study_begin(const trace::StudyMeta& meta) {
   num_apps_hint_ = meta.num_apps;
   num_accounts_ = 0;
   users_.clear();
-  users_.resize(meta.num_users);
+  // A shard clone holds one slot — its own user's — whatever the study size.
+  if (!shard_) users_.resize(meta.num_users);
+  base_ = 0;
   spilled_self_ = 0;
   folded_accounts_ = 0;
   folded_totals_ = UserTotals{};
@@ -46,8 +50,11 @@ void EnergyLedger::on_study_begin(const trace::StudyMeta& meta) {
 }
 
 EnergyLedger::UserState& EnergyLedger::user_state(trace::UserId user) {
-  if (user >= users_.size()) users_.resize(user + 1);
-  auto& slot = users_[user];
+  if (shard_ && users_.empty()) base_ = user;
+  assert(user >= base_);  // a shard clone sees exactly one user
+  const std::size_t index = user - base_;
+  if (index >= users_.size()) users_.resize(index + 1);
+  auto& slot = users_[index];
   if (!slot) {
     slot = std::make_unique<UserState>();
     slot->apps.resize(num_apps_hint_);
@@ -126,16 +133,19 @@ void EnergyLedger::on_batch(const trace::EventBatch& batch) {
 }
 
 std::unique_ptr<trace::TraceSink> EnergyLedger::clone_shard() const {
-  return std::make_unique<EnergyLedger>();
+  auto clone = std::make_unique<EnergyLedger>();
+  clone->shard_ = true;
+  return clone;
 }
 
 void EnergyLedger::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<EnergyLedger&>(shard);
-  if (other.users_.size() > users_.size()) users_.resize(other.users_.size());
-  for (std::size_t user = 0; user < other.users_.size(); ++user) {
-    if (!other.users_[user]) continue;
+  for (std::size_t index = 0; index < other.users_.size(); ++index) {  // one slot
+    if (!other.users_[index]) continue;
+    const std::size_t user = other.base_ + index;
+    if (user >= users_.size()) users_.resize(user + 1);
     assert(!users_[user]);
-    users_[user] = std::move(other.users_[user]);
+    users_[user] = std::move(other.users_[index]);
   }
   num_accounts_ += other.num_accounts_;
   other.num_accounts_ = 0;

@@ -16,11 +16,11 @@
 // built streams) grow the arrays on demand.
 //
 // Shardable (trace/shardable.h): one clone per user, folded back with
-// merge_from(), which steals the shard's per-user slabs (the shard is left
-// empty). Determinism is by construction: study-wide double totals are
-// stored as per-user partial sums and folded in user-id order at query time,
-// so the serial pass (which fills one partial per user, in order) and the
-// sharded merge produce the exact same floating-point fold. accounts()
+// merge_from(), which steals the shard's one slab (the shard is left empty).
+// A clone holds only its own user's slot, never a study-sized array.
+// Determinism is by construction: study-wide double totals are stored as
+// per-user partial sums and folded in user-id order at query time, so every
+// thread count produces the exact same floating-point fold. accounts()
 // iterates user-major, app-ascending — the same deterministic order the old
 // (user << 32 | app) ordered map produced — regardless of how the ledger was
 // built.
@@ -186,8 +186,12 @@ class EnergyLedger final : public trace::TraceSink,
   std::size_t num_days_ = 0;
   std::uint32_t num_apps_hint_ = 0;
   std::size_t num_accounts_ = 0;
-  /// Dense per-user slabs, indexed by UserId; null until the user has traffic.
+  /// Dense per-user slabs, indexed by UserId - base_; null until the user has
+  /// traffic. base_ is 0 except in a shard clone, whose single slot is its
+  /// user's.
   std::vector<std::unique_ptr<UserState>> users_;
+  bool shard_ = false;  ///< made by clone_shard(): one user, one slot
+  trace::UserId base_ = 0;
 
   // -- fold-and-release state (all zero/empty outside fold mode) ------------
   AccountSpill* spill_ = nullptr;       ///< non-owning; armed by the engine

@@ -1,8 +1,8 @@
 // FaultPlan: scripted shard/sink failures for exercising the engine's
 // failure policies (core/pipeline.h).
 //
-// A plan is a set of per-user fault specs. When the sharded engine builds a
-// shard for a user the plan covers, it wraps the shard's entry sink in a
+// A plan is a set of per-user fault specs. When the engine (core/engine.h)
+// builds a shard for a user the plan covers, it wraps the shard's entry sink in a
 // FaultySink that throws ShardFault (and/or stalls) at the Nth sink callback
 // — but only for the first `fail_attempts` attempts, so retry policies can
 // be shown to recover deterministically. Attempts are counted by the plan

@@ -49,6 +49,9 @@ void RunStats::print(std::ostream& os) const {
     if (spilled > 0) {
       os << ", spilled " << fmt_bytes(static_cast<double>(spilled)) << " on disk";
     }
+    if (memory.shards.resident_bytes > 0) {
+      os << ", shard window " << fmt_bytes(static_cast<double>(memory.shards.resident_bytes));
+    }
     if (memory.accounts.total_bytes() > 0) {
       os << ", account files " << fmt_bytes(static_cast<double>(memory.accounts.spilled_bytes))
          << " (+" << fmt_bytes(static_cast<double>(memory.accounts.resident_bytes))
@@ -188,6 +191,7 @@ void RunStats::write_json(JsonWriter& w) const {
   w.kv("store_spilled_bytes", memory.store.spilled_bytes);
   w.kv("account_bytes", memory.accounts.resident_bytes);
   w.kv("account_spilled_bytes", memory.accounts.spilled_bytes);
+  w.kv("shard_window_bytes", memory.shards.resident_bytes);
   w.kv("tracked_bytes", memory.tracked_bytes());
   w.kv("peak_rss_bytes", memory.peak_rss_bytes);
   w.end_object();

@@ -47,7 +47,8 @@ struct StageStats {
   void merge_from(const StageStats& other);
 };
 
-/// One user-shard's share of a sharded run (core/pipeline.cpp).
+/// One user-shard's share of a run (core/engine.h). Its stage profile is
+/// folded into RunStats::stages as the shard merges, not kept per row.
 struct ShardRunStats {
   std::uint64_t user = 0;
   unsigned worker = 0;   ///< worker-pool thread that ran the shard
@@ -55,10 +56,6 @@ struct ShardRunStats {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
   double joules = 0.0;
-  /// This shard's own per-stage profile (filter, policy, attribute, sinks),
-  /// populated when stage stats were requested. The run-level
-  /// RunStats::stages is the user-id-order fold of these.
-  std::vector<StageStats> stages;
   // Failure handling (PipelineOptions::FailurePolicy::kRetryThenSkip).
   unsigned attempts = 1;   ///< 1 = succeeded first try; >1 = retried
   bool skipped = false;    ///< user excluded from the merge after retries
@@ -77,6 +74,11 @@ struct MemoryStats {
   /// ledger/analyses entries land in these files; this entry tracks the
   /// spill writer itself, so its resident half counts against the budget.
   MemoryUse accounts;
+  /// High-water of the engine's shard window (core/engine.h): the summed
+  /// footprint of the shard chains that had finished their stream but not
+  /// yet merged. A transient peak, not held at the end of the run, so it is
+  /// not part of tracked_bytes().
+  MemoryUse shards;
   std::uint64_t peak_rss_bytes = 0;  ///< process-lifetime peak resident set
 
   /// Resident bytes under the run's control — what a RAM budget bounds.
@@ -126,10 +128,12 @@ struct RunStats {
   // Memory accounting: sink/source footprints plus process peak RSS.
   MemoryStats memory;
 
-  // Sharded runs only (num_threads > 1): one entry per user shard, in
-  // user-id order, plus how many registered sinks are not shardable and were
-  // wrapped in a collect-splice adapter (core/shard_chain.h) — their merge
-  // replays captured streams serially. 0 for the default analysis set.
+  // One entry per user shard, in stream order, when the run used several
+  // threads or a failure policy (retries, scripted faults); a plain serial
+  // run keeps none, so its stats stay O(1) in users. Plus how many
+  // registered sinks are not shardable and were wrapped in a collect-splice
+  // adapter (core/engine.cpp) — their merge replays captured streams
+  // serially. 0 for the default analysis set.
   std::vector<ShardRunStats> shards;
   std::uint64_t serial_fallback_sinks = 0;
 

@@ -66,7 +66,7 @@ struct CsvReadResult {
 
 /// TraceSource over a CSV stream: the reader behind StudyPipeline / CLI
 /// --replay, lifted onto the one producer API. Forward-only — no per-user
-/// random access — so the sharded engines run it through their serial path.
+/// random access — so the engine splits it per user on the reading thread.
 /// A second emit() rewinds seekable streams and fails cleanly on pipes.
 class CsvTraceSource final : public TraceSource {
  public:

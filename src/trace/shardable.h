@@ -1,16 +1,19 @@
-// Shard/merge protocol for the parallel study pipeline (core/pipeline.cpp)
-// and the scenario sweep engine (core/sweep.cpp).
+// Shard/merge protocol for the execution engine (core/engine.h) behind
+// StudyPipeline and SweepEngine.
 //
-// Every analysis consumes independent per-user streams, so the engines run
-// one shard per user on a worker pool — if the sinks can be cloned and
-// merged. A sink opts in by also deriving from ShardableSink:
+// Every analysis consumes independent per-user streams, so the engine runs
+// one shard per user — if the sinks can be cloned and merged. A sink opts in
+// by also deriving from ShardableSink:
 //
 //   - clone_shard() returns a fresh, empty sink of the same type and
 //     configuration. The engine sends each clone a full study bracket
-//     (on_study_begin .. on_study_end) containing exactly one user.
-//   - After all shards finish, the engine resets the parent sink with
-//     on_study_begin(meta), then calls parent.merge_from(shard) once per
-//     shard in ascending user-id order, and finally on_study_end().
+//     (on_study_begin .. on_study_end) containing exactly one user. A clone
+//     must hold only that user's state — ignore StudyMeta::num_users — so a
+//     clone's footprint never grows with the population.
+//   - The engine opens the parent sink once with on_study_begin(meta), then
+//     calls parent.merge_from(shard) as each shard completes, in ascending
+//     user-id order, and finally on_study_end(). merge_from visits only the
+//     clone's one user.
 //
 // Determinism contract: for any thread count, merged results must be
 // bit-identical to the serial single-pass run. Integer aggregates merge by
@@ -24,9 +27,9 @@
 // serial stream order.
 //
 // Every sink in the default analysis set implements this interface — the
-// engines have no serial-replay fallback path. A custom sink that does not
-// implement it is wrapped in a core::CollectSpliceSink adapter, which
-// captures each user's annotated stream on the worker and replays the
+// engine has no serial-replay fallback path. A custom sink that does not
+// implement it is wrapped in a collect-splice adapter (core/engine.cpp),
+// which captures each user's annotated stream on the worker and replays the
 // captures into the wrapped sink in user-id order at merge time.
 #pragma once
 
@@ -55,11 +58,11 @@ class ShardableSink {
   virtual void merge_from(TraceSink& shard) = 0;
 
   /// Fold-and-release lifecycle hook (DESIGN.md §15): `user`'s stream is
-  /// complete (serial: its on_user_end ran; sharded: its shard merged).
+  /// complete and its shard merged into this parent.
   /// Sinks that opt in collapse the user's detail state into running
   /// aggregates — optionally spilling the detail rows to an account side
   /// file first — and free the per-user slab. Called in stream order, which
-  /// for both engines is ascending user id, so double folds performed here
+  /// is ascending user id, so double folds performed here
   /// are bit-identical to the ascending query-time folds an all-resident
   /// run performs. Only invoked when the engine runs with an account spill
   /// configured; sinks without per-user detail leave the no-op default.

@@ -20,9 +20,9 @@
 //     emit() has passed the header.
 //   - supports_user_access() advertises random access: emit_user() streams a
 //     single user's bracketed stream, and users() lists the user ids in
-//     stream order. The sharded engines (core/pipeline.cpp, core/sweep.cpp)
-//     require it; forward-only stream sources leave it false and are run
-//     through the serial path instead.
+//     stream order. The execution engine (core/engine.h) runs such sources
+//     through its parallel shard window; forward-only stream sources leave
+//     it false and are split per user bracket on the reading thread.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +45,8 @@ class TraceSource {
   /// Study header. Zero-valued for stream sources before their first emit().
   [[nodiscard]] virtual StudyMeta meta() const = 0;
 
-  /// True when emit_user()/users() work without a full pass. Required by the
-  /// sharded engines; stream readers return false.
+  /// True when emit_user()/users() work without a full pass, which lets the
+  /// engine run users in parallel; stream readers return false.
   [[nodiscard]] virtual bool supports_user_access() const { return false; }
 
   /// Stream one user's events, still bracketed by study begin/end.

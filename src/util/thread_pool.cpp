@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace wildenergy::util {
 
@@ -21,44 +22,38 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::run_indexed(std::size_t n,
-                             const std::function<void(std::size_t, unsigned)>& fn) {
-  if (n == 0) return;
-  std::unique_lock<std::mutex> lock{mu_};
-  job_ = &fn;
-  next_ = 0;
-  total_ = n;
-  remaining_ = n;
-  error_ = nullptr;
-  work_cv_.notify_all();
-  done_cv_.wait(lock, [this] { return remaining_ == 0; });
-  job_ = nullptr;
-  if (error_) {
-    const std::exception_ptr error = error_;
-    error_ = nullptr;
-    std::rethrow_exception(error);
+void ThreadPool::submit(std::function<void(unsigned)> job) {
+  {
+    const std::lock_guard<std::mutex> lock{mu_};
+    queue_.push_back(std::move(job));
   }
+  work_cv_.notify_one();
+}
+
+void ThreadPool::wait_idle() {
+  std::unique_lock<std::mutex> lock{mu_};
+  idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 void ThreadPool::worker_loop(unsigned worker) {
   std::unique_lock<std::mutex> lock{mu_};
   for (;;) {
-    work_cv_.wait(lock, [this] { return stop_ || (job_ != nullptr && next_ < total_); });
-    if (stop_) return;
-    while (job_ != nullptr && next_ < total_) {
-      const std::size_t index = next_++;
-      const auto* job = job_;
-      lock.unlock();
-      std::exception_ptr thrown;
-      try {
-        (*job)(index, worker);
-      } catch (...) {
-        thrown = std::current_exception();
-      }
-      lock.lock();
-      if (thrown && !error_) error_ = thrown;
-      if (--remaining_ == 0) done_cv_.notify_all();
+    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and the queue is drained
+    std::function<void(unsigned)> job = std::move(queue_.front());
+    queue_.pop_front();
+    ++running_;
+    lock.unlock();
+    std::exception_ptr thrown;
+    try {
+      job(worker);
+    } catch (...) {
+      thrown = std::current_exception();
     }
+    lock.lock();
+    if (thrown && !error_) error_ = thrown;
+    if (--running_ == 0 && queue_.empty()) idle_cv_.notify_all();
   }
 }
 

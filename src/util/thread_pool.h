@@ -1,20 +1,19 @@
-// A small fixed-size worker pool for the sharded study pipeline.
+// A small fixed-size worker pool for the execution engine (core/engine.h).
 //
-// The pipeline's unit of parallelism is one user (DESIGN.md §7): shards are
-// independent, so the pool only needs fork-join batches — run_indexed(n, fn)
-// executes fn(i, worker) for every index in [0, n) across the workers and
-// blocks until all complete. Indices are handed out in ascending order from a
-// shared cursor, so early-finishing workers steal the remaining users instead
-// of idling behind a static partition.
+// The engine's unit of parallelism is one (scenario, user) shard (DESIGN.md
+// §7). It keeps a bounded window of shards in flight, so the pool is a plain
+// FIFO job queue: submit() hands one job to the next free worker and returns
+// at once; the engine waits for the job it needs next on its own condition.
+// wait_idle() is the fork-join form: block until every submitted job is done.
 //
-// Determinism note: the pool makes no ordering promises between indices —
-// callers that need deterministic results must write fn so that index i only
-// touches slot i (the pipeline stores each shard in its own slot and merges
-// serially afterwards, in user-id order).
+// Determinism note: the pool makes no ordering promise beyond "jobs start in
+// submission order". Callers that need deterministic results must let each
+// job touch only its own slot and combine the slots serially afterwards.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -25,9 +24,11 @@ namespace wildenergy::util {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (clamped to >= 1). Workers idle until a
-  /// run_indexed batch arrives and are joined by the destructor.
+  /// Spawns `num_threads` workers (clamped to >= 1). Workers idle until a job
+  /// arrives.
   explicit ThreadPool(unsigned num_threads);
+  /// Runs every job still queued to completion, then joins the workers — so
+  /// state a queued job references may be destroyed right after the pool.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -35,23 +36,23 @@ class ThreadPool {
 
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Run fn(index, worker) for every index in [0, n); blocks until the whole
-  /// batch completes. `worker` is the executing worker's index in [0, size()).
-  /// If any invocation throws, the first exception is rethrown here after the
-  /// batch drains (remaining indices still run). Not reentrant: one batch at
-  /// a time, and fn must not call run_indexed on the same pool.
-  void run_indexed(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn);
+  /// Queue job(worker); `worker` is the executing worker's index in
+  /// [0, size()). An exception a job throws is kept for wait_idle().
+  void submit(std::function<void(unsigned)> job);
+
+  /// Block until every submitted job has finished. Rethrows the first
+  /// exception a job threw since the last wait_idle() (the other jobs still
+  /// ran); the pool stays usable either way.
+  void wait_idle();
 
  private:
   void worker_loop(unsigned worker);
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   ///< workers wait here for a batch
-  std::condition_variable done_cv_;   ///< run_indexed waits here for drain
-  const std::function<void(std::size_t, unsigned)>* job_ = nullptr;
-  std::size_t next_ = 0;       ///< next index to hand out
-  std::size_t total_ = 0;      ///< batch size
-  std::size_t remaining_ = 0;  ///< indices not yet completed
+  std::condition_variable work_cv_;  ///< workers wait here for a job
+  std::condition_variable idle_cv_;  ///< wait_idle waits here for drain
+  std::deque<std::function<void(unsigned)>> queue_;
+  std::size_t running_ = 0;  ///< jobs taken off the queue, not yet finished
   std::exception_ptr error_;
   bool stop_ = false;
   std::vector<std::thread> workers_;

@@ -1,4 +1,4 @@
-// Sharded execution engine (core/pipeline.cpp, trace/shardable.h).
+// Sharded execution engine (core/engine.h, trace/shardable.h).
 //
 // The hard requirement under test: for ANY num_threads, every output —
 // ledger totals, per-account values, attributor totals, and the Fig. 1-3
@@ -39,39 +39,58 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   util::ThreadPool pool{4};
   EXPECT_EQ(pool.size(), 4u);
   std::vector<std::atomic<int>> hits(100);
-  pool.run_indexed(hits.size(), [&](std::size_t i, unsigned) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    pool.submit([&hits, i](unsigned) { hits[i].fetch_add(1); });
+  }
+  pool.wait_idle();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, WorkerIdsAreWithinPoolSize) {
   util::ThreadPool pool{3};
   std::vector<unsigned> worker_of(64, 999);
-  pool.run_indexed(worker_of.size(), [&](std::size_t i, unsigned w) { worker_of[i] = w; });
+  for (std::size_t i = 0; i < worker_of.size(); ++i) {
+    pool.submit([&worker_of, i](unsigned w) { worker_of[i] = w; });
+  }
+  pool.wait_idle();
   for (const unsigned w : worker_of) EXPECT_LT(w, 3u);
 }
 
 TEST(ThreadPool, ReusableAcrossBatchesAndZeroIsNoop) {
   util::ThreadPool pool{2};
-  pool.run_indexed(0, [](std::size_t, unsigned) { FAIL() << "no indices to run"; });
+  pool.wait_idle();  // nothing submitted: returns at once
   std::atomic<int> total{0};
-  pool.run_indexed(10, [&](std::size_t, unsigned) { total.fetch_add(1); });
-  pool.run_indexed(7, [&](std::size_t, unsigned) { total.fetch_add(1); });
+  for (int i = 0; i < 10; ++i) pool.submit([&](unsigned) { total.fetch_add(1); });
+  pool.wait_idle();
+  for (int i = 0; i < 7; ++i) pool.submit([&](unsigned) { total.fetch_add(1); });
+  pool.wait_idle();
   EXPECT_EQ(total.load(), 17);
 }
 
 TEST(ThreadPool, PropagatesFirstExceptionAfterDrainingBatch) {
   util::ThreadPool pool{2};
   std::atomic<int> completed{0};
-  EXPECT_THROW(pool.run_indexed(8,
-                                [&](std::size_t i, unsigned) {
-                                  if (i == 3) throw std::runtime_error{"shard failed"};
-                                  completed.fetch_add(1);
-                                }),
-               std::runtime_error);
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&, i](unsigned) {
+      if (i == 3) throw std::runtime_error{"shard failed"};
+      completed.fetch_add(1);
+    });
+  }
+  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
   EXPECT_EQ(completed.load(), 7);
   // The pool survives a throwing batch.
-  pool.run_indexed(2, [&](std::size_t, unsigned) { completed.fetch_add(1); });
+  for (int i = 0; i < 2; ++i) pool.submit([&](unsigned) { completed.fetch_add(1); });
+  pool.wait_idle();
   EXPECT_EQ(completed.load(), 9);
+}
+
+TEST(ThreadPool, DestructorFinishesQueuedJobs) {
+  std::atomic<int> completed{0};
+  {
+    util::ThreadPool pool{1};
+    for (int i = 0; i < 16; ++i) pool.submit([&](unsigned) { completed.fetch_add(1); });
+  }
+  EXPECT_EQ(completed.load(), 16);
 }
 
 TEST(ThreadPool, SizeClampedToAtLeastOneWorker) {
