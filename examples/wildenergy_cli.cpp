@@ -114,7 +114,7 @@ struct CliOptions {
   bool progress = false;   ///< --progress: per-shard sweep progress on stderr
   std::string trace_out;
   unsigned threads = 1;
-  /// 0 = per-record event path. Threads through both the pipeline
+  /// Events per batch (≥ 1). Threads through both the pipeline
   /// (PipelineOptions::batch_size) and the analyze readers
   /// (ReadOptions::batch_size) — one knob, one shared default.
   std::size_t batch_size = trace::kDefaultBatchSize;
@@ -219,7 +219,7 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
       if (!parse_int_flag(flag, next(), 1, value)) return false;
       options.threads = static_cast<unsigned>(value);
     } else if (flag == "--batch-size") {
-      if (!parse_int_flag(flag, next(), 0, value)) return false;
+      if (!parse_int_flag(flag, next(), 1, value)) return false;
       options.batch_size = static_cast<std::size_t>(value);
     } else if (flag == "--replay") {
       const char* v = next();
@@ -927,7 +927,7 @@ int main(int argc, char** argv) {
     std::cerr << "usage: " << argv[0] << " generate|analyze|report|figures|run|sweep [flags]\n"
               << "flags: --days N --users N --seed S --format csv|bin\n"
               << "       --threads N (shard the study by user; results identical to serial)\n"
-              << "       --batch-size N (events per batch on the sink path; 0 = per-record; "
+              << "       --batch-size N (events per batch on the sink path, N >= 1; "
                  "results identical for every N)\n"
               << "       --stats (per-stage profile)  --stats-json FILE (structured run "
                  "report, schema wildenergy.run_stats.v2)\n"

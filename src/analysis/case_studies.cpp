@@ -39,7 +39,7 @@ void CaseStudyAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   spilled_self_ = 0;
   hydrated_ = false;
   hydrate_status_ = util::Status::ok_status();
-  assembler_.on_study_begin(meta);
+  assembler_.reset();
 }
 
 CaseStudyAnalysis::PerApp* CaseStudyAnalysis::slot(trace::AppId app) {
@@ -57,7 +57,7 @@ void CaseStudyAnalysis::switch_user(trace::UserId user) {
 void CaseStudyAnalysis::on_user_begin(trace::UserId user) {
   live_user_ = user;
   switch_user(user);
-  assembler_.on_user_begin(user);
+  assembler_.begin_user();
 }
 
 void CaseStudyAnalysis::on_packet(const trace::PacketRecord& p) {
@@ -77,7 +77,7 @@ void CaseStudyAnalysis::on_packet(const trace::PacketRecord& p) {
         std::clamp<std::int64_t>((p.time - meta_.study_begin).us / 86'400'000'000LL, 0,
                                  static_cast<std::int64_t>(num_days_) - 1));
     pa->live_days[day] = true;
-    assembler_.on_packet(p);
+    assembler_.add(p);
     return;
   }
   if (p.user >= pa->joules_by_user.size()) {
@@ -95,13 +95,11 @@ void CaseStudyAnalysis::on_packet(const trace::PacketRecord& p) {
   const std::size_t cell = p.user * num_days + day;
   if (cell >= pa->active_day.size()) pa->active_day.resize(cell + 1, false);
   pa->active_day[cell] = true;
-  assembler_.on_packet(p);
+  assembler_.add(p);
 }
 
-void CaseStudyAnalysis::on_transition(const trace::StateTransition&) {}
-
-void CaseStudyAnalysis::on_user_end(trace::UserId user) {
-  assembler_.on_user_end(user);
+void CaseStudyAnalysis::on_user_end(trace::UserId /*user*/) {
+  assembler_.end_user();
   for (PerApp& pa : per_app_) pa.has_last_flow = false;
   cur_user_ = kNoUser;
 }

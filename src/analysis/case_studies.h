@@ -73,7 +73,6 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_user_begin(trace::UserId user) override;
   void on_packet(const trace::PacketRecord& packet) override;
-  void on_transition(const trace::StateTransition& transition) override;
   void on_user_end(trace::UserId user) override;
   void on_study_end() override;
 

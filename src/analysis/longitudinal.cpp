@@ -40,7 +40,6 @@ void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   // Fold mode and shard clones never allocate the dense per-user partial
   // array: the live user accumulates in live_ (DESIGN.md §15).
   if (!single_user()) users_.resize(meta.num_users);
-  cur_ = nullptr;
   spilled_self_ = 0;
   live_valid_ = false;
   staged_.clear();
@@ -70,36 +69,6 @@ LongitudinalAnalysis::UserPart& LongitudinalAnalysis::user_part(trace::UserId us
     slot->eras.resize(tracked_.size());
   }
   return *slot;
-}
-
-void LongitudinalAnalysis::on_packet(const trace::PacketRecord& p) {
-  if (cur_ == nullptr || cur_user_ != p.user) {
-    cur_user_ = p.user;
-    cur_ = &user_part(p.user);
-  }
-  UserPart& part = *cur_;
-  dirty_ = true;
-
-  const std::int64_t day = (p.time - meta_.study_begin).us / 86'400'000'000LL;
-  const auto week = static_cast<std::size_t>(
-      std::clamp<std::int64_t>(day / 7, 0, static_cast<std::int64_t>(num_weeks_) - 1));
-  if (trace::is_foreground(p.state)) {
-    part.fg_weeks[week] += p.joules;
-  } else {
-    part.bg_weeks[week] += p.joules;
-  }
-
-  if (p.app >= tracked_index_.size()) return;
-  const std::uint32_t slot = tracked_index_[p.app];
-  if (slot == kUntracked) return;
-  EraAccum& era = part.eras[slot];
-  if (day < num_days_ / 3) {
-    era.early_joules += p.joules;
-    era.early_bytes += p.bytes;
-  } else if (day >= num_days_ - num_days_ / 3) {
-    era.late_joules += p.joules;
-    era.late_bytes += p.bytes;
-  }
 }
 
 void LongitudinalAnalysis::on_batch(const trace::EventBatch& batch) {
@@ -138,8 +107,6 @@ std::unique_ptr<trace::TraceSink> LongitudinalAnalysis::clone_shard() const {
 
 void LongitudinalAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<LongitudinalAnalysis&>(shard);
-  cur_ = nullptr;
-  other.cur_ = nullptr;
   dirty_ = true;
   if (!other.live_valid_) return;  // the clone's user had no traffic
   other.live_valid_ = false;
@@ -194,7 +161,6 @@ void LongitudinalAnalysis::fold_user(trace::UserId user) {
   } else {
     live_valid_ = false;
   }
-  cur_ = nullptr;
   dirty_ = true;
 }
 
@@ -277,7 +243,6 @@ util::Status LongitudinalAnalysis::restore_state(ckpt::ByteReader& in) {
   if (!num_users.ok()) return num_users.status();
   users_.clear();
   users_.resize(*num_users);
-  cur_ = nullptr;
   for (auto& slot : users_) {
     auto present = in.get_u8("longitudinal.user_present");
     if (!present.ok()) return present.status();

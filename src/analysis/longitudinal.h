@@ -65,7 +65,6 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   explicit LongitudinalAnalysis(std::vector<trace::AppId> tracked_apps = {});
 
   void on_study_begin(const trace::StudyMeta& meta) override;
-  void on_packet(const trace::PacketRecord& packet) override;
   void on_batch(const trace::EventBatch& batch) override;
 
   // ShardableSink: the clone's one week/era partial is stolen and folded in
@@ -127,9 +126,6 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   /// Per-user partials, indexed by UserId; null until the user has traffic.
   std::vector<std::unique_ptr<UserPart>> users_;
 
-  // Hot-path cache: the current user's partial (packets arrive user-grouped).
-  trace::UserId cur_user_ = 0;
-  UserPart* cur_ = nullptr;
   bool shard_ = false;  ///< made by clone_shard(): one user, in live_
 
   // Fold-and-release state (all empty/zero outside fold mode).

@@ -86,26 +86,12 @@ void TimeSinceForegroundAnalysis::handle_packet(const trace::PacketRecord& p) {
   if (dt <= horizon_) histogram_.add(dt.seconds(), static_cast<double>(p.bytes));
 }
 
-void TimeSinceForegroundAnalysis::on_transition(const trace::StateTransition& t) {
-  handle_transition(t);
-}
-
-void TimeSinceForegroundAnalysis::on_packet(const trace::PacketRecord& p) {
-  handle_packet(p);
-}
-
 void TimeSinceForegroundAnalysis::on_batch(const trace::EventBatch& batch) {
   // Packet/transition interleaving matters here (transitions re-arm the
   // reference point), so walk the order column — still no virtual dispatch.
-  std::size_t pi = 0;
-  std::size_t ti = 0;
-  for (const trace::EventKind kind : batch.order) {
-    if (kind == trace::EventKind::kPacket) {
-      handle_packet(batch.packets[pi++]);
-    } else {
-      handle_transition(batch.transitions[ti++]);
-    }
-  }
+  trace::for_each_event(
+      batch, [this](const trace::PacketRecord& p) { handle_packet(p); },
+      [this](const trace::StateTransition& t) { handle_transition(t); });
 }
 
 void TimeSinceForegroundAnalysis::save_state(ckpt::ByteWriter& out) const {

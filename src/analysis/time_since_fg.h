@@ -38,8 +38,6 @@ class TimeSinceForegroundAnalysis final : public trace::TraceSink,
 
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_user_begin(trace::UserId user) override;
-  void on_packet(const trace::PacketRecord& packet) override;
-  void on_transition(const trace::StateTransition& transition) override;
   void on_batch(const trace::EventBatch& batch) override;
 
   // ShardableSink: byte tallies add; the histogram merges binwise, which is

@@ -29,7 +29,7 @@ void WastedUpdateAnalysis::on_study_begin(const trace::StudyMeta& meta) {
     for (PerApp& pa : per_app_) pa.user_parts.resize(meta.num_users);
   }
   spilled_self_ = 0;
-  assembler_.on_study_begin(meta);
+  assembler_.reset();
 }
 
 WastedUpdateAnalysis::PerApp* WastedUpdateAnalysis::slot(trace::AppId app) {
@@ -69,7 +69,7 @@ void WastedUpdateAnalysis::switch_user(trace::UserId user) {
 void WastedUpdateAnalysis::on_user_begin(trace::UserId user) {
   live_user_ = user;
   switch_user(user);
-  assembler_.on_user_begin(user);
+  assembler_.begin_user();
 }
 
 void WastedUpdateAnalysis::on_packet(const trace::PacketRecord& packet) {
@@ -82,7 +82,7 @@ void WastedUpdateAnalysis::on_packet(const trace::PacketRecord& packet) {
     return;
   }
   expire(*pa, packet.user, packet.time);
-  assembler_.on_packet(packet);
+  assembler_.add(packet);
 }
 
 void WastedUpdateAnalysis::on_transition(const trace::StateTransition& transition) {
@@ -94,7 +94,7 @@ void WastedUpdateAnalysis::on_transition(const trace::StateTransition& transitio
 }
 
 void WastedUpdateAnalysis::on_user_end(trace::UserId user) {
-  assembler_.on_user_end(user);
+  assembler_.end_user();
   // Remaining pending updates were never followed by use: wasted.
   for (PerApp& pa : per_app_) {
     for (const PendingUpdate& update : pa.pending) {

@@ -22,7 +22,7 @@
 
 namespace wildenergy::ckpt {
 
-/// Drops the full bracket (begin/events/batches/end) of every user in the
+/// Drops the full bracket (begin/batches/end) of every user in the
 /// completed set; everything else forwards untouched. Events arrive strictly
 /// inside user brackets, so one flag per bracket suffices.
 class UserSkipFilter final : public trace::TraceSink {
@@ -42,12 +42,6 @@ class UserSkipFilter final : public trace::TraceSink {
       return;
     }
     downstream_->on_user_begin(user);
-  }
-  void on_packet(const trace::PacketRecord& packet) override {
-    if (!skipping_) downstream_->on_packet(packet);
-  }
-  void on_transition(const trace::StateTransition& transition) override {
-    if (!skipping_) downstream_->on_transition(transition);
   }
   void on_batch(const trace::EventBatch& batch) override {
     if (!skipping_) downstream_->on_batch(batch);
@@ -93,12 +87,6 @@ class CheckpointingSink final : public trace::TraceSink {
     if (restore_hook_) restore_hook_(meta);
   }
   void on_user_begin(trace::UserId user) override { downstream_->on_user_begin(user); }
-  void on_packet(const trace::PacketRecord& packet) override {
-    downstream_->on_packet(packet);
-  }
-  void on_transition(const trace::StateTransition& transition) override {
-    downstream_->on_transition(transition);
-  }
   void on_batch(const trace::EventBatch& batch) override { downstream_->on_batch(batch); }
   void on_user_end(trace::UserId user) override {
     downstream_->on_user_end(user);

@@ -75,9 +75,10 @@ struct ShardChain {
 /// Shardability adapter for a custom sink that does not implement
 /// trace::ShardableSink: the parent forwards the study bracket to the wrapped
 /// sink, each clone records its one user's annotated stream, and merge_from
-/// replays the recording into the wrapped sink. Merges arrive in stream
-/// order, so the wrapped sink sees the exact surviving-user study a serial
-/// pass would feed it. Counted in RunStats::serial_fallback_sinks.
+/// hands the recording to the wrapped sink as one whole-user batch. Merges
+/// arrive in stream order, so the wrapped sink sees the exact surviving-user
+/// study a serial pass would feed it. Counted in
+/// RunStats::serial_fallback_sinks.
 class CollectSpliceSink final : public trace::TraceSink, public trace::ShardableSink {
  public:
   explicit CollectSpliceSink(trace::TraceSink* target) : target_(target) {}
@@ -88,24 +89,18 @@ class CollectSpliceSink final : public trace::TraceSink, public trace::Shardable
   void on_study_end() override {
     if (target_ != nullptr) target_->on_study_end();
   }
-  void on_user_begin(trace::UserId user) override { user_ = user; }
-  void on_packet(const trace::PacketRecord& p) override { events_.add(p); }
-  void on_transition(const trace::StateTransition& t) override { events_.add(t); }
-  void on_batch(const trace::EventBatch& batch) override {
-    events_.packets.insert(events_.packets.end(), batch.packets.begin(), batch.packets.end());
-    events_.transitions.insert(events_.transitions.end(), batch.transitions.begin(),
-                               batch.transitions.end());
-    events_.order.insert(events_.order.end(), batch.order.begin(), batch.order.end());
-  }
+  void on_user_begin(trace::UserId user) override { events_.user = user; }
+  void on_batch(const trace::EventBatch& batch) override { events_.append(batch); }
 
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override {
     return std::make_unique<CollectSpliceSink>(nullptr);
   }
   void merge_from(trace::TraceSink& shard) override {
     auto& other = dynamic_cast<CollectSpliceSink&>(shard);
-    target_->on_user_begin(other.user_);
-    trace::replay(other.events_, *target_);
-    target_->on_user_end(other.user_);
+    const trace::UserId user = other.events_.user;
+    target_->on_user_begin(user);
+    if (!other.events_.empty()) target_->on_batch(other.events_);
+    target_->on_user_end(user);
     other.events_.clear();
   }
 
@@ -118,7 +113,6 @@ class CollectSpliceSink final : public trace::TraceSink, public trace::Shardable
 
  private:
   trace::TraceSink* target_;  ///< null in recording clones
-  trace::UserId user_ = 0;
   trace::EventBatch events_;
 };
 
@@ -261,12 +255,6 @@ class UserSplitter final : public trace::TraceSink {
     watch_.restart();
     task_->chain->entry->on_study_begin(engine_.meta());
     task_->chain->entry->on_user_begin(user);
-  }
-  void on_packet(const trace::PacketRecord& packet) override {
-    if (task_) task_->chain->entry->on_packet(packet);
-  }
-  void on_transition(const trace::StateTransition& transition) override {
-    if (task_) task_->chain->entry->on_transition(transition);
   }
   void on_batch(const trace::EventBatch& batch) override {
     if (task_) task_->chain->entry->on_batch(batch);

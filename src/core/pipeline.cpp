@@ -35,6 +35,9 @@ void StudyPipeline::set_policy(PolicyFactory factory) { policy_factory_ = std::m
 util::StatusOr<obs::RunStats> StudyPipeline::run() {
   stats_ = {};
   off_interface_bytes_ = 0;  // repeated run() must not report a stale count
+  if (options_.batch_size == 0) {
+    return util::Status::invalid_argument("batch_size must be at least 1");
+  }
   if (options_.resume && options_.checkpoint_dir.empty()) {
     return util::Status::invalid_argument(
         "resume requested without a checkpoint directory (set checkpoint_dir)");

@@ -95,12 +95,11 @@ struct PipelineOptions {
   /// Non-owning; must outlive run(). Under kFailFast an injected fault
   /// propagates out of run() as fault::ShardFault.
   fault::FaultPlan* fault_plan = nullptr;
-  /// Events per EventBatch on the source -> sinks path. 0 streams per
-  /// record (the classic path). Outputs are bit-identical for every value —
-  /// batching only amortizes dispatch
-  /// (trace/batch.h); the shared default (trace::kDefaultBatchSize, also
-  /// used by trace::ReadOptions and the CLI --batch-size flag) is a
-  /// cache-friendly span that measures well on the micro_pipeline sweep.
+  /// Events per EventBatch on the source -> sinks path; ≥ 1 (run() rejects
+  /// 0). Outputs are bit-identical for every value (trace/batch.h); the
+  /// shared default (trace::kDefaultBatchSize, also used by
+  /// trace::ReadOptions and the CLI --batch-size flag) is a cache-friendly
+  /// span that measures well on the micro_pipeline sweep.
   std::size_t batch_size = trace::kDefaultBatchSize;
   /// Directory for crash-recovery checkpoints (src/ckpt/, CLI
   /// --checkpoint-dir). Empty (default) disables checkpointing. When set,

@@ -10,16 +10,24 @@ void PacketFilterPolicy::on_study_begin(const trace::StudyMeta& meta) {
   downstream_->on_study_begin(meta);
 }
 void PacketFilterPolicy::on_user_begin(trace::UserId user) { downstream_->on_user_begin(user); }
-void PacketFilterPolicy::on_packet(const trace::PacketRecord& packet) {
-  if (admit(packet)) {
-    downstream_->on_packet(packet);
-  } else {
-    ++dropped_;
-    bytes_dropped_ += packet.bytes;
-  }
-}
-void PacketFilterPolicy::on_transition(const trace::StateTransition& transition) {
-  downstream_->on_transition(transition);
+void PacketFilterPolicy::on_batch(const trace::EventBatch& batch) {
+  out_.clear();
+  out_.user = batch.user;
+  trace::for_each_event(
+      batch,
+      [&](const trace::PacketRecord& packet) {
+        if (admit(packet)) {
+          out_.add(packet);
+        } else {
+          ++dropped_;
+          bytes_dropped_ += packet.bytes;
+        }
+      },
+      [&](const trace::StateTransition& transition) {
+        observe(transition);
+        out_.add(transition);
+      });
+  if (!out_.empty()) downstream_->on_batch(out_);
 }
 void PacketFilterPolicy::on_user_end(trace::UserId user) { downstream_->on_user_end(user); }
 void PacketFilterPolicy::on_study_end() { downstream_->on_study_end(); }
@@ -38,9 +46,8 @@ void KillAfterIdlePolicy::on_user_begin(trace::UserId user) {
   PacketFilterPolicy::on_user_begin(user);
 }
 
-void KillAfterIdlePolicy::on_transition(const trace::StateTransition& transition) {
+void KillAfterIdlePolicy::observe(const trace::StateTransition& transition) {
   if (trace::is_foreground(transition.to)) last_fg_[transition.app] = transition.time;
-  PacketFilterPolicy::on_transition(transition);
 }
 
 bool KillAfterIdlePolicy::admit(const trace::PacketRecord& packet) {
@@ -66,10 +73,9 @@ void DozeLikePolicy::on_user_begin(trace::UserId user) {
   PacketFilterPolicy::on_user_begin(user);
 }
 
-void DozeLikePolicy::on_transition(const trace::StateTransition& transition) {
+void DozeLikePolicy::observe(const trace::StateTransition& transition) {
   // Any foregrounding counts as device activity (screen on).
   if (trace::is_foreground(transition.to)) last_device_activity_ = transition.time;
-  PacketFilterPolicy::on_transition(transition);
 }
 
 bool DozeLikePolicy::admit(const trace::PacketRecord& packet) {
@@ -104,12 +110,11 @@ void AppStandbyPolicy::on_user_begin(trace::UserId user) {
   PacketFilterPolicy::on_user_begin(user);
 }
 
-void AppStandbyPolicy::on_transition(const trace::StateTransition& transition) {
+void AppStandbyPolicy::observe(const trace::StateTransition& transition) {
   if (trace::is_foreground(transition.to)) {
     last_fg_[transition.app] = transition.time;
     window_start_.erase(transition.app);  // leaves standby
   }
-  PacketFilterPolicy::on_transition(transition);
 }
 
 bool AppStandbyPolicy::admit(const trace::PacketRecord& packet) {

@@ -20,33 +20,36 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "trace/batch.h"
 #include "trace/sink.h"
 
 namespace wildenergy::core {
 
 /// Base for pass-through filters: forwards everything; subclasses veto
-/// packets by overriding `admit`.
+/// packets by overriding `admit` and watch transitions through `observe`.
 class PacketFilterPolicy : public trace::TraceSink {
  public:
   explicit PacketFilterPolicy(trace::TraceSink* downstream) : downstream_(downstream) {}
 
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_user_begin(trace::UserId user) override;
-  void on_packet(const trace::PacketRecord& packet) final;
-  void on_transition(const trace::StateTransition& transition) override;
   void on_user_end(trace::UserId user) override;
   void on_study_end() override;
+  /// Walks the batch in stream order — admit() per packet, observe() per
+  /// transition — and forwards the survivors as one batch.
+  void on_batch(const trace::EventBatch& batch) final;
 
   [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t bytes_dropped() const { return bytes_dropped_; }
 
- protected:
+ private:
   /// Return false to drop the packet. Called in stream order.
   [[nodiscard]] virtual bool admit(const trace::PacketRecord& packet) = 0;
-  [[nodiscard]] trace::TraceSink* downstream() { return downstream_; }
+  /// Called in stream order for every transition, before it is forwarded.
+  virtual void observe(const trace::StateTransition& /*transition*/) {}
 
- private:
   trace::TraceSink* downstream_;
+  trace::EventBatch out_;  ///< reused output batch
   std::uint64_t dropped_ = 0;
   std::uint64_t bytes_dropped_ = 0;
 };
@@ -61,12 +64,11 @@ class KillAfterIdlePolicy final : public PacketFilterPolicy {
 
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_user_begin(trace::UserId user) override;
-  void on_transition(const trace::StateTransition& transition) override;
-
- protected:
-  bool admit(const trace::PacketRecord& packet) override;
 
  private:
+  bool admit(const trace::PacketRecord& packet) override;
+  void observe(const trace::StateTransition& transition) override;
+
   Duration idle_;
   std::unordered_set<trace::AppId> whitelist_;
   /// Last time the app was foregrounded (packet in fg state or transition to
@@ -87,12 +89,11 @@ class DozeLikePolicy final : public PacketFilterPolicy {
                  Duration maintenance_window = minutes(5.0));
 
   void on_user_begin(trace::UserId user) override;
-  void on_transition(const trace::StateTransition& transition) override;
-
- protected:
-  bool admit(const trace::PacketRecord& packet) override;
 
  private:
+  bool admit(const trace::PacketRecord& packet) override;
+  void observe(const trace::StateTransition& transition) override;
+
   Duration idle_threshold_;
   Duration maintenance_interval_;
   Duration maintenance_window_;
@@ -110,12 +111,11 @@ class AppStandbyPolicy final : public PacketFilterPolicy {
 
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_user_begin(trace::UserId user) override;
-  void on_transition(const trace::StateTransition& transition) override;
-
- protected:
-  bool admit(const trace::PacketRecord& packet) override;
 
  private:
+  bool admit(const trace::PacketRecord& packet) override;
+  void observe(const trace::StateTransition& transition) override;
+
   Duration idle_threshold_;
   Duration window_;
   Duration window_length_;
@@ -133,10 +133,9 @@ class LeakTerminationPolicy final : public PacketFilterPolicy {
 
   void on_user_begin(trace::UserId user) override;
 
- protected:
+ private:
   bool admit(const trace::PacketRecord& packet) override;
 
- private:
   std::unordered_set<trace::FlowId> foreground_flows_;
 };
 

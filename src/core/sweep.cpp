@@ -50,6 +50,9 @@ util::Status SweepEngine::ensure_captured() {
 }
 
 util::StatusOr<obs::RunStats> SweepEngine::run() {
+  if (options_.batch_size == 0) {
+    return util::Status::invalid_argument("batch_size must be at least 1");
+  }
   if (options_.resume && options_.checkpoint_dir.empty() && options_.store_dir.empty()) {
     return util::Status::invalid_argument(
         "resume requested without a checkpoint or store directory (set checkpoint_dir or "

@@ -84,8 +84,9 @@ struct SweepOptions {
   /// called run(), as the shard merges (never concurrently). Keep it cheap —
   /// it runs inside the merge path.
   std::function<void(const SweepProgress&)> progress;
-  /// Events per EventBatch on both the capture and replay paths. Shares
-  /// trace::kDefaultBatchSize with PipelineOptions / ReadOptions.
+  /// Events per EventBatch on both the capture and replay paths; ≥ 1 (run()
+  /// rejects 0). Shares trace::kDefaultBatchSize with PipelineOptions /
+  /// ReadOptions.
   std::size_t batch_size = trace::kDefaultBatchSize;
   /// Shard failure handling, applied per scenario: kRetryThenSkip retries a
   /// failed (scenario, user) shard up to max_shard_retries times, then skips

@@ -78,6 +78,7 @@ void EnergyAttributor::on_user_begin(trace::UserId user) {
   }
   window_.clear();
   held_transitions_.clear();
+  out_.clear();
   pending_tail_ = 0.0;
   current_joules_ = 0.0;
   downstream_->on_user_begin(user);
@@ -143,29 +144,19 @@ void EnergyAttributor::flush_pending() {
         !window_.empty() &&
         (held_transitions_.empty() || window_.front().time <= held_transitions_.front().time);
     if (take_packet) {
-      emit_packet(window_.front());
+      out_.add(window_.front());
       window_.pop_front();
     } else {
-      emit_transition(held_transitions_.front());
+      out_.add(held_transitions_.front());
       held_transitions_.pop_front();
     }
   }
 }
 
-void EnergyAttributor::emit_packet(const trace::PacketRecord& packet) {
-  if (batching_) {
-    out_.add(packet);
-  } else {
-    downstream_->on_packet(packet);
-  }
-}
-
-void EnergyAttributor::emit_transition(const trace::StateTransition& transition) {
-  if (batching_) {
-    out_.add(transition);
-  } else {
-    downstream_->on_transition(transition);
-  }
+void EnergyAttributor::flush_out() {
+  if (out_.empty()) return;
+  downstream_->on_batch(out_);
+  out_.clear();
 }
 
 void EnergyAttributor::finalize_packet(const trace::PacketRecord& packet) {
@@ -180,28 +171,18 @@ void EnergyAttributor::finalize_packet(const trace::PacketRecord& packet) {
   current_joules_ = 0.0;
 }
 
-void EnergyAttributor::on_packet(const trace::PacketRecord& packet) {
-  ++counters_.packets;
-  model_->on_transfer({packet.time, packet.bytes, packet.direction}, segment_sink_);
-  finalize_packet(packet);
-}
-
 void EnergyAttributor::on_run_segment(std::size_t index, const radio::EnergySegment& segment) {
-  // Segments of run event `index` must see exactly the state the per-record
-  // path would have: every earlier packet of the run already finalized (its
+  // Segments of run event `index` must see exactly the state a one-packet
+  // run would have: every earlier packet of the run already finalized (its
   // gap segments all carry indices < `index`, so they have been handled).
   while (run_finalized_ < index) finalize_packet(run_packets_[run_finalized_++]);
   handle_segment(segment);
 }
 
 void EnergyAttributor::on_batch(const trace::EventBatch& batch) {
-  batching_ = true;
-  out_.clear();
   out_.reserve(batch.order.size());
   out_.user = batch.user;
 
-  std::size_t pi = 0;
-  std::size_t ti = 0;
   std::size_t run_begin = 0;  // index into batch.packets of the current run
   run_events_.clear();
   const auto flush_run = [&] {
@@ -225,43 +206,34 @@ void EnergyAttributor::on_batch(const trace::EventBatch& batch) {
     run_events_.clear();
   };
 
-  for (const trace::EventKind kind : batch.order) {
-    if (kind == trace::EventKind::kPacket) {
-      const trace::PacketRecord& p = batch.packets[pi];
-      if (run_events_.empty()) run_begin = pi;
-      run_events_.push_back({p.time, p.bytes, p.direction});
-      ++pi;
-    } else {
-      flush_run();
-      const trace::StateTransition& t = batch.transitions[ti++];
-      ++counters_.transitions;
-      if (window_.empty()) {
-        emit_transition(t);
-      } else {
-        held_transitions_.push_back(t);
-      }
-    }
-  }
+  trace::for_each_event(
+      batch,
+      [&](const trace::PacketRecord& p) {
+        if (run_events_.empty()) run_begin = static_cast<std::size_t>(&p - batch.packets.data());
+        run_events_.push_back({p.time, p.bytes, p.direction});
+      },
+      [&](const trace::StateTransition& t) {
+        flush_run();
+        ++counters_.transitions;
+        if (window_.empty()) {
+          out_.add(t);
+        } else {
+          held_transitions_.push_back(t);
+        }
+      });
   flush_run();
-
-  batching_ = false;
-  if (!out_.empty()) downstream_->on_batch(out_);
-}
-
-void EnergyAttributor::on_transition(const trace::StateTransition& transition) {
-  ++counters_.transitions;
-  if (window_.empty()) {
-    emit_transition(transition);
-  } else {
-    held_transitions_.push_back(transition);
-  }
+  flush_out();
 }
 
 void EnergyAttributor::on_user_end(trace::UserId user) {
+  // The radio's closing segments settle the last window: it leaves as the
+  // user's final batch, before the bracket closes.
+  out_.user = user;
   if (model_) {
     model_->finish(meta_.study_end, segment_sink_);
   }
   flush_pending();
+  flush_out();
   downstream_->on_user_end(user);
 }
 

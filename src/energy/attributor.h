@@ -112,14 +112,12 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
 
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_user_begin(trace::UserId user) override;
-  void on_packet(const trace::PacketRecord& packet) override;
-  void on_transition(const trace::StateTransition& transition) override;
   void on_user_end(trace::UserId user) override;
   void on_study_end() override;
-  /// Batched attribution: feeds consecutive-packet runs to the radio model
-  /// through RadioModel::on_transfers (one segment adapter per run instead
-  /// of one per packet) and emits the annotated events as one batch.
-  /// Bit-identical to the per-record path for every batch size.
+  /// Feeds consecutive-packet runs to the radio model through
+  /// RadioModel::on_transfers (one segment adapter per run instead of one
+  /// per packet) and emits the annotated events as one batch. Bit-identical
+  /// for every batch size.
   void on_batch(const trace::EventBatch& batch) override;
 
   // Study-wide energy totals. Each is kept as per-user partial sums and
@@ -178,14 +176,12 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   /// with the promotion+transfer energy accumulated in current_joules_) to
   /// the window and reset the accumulator.
   void finalize_packet(const trace::PacketRecord& packet);
-  /// Batch path: a segment produced by run event `index` arrived. Finalizes
-  /// every earlier event of the run first, so attribution state matches the
-  /// per-record path exactly when the segment is handled.
+  /// A segment produced by run event `index` arrived. Finalizes every
+  /// earlier event of the run first, so attribution state matches a
+  /// one-packet run exactly when the segment is handled.
   void on_run_segment(std::size_t index, const radio::EnergySegment& segment);
-  /// Forward one annotated event: into out_ during on_batch, straight to
-  /// downstream_ otherwise.
-  void emit_packet(const trace::PacketRecord& packet);
-  void emit_transition(const trace::StateTransition& transition);
+  /// Send the annotated events collected in out_ downstream as one batch.
+  void flush_out();
   /// Fold mode and shard clones keep the current user in live_ instead of
   /// the dense per-user array.
   [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
@@ -229,11 +225,10 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   std::vector<std::pair<trace::UserId, UserEnergy>> staged_;
 
   // Hoisted sink adapters (building a std::function per packet was a
-  // measurable per-record cost) and reused batch-path scratch state.
+  // measurable per-record cost) and reused scratch state.
   radio::SegmentSink segment_sink_;
   radio::IndexedSegmentSink run_sink_;
   trace::EventBatch out_;             ///< annotated output batch (reused)
-  bool batching_ = false;             ///< emit target: out_ vs downstream_
   std::vector<radio::TransferEvent> run_events_;  ///< current packet run
   const trace::PacketRecord* run_packets_ = nullptr;  ///< run's source packets
   std::size_t run_finalized_ = 0;     ///< run packets settled so far

@@ -75,33 +75,6 @@ AppUserAccount& EnergyLedger::account(UserState& state, trace::UserId user,
   return acc;
 }
 
-void EnergyLedger::on_packet(const trace::PacketRecord& p) {
-  UserState& u = user_state(p.user);
-  AppUserAccount& acc = account(u, p.user, p.app);
-  acc.bytes += p.bytes;
-  acc.packets += 1;
-  acc.joules += p.joules;
-  acc.state_joules[static_cast<std::size_t>(p.state)] += p.joules;
-
-  const auto day = static_cast<std::size_t>(
-      std::clamp<std::int64_t>((p.time - meta_.study_begin).us / 86'400'000'000LL, 0,
-                               static_cast<std::int64_t>(acc.days.size()) - 1));
-  DayCell& cell = acc.days[day];
-  if (trace::is_foreground(p.state)) {
-    cell.fg_joules += p.joules;
-    cell.fg_bytes += p.bytes;
-  } else {
-    cell.bg_joules += p.joules;
-    cell.bg_bytes += p.bytes;
-  }
-
-  UserTotals& totals = u.totals;
-  totals.joules += p.joules;
-  totals.bytes += p.bytes;
-  totals.packets += 1;
-  totals.state_joules[static_cast<std::size_t>(p.state)] += p.joules;
-}
-
 void EnergyLedger::on_batch(const trace::EventBatch& batch) {
   if (batch.packets.empty()) return;
   // Batches lie inside one user bracket, so the user slab lookup hoists out

@@ -83,7 +83,6 @@ class EnergyLedger final : public trace::TraceSink,
   EnergyLedger& operator=(EnergyLedger&&) noexcept = default;
 
   void on_study_begin(const trace::StudyMeta& meta) override;
-  void on_packet(const trace::PacketRecord& packet) override;
   void on_batch(const trace::EventBatch& batch) override;
 
   // ShardableSink: one ledger clone per user shard, merged in user-id order.

@@ -5,12 +5,15 @@
 #include <thread>
 #include <vector>
 
+#include "trace/batch.h"
+
 namespace wildenergy::fault {
 
 namespace {
 
 /// The decorator wrap() returns: forwards every callback, and at the Nth one
-/// (counting all six callback kinds) stalls and/or throws per the spec.
+/// stalls and/or throws per the spec. Each bracket counts as one callback and
+/// each event inside a batch as one, so N means the same at every batch size.
 class FaultySink final : public trace::TraceSink {
  public:
   FaultySink(const ShardFaultSpec& spec, bool armed, trace::TraceSink* downstream)
@@ -24,13 +27,9 @@ class FaultySink final : public trace::TraceSink {
     tick();
     downstream_->on_user_begin(user);
   }
-  void on_packet(const trace::PacketRecord& packet) override {
-    tick();
-    downstream_->on_packet(packet);
-  }
-  void on_transition(const trace::StateTransition& transition) override {
-    tick();
-    downstream_->on_transition(transition);
+  void on_batch(const trace::EventBatch& batch) override {
+    tick(batch.size());
+    downstream_->on_batch(batch);
   }
   void on_user_end(trace::UserId user) override {
     tick();
@@ -42,13 +41,16 @@ class FaultySink final : public trace::TraceSink {
   }
 
  private:
-  void tick() {
-    if (++callbacks_ != spec_.nth_callback || !armed_) return;
+  /// Count `n` callbacks; fire if the Nth is among them.
+  void tick(std::uint64_t n = 1) {
+    const std::uint64_t first = callbacks_ + 1;
+    callbacks_ += n;
+    if (!armed_ || spec_.nth_callback < first || spec_.nth_callback > callbacks_) return;
     if (spec_.stall_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(spec_.stall_ms));
     }
     throw ShardFault("injected fault: user " + std::to_string(spec_.user) + " at callback " +
-                     std::to_string(callbacks_));
+                     std::to_string(spec_.nth_callback));
   }
 
   ShardFaultSpec spec_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "radio/burst_machine.h"
+#include "trace/batch.h"
 #include "trace/sink.h"
 #include "util/rng.h"
 
@@ -196,11 +197,13 @@ LabReport run_experiment(const AppProfile& profile, std::span<const PhaseSpec> s
   meta.num_apps = 1;
   meta.study_begin = kEpoch;
   meta.study_end = tl.end;
+  trace::EventBatch stream;  // the device's whole stream, one batch
+  for (const auto& p : packets) stream.add(p);
   trace::TraceCollector annotated;
   energy::EnergyAttributor attributor{config.radio_factory, &annotated};
   attributor.on_study_begin(meta);
   attributor.on_user_begin(0);
-  for (const auto& p : packets) attributor.on_packet(p);
+  attributor.on_batch(stream);
   attributor.on_user_end(0);
   attributor.on_study_end();
 

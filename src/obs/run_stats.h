@@ -33,8 +33,9 @@ struct StageStats {
   std::uint64_t packets = 0;
   std::uint64_t transitions = 0;
   std::uint64_t bytes = 0;
-  /// Per-on_batch self latency, in microseconds. Only populated on batched
-  /// runs (batch_size > 0); its count — one sample per delivered batch — is
+  /// Per-on_batch self latency, in microseconds, on every profiled stage
+  /// (policy and fault-injected runs included: every stage receives
+  /// batches). Its count — one sample per delivered batch — is
   /// bit-identical across thread counts because batch boundaries are
   /// per-user and thread-count-independent.
   Histogram batch_latency_us;

@@ -443,24 +443,10 @@ class UserSim {
                      [](const StateTransition& a, const StateTransition& b) {
                        return a.time < b.time;
                      });
-    // Merge; transitions win ties so a session's packets follow its
-    // transition into the new state.
+    // Merge into spans of batch_size events; transitions win ties so a
+    // session's packets follow its transition into the new state.
     std::size_t pi = 0;
     std::size_t ti = 0;
-    if (batch_size == 0) {
-      while (pi < packets_.size() || ti < transitions_.size()) {
-        const bool take_transition =
-            ti < transitions_.size() &&
-            (pi >= packets_.size() || transitions_[ti].time <= packets_[pi].time);
-        if (take_transition) {
-          sink.on_transition(transitions_[ti++]);
-        } else {
-          sink.on_packet(packets_[pi++]);
-        }
-      }
-      return;
-    }
-    // Batched delivery: same merge, buffered into spans of batch_size events.
     trace::EventBatch batch;
     batch.user = user_;
     batch.reserve(std::min(batch_size, packets_.size() + transitions_.size()));

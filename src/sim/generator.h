@@ -6,6 +6,7 @@
 
 #include "appmodel/catalog.h"
 #include "sim/study_config.h"
+#include "trace/batch.h"
 #include "trace/sink.h"
 #include "trace/trace_source.h"
 
@@ -19,15 +20,15 @@ class StudyGenerator : public trace::TraceSource {
   StudyGenerator(StudyConfig config, appmodel::AppCatalog catalog);
 
   /// Generate the whole study into `sink`: users in id order, each user's
-  /// packets and transitions in non-decreasing time order. With
-  /// `batch_size > 0` events are delivered via sink.on_batch in spans of
-  /// that many events (brackets stay per-record); outputs are bit-identical
-  /// for every batch size because on_batch defaults to per-record replay.
-  void run(trace::TraceSink& sink, std::size_t batch_size = 0) const;
+  /// packets and transitions in non-decreasing time order, delivered via
+  /// sink.on_batch in spans of `batch_size` (≥ 1) events; brackets are
+  /// separate callbacks. Outputs are bit-identical for every batch size.
+  void run(trace::TraceSink& sink, std::size_t batch_size = trace::kDefaultBatchSize) const;
 
   /// Generate only one user's stream (still bracketed by study begin/end).
   /// Used by tests and by per-user parallel analyses.
-  void run_user(trace::UserId user, trace::TraceSink& sink, std::size_t batch_size = 0) const;
+  void run_user(trace::UserId user, trace::TraceSink& sink,
+                std::size_t batch_size = trace::kDefaultBatchSize) const;
 
   // TraceSource: the generator is the synthetic-study source. Generation is
   // deterministic and repeatable, so emit()/emit_user() always succeed and

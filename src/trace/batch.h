@@ -1,24 +1,24 @@
-// EventBatch: the unit of the batched event path.
+// EventBatch: the one form in which events travel between components.
 //
-// The per-record TraceSink protocol pays several virtual calls per packet;
-// at study scale (623 days x 20 users) dispatch dominates the hot loop. An
-// EventBatch carries a contiguous, time-ordered span of one user's events —
-// packets and transitions interleaved exactly as the per-record stream would
-// deliver them — so a chain of batch-aware sinks amortizes dispatch (and any
-// per-callback bookkeeping) over hundreds of records at a time.
+// An EventBatch carries a contiguous, time-ordered span of one user's events
+// — packets and transitions interleaved in stream order — so every sink pays
+// dispatch (and any per-callback bookkeeping) once per span instead of once
+// per record.
 //
 // Protocol invariants (DESIGN.md §9):
 //   - A batch lies strictly inside one user's bracket: on_user_begin and
 //     on_user_end (and the study brackets) are never batched, and every event
 //     in a batch names `user`.
-//   - Events are in non-decreasing time order across the whole batch, in the
-//     exact order the per-record stream would have delivered them (`order`
-//     records the interleaving; transitions win timestamp ties upstream).
+//   - Events are in non-decreasing time order across the whole batch
+//     (`order` records the interleaving; transitions win timestamp ties
+//     upstream).
 //   - Consecutive batches for one user are contiguous spans of that user's
-//     stream; a producer may slice the stream at any point.
-//   - `TraceSink::on_batch` defaults to replaying the per-record callbacks,
-//     so replay(batch, sink) == the per-record stream for every sink, batched
-//     or not, and any batch size produces bit-identical outputs.
+//     stream; a producer may slice the stream at any point, so any batch
+//     size (≥ 1) produces bit-identical outputs.
+//   - Producers and forwarding sinks call only on_batch. Leaf sinks that
+//     need the interleave one record at a time implement on_packet /
+//     on_transition instead and take the default on_batch, which replays
+//     the batch into them (replay() below is the only caller).
 #pragma once
 
 #include <cstddef>
@@ -59,6 +59,12 @@ class EventBatch {
     transitions.push_back(transition);
     order.push_back(EventKind::kTransition);
   }
+  /// Append every event of `other` after this batch's events.
+  void append(const EventBatch& other) {
+    packets.insert(packets.end(), other.packets.begin(), other.packets.end());
+    transitions.insert(transitions.end(), other.transitions.begin(), other.transitions.end());
+    order.insert(order.end(), other.order.begin(), other.order.end());
+  }
 
   [[nodiscard]] std::size_t size() const { return order.size(); }
   [[nodiscard]] bool empty() const { return order.empty(); }
@@ -76,26 +82,35 @@ class EventBatch {
   }
 };
 
-/// Deliver `batch` to `sink` through the per-record callbacks, in stream
-/// order. This is the semantic definition of a batch — TraceSink::on_batch's
-/// default implementation is exactly this call on itself.
-inline void replay(const EventBatch& batch, TraceSink& sink) {
+/// Walk `batch` in stream order, calling `packet_fn(const PacketRecord&)` or
+/// `transition_fn(const StateTransition&)` per event: the one loop over the
+/// `order` column.
+template <typename PacketFn, typename TransitionFn>
+void for_each_event(const EventBatch& batch, PacketFn&& packet_fn, TransitionFn&& transition_fn) {
   std::size_t pi = 0;
   std::size_t ti = 0;
   for (const EventKind kind : batch.order) {
     if (kind == EventKind::kPacket) {
-      sink.on_packet(batch.packets[pi++]);
+      packet_fn(batch.packets[pi++]);
     } else {
-      sink.on_transition(batch.transitions[ti++]);
+      transition_fn(batch.transitions[ti++]);
     }
   }
 }
 
-/// Adapter from the per-record protocol to the batch protocol: buffers
-/// packets/transitions into batches of `batch_size` events and flushes a
-/// (possibly short) batch before every bracket callback, preserving stream
-/// order exactly. Used by the readers (csv_io/binary_io) to ingest into
-/// batches; equally usable in front of any batch-aware chain.
+/// Deliver `batch` to `sink` through the per-record callbacks, in stream
+/// order. TraceSink::on_batch's default implementation is exactly this call
+/// on itself; nothing else in the library calls on_packet / on_transition.
+inline void replay(const EventBatch& batch, TraceSink& sink) {
+  for_each_event(
+      batch, [&](const PacketRecord& packet) { sink.on_packet(packet); },
+      [&](const StateTransition& transition) { sink.on_transition(transition); });
+}
+
+/// Slices a record-at-a-time producer's events into batches: the readers
+/// (csv_io/binary_io) add() each parsed record and send the brackets through
+/// the batcher, which flushes a (possibly short) batch before every bracket,
+/// preserving stream order exactly.
 class EventBatcher final : public TraceSink {
  public:
   /// `downstream` is non-owning. `batch_size` is the number of events per
@@ -103,6 +118,15 @@ class EventBatcher final : public TraceSink {
   EventBatcher(TraceSink* downstream, std::size_t batch_size)
       : downstream_(downstream), batch_size_(batch_size == 0 ? 1 : batch_size) {
     batch_.reserve(batch_size_);
+  }
+
+  void add(const PacketRecord& packet) {
+    batch_.add(packet);
+    if (batch_.size() >= batch_size_) flush();
+  }
+  void add(const StateTransition& transition) {
+    batch_.add(transition);
+    if (batch_.size() >= batch_size_) flush();
   }
 
   void on_study_begin(const StudyMeta& meta) override {
@@ -113,14 +137,6 @@ class EventBatcher final : public TraceSink {
     flush();
     batch_.user = user;
     downstream_->on_user_begin(user);
-  }
-  void on_packet(const PacketRecord& packet) override {
-    batch_.add(packet);
-    if (batch_.size() >= batch_size_) flush();
-  }
-  void on_transition(const StateTransition& transition) override {
-    batch_.add(transition);
-    if (batch_.size() >= batch_size_) flush();
   }
   void on_user_end(UserId user) override {
     flush();

@@ -179,13 +179,9 @@ class Reader {
 
 BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
                                    const ReadOptions& options) {
-  if (options.batch_size > 0) {
-    // Batched ingestion: see read_csv_trace — same wrapper, same guarantee.
-    EventBatcher batcher{&sink, options.batch_size};
-    ReadOptions per_record = options;
-    per_record.batch_size = 0;
-    return read_binary_trace(is, batcher, per_record);
-  }
+  // Frames decode one record at a time; the batcher hands the sink
+  // EventBatches and flushes before every bracket (see read_csv_trace).
+  EventBatcher batcher{&sink, options.batch_size};
   BinaryReadResult result;
   auto& registry = obs::MetricsRegistry::current();
   const auto fail = [&](std::string why) {
@@ -256,7 +252,7 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
         meta.num_apps = static_cast<std::uint32_t>(apps);
         meta.study_begin.us = unzigzag(begin);
         meta.study_end.us = unzigzag(end);
-        sink.on_study_begin(meta);
+        batcher.on_study_begin(meta);
         break;
       }
       case 'U':
@@ -265,9 +261,9 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
         if (!reader.get_varint(user)) return record_cut("user record");
         if (tag == 'U') {
           last_time_us = 0;
-          sink.on_user_begin(static_cast<UserId>(user));
+          batcher.on_user_begin(static_cast<UserId>(user));
         } else {
-          sink.on_user_end(static_cast<UserId>(user));
+          batcher.on_user_end(static_cast<UserId>(user));
         }
         break;
       }
@@ -314,7 +310,7 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
         p.direction = (flags & 1) ? radio::Direction::kUplink : radio::Direction::kDownlink;
         p.interface = (flags & 2) ? Interface::kWifi : Interface::kCellular;
         p.state = static_cast<ProcessState>(state);
-        sink.on_packet(p);
+        batcher.add(p);
         break;
       }
       case 'T': {
@@ -355,7 +351,7 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
         t.app = static_cast<AppId>(app);
         t.from = static_cast<ProcessState>(from);
         t.to = static_cast<ProcessState>(to);
-        sink.on_transition(t);
+        batcher.add(t);
         break;
       }
       case 'E': {
@@ -386,7 +382,7 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
                         std::to_string(reader.offset()));
           }
         }
-        sink.on_study_end();
+        batcher.on_study_end();
         return result;
       }
       default:

@@ -90,15 +90,9 @@ std::string format_error(std::uint64_t line_no, const LineError& err,
 }  // namespace
 
 CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink, const ReadOptions& options) {
-  if (options.batch_size > 0) {
-    // Batched ingestion: parse per record as usual but hand the sink
-    // EventBatches. The batcher flushes before every bracket, so the sink
-    // sees a bit-identical stream.
-    EventBatcher batcher{&sink, options.batch_size};
-    ReadOptions per_record = options;
-    per_record.batch_size = 0;
-    return read_csv_trace(is, batcher, per_record);
-  }
+  // Lines parse one record at a time; the batcher hands the sink
+  // EventBatches and flushes before every bracket.
+  EventBatcher batcher{&sink, options.batch_size};
   CsvReadResult result;
   auto& registry = obs::MetricsRegistry::current();
   std::string line;
@@ -143,15 +137,15 @@ CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink, const ReadOption
       StudyMeta meta;
       line_ok = want_fields(5) && want_int(1, meta.num_users) && want_int(2, meta.num_apps) &&
                 want_int(3, meta.study_begin.us) && want_int(4, meta.study_end.us);
-      if (line_ok) sink.on_study_begin(meta);
+      if (line_ok) batcher.on_study_begin(meta);
     } else if (tag == "U" || tag == "V") {
       UserId user = 0;
       line_ok = want_fields(2) && want_int(1, user);
       if (line_ok) {
         if (tag == "U") {
-          sink.on_user_begin(user);
+          batcher.on_user_begin(user);
         } else {
-          sink.on_user_end(user);
+          batcher.on_user_end(user);
         }
       }
     } else if (tag == "P") {
@@ -190,7 +184,7 @@ CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink, const ReadOption
           line_ok = bad(9, "bad joules value");
         }
       }
-      if (line_ok) sink.on_packet(p);
+      if (line_ok) batcher.add(p);
     } else if (tag == "T") {
       StateTransition t;
       line_ok = want_fields(6) && want_int(1, t.time.us) && want_int(2, t.user) &&
@@ -201,10 +195,10 @@ CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink, const ReadOption
       if (line_ok && !parse_process_state(fields[5], t.to)) {
         line_ok = bad(5, "bad process state");
       }
-      if (line_ok) sink.on_transition(t);
+      if (line_ok) batcher.add(t);
     } else if (tag == "E") {
       if ((line_ok = want_fields(1))) {
-        sink.on_study_end();
+        batcher.on_study_end();
         study_ended = true;
       }
     } else {

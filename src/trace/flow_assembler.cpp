@@ -11,20 +11,20 @@ FlowAssembler::FlowAssembler(FlowSink sink, Duration idle_gap)
   assert(idle_gap_.us > 0);
 }
 
-void FlowAssembler::on_study_begin(const StudyMeta&) {
+void FlowAssembler::reset() {
   open_.clear();
   next_flow_id_ = 0;
   flows_emitted_ = 0;
 }
 
-void FlowAssembler::on_user_begin(UserId) { open_.clear(); }
+void FlowAssembler::begin_user() { open_.clear(); }
 
 void FlowAssembler::flush(FlowRecord& open) {
   sink_(open);
   ++flows_emitted_;
 }
 
-void FlowAssembler::on_packet(const PacketRecord& packet) {
+void FlowAssembler::add(const PacketRecord& packet) {
   auto [it, inserted] = open_.try_emplace(packet.app);
   FlowRecord& flow = it->second;
   if (!inserted && packet.time - flow.last_packet > idle_gap_) {
@@ -62,7 +62,7 @@ void FlowAssembler::flush_idle(TimePoint now) {
   }
 }
 
-void FlowAssembler::on_user_end(UserId) {
+void FlowAssembler::end_user() {
   for (auto& [app, flow] : open_) {
     if (flow.packets > 0) flush(flow);
   }

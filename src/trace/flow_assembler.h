@@ -6,26 +6,33 @@
 // gap exceeding a threshold belongs to one flow. The default threshold of
 // 15 s is just beyond the LTE tail, so bursts that share a radio wakeup
 // share a flow.
+//
+// Not a TraceSink: the analyses that need flows (waste, case studies) own an
+// assembler and hand it the packets they select, one at a time.
 #pragma once
 
 #include <functional>
 #include <unordered_map>
 
 #include "trace/record.h"
-#include "trace/sink.h"
 
 namespace wildenergy::trace {
 
 using FlowSink = std::function<void(const FlowRecord&)>;
 
-class FlowAssembler final : public TraceSink {
+class FlowAssembler final {
  public:
   explicit FlowAssembler(FlowSink sink, Duration idle_gap = sec(15.0));
 
-  void on_study_begin(const StudyMeta& meta) override;
-  void on_user_begin(UserId user) override;
-  void on_packet(const PacketRecord& packet) override;
-  void on_user_end(UserId user) override;
+  /// Forget every open flow and restart flow ids and counts (study begin).
+  void reset();
+  /// Drop the previous user's open flows (user begin).
+  void begin_user();
+  /// Extend the packet's (user, app) flow, or close it and open a new one
+  /// when the idle gap since its last packet is exceeded.
+  void add(const PacketRecord& packet);
+  /// Close every open flow (user end).
+  void end_user();
 
   /// Close every open flow whose last packet is more than the idle gap
   /// before `now`. Lets callers that interleave flow consumption with other

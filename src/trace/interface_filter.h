@@ -23,17 +23,6 @@ class InterfaceFilter final : public TraceSink {
     downstream_->on_study_begin(meta);
   }
   void on_user_begin(UserId user) override { downstream_->on_user_begin(user); }
-  void on_packet(const PacketRecord& packet) override {
-    if (packet.interface == keep_) {
-      downstream_->on_packet(packet);
-    } else {
-      ++dropped_packets_;
-      dropped_bytes_ += packet.bytes;
-    }
-  }
-  void on_transition(const StateTransition& transition) override {
-    downstream_->on_transition(transition);
-  }
   void on_user_end(UserId user) override { downstream_->on_user_end(user); }
   void on_study_end() override { downstream_->on_study_end(); }
 
@@ -53,21 +42,17 @@ class InterfaceFilter final : public TraceSink {
     }
     scratch_.clear();
     scratch_.user = batch.user;
-    std::size_t pi = 0;
-    std::size_t ti = 0;
-    for (const EventKind kind : batch.order) {
-      if (kind == EventKind::kPacket) {
-        const PacketRecord& p = batch.packets[pi++];
-        if (p.interface == keep_) {
-          scratch_.add(p);
-        } else {
-          ++dropped_packets_;
-          dropped_bytes_ += p.bytes;
-        }
-      } else {
-        scratch_.add(batch.transitions[ti++]);
-      }
-    }
+    for_each_event(
+        batch,
+        [&](const PacketRecord& p) {
+          if (p.interface == keep_) {
+            scratch_.add(p);
+          } else {
+            ++dropped_packets_;
+            dropped_bytes_ += p.bytes;
+          }
+        },
+        [&](const StateTransition& t) { scratch_.add(t); });
     if (!scratch_.empty()) downstream_->on_batch(scratch_);
   }
 

@@ -47,12 +47,10 @@ struct ReadOptions {
   ReadPolicy policy = ReadPolicy::kStrict;
   /// Keep at most this many rejected records for post-mortems.
   std::size_t max_quarantine = 8;
-  /// When > 0, the readers deliver parsed events to the sink as EventBatches
-  /// of this many events (trace/batch.h) instead of per-record callbacks.
-  /// Outputs are bit-identical either way; batching only amortizes dispatch.
+  /// Events per EventBatch the readers deliver to the sink (trace/batch.h);
+  /// ≥ 1 (0 is treated as 1). Outputs are bit-identical for every value.
   /// Shares trace::kDefaultBatchSize with core::PipelineOptions::batch_size —
-  /// one documented default; CLI --batch-size threads through both. 0 streams
-  /// per record.
+  /// one documented default; CLI --batch-size threads through both.
   std::size_t batch_size = kDefaultBatchSize;
   /// Optional app-name resolution for the CSV reader: when set, a
   /// non-numeric app field is resolved through this (return kNoApp for

@@ -293,9 +293,7 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
 
   EventBatch scratch;
   scratch.user = chunk.user;
-  if (batch_size > 0) {
-    scratch.reserve(std::min<std::uint64_t>(batch_size, chunk.events()));
-  }
+  scratch.reserve(std::min<std::uint64_t>(batch_size, chunk.events()));
   const auto deliver = [&] {
     if (scratch.size() >= batch_size) {
       sink.on_batch(scratch);
@@ -342,12 +340,8 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
         p.interface = (*flags & 2) ? Interface::kWifi : Interface::kCellular;
         p.state = static_cast<ProcessState>(state);
         p.joules = *joules;
-        if (batch_size == 0) {
-          sink.on_packet(p);
-        } else {
-          scratch.add(p);
-          deliver();
-        }
+        scratch.add(p);
+        deliver();
       }
       pk_seen += *run;
     } else {
@@ -374,12 +368,8 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
         t.app = static_cast<AppId>(*app);
         t.from = static_cast<ProcessState>(*from);
         t.to = static_cast<ProcessState>(*to);
-        if (batch_size == 0) {
-          sink.on_transition(t);
-        } else {
-          scratch.add(t);
-          deliver();
-        }
+        scratch.add(t);
+        deliver();
       }
       tr_seen += *run;
     }

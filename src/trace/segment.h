@@ -124,7 +124,7 @@ class MappedSegment {
   /// cache, reclaimable, and does not count against a RAM budget).
   [[nodiscard]] std::uint64_t index_bytes() const;
 
-  /// Decode one chunk into `sink` as batch_size spans (0 = per record),
+  /// Decode one chunk into `sink` as spans of batch_size (≥ 1) events,
   /// preserving the captured interleave. Emits no user brackets — the
   /// caller owns the bracket protocol. Pure read: concurrent replay_chunk
   /// calls on one segment are safe.

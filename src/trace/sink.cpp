@@ -4,10 +4,8 @@
 
 namespace wildenergy::trace {
 
-// The default batch handler IS the per-record stream: replaying through this
-// sink's own virtual callbacks makes every unmigrated sink — including ones
-// that count or intercept individual callbacks, like fault::FaultySink —
-// behave bit-identically whether upstream batches or not.
+// Leaf sinks that take the interleave one record at a time implement
+// on_packet / on_transition and inherit this replay.
 void TraceSink::on_batch(const EventBatch& batch) { replay(batch, *this); }
 
 void TraceMulticast::on_batch(const EventBatch& batch) {
@@ -15,8 +13,8 @@ void TraceMulticast::on_batch(const EventBatch& batch) {
 }
 
 void TraceCollector::on_batch(const EventBatch& batch) {
-  // Events of each kind are in array order, so bulk appends reproduce
-  // exactly what replaying the interleaved stream would collect.
+  // Events of each kind are in array order, so bulk appends collect exactly
+  // the interleaved stream's packets and transitions.
   packets_.insert(packets_.end(), batch.packets.begin(), batch.packets.end());
   transitions_.insert(transitions_.end(), batch.transitions.begin(), batch.transitions.end());
 }

@@ -4,7 +4,8 @@
 // would cost gigabytes. Instead the generator pushes events through TraceSink
 // implementations (energy attribution, analyses) which keep O(apps + bins)
 // state (DESIGN.md §4.2). Events for one user arrive in non-decreasing time
-// order; users arrive one after another, bracketed by begin/end callbacks.
+// order, as EventBatch spans (trace/batch.h); users arrive one after another,
+// bracketed by begin/end callbacks.
 #pragma once
 
 #include <cstdint>
@@ -36,18 +37,21 @@ class TraceSink {
 
   virtual void on_study_begin(const StudyMeta& /*meta*/) {}
   virtual void on_user_begin(UserId /*user*/) {}
-  /// Packets and transitions are interleaved in time order per user.
-  virtual void on_packet(const PacketRecord& /*packet*/) {}
-  virtual void on_transition(const StateTransition& /*transition*/) {}
   virtual void on_user_end(UserId /*user*/) {}
   virtual void on_study_end() {}
 
-  /// A time-ordered span of one user's events (trace/batch.h). Arrives
-  /// strictly inside the user's bracket. The default implementation replays
-  /// the per-record callbacks on this sink, so implementing on_batch is an
-  /// optimization, never a requirement: any sink behaves bit-identically
-  /// whether its input arrives per record or in batches of any size.
+  /// A time-ordered span of one user's events (trace/batch.h): the only way
+  /// events are delivered. Arrives strictly inside the user's bracket.
+  /// Producers and forwarding sinks override this. The default replays the
+  /// batch into on_packet / on_transition below, so a leaf sink may take its
+  /// events one record at a time instead; a sink implements one of the two.
   virtual void on_batch(const EventBatch& batch);
+
+  /// Per-record convenience for leaf sinks, reached only through the default
+  /// on_batch (trace::replay). Packets and transitions are interleaved in
+  /// time order per user.
+  virtual void on_packet(const PacketRecord& /*packet*/) {}
+  virtual void on_transition(const StateTransition& /*transition*/) {}
 
   /// Approximate memory footprint of this sink's accumulated state, for the
   /// telemetry memory report (obs::RunStats::memory): resident capacity
@@ -70,12 +74,6 @@ class TraceMulticast final : public TraceSink {
   }
   void on_user_begin(UserId user) override {
     for (auto* s : sinks_) s->on_user_begin(user);
-  }
-  void on_packet(const PacketRecord& p) override {
-    for (auto* s : sinks_) s->on_packet(p);
-  }
-  void on_transition(const StateTransition& t) override {
-    for (auto* s : sinks_) s->on_transition(t);
   }
   void on_user_end(UserId user) override {
     for (auto* s : sinks_) s->on_user_end(user);
@@ -104,8 +102,6 @@ class TraceCollector final : public TraceSink,
     packets_.clear();
     transitions_.clear();
   }
-  void on_packet(const PacketRecord& p) override { packets_.push_back(p); }
-  void on_transition(const StateTransition& t) override { transitions_.push_back(t); }
   void on_batch(const EventBatch& batch) override;
 
   [[nodiscard]] std::unique_ptr<TraceSink> clone_shard() const override;

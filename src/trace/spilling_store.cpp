@@ -75,10 +75,6 @@ class SpillingTraceStore::BracketStrip final : public TraceSink {
 
   void on_study_begin(const StudyMeta& meta) override { store_->note_source_meta(meta); }
   void on_user_begin(UserId user) override { store_->on_user_begin(user); }
-  void on_packet(const PacketRecord& packet) override { store_->on_packet(packet); }
-  void on_transition(const StateTransition& transition) override {
-    store_->on_transition(transition);
-  }
   void on_batch(const EventBatch& batch) override { store_->on_batch(batch); }
   void on_user_end(UserId user) override { store_->on_user_end(user); }
   void on_study_end() override {}
@@ -139,24 +135,9 @@ void SpillingTraceStore::on_user_begin(UserId user) {
   in_user_ = true;
 }
 
-void SpillingTraceStore::on_packet(const PacketRecord& packet) {
-  if (!in_user_) return;
-  current_.add(packet);
-  maybe_spill_mid_user();
-}
-
-void SpillingTraceStore::on_transition(const StateTransition& transition) {
-  if (!in_user_) return;
-  current_.add(transition);
-  maybe_spill_mid_user();
-}
-
 void SpillingTraceStore::on_batch(const EventBatch& batch) {
   if (!in_user_) return;
-  current_.packets.insert(current_.packets.end(), batch.packets.begin(), batch.packets.end());
-  current_.transitions.insert(current_.transitions.end(), batch.transitions.begin(),
-                              batch.transitions.end());
-  current_.order.insert(current_.order.end(), batch.order.begin(), batch.order.end());
+  current_.append(batch);
   maybe_spill_mid_user();
 }
 

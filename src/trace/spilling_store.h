@@ -65,8 +65,6 @@ class SpillingTraceStore final : public StoreBackend {
   // -- capture (TraceSink) --------------------------------------------------
   void on_study_begin(const StudyMeta& meta) override;
   void on_user_begin(UserId user) override;
-  void on_packet(const PacketRecord& packet) override;
-  void on_transition(const StateTransition& transition) override;
   void on_user_end(UserId user) override;
   void on_study_end() override;
   void on_batch(const EventBatch& batch) override;

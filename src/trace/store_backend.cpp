@@ -3,10 +3,6 @@
 namespace wildenergy::trace {
 
 void replay_column_span(const EventBatch& events, TraceSink& sink, std::size_t batch_size) {
-  if (batch_size == 0) {
-    replay(events, sink);  // the per-record stream, in interleave order
-    return;
-  }
   if (events.size() <= batch_size) {
     if (!events.empty()) sink.on_batch(events);  // whole span at once, zero copies
     return;

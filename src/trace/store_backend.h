@@ -26,8 +26,8 @@
 
 namespace wildenergy::trace {
 
-/// Stream one full column set into `sink`, sliced into batch_size spans
-/// (0 = per-record), preserving the packet/transition interleave. Emits no
+/// Stream one full column set into `sink`, sliced into spans of batch_size
+/// (≥ 1) events, preserving the packet/transition interleave. Emits no
 /// user brackets — callers own the bracket protocol. Pure read: safe to call
 /// concurrently on the same columns from different shard workers.
 void replay_column_span(const EventBatch& events, TraceSink& sink, std::size_t batch_size);

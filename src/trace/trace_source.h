@@ -12,9 +12,9 @@
 //
 // Contract:
 //   - emit() streams the whole study, including the study/user brackets.
-//     With batch_size > 0 events are delivered via TraceSink::on_batch in
-//     spans of that many events; 0 streams per record. Outputs downstream
-//     are bit-identical for every batch_size (trace/batch.h).
+//     Events are delivered via TraceSink::on_batch in spans of batch_size
+//     (≥ 1) events. Outputs downstream are bit-identical for every
+//     batch_size (trace/batch.h).
 //   - meta() is the study header. Sources that only learn it from the stream
 //     itself (the file readers) return a zero StudyMeta until their first
 //     emit() has passed the header.
@@ -79,10 +79,6 @@ class MetaCaptureSink final : public TraceSink {
     downstream_->on_study_begin(meta);
   }
   void on_user_begin(UserId user) override { downstream_->on_user_begin(user); }
-  void on_packet(const PacketRecord& packet) override { downstream_->on_packet(packet); }
-  void on_transition(const StateTransition& transition) override {
-    downstream_->on_transition(transition);
-  }
   void on_user_end(UserId user) override { downstream_->on_user_end(user); }
   void on_study_end() override { downstream_->on_study_end(); }
   void on_batch(const EventBatch& batch) override { downstream_->on_batch(batch); }

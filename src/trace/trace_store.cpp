@@ -17,25 +17,12 @@ void TraceStore::on_user_begin(UserId user) {
   current_ = &users_.back();
 }
 
-void TraceStore::on_packet(const PacketRecord& packet) {
-  if (current_ != nullptr) current_->add(packet);
-}
-
-void TraceStore::on_transition(const StateTransition& transition) {
-  if (current_ != nullptr) current_->add(transition);
-}
-
 void TraceStore::on_user_end(UserId /*user*/) { current_ = nullptr; }
 
 void TraceStore::on_study_end() { current_ = nullptr; }
 
 void TraceStore::on_batch(const EventBatch& batch) {
-  if (current_ == nullptr) return;
-  // Wholesale column append — no per-event dispatch on the capture path.
-  current_->packets.insert(current_->packets.end(), batch.packets.begin(), batch.packets.end());
-  current_->transitions.insert(current_->transitions.end(), batch.transitions.begin(),
-                               batch.transitions.end());
-  current_->order.insert(current_->order.end(), batch.order.begin(), batch.order.end());
+  if (current_ != nullptr) current_->append(batch);
 }
 
 void TraceStore::replay_user(const EventBatch& events, TraceSink& sink,

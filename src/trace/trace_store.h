@@ -11,13 +11,13 @@
 //   generator/reader -> store         store.emit(sink, batch_size)
 //                                     store.emit_user(user, sink, batch_size)
 //
-// Layout: one owned EventBatch per user — the PR-4 columnar layout (packet
+// Layout: one owned EventBatch per user — the columnar layout (packet
 // column, transition column, interleave vector) holding that user's ENTIRE
 // stream — in arrival order, plus a user-id index for O(log n) random
-// access. Replay slices a user's columns into batch_size spans (or streams
-// per record), reproducing exactly the event sequence the original source
-// emitted; downstream outputs are therefore bit-identical to consuming the
-// live source, for every batch size (trace/batch.h invariants).
+// access. Replay slices a user's columns into batch_size spans, reproducing
+// exactly the event sequence the original source emitted; downstream outputs
+// are therefore bit-identical to consuming the live source, for every batch
+// size (trace/batch.h invariants).
 //
 // The store is single-writer (capture) but its replay side is const after
 // capture: concurrent emit_user() calls from different shard workers are
@@ -42,11 +42,9 @@ class TraceStore final : public StoreBackend {
  public:
   // -- capture (TraceSink) --------------------------------------------------
   // Feed the store like any other sink; a study bracket replaces previous
-  // contents. Batched and per-record capture produce identical stores.
+  // contents. Every batch size produces an identical store.
   void on_study_begin(const StudyMeta& meta) override;
   void on_user_begin(UserId user) override;
-  void on_packet(const PacketRecord& packet) override;
-  void on_transition(const StateTransition& transition) override;
   void on_user_end(UserId user) override;
   void on_study_end() override;
   void on_batch(const EventBatch& batch) override;

@@ -66,39 +66,15 @@ bool ValidatingSink::flag(const std::string& reason, const std::string& snippet)
   return true;
 }
 
-void ValidatingSink::emit(const PacketRecord& packet) {
-  if (batching_) {
-    out_.add(packet);
-  } else {
-    downstream_->on_packet(packet);
-  }
-}
-
-void ValidatingSink::emit(const StateTransition& transition) {
-  if (batching_) {
-    out_.add(transition);
-  } else {
-    downstream_->on_transition(transition);
-  }
-}
-
 void ValidatingSink::on_batch(const EventBatch& batch) {
-  // Run every event through the per-record validation (so drop/repair/poison
-  // semantics, counters and quarantine are bit-identical to a per-record
-  // stream), collecting survivors into one output batch.
-  batching_ = true;
+  // Check every event in stream order (drop/repair/poison semantics,
+  // counters and quarantine are the same at any batch size), collecting
+  // survivors into one output batch.
   out_.clear();
   out_.user = batch.user;
-  std::size_t pi = 0;
-  std::size_t ti = 0;
-  for (const EventKind kind : batch.order) {
-    if (kind == EventKind::kPacket) {
-      on_packet(batch.packets[pi++]);
-    } else {
-      on_transition(batch.transitions[ti++]);
-    }
-  }
-  batching_ = false;
+  for_each_event(
+      batch, [this](const PacketRecord& packet) { check(packet); },
+      [this](const StateTransition& transition) { check(transition); });
   if (!out_.empty()) downstream_->on_batch(out_);
 }
 
@@ -146,7 +122,7 @@ void ValidatingSink::on_user_begin(UserId user) {
   downstream_->on_user_begin(user);
 }
 
-void ValidatingSink::on_packet(const PacketRecord& packet) {
+void ValidatingSink::check(const PacketRecord& packet) {
   ++records_seen_;
   if (options_.policy == ReadPolicy::kStrict && !status_.ok()) {
     ++records_dropped_;
@@ -175,17 +151,17 @@ void ValidatingSink::on_packet(const PacketRecord& packet) {
            "backwards packet timestamp clamped", describe(packet));
       PacketRecord repaired = packet;
       repaired.time.us = last_time_us_;
-      emit(repaired);
+      out_.add(repaired);
       return;
     }
     flag("packet timestamp goes backwards", describe(packet));
     return;
   }
   last_time_us_ = packet.time.us;
-  emit(packet);
+  out_.add(packet);
 }
 
-void ValidatingSink::on_transition(const StateTransition& transition) {
+void ValidatingSink::check(const StateTransition& transition) {
   ++records_seen_;
   if (options_.policy == ReadPolicy::kStrict && !status_.ok()) {
     ++records_dropped_;
@@ -214,14 +190,14 @@ void ValidatingSink::on_transition(const StateTransition& transition) {
            "backwards transition timestamp clamped", describe(transition));
       StateTransition repaired = transition;
       repaired.time.us = last_time_us_;
-      emit(repaired);
+      out_.add(repaired);
       return;
     }
     flag("transition timestamp goes backwards", describe(transition));
     return;
   }
   last_time_us_ = transition.time.us;
-  emit(transition);
+  out_.add(transition);
 }
 
 void ValidatingSink::on_user_end(UserId user) {

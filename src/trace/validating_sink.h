@@ -52,12 +52,10 @@ class ValidatingSink final : public TraceSink {
 
   void on_study_begin(const StudyMeta& meta) override;
   void on_user_begin(UserId user) override;
-  void on_packet(const PacketRecord& packet) override;
-  void on_transition(const StateTransition& transition) override;
   void on_user_end(UserId user) override;
   void on_study_end() override;
-  /// Validates every event of the batch with the exact per-record logic and
-  /// forwards the survivors (including best-effort repairs) as one batch.
+  /// Validates every event of the batch in stream order and forwards the
+  /// survivors (including best-effort repairs) as one batch.
   void on_batch(const EventBatch& batch) override;
 
   /// OK until the first violation under kStrict; always OK under the
@@ -74,10 +72,9 @@ class ValidatingSink final : public TraceSink {
   bool flag(const std::string& reason, const std::string& snippet);
   void note(std::uint64_t& counter, obs::Counter* metric, const std::string& reason,
             const std::string& snippet);
-  /// Forward a surviving record: appended to out_ inside on_batch, straight
-  /// to downstream_ otherwise.
-  void emit(const PacketRecord& packet);
-  void emit(const StateTransition& transition);
+  /// Validate one event; a survivor (or its repair) is appended to out_.
+  void check(const PacketRecord& packet);
+  void check(const StateTransition& transition);
 
   TraceSink* downstream_;
   ReadOptions options_;
@@ -86,8 +83,7 @@ class ValidatingSink final : public TraceSink {
   // were the dominant cost of validation on the hot path.
   obs::Counter* dropped_metric_;
   obs::Counter* repaired_metric_;
-  EventBatch out_;        ///< reused output batch for on_batch
-  bool batching_ = false; ///< emit() target: out_ vs downstream_
+  EventBatch out_;  ///< reused output batch for on_batch
   util::Status status_;
   bool in_study_ = false;
   bool study_ended_ = false;

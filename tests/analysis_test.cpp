@@ -1,6 +1,7 @@
 // Tests for the analysis modules on hand-built traces with known answers.
 #include <gtest/gtest.h>
 
+#include "deliver.h"
 #include "analysis/figures.h"
 #include "analysis/persistence.h"
 #include "analysis/time_since_fg.h"
@@ -53,12 +54,12 @@ TEST(Persistence, MeasuresDurationUntilQuietGap) {
   PersistenceAnalysis pa{minutes(10.0)};
   pa.on_study_begin(meta_days(1, 1));
   pa.on_user_begin(0);
-  pa.on_transition(trans(0.0, 0, 1, true));
-  pa.on_transition(trans(100.0, 0, 1, false));  // minimized at t=100
+  deliver(pa, trans(0.0, 0, 1, true));
+  deliver(pa, trans(100.0, 0, 1, false));  // minimized at t=100
   // Traffic at 110, 150, 400; then silence.
-  pa.on_packet(pkt(110.0, 0, 1, 100, ProcessState::kBackground));
-  pa.on_packet(pkt(150.0, 0, 1, 100, ProcessState::kBackground));
-  pa.on_packet(pkt(400.0, 0, 1, 100, ProcessState::kBackground));
+  deliver(pa, pkt(110.0, 0, 1, 100, ProcessState::kBackground));
+  deliver(pa, pkt(150.0, 0, 1, 100, ProcessState::kBackground));
+  deliver(pa, pkt(400.0, 0, 1, 100, ProcessState::kBackground));
   pa.on_user_end(0);
 
   auto& d = pa.durations(1);
@@ -70,10 +71,10 @@ TEST(Persistence, QuietGapEndsEpisodeBeforeLaterTraffic) {
   PersistenceAnalysis pa{minutes(10.0)};
   pa.on_study_begin(meta_days(1, 1));
   pa.on_user_begin(0);
-  pa.on_transition(trans(100.0, 0, 1, false));
-  pa.on_packet(pkt(130.0, 0, 1, 100, ProcessState::kBackground));
+  deliver(pa, trans(100.0, 0, 1, false));
+  deliver(pa, pkt(130.0, 0, 1, 100, ProcessState::kBackground));
   // 2 hours later: a periodic timer, NOT persisting foreground traffic.
-  pa.on_packet(pkt(7330.0, 0, 1, 100, ProcessState::kService));
+  deliver(pa, pkt(7330.0, 0, 1, 100, ProcessState::kService));
   pa.on_user_end(0);
   auto& d = pa.durations(1);
   ASSERT_EQ(d.count(), 1u);
@@ -84,8 +85,8 @@ TEST(Persistence, TransitionWithoutTrafficIsZero) {
   PersistenceAnalysis pa;
   pa.on_study_begin(meta_days(1, 1));
   pa.on_user_begin(0);
-  pa.on_transition(trans(100.0, 0, 1, false));
-  pa.on_transition(trans(500.0, 0, 1, true));  // re-opened, no bg traffic seen
+  deliver(pa, trans(100.0, 0, 1, false));
+  deliver(pa, trans(500.0, 0, 1, true));  // re-opened, no bg traffic seen
   pa.on_user_end(0);
   auto& d = pa.durations(1);
   ASSERT_EQ(d.count(), 1u);
@@ -96,8 +97,8 @@ TEST(Persistence, ForegroundPacketsIgnored) {
   PersistenceAnalysis pa;
   pa.on_study_begin(meta_days(1, 1));
   pa.on_user_begin(0);
-  pa.on_transition(trans(100.0, 0, 1, false));
-  pa.on_packet(pkt(150.0, 0, 1, 100, ProcessState::kForeground));  // other tab? ignored
+  deliver(pa, trans(100.0, 0, 1, false));
+  deliver(pa, pkt(150.0, 0, 1, 100, ProcessState::kForeground));  // other tab? ignored
   pa.on_user_end(0);
   auto& d = pa.durations(1);
   ASSERT_EQ(d.count(), 1u);
@@ -108,9 +109,9 @@ TEST(Persistence, PerAppSeparation) {
   PersistenceAnalysis pa;
   pa.on_study_begin(meta_days(1, 1));
   pa.on_user_begin(0);
-  pa.on_transition(trans(100.0, 0, 1, false));
-  pa.on_transition(trans(100.0, 0, 2, false));
-  pa.on_packet(pkt(200.0, 0, 2, 100, ProcessState::kBackground));
+  deliver(pa, trans(100.0, 0, 1, false));
+  deliver(pa, trans(100.0, 0, 2, false));
+  deliver(pa, pkt(200.0, 0, 2, 100, ProcessState::kBackground));
   pa.on_user_end(0);
   EXPECT_DOUBLE_EQ(pa.durations(1).percentile(1.0), 0.0);
   EXPECT_NEAR(pa.durations(2).percentile(1.0), 100.0, 1.0);
@@ -125,9 +126,9 @@ TEST(TimeSinceFg, BinsBytesByDelay) {
   TimeSinceForegroundAnalysis tsf{hours(1.0), sec(30.0)};
   tsf.on_study_begin(meta_days(1, 1));
   tsf.on_user_begin(0);
-  tsf.on_transition(trans(1000.0, 0, 1, false));
-  tsf.on_packet(pkt(1010.0, 0, 1, 500, ProcessState::kBackground));   // bin 0
-  tsf.on_packet(pkt(1100.0, 0, 1, 700, ProcessState::kBackground));   // bin 3 (90-120 s)
+  deliver(tsf, trans(1000.0, 0, 1, false));
+  deliver(tsf, pkt(1010.0, 0, 1, 500, ProcessState::kBackground));   // bin 0
+  deliver(tsf, pkt(1100.0, 0, 1, 700, ProcessState::kBackground));   // bin 3 (90-120 s)
   const auto& h = tsf.bytes_histogram();
   EXPECT_DOUBLE_EQ(h.bin_mass(0), 500.0);
   EXPECT_DOUBLE_EQ(h.bin_mass(3), 700.0);
@@ -137,7 +138,7 @@ TEST(TimeSinceFg, NeverForegroundedAppsExcluded) {
   TimeSinceForegroundAnalysis tsf;
   tsf.on_study_begin(meta_days(1, 1));
   tsf.on_user_begin(0);
-  tsf.on_packet(pkt(50.0, 0, 9, 1000, ProcessState::kService));  // widget, never fg
+  deliver(tsf, pkt(50.0, 0, 9, 1000, ProcessState::kService));  // widget, never fg
   EXPECT_EQ(tsf.bytes_histogram().total_mass(), 0.0);
   EXPECT_TRUE(tsf.app_tallies().empty());
 }
@@ -147,12 +148,12 @@ TEST(TimeSinceFg, FrontloadedCriterion) {
   tsf.on_study_begin(meta_days(1, 1));
   tsf.on_user_begin(0);
   // App 1: all bg bytes within 60 s => frontloaded.
-  tsf.on_transition(trans(0.0, 0, 1, false));
-  tsf.on_packet(pkt(30.0, 0, 1, 100'000, ProcessState::kBackground));
+  deliver(tsf, trans(0.0, 0, 1, false));
+  deliver(tsf, pkt(30.0, 0, 1, 100'000, ProcessState::kBackground));
   // App 2: bytes well past 60 s => not frontloaded.
-  tsf.on_transition(trans(0.0, 0, 2, false));
-  tsf.on_packet(pkt(20.0, 0, 2, 10'000, ProcessState::kBackground));
-  tsf.on_packet(pkt(600.0, 0, 2, 90'000, ProcessState::kBackground));
+  deliver(tsf, trans(0.0, 0, 2, false));
+  deliver(tsf, pkt(20.0, 0, 2, 10'000, ProcessState::kBackground));
+  deliver(tsf, pkt(600.0, 0, 2, 90'000, ProcessState::kBackground));
   EXPECT_NEAR(tsf.fraction_of_apps_frontloaded(0.8, 1'000), 0.5, 1e-9);
 }
 
@@ -164,11 +165,11 @@ TEST(TimeSinceFg, SpikeDetection) {
   // modest uniform background.
   for (int i = 0; i < 200; ++i) {
     const double t0 = i * 7200.0;
-    tsf.on_transition(trans(t0, 0, 1, false));
-    tsf.on_packet(pkt(t0 + 310.0, 0, 1, 50'000, ProcessState::kService));  // 5-min timer
-    tsf.on_packet(pkt(t0 + 37.0 * (i % 40), 0, 1, 2'000, ProcessState::kBackground));
-    tsf.on_transition(trans(t0 + 3600.0, 0, 1, true));
-    tsf.on_transition(trans(t0 + 3610.0, 0, 1, false));
+    deliver(tsf, trans(t0, 0, 1, false));
+    deliver(tsf, pkt(t0 + 310.0, 0, 1, 50'000, ProcessState::kService));  // 5-min timer
+    deliver(tsf, pkt(t0 + 37.0 * (i % 40), 0, 1, 2'000, ProcessState::kBackground));
+    deliver(tsf, trans(t0 + 3600.0, 0, 1, true));
+    deliver(tsf, trans(t0 + 3610.0, 0, 1, false));
   }
   const auto spikes = tsf.spike_offsets_seconds(2);
   ASSERT_FALSE(spikes.empty());
@@ -179,9 +180,9 @@ TEST(TimeSinceFg, StaleBackgroundPacketWhileForegroundIgnored) {
   TimeSinceForegroundAnalysis tsf;
   tsf.on_study_begin(meta_days(1, 1));
   tsf.on_user_begin(0);
-  tsf.on_transition(trans(0.0, 0, 1, false));
-  tsf.on_transition(trans(100.0, 0, 1, true));  // back in foreground
-  tsf.on_packet(pkt(150.0, 0, 1, 1000, ProcessState::kService));
+  deliver(tsf, trans(0.0, 0, 1, false));
+  deliver(tsf, trans(100.0, 0, 1, true));  // back in foreground
+  deliver(tsf, pkt(150.0, 0, 1, 1000, ProcessState::kService));
   EXPECT_EQ(tsf.bytes_histogram().total_mass(), 0.0);
 }
 
@@ -193,13 +194,13 @@ energy::EnergyLedger build_ledger() {
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta_days(3, 10));
   // User 0: app1 heavy data, app2 heavy energy.
-  ledger.on_packet(pkt(100.0, 0, 1, 10'000'000, ProcessState::kForeground, 5.0));
-  ledger.on_packet(pkt(200.0, 0, 2, 1'000, ProcessState::kService, 50.0));
+  deliver(ledger, pkt(100.0, 0, 1, 10'000'000, ProcessState::kForeground, 5.0));
+  deliver(ledger, pkt(200.0, 0, 2, 1'000, ProcessState::kService, 50.0));
   // User 1: both apps, app1 on top.
-  ledger.on_packet(pkt(100.0, 1, 1, 5'000'000, ProcessState::kForeground, 3.0));
-  ledger.on_packet(pkt(200.0, 1, 2, 500, ProcessState::kService, 20.0));
+  deliver(ledger, pkt(100.0, 1, 1, 5'000'000, ProcessState::kForeground, 3.0));
+  deliver(ledger, pkt(200.0, 1, 2, 500, ProcessState::kService, 20.0));
   // User 2: only app3.
-  ledger.on_packet(pkt(100.0, 2, 3, 2'000, ProcessState::kBackground, 2.0));
+  deliver(ledger, pkt(100.0, 2, 3, 2'000, ProcessState::kBackground, 2.0));
   return ledger;
 }
 
@@ -242,9 +243,9 @@ energy::EnergyLedger whatif_ledger() {
   for (int day = 0; day < 10; ++day) {
     const double t = day * 86400.0 + 3600.0;
     if (day == 0 || day == 9) {
-      ledger.on_packet(pkt(t, 0, 7, 1000, ProcessState::kForeground, 5.0));
+      deliver(ledger, pkt(t, 0, 7, 1000, ProcessState::kForeground, 5.0));
     }
-    ledger.on_packet(pkt(t + 600.0, 0, 7, 500, ProcessState::kService, 10.0));
+    deliver(ledger, pkt(t + 600.0, 0, 7, 500, ProcessState::kService, 10.0));
   }
   return ledger;
 }
@@ -264,12 +265,12 @@ TEST(WhatIf, RowsMatchHandComputation) {
 TEST(WhatIf, SilentDayBreaksConsecutiveRun) {
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta_days(1, 7.0));
-  ledger.on_packet(pkt(3600.0, 0, 7, 100, ProcessState::kForeground, 1.0));
+  deliver(ledger, pkt(3600.0, 0, 7, 100, ProcessState::kForeground, 1.0));
   // bg on days 1,2; silence day 3; bg days 4,5; fg day 6.
   for (int day : {1, 2, 4, 5}) {
-    ledger.on_packet(pkt(day * 86400.0 + 600.0, 0, 7, 100, ProcessState::kService, 1.0));
+    deliver(ledger, pkt(day * 86400.0 + 600.0, 0, 7, 100, ProcessState::kService, 1.0));
   }
-  ledger.on_packet(pkt(6 * 86400.0 + 600.0, 0, 7, 100, ProcessState::kForeground, 1.0));
+  deliver(ledger, pkt(6 * 86400.0 + 600.0, 0, 7, 100, ProcessState::kForeground, 1.0));
   const auto row = whatif_kill_after(ledger, 7, 3);
   EXPECT_EQ(row.max_consecutive_bg_days, 2);
 }
@@ -278,7 +279,7 @@ TEST(WhatIf, NeverForegroundedAppFullySuppressed) {
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta_days(1, 10.0));
   for (int day = 0; day < 10; ++day) {
-    ledger.on_packet(pkt(day * 86400.0 + 60.0, 0, 3, 100, ProcessState::kService, 4.0));
+    deliver(ledger, pkt(day * 86400.0 + 60.0, 0, 3, 100, ProcessState::kService, 4.0));
   }
   const auto row = whatif_kill_after(ledger, 3, 3);
   EXPECT_NEAR(row.pct_energy_saved, 100.0, 1e-9);
@@ -298,10 +299,10 @@ TEST(WhatIf, AffectedDaysSavingsRelativeToDeviceTotal) {
   // dominates device energy on every day.
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta_days(1, 6.0));
-  ledger.on_packet(pkt(3600.0, 0, 7, 100, ProcessState::kForeground, 1.0));
+  deliver(ledger, pkt(3600.0, 0, 7, 100, ProcessState::kForeground, 1.0));
   for (int day = 1; day < 6; ++day) {
-    ledger.on_packet(pkt(day * 86400.0 + 600.0, 0, 7, 100, ProcessState::kService, 10.0));
-    ledger.on_packet(pkt(day * 86400.0 + 900.0, 0, 8, 100, ProcessState::kForeground, 90.0));
+    deliver(ledger, pkt(day * 86400.0 + 600.0, 0, 7, 100, ProcessState::kService, 10.0));
+    deliver(ledger, pkt(day * 86400.0 + 900.0, 0, 8, 100, ProcessState::kForeground, 90.0));
   }
   const double pct = pct_saved_on_affected_days(ledger, 7, 3);
   // Affected days: 4 and 5 (idle > 3). Device energy those days: 2 x 100 J;

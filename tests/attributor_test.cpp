@@ -3,6 +3,7 @@
 // per-app sums equal the device total.
 #include <gtest/gtest.h>
 
+#include "deliver.h"
 #include "energy/attributor.h"
 #include "energy/ledger.h"
 #include "radio/burst_machine.h"
@@ -47,7 +48,7 @@ Run run_packets(const std::vector<PacketRecord>& packets,
   EnergyAttributor attr{radio::make_lte_model, &r.out, policy};
   attr.on_study_begin(day_meta());
   attr.on_user_begin(0);
-  for (const auto& p : packets) attr.on_packet(p);
+  for (const auto& p : packets) deliver(attr, p);
   attr.on_user_end(0);
   attr.on_study_end();
   r.device = attr.device_joules();
@@ -118,14 +119,14 @@ TEST(EnergyAttributor, TransitionsDoNotOvertakePackets) {
   EnergyAttributor attr{radio::make_lte_model, &out};
   attr.on_study_begin(day_meta());
   attr.on_user_begin(0);
-  attr.on_packet(pkt(10.0, 1, 1000));
+  deliver(attr, pkt(10.0, 1, 1000));
   StateTransition t;
   t.time = kEpoch + sec(11.0);
   t.app = 1;
   t.from = ProcessState::kForeground;
   t.to = ProcessState::kBackground;
-  attr.on_transition(t);
-  attr.on_packet(pkt(30.0, 1, 1000));
+  deliver(attr, t);
+  deliver(attr, pkt(30.0, 1, 1000));
   attr.on_user_end(0);
 
   ASSERT_EQ(out.packets().size(), 2u);
@@ -140,7 +141,7 @@ TEST(EnergyAttributor, UserEndFlushesPendingTail) {
   EnergyAttributor attr{radio::make_lte_model, &out};
   attr.on_study_begin(day_meta());
   attr.on_user_begin(0);
-  attr.on_packet(pkt(10.0, 1, 1000));
+  deliver(attr, pkt(10.0, 1, 1000));
   attr.on_user_end(0);
   ASSERT_EQ(out.packets().size(), 1u);
   EXPECT_GT(out.packets()[0].joules, 9.0);  // includes the ~10 J tail
@@ -151,10 +152,10 @@ TEST(EnergyAttributor, PerUserModelsAreIndependent) {
   EnergyAttributor attr{radio::make_lte_model, &out};
   attr.on_study_begin(day_meta());
   attr.on_user_begin(0);
-  attr.on_packet(pkt(10.0, 1, 1000));
+  deliver(attr, pkt(10.0, 1, 1000));
   attr.on_user_end(0);
   attr.on_user_begin(1);
-  attr.on_packet(pkt(10.0, 1, 1000));  // same time, new user: fresh radio
+  deliver(attr, pkt(10.0, 1, 1000));  // same time, new user: fresh radio
   attr.on_user_end(1);
   ASSERT_EQ(out.packets().size(), 2u);
   // Both isolated: identical energy despite "overlapping" timestamps.
@@ -192,7 +193,7 @@ TEST(EnergyLedgerIntegration, LedgerMatchesAttributor) {
   EnergyAttributor attr{radio::make_lte_model, &ledger};
   attr.on_study_begin(day_meta());
   attr.on_user_begin(0);
-  for (int i = 0; i < 40; ++i) attr.on_packet(pkt(5.0 + i * 13.0, (i % 4) + 1, 2000));
+  for (int i = 0; i < 40; ++i) deliver(attr, pkt(5.0 + i * 13.0, (i % 4) + 1, 2000));
   attr.on_user_end(0);
   attr.on_study_end();
   EXPECT_NEAR(ledger.total_joules(), attr.attributed_joules(), 1e-6);

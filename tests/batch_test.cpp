@@ -1,15 +1,21 @@
-// Batched event path (trace/batch.h and every batch-aware sink).
+// The event path (trace/batch.h and every sink that consumes it).
 //
-// The contract under test is absolute: for ANY batch size — including the
-// degenerate 1 and the oversized 4096 — every output is bit-identical to the
-// per-record stream, for every sink in the chain, for every thread count,
-// and through the fault-tolerant retry path. EXPECT_EQ on doubles
-// throughout; NEAR would hide a real divergence.
+// The contract under test is absolute: for ANY batch size — the degenerate
+// 1, the oversized 4096 and everything between — every output is
+// bit-identical, for every sink in the chain, for every thread count, and
+// through the fault-tolerant retry path. The golden digests below were
+// recorded from the per-record stream before that path was retired; every
+// batch size must still reproduce them. EXPECT_EQ on doubles throughout;
+// NEAR would hide a real divergence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/case_studies.h"
@@ -18,7 +24,10 @@
 #include "analysis/persistence.h"
 #include "analysis/time_since_fg.h"
 #include "analysis/waste.h"
+#include "ckpt/codec.h"
 #include "core/pipeline.h"
+#include "core/policy.h"
+#include "core/sweep.h"
 #include "energy/attributor.h"
 #include "energy/ledger.h"
 #include "fault/plan.h"
@@ -81,7 +90,7 @@ std::string tagged(char tag, std::int64_t value) {
 }
 
 /// Logs the exact callback sequence, per record — never overrides on_batch,
-/// so it also exercises the default replay path.
+/// so it exercises the default replay path.
 class SequenceProbe : public trace::TraceSink {
  public:
   void on_study_begin(const trace::StudyMeta&) override { events.push_back("SB"); }
@@ -136,6 +145,35 @@ TEST(EventBatch, PreservesInterleavingAndClearKeepsCapacity) {
   EXPECT_EQ(batch.packets.capacity(), packet_cap);  // reuse-hot contract
 }
 
+TEST(EventBatch, AppendKeepsBothInterleavings) {
+  EventBatch head;
+  head.add(packet_at(1));
+  head.add(transition_at(2));
+  EventBatch tail;
+  tail.add(transition_at(3));
+  tail.add(packet_at(4));
+  head.append(tail);
+  ASSERT_EQ(head.size(), 4u);
+  SequenceProbe probe;
+  trace::replay(head, probe);
+  const std::vector<std::string> want{"P1", "T2", "T3", "P4"};
+  EXPECT_EQ(probe.events, want);
+}
+
+TEST(EventBatch, ForEachEventWalksTheOrderColumn) {
+  EventBatch batch;
+  batch.add(transition_at(1));
+  batch.add(packet_at(2));
+  batch.add(packet_at(3));
+  batch.add(transition_at(4));
+  std::vector<std::string> seen;
+  trace::for_each_event(
+      batch, [&](const PacketRecord& p) { seen.push_back(tagged('P', p.time.us)); },
+      [&](const StateTransition& t) { seen.push_back(tagged('T', t.time.us)); });
+  const std::vector<std::string> want{"T1", "P2", "P3", "T4"};
+  EXPECT_EQ(seen, want);
+}
+
 TEST(DefaultOnBatch, ReplaysThePerRecordCallbacks) {
   EventBatch batch;
   batch.add(packet_at(5));
@@ -154,11 +192,11 @@ TEST(EventBatcher, SlicesIntoFullBatchesAndFlushesBeforeEveryBracket) {
   EventBatcher batcher{&probe, /*batch_size=*/4};
   batcher.on_study_begin(two_user_meta());
   batcher.on_user_begin(0);
-  for (int i = 0; i < 9; ++i) batcher.on_packet(packet_at(10 * i, 0));
+  for (int i = 0; i < 9; ++i) batcher.add(packet_at(10 * i, 0));
   batcher.on_user_end(0);  // flushes the short tail batch of 1
   batcher.on_user_begin(1);
-  batcher.on_packet(packet_at(5, 1));
-  batcher.on_transition(transition_at(6, 1));
+  batcher.add(packet_at(5, 1));
+  batcher.add(transition_at(6, 1));
   batcher.on_user_end(1);
   batcher.on_study_end();
 
@@ -180,7 +218,7 @@ TEST(EventBatcher, PassesAlreadyBatchedInputThroughUnsliced) {
   EventBatch big;
   big.user = 0;
   for (int i = 0; i < 7; ++i) big.add(packet_at(i, 0));
-  batcher.on_packet(packet_at(100, 0));  // buffered
+  batcher.add(packet_at(100, 0));  // buffered
   batcher.on_batch(big);                 // flushes the buffer, then passes through
   const std::vector<std::size_t> want_sizes{1, 7};
   EXPECT_EQ(probe.batch_sizes, want_sizes);
@@ -190,8 +228,8 @@ TEST(EventBatcher, ZeroBatchSizeIsClampedToOne) {
   BatchProbe probe;
   EventBatcher batcher{&probe, /*batch_size=*/0};
   batcher.on_user_begin(0);
-  batcher.on_packet(packet_at(1, 0));
-  batcher.on_packet(packet_at(2, 0));
+  batcher.add(packet_at(1, 0));
+  batcher.add(packet_at(2, 0));
   batcher.on_user_end(0);
   const std::vector<std::size_t> want_sizes{1, 1};
   EXPECT_EQ(probe.batch_sizes, want_sizes);
@@ -216,24 +254,30 @@ TEST(TraceMulticast, ForwardsBatchesToEveryChildInOrder) {
   EXPECT_EQ(b.events, want_events);
 }
 
+/// The batch sizes every pairwise check compares against batch size 1.
+constexpr std::size_t kLargerBatches[] = {7, 64, 4096};
+
 TEST(TraceCollector, BatchedAndPerRecordIngestCollectTheSameStream) {
   const sim::StudyGenerator generator{sim::small_study(/*seed=*/9)};
-  trace::TraceCollector per_record;
-  generator.run(per_record);
-  trace::TraceCollector batched;
-  generator.run(batched, /*batch_size=*/33);
+  trace::TraceCollector one_by_one;
+  generator.run(one_by_one, /*batch_size=*/1);
 
-  ASSERT_EQ(per_record.packets().size(), batched.packets().size());
-  ASSERT_EQ(per_record.transitions().size(), batched.transitions().size());
-  for (std::size_t i = 0; i < per_record.packets().size(); ++i) {
-    EXPECT_EQ(per_record.packets()[i].time.us, batched.packets()[i].time.us);
-    EXPECT_EQ(per_record.packets()[i].user, batched.packets()[i].user);
-    EXPECT_EQ(per_record.packets()[i].app, batched.packets()[i].app);
-    EXPECT_EQ(per_record.packets()[i].bytes, batched.packets()[i].bytes);
-  }
-  for (std::size_t i = 0; i < per_record.transitions().size(); ++i) {
-    EXPECT_EQ(per_record.transitions()[i].time.us, batched.transitions()[i].time.us);
-    EXPECT_EQ(per_record.transitions()[i].app, batched.transitions()[i].app);
+  for (const std::size_t batch_size : kLargerBatches) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    trace::TraceCollector batched;
+    generator.run(batched, batch_size);
+    ASSERT_EQ(one_by_one.packets().size(), batched.packets().size());
+    ASSERT_EQ(one_by_one.transitions().size(), batched.transitions().size());
+    for (std::size_t i = 0; i < one_by_one.packets().size(); ++i) {
+      EXPECT_EQ(one_by_one.packets()[i].time.us, batched.packets()[i].time.us);
+      EXPECT_EQ(one_by_one.packets()[i].user, batched.packets()[i].user);
+      EXPECT_EQ(one_by_one.packets()[i].app, batched.packets()[i].app);
+      EXPECT_EQ(one_by_one.packets()[i].bytes, batched.packets()[i].bytes);
+    }
+    for (std::size_t i = 0; i < one_by_one.transitions().size(); ++i) {
+      EXPECT_EQ(one_by_one.transitions()[i].time.us, batched.transitions()[i].time.us);
+      EXPECT_EQ(one_by_one.transitions()[i].app, batched.transitions()[i].app);
+    }
   }
 }
 
@@ -249,33 +293,36 @@ TEST(InterfaceFilter, BatchPathMatchesPerRecordIncludingDropCounters) {
     packets.push_back(p);
   }
 
-  trace::TraceCollector per_record_out;
-  trace::InterfaceFilter per_record{&per_record_out, trace::Interface::kCellular};
-  per_record.on_study_begin(two_user_meta());
-  per_record.on_user_begin(0);
-  for (const auto& p : packets) per_record.on_packet(p);
-  per_record.on_transition(transition_at(1'999, 0));
-  per_record.on_user_end(0);
-  per_record.on_study_end();
+  struct Filtered {
+    trace::TraceCollector out;
+    trace::InterfaceFilter filter{&out, trace::Interface::kCellular};
+  };
+  const auto run = [&](std::size_t batch_size, Filtered& f) {
+    EventBatcher batcher{&f.filter, batch_size};
+    batcher.on_study_begin(two_user_meta());
+    batcher.on_user_begin(0);
+    for (const auto& p : packets) batcher.add(p);
+    batcher.add(transition_at(1'999, 0));
+    batcher.on_user_end(0);
+    batcher.on_study_end();
+  };
+  Filtered one_by_one;
+  run(1, one_by_one);
+  EXPECT_GT(one_by_one.filter.dropped_packets(), 0u);
 
-  trace::TraceCollector batched_out;
-  trace::InterfaceFilter batched{&batched_out, trace::Interface::kCellular};
-  EventBatcher batcher{&batched, /*batch_size=*/6};
-  batcher.on_study_begin(two_user_meta());
-  batcher.on_user_begin(0);
-  for (const auto& p : packets) batcher.on_packet(p);
-  batcher.on_transition(transition_at(1'999, 0));
-  batcher.on_user_end(0);
-  batcher.on_study_end();
-
-  EXPECT_EQ(per_record.dropped_packets(), batched.dropped_packets());
-  EXPECT_EQ(per_record.dropped_bytes(), batched.dropped_bytes());
-  ASSERT_EQ(per_record_out.packets().size(), batched_out.packets().size());
-  for (std::size_t i = 0; i < per_record_out.packets().size(); ++i) {
-    EXPECT_EQ(per_record_out.packets()[i].time.us, batched_out.packets()[i].time.us);
-    EXPECT_EQ(per_record_out.packets()[i].bytes, batched_out.packets()[i].bytes);
+  for (const std::size_t batch_size : kLargerBatches) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    Filtered batched;
+    run(batch_size, batched);
+    EXPECT_EQ(one_by_one.filter.dropped_packets(), batched.filter.dropped_packets());
+    EXPECT_EQ(one_by_one.filter.dropped_bytes(), batched.filter.dropped_bytes());
+    ASSERT_EQ(one_by_one.out.packets().size(), batched.out.packets().size());
+    for (std::size_t i = 0; i < one_by_one.out.packets().size(); ++i) {
+      EXPECT_EQ(one_by_one.out.packets()[i].time.us, batched.out.packets()[i].time.us);
+      EXPECT_EQ(one_by_one.out.packets()[i].bytes, batched.out.packets()[i].bytes);
+    }
+    ASSERT_EQ(one_by_one.out.transitions().size(), batched.out.transitions().size());
   }
-  ASSERT_EQ(per_record_out.transitions().size(), batched_out.transitions().size());
 }
 
 TEST(InterfaceFilter, AllKeptBatchIsForwardedWithoutRebuilding) {
@@ -292,8 +339,8 @@ TEST(InterfaceFilter, AllKeptBatchIsForwardedWithoutRebuilding) {
 // --------------------------------------------------------- validating sink
 
 /// Drives the same corrupted (but bracket-respecting) stream through a
-/// ValidatingSink, per record or via an EventBatcher, and summarizes what
-/// came out the other side.
+/// ValidatingSink via an EventBatcher, and summarizes what came out the
+/// other side.
 struct ValidationOutcome {
   bool ok = false;
   std::uint64_t dropped = 0;
@@ -309,23 +356,22 @@ ValidationOutcome validate_corrupted(ReadPolicy policy, std::size_t batch_size) 
   options.policy = policy;
   trace::TraceCollector collector;
   trace::ValidatingSink validator{&collector, options};
-  EventBatcher batcher{&validator, batch_size == 0 ? 1 : batch_size};
-  trace::TraceSink& in = batch_size == 0 ? static_cast<trace::TraceSink&>(validator) : batcher;
+  EventBatcher in{&validator, batch_size};
 
   in.on_study_begin(two_user_meta());
   in.on_user_begin(0);
-  in.on_packet(packet_at(500, 0));
-  in.on_packet(packet_at(100, 0));  // backwards timestamp
-  in.on_packet(packet_at(600, 1));  // wrong user inside user 0's bracket
+  in.add(packet_at(500, 0));
+  in.add(packet_at(100, 0));  // backwards timestamp
+  in.add(packet_at(600, 1));  // wrong user inside user 0's bracket
   PacketRecord bad_enum = packet_at(700, 0);
   bad_enum.state = static_cast<trace::ProcessState>(97);
-  in.on_packet(bad_enum);
-  in.on_transition(transition_at(800, 0));
-  in.on_packet(packet_at(20'000'000, 0));  // outside the declared study window
-  in.on_packet(packet_at(900, 0));
+  in.add(bad_enum);
+  in.add(transition_at(800, 0));
+  in.add(packet_at(20'000'000, 0));  // outside the declared study window
+  in.add(packet_at(900, 0));
   in.on_user_end(0);
   in.on_user_begin(1);
-  in.on_packet(packet_at(50, 1));
+  in.add(packet_at(50, 1));
   in.on_user_end(1);
   in.on_study_end();
 
@@ -342,16 +388,18 @@ ValidationOutcome validate_corrupted(ReadPolicy policy, std::size_t batch_size) 
 TEST(ValidatingSink, BatchedValidationMatchesPerRecordUnderEveryPolicy) {
   for (const ReadPolicy policy :
        {ReadPolicy::kStrict, ReadPolicy::kSkipAndCount, ReadPolicy::kBestEffort}) {
-    const ValidationOutcome per_record = validate_corrupted(policy, 0);
-    for (const std::size_t batch_size : {1u, 3u, 64u}) {
+    const ValidationOutcome one_by_one = validate_corrupted(policy, 1);
+    EXPECT_GT(one_by_one.dropped + one_by_one.repaired, 0u);
+    for (const std::size_t batch_size : {std::size_t{3}, std::size_t{7}, std::size_t{64},
+                                         std::size_t{4096}}) {
       SCOPED_TRACE(std::string("policy=") + trace::to_string(policy) +
                    " batch_size=" + std::to_string(batch_size));
       const ValidationOutcome batched = validate_corrupted(policy, batch_size);
-      EXPECT_EQ(per_record.ok, batched.ok);
-      EXPECT_EQ(per_record.dropped, batched.dropped);
-      EXPECT_EQ(per_record.repaired, batched.repaired);
-      EXPECT_EQ(per_record.quarantined, batched.quarantined);
-      EXPECT_EQ(per_record.forwarded_times, batched.forwarded_times);
+      EXPECT_EQ(one_by_one.ok, batched.ok);
+      EXPECT_EQ(one_by_one.dropped, batched.dropped);
+      EXPECT_EQ(one_by_one.repaired, batched.repaired);
+      EXPECT_EQ(one_by_one.quarantined, batched.quarantined);
+      EXPECT_EQ(one_by_one.forwarded_times, batched.forwarded_times);
     }
   }
 }
@@ -386,11 +434,12 @@ TEST(EnergyAttributor, BatchPathIsBitIdenticalForBothTailPolicies) {
 
   for (const energy::TailPolicy policy :
        {energy::TailPolicy::kLastPacket, energy::TailPolicy::kProportional}) {
-    trace::TraceCollector per_record_out;
-    energy::EnergyAttributor per_record{radio::make_lte_model, &per_record_out, policy};
-    generator.run(per_record);
+    trace::TraceCollector one_by_one_out;
+    energy::EnergyAttributor one_by_one{radio::make_lte_model, &one_by_one_out, policy};
+    generator.run(one_by_one, /*batch_size=*/1);
 
-    for (const std::size_t batch_size : {1u, 7u, 256u}) {
+    for (const std::size_t batch_size : {std::size_t{7}, std::size_t{64}, std::size_t{256},
+                                         std::size_t{4096}}) {
       SCOPED_TRACE(std::string("policy=") +
                    (policy == energy::TailPolicy::kLastPacket ? "last-packet" : "proportional") +
                    " batch_size=" + std::to_string(batch_size));
@@ -398,27 +447,27 @@ TEST(EnergyAttributor, BatchPathIsBitIdenticalForBothTailPolicies) {
       energy::EnergyAttributor batched{radio::make_lte_model, &batched_out, policy};
       generator.run(batched, batch_size);
 
-      EXPECT_EQ(per_record.device_joules(), batched.device_joules());
-      EXPECT_EQ(per_record.attributed_joules(), batched.attributed_joules());
-      EXPECT_EQ(per_record.baseline_joules(), batched.baseline_joules());
-      EXPECT_EQ(per_record.tail_joules(), batched.tail_joules());
-      EXPECT_EQ(per_record.promotion_joules(), batched.promotion_joules());
-      EXPECT_EQ(per_record.transfer_joules(), batched.transfer_joules());
-      EXPECT_EQ(per_record.counters().packets, batched.counters().packets);
-      EXPECT_EQ(per_record.counters().transitions, batched.counters().transitions);
-      EXPECT_EQ(per_record.counters().tail_attributions, batched.counters().tail_attributions);
-      EXPECT_EQ(per_record.counters().proportional_splits,
+      EXPECT_EQ(one_by_one.device_joules(), batched.device_joules());
+      EXPECT_EQ(one_by_one.attributed_joules(), batched.attributed_joules());
+      EXPECT_EQ(one_by_one.baseline_joules(), batched.baseline_joules());
+      EXPECT_EQ(one_by_one.tail_joules(), batched.tail_joules());
+      EXPECT_EQ(one_by_one.promotion_joules(), batched.promotion_joules());
+      EXPECT_EQ(one_by_one.transfer_joules(), batched.transfer_joules());
+      EXPECT_EQ(one_by_one.counters().packets, batched.counters().packets);
+      EXPECT_EQ(one_by_one.counters().transitions, batched.counters().transitions);
+      EXPECT_EQ(one_by_one.counters().tail_attributions, batched.counters().tail_attributions);
+      EXPECT_EQ(one_by_one.counters().proportional_splits,
                 batched.counters().proportional_splits);
-      EXPECT_EQ(per_record.counters().tail_segments, batched.counters().tail_segments);
-      EXPECT_EQ(per_record.counters().idle_segments, batched.counters().idle_segments);
+      EXPECT_EQ(one_by_one.counters().tail_segments, batched.counters().tail_segments);
+      EXPECT_EQ(one_by_one.counters().idle_segments, batched.counters().idle_segments);
 
       // The annotated stream downstream is identical packet for packet.
-      ASSERT_EQ(per_record_out.packets().size(), batched_out.packets().size());
-      for (std::size_t i = 0; i < per_record_out.packets().size(); ++i) {
-        EXPECT_EQ(per_record_out.packets()[i].time.us, batched_out.packets()[i].time.us);
-        EXPECT_EQ(per_record_out.packets()[i].joules, batched_out.packets()[i].joules);
+      ASSERT_EQ(one_by_one_out.packets().size(), batched_out.packets().size());
+      for (std::size_t i = 0; i < one_by_one_out.packets().size(); ++i) {
+        EXPECT_EQ(one_by_one_out.packets()[i].time.us, batched_out.packets()[i].time.us);
+        EXPECT_EQ(one_by_one_out.packets()[i].joules, batched_out.packets()[i].joules);
       }
-      ASSERT_EQ(per_record_out.transitions().size(), batched_out.transitions().size());
+      ASSERT_EQ(one_by_one_out.transitions().size(), batched_out.transitions().size());
     }
   }
 }
@@ -545,42 +594,187 @@ sim::StudyConfig property_config() {
   return config;
 }
 
+// ------------------------------------------------------- golden fixture
+
+/// Every value the bit-identity checks above compare, folded into one
+/// string: integers in decimal, doubles as hexfloat (exact), ';'-separated.
+class GoldenString {
+ public:
+  void put(double value) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%a;", value);
+    text_ += buf;
+  }
+  template <typename T>
+    requires std::is_integral_v<T>
+  void put(T value) {
+    text_ += std::to_string(value);
+    text_ += ';';
+  }
+  [[nodiscard]] std::uint64_t digest() const { return ckpt::fnv1a(text_); }
+
+ private:
+  std::string text_;
+};
+
+GoldenString golden_outputs(const core::StudyPipeline& pipeline, AnalysisSet& set) {
+  GoldenString g;
+  const energy::EnergyLedger& ledger = pipeline.ledger();
+  // expect_identical_ledgers
+  g.put(ledger.total_joules());
+  g.put(ledger.total_bytes());
+  g.put(ledger.total_packets());
+  for (const double joules : ledger.state_totals()) g.put(joules);
+  g.put(ledger.accounts().size());
+  for (const auto& acc : ledger.accounts()) {
+    g.put(acc.user);
+    g.put(acc.app);
+    g.put(acc.joules);
+    g.put(acc.bytes);
+    g.put(acc.packets);
+    for (const double joules : acc.state_joules) g.put(joules);
+    g.put(acc.days.size());
+    for (const auto& day : acc.days) {
+      g.put(day.fg_joules);
+      g.put(day.bg_joules);
+      g.put(day.fg_bytes);
+      g.put(day.bg_bytes);
+    }
+  }
+  // expect_identical_figures
+  for (const auto& entry : analysis::top10_popularity(ledger)) {
+    g.put(entry.app);
+    g.put(entry.users_with_app_in_top10);
+  }
+  for (const bool by_energy : {false, true}) {
+    const auto consumers = by_energy ? analysis::top_consumers_by_energy(ledger)
+                                     : analysis::top_consumers_by_data(ledger);
+    for (const auto& entry : consumers) {
+      g.put(entry.app);
+      g.put(entry.bytes);
+      g.put(entry.joules);
+    }
+  }
+  const auto breakdown = analysis::overall_state_breakdown(ledger);
+  g.put(breakdown.total_joules);
+  for (const double fraction : breakdown.fraction) g.put(fraction);
+  // expect_identical_analyses
+  for (const trace::AppId app : set.tracked) {
+    for (const double sample : set.persistence.durations(app).sorted_samples()) g.put(sample);
+    const auto waste = set.waste.result(app);
+    g.put(waste.updates);
+    g.put(waste.wasted_updates);
+    g.put(waste.joules);
+    g.put(waste.wasted_joules);
+    const auto cases = set.cases.result(app);
+    g.put(cases.joules_total);
+    g.put(cases.bytes_total);
+    g.put(cases.flows);
+    g.put(cases.days_active);
+    const auto era = set.longitudinal.era_comparison(app);
+    g.put(era.early_uj_per_byte);
+    g.put(era.late_uj_per_byte);
+  }
+  for (const double mass : set.time_since_fg.bytes_histogram().masses()) g.put(mass);
+  g.put(set.time_since_fg.fraction_of_apps_frontloaded());
+  g.put(set.longitudinal.overall().weeks());
+  for (std::size_t w = 0; w < set.longitudinal.overall().weeks(); ++w) {
+    g.put(set.longitudinal.overall().fg_joules[w]);
+    g.put(set.longitudinal.overall().bg_joules[w]);
+  }
+  // the attributor checks
+  const energy::EnergyAttributor& attributor = pipeline.attributor();
+  g.put(attributor.device_joules());
+  g.put(attributor.attributed_joules());
+  g.put(attributor.tail_joules());
+  g.put(attributor.counters().packets);
+  g.put(attributor.counters().tail_attributions);
+  g.put(pipeline.off_interface_bytes());
+  return g;
+}
+
+enum class GoldenCase { kPlain, kKillAfterIdle, kRetriedFault };
+
+/// Digests of the three cases, recorded from the per-record stream
+/// (batch_size = 0, one thread) before that path was retired.
+constexpr std::uint64_t kGoldenDigest[] = {
+    0x75ee76617448257full,  // kPlain
+    0x7aa96ff4f3ae9a1cull,  // kKillAfterIdle: KillAfterIdlePolicy(days(1))
+    0x878b139a7f3976d0ull,  // kRetriedFault: user 1 fails at callback 5, then retries
+};
+
+/// One full property_config() run of `which` with every analysis attached;
+/// `inspect` (if set) sees the finished pipeline before it is digested.
+std::uint64_t golden_run(
+    GoldenCase which, std::size_t batch_size, unsigned threads,
+    const std::function<void(const core::StudyPipeline&, AnalysisSet&)>& inspect = {}) {
+  fault::FaultPlan plan;
+  core::PipelineOptions options;
+  options.batch_size = batch_size;
+  options.num_threads = threads;
+  if (which == GoldenCase::kRetriedFault) {
+    plan.add({/*user=*/1, /*nth_callback=*/5, /*fail_attempts=*/1, /*stall_ms=*/0});
+    options.failure_policy = core::FailurePolicy::kRetryThenSkip;
+    options.fault_plan = &plan;
+  }
+  sim::StudyGenerator generator{property_config()};
+  core::StudyPipeline pipeline{&generator, options};
+  if (which == GoldenCase::kKillAfterIdle) {
+    pipeline.set_policy([](trace::TraceSink* downstream) {
+      return std::make_unique<core::KillAfterIdlePolicy>(downstream, days(1.0));
+    });
+  }
+  AnalysisSet set;
+  set.attach(pipeline);
+  const auto run = pipeline.run();
+  EXPECT_TRUE(run.ok());
+  if (!run.ok()) return 0;
+  EXPECT_GT(pipeline.ledger().total_joules(), 0.0);
+  if (inspect) inspect(pipeline, set);
+  GoldenString g = golden_outputs(pipeline, set);
+  if (which == GoldenCase::kRetriedFault) {
+    // The fault-tolerance counters (per-shard rows exist under retry).
+    const obs::RunStats& stats = run.value();
+    g.put(stats.shard_retries);
+    g.put(stats.failed_users.size());
+    g.put(stats.shards.size());
+    for (const auto& shard : stats.shards) g.put(shard.attempts);
+  }
+  return g.digest();
+}
+
 TEST(BatchProperty, EveryBatchSizeAndThreadCountIsBitIdenticalToPerRecord) {
-  // Baseline: the classic per-record serial pipeline (batch_size = 0).
-  core::PipelineOptions baseline_options;
-  baseline_options.batch_size = 0;
+  // Pairwise diagnostics against batch size 1 on one thread localize a
+  // divergence; the golden digests pin every value to the per-record record.
   sim::StudyGenerator baseline_gen{property_config()};
+  core::PipelineOptions baseline_options;
+  baseline_options.batch_size = 1;
   core::StudyPipeline baseline{&baseline_gen, baseline_options};
   AnalysisSet baseline_set;
   baseline_set.attach(baseline);
-  baseline.run();
-  ASSERT_GT(baseline.ledger().total_joules(), 0.0);
+  ASSERT_TRUE(baseline.run().ok());
 
-  for (const std::size_t batch_size : {1u, 7u, 64u, 4096u}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("batch_size=" + std::to_string(batch_size) +
-                   " threads=" + std::to_string(threads));
-      core::PipelineOptions options;
-      options.batch_size = batch_size;
-      options.num_threads = threads;
-      sim::StudyGenerator generator{property_config()};
-      core::StudyPipeline pipeline{&generator, options};
-      AnalysisSet set;
-      set.attach(pipeline);
-      pipeline.run();
-
-      expect_identical_ledgers(baseline.ledger(), pipeline.ledger());
-      expect_identical_figures(baseline.ledger(), pipeline.ledger());
-      expect_identical_analyses(baseline_set, set);
-      EXPECT_EQ(baseline.attributor().device_joules(), pipeline.attributor().device_joules());
-      EXPECT_EQ(baseline.attributor().attributed_joules(),
-                pipeline.attributor().attributed_joules());
-      EXPECT_EQ(baseline.attributor().tail_joules(), pipeline.attributor().tail_joules());
-      EXPECT_EQ(baseline.attributor().counters().packets,
-                pipeline.attributor().counters().packets);
-      EXPECT_EQ(baseline.attributor().counters().tail_attributions,
-                pipeline.attributor().counters().tail_attributions);
-      EXPECT_EQ(baseline.off_interface_bytes(), pipeline.off_interface_bytes());
+  for (const GoldenCase which :
+       {GoldenCase::kPlain, GoldenCase::kKillAfterIdle, GoldenCase::kRetriedFault}) {
+    for (const std::size_t batch_size : {1u, 7u, 64u, 4096u}) {
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("case=" + std::to_string(static_cast<int>(which)) +
+                     " batch_size=" + std::to_string(batch_size) +
+                     " threads=" + std::to_string(threads));
+        const auto inspect = [&](const core::StudyPipeline& pipeline, AnalysisSet& set) {
+          if (which == GoldenCase::kKillAfterIdle) return;  // policy changes the outputs
+          expect_identical_ledgers(baseline.ledger(), pipeline.ledger());
+          expect_identical_figures(baseline.ledger(), pipeline.ledger());
+          expect_identical_analyses(baseline_set, set);
+          EXPECT_EQ(baseline.attributor().device_joules(),
+                    pipeline.attributor().device_joules());
+          EXPECT_EQ(baseline.attributor().counters().packets,
+                    pipeline.attributor().counters().packets);
+          EXPECT_EQ(baseline.off_interface_bytes(), pipeline.off_interface_bytes());
+        };
+        EXPECT_EQ(golden_run(which, batch_size, threads, inspect),
+                  kGoldenDigest[static_cast<int>(which)]);
+      }
     }
   }
 }
@@ -594,9 +788,9 @@ TEST(BatchProperty, MidBatchShardFaultRetryStaysBitIdentical) {
 
   for (const unsigned threads : {1u, 2u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    // nth_callback = 5 with batch_size = 64 fires inside the first batch's
-    // replay through the FaultySink (which is batch-unaware by design, so
-    // per-callback fault positions keep their exact per-record meaning).
+    // nth_callback = 5 with batch_size = 64 falls inside the first batch:
+    // the FaultySink counts the events of each batch, so fault positions
+    // keep their per-event meaning at every batch size.
     fault::FaultPlan plan;
     plan.add({/*user=*/1, /*nth_callback=*/5, /*fail_attempts=*/1, /*stall_ms=*/0});
     core::PipelineOptions options;
@@ -618,6 +812,83 @@ TEST(BatchProperty, MidBatchShardFaultRetryStaysBitIdentical) {
     expect_identical_ledgers(clean.ledger(), pipeline.ledger());
     EXPECT_EQ(clean.attributor().device_joules(), pipeline.attributor().device_joules());
   }
+}
+
+TEST(FaultySink, NthCallbackCountsEventsInsideBatches) {
+  {
+    // A bracket is one callback and each event of a batch one more: after
+    // on_user_begin (1), a 3-event batch spans callbacks 2..4.
+    fault::FaultPlan plan;
+    plan.add({/*user=*/0, /*nth_callback=*/4, /*fail_attempts=*/2, /*stall_ms=*/0});
+    trace::TraceCollector downstream;
+    EventBatch batch;
+    for (int i = 0; i < 3; ++i) batch.add(packet_at(i, 0));
+    const auto inside = plan.wrap(0, &downstream);
+    inside->on_user_begin(0);
+    EXPECT_THROW(inside->on_batch(batch), fault::ShardFault);
+    const auto after = plan.wrap(0, &downstream);  // nth = 4 is past a 2-event batch
+    after->on_user_begin(0);
+    batch.packets.pop_back();
+    batch.order.pop_back();
+    after->on_batch(batch);                                  // callbacks 2..3
+    EXPECT_THROW(after->on_user_end(0), fault::ShardFault);  // callback 4
+  }
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{64}}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    {
+      // Fail-fast: the fault escapes run() naming the per-event position.
+      fault::FaultPlan plan;
+      plan.add({/*user=*/1, /*nth_callback=*/5, /*fail_attempts=*/1, /*stall_ms=*/0});
+      core::PipelineOptions options;
+      options.batch_size = batch_size;
+      options.fault_plan = &plan;
+      sim::StudyGenerator generator{property_config()};
+      core::StudyPipeline pipeline{&generator, options};
+      try {
+        (void)pipeline.run();
+        ADD_FAILURE() << "expected fault::ShardFault";
+      } catch (const fault::ShardFault& fault) {
+        EXPECT_NE(std::string(fault.what()).find("user 1 at callback 5"), std::string::npos)
+            << fault.what();
+      }
+    }
+    // Retry: one retry of user 1's shard, every other shard on its first try.
+    fault::FaultPlan plan;
+    plan.add({/*user=*/1, /*nth_callback=*/5, /*fail_attempts=*/1, /*stall_ms=*/0});
+    core::PipelineOptions options;
+    options.batch_size = batch_size;
+    options.failure_policy = core::FailurePolicy::kRetryThenSkip;
+    options.fault_plan = &plan;
+    sim::StudyGenerator generator{property_config()};
+    core::StudyPipeline pipeline{&generator, options};
+    const auto run = pipeline.run();
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(run->shard_retries, 1u);
+    ASSERT_EQ(run->shards.size(), 4u);
+    for (std::size_t user = 0; user < run->shards.size(); ++user) {
+      EXPECT_EQ(run->shards[user].attempts, user == 1 ? 2u : 1u) << "user " << user;
+    }
+  }
+}
+
+TEST(BatchSize, ZeroIsRejectedByPipelineAndSweep) {
+  sim::StudyGenerator generator{property_config()};
+  core::PipelineOptions options;
+  options.batch_size = 0;
+  core::StudyPipeline pipeline{&generator, options};
+  const auto run = pipeline.run();
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument);
+
+  core::SweepOptions sweep_options;
+  sweep_options.batch_size = 0;
+  core::SweepEngine sweep{&generator, sweep_options};
+  core::Scenario scenario;
+  scenario.name = "baseline";
+  sweep.add_scenario(scenario);
+  const auto swept = sweep.run();
+  ASSERT_FALSE(swept.ok());
+  EXPECT_EQ(swept.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------- readers
@@ -652,25 +923,28 @@ TEST(Readers, BatchedIngestIsBitIdenticalToPerRecord) {
     };
 
     SCOPED_TRACE(binary ? "binary" : "csv");
-    trace::TraceCollector per_record;
-    ingest(0, per_record);
-    trace::TraceCollector batched;
-    ingest(32, batched);
-    ASSERT_GT(per_record.packets().size(), 0u);
-    ASSERT_EQ(per_record.packets().size(), batched.packets().size());
-    for (std::size_t i = 0; i < per_record.packets().size(); ++i) {
-      EXPECT_EQ(per_record.packets()[i].time.us, batched.packets()[i].time.us);
-      EXPECT_EQ(per_record.packets()[i].user, batched.packets()[i].user);
-      EXPECT_EQ(per_record.packets()[i].bytes, batched.packets()[i].bytes);
-      EXPECT_EQ(per_record.packets()[i].joules, batched.packets()[i].joules);
+    trace::TraceCollector one_by_one;
+    ingest(1, one_by_one);
+    ASSERT_GT(one_by_one.packets().size(), 0u);
+    for (const std::size_t batch_size : kLargerBatches) {
+      SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+      trace::TraceCollector batched;
+      ingest(batch_size, batched);
+      ASSERT_EQ(one_by_one.packets().size(), batched.packets().size());
+      for (std::size_t i = 0; i < one_by_one.packets().size(); ++i) {
+        EXPECT_EQ(one_by_one.packets()[i].time.us, batched.packets()[i].time.us);
+        EXPECT_EQ(one_by_one.packets()[i].user, batched.packets()[i].user);
+        EXPECT_EQ(one_by_one.packets()[i].bytes, batched.packets()[i].bytes);
+        EXPECT_EQ(one_by_one.packets()[i].joules, batched.packets()[i].joules);
+      }
+      ASSERT_EQ(one_by_one.transitions().size(), batched.transitions().size());
     }
-    ASSERT_EQ(per_record.transitions().size(), batched.transitions().size());
   }
 }
 
 TEST(Readers, BatchedIngestCountsMalformedRecordsIdentically) {
-  // Corrupt one CSV line; batched and per-record ingest must agree on what
-  // was dropped and what survived.
+  // Corrupt one CSV line; every batch size must agree on what was dropped
+  // and what survived.
   sim::StudyConfig config = sim::small_study(/*seed=*/7);
   config.num_users = 1;
   config.num_days = 1;
@@ -693,11 +967,14 @@ TEST(Readers, BatchedIngestCountsMalformedRecordsIdentically) {
     EXPECT_TRUE(result.ok());
     return std::make_pair(result.records_dropped, ledger.total_bytes());
   };
-  const auto per_record = ingest(0);
-  const auto batched = ingest(32);
-  EXPECT_EQ(per_record.first, 1u);
-  EXPECT_EQ(per_record.first, batched.first);
-  EXPECT_EQ(per_record.second, batched.second);
+  const auto one_by_one = ingest(1);
+  EXPECT_EQ(one_by_one.first, 1u);
+  for (const std::size_t batch_size : kLargerBatches) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    const auto batched = ingest(batch_size);
+    EXPECT_EQ(one_by_one.first, batched.first);
+    EXPECT_EQ(one_by_one.second, batched.second);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for power/battery.h, analysis/diversity.h and the AppStandbyPolicy.
 #include <gtest/gtest.h>
 
+#include "deliver.h"
 #include "analysis/diversity.h"
 #include "core/policy.h"
 #include "power/battery.h"
@@ -34,7 +35,7 @@ TEST(Diversity, IdenticalListsHaveJaccardOne) {
       p.user = u;
       p.app = a;
       p.bytes = 1000 * (a + 1);
-      ledger.on_packet(p);
+      deliver(ledger, p);
     }
   }
   const auto d = analysis::top_n_diversity(ledger, 10);
@@ -56,7 +57,7 @@ TEST(Diversity, DisjointListsHaveJaccardZero) {
     p.user = u;
     p.app = u + 10;  // different app per user
     p.bytes = 1000;
-    ledger.on_packet(p);
+    deliver(ledger, p);
   }
   const auto d = analysis::top_n_diversity(ledger, 10);
   EXPECT_DOUBLE_EQ(d.mean_pairwise_jaccard, 0.0);
@@ -89,7 +90,7 @@ TEST(AppStandbyPolicy, RateLimitsIdleApps) {
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
   // Hourly updates for 3 days from an app never foregrounded.
-  for (int h = 0; h < 72; ++h) policy.on_packet(bg_pkt(h, 1));
+  for (int h = 0; h < 72; ++h) deliver(policy, bg_pkt(h, 1));
   policy.on_user_end(0);
   // First 24 h (25 packets, h=0..24) pass; beyond that, roughly one packet
   // per 6-hour window.
@@ -110,9 +111,9 @@ TEST(AppStandbyPolicy, ActiveAppsUnrestricted) {
       t.app = 1;
       t.from = trace::ProcessState::kBackground;
       t.to = trace::ProcessState::kForeground;
-      policy.on_transition(t);
+      deliver(policy, t);
     }
-    policy.on_packet(bg_pkt(h + 0.5, 1));
+    deliver(policy, bg_pkt(h + 0.5, 1));
   }
   policy.on_user_end(0);
   EXPECT_EQ(policy.packets_dropped(), 0u);
@@ -124,7 +125,7 @@ TEST(AppStandbyPolicy, GentlerThanKillPolicy) {
   const auto run = [](core::PacketFilterPolicy& policy) {
     policy.on_study_begin(meta10d());
     policy.on_user_begin(0);
-    for (int h = 0; h < 200; ++h) policy.on_packet(bg_pkt(h, 1));
+    for (int h = 0; h < 200; ++h) deliver(policy, bg_pkt(h, 1));
     policy.on_user_end(0);
   };
   trace::TraceCollector out1;

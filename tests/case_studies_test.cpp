@@ -1,6 +1,7 @@
 // Tests for the Table 1 case-study analysis (analysis/case_studies.h).
 #include <gtest/gtest.h>
 
+#include "deliver.h"
 #include "analysis/case_studies.h"
 
 namespace wildenergy::analysis {
@@ -36,9 +37,9 @@ TEST(CaseStudies, ComputesPerFlowAveragesForBackgroundOnly) {
   cases.on_user_begin(0);
   // Two background updates (flows) of 2 J / 1000 B each + fg traffic that
   // must be excluded from Table 1 statistics.
-  cases.on_packet(pkt(100.0, 0, 1, ProcessState::kService));
-  cases.on_packet(pkt(500.0, 0, 1, ProcessState::kService));
-  cases.on_packet(pkt(800.0, 0, 1, ProcessState::kForeground, 99.0, 99'000));
+  deliver(cases, pkt(100.0, 0, 1, ProcessState::kService));
+  deliver(cases, pkt(500.0, 0, 1, ProcessState::kService));
+  deliver(cases, pkt(800.0, 0, 1, ProcessState::kForeground, 99.0, 99'000));
   cases.on_user_end(0);
   cases.on_study_end();
 
@@ -55,11 +56,11 @@ TEST(CaseStudies, DaysActiveCountsUserDays) {
   CaseStudyAnalysis cases{{1}};
   cases.on_study_begin(meta_days(5.0));
   cases.on_user_begin(0);
-  cases.on_packet(pkt(100.0, 0, 1, ProcessState::kService));
-  cases.on_packet(pkt(86400.0 + 100.0, 0, 1, ProcessState::kService));
+  deliver(cases, pkt(100.0, 0, 1, ProcessState::kService));
+  deliver(cases, pkt(86400.0 + 100.0, 0, 1, ProcessState::kService));
   cases.on_user_end(0);
   cases.on_user_begin(1);
-  cases.on_packet(pkt(100.0, 1, 1, ProcessState::kService));  // same day, other user
+  deliver(cases, pkt(100.0, 1, 1, ProcessState::kService));  // same day, other user
   cases.on_user_end(1);
   cases.on_study_end();
   EXPECT_EQ(cases.result(1).days_active, 3u);  // (u0,d0), (u0,d1), (u1,d0)
@@ -71,10 +72,10 @@ TEST(CaseStudies, DetectsEraPeriods) {
   cases.on_user_begin(0);
   // Early era (days 0-29): 5-minute updates. Late era (days 60-89): hourly.
   for (double t = 0.0; t < 20.0 * 86400.0; t += 300.0) {
-    cases.on_packet(pkt(t, 0, 1, ProcessState::kService));
+    deliver(cases, pkt(t, 0, 1, ProcessState::kService));
   }
   for (double t = 62.0 * 86400.0; t < 88.0 * 86400.0; t += 3600.0) {
-    cases.on_packet(pkt(t, 0, 1, ProcessState::kService));
+    deliver(cases, pkt(t, 0, 1, ProcessState::kService));
   }
   cases.on_user_end(0);
   cases.on_study_end();
@@ -89,9 +90,9 @@ TEST(CaseStudies, BurstTrainWithinUpdateIsOneFlow) {
   cases.on_study_begin(meta_days(1.0));
   cases.on_user_begin(0);
   // 3 packets 1.5 s apart: one update, one flow.
-  cases.on_packet(pkt(100.0, 0, 1, ProcessState::kService));
-  cases.on_packet(pkt(101.5, 0, 1, ProcessState::kService));
-  cases.on_packet(pkt(103.0, 0, 1, ProcessState::kService));
+  deliver(cases, pkt(100.0, 0, 1, ProcessState::kService));
+  deliver(cases, pkt(101.5, 0, 1, ProcessState::kService));
+  deliver(cases, pkt(103.0, 0, 1, ProcessState::kService));
   cases.on_user_end(0);
   cases.on_study_end();
   EXPECT_EQ(cases.result(1).flows, 1u);
@@ -101,7 +102,7 @@ TEST(CaseStudies, UntrackedAppReturnsEmpty) {
   CaseStudyAnalysis cases{{1}};
   cases.on_study_begin(meta_days(1.0));
   cases.on_user_begin(0);
-  cases.on_packet(pkt(100.0, 0, 2, ProcessState::kService));
+  deliver(cases, pkt(100.0, 0, 2, ProcessState::kService));
   cases.on_user_end(0);
   auto r = cases.result(2);
   EXPECT_EQ(r.flows, 0u);
@@ -115,7 +116,7 @@ TEST(CaseStudies, DormancyGapsExcludedFromPeriodEstimate) {
   // 10-minute updates with multi-day dormancy gaps interleaved.
   double t = 0.0;
   for (int i = 0; i < 400; ++i) {
-    cases.on_packet(pkt(t, 0, 1, ProcessState::kService));
+    deliver(cases, pkt(t, 0, 1, ProcessState::kService));
     t += (i % 40 == 39) ? 3.0 * 86400.0 : 600.0;
   }
   cases.on_user_end(0);

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "deliver.h"
 #include "analysis/figures.h"
 #include "analysis/whatif.h"
 #include "energy/attributor.h"
@@ -44,7 +45,7 @@ TEST(FiguresGaps, Top10PopularityHandlesFewAppsPerUser) {
   ledger.on_study_begin(meta(1.0, 3));
   // Users with fewer than 10 apps: every app is "top-10".
   for (trace::UserId u = 0; u < 3; ++u) {
-    ledger.on_packet(pkt(0, u, 1, ProcessState::kService, 1.0, 100 * (u + 1)));
+    deliver(ledger, pkt(0, u, 1, ProcessState::kService, 1.0, 100 * (u + 1)));
   }
   const auto pop = analysis::top10_popularity(ledger, 2);
   ASSERT_EQ(pop.size(), 1u);
@@ -64,10 +65,10 @@ TEST(WhatIfGaps, TrailingBackgroundRunWithoutClosingFgNotCountedInB) {
   // at study end without further fg use must not set the maximum.
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta(10.0));
-  ledger.on_packet(pkt(0, 0, 7, ProcessState::kForeground));
-  ledger.on_packet(pkt(1, 0, 7, ProcessState::kService));
-  ledger.on_packet(pkt(2, 0, 7, ProcessState::kForeground));  // closes a 1-day run
-  for (int d = 3; d < 10; ++d) ledger.on_packet(pkt(d, 0, 7, ProcessState::kService));
+  deliver(ledger, pkt(0, 0, 7, ProcessState::kForeground));
+  deliver(ledger, pkt(1, 0, 7, ProcessState::kService));
+  deliver(ledger, pkt(2, 0, 7, ProcessState::kForeground));  // closes a 1-day run
+  for (int d = 3; d < 10; ++d) deliver(ledger, pkt(d, 0, 7, ProcessState::kService));
   const auto row = analysis::whatif_kill_after(ledger, 7, 3);
   EXPECT_EQ(row.max_consecutive_bg_days, 1);  // not 7
 }
@@ -75,8 +76,8 @@ TEST(WhatIfGaps, TrailingBackgroundRunWithoutClosingFgNotCountedInB) {
 TEST(WhatIfGaps, ZeroIdleDaysSuppressesAllNonFgDays) {
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta(5.0));
-  ledger.on_packet(pkt(0, 0, 7, ProcessState::kForeground));
-  for (int d = 1; d < 5; ++d) ledger.on_packet(pkt(d, 0, 7, ProcessState::kService, 2.0));
+  deliver(ledger, pkt(0, 0, 7, ProcessState::kForeground));
+  for (int d = 1; d < 5; ++d) deliver(ledger, pkt(d, 0, 7, ProcessState::kService, 2.0));
   const auto row = analysis::whatif_kill_after(ledger, 7, 0);
   EXPECT_NEAR(row.saved_joules, 8.0, 1e-9);  // days 1-4
 }
@@ -88,7 +89,7 @@ TEST(AttributorGaps, UserWithNoPacketsIsHarmless) {
   attr.on_user_begin(0);
   attr.on_user_end(0);
   attr.on_user_begin(1);
-  attr.on_packet(pkt(0, 1, 1, ProcessState::kService));
+  deliver(attr, pkt(0, 1, 1, ProcessState::kService));
   attr.on_user_end(1);
   attr.on_study_end();
   EXPECT_EQ(out.packets().size(), 1u);
@@ -103,8 +104,8 @@ TEST(AttributorGaps, SimultaneousPacketsBothAttributed) {
   PacketRecord a = pkt(0, 0, 1, ProcessState::kService, 0.0, 5000);
   PacketRecord b = pkt(0, 0, 2, ProcessState::kService, 0.0, 5000);
   b.time = a.time;  // identical timestamps: device-level queueing
-  attr.on_packet(a);
-  attr.on_packet(b);
+  deliver(attr, a);
+  deliver(attr, b);
   attr.on_user_end(0);
   ASSERT_EQ(out.packets().size(), 2u);
   EXPECT_GT(out.packets()[0].joules, 0.0);

@@ -102,18 +102,18 @@ TEST(RadioTimelineEdge, ContiguityDetectsGapsAndOverlaps) {
 TEST(FlowAssemblerEdge, PacketExactlyAtGapBoundaryStaysInFlow) {
   std::vector<trace::FlowRecord> flows;
   trace::FlowAssembler fa{[&](const trace::FlowRecord& f) { flows.push_back(f); }, sec(15.0)};
-  fa.on_study_begin({});
-  fa.on_user_begin(0);
+  fa.reset();
+  fa.begin_user();
   trace::PacketRecord p;
   p.app = 1;
   p.bytes = 10;
   p.time = kEpoch;
-  fa.on_packet(p);
+  fa.add(p);
   p.time = kEpoch + sec(15.0);  // exactly the gap: not *greater*, same flow
-  fa.on_packet(p);
+  fa.add(p);
   p.time = kEpoch + sec(15.0) + sec(15.0) + usec(1);  // just over: new flow
-  fa.on_packet(p);
-  fa.on_user_end(0);
+  fa.add(p);
+  fa.end_user();
   ASSERT_EQ(flows.size(), 2u);
   EXPECT_EQ(flows[0].packets, 2u);
 }

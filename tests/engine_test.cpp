@@ -60,15 +60,12 @@ class Relabel final : public trace::TraceSink {
     downstream_->on_study_begin(relabeled);
   }
   void on_user_begin(trace::UserId) override { downstream_->on_user_begin(user_); }
-  void on_packet(const trace::PacketRecord& packet) override {
-    trace::PacketRecord p = packet;
-    p.user = user_;
-    downstream_->on_packet(p);
-  }
-  void on_transition(const trace::StateTransition& transition) override {
-    trace::StateTransition t = transition;
-    t.user = user_;
-    downstream_->on_transition(t);
+  void on_batch(const trace::EventBatch& batch) override {
+    trace::EventBatch relabeled = batch;
+    relabeled.user = user_;
+    for (auto& p : relabeled.packets) p.user = user_;
+    for (auto& t : relabeled.transitions) t.user = user_;
+    downstream_->on_batch(relabeled);
   }
   void on_user_end(trace::UserId) override { downstream_->on_user_end(user_); }
   void on_study_end() override { downstream_->on_study_end(); }

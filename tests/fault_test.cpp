@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "deliver.h"
 #include "core/pipeline.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
@@ -117,13 +118,13 @@ TEST(FaultPlan, ThrowsAtNthCallbackOnArmedAttemptsOnly) {
   auto first = plan.wrap(7, &downstream);
   ASSERT_NE(first, nullptr);
   first->on_user_begin(7);                                        // callback 1
-  EXPECT_THROW(first->on_packet(trace::PacketRecord{}), fault::ShardFault);  // callback 2
+  EXPECT_THROW(deliver(*first, trace::PacketRecord{}), fault::ShardFault);  // callback 2
 
   // Attempt 2 exceeds fail_attempts=1: the wrapper forwards everything.
   auto second = plan.wrap(7, &downstream);
   ASSERT_NE(second, nullptr);
   second->on_user_begin(7);
-  second->on_packet(trace::PacketRecord{});
+  deliver(*second, trace::PacketRecord{});
   second->on_user_end(7);
   EXPECT_EQ(plan.attempts(7), 2u);
 }
@@ -173,11 +174,8 @@ class SkipUserPolicy final : public trace::TraceSink {
   void on_user_begin(trace::UserId user) override {
     if (user != skip_) downstream_->on_user_begin(user);
   }
-  void on_packet(const trace::PacketRecord& p) override {
-    if (p.user != skip_) downstream_->on_packet(p);
-  }
-  void on_transition(const trace::StateTransition& t) override {
-    if (t.user != skip_) downstream_->on_transition(t);
+  void on_batch(const trace::EventBatch& batch) override {
+    if (batch.user != skip_) downstream_->on_batch(batch);
   }
   void on_user_end(trace::UserId user) override {
     if (user != skip_) downstream_->on_user_end(user);

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "deliver.h"
 #include "energy/ledger.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
@@ -69,13 +70,13 @@ TEST(BinaryRobustness, TruncationAtEveryByteOffsetFailsCleanly) {
   p.flow = 1;
   p.bytes = 1500;
   p.joules = 0.25;
-  writer.on_packet(p);
+  deliver(writer, p);
   trace::StateTransition t;
   t.time.us = 200'000;
   t.app = 3;
   t.from = trace::ProcessState::kForeground;
   t.to = trace::ProcessState::kService;
-  writer.on_transition(t);
+  deliver(writer, t);
   writer.on_user_end(0);
   writer.on_study_end();
   const std::string data = os.str();
@@ -155,11 +156,11 @@ TEST(BinaryRobustness, SkipAndCountSkipsBadEnumRecordsOnly) {
   trace::StateTransition t;
   t.time.us = 1000;
   t.from = static_cast<trace::ProcessState>(200);  // out of range, still framed
-  writer.on_transition(t);
+  deliver(writer, t);
   trace::PacketRecord p;
   p.time.us = 2000;
   p.bytes = 64;
-  writer.on_packet(p);
+  deliver(writer, p);
   writer.on_user_end(0);
   writer.on_study_end();
   const std::string data = os.str();
@@ -307,9 +308,9 @@ TEST(ValidatingSink, StrictPoisonsTheStreamAtTheFirstViolation) {
   trace::ValidatingSink validator{&collector};
   validator.on_study_begin(windowed_meta());
   validator.on_user_begin(0);
-  validator.on_packet(packet_at(500));
-  validator.on_packet(packet_at(100));  // backwards: first violation
-  validator.on_packet(packet_at(900));  // poisoned: not forwarded
+  deliver(validator, packet_at(500));
+  deliver(validator, packet_at(100));  // backwards: first violation
+  deliver(validator, packet_at(900));  // poisoned: not forwarded
   validator.on_user_end(0);
   validator.on_study_end();
   EXPECT_FALSE(validator.status().ok());
@@ -322,13 +323,13 @@ TEST(ValidatingSink, SkipAndCountDropsOnlyTheViolatingRecords) {
   trace::TraceCollector collector;
   trace::ValidatingSink validator{&collector, with_policy(ReadPolicy::kSkipAndCount)};
   validator.on_study_begin(windowed_meta());
-  validator.on_packet(packet_at(10));  // outside any user bracket
+  deliver(validator, packet_at(10));  // outside any user bracket
   validator.on_user_begin(0);
-  validator.on_packet(packet_at(500));
-  validator.on_packet(packet_at(100));      // backwards
-  validator.on_packet(packet_at(600, 1));   // wrong user inside user 0's bracket
-  validator.on_packet(packet_at(2'000'000));  // outside the study window
-  validator.on_packet(packet_at(900));
+  deliver(validator, packet_at(500));
+  deliver(validator, packet_at(100));      // backwards
+  deliver(validator, packet_at(600, 1));   // wrong user inside user 0's bracket
+  deliver(validator, packet_at(2'000'000));  // outside the study window
+  deliver(validator, packet_at(900));
   validator.on_user_end(0);
   validator.on_study_end();
   EXPECT_TRUE(validator.status().ok());
@@ -344,10 +345,10 @@ TEST(ValidatingSink, BestEffortClampsBackwardsTimestampsAndClosesOpenUsers) {
   trace::ValidatingSink validator{&collector, with_policy(ReadPolicy::kBestEffort)};
   validator.on_study_begin(windowed_meta());
   validator.on_user_begin(0);
-  validator.on_packet(packet_at(500));
-  validator.on_packet(packet_at(100));  // clamped to 500, forwarded
+  deliver(validator, packet_at(500));
+  deliver(validator, packet_at(100));  // clamped to 500, forwarded
   validator.on_user_begin(1);           // user 0 left open: auto-closed
-  validator.on_packet(packet_at(50, 1));
+  deliver(validator, packet_at(50, 1));
   validator.on_study_end();  // user 1 left open: auto-closed
   EXPECT_TRUE(validator.status().ok());
   EXPECT_EQ(validator.records_repaired(), 3u);
@@ -364,7 +365,7 @@ TEST(ValidatingSink, RejectsEnumAndBracketViolations) {
   validator.on_user_begin(0);
   trace::PacketRecord bad_enum = packet_at(10);
   bad_enum.state = static_cast<trace::ProcessState>(97);
-  validator.on_packet(bad_enum);
+  deliver(validator, bad_enum);
   validator.on_user_end(1);  // ends a user that is not open
   validator.on_user_end(0);
   validator.on_study_end();

@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 
+#include "deliver.h"
 #include "core/pipeline.h"
 #include "sim/generator.h"
 #include "obs/metrics.h"
@@ -302,13 +303,13 @@ TEST(InstrumentedSink, CountsAndForwardsEverything) {
   trace::PacketRecord p;
   p.time = kEpoch + sec(1.0);
   p.bytes = 500;
-  sink.on_packet(p);
+  deliver(sink, p);
   p.time = kEpoch + sec(2.0);
   p.bytes = 1500;
-  sink.on_packet(p);
+  deliver(sink, p);
   trace::StateTransition t;
   t.time = kEpoch + sec(3.0);
-  sink.on_transition(t);
+  deliver(sink, t);
   sink.on_user_end(0);
   sink.on_study_end();
 

@@ -251,8 +251,7 @@ TEST(SegmentFormat, ChunksRoundTripBitExactlyAtEveryBatchSize) {
     EXPECT_TRUE(info.final_chunk);
     EXPECT_EQ(info.packets, chunks[c].packets.size());
     EXPECT_EQ(info.transitions, chunks[c].transitions.size());
-    for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                                         std::size_t{4096}}) {
+    for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3}, std::size_t{4096}}) {
       const trace::EventBatch replayed = collect_chunk(segment, info, batch_size);
       expect_identical_columns(chunks[c], replayed);
     }
@@ -646,10 +645,6 @@ class KillAfterUsersSink final : public trace::TraceSink {
     downstream_->on_study_begin(meta);
   }
   void on_user_begin(trace::UserId user) override { downstream_->on_user_begin(user); }
-  void on_packet(const trace::PacketRecord& p) override { downstream_->on_packet(p); }
-  void on_transition(const trace::StateTransition& t) override {
-    downstream_->on_transition(t);
-  }
   void on_batch(const trace::EventBatch& batch) override { downstream_->on_batch(batch); }
   void on_user_end(trace::UserId user) override {
     downstream_->on_user_end(user);
@@ -755,8 +750,8 @@ TEST(Population, UserStreamsInvariantAcrossPopulationSize) {
   for (trace::UserId user = 0; user < small_pop.num_users; ++user) {
     trace::TraceCollector a;
     trace::TraceCollector b;
-    ASSERT_TRUE(small_gen.emit_user(user, a, 0).ok());
-    ASSERT_TRUE(large_gen.emit_user(user, b, 0).ok());
+    ASSERT_TRUE(small_gen.emit_user(user, a, trace::kDefaultBatchSize).ok());
+    ASSERT_TRUE(large_gen.emit_user(user, b, trace::kDefaultBatchSize).ok());
     SCOPED_TRACE("user=" + std::to_string(user));
     ASSERT_EQ(a.packets().size(), b.packets().size());
     ASSERT_EQ(a.transitions().size(), b.transitions().size());
@@ -809,8 +804,8 @@ TEST(Population, DiurnalSigmaPersonalizesProfiles) {
   sim::StudyGenerator shifted_gen{shifted};
   trace::TraceCollector a;
   trace::TraceCollector b;
-  ASSERT_TRUE(base_gen.emit_user(0, a, 0).ok());
-  ASSERT_TRUE(shifted_gen.emit_user(0, b, 0).ok());
+  ASSERT_TRUE(base_gen.emit_user(0, a, trace::kDefaultBatchSize).ok());
+  ASSERT_TRUE(shifted_gen.emit_user(0, b, trace::kDefaultBatchSize).ok());
   bool differs = a.packets().size() != b.packets().size();
   for (std::size_t i = 0; !differs && i < a.packets().size(); ++i) {
     differs = a.packets()[i].time.us != b.packets()[i].time.us;

@@ -1,6 +1,7 @@
 // Tests for the per-user summaries (analysis/per_user.h).
 #include <gtest/gtest.h>
 
+#include "deliver.h"
 #include "analysis/per_user.h"
 
 namespace wildenergy::analysis {
@@ -23,7 +24,7 @@ energy::EnergyLedger two_user_ledger() {
     p.bytes = bytes;
     p.state = state;
     p.joules = joules;
-    ledger.on_packet(p);
+    deliver(ledger, p);
   };
   add(0, 1, 30.0, 1000, trace::ProcessState::kForeground);
   add(0, 2, 70.0, 2000, trace::ProcessState::kService);

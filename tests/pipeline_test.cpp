@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "analysis/case_studies.h"
 #include "analysis/figures.h"
@@ -59,12 +60,26 @@ TEST(Pipeline, LedgerMatchesAttributorTotals) {
               pipeline.ledger().total_joules() * 1e-9);
 }
 
+/// Routes the annotated stream's packets into a FlowAssembler.
+class FlowProbe final : public trace::TraceSink {
+ public:
+  explicit FlowProbe(trace::FlowSink sink) : assembler_(std::move(sink)) {}
+
+  void on_study_begin(const trace::StudyMeta&) override { assembler_.reset(); }
+  void on_user_begin(trace::UserId) override { assembler_.begin_user(); }
+  void on_packet(const trace::PacketRecord& packet) override { assembler_.add(packet); }
+  void on_user_end(trace::UserId) override { assembler_.end_user(); }
+
+ private:
+  trace::FlowAssembler assembler_;
+};
+
 TEST(Pipeline, FlowJoulesSumToLedgerTotal) {
   sim::StudyGenerator generator{test_config()};
   core::StudyPipeline pipeline{&generator};
   double flow_joules = 0.0;
-  trace::FlowAssembler assembler{[&](const trace::FlowRecord& f) { flow_joules += f.joules; }};
-  pipeline.add_analysis(&assembler);
+  FlowProbe flows{[&](const trace::FlowRecord& f) { flow_joules += f.joules; }};
+  pipeline.add_analysis(&flows);
   pipeline.run();
   EXPECT_NEAR(flow_joules, pipeline.ledger().total_joules(),
               pipeline.ledger().total_joules() * 1e-9);

@@ -1,6 +1,7 @@
 // Tests for the background-traffic management policies (core/policy.h).
 #include <gtest/gtest.h>
 
+#include "deliver.h"
 #include "core/policy.h"
 #include "trace/sink.h"
 
@@ -45,9 +46,9 @@ TEST(KillAfterIdlePolicy, SuppressesAfterIdleWindow) {
   KillAfterIdlePolicy policy{&out, days(3.0)};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(0.1, 1, ProcessState::kForeground));  // fg use re-arms
-  policy.on_packet(pkt(1.0, 1, ProcessState::kService));     // within 3 days: pass
-  policy.on_packet(pkt(5.0, 1, ProcessState::kService));     // idle > 3 days: drop
+  deliver(policy, pkt(0.1, 1, ProcessState::kForeground));  // fg use re-arms
+  deliver(policy, pkt(1.0, 1, ProcessState::kService));     // within 3 days: pass
+  deliver(policy, pkt(5.0, 1, ProcessState::kService));     // idle > 3 days: drop
   policy.on_user_end(0);
   ASSERT_EQ(out.packets().size(), 2u);
   EXPECT_EQ(policy.packets_dropped(), 1u);
@@ -59,8 +60,8 @@ TEST(KillAfterIdlePolicy, TransitionToForegroundReArms) {
   KillAfterIdlePolicy policy{&out, days(3.0)};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_transition(trans(4.0, 1, true));              // user opens the app
-  policy.on_packet(pkt(5.0, 1, ProcessState::kService));  // 1 day since fg: pass
+  deliver(policy, trans(4.0, 1, true));              // user opens the app
+  deliver(policy, pkt(5.0, 1, ProcessState::kService));  // 1 day since fg: pass
   policy.on_user_end(0);
   EXPECT_EQ(out.packets().size(), 1u);
 }
@@ -70,8 +71,8 @@ TEST(KillAfterIdlePolicy, NeverForegroundedSuppressedFromStudyStart) {
   KillAfterIdlePolicy policy{&out, days(3.0)};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(1.0, 2, ProcessState::kService));  // pass: < 3 days in
-  policy.on_packet(pkt(4.0, 2, ProcessState::kService));  // drop
+  deliver(policy, pkt(1.0, 2, ProcessState::kService));  // pass: < 3 days in
+  deliver(policy, pkt(4.0, 2, ProcessState::kService));  // drop
   policy.on_user_end(0);
   EXPECT_EQ(out.packets().size(), 1u);
 }
@@ -81,8 +82,8 @@ TEST(KillAfterIdlePolicy, WhitelistExempts) {
   KillAfterIdlePolicy policy{&out, days(3.0), {trace::AppId{2}}};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(9.0, 2, ProcessState::kService));  // widget: whitelisted
-  policy.on_packet(pkt(9.0, 3, ProcessState::kService));  // dropped
+  deliver(policy, pkt(9.0, 2, ProcessState::kService));  // widget: whitelisted
+  deliver(policy, pkt(9.0, 3, ProcessState::kService));  // dropped
   policy.on_user_end(0);
   ASSERT_EQ(out.packets().size(), 1u);
   EXPECT_EQ(out.packets()[0].app, 2u);
@@ -93,8 +94,8 @@ TEST(KillAfterIdlePolicy, ForegroundAlwaysPasses) {
   KillAfterIdlePolicy policy{&out, days(3.0)};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(9.0, 1, ProcessState::kForeground));
-  policy.on_packet(pkt(9.1, 1, ProcessState::kService));  // re-armed by the fg packet
+  deliver(policy, pkt(9.0, 1, ProcessState::kForeground));
+  deliver(policy, pkt(9.1, 1, ProcessState::kService));  // re-armed by the fg packet
   policy.on_user_end(0);
   EXPECT_EQ(out.packets().size(), 2u);
 }
@@ -104,11 +105,11 @@ TEST(KillAfterIdlePolicy, StatePerUserIsReset) {
   KillAfterIdlePolicy policy{&out, days(3.0)};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(0.1, 1, ProcessState::kForeground));
+  deliver(policy, pkt(0.1, 1, ProcessState::kForeground));
   policy.on_user_end(0);
   policy.on_user_begin(1);
   // User 1 never foregrounded app 1; idle clock starts at study begin.
-  policy.on_packet(pkt(5.0, 1, ProcessState::kService));
+  deliver(policy, pkt(5.0, 1, ProcessState::kService));
   policy.on_user_end(1);
   EXPECT_EQ(policy.packets_dropped(), 1u);
 }
@@ -118,14 +119,14 @@ TEST(DozeLikePolicy, DropsOutsideMaintenanceWindows) {
   DozeLikePolicy policy{&out, hours(1.0), hours(4.0), minutes(5.0)};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_transition(trans(0.0, 1, true));
-  policy.on_transition(trans(0.001, 1, false));
+  deliver(policy, trans(0.0, 1, true));
+  deliver(policy, trans(0.001, 1, false));
   // 30 min after activity: not dozing yet.
-  policy.on_packet(pkt(0.5 / 24.0, 1, ProcessState::kService));
+  deliver(policy, pkt(0.5 / 24.0, 1, ProcessState::kService));
   // 2 h after activity: dozing, and 1 h into doze is outside the window.
-  policy.on_packet(pkt(2.0 / 24.0, 1, ProcessState::kService));
+  deliver(policy, pkt(2.0 / 24.0, 1, ProcessState::kService));
   // Exactly 1 h + 4 h + 1 min after activity: inside a maintenance window.
-  policy.on_packet(pkt((5.0 + 1.0 / 60.0) / 24.0, 1, ProcessState::kService));
+  deliver(policy, pkt((5.0 + 1.0 / 60.0) / 24.0, 1, ProcessState::kService));
   policy.on_user_end(0);
   ASSERT_EQ(out.packets().size(), 2u);
   EXPECT_EQ(policy.packets_dropped(), 1u);
@@ -136,10 +137,10 @@ TEST(DozeLikePolicy, ForegroundActivityWakesDevice) {
   DozeLikePolicy policy{&out, hours(1.0), hours(4.0), minutes(5.0)};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(0.0, 1, ProcessState::kForeground));
-  policy.on_packet(pkt(2.0 / 24.0, 2, ProcessState::kService));   // dozing: drop
-  policy.on_packet(pkt(2.01 / 24.0, 1, ProcessState::kForeground));  // wake
-  policy.on_packet(pkt(2.02 / 24.0, 2, ProcessState::kService));  // pass
+  deliver(policy, pkt(0.0, 1, ProcessState::kForeground));
+  deliver(policy, pkt(2.0 / 24.0, 2, ProcessState::kService));   // dozing: drop
+  deliver(policy, pkt(2.01 / 24.0, 1, ProcessState::kForeground));  // wake
+  deliver(policy, pkt(2.02 / 24.0, 2, ProcessState::kService));  // pass
   policy.on_user_end(0);
   EXPECT_EQ(policy.packets_dropped(), 1u);
   EXPECT_EQ(out.packets().size(), 3u);
@@ -150,11 +151,11 @@ TEST(LeakTerminationPolicy, DropsOnlyForegroundInitiatedFlows) {
   LeakTerminationPolicy policy{&out};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(0.0, 1, ProcessState::kForeground, /*flow=*/10));
+  deliver(policy, pkt(0.0, 1, ProcessState::kForeground, /*flow=*/10));
   // Same flow continuing in background (a §4.1 leak): dropped.
-  policy.on_packet(pkt(0.001, 1, ProcessState::kBackground, /*flow=*/10));
+  deliver(policy, pkt(0.001, 1, ProcessState::kBackground, /*flow=*/10));
   // A genuine background flow (periodic sync): passes.
-  policy.on_packet(pkt(0.002, 1, ProcessState::kService, /*flow=*/11));
+  deliver(policy, pkt(0.002, 1, ProcessState::kService, /*flow=*/11));
   policy.on_user_end(0);
   ASSERT_EQ(out.packets().size(), 2u);
   EXPECT_EQ(policy.packets_dropped(), 1u);
@@ -166,11 +167,11 @@ TEST(LeakTerminationPolicy, FlowTableResetsPerUser) {
   LeakTerminationPolicy policy{&out};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_packet(pkt(0.0, 1, ProcessState::kForeground, /*flow=*/10));
+  deliver(policy, pkt(0.0, 1, ProcessState::kForeground, /*flow=*/10));
   policy.on_user_end(0);
   policy.on_user_begin(1);
   // Flow id 10 for user 1 is a different flow; background here is fine.
-  policy.on_packet(pkt(0.0, 1, ProcessState::kBackground, /*flow=*/10));
+  deliver(policy, pkt(0.0, 1, ProcessState::kBackground, /*flow=*/10));
   policy.on_user_end(1);
   EXPECT_EQ(policy.packets_dropped(), 0u);
 }
@@ -180,7 +181,7 @@ TEST(PacketFilterPolicy, ForwardsBracketingCallbacks) {
   LeakTerminationPolicy policy{&out};
   policy.on_study_begin(meta10d());
   policy.on_user_begin(0);
-  policy.on_transition(trans(0.1, 1, true));
+  deliver(policy, trans(0.1, 1, true));
   policy.on_user_end(0);
   policy.on_study_end();
   EXPECT_EQ(out.meta().num_users, 1u);

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "deliver.h"
 #include "appmodel/catalog.h"
 #include "core/report.h"
 
@@ -42,10 +43,10 @@ TEST(Report, FindsInefficientAndBackgroundDominated) {
   for (int d = 0; d < 10; ++d) {
     // Weibo-like: tiny payloads, big joules, all background, daily fg use
     // (so it is NOT a kill candidate).
-    ledger.on_packet(pkt(d, weibo, ProcessState::kService, 200.0, 50'000));
-    ledger.on_packet(pkt(d, weibo, ProcessState::kForeground, 1.0, 20'000));
+    deliver(ledger, pkt(d, weibo, ProcessState::kService, 200.0, 50'000));
+    deliver(ledger, pkt(d, weibo, ProcessState::kForeground, 1.0, 20'000));
     // Media-like: huge payloads, modest joules.
-    ledger.on_packet(pkt(d, media, ProcessState::kPerceptible, 50.0, 500'000'000));
+    deliver(ledger, pkt(d, media, ProcessState::kPerceptible, 50.0, 500'000'000));
   }
 
   ReportOptions options;
@@ -76,9 +77,9 @@ TEST(Report, KillCandidateRequiresIdleSavings) {
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta_days(30.0));
   // Foreground once on day 0, then 29 days of background drip.
-  ledger.on_packet(pkt(0, app, ProcessState::kForeground, 5.0, 1'000'000));
+  deliver(ledger, pkt(0, app, ProcessState::kForeground, 5.0, 1'000'000));
   for (int d = 1; d < 30; ++d) {
-    ledger.on_packet(pkt(d, app, ProcessState::kBackground, 20.0, 200'000));
+    deliver(ledger, pkt(d, app, ProcessState::kBackground, 20.0, 200'000));
   }
   const ReportOptions options{.max_apps = 5, .min_bytes = 1'000};
   const auto report = Report::build(ledger, catalog, nullptr, options);
@@ -92,7 +93,7 @@ TEST(Report, PrintRendersAllApps) {
   const auto catalog = appmodel::AppCatalog::paper_catalog();
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta_days(5.0));
-  ledger.on_packet(pkt(0, catalog.find("Twitter"), ProcessState::kService, 10.0, 2'000'000));
+  deliver(ledger, pkt(0, catalog.find("Twitter"), ProcessState::kService, 10.0, 2'000'000));
   const auto report = Report::build(ledger, catalog, nullptr, {.min_bytes = 1'000});
   std::ostringstream os;
   report.print(os);
@@ -104,7 +105,7 @@ TEST(Report, MinBytesFiltersNoise) {
   const auto catalog = appmodel::AppCatalog::paper_catalog();
   energy::EnergyLedger ledger;
   ledger.on_study_begin(meta_days(5.0));
-  ledger.on_packet(pkt(0, catalog.find("Twitter"), ProcessState::kService, 10.0, 500));
+  deliver(ledger, pkt(0, catalog.find("Twitter"), ProcessState::kService, 10.0, 500));
   const auto report = Report::build(ledger, catalog, nullptr, {.min_bytes = 100'000});
   EXPECT_TRUE(report.apps.empty());
 }

@@ -215,7 +215,7 @@ TEST(TraceSourceConformance, GeneratorStoreAndReadersEmitIdenticalStreams) {
   sim::StudyGenerator generator{sim::small_study(/*seed=*/3)};
 
   trace::TraceCollector baseline;
-  ASSERT_TRUE(generator.emit(baseline, /*batch_size=*/0).ok());
+  ASSERT_TRUE(generator.emit(baseline, /*batch_size=*/1).ok());
   ASSERT_GT(baseline.packets().size(), 0u);
   EXPECT_TRUE(generator.supports_user_access());
   const auto ids = generator.users();
@@ -249,7 +249,7 @@ TEST(TraceSourceConformance, GeneratorStoreAndReadersEmitIdenticalStreams) {
   EXPECT_FALSE(csv_source.summary().degraded());
   expect_identical_streams(baseline, from_csv);
   trace::TraceCollector csv_again;
-  ASSERT_TRUE(csv_source.emit(csv_again, /*batch_size=*/0).ok());  // seekable: rewinds
+  ASSERT_TRUE(csv_source.emit(csv_again, /*batch_size=*/1).ok());  // seekable: rewinds
   expect_identical_streams(baseline, csv_again);
 
   // Binary reader: same contract, same stream.
@@ -276,14 +276,14 @@ TEST(TraceSourceConformance, EmitUserStreamsOneBracketedUser) {
   for (const trace::UserId user : store.users()) {
     trace::TraceCollector from_generator;
     trace::TraceCollector from_store;
-    ASSERT_TRUE(generator.emit_user(user, from_generator, /*batch_size=*/0).ok());
+    ASSERT_TRUE(generator.emit_user(user, from_generator, /*batch_size=*/1).ok());
     ASSERT_TRUE(store.emit_user(user, from_store, /*batch_size=*/5).ok());
     expect_identical_streams(from_generator, from_store);
     for (const auto& p : from_store.packets()) EXPECT_EQ(p.user, user);
     for (const auto& t : from_store.transitions()) EXPECT_EQ(t.user, user);
   }
   trace::TraceCollector unused;
-  const util::Status missing = store.emit_user(/*user=*/9999, unused, 0);
+  const util::Status missing = store.emit_user(/*user=*/9999, unused, 1);
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.code(), util::StatusCode::kNotFound);
 }
@@ -293,28 +293,28 @@ TEST(TraceStore, ReplayIsBatchSizeInvariant) {
   trace::TraceStore store;
   ASSERT_TRUE(store.capture(generator, /*batch_size=*/64).ok());
 
-  trace::TraceCollector per_record;
-  ASSERT_TRUE(store.emit(per_record, 0).ok());
-  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3},
-                                       trace::kDefaultBatchSize, std::size_t{1u << 20}}) {
+  trace::TraceCollector one_by_one;
+  ASSERT_TRUE(store.emit(one_by_one, 1).ok());
+  for (const std::size_t batch_size : {std::size_t{3}, trace::kDefaultBatchSize,
+                                       std::size_t{1u << 20}}) {
     trace::TraceCollector batched;
     ASSERT_TRUE(store.emit(batched, batch_size).ok());
-    expect_identical_streams(per_record, batched);
+    expect_identical_streams(one_by_one, batched);
   }
 }
 
 TEST(TraceStore, BatchedAndPerRecordCaptureProduceTheSameStore) {
   sim::StudyGenerator generator{sim::small_study(/*seed=*/6)};
   trace::TraceStore batched;
-  trace::TraceStore per_record;
+  trace::TraceStore one_by_one;
   ASSERT_TRUE(batched.capture(generator, /*batch_size=*/33).ok());
-  ASSERT_TRUE(per_record.capture(generator, /*batch_size=*/0).ok());
-  ASSERT_EQ(batched.num_users(), per_record.num_users());
-  EXPECT_EQ(batched.event_count(), per_record.event_count());
+  ASSERT_TRUE(one_by_one.capture(generator, /*batch_size=*/1).ok());
+  ASSERT_EQ(batched.num_users(), one_by_one.num_users());
+  EXPECT_EQ(batched.event_count(), one_by_one.event_count());
   trace::TraceCollector a;
   trace::TraceCollector b;
-  ASSERT_TRUE(batched.emit(a, 0).ok());
-  ASSERT_TRUE(per_record.emit(b, 0).ok());
+  ASSERT_TRUE(batched.emit(a, 1).ok());
+  ASSERT_TRUE(one_by_one.emit(b, 1).ok());
   expect_identical_streams(a, b);
 }
 

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <vector>
 
+#include "deliver.h"
 #include "appmodel/catalog.h"
 #include "trace/csv_io.h"
 #include "trace/flow_assembler.h"
@@ -62,12 +63,12 @@ PacketRecord make_packet(double t_s, AppId app, std::uint64_t bytes,
 TEST(FlowAssembler, SplitsOnIdleGap) {
   std::vector<FlowRecord> flows;
   FlowAssembler fa{[&](const FlowRecord& f) { flows.push_back(f); }, sec(15.0)};
-  fa.on_study_begin({});
-  fa.on_user_begin(0);
-  fa.on_packet(make_packet(0.0, 1, 100));
-  fa.on_packet(make_packet(5.0, 1, 100));
-  fa.on_packet(make_packet(100.0, 1, 100));  // > 15 s gap: new flow
-  fa.on_user_end(0);
+  fa.reset();
+  fa.begin_user();
+  fa.add(make_packet(0.0, 1, 100));
+  fa.add(make_packet(5.0, 1, 100));
+  fa.add(make_packet(100.0, 1, 100));  // > 15 s gap: new flow
+  fa.end_user();
 
   ASSERT_EQ(flows.size(), 2u);
   EXPECT_EQ(flows[0].packets, 2u);
@@ -80,14 +81,14 @@ TEST(FlowAssembler, SplitsOnIdleGap) {
 TEST(FlowAssembler, AppsAssembleIndependently) {
   std::vector<FlowRecord> flows;
   FlowAssembler fa{[&](const FlowRecord& f) { flows.push_back(f); }, sec(15.0)};
-  fa.on_study_begin({});
-  fa.on_user_begin(0);
+  fa.reset();
+  fa.begin_user();
   // Interleaved packets of two apps, each within its own gap threshold.
   for (int i = 0; i < 5; ++i) {
-    fa.on_packet(make_packet(i * 10.0, 1, 100));
-    fa.on_packet(make_packet(i * 10.0 + 1.0, 2, 200));
+    fa.add(make_packet(i * 10.0, 1, 100));
+    fa.add(make_packet(i * 10.0 + 1.0, 2, 200));
   }
-  fa.on_user_end(0);
+  fa.end_user();
   ASSERT_EQ(flows.size(), 2u);
   EXPECT_NE(flows[0].app, flows[1].app);
   EXPECT_EQ(flows[0].packets, 5u);
@@ -97,11 +98,11 @@ TEST(FlowAssembler, AppsAssembleIndependently) {
 TEST(FlowAssembler, TracksForegroundFlag) {
   std::vector<FlowRecord> flows;
   FlowAssembler fa{[&](const FlowRecord& f) { flows.push_back(f); }, sec(15.0)};
-  fa.on_study_begin({});
-  fa.on_user_begin(0);
-  fa.on_packet(make_packet(0.0, 1, 100, ProcessState::kForeground));
-  fa.on_packet(make_packet(2.0, 1, 100, ProcessState::kBackground));
-  fa.on_user_end(0);
+  fa.reset();
+  fa.begin_user();
+  fa.add(make_packet(0.0, 1, 100, ProcessState::kForeground));
+  fa.add(make_packet(2.0, 1, 100, ProcessState::kBackground));
+  fa.end_user();
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_TRUE(flows[0].any_foreground);
   EXPECT_EQ(flows[0].first_state, ProcessState::kForeground);
@@ -110,14 +111,14 @@ TEST(FlowAssembler, TracksForegroundFlag) {
 TEST(FlowAssembler, UserBoundaryFlushes) {
   std::vector<FlowRecord> flows;
   FlowAssembler fa{[&](const FlowRecord& f) { flows.push_back(f); }, sec(15.0)};
-  fa.on_study_begin({});
-  fa.on_user_begin(0);
-  fa.on_packet(make_packet(0.0, 1, 100));
-  fa.on_user_end(0);
-  fa.on_user_begin(1);
-  fa.on_packet(make_packet(1.0, 1, 100, ProcessState::kService, 1.0,
+  fa.reset();
+  fa.begin_user();
+  fa.add(make_packet(0.0, 1, 100));
+  fa.end_user();
+  fa.begin_user();
+  fa.add(make_packet(1.0, 1, 100, ProcessState::kService, 1.0,
                            /*user=*/1));  // same app, next user: separate flow
-  fa.on_user_end(1);
+  fa.end_user();
   ASSERT_EQ(flows.size(), 2u);
   EXPECT_EQ(flows[0].user, 0u);
   EXPECT_EQ(flows[1].user, 1u);
@@ -137,13 +138,13 @@ TEST(CsvIo, RoundTripPreservesStream) {
   PacketRecord p = make_packet(12.5, 2, 4096, ProcessState::kVisible, 3.25);
   p.flow = 99;
   p.direction = radio::Direction::kUplink;
-  writer.on_packet(p);
+  deliver(writer, p);
   StateTransition t;
   t.time = kEpoch + sec(13.0);
   t.app = 2;
   t.from = ProcessState::kVisible;
   t.to = ProcessState::kBackground;
-  writer.on_transition(t);
+  deliver(writer, t);
   writer.on_user_end(0);
   writer.on_study_end();
 
@@ -232,8 +233,8 @@ TEST(TraceMulticast, FansOutInOrder) {
   mc.add(&a);
   mc.add(&b);
   mc.on_study_begin({});
-  mc.on_packet(make_packet(1.0, 1, 10));
-  mc.on_packet(make_packet(2.0, 1, 20));
+  deliver(mc, make_packet(1.0, 1, 10));
+  deliver(mc, make_packet(2.0, 1, 20));
   EXPECT_EQ(a.packets().size(), 2u);
   EXPECT_EQ(b.packets().size(), 2u);
   EXPECT_EQ(a.packets()[1].bytes, 20u);

@@ -1,6 +1,7 @@
 // Tests for the wasted-update and longitudinal analyses.
 #include <gtest/gtest.h>
 
+#include "deliver.h"
 #include "analysis/longitudinal.h"
 #include "analysis/waste.h"
 #include "trace/interface_filter.h"
@@ -45,8 +46,8 @@ TEST(WastedUpdates, UpdateFollowedByUseIsUseful) {
   WastedUpdateAnalysis waste{{1}, hours(12.0)};
   waste.on_study_begin(meta_days(2.0));
   waste.on_user_begin(0);
-  waste.on_packet(pkt(1000.0, 1, ProcessState::kService));  // update
-  waste.on_transition(to_fg(5000.0, 1));                    // used ~1 h later
+  deliver(waste, pkt(1000.0, 1, ProcessState::kService));  // update
+  deliver(waste, to_fg(5000.0, 1));                    // used ~1 h later
   waste.on_user_end(0);
   const auto r = waste.result(1);
   EXPECT_EQ(r.updates, 1u);
@@ -58,8 +59,8 @@ TEST(WastedUpdates, StaleUpdateIsWasted) {
   WastedUpdateAnalysis waste{{1}, hours(1.0)};
   waste.on_study_begin(meta_days(3.0));
   waste.on_user_begin(0);
-  waste.on_packet(pkt(1000.0, 1, ProcessState::kService, 2.0));
-  waste.on_transition(to_fg(1000.0 + 3.0 * 3600.0, 1));  // 3 h later: too late
+  deliver(waste, pkt(1000.0, 1, ProcessState::kService, 2.0));
+  deliver(waste, to_fg(1000.0 + 3.0 * 3600.0, 1));  // 3 h later: too late
   waste.on_user_end(0);
   const auto r = waste.result(1);
   EXPECT_EQ(r.updates, 1u);
@@ -73,7 +74,7 @@ TEST(WastedUpdates, NeverUsedAllWasted) {
   waste.on_study_begin(meta_days(5.0));
   waste.on_user_begin(0);
   for (int i = 0; i < 10; ++i) {
-    waste.on_packet(pkt(3600.0 * (i + 1) * 4, 1, ProcessState::kService, 1.0));
+    deliver(waste, pkt(3600.0 * (i + 1) * 4, 1, ProcessState::kService, 1.0));
   }
   waste.on_user_end(0);
   const auto r = waste.result(1);
@@ -87,9 +88,9 @@ TEST(WastedUpdates, BurstsWithinOneFlowAreOneUpdate) {
   waste.on_study_begin(meta_days(1.0));
   waste.on_user_begin(0);
   // Three packets 2 s apart: one reconstructed flow, one update.
-  waste.on_packet(pkt(100.0, 1, ProcessState::kService, 1.0));
-  waste.on_packet(pkt(102.0, 1, ProcessState::kService, 1.0));
-  waste.on_packet(pkt(104.0, 1, ProcessState::kService, 1.0));
+  deliver(waste, pkt(100.0, 1, ProcessState::kService, 1.0));
+  deliver(waste, pkt(102.0, 1, ProcessState::kService, 1.0));
+  deliver(waste, pkt(104.0, 1, ProcessState::kService, 1.0));
   waste.on_user_end(0);
   EXPECT_EQ(waste.result(1).updates, 1u);
 }
@@ -98,7 +99,7 @@ TEST(WastedUpdates, UntrackedAppsIgnored) {
   WastedUpdateAnalysis waste{{1}, hours(12.0)};
   waste.on_study_begin(meta_days(1.0));
   waste.on_user_begin(0);
-  waste.on_packet(pkt(100.0, 2, ProcessState::kService));
+  deliver(waste, pkt(100.0, 2, ProcessState::kService));
   waste.on_user_end(0);
   EXPECT_EQ(waste.result(2).updates, 0u);
 }
@@ -106,9 +107,9 @@ TEST(WastedUpdates, UntrackedAppsIgnored) {
 TEST(Longitudinal, WeeklySeriesAccumulates) {
   LongitudinalAnalysis lon{{1}};
   lon.on_study_begin(meta_days(28.0));
-  lon.on_packet(pkt(3600.0, 1, ProcessState::kService, 10.0));             // week 0
-  lon.on_packet(pkt(8.0 * 86400.0, 1, ProcessState::kService, 20.0));      // week 1
-  lon.on_packet(pkt(8.5 * 86400.0, 1, ProcessState::kForeground, 7.0));    // week 1 fg
+  deliver(lon, pkt(3600.0, 1, ProcessState::kService, 10.0));             // week 0
+  deliver(lon, pkt(8.0 * 86400.0, 1, ProcessState::kService, 20.0));      // week 1
+  deliver(lon, pkt(8.5 * 86400.0, 1, ProcessState::kForeground, 7.0));    // week 1 fg
   ASSERT_EQ(lon.overall().weeks(), 4u);
   EXPECT_DOUBLE_EQ(lon.overall().bg_joules[0], 10.0);
   EXPECT_DOUBLE_EQ(lon.overall().bg_joules[1], 20.0);
@@ -120,10 +121,10 @@ TEST(Longitudinal, EraComparisonDetectsEfficiencyGain) {
   lon.on_study_begin(meta_days(90.0));
   // Early era: 10 J per 100 B. Late era: 1 J per 100 B (batched updates).
   for (int d = 0; d < 30; ++d) {
-    lon.on_packet(pkt(d * 86400.0 + 60.0, 1, ProcessState::kService, 10.0, 100));
+    deliver(lon, pkt(d * 86400.0 + 60.0, 1, ProcessState::kService, 10.0, 100));
   }
   for (int d = 60; d < 90; ++d) {
-    lon.on_packet(pkt(d * 86400.0 + 60.0, 1, ProcessState::kService, 1.0, 100));
+    deliver(lon, pkt(d * 86400.0 + 60.0, 1, ProcessState::kService, 1.0, 100));
   }
   const auto era = lon.era_comparison(1);
   EXPECT_NEAR(era.early_joules_per_day, 10.0, 1e-9);
@@ -147,9 +148,9 @@ TEST(InterfaceFilter, DropsOtherInterface) {
   PacketRecord wifi = pkt(2.0, 1, ProcessState::kService);
   wifi.interface = trace::Interface::kWifi;
   wifi.bytes = 777;
-  filter.on_packet(cell);
-  filter.on_packet(wifi);
-  filter.on_transition(to_fg(3.0, 1));
+  deliver(filter, cell);
+  deliver(filter, wifi);
+  deliver(filter, to_fg(3.0, 1));
   filter.on_user_end(0);
   ASSERT_EQ(out.packets().size(), 1u);
   EXPECT_EQ(out.packets()[0].interface, trace::Interface::kCellular);
