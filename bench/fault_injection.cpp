@@ -4,7 +4,8 @@
 // Two views:
 //  1. a generated study serialized to CSV and WETR binary, damaged by each
 //     deterministic fault::CorruptionKind, then read back under every
-//     trace::ReadPolicy through ValidatingSink -> EnergyLedger — wall time
+//     trace::ReadPolicy into an EnergyLedger (each reader validates the
+//     stream protocol behind its parser) — wall time
 //     plus how the damage surfaced (error / drops / repairs);
 //  2. the sharded pipeline under a scripted FaultPlan: clean run vs a shard
 //     that fails once and is retried vs a shard that exhausts its retries
@@ -25,7 +26,6 @@
 #include "sim/generator.h"
 #include "trace/binary_io.h"
 #include "trace/csv_io.h"
-#include "trace/validating_sink.h"
 #include "util/table.h"
 
 #include "bench_util.h"
@@ -52,32 +52,17 @@ ReadOutcome timed_read(const std::string& data, bool binary, trace::ReadPolicy p
   energy::EnergyLedger ledger;
   trace::ReadOptions options;
   options.policy = policy;
-  trace::ValidatingSink validator{&ledger, options};
   std::istringstream is{data};
   const auto start = std::chrono::steady_clock::now();
-  bool read_ok = false;
-  bool truncated = false;
-  if (binary) {
-    const auto r = trace::read_binary_trace(is, validator, options);
-    read_ok = r.ok() && r.checksum_ok;
-    truncated = r.truncated;
-    out.dropped = r.records_dropped;
-    out.repaired = r.records_repaired;
-  } else {
-    const auto r = trace::read_csv_trace(is, validator, options);
-    read_ok = r.ok();
-    truncated = r.truncated;
-    out.dropped = r.records_dropped;
-    out.repaired = r.records_repaired;
-  }
+  // Both readers validate the stream protocol themselves, so the summary
+  // covers parse and protocol damage alike.
+  const trace::ReadSummary r = binary ? trace::read_binary_trace(is, ledger, options)
+                                      : trace::read_csv_trace(is, ledger, options);
   out.wall_ms = elapsed_ms(start);
-  out.dropped += validator.records_dropped();
-  out.repaired += validator.records_repaired();
-  const bool surfaced = !read_ok || truncated || !validator.status().ok() ||
-                        out.dropped > 0 || out.repaired > 0;
-  out.outcome = !read_ok || !validator.status().ok() ? "error"
-                : surfaced                           ? "degraded"
-                                                     : "clean";
+  out.dropped = r.records_dropped;
+  out.repaired = r.records_repaired;
+  const bool read_ok = r.ok() && r.checksum_ok;
+  out.outcome = !read_ok ? "error" : r.degraded() ? "degraded" : "clean";
   out.packets = ledger.total_packets();
   return out;
 }
@@ -107,7 +92,7 @@ int main() {
                                              trace::ReadPolicy::kBestEffort};
 
   // View 1: every corruption kind x read policy, plus the undamaged baseline.
-  std::cout << "-- corrupted-trace ingestion (reader -> ValidatingSink -> ledger) --\n";
+  std::cout << "-- corrupted-trace ingestion (validating reader -> ledger) --\n";
   TextTable table({"format", "fault", "policy", "wall ms", "outcome", "dropped", "repaired"});
   struct Case {
     bool binary;

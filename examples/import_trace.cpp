@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cout << "parsed " << result.lines << " CSV lines\n"
+  std::cout << "parsed " << result.records << " CSV lines\n"
             << "device energy: " << fmt(attributor.device_joules() / 1e3, 2) << " kJ"
             << "  (attributed " << fmt(attributor.attributed_joules() / 1e3, 2)
             << " kJ, idle baseline " << fmt(attributor.baseline_joules() / 1e3, 2) << " kJ)\n"

@@ -8,9 +8,12 @@
 //                                  [--read-policy strict|skip-and-count|best-effort]
 //                                  [--corrupt KIND [--corrupt-seed N]] < trace.{csv,bin}
 //       Re-attribute an external trace (LTE model) and print the report card.
-//       --replay reads FILE instead of stdin; --read-policy picks how hard
-//       the reader fails on damage; --corrupt injects one deterministic
-//       corruption (fault/injector.h) before parsing, for demos and tests.
+//       Like every command it analyzes cellular packets only (paper §3):
+//       WiFi-tagged packets are dropped before attribution. --replay reads
+//       FILE instead of stdin; --read-policy picks how hard the reader fails
+//       on damage (the reader checks both record syntax and the stream
+//       protocol); --corrupt injects one deterministic corruption
+//       (fault/injector.h) before parsing, for demos and tests.
 //
 //   example_wildenergy_cli report [--days N] [--users N] [--seed S]
 //       Simulate and print the report card directly (no intermediate file).
@@ -29,8 +32,8 @@
 //       one row per scenario. --progress reports completed (scenario x user)
 //       shards to stderr as the sweep runs.
 //
-// Observability (generate/report/figures/run/sweep): --stats prints the
-// per-stage wall-time + throughput breakdown after the run (under
+// Observability (generate/analyze/report/figures/run/sweep): --stats prints
+// the per-stage wall-time + throughput breakdown after the run (under
 // --threads N the per-shard profiles are merged; see DESIGN.md §11);
 // --stats-json FILE writes the structured run report
 // (schema wildenergy.run_stats.v2) for dashboards and regression tooling;
@@ -76,9 +79,6 @@
 #include <vector>
 
 #include "analysis/diversity.h"
-#include "ckpt/checkpoint.h"
-#include "ckpt/checkpointable.h"
-#include "ckpt/resume_sinks.h"
 #include "analysis/figures.h"
 #include "analysis/persistence.h"
 #include "analysis/time_since_fg.h"
@@ -404,8 +404,7 @@ std::optional<obs::RunStats> run_guarded(core::StudyPipeline& pipeline) {
 }
 
 /// Resume/checkpoint facts on stderr after a successful run — recovery is
-/// never silent (DESIGN.md §13). Shared by run/report/figures/sweep; the
-/// analyze path prints its own (its writer lives outside RunStats).
+/// never silent (DESIGN.md §13). Shared by every command that checkpoints.
 void print_checkpoint_notes(const CliOptions& options, const obs::RunStats& stats) {
   if (options.checkpoint_dir.empty()) return;
   if (options.resume) {
@@ -565,162 +564,43 @@ int cmd_analyze(const CliOptions& options) {
     input = &corrupted;
   }
 
-  energy::EnergyLedger ledger;
-  analysis::PersistenceAnalysis persistence;
-  trace::TraceMulticast sinks;
-  sinks.add(&ledger);
-  sinks.add(&persistence);
-  energy::EnergyAttributor attributor{radio::make_lte_model, &sinks};
-  // The reader validates syntax/fields; the ValidatingSink behind it enforces
-  // the stream protocol (bracketing, time order) under the same policy.
-  trace::ReadOptions read_options{options.read_policy};
-  read_options.batch_size = options.batch_size;
-  trace::ValidatingSink validator{&attributor, read_options};
-
   // Without an explicit --format, sniff the input: the WETR magic starts
   // with 'W', which no CSV record tag (M/U/P/T/V/E) does. A one-byte peek
   // works on unseekable stdin too.
   bool binary = options.format == "bin";
   if (!options.format_set) binary = input->peek() == 'W';
 
-  // Both readers are TraceSources reporting through one format-independent
-  // ReadSummary, so a single result block covers CSV and binary (previously
-  // one hand-rolled copy per reader result type).
+  // The readers validate the stream protocol themselves (DESIGN.md §8), so
+  // the pipeline gets a well-formed stream; checkpoint, resume and their
+  // faults run through the engine like every other command.
+  const trace::ReadOptions read_options{options.read_policy};
   trace::CsvTraceSource csv_source{*input, read_options};
   trace::BinaryTraceSource binary_source{*input, read_options};
   trace::TraceSource& source =
       binary ? static_cast<trace::TraceSource&>(binary_source) : csv_source;
-
-  // --checkpoint-dir: snapshot the attribution state (attributor, ledger,
-  // persistence) every --checkpoint-every completed users, so a killed
-  // analyze can --resume mid-trace. Same decorator stack as the pipeline's
-  // forward-only path (src/ckpt/resume_sinks.h): completed user brackets are
-  // skipped at the entry and their state folded back from the checkpoint.
-  fault::FaultPlan ckpt_plan;
-  std::vector<std::pair<std::string, ckpt::CheckpointableSink*>> checkpointables;
-  std::unique_ptr<ckpt::CheckpointWriter> ckpt_writer;
-  std::unique_ptr<ckpt::CheckpointingSink> ckpt_sink;
-  std::unique_ptr<ckpt::UserSkipFilter> skip_filter;
-  util::Status restore_status;
-  trace::TraceSink* entry = &validator;
-  if (!options.checkpoint_dir.empty()) {
-    checkpointables = {{"attributor", &attributor}, {"ledger", &ledger},
-                       {"persistence", &persistence}};
-    for (const auto& spec : options.ckpt_faults) ckpt_plan.add_checkpoint_fault(spec);
-    ckpt::CheckpointWriterOptions writer_options;
-    if (!options.ckpt_faults.empty()) writer_options.fault_plan = &ckpt_plan;
-    ckpt_writer = std::make_unique<ckpt::CheckpointWriter>(options.checkpoint_dir,
-                                                           writer_options);
-    std::optional<ckpt::Snapshot> resumed_snapshot;
-    if (options.resume) {
-      auto loaded = ckpt::CheckpointReader::load_latest(options.checkpoint_dir);
-      if (!loaded.ok()) {
-        std::cerr << "resume failed: " << loaded.status().to_string() << "\n";
-        return 1;
-      }
-      if (loaded->recovered_from_seq != 0) {
-        std::cerr << "warning: recovered from checkpoint seq " << loaded->recovered_from_seq
-                  << " (newer checkpoints damaged)\n";
-      }
-      ckpt_writer->set_next_seq(loaded->seq + 1);
-      resumed_snapshot = std::move(loaded->snapshot);
-    }
-    ckpt_sink = std::make_unique<ckpt::CheckpointingSink>(
-        &validator, options.checkpoint_every, [&]() {
-          if (!restore_status.ok()) return;  // never snapshot over a bad restore
-          ckpt::Snapshot snap;
-          snap.meta = source.meta();
-          snap.completed_users = ckpt_sink->completed_users();
-          for (const auto& [name, sink] : checkpointables) {
-            ckpt::ByteWriter out;
-            sink->save_state(out);
-            snap.add_section(name, out.take());
-          }
-          (void)ckpt_writer->write(snap);  // failures counted; the read continues
-        });
-    if (resumed_snapshot) {
-      ckpt_sink->seed_completed(resumed_snapshot->completed_users);
-      skip_filter = std::make_unique<ckpt::UserSkipFilter>(
-          ckpt_sink.get(), resumed_snapshot->completed_users);
-      ckpt_sink->set_restore_hook(
-          [&, snap = std::move(*resumed_snapshot)](const trace::StudyMeta& meta) {
-            restore_status.update(ckpt::check_snapshot_meta(snap, meta));
-            if (!restore_status.ok()) return;
-            for (const auto& [name, sink] : checkpointables) {
-              const std::string* payload = snap.section(name);
-              if (payload == nullptr) {
-                restore_status.update(util::Status::failed_precondition(
-                    "checkpoint holds no state for sink '" + name + "'"));
-                return;
-              }
-              ckpt::ByteReader in{*payload};
-              if (util::Status st = sink->restore_state(in); !st.ok()) {
-                restore_status.update({st.code(), "sink '" + name + "': " + st.message()});
-                return;
-              }
-            }
-          });
-      entry = skip_filter.get();
-    } else {
-      entry = ckpt_sink.get();
-    }
-  }
-
-  util::Status read_status = util::Status::ok_status();
-  try {
-    read_status = source.emit(*entry, options.batch_size);
-  } catch (const std::exception& e) {
-    // An injected hard-stop checkpoint fault lands here: the checkpoint is
-    // on disk, the process "dies" with a runtime failure.
-    std::cerr << "analyze failed: " << e.what() << "\n";
-    return 1;
-  }
-  if (!restore_status.ok()) {
-    std::cerr << "resume failed: " << restore_status.to_string() << "\n";
-    return 1;
-  }
-  if (skip_filter != nullptr) {
-    std::cerr << "resumed: skipped " << skip_filter->skipped_users()
-              << " already-completed user(s)\n";
-  }
-  if (ckpt_writer != nullptr) {
-    std::cerr << "checkpoints: " << ckpt_writer->checkpoints_written() << " written";
-    if (ckpt_writer->write_failures() > 0) {
-      std::cerr << ", " << ckpt_writer->write_failures() << " write failure(s)";
-    }
-    std::cerr << "\n";
-  }
+  obs::TraceWriter spans;
+  fault::FaultPlan plan;
+  core::StudyPipeline pipeline{&source, observed_options(options, spans, plan)};
+  analysis::PersistenceAnalysis persistence;
+  pipeline.add_analysis("persistence", &persistence);
+  const auto stats = run_guarded(pipeline);
   const trace::ReadSummary& summary =
       binary ? binary_source.summary() : csv_source.summary();
-  if (!read_status.ok()) {
-    std::cerr << "parse error: " << read_status.message() << "\n";
-    print_quarantine(summary.quarantine);
-    return 1;
-  }
-  if (!summary.checksum_ok) std::cerr << "warning: checksum mismatch (best-effort read)\n";
   print_quarantine(summary.quarantine);
-  std::uint64_t dropped = summary.records_dropped;
-  std::uint64_t repaired = summary.records_repaired;
-  const bool truncated = summary.truncated;
-  if (!validator.status().ok()) {
-    std::cerr << "protocol error: " << validator.status().message() << "\n";
-    print_quarantine(validator.quarantine());
-    return 1;
-  }
-  dropped += validator.records_dropped();
-  repaired += validator.records_repaired();
-  print_quarantine(validator.quarantine());
-  if (dropped > 0 || repaired > 0 || truncated) {
-    std::cerr << "degraded read: " << dropped << " record(s) dropped, " << repaired
-              << " repaired" << (truncated ? ", stream truncated before the E record" : "")
-              << "\n";
+  if (!stats) return 1;
+  print_checkpoint_notes(options, *stats);
+  if (!summary.checksum_ok) std::cerr << "warning: checksum mismatch (best-effort read)\n";
+  if (summary.degraded()) {
+    std::cerr << "degraded read: " << summary.records_dropped << " record(s) dropped, "
+              << summary.records_repaired << " repaired"
+              << (summary.truncated ? ", stream truncated before the E record" : "") << "\n";
   }
 
   // App names are unknown for external traces; use the default catalog's
   // names where ids overlap, "appN" otherwise.
   const auto catalog = appmodel::AppCatalog::full_catalog(options.study.seed);
-  core::Report::build(ledger, catalog, &persistence).print(std::cout);
-  return 0;
+  core::Report::build(pipeline.ledger(), catalog, &persistence).print(std::cout);
+  return finish_observability(options, *stats, spans, std::cout) ? 0 : 1;
 }
 
 int cmd_report(const CliOptions& options) {

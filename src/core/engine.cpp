@@ -384,7 +384,15 @@ util::Status Engine::restore(const ckpt::Snapshot& snap) {
     Plan& plan = plans_[si];
     const std::string p = prefix(si);
     const std::string* name = snap.section(p + "scenario");
-    if (name == nullptr && si == resumed_done_) break;  // nothing was in progress
+    if (name == nullptr && si == resumed_done_) {
+      if (snap.completed_users.empty()) break;  // nothing was in progress
+      // Progress without the scenario's sections: not a snapshot this engine
+      // wrote (e.g. one from before analyze ran on the engine).
+      return util::Status::failed_precondition(
+          "checkpoint lists " + std::to_string(snap.completed_users.size()) +
+          " completed user(s) but holds no section '" + p +
+          "scenario' — it was written in an older, unprefixed layout");
+    }
     if (name == nullptr || *name != plan.sc->name) {
       return util::Status::failed_precondition(
           "checkpointed scenario '" + (name != nullptr ? *name : "<missing>") +

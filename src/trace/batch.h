@@ -152,13 +152,15 @@ class EventBatcher final : public TraceSink {
     downstream_->on_batch(batch);
   }
 
- private:
+  /// Deliver the pending (short) batch now. A reader calls this when its
+  /// input stops before the next bracket would have flushed it.
   void flush() {
     if (batch_.empty()) return;
     downstream_->on_batch(batch_);
     batch_.clear();
   }
 
+ private:
   TraceSink* downstream_;
   std::size_t batch_size_;
   EventBatch batch_;

@@ -8,6 +8,7 @@
 #include "ckpt/codec.h"
 #include "obs/metrics.h"
 #include "trace/batch.h"
+#include "trace/validating_sink.h"
 
 namespace wildenergy::trace {
 
@@ -175,18 +176,13 @@ class Reader {
   ReadFail fail_ = ReadFail::kNone;
 };
 
-}  // namespace
-
-BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
-                                   const ReadOptions& options) {
-  // Frames decode one record at a time; the batcher hands the sink
-  // EventBatches and flushes before every bracket (see read_csv_trace).
-  EventBatcher batcher{&sink, options.batch_size};
-  BinaryReadResult result;
+/// Decodes frames one record at a time into `batcher`, which hands
+/// EventBatches to the validator and flushes before every bracket.
+void decode_binary(std::istream& is, EventBatcher& batcher, const ReadOptions& options,
+                   ReadSummary& result) {
   auto& registry = obs::MetricsRegistry::current();
   const auto fail = [&](std::string why) {
     result.status = util::Status::data_loss(std::move(why));
-    return result;
   };
 
   char magic[4] = {};
@@ -217,9 +213,9 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
       if (result.quarantine.size() < options.max_quarantine) {
         result.quarantine.push_back({reader.offset(), why, ""});
       }
-      return result;
+      return;
     }
-    return fail(why);
+    fail(why);
   };
   // EOF vs overlong varint mid-record yield distinct, located errors.
   const auto record_cut = [&](const char* record) {
@@ -383,7 +379,7 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
           }
         }
         batcher.on_study_end();
-        return result;
+        return;
       }
       default:
         if (options.policy == ReadPolicy::kBestEffort) {
@@ -394,6 +390,14 @@ BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
                     std::to_string(reader.offset()));
     }
   }
+}
+
+}  // namespace
+
+ReadSummary read_binary_trace(std::istream& is, TraceSink& sink, const ReadOptions& options) {
+  return read_validated(sink, options, [&](EventBatcher& batcher, ReadSummary& result) {
+    decode_binary(is, batcher, options, result);
+  });
 }
 
 util::Status BinaryTraceSource::emit(TraceSink& sink, std::size_t batch_size) {
@@ -409,10 +413,7 @@ util::Status BinaryTraceSource::emit(TraceSink& sink, std::size_t batch_size) {
   ReadOptions options = options_;
   options.batch_size = batch_size;
   MetaCaptureSink capture(&sink, &meta_);
-  BinaryReadResult result = read_binary_trace(is_, capture, options);
-  summary_ = ReadSummary{result.status,          result.records_dropped,
-                         result.records_repaired, result.truncated,
-                         result.checksum_ok,      std::move(result.quarantine)};
+  summary_ = read_binary_trace(is_, capture, options);
   return summary_.status;
 }
 

@@ -16,8 +16,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 #include "trace/read_policy.h"
 #include "trace/sink.h"
@@ -50,32 +48,22 @@ class BinaryTraceWriter final : public TraceSink {
   std::int64_t last_time_us_ = 0;
 };
 
-/// Result of replaying a binary stream. Error messages carry the byte offset
-/// of the failure.
-struct BinaryReadResult {
-  util::Status status;
-  std::uint64_t records = 0;          ///< records consumed (including skipped)
-  std::uint64_t records_dropped = 0;  ///< records skipped (lenient policies)
-  std::uint64_t records_repaired = 0; ///< records salvaged under kBestEffort
-  bool truncated = false;   ///< kBestEffort: stream ended mid-record
-  bool checksum_ok = true;  ///< kBestEffort: false when the trailer mismatched
-  std::vector<QuarantinedRecord> quarantine;  ///< first few rejects
-
-  [[nodiscard]] bool ok() const { return status.ok(); }
-  [[nodiscard]] const std::string& error() const { return status.message(); }
-};
-
 /// Parse a binary trace and replay it into `sink`. Verifies magic, version
-/// and checksum. Under ReadPolicy::kStrict any damage is fatal; under
-/// kSkipAndCount records with out-of-range fields are skipped and counted
-/// (framing damage — truncation, overlong varints, unknown tags, checksum
-/// mismatch — is still fatal, since the format cannot resync past it); under
-/// kBestEffort framing damage ends the stream instead (truncated=true) and a
-/// checksum mismatch is reported via checksum_ok rather than an error.
-/// Drops/repairs are also counted in obs::MetricsRegistry::current() under
-/// "ingest.records_dropped" / "ingest.records_repaired".
-[[nodiscard]] BinaryReadResult read_binary_trace(std::istream& is, TraceSink& sink,
-                                                 const ReadOptions& options = {});
+/// and checksum, and — like read_csv_trace — checks the stream protocol
+/// behind the decoder with a ValidatingSink under the same options, so
+/// `sink` only ever sees a well-formed stream (DESIGN.md §8). Under
+/// ReadPolicy::kStrict any damage is fatal; under kSkipAndCount records
+/// with out-of-range fields are skipped and counted (framing damage —
+/// truncation, overlong varints, unknown tags, checksum mismatch — is still
+/// fatal, since the format cannot resync past it); under kBestEffort framing
+/// damage ends the stream instead (truncated=true, the open user closed) and
+/// a checksum mismatch is reported via checksum_ok rather than an error.
+/// Errors carry the byte offset of the failure; ReadSummary::records counts
+/// records read. Drops/repairs are also counted in
+/// obs::MetricsRegistry::current() under "ingest.*" (decoder) and
+/// "validate.*" (protocol).
+[[nodiscard]] ReadSummary read_binary_trace(std::istream& is, TraceSink& sink,
+                                            const ReadOptions& options = {});
 
 /// TraceSource over a binary trace stream; the binary twin of
 /// CsvTraceSource (csv_io.h) with identical semantics: forward-only,

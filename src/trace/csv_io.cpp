@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "trace/batch.h"
+#include "trace/validating_sink.h"
 
 namespace wildenergy::trace {
 
@@ -87,20 +88,17 @@ std::string format_error(std::uint64_t line_no, const LineError& err,
   return msg;
 }
 
-}  // namespace
-
-CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink, const ReadOptions& options) {
-  // Lines parse one record at a time; the batcher hands the sink
-  // EventBatches and flushes before every bracket.
-  EventBatcher batcher{&sink, options.batch_size};
-  CsvReadResult result;
+/// Parses lines one record at a time into `batcher`, which hands
+/// EventBatches to the validator and flushes before every bracket.
+void decode_csv(std::istream& is, EventBatcher& batcher, const ReadOptions& options,
+                ReadSummary& result) {
   auto& registry = obs::MetricsRegistry::current();
   std::string line;
   bool saw_any_record = false;
   bool study_ended = false;
 
   while (std::getline(is, line)) {
-    ++result.lines;
+    ++result.records;
     if (line.empty()) continue;
     const auto fields = split(line);
     const std::string_view tag = fields[0];
@@ -211,20 +209,20 @@ CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink, const ReadOption
         ++result.records_repaired;
         registry.counter("ingest.records_repaired").inc();
         if (result.quarantine.size() < options.max_quarantine) {
-          result.quarantine.push_back({result.lines, repair_reason, snippet_of(line)});
+          result.quarantine.push_back({result.records, repair_reason, snippet_of(line)});
         }
       }
       continue;
     }
-    const std::string message = format_error(result.lines, err, fields, line);
+    const std::string message = format_error(result.records, err, fields, line);
     if (options.policy == ReadPolicy::kStrict) {
       result.status = util::Status::data_loss(message);
-      return result;
+      return;
     }
     ++result.records_dropped;
     registry.counter("ingest.records_dropped").inc();
     if (result.quarantine.size() < options.max_quarantine) {
-      result.quarantine.push_back({result.lines, message, snippet_of(line)});
+      result.quarantine.push_back({result.records, message, snippet_of(line)});
     }
   }
 
@@ -233,14 +231,22 @@ CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink, const ReadOption
       result.truncated = true;
       if (result.quarantine.size() < options.max_quarantine) {
         result.quarantine.push_back(
-            {result.lines, "truncated stream: no study end (E) record", ""});
+            {result.records, "truncated stream: no study end (E) record", ""});
       }
     } else {
       result.status = util::Status::data_loss(
-          "truncated stream: no study end (E) record after line " + std::to_string(result.lines));
+          "truncated stream: no study end (E) record after line " +
+          std::to_string(result.records));
     }
   }
-  return result;
+}
+
+}  // namespace
+
+ReadSummary read_csv_trace(std::istream& is, TraceSink& sink, const ReadOptions& options) {
+  return read_validated(sink, options, [&](EventBatcher& batcher, ReadSummary& result) {
+    decode_csv(is, batcher, options, result);
+  });
 }
 
 util::Status CsvTraceSource::emit(TraceSink& sink, std::size_t batch_size) {
@@ -257,10 +263,7 @@ util::Status CsvTraceSource::emit(TraceSink& sink, std::size_t batch_size) {
   ReadOptions options = options_;
   options.batch_size = batch_size;
   MetaCaptureSink capture(&sink, &meta_);
-  CsvReadResult result = read_csv_trace(is_, capture, options);
-  summary_ = ReadSummary{result.status,          result.records_dropped,
-                         result.records_repaired, result.truncated,
-                         /*checksum_ok=*/true,    std::move(result.quarantine)};
+  summary_ = read_csv_trace(is_, capture, options);
   return summary_.status;
 }
 

@@ -15,8 +15,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 #include "trace/read_policy.h"
 #include "trace/sink.h"
@@ -41,28 +39,20 @@ class CsvTraceWriter final : public TraceSink {
   std::ostream& os_;
 };
 
-/// Result of replaying a CSV stream into a sink. Error messages carry the
-/// 1-based line number, the offending field index, and a truncated echo of
-/// the line.
-struct CsvReadResult {
-  util::Status status;
-  std::uint64_t lines = 0;            ///< lines read (including skipped ones)
-  std::uint64_t records_dropped = 0;  ///< malformed lines skipped (lenient policies)
-  std::uint64_t records_repaired = 0; ///< lines salvaged under kBestEffort
-  bool truncated = false;  ///< kBestEffort: stream ended without the E record
-  std::vector<QuarantinedRecord> quarantine;  ///< first few rejects, verbatim
-
-  [[nodiscard]] bool ok() const { return status.ok(); }
-  [[nodiscard]] const std::string& error() const { return status.message(); }
-};
-
 /// Parse a CSV trace and replay it into `sink` (I: validate inputs at the
-/// boundary). Under ReadPolicy::kStrict the first malformed line is fatal;
-/// the lenient policies skip-and-count it (see trace/read_policy.h). Drops
-/// and repairs are also counted in obs::MetricsRegistry::current() under
-/// "ingest.records_dropped" / "ingest.records_repaired".
-[[nodiscard]] CsvReadResult read_csv_trace(std::istream& is, TraceSink& sink,
-                                           const ReadOptions& options = {});
+/// boundary). The parser checks each line's syntax and fields; a
+/// ValidatingSink behind it checks the stream protocol (bracketing, time
+/// order, study window) under the same options, so `sink` only ever sees a
+/// well-formed stream (DESIGN.md §8). Under ReadPolicy::kStrict the first
+/// malformed line or protocol violation is fatal; the lenient policies
+/// skip-and-count it (see trace/read_policy.h). Parse errors carry the
+/// 1-based line number, the offending field index, and a truncated echo of
+/// the line; ReadSummary::records counts lines read. Drops and repairs are
+/// also counted in obs::MetricsRegistry::current() under
+/// "ingest.records_dropped" / "ingest.records_repaired" (parser) and
+/// "validate.records_dropped" / "validate.records_repaired" (protocol).
+[[nodiscard]] ReadSummary read_csv_trace(std::istream& is, TraceSink& sink,
+                                         const ReadOptions& options = {});
 
 /// TraceSource over a CSV stream: the reader behind StudyPipeline / CLI
 /// --replay, lifted onto the one producer API. Forward-only — no per-user
@@ -79,8 +69,7 @@ class CsvTraceSource final : public TraceSource {
   /// Zero-valued until the first emit() has passed the header line.
   [[nodiscard]] StudyMeta meta() const override { return meta_; }
 
-  /// Degradation detail of the last emit() (drops, repairs, quarantine) in
-  /// the format-independent shape shared with the binary reader.
+  /// What the last emit() read (drops, repairs, quarantine, status).
   [[nodiscard]] const ReadSummary& summary() const { return summary_; }
 
  private:

@@ -66,18 +66,22 @@ struct QuarantinedRecord {
   std::string snippet;  ///< truncated echo of the offending input
 };
 
-/// Format-independent summary of one degraded read, so consumers (the CLI's
-/// analyze path, the sweep engine) report CSV and binary sources through one
-/// code path instead of one block per CsvReadResult / BinaryReadResult.
+/// What one read of a trace stream saw: the one result type of
+/// read_csv_trace / read_binary_trace and their TraceSources. Every reader
+/// validates the stream protocol behind its parser (trace/validating_sink.h),
+/// so the counts, the quarantine and a strict-mode Status cover both the
+/// record syntax and the protocol.
 struct ReadSummary {
   util::Status status;
+  std::uint64_t records = 0;  ///< CSV lines / binary records read, skipped ones included
   std::uint64_t records_dropped = 0;
   std::uint64_t records_repaired = 0;
-  bool truncated = false;
+  bool truncated = false;  ///< kBestEffort: the stream ended early and was closed
   bool checksum_ok = true;  ///< binary only; CSV reads always report true
-  std::vector<QuarantinedRecord> quarantine;
+  std::vector<QuarantinedRecord> quarantine;  ///< first few rejects, verbatim
 
   [[nodiscard]] bool ok() const { return status.ok(); }
+  [[nodiscard]] const std::string& error() const { return status.message(); }
   [[nodiscard]] bool degraded() const {
     return records_dropped > 0 || records_repaired > 0 || truncated || !checksum_ok;
   }

@@ -8,7 +8,6 @@
 #include <iterator>
 
 #include "ckpt/codec.h"
-#include "ckpt/resume_sinks.h"
 
 namespace wildenergy::trace {
 
@@ -117,6 +116,10 @@ void SpillingTraceStore::on_user_begin(UserId user) {
   auto [it, inserted] = users_.try_emplace(user);
   if (inserted) order_.push_back(user);
   UserState& state = it->second;
+  // A resuming capture of a forward-only source replays every user; the
+  // ones the sealed segments already cover are dropped here (in_user_ stays
+  // false, so their events and end are ignored).
+  if (resuming_capture_ && state.complete) return;
   if (state.complete) {
     // Recapture of an already-complete user supersedes the old stream; the
     // stale chunks stay in their segments but are no longer referenced.
@@ -382,34 +385,34 @@ util::Status SpillingTraceStore::capture(TraceSource& source, std::size_t batch_
     // The pull loop below only surfaces the source's meta for users it
     // actually regenerates — when every user is already complete it would
     // never compare at all, so check up front against the manifest's meta.
-    if (!segments_.empty()) note_source_meta(source.meta());
+    // A forward-only reader knows its meta only once its stream is read;
+    // its study bracket is checked in on_study_begin instead.
+    if (!segments_.empty() && source.supports_user_access()) {
+      note_source_meta(source.meta());
+    }
   }
   if (!health_.ok()) return health_;
   const std::vector<UserId> done = completed_users();
   resumed_users_ = done.size();
+  // A resuming capture extends the recovered contents and never recaptures
+  // a sealed user (on_study_begin / on_user_begin).
+  resuming_capture_ = !done.empty();
   util::Status emitted = util::Status::ok_status();
-  if (!done.empty() && source.supports_user_access()) {
+  if (resuming_capture_ && source.supports_user_access()) {
     // The whole point of resume: sealed users are never regenerated. Pull
     // only the missing users; each emit_user wraps its pull in a study
     // bracket that BracketStrip strips (after verifying it matches).
-    resuming_capture_ = true;
     BracketStrip strip{this};
     for (const UserId user : source.users()) {
       if (std::binary_search(done.begin(), done.end(), user)) continue;
       emitted = source.emit_user(user, strip, batch_size);
       if (!emitted.ok()) break;
     }
-    resuming_capture_ = false;
-  } else if (!done.empty()) {
-    // Forward-only source: the stream must replay in full, but completed
-    // users are dropped before they reach the columns.
-    resuming_capture_ = true;
-    ckpt::UserSkipFilter skip{this, done};
-    emitted = source.emit(skip, batch_size);
-    resuming_capture_ = false;
   } else {
+    // Forward-only sources replay in full; sealed users drop at the store.
     emitted = source.emit(*this, batch_size);
   }
+  resuming_capture_ = false;
   if (!emitted.ok()) return emitted;
   if (options_.seal_on_capture) {
     util::Status sealed = seal();

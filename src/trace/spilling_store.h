@@ -71,7 +71,8 @@ class SpillingTraceStore final : public StoreBackend {
 
   /// Captures `source`, reusing recovered users when options_.resume is set:
   /// sources with per-user access are only asked for the missing users;
-  /// forward-only sources emit once through a skip filter.
+  /// forward-only sources emit once and the store drops the users it
+  /// already holds sealed.
   util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize) override;
 
   // -- replay (TraceSource) -------------------------------------------------
@@ -150,7 +151,8 @@ class SpillingTraceStore final : public StoreBackend {
   EventBatch current_;                   ///< capture target inside a user bracket
   bool in_user_ = false;
   bool started_ = false;
-  bool resuming_capture_ = false;  ///< study begin must extend, not clear
+  /// Study begin must extend, not clear; sealed users are skipped.
+  bool resuming_capture_ = false;
   bool recovered_ = false;
   std::uint64_t resident_bytes_ = 0;  ///< complete-chunk column bytes queued
   std::uint64_t max_resident_bytes_ = 0;

@@ -246,4 +246,22 @@ void ValidatingSink::on_study_end() {
   downstream_->on_study_end();
 }
 
+ReadSummary read_validated(TraceSink& sink, const ReadOptions& options,
+                           const std::function<void(EventBatcher&, ReadSummary&)>& decode) {
+  ValidatingSink validator{&sink, options};
+  EventBatcher batcher{&validator, options.batch_size};
+  ReadSummary summary;
+  decode(batcher, summary);
+  batcher.flush();
+  if (summary.truncated) validator.end_early();
+  summary.records_dropped += validator.records_dropped();
+  summary.records_repaired += validator.records_repaired();
+  for (const QuarantinedRecord& q : validator.quarantine()) {
+    if (summary.quarantine.size() >= options.max_quarantine) break;
+    summary.quarantine.push_back(q);
+  }
+  if (!validator.status().ok()) summary.status = validator.status();
+  return summary;
+}
+
 }  // namespace wildenergy::trace

@@ -1,11 +1,14 @@
-// ValidatingSink: a reusable decorator enforcing the stream protocol.
+// ValidatingSink: the decorator enforcing the stream protocol, and the one
+// ingest boundary built on it.
 //
 // The TraceSink contract (sink.h) promises begin/end bracketing, per-user
 // non-decreasing timestamps, and in-range enums — promises a reader replaying
-// an external (possibly corrupted) file cannot keep by construction. Chain a
-// ValidatingSink in front of any sink graph to turn protocol violations into
+// an external (possibly corrupted) file cannot keep by construction. Both
+// readers (csv_io.h, binary_io.h) therefore run their parser behind a
+// ValidatingSink (read_validated below), which turns protocol violations into
 // counted, quarantined drops (lenient policies) or a poisoned stream with a
-// precise Status (strict), instead of undefined downstream behavior.
+// precise Status (strict), instead of undefined downstream behavior. Every
+// consumer of a reader gets a well-formed stream (DESIGN.md §8).
 //
 // Invariants enforced:
 //   - exactly one study bracket; nothing before on_study_begin or after
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,6 +70,13 @@ class ValidatingSink final : public TraceSink {
   [[nodiscard]] std::uint64_t violations() const { return records_dropped_ + records_repaired_; }
   [[nodiscard]] const std::vector<QuarantinedRecord>& quarantine() const { return quarantine_; }
 
+  /// End a stream whose input stopped early: an open study closes as
+  /// on_study_end would close it (under kBestEffort an open user is
+  /// auto-closed and counted as repaired). No-op when no study is open.
+  void end_early() {
+    if (in_study_) on_study_end();
+  }
+
  private:
   /// Record one violation. Returns true if the current record must be
   /// dropped (false under best-effort repairs and strict-after-poison).
@@ -97,5 +108,18 @@ class ValidatingSink final : public TraceSink {
   std::uint64_t records_repaired_ = 0;
   std::vector<QuarantinedRecord> quarantine_;
 };
+
+/// The one ingest boundary: runs a reader's parser behind a ValidatingSink
+/// that forwards to `sink` under `options`. `decode` parses its input into
+/// the EventBatcher it is handed and fills in the parser's own counts,
+/// quarantine, truncation and parse-error Status. Afterwards the batcher is
+/// flushed; a stream that ended early (truncated) is closed through the
+/// validator, so the result never depends on the batch size; and the
+/// validator's drops, repairs, quarantine (up to the cap) and strict-mode
+/// Status fold into the returned summary. A protocol error wins over a
+/// parse error: the validator only saw records before the parser stopped.
+[[nodiscard]] ReadSummary read_validated(
+    TraceSink& sink, const ReadOptions& options,
+    const std::function<void(EventBatcher&, ReadSummary&)>& decode);
 
 }  // namespace wildenergy::trace

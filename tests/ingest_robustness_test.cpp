@@ -4,9 +4,14 @@
 // is surfaced or counted — a read that looks clean produces the clean ledger".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/pipeline.h"
 #include "deliver.h"
 #include "energy/ledger.h"
 #include "fault/injector.h"
@@ -375,6 +380,84 @@ TEST(ValidatingSink, RejectsEnumAndBracketViolations) {
 }
 
 // ---------------------------------------------------------------------------
+// The ingest boundary: a pipeline over a reader never sees a malformed
+// stream. Strict runs fail with a positioned error; lenient runs count the
+// damage in the reader's summary.
+
+/// A 3-user CSV trace with one protocol violation the line parser cannot
+/// see: `damage` edits the lines of a clean trace.
+std::string damaged_csv(const std::function<void(std::vector<std::string>&)>& damage) {
+  sim::StudyConfig cfg = tiny_config();
+  cfg.num_users = 3;
+  std::ostringstream os;
+  trace::CsvTraceWriter writer{os};
+  sim::StudyGenerator{cfg}.run(writer);
+  std::istringstream clean{os.str()};
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(clean, line);) lines.push_back(line);
+  damage(lines);
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+std::int64_t csv_time(const std::string& line) {
+  return std::stoll(line.substr(2, line.find(',', 2) - 2));
+}
+
+/// Swap two adjacent packets of user 0 with distinct timestamps.
+void swap_backwards(std::vector<std::string>& lines) {
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    if (lines[i].rfind("P,", 0) == 0 && lines[i + 1].rfind("P,", 0) == 0 &&
+        csv_time(lines[i]) < csv_time(lines[i + 1])) {
+      std::swap(lines[i], lines[i + 1]);
+      return;
+    }
+  }
+  FAIL() << "no adjacent packets with distinct timestamps";
+}
+
+/// Delete user 0's end record.
+void drop_user_end(std::vector<std::string>& lines) {
+  const auto it = std::find(lines.begin(), lines.end(), "V,0");
+  ASSERT_NE(it, lines.end());
+  lines.erase(it);
+}
+
+TEST(IngestBoundary, StrictPipelineRunFailsWithAPositionedError) {
+  for (const auto& [what, damage] :
+       {std::pair{"backwards timestamp", &swap_backwards},
+        std::pair{"missing user end", &drop_user_end}}) {
+    SCOPED_TRACE(what);
+    std::istringstream is{damaged_csv(damage)};
+    trace::CsvTraceSource source{is};
+    core::StudyPipeline pipeline{&source};
+    const auto stats = pipeline.run();
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), util::StatusCode::kFailedPrecondition);
+    EXPECT_NE(stats.status().message().find("record "), std::string::npos)
+        << stats.status().to_string();
+  }
+}
+
+TEST(IngestBoundary, SkipAndCountPipelineCountsTheDrop) {
+  obs::MetricsRegistry registry;
+  const obs::ScopedMetricsRegistry scoped{&registry};
+  for (const auto& [what, damage] :
+       {std::pair{"backwards timestamp", &swap_backwards},
+        std::pair{"missing user end", &drop_user_end}}) {
+    SCOPED_TRACE(what);
+    std::istringstream is{damaged_csv(damage)};
+    trace::CsvTraceSource source{is, with_policy(ReadPolicy::kSkipAndCount)};
+    core::StudyPipeline pipeline{&source};
+    const auto stats = pipeline.run();
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    EXPECT_GT(source.summary().records_dropped, 0u);
+    EXPECT_FALSE(source.summary().quarantine.empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Corruption property: a fault is surfaced or counted; a read with nothing
 // to report reproduces the clean ledger exactly.
 
@@ -390,25 +473,15 @@ ReplayOutcome replay(const std::string& data, bool binary, ReadPolicy policy) {
   obs::MetricsRegistry registry;  // keep test metrics off the global registry
   const obs::ScopedMetricsRegistry scoped{&registry};
   energy::EnergyLedger ledger;
-  trace::ValidatingSink validator{&ledger, with_policy(policy)};
   std::istringstream is{data};
-  std::uint64_t dropped = 0;
-  std::uint64_t repaired = 0;
-  bool clean_framing = true;
-  if (binary) {
-    const auto result = trace::read_binary_trace(is, validator, with_policy(policy));
-    dropped = result.records_dropped;
-    repaired = result.records_repaired;
-    clean_framing = result.ok() && !result.truncated && result.checksum_ok &&
-                    result.quarantine.empty();
-  } else {
-    const auto result = trace::read_csv_trace(is, validator, with_policy(policy));
-    dropped = result.records_dropped;
-    repaired = result.records_repaired;
-    clean_framing = result.ok() && !result.truncated && result.quarantine.empty();
-  }
-  out.surfaced = !clean_framing || dropped > 0 || repaired > 0 ||
-                 !validator.status().ok() || validator.violations() > 0;
+  // The reader alone: it validates the stream protocol itself, so protocol
+  // damage surfaces in the same summary as parse damage.
+  const trace::ReadSummary result = binary
+                                        ? trace::read_binary_trace(is, ledger, with_policy(policy))
+                                        : trace::read_csv_trace(is, ledger, with_policy(policy));
+  const bool clean_framing =
+      result.ok() && !result.truncated && result.checksum_ok && result.quarantine.empty();
+  out.surfaced = !clean_framing || result.records_dropped > 0 || result.records_repaired > 0;
   out.joules = ledger.total_joules();
   out.bytes = ledger.total_bytes();
   out.packets = ledger.total_packets();

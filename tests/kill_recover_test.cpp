@@ -314,6 +314,40 @@ TEST(KillRecoverPipeline, ForwardOnlySourceResumesThroughSerialDecorators) {
   fs::remove_all(dir);
 }
 
+TEST(KillRecoverPipeline, UnprefixedCheckpointIsRefusedNotRestarted) {
+  // The layout `analyze` wrote before it ran on the engine: progress plus
+  // per-sink sections without the engine's "s<scenario>." prefix. Resuming
+  // it must fail loudly rather than silently start from user zero.
+  const sim::StudyConfig cfg = test_config();
+  const fs::path dir = scratch_dir("unprefixed");
+  {
+    ckpt::Snapshot snap;
+    snap.meta = sim::StudyGenerator{cfg}.meta();
+    snap.completed_users = {0, 1};
+    snap.add_section("attributor", "");
+    snap.add_section("ledger", "");
+    ckpt::CheckpointWriter writer{dir.string()};
+    ASSERT_TRUE(writer.write(snap).ok());
+  }
+  std::ostringstream csv_text;
+  {
+    trace::CsvTraceWriter writer{csv_text};
+    sim::StudyGenerator{cfg}.run(writer);
+  }
+  std::istringstream csv_in{csv_text.str()};
+  trace::CsvTraceSource source{csv_in};
+  core::PipelineOptions options;
+  options.checkpoint_dir = dir.string();
+  options.resume = true;
+  core::StudyPipeline resumed{&source, options};
+  const auto stats = resumed.run();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(stats.status().message().find("'s0.scenario'"), std::string::npos)
+      << stats.status().to_string();
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------------------------ sweep
 
 /// One engine's worth of scenarios + per-scenario sinks, so killed, resumed,

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "sim/study_config.h"
 #include "sim/user_model.h"
 #include "trace/batch.h"
+#include "trace/csv_io.h"
 #include "trace/segment.h"
 #include "trace/sink.h"
 #include "trace/spilling_store.h"
@@ -734,6 +736,65 @@ TEST(SpillKillRecover, ResumeReusesSealedSegmentsAndPullsOnlyMissingUsers) {
   ASSERT_TRUE(store2.capture(again, 256).ok());
   EXPECT_EQ(store2.resumed_users(), num_users);
   EXPECT_TRUE(again.pulled.empty());
+}
+
+TEST(SpillKillRecover, ForwardOnlyResumeSkipsSealedUsers) {
+  // A CSV source has no per-user access: the resuming capture replays the
+  // whole stream and the store itself drops the users its segments cover.
+  const fs::path dir = scratch_dir("kill_recover_forward_only");
+  constexpr std::size_t kKillAfter = 2;
+  std::ostringstream csv;
+  {
+    trace::CsvTraceWriter writer{csv};
+    sim::StudyGenerator{ooc_study()}.run(writer);
+  }
+
+  trace::TraceStore uninterrupted;
+  {
+    std::istringstream is{csv.str()};
+    trace::CsvTraceSource source{is};
+    ASSERT_TRUE(uninterrupted.capture(source).ok());
+  }
+  ASSERT_GT(uninterrupted.num_users(), kKillAfter);
+
+  trace::SpillOptions spill;
+  spill.dir = dir.string();
+  spill.budget_bytes = 0;
+  {
+    std::istringstream is{csv.str()};
+    trace::CsvTraceSource source{is};
+    trace::SpillingTraceStore store{spill};
+    KillAfterUsersSink killer{&store, kKillAfter};
+    EXPECT_THROW((void)source.emit(killer, 256), std::runtime_error);
+  }
+
+  spill.resume = true;
+  std::istringstream is{csv.str()};
+  trace::CsvTraceSource source{is};
+  trace::SpillingTraceStore store{spill};
+  const util::Status captured = store.capture(source, 256);
+  ASSERT_TRUE(captured.ok()) << captured.to_string();
+  EXPECT_EQ(store.resumed_users(), kKillAfter);
+  EXPECT_EQ(store.users(), uninterrupted.users());
+
+  trace::TraceCollector a;
+  trace::TraceCollector b;
+  ASSERT_TRUE(uninterrupted.emit(a, 256).ok());
+  ASSERT_TRUE(store.emit(b, 256).ok());
+  ASSERT_EQ(a.packets().size(), b.packets().size());
+  ASSERT_EQ(a.transitions().size(), b.transitions().size());
+  for (std::size_t i = 0; i < a.packets().size(); ++i) {
+    ASSERT_EQ(a.packets()[i].time.us, b.packets()[i].time.us);
+    ASSERT_EQ(a.packets()[i].user, b.packets()[i].user);
+    ASSERT_EQ(a.packets()[i].app, b.packets()[i].app);
+    ASSERT_EQ(a.packets()[i].bytes, b.packets()[i].bytes);
+    ASSERT_EQ(a.packets()[i].joules, b.packets()[i].joules);
+  }
+  for (std::size_t i = 0; i < a.transitions().size(); ++i) {
+    ASSERT_EQ(a.transitions()[i].time.us, b.transitions()[i].time.us);
+    ASSERT_EQ(a.transitions()[i].user, b.transitions()[i].user);
+    ASSERT_EQ(a.transitions()[i].to, b.transitions()[i].to);
+  }
 }
 
 // -------------------------------------------------------------- population

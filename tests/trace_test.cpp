@@ -201,9 +201,12 @@ TEST(CsvIo, AppResolverMapsNamesThroughTheCatalog) {
   options.app_resolver = [&catalog](std::string_view name) { return catalog.find(name); };
 
   std::istringstream is{
+      "M,1,80,0,86400000000\n"
+      "U,0\n"
       "P,1000,0,Chrome,0,100,down,cell,service,0.5\n"
       "P,2000,0,7,1,200,up,wifi,foreground,1.5\n"
       "T,3000,0,Weibo,foreground,background\n"
+      "V,0\n"
       "E\n"};
   TraceCollector collector;
   const auto result = read_csv_trace(is, collector, options);
