@@ -2,11 +2,13 @@
 // time, and what the retry-then-skip engine policy costs at execution time.
 //
 // Two views:
-//  1. a generated study serialized to CSV and WETR binary, damaged by each
-//     deterministic fault::CorruptionKind, then read back under every
-//     trace::ReadPolicy into an EnergyLedger (each reader validates the
-//     stream protocol behind its parser) — wall time
-//     plus how the damage surfaced (error / drops / repairs);
+//  1. a generated study serialized to CSV, damaged by each CSV field-level
+//     fault::CorruptionKind, then read back under every trace::ReadPolicy
+//     into an EnergyLedger (the reader validates the stream protocol behind
+//     its parser) — wall time plus how the damage surfaced (error / drops /
+//     repairs). Byte-level damage to the binary WESG segments is caught by
+//     their checksum on open (tests/out_of_core_test.cpp), so it has no
+//     policy to compare;
 //  2. the sharded pipeline under a scripted FaultPlan: clean run vs a shard
 //     that fails once and is retried vs a shard that exhausts its retries
 //     and is skipped (kRetryThenSkip).
@@ -24,7 +26,6 @@
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "sim/generator.h"
-#include "trace/binary_io.h"
 #include "trace/csv_io.h"
 #include "util/table.h"
 
@@ -47,22 +48,20 @@ struct ReadOutcome {
   std::uint64_t packets = 0;
 };
 
-ReadOutcome timed_read(const std::string& data, bool binary, trace::ReadPolicy policy) {
+ReadOutcome timed_read(const std::string& data, trace::ReadPolicy policy) {
   ReadOutcome out;
   energy::EnergyLedger ledger;
   trace::ReadOptions options;
   options.policy = policy;
   std::istringstream is{data};
   const auto start = std::chrono::steady_clock::now();
-  // Both readers validate the stream protocol themselves, so the summary
-  // covers parse and protocol damage alike.
-  const trace::ReadSummary r = binary ? trace::read_binary_trace(is, ledger, options)
-                                      : trace::read_csv_trace(is, ledger, options);
+  // The reader validates the stream protocol itself, so the summary covers
+  // parse and protocol damage alike.
+  const trace::ReadSummary r = trace::read_csv_trace(is, ledger, options);
   out.wall_ms = elapsed_ms(start);
   out.dropped = r.records_dropped;
   out.repaired = r.records_repaired;
-  const bool read_ok = r.ok() && r.checksum_ok;
-  out.outcome = !read_ok ? "error" : r.degraded() ? "degraded" : "clean";
+  out.outcome = !r.ok() ? "error" : r.degraded() ? "degraded" : "clean";
   out.packets = ledger.total_packets();
   return out;
 }
@@ -73,19 +72,14 @@ int main() {
   const sim::StudyConfig cfg = benchutil::config_from_env(/*default_days=*/60);
   benchutil::print_header("Fault injection: corrupted ingestion & engine degradation", cfg);
 
-  // Serialize the study once per format.
+  // Serialize the study once.
   std::ostringstream csv_os;
-  std::ostringstream bin_os;
   {
     trace::CsvTraceWriter csv_writer{csv_os};
     sim::StudyGenerator{cfg}.run(csv_writer);
-    trace::BinaryTraceWriter bin_writer{bin_os};
-    sim::StudyGenerator{cfg}.run(bin_writer);
   }
   const std::string csv_data = csv_os.str();
-  const std::string bin_data = bin_os.str();
-  std::cout << "serialized: " << csv_data.size() / 1024 << " KiB CSV, "
-            << bin_data.size() / 1024 << " KiB WETR binary\n\n";
+  std::cout << "serialized: " << csv_data.size() / 1024 << " KiB CSV\n\n";
 
   constexpr trace::ReadPolicy kPolicies[] = {trace::ReadPolicy::kStrict,
                                              trace::ReadPolicy::kSkipAndCount,
@@ -93,42 +87,30 @@ int main() {
 
   // View 1: every corruption kind x read policy, plus the undamaged baseline.
   std::cout << "-- corrupted-trace ingestion (validating reader -> ledger) --\n";
-  TextTable table({"format", "fault", "policy", "wall ms", "outcome", "dropped", "repaired"});
+  TextTable table({"fault", "policy", "wall ms", "outcome", "dropped", "repaired"});
   struct Case {
-    bool binary;
     const char* label;
     std::string data;
   };
   std::vector<Case> cases;
-  cases.push_back({false, "none", csv_data});
-  cases.push_back({true, "none", bin_data});
-  const fault::CorruptionKind kByteKinds[] = {
-      fault::CorruptionKind::kBitFlip, fault::CorruptionKind::kTruncate,
-      fault::CorruptionKind::kDuplicateSpan, fault::CorruptionKind::kSwapSpans};
+  cases.push_back({"none", csv_data});
   const fault::CorruptionKind kCsvKinds[] = {fault::CorruptionKind::kBadEnum,
                                              fault::CorruptionKind::kBadTimestamp};
-  for (const auto kind : kByteKinds) {
-    auto damaged = fault::apply_corruption(bin_data, {kind, cfg.seed});
-    if (damaged.ok()) {
-      cases.push_back({true, fault::to_string(kind).data(), std::move(damaged).value()});
-    }
-  }
   for (const auto kind : kCsvKinds) {
     auto damaged = fault::apply_corruption(csv_data, {kind, cfg.seed});
     if (damaged.ok()) {
-      cases.push_back({false, fault::to_string(kind).data(), std::move(damaged).value()});
+      cases.push_back({fault::to_string(kind).data(), std::move(damaged).value()});
     }
   }
   for (const auto& c : cases) {
     for (const auto policy : kPolicies) {
-      const ReadOutcome out = timed_read(c.data, c.binary, policy);
-      table.add_row({c.binary ? "binary" : "csv", c.label, trace::to_string(policy),
+      const ReadOutcome out = timed_read(c.data, policy);
+      table.add_row({c.label, trace::to_string(policy),
                      fmt(out.wall_ms, 1), out.outcome, std::to_string(out.dropped),
                      std::to_string(out.repaired)});
       // The read path has no attribution stage, so there is no energy total
       // to report; no_joules() keeps a bogus "joules":0 out of the record.
-      benchutil::report_perf(std::string{"fault_injection/read/"} +
-                                 (c.binary ? "binary" : "csv") + "-" + c.label + "-" +
+      benchutil::report_perf(std::string{"fault_injection/read/csv-"} + c.label + "-" +
                                  trace::to_string(policy),
                              cfg, out.wall_ms, out.packets, benchutil::no_joules());
     }

@@ -1,19 +1,22 @@
 // wildenergy CLI: one binary covering the library's main workflows.
 //
-//   example_wildenergy_cli generate [--days N] [--users N] [--seed S]
-//                                   [--format csv|bin] > trace.{csv,bin}
-//       Synthesize a study and stream the energy-annotated trace to stdout.
+//   example_wildenergy_cli generate [--days N] [--users N] [--seed S] > trace.csv
+//       Synthesize a study and stream the energy-annotated CSV trace to stdout.
 //
-//   example_wildenergy_cli analyze [--format csv|bin] [--replay FILE]
+//   example_wildenergy_cli analyze [--replay FILE]
 //                                  [--read-policy strict|skip-and-count|best-effort]
-//                                  [--corrupt KIND [--corrupt-seed N]] < trace.{csv,bin}
+//                                  [--corrupt KIND [--corrupt-seed N]] < trace.csv
+//   example_wildenergy_cli analyze --store-dir DIR
 //       Re-attribute an external trace (LTE model) and print the report card.
 //       Like every command it analyzes cellular packets only (paper §3):
 //       WiFi-tagged packets are dropped before attribution. --replay reads
 //       FILE instead of stdin; --read-policy picks how hard the reader fails
 //       on damage (the reader checks both record syntax and the stream
 //       protocol); --corrupt injects one deterministic corruption
-//       (fault/injector.h) before parsing, for demos and tests.
+//       (fault/injector.h) before parsing, for demos and tests. --store-dir
+//       reads the sealed WESG segments a `run`/`sweep --store-dir` left
+//       behind instead; their decoder checks the same protocol, always
+//       strictly (the files are checksummed, so --read-policy does not apply).
 //
 //   example_wildenergy_cli report [--days N] [--users N] [--seed S]
 //       Simulate and print the report card directly (no intermediate file).
@@ -60,8 +63,8 @@
 // through a SpillingTraceStore that seals WESG segments on disk instead of
 // holding every column in RAM; --store-budget BYTES caps the resident
 // columns (0 = fully out-of-core). `analyze --store-dir DIR` re-attributes a
-// previously sealed directory; `--resume` with --store-dir reuses sealed
-// segments instead of regenerating them.
+// previously sealed directory; `run`/`sweep --resume` with --store-dir reuse
+// sealed segments instead of regenerating them.
 //
 // Exit codes: 0 success; 1 runtime/data failure (unreadable or corrupt input,
 // run aborted by a fault, unwritable output, missing/corrupt/stale checkpoint
@@ -86,19 +89,15 @@
 #include "core/policy.h"
 #include "core/report.h"
 #include "core/sweep.h"
-#include "energy/attributor.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "obs/trace_writer.h"
 #include "sim/generator.h"
 #include "sim/population.h"
 #include "power/battery.h"
-#include "radio/burst_machine.h"
-#include "trace/binary_io.h"
 #include "trace/csv_io.h"
 #include "trace/read_policy.h"
 #include "trace/spilling_store.h"
-#include "trace/validating_sink.h"
 #include "util/table.h"
 
 namespace {
@@ -107,8 +106,6 @@ using namespace wildenergy;
 
 struct CliOptions {
   sim::StudyConfig study;
-  std::string format = "csv";
-  bool format_set = false;  ///< --format given explicitly (analyze sniffs otherwise)
   bool stats = false;
   std::string stats_json;  ///< --stats-json FILE: structured run report
   bool progress = false;   ///< --progress: per-shard sweep progress on stderr
@@ -207,14 +204,6 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
     } else if (flag == "--seed") {
       if (!parse_int_flag(flag, next(), 0, value)) return false;
       options.study.seed = static_cast<std::uint64_t>(value);
-    } else if (flag == "--format") {
-      const char* v = next();
-      if (!v) {
-        std::cerr << "--format requires a value\n";
-        return false;
-      }
-      options.format = v;
-      options.format_set = true;
     } else if (flag == "--threads") {
       if (!parse_int_flag(flag, next(), 1, value)) return false;
       options.threads = static_cast<unsigned>(value);
@@ -318,10 +307,6 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
       return false;
     }
   }
-  if (options.format != "csv" && options.format != "bin") {
-    std::cerr << "--format expects csv or bin, got '" << options.format << "'\n";
-    return false;
-  }
   // Usage errors (exit 2), distinct from a missing/corrupt checkpoint at
   // runtime (exit 1): the flag combination itself is wrong.
   if (options.resume && options.checkpoint_dir.empty() && options.store_dir.empty()) {
@@ -369,7 +354,9 @@ core::PipelineOptions observed_options(const CliOptions& options, obs::TraceWrit
   pipeline_options.max_shard_retries = options.max_shard_retries;
   pipeline_options.checkpoint_dir = options.checkpoint_dir;
   pipeline_options.checkpoint_every_users = options.checkpoint_every;
-  pipeline_options.resume = options.resume;
+  // --resume without --checkpoint-dir is about a --store-dir's sealed
+  // segments, not the pipeline (parse_flags allows nothing else).
+  pipeline_options.resume = options.resume && !options.checkpoint_dir.empty();
   pipeline_options.account_dir = options.account_dir;
   pipeline_options.account_budget_bytes = options.account_budget;
   for (const auto& spec : options.faults) plan.add(spec);
@@ -455,16 +442,9 @@ int cmd_generate(const CliOptions& options) {
   fault::FaultPlan plan;
   sim::StudyGenerator generator{options.study};
   core::StudyPipeline pipeline{&generator, observed_options(options, spans, plan)};
-  std::optional<obs::RunStats> stats;
-  if (options.format == "bin") {
-    trace::BinaryTraceWriter writer{std::cout};
-    pipeline.add_analysis("binary-out", &writer);
-    stats = run_guarded(pipeline);
-  } else {
-    trace::CsvTraceWriter writer{std::cout};
-    pipeline.add_analysis("csv-out", &writer);
-    stats = run_guarded(pipeline);
-  }
+  trace::CsvTraceWriter writer{std::cout};
+  pipeline.add_analysis("csv-out", &writer);
+  const auto stats = run_guarded(pipeline);
   if (!stats) return 1;
   std::cerr << "generated " << options.study.num_users << " users x "
             << options.study.num_days << " days; "
@@ -482,115 +462,84 @@ void print_quarantine(const std::vector<trace::QuarantinedRecord>& quarantine) {
   }
 }
 
-/// analyze --store-dir DIR: re-attribute a sealed spill directory (the WESG
-/// segments a previous `run`/`sweep --store-dir` left behind) instead of a
-/// CSV/WETR stream. Bounded-memory replay straight off the mapped segments.
-int cmd_analyze_store(const CliOptions& options) {
-  if (!options.checkpoint_dir.empty() || !options.replay.empty() || options.corrupt_kind) {
-    std::cerr << "analyze --store-dir cannot be combined with --checkpoint-dir, --replay, or "
-                 "--corrupt\n";
-    return 2;
-  }
-  trace::SpillOptions spill;
-  spill.dir = options.store_dir;
-  trace::SpillingTraceStore store{std::move(spill)};
-  if (const util::Status opened = store.open_existing(); !opened.ok()) {
-    std::cerr << "cannot open --store-dir '" << options.store_dir
-              << "': " << opened.to_string() << "\n";
-    return 1;
-  }
-  if (store.empty()) {
-    std::cerr << "store at '" << options.store_dir << "' holds no sealed users\n";
-    return 1;
-  }
-
-  energy::EnergyLedger ledger;
-  analysis::PersistenceAnalysis persistence;
-  trace::TraceMulticast sinks;
-  sinks.add(&ledger);
-  sinks.add(&persistence);
-  energy::EnergyAttributor attributor{radio::make_lte_model, &sinks};
-  trace::ReadOptions read_options{options.read_policy};
-  read_options.batch_size = options.batch_size;
-  trace::ValidatingSink validator{&attributor, read_options};
-  if (const util::Status replayed = store.emit(validator, options.batch_size);
-      !replayed.ok()) {
-    std::cerr << "replay error: " << replayed.to_string() << "\n";
-    return 1;
-  }
-  if (!validator.status().ok()) {
-    std::cerr << "protocol error: " << validator.status().message() << "\n";
-    print_quarantine(validator.quarantine());
-    return 1;
-  }
-  std::cerr << "replayed " << store.num_users() << " sealed user(s), "
-            << store.num_segments() << " segment(s), "
-            << fmt(static_cast<double>(store.spilled_bytes()) / 1e6, 1) << " MB\n";
-  const auto catalog = appmodel::AppCatalog::full_catalog(options.study.seed);
-  core::Report::build(ledger, catalog, &persistence).print(std::cout);
-  return 0;
-}
-
-int cmd_analyze(const CliOptions& options) {
-  if (!options.store_dir.empty()) return cmd_analyze_store(options);
-  // Input: stdin by default, --replay FILE otherwise; always opened binary so
-  // WETR payloads survive untranslated.
-  std::ifstream file;
+/// The CSV input of `analyze`: stdin, or --replay FILE, damaged first when
+/// --corrupt asks. Returns nullptr (after complaining) when it cannot.
+std::istream* open_csv_input(const CliOptions& options, std::ifstream& file,
+                             std::istringstream& corrupted) {
   if (!options.replay.empty()) {
     file.open(options.replay, std::ios::binary);
     if (!file) {
       std::cerr << "cannot read --replay file '" << options.replay
                 << "': " << std::strerror(errno) << "\n";
-      return 1;
+      return nullptr;
     }
   }
   std::istream& raw = options.replay.empty() ? std::cin : file;
-
+  if (!options.corrupt_kind) return &raw;
   // --corrupt: buffer the whole input and damage it deterministically first.
+  std::ostringstream buffer;
+  buffer << raw.rdbuf();
+  auto damaged = fault::apply_corruption(std::move(buffer).str(),
+                                         {*options.corrupt_kind, options.corrupt_seed});
+  if (!damaged.ok()) {
+    std::cerr << "cannot corrupt input: " << damaged.status().message() << "\n";
+    return nullptr;
+  }
+  std::cerr << "injected " << fault::to_string(*options.corrupt_kind) << " (seed "
+            << options.corrupt_seed << ") before parsing\n";
+  corrupted.str(std::move(damaged).value());
+  return &corrupted;
+}
+
+/// analyze: one StudyPipeline run over a source that checks the stream
+/// protocol itself (DESIGN.md §8) — the CSV reader, or with --store-dir a
+/// sealed spill directory (the WESG segments a previous `run`/`sweep
+/// --store-dir` left behind, replayed off the mapped files). Checkpoint,
+/// resume, --threads and their faults run through the engine like every
+/// other command.
+int cmd_analyze(const CliOptions& options) {
+  std::optional<trace::SpillingTraceStore> store;
+  std::ifstream file;
   std::istringstream corrupted;
-  std::istream* input = &raw;
-  if (options.corrupt_kind) {
-    std::ostringstream buffer;
-    buffer << raw.rdbuf();
-    auto damaged = fault::apply_corruption(
-        std::move(buffer).str(), {*options.corrupt_kind, options.corrupt_seed});
-    if (!damaged.ok()) {
-      std::cerr << "cannot corrupt input: " << damaged.status().message() << "\n";
+  std::optional<trace::CsvTraceSource> csv;
+  if (!options.store_dir.empty()) {
+    if (!options.replay.empty() || options.corrupt_kind) {
+      std::cerr << "analyze --store-dir cannot be combined with --replay or --corrupt\n";
+      return 2;
+    }
+    store.emplace(trace::SpillOptions{.dir = options.store_dir});
+    if (const util::Status opened = store->open_existing(); !opened.ok()) {
+      std::cerr << "cannot open --store-dir '" << options.store_dir
+                << "': " << opened.to_string() << "\n";
       return 1;
     }
-    std::cerr << "injected " << fault::to_string(*options.corrupt_kind) << " (seed "
-              << options.corrupt_seed << ") before parsing\n";
-    corrupted.str(std::move(damaged).value());
-    input = &corrupted;
+    if (store->empty()) {
+      std::cerr << "store at '" << options.store_dir << "' holds no sealed users\n";
+      return 1;
+    }
+  } else {
+    std::istream* input = open_csv_input(options, file, corrupted);
+    if (input == nullptr) return 1;
+    trace::ReadOptions read_options;
+    read_options.policy = options.read_policy;
+    csv.emplace(*input, read_options);
   }
 
-  // Without an explicit --format, sniff the input: the WETR magic starts
-  // with 'W', which no CSV record tag (M/U/P/T/V/E) does. A one-byte peek
-  // works on unseekable stdin too.
-  bool binary = options.format == "bin";
-  if (!options.format_set) binary = input->peek() == 'W';
-
-  // The readers validate the stream protocol themselves (DESIGN.md §8), so
-  // the pipeline gets a well-formed stream; checkpoint, resume and their
-  // faults run through the engine like every other command.
-  const trace::ReadOptions read_options{options.read_policy};
-  trace::CsvTraceSource csv_source{*input, read_options};
-  trace::BinaryTraceSource binary_source{*input, read_options};
-  trace::TraceSource& source =
-      binary ? static_cast<trace::TraceSource&>(binary_source) : csv_source;
+  trace::TraceSource& source = store ? static_cast<trace::TraceSource&>(*store) : *csv;
   obs::TraceWriter spans;
   fault::FaultPlan plan;
   core::StudyPipeline pipeline{&source, observed_options(options, spans, plan)};
   analysis::PersistenceAnalysis persistence;
   pipeline.add_analysis("persistence", &persistence);
   const auto stats = run_guarded(pipeline);
-  const trace::ReadSummary& summary =
-      binary ? binary_source.summary() : csv_source.summary();
-  print_quarantine(summary.quarantine);
+  if (csv) print_quarantine(csv->summary().quarantine);
   if (!stats) return 1;
   print_checkpoint_notes(options, *stats);
-  if (!summary.checksum_ok) std::cerr << "warning: checksum mismatch (best-effort read)\n";
-  if (summary.degraded()) {
+  if (store) {
+    std::cerr << "replayed " << store->num_users() << " sealed user(s), "
+              << store->num_segments() << " segment(s), "
+              << fmt(static_cast<double>(store->spilled_bytes()) / 1e6, 1) << " MB\n";
+  } else if (const trace::ReadSummary& summary = csv->summary(); summary.degraded()) {
     std::cerr << "degraded read: " << summary.records_dropped << " record(s) dropped, "
               << summary.records_repaired << " repaired"
               << (summary.truncated ? ", stream truncated before the E record" : "") << "\n";
@@ -669,18 +618,14 @@ int cmd_figures(const CliOptions& options) {
 int cmd_run(const CliOptions& options) {
   obs::TraceWriter spans;
   fault::FaultPlan plan;
-  core::PipelineOptions pipeline_options = observed_options(options, spans, plan);
-  std::optional<sim::StudyGenerator> generator;
+  sim::StudyGenerator generator{options.study};
   std::optional<trace::SpillingTraceStore> store;
-  std::optional<core::StudyPipeline> pipeline;
+  trace::TraceSource* source = &generator;
   if (!options.store_dir.empty()) {
-    generator.emplace(options.study);
-    trace::SpillOptions spill;
-    spill.dir = options.store_dir;
-    spill.budget_bytes = options.store_budget;
-    spill.resume = options.resume;
-    store.emplace(std::move(spill));
-    if (const util::Status captured = store->capture(*generator, options.batch_size);
+    store.emplace(trace::SpillOptions{.dir = options.store_dir,
+                                      .budget_bytes = options.store_budget,
+                                      .resume = options.resume});
+    if (const util::Status captured = store->capture(generator, options.batch_size);
         !captured.ok()) {
       std::cerr << "capture failed: " << captured.to_string() << "\n";
       return 1;
@@ -689,14 +634,10 @@ int cmd_run(const CliOptions& options) {
       std::cerr << "resumed: reused " << store->resumed_users() << " sealed user(s) from "
                 << options.store_dir << "\n";
     }
-    // The store consumed --resume; only a checkpointed pipeline resumes too.
-    if (options.checkpoint_dir.empty()) pipeline_options.resume = false;
-    pipeline.emplace(&*store, pipeline_options);
-  } else {
-    generator.emplace(options.study);
-    pipeline.emplace(&*generator, pipeline_options);
+    source = &*store;
   }
-  const auto stats = run_guarded(*pipeline);
+  core::StudyPipeline pipeline{source, observed_options(options, spans, plan)};
+  const auto stats = run_guarded(pipeline);
   if (!stats) return 1;
   print_checkpoint_notes(options, *stats);
   std::cout << "run: " << stats->users << " users, " << stats->packets << " packets, "
@@ -805,7 +746,7 @@ int cmd_sweep(const CliOptions& options) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: " << argv[0] << " generate|analyze|report|figures|run|sweep [flags]\n"
-              << "flags: --days N --users N --seed S --format csv|bin\n"
+              << "flags: --days N --users N --seed S\n"
               << "       --threads N (shard the study by user; results identical to serial)\n"
               << "       --batch-size N (events per batch on the sink path, N >= 1; "
                  "results identical for every N)\n"

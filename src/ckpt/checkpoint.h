@@ -7,9 +7,9 @@
 // progress), and named per-sink sections holding each CheckpointableSink's
 // serialized state.
 //
-// On disk a snapshot is framed like a WETR trace: "WECK" magic, a version
-// byte, the payload, and an FNV-1a checksum trailer over everything before
-// it. Files are named ckpt_<seq> with monotonically increasing sequence
+// On disk a snapshot is "WECK" magic, a version byte, the payload
+// (ckpt/codec.h primitives), and a u64 FNV-1a checksum trailer over every
+// byte before it; the checksum is verified before any field is trusted. Files are named ckpt_<seq> with monotonically increasing sequence
 // numbers, written to a temp name and renamed into place so a crash mid-write
 // never replaces a good checkpoint with a torn one. CheckpointReader scans
 // newest-first and falls back to the last good sequence when the newest is

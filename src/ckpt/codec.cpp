@@ -2,14 +2,27 @@
 
 namespace wildenergy::ckpt {
 
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+/// 10 7-bit groups cover 64 bits; an 11th continuation byte is always corrupt.
+constexpr int kMaxVarintBytes = 10;
+
+}  // namespace
+
 std::uint64_t fnv1a(std::string_view data) {
   std::uint64_t hash = kFnvOffset;
-  for (const char c : data) hash = fnv1a_step(hash, static_cast<std::uint8_t>(c));
+  for (const char c : data) hash = (hash ^ static_cast<std::uint8_t>(c)) * kFnvPrime;
   return hash;
 }
 
 void ByteWriter::put_varint(std::uint64_t value) {
-  encode_varint(value, [this](std::uint8_t byte) { buf_.push_back(static_cast<char>(byte)); });
+  while (value >= 0x80) {
+    buf_.push_back(static_cast<char>(static_cast<std::uint8_t>(value) | 0x80));
+    value >>= 7;
+  }
+  buf_.push_back(static_cast<char>(value));
 }
 
 void ByteWriter::put_f64(double value) {
@@ -57,18 +70,16 @@ util::StatusOr<std::uint8_t> ByteReader::get_u8(std::string_view field) {
 
 util::StatusOr<std::uint64_t> ByteReader::get_varint(std::string_view field) {
   std::uint64_t value = 0;
-  switch (decode_varint(value, [this](std::uint8_t& byte) {
-    if (pos_ >= data_.size()) return false;
-    byte = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  })) {
-    case VarintFail::kOk:
-      return value;
-    case VarintFail::kEof:
-      return truncated(field);
-    case VarintFail::kOverlong:
-      break;
+  for (int i = 0; i < kMaxVarintBytes; ++i) {
+    if (pos_ >= data_.size()) return truncated(field);
+    const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
+    // The last byte may only contribute the top bit of the 64-bit value:
+    // anything else (including a continuation bit) is an overlong varint.
+    if (i == kMaxVarintBytes - 1 && byte > 1) break;
+    value |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+    if ((byte & 0x80) == 0) return value;
   }
+  // Positioned at the offending byte, which has been consumed.
   return util::Status::data_loss("corrupt checkpoint: overlong varint in " +
                                  std::string(field) + " at offset " +
                                  std::to_string(pos_ - 1));

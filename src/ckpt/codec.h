@@ -1,16 +1,18 @@
 // Byte-level codec for checkpoint snapshots (DESIGN.md §13).
 //
-// Same wire idioms as trace/binary_io.h — LEB128 varints with a 10-byte
-// overlong cap, doubles as raw little-endian IEEE bits, FNV-1a checksums —
-// but factored into reusable ByteWriter/ByteReader pieces so every sink can
-// serialize its merge-protocol state into a named section without touching
-// file framing. Doubles round-trip as bit patterns, never through text:
-// restoring a checkpoint must reproduce the parent sink state *exactly*,
-// or the bit-identity guarantee of a resumed run is gone.
+// One set of wire idioms for every binary format in the repo — LEB128
+// varints with a 10-byte overlong cap, doubles as raw little-endian IEEE
+// bits, FNV-1a checksums — as reusable ByteWriter/ByteReader pieces, so
+// every sink can serialize its merge-protocol state into a named section
+// without touching file framing, and the WESG segment and WEAC account
+// codecs share the exact same primitives. Doubles round-trip as bit
+// patterns, never through text: restoring a checkpoint must reproduce the
+// parent sink state *exactly*, or the bit-identity guarantee of a resumed
+// run is gone.
 //
 // All reader errors are positioned util::Status values ("truncated
 // checkpoint: EOF mid-<field> at offset N") so a torn or tampered snapshot
-// is always diagnosable, mirroring the binary trace reader.
+// is always diagnosable.
 #pragma once
 
 #include <bit>
@@ -24,68 +26,18 @@
 
 namespace wildenergy::ckpt {
 
-inline constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-/// One FNV-1a round: fold a byte into a running hash. Streaming readers and
-/// writers (trace/binary_io.cpp) checksum as they go instead of buffering.
-[[nodiscard]] constexpr std::uint64_t fnv1a_step(std::uint64_t hash, std::uint8_t byte) {
-  return (hash ^ byte) * kFnvPrime;
-}
-
-/// FNV-1a over a byte range (same polynomial as the WETR trace format).
+/// FNV-1a (64-bit) over a byte range: the checksum trailer of every binary
+/// file in the repo (WECK snapshots, WESG segments and their manifest, WEAC
+/// account files).
 [[nodiscard]] std::uint64_t fnv1a(std::string_view data);
 
-// --- Shared varint primitives -------------------------------------------
-//
-// One definition of the LEB128 wire idiom for every format in the repo
-// (checkpoint snapshots, WETR trace streams, WESG trace segments). The
-// encode/decode loops are templated over a byte callback so both buffered
-// (ByteWriter/ByteReader) and streaming (istream) transports share the exact
-// same overlong-rejection rules; the callers keep their own positioned
-// diagnostics.
-
-/// 10 7-bit groups cover 64 bits; an 11th continuation byte is always corrupt.
-inline constexpr int kMaxVarintBytes = 10;
-
+/// Signed integers go on the wire zig-zag mapped, so small negative deltas
+/// stay short varints.
 [[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
 }
 [[nodiscard]] constexpr std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-/// Why a primitive varint decode failed: truncation is expected in the wild;
-/// an overlong varint is always corruption. Callers map these onto their own
-/// error surface (util::Status here, ReadFail in the trace reader).
-enum class VarintFail : std::uint8_t { kOk = 0, kEof, kOverlong };
-
-/// `put_byte` is invoked once per encoded byte, low groups first.
-template <typename PutByte>
-void encode_varint(std::uint64_t value, PutByte&& put_byte) {
-  while (value >= 0x80) {
-    put_byte(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  put_byte(static_cast<std::uint8_t>(value));
-}
-
-/// `get_byte` is `bool(std::uint8_t&)` returning false at end of input.
-/// Bytes are consumed up to and including the offending one, so transports
-/// that track offsets or running checksums stay positioned on failure.
-template <typename GetByte>
-[[nodiscard]] VarintFail decode_varint(std::uint64_t& value, GetByte&& get_byte) {
-  value = 0;
-  for (int i = 0; i < kMaxVarintBytes; ++i) {
-    std::uint8_t byte = 0;
-    if (!get_byte(byte)) return VarintFail::kEof;
-    // The last byte may only contribute the top bit of the 64-bit value:
-    // anything else (including a continuation bit) is an overlong varint.
-    if (i == kMaxVarintBytes - 1 && byte > 1) return VarintFail::kOverlong;
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
-    if ((byte & 0x80) == 0) return VarintFail::kOk;
-  }
-  return VarintFail::kOverlong;
 }
 
 /// Append-only byte buffer with the checkpoint wire primitives.

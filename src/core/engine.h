@@ -18,7 +18,7 @@
 // order: retries, merge_from, the fold-and-release round, and the
 // ShardRunStats row. W = 1 (one thread) runs each task inline, no pool.
 //
-// Forward-only sources (the CSV and binary readers) feed the same merge path
+// Forward-only sources (the CSV reader) feed the same merge path
 // at W = 1: a per-user splitter on the reading thread opens a chain at each
 // user bracket and settles it when the bracket closes.
 //

@@ -6,9 +6,9 @@
 //                     ->  ledger + user-registered analyses
 //
 // The source is anything emitting the canonical event stream — a
-// sim::StudyGenerator, a file reader (trace/csv_io.h, trace/binary_io.h),
-// or a cached trace::TraceStore — one execution engine for live simulation
-// and replay alike. The pipeline never owns its source: the caller holds it
+// sim::StudyGenerator, the CSV reader (trace/csv_io.h), or a cached
+// trace::TraceStore / sealed trace::SpillingTraceStore — one execution
+// engine for live simulation and replay alike. The pipeline never owns its source: the caller holds it
 // (and its catalog), so source lifetime and app-name lookups are explicit
 // at every call site.
 //

@@ -8,9 +8,10 @@
 // all replay the exact same damage. No wall clock, no global RNG: identical
 // (data, spec) => identical corrupted bytes.
 //
-// Byte-level kinds work on any format (CSV text or WETR binary); the
-// field-level kinds parse CSV structure and are rejected for binary buffers
-// (binary tampering is covered by the byte-level kinds plus the checksum).
+// Byte-level kinds work on any format (CSV text or a binary WESG segment);
+// the field-level kinds parse CSV structure and are rejected for binary
+// buffers (binary tampering is covered by the byte-level kinds plus the
+// checksum).
 #pragma once
 
 #include <cstdint>

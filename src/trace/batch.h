@@ -107,8 +107,8 @@ inline void replay(const EventBatch& batch, TraceSink& sink) {
       [&](const StateTransition& transition) { sink.on_transition(transition); });
 }
 
-/// Slices a record-at-a-time producer's events into batches: the readers
-/// (csv_io/binary_io) add() each parsed record and send the brackets through
+/// Slices a record-at-a-time producer's events into batches: the CSV
+/// reader (csv_io) add()s each parsed record and sends the brackets through
 /// the batcher, which flushes a (possibly short) batch before every bracket,
 /// preserving stream order exactly.
 class EventBatcher final : public TraceSink {

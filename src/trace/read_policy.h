@@ -1,5 +1,5 @@
 // Shared vocabulary for fault-tolerant trace ingestion (csv_io.h,
-// binary_io.h, validating_sink.h).
+// validating_sink.h).
 //
 // In-the-wild trace files are routinely truncated or garbled (the paper's
 // corpus was 125 GB collected over 22 months, §3). Each reader therefore
@@ -25,8 +25,8 @@ enum class ReadPolicy : std::uint8_t {
   /// Any malformed record is fatal: the reader stops and reports it.
   kStrict = 0,
   /// Malformed records are skipped, counted, and quarantined; structural
-  /// damage the reader cannot resync past (bad magic, truncation, checksum
-  /// mismatch) is still fatal.
+  /// damage the reader cannot resync past (a truncated stream) is still
+  /// fatal.
   kSkipAndCount,
   /// Like kSkipAndCount, but repairable damage is repaired (e.g. a
   /// backwards timestamp clamped to the previous one) and a truncated tail
@@ -61,29 +61,28 @@ struct ReadOptions {
 
 /// One rejected (or repaired) record, kept verbatim for diagnosis.
 struct QuarantinedRecord {
-  std::uint64_t location = 0;  ///< 1-based line (CSV) or byte offset (binary)
+  std::uint64_t location = 0;  ///< 1-based input line (parser) or record ordinal (protocol)
   std::string reason;
   std::string snippet;  ///< truncated echo of the offending input
 };
 
 /// What one read of a trace stream saw: the one result type of
-/// read_csv_trace / read_binary_trace and their TraceSources. Every reader
-/// validates the stream protocol behind its parser (trace/validating_sink.h),
-/// so the counts, the quarantine and a strict-mode Status cover both the
-/// record syntax and the protocol.
+/// read_csv_trace and CsvTraceSource. The reader validates the stream
+/// protocol behind its parser (trace/validating_sink.h), so the counts, the
+/// quarantine and a strict-mode Status cover both the record syntax and the
+/// protocol.
 struct ReadSummary {
   util::Status status;
-  std::uint64_t records = 0;  ///< CSV lines / binary records read, skipped ones included
+  std::uint64_t records = 0;  ///< input lines read, skipped ones included
   std::uint64_t records_dropped = 0;
   std::uint64_t records_repaired = 0;
   bool truncated = false;  ///< kBestEffort: the stream ended early and was closed
-  bool checksum_ok = true;  ///< binary only; CSV reads always report true
   std::vector<QuarantinedRecord> quarantine;  ///< first few rejects, verbatim
 
   [[nodiscard]] bool ok() const { return status.ok(); }
   [[nodiscard]] const std::string& error() const { return status.message(); }
   [[nodiscard]] bool degraded() const {
-    return records_dropped > 0 || records_repaired > 0 || truncated || !checksum_ok;
+    return records_dropped > 0 || records_repaired > 0 || truncated;
   }
 };
 

@@ -274,7 +274,8 @@ std::uint64_t MappedSegment::index_bytes() const {
 }
 
 util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSink& sink,
-                                         std::size_t batch_size) const {
+                                         std::size_t batch_size,
+                                         std::int64_t& last_time_us) const {
   const std::string_view all{data_, size_};
   const auto in_file = [&](std::size_t off, std::size_t len) {
     return off <= size_ && len <= size_ - off;
@@ -299,6 +300,26 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
       sink.on_batch(scratch);
       scratch.clear();
     }
+  };
+
+  // The stream contract ValidatingSink enforces on the CSV reader, held here
+  // unconditionally: a checksum-valid segment can still carry a stream no
+  // sink may see (a buggy writer, a hand-made file).
+  const bool has_window = meta_.study_end.us > meta_.study_begin.us;
+  std::uint64_t event = 0;
+  const auto out_of_order = [&](const char* what, std::int64_t t) {
+    const std::string why = where + "event " + std::to_string(event) + " (" + what +
+                            ") at t=" + std::to_string(t) + "us ";
+    if (t < last_time_us) {
+      return corrupt(why + "runs backwards from t=" + std::to_string(last_time_us) + "us");
+    }
+    return corrupt(why + "lies outside the study window [" +
+                   std::to_string(meta_.study_begin.us) + ", " +
+                   std::to_string(meta_.study_end.us) + "]us");
+  };
+  const auto in_order = [&](std::int64_t t) {
+    return t >= last_time_us &&
+           (!has_window || (t >= meta_.study_begin.us && t <= meta_.study_end.us));
   };
 
   std::int64_t pkt_time = 0;
@@ -330,6 +351,9 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
                          std::to_string(packets.offset()));
         }
         pkt_time += ckpt::unzigzag(*dt);
+        if (!in_order(pkt_time)) return out_of_order("packet", pkt_time);
+        last_time_us = pkt_time;
+        ++event;
         PacketRecord p;
         p.time.us = pkt_time;
         p.user = chunk.user;
@@ -362,6 +386,9 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
                          std::to_string(transitions.offset()));
         }
         tr_time += ckpt::unzigzag(*dt);
+        if (!in_order(tr_time)) return out_of_order("transition", tr_time);
+        last_time_us = tr_time;
+        ++event;
         StateTransition t;
         t.time.us = tr_time;
         t.user = chunk.user;

@@ -33,7 +33,11 @@
 // Readers verify the trailer before trusting any field, and every parse or
 // decode failure is a positioned util::Status naming the file — a corrupted
 // segment can never silently replay wrong events (tests/out_of_core_test.cpp
-// corruption matrix).
+// corruption matrix). A checksum only proves the bytes are the ones written,
+// so replay also checks the decoded stream against the contract the CSV
+// reader enforces (time order across the interleave and the chunk chain, the
+// study window, enums): a segment is a trace input like any other
+// (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -128,8 +132,18 @@ class MappedSegment {
   /// preserving the captured interleave. Emits no user brackets — the
   /// caller owns the bracket protocol. Pure read: concurrent replay_chunk
   /// calls on one segment are safe.
+  ///
+  /// The decoder enforces the stream contract itself, always strictly: an
+  /// event earlier than the one before it, or outside meta()'s study window
+  /// (inclusive, when the window is not empty — ValidatingSink's bounds), is
+  /// a positioned data_loss naming the file, user, chunk and event, and
+  /// nothing past it is delivered. `last_time_us` is the time of the event
+  /// before this chunk in the user's stream (INT64_MIN for a first chunk);
+  /// it is advanced to the chunk's last event, so a chunk chain is checked
+  /// as one stream.
   [[nodiscard]] util::Status replay_chunk(const SegmentChunkInfo& chunk, TraceSink& sink,
-                                          std::size_t batch_size) const;
+                                          std::size_t batch_size,
+                                          std::int64_t& last_time_us) const;
 
  private:
   [[nodiscard]] util::Status parse();

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "ckpt/codec.h"
 
@@ -414,11 +415,7 @@ util::Status SpillingTraceStore::capture(TraceSource& source, std::size_t batch_
   }
   resuming_capture_ = false;
   if (!emitted.ok()) return emitted;
-  if (options_.seal_on_capture) {
-    util::Status sealed = seal();
-    if (!sealed.ok()) return sealed;
-  }
-  return health_;
+  return seal();
 }
 
 // --- replay ----------------------------------------------------------------
@@ -426,10 +423,13 @@ util::Status SpillingTraceStore::capture(TraceSource& source, std::size_t batch_
 util::Status SpillingTraceStore::replay_user_body(const UserState& state, UserId user,
                                                   TraceSink& sink, std::size_t batch_size) {
   sink.on_user_begin(user);
+  // One time chain across the user's sealed chunks: order is checked over
+  // the whole stream, not per chunk.
+  std::int64_t last_time_us = std::numeric_limits<std::int64_t>::min();
   for (const ChunkRef ref : state.spilled) {
     const MappedSegment& segment = *segments_[ref.segment];
     util::Status replayed =
-        segment.replay_chunk(segment.chunks()[ref.chunk], sink, batch_size);
+        segment.replay_chunk(segment.chunks()[ref.chunk], sink, batch_size, last_time_us);
     if (!replayed.ok()) return replayed;
   }
   if (state.resident != kNoResident) {

@@ -52,10 +52,6 @@ struct SpillOptions {
   std::uint64_t budget_bytes = 0;
   /// Reuse sealed segments already in `dir` instead of regenerating them.
   bool resume = false;
-  /// Seal the resident tail at the end of capture() so the whole stream is
-  /// durable (and resumable). Tests disable this to exercise mixed
-  /// segment + resident replay.
-  bool seal_on_capture = true;
 };
 
 class SpillingTraceStore final : public StoreBackend {
@@ -72,7 +68,9 @@ class SpillingTraceStore final : public StoreBackend {
   /// Captures `source`, reusing recovered users when options_.resume is set:
   /// sources with per-user access are only asked for the missing users;
   /// forward-only sources emit once and the store drops the users it
-  /// already holds sealed.
+  /// already holds sealed. The resident tail is sealed at the end, so the
+  /// captured stream is durable and resumable; a store fed as a plain sink
+  /// (source.emit(store, …)) keeps its tail resident until seal().
   util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize) override;
 
   // -- replay (TraceSource) -------------------------------------------------

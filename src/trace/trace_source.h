@@ -2,7 +2,7 @@
 //
 // Before this interface the system had three ad-hoc entry points into the
 // sink pipeline — sim::StudyGenerator::run for synthetic studies,
-// read_csv_trace / read_binary_trace for replayed files — and every consumer
+// read_csv_trace for replayed files — and every consumer
 // (StudyPipeline, the CLI's analyze path, benches) hard-coded which one it
 // spoke to. A TraceSource is anything that can emit the canonical event
 // stream (study bracket, users in order, time-ordered events per user) into
@@ -67,7 +67,7 @@ class TraceSource {
 };
 
 /// Forwarding decorator that remembers the StudyMeta passing through. The
-/// file readers use it so their meta() works after the first emit without
+/// CSV reader uses it so its meta() works after the first emit without
 /// re-parsing the header.
 class MetaCaptureSink final : public TraceSink {
  public:

@@ -3,12 +3,15 @@
 //
 // The TraceSink contract (sink.h) promises begin/end bracketing, per-user
 // non-decreasing timestamps, and in-range enums — promises a reader replaying
-// an external (possibly corrupted) file cannot keep by construction. Both
-// readers (csv_io.h, binary_io.h) therefore run their parser behind a
-// ValidatingSink (read_validated below), which turns protocol violations into
-// counted, quarantined drops (lenient policies) or a poisoned stream with a
-// precise Status (strict), instead of undefined downstream behavior. Every
-// consumer of a reader gets a well-formed stream (DESIGN.md §8).
+// an external (possibly corrupted) file cannot keep by construction. The
+// CSV reader (csv_io.h) therefore runs its parser behind a ValidatingSink
+// (read_validated below), which turns protocol violations into counted,
+// quarantined drops (lenient policies) or a poisoned stream with a precise
+// Status (strict), instead of undefined downstream behavior. Every consumer
+// of a reader gets a well-formed stream (DESIGN.md §8). The binary WESG
+// segments hold the same contract in their own decoder
+// (MappedSegment::replay_chunk), always strictly: a checksummed file has no
+// damage to skip past.
 //
 // Invariants enforced:
 //   - exactly one study bracket; nothing before on_study_begin or after

@@ -36,7 +36,6 @@
 #include "sim/generator.h"
 #include "sim/study_config.h"
 #include "trace/batch.h"
-#include "trace/binary_io.h"
 #include "trace/csv_io.h"
 #include "trace/interface_filter.h"
 #include "trace/sink.h"
@@ -900,65 +899,57 @@ TEST(Readers, BatchedIngestIsBitIdenticalToPerRecord) {
   config.total_apps = 30;
   const sim::StudyGenerator generator{config};
 
-  // Each format clean, and cut halfway into its last user's bracket. A cut
+  // The trace clean, and cut halfway into its last user's bracket. A cut
   // stream is read best-effort: the reader flushes what it decoded and
   // closes the open user, so nothing depends on how many events were still
   // waiting in a batch when the input stopped.
-  for (const bool binary : {false, true}) {
-    for (const bool cut : {false, true}) {
-      std::ostringstream os;
-      if (binary) {
-        trace::BinaryTraceWriter writer{os};
-        generator.run(writer);
-      } else {
-        trace::CsvTraceWriter writer{os};
-        generator.run(writer);
-      }
-      std::string data = os.str();
-      if (cut) {
-        const std::size_t last_user = binary ? data.size() / 2 : data.rfind("\nU,");
-        ASSERT_NE(last_user, std::string::npos);
-        data.resize(last_user + (data.size() - last_user) / 2);
-      }
+  for (const bool cut : {false, true}) {
+    std::ostringstream os;
+    trace::CsvTraceWriter writer{os};
+    generator.run(writer);
+    std::string data = os.str();
+    if (cut) {
+      const std::size_t last_user = data.rfind("\nU,");
+      ASSERT_NE(last_user, std::string::npos);
+      data.resize(last_user + (data.size() - last_user) / 2);
+    }
 
-      const auto ingest = [&](std::size_t batch_size, trace::TraceCollector& out,
-                              energy::EnergyLedger& ledger) {
-        ReadOptions options;
-        options.batch_size = batch_size;
-        if (cut) options.policy = ReadPolicy::kBestEffort;
-        energy::EnergyAttributor attributor{radio::make_lte_model, &ledger};
-        trace::TraceMulticast sinks;
-        sinks.add(&out);
-        sinks.add(&attributor);
-        std::istringstream is{data};
-        const trace::ReadSummary result = binary ? trace::read_binary_trace(is, sinks, options)
-                                                 : trace::read_csv_trace(is, sinks, options);
-        ASSERT_TRUE(result.ok()) << result.error();
-        EXPECT_EQ(result.truncated, cut);
-        EXPECT_EQ(result.records_repaired, cut ? 1u : 0u);  // the closed last user
-      };
+    const auto ingest = [&](std::size_t batch_size, trace::TraceCollector& out,
+                            energy::EnergyLedger& ledger) {
+      ReadOptions options;
+      options.batch_size = batch_size;
+      if (cut) options.policy = ReadPolicy::kBestEffort;
+      energy::EnergyAttributor attributor{radio::make_lte_model, &ledger};
+      trace::TraceMulticast sinks;
+      sinks.add(&out);
+      sinks.add(&attributor);
+      std::istringstream is{data};
+      const trace::ReadSummary result = trace::read_csv_trace(is, sinks, options);
+      ASSERT_TRUE(result.ok()) << result.error();
+      EXPECT_EQ(result.truncated, cut);
+      EXPECT_EQ(result.records_repaired, cut ? 1u : 0u);  // the closed last user
+    };
 
-      SCOPED_TRACE(std::string(binary ? "binary" : "csv") + (cut ? ", cut" : ""));
-      trace::TraceCollector one_by_one;
-      energy::EnergyLedger one_by_one_ledger;
-      ingest(1, one_by_one, one_by_one_ledger);
-      ASSERT_GT(one_by_one.packets().size(), 0u);
-      EXPECT_EQ(one_by_one.packets().back().user, config.num_users - 1);
-      for (const std::size_t batch_size : kLargerBatches) {
-        SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
-        trace::TraceCollector batched;
-        energy::EnergyLedger batched_ledger;
-        ingest(batch_size, batched, batched_ledger);
-        ASSERT_EQ(one_by_one.packets().size(), batched.packets().size());
-        for (std::size_t i = 0; i < one_by_one.packets().size(); ++i) {
-          EXPECT_EQ(one_by_one.packets()[i].time.us, batched.packets()[i].time.us);
-          EXPECT_EQ(one_by_one.packets()[i].user, batched.packets()[i].user);
-          EXPECT_EQ(one_by_one.packets()[i].bytes, batched.packets()[i].bytes);
-          EXPECT_EQ(one_by_one.packets()[i].joules, batched.packets()[i].joules);
-        }
-        ASSERT_EQ(one_by_one.transitions().size(), batched.transitions().size());
-        expect_identical_ledgers(one_by_one_ledger, batched_ledger);
+    SCOPED_TRACE(cut ? "cut" : "clean");
+    trace::TraceCollector one_by_one;
+    energy::EnergyLedger one_by_one_ledger;
+    ingest(1, one_by_one, one_by_one_ledger);
+    ASSERT_GT(one_by_one.packets().size(), 0u);
+    EXPECT_EQ(one_by_one.packets().back().user, config.num_users - 1);
+    for (const std::size_t batch_size : kLargerBatches) {
+      SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+      trace::TraceCollector batched;
+      energy::EnergyLedger batched_ledger;
+      ingest(batch_size, batched, batched_ledger);
+      ASSERT_EQ(one_by_one.packets().size(), batched.packets().size());
+      for (std::size_t i = 0; i < one_by_one.packets().size(); ++i) {
+        EXPECT_EQ(one_by_one.packets()[i].time.us, batched.packets()[i].time.us);
+        EXPECT_EQ(one_by_one.packets()[i].user, batched.packets()[i].user);
+        EXPECT_EQ(one_by_one.packets()[i].bytes, batched.packets()[i].bytes);
+        EXPECT_EQ(one_by_one.packets()[i].joules, batched.packets()[i].joules);
       }
+      ASSERT_EQ(one_by_one.transitions().size(), batched.transitions().size());
+      expect_identical_ledgers(one_by_one_ledger, batched_ledger);
     }
   }
 }

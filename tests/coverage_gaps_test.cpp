@@ -10,7 +10,6 @@
 #include "radio/burst_machine.h"
 #include "radio/timeline.h"
 #include "sim/generator.h"
-#include "trace/binary_io.h"
 #include "trace/sink.h"
 
 namespace wildenergy {
@@ -146,33 +145,6 @@ TEST(GeneratorGaps, WifiDisabledByDefault) {
   sim::StudyGenerator{cfg}.run(out);
   for (const auto& p : out.packets()) {
     ASSERT_EQ(p.interface, trace::Interface::kCellular);
-  }
-}
-
-TEST(BinaryIoGaps, RejectsTrailingGarbageAfterEndRecord) {
-  std::ostringstream os;
-  trace::BinaryTraceWriter writer{os};
-  writer.on_study_begin(meta(1.0));
-  writer.on_study_end();
-  std::string data = os.str();
-  data += "trailing garbage that must not be read";
-  {
-    // Strict (default): bytes after the post-'E' checksum are corruption.
-    std::istringstream is{data};
-    trace::TraceCollector sink;
-    const auto result = trace::read_binary_trace(is, sink);
-    EXPECT_FALSE(result.ok());
-    EXPECT_NE(result.error().find("trailing garbage"), std::string::npos) << result.error();
-  }
-  {
-    // Best-effort keeps the (checksum-verified) stream and ignores the tail.
-    std::istringstream is{data};
-    trace::TraceCollector sink;
-    trace::ReadOptions options;
-    options.policy = trace::ReadPolicy::kBestEffort;
-    const auto result = trace::read_binary_trace(is, sink, options);
-    EXPECT_TRUE(result.ok()) << result.error();
-    EXPECT_TRUE(result.checksum_ok);
   }
 }
 

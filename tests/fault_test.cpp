@@ -10,11 +10,11 @@
 #include <string>
 
 #include "deliver.h"
+#include "seal.h"
 #include "core/pipeline.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "sim/generator.h"
-#include "trace/binary_io.h"
 #include "trace/csv_io.h"
 #include "trace/sink.h"
 
@@ -32,13 +32,6 @@ sim::StudyConfig fault_config() {
 std::string csv_buffer() {
   std::ostringstream os;
   trace::CsvTraceWriter writer{os};
-  sim::StudyGenerator{fault_config()}.run(writer);
-  return os.str();
-}
-
-std::string binary_buffer() {
-  std::ostringstream os;
-  trace::BinaryTraceWriter writer{os};
   sim::StudyGenerator{fault_config()}.run(writer);
   return os.str();
 }
@@ -65,7 +58,7 @@ TEST(Injector, DeterministicAndAlwaysChangesTheBuffer) {
 }
 
 TEST(Injector, ByteLevelKindsWorkOnBinaryBuffers) {
-  const std::string clean = binary_buffer();
+  const std::string clean = seal_study(sim::StudyGenerator{fault_config()});
   for (const auto kind :
        {fault::CorruptionKind::kBitFlip, fault::CorruptionKind::kTruncate,
         fault::CorruptionKind::kDuplicateSpan, fault::CorruptionKind::kSwapSpans}) {
@@ -76,7 +69,7 @@ TEST(Injector, ByteLevelKindsWorkOnBinaryBuffers) {
 }
 
 TEST(Injector, CsvKindsRejectNonCsvBuffers) {
-  const std::string not_csv = "WETR\x01 definitely not comma separated";
+  const std::string not_csv = seal_study(sim::StudyGenerator{fault_config()});
   EXPECT_FALSE(fault::apply_corruption(not_csv, {fault::CorruptionKind::kBadEnum, 0}).ok());
   EXPECT_FALSE(
       fault::apply_corruption(not_csv, {fault::CorruptionKind::kBadTimestamp, 0}).ok());

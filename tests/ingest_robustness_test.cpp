@@ -1,5 +1,5 @@
-// Robustness tests for trace ingestion: hardened CSV/binary readers
-// (trace/csv_io.h, trace/binary_io.h), the protocol-enforcing ValidatingSink
+// Robustness tests for trace ingestion: the hardened CSV reader
+// (trace/csv_io.h), the protocol-enforcing ValidatingSink
 // (trace/validating_sink.h), and the corruption property "an injected fault
 // is surfaced or counted — a read that looks clean produces the clean ledger".
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "sim/generator.h"
-#include "trace/binary_io.h"
 #include "trace/csv_io.h"
 #include "trace/validating_sink.h"
 
@@ -42,154 +41,10 @@ std::string tiny_csv() {
   return os.str();
 }
 
-std::string tiny_binary() {
-  std::ostringstream os;
-  trace::BinaryTraceWriter writer{os};
-  sim::StudyGenerator{tiny_config()}.run(writer);
-  return os.str();
-}
-
 ReadOptions with_policy(ReadPolicy policy) {
   ReadOptions options;
   options.policy = policy;
   return options;
-}
-
-// ---------------------------------------------------------------------------
-// Binary framing damage
-
-TEST(BinaryRobustness, TruncationAtEveryByteOffsetFailsCleanly) {
-  // A hand-built stream small enough for an exhaustive O(n^2) sweep: every
-  // record tag and every varint/f64 field boundary gets cut at least once.
-  std::ostringstream os;
-  trace::BinaryTraceWriter writer{os};
-  trace::StudyMeta meta;
-  meta.num_users = 1;
-  meta.num_apps = 4;
-  meta.study_end.us = 10'000'000;
-  writer.on_study_begin(meta);
-  writer.on_user_begin(0);
-  trace::PacketRecord p;
-  p.time.us = 123'456;
-  p.app = 3;
-  p.flow = 1;
-  p.bytes = 1500;
-  p.joules = 0.25;
-  deliver(writer, p);
-  trace::StateTransition t;
-  t.time.us = 200'000;
-  t.app = 3;
-  t.from = trace::ProcessState::kForeground;
-  t.to = trace::ProcessState::kService;
-  deliver(writer, t);
-  writer.on_user_end(0);
-  writer.on_study_end();
-  const std::string data = os.str();
-  ASSERT_GT(data.size(), 16u);
-  for (std::size_t cut = 0; cut < data.size(); ++cut) {
-    std::istringstream is{data.substr(0, cut)};
-    trace::TraceCollector sink;
-    const auto result = trace::read_binary_trace(is, sink);
-    EXPECT_FALSE(result.ok()) << "prefix of " << cut << " bytes unexpectedly parsed";
-    // kSkipAndCount cannot resync past framing damage either.
-    std::istringstream is2{data.substr(0, cut)};
-    trace::TraceCollector sink2;
-    EXPECT_FALSE(
-        trace::read_binary_trace(is2, sink2, with_policy(ReadPolicy::kSkipAndCount)).ok())
-        << "prefix of " << cut << " bytes";
-  }
-}
-
-TEST(BinaryRobustness, TruncationOfAGeneratedStudySampledOffsets) {
-  // The generated stream is too large for an exhaustive sweep; a prime
-  // stride still lands cuts in the middle of real delta-coded records.
-  const std::string data = tiny_binary();
-  ASSERT_GT(data.size(), 1000u);
-  for (std::size_t cut = 0; cut < data.size(); cut += 97) {
-    std::istringstream is{data.substr(0, cut)};
-    trace::TraceCollector sink;
-    EXPECT_FALSE(trace::read_binary_trace(is, sink).ok())
-        << "prefix of " << cut << " bytes unexpectedly parsed";
-  }
-}
-
-TEST(BinaryRobustness, OverlongVarintIsADistinctError) {
-  std::string data{"WETR"};
-  data += '\x01';
-  data += 'M';
-  data += std::string(10, '\x80');  // 10 continuation bytes: one too many
-  std::istringstream is{data};
-  trace::TraceCollector sink;
-  const auto result = trace::read_binary_trace(is, sink);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().find("overlong varint"), std::string::npos) << result.error();
-}
-
-TEST(BinaryRobustness, EofMidVarintIsATruncationError) {
-  std::string data{"WETR"};
-  data += '\x01';
-  data += 'M';
-  data += '\x80';  // continuation bit set, then EOF
-  std::istringstream is{data};
-  trace::TraceCollector sink;
-  const auto result = trace::read_binary_trace(is, sink);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().find("truncated stream: EOF mid-meta record"), std::string::npos)
-      << result.error();
-}
-
-TEST(BinaryRobustness, EofMidChecksumIsATruncationError) {
-  std::string data = tiny_binary();
-  data.resize(data.size() - 3);  // cut into the 8-byte trailer
-  std::istringstream is{data};
-  trace::TraceCollector sink;
-  const auto result = trace::read_binary_trace(is, sink);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().find("EOF mid-checksum"), std::string::npos) << result.error();
-}
-
-TEST(BinaryRobustness, SkipAndCountSkipsBadEnumRecordsOnly) {
-  // A bad process state is a fully framed record: lenient policies skip it
-  // and keep going; strict fails with the offset.
-  std::ostringstream os;
-  trace::BinaryTraceWriter writer{os};
-  trace::StudyMeta meta;
-  meta.num_users = 1;
-  meta.study_end.us = 10'000'000;
-  writer.on_study_begin(meta);
-  writer.on_user_begin(0);
-  trace::StateTransition t;
-  t.time.us = 1000;
-  t.from = static_cast<trace::ProcessState>(200);  // out of range, still framed
-  deliver(writer, t);
-  trace::PacketRecord p;
-  p.time.us = 2000;
-  p.bytes = 64;
-  deliver(writer, p);
-  writer.on_user_end(0);
-  writer.on_study_end();
-  const std::string data = os.str();
-
-  {
-    std::istringstream is{data};
-    trace::TraceCollector sink;
-    const auto result = trace::read_binary_trace(is, sink);
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.error().find("bad process state"), std::string::npos) << result.error();
-    EXPECT_NE(result.error().find("offset"), std::string::npos) << result.error();
-  }
-  {
-    std::istringstream is{data};
-    trace::TraceCollector sink;
-    const auto result =
-        trace::read_binary_trace(is, sink, with_policy(ReadPolicy::kSkipAndCount));
-    ASSERT_TRUE(result.ok()) << result.error();
-    EXPECT_EQ(result.records_dropped, 1u);
-    ASSERT_EQ(result.quarantine.size(), 1u);
-    EXPECT_NE(result.quarantine[0].reason.find("bad process state"), std::string::npos);
-    ASSERT_EQ(sink.packets().size(), 1u);  // the later, healthy packet survived
-    EXPECT_EQ(sink.packets()[0].time.us, 2000);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,7 +323,7 @@ struct ReplayOutcome {
   std::uint64_t packets = 0;
 };
 
-ReplayOutcome replay(const std::string& data, bool binary, ReadPolicy policy) {
+ReplayOutcome replay(const std::string& data, ReadPolicy policy) {
   ReplayOutcome out;
   obs::MetricsRegistry registry;  // keep test metrics off the global registry
   const obs::ScopedMetricsRegistry scoped{&registry};
@@ -476,11 +331,8 @@ ReplayOutcome replay(const std::string& data, bool binary, ReadPolicy policy) {
   std::istringstream is{data};
   // The reader alone: it validates the stream protocol itself, so protocol
   // damage surfaces in the same summary as parse damage.
-  const trace::ReadSummary result = binary
-                                        ? trace::read_binary_trace(is, ledger, with_policy(policy))
-                                        : trace::read_csv_trace(is, ledger, with_policy(policy));
-  const bool clean_framing =
-      result.ok() && !result.truncated && result.checksum_ok && result.quarantine.empty();
+  const trace::ReadSummary result = trace::read_csv_trace(is, ledger, with_policy(policy));
+  const bool clean_framing = result.ok() && !result.truncated && result.quarantine.empty();
   out.surfaced = !clean_framing || result.records_dropped > 0 || result.records_repaired > 0;
   out.joules = ledger.total_joules();
   out.bytes = ledger.total_bytes();
@@ -488,37 +340,9 @@ ReplayOutcome replay(const std::string& data, bool binary, ReadPolicy policy) {
   return out;
 }
 
-TEST(CorruptionProperty, BinaryFaultsAreNeverSilent) {
-  const std::string clean_data = tiny_binary();
-  const ReplayOutcome clean = replay(clean_data, /*binary=*/true, ReadPolicy::kStrict);
-  ASSERT_FALSE(clean.surfaced);
-  ASSERT_GT(clean.packets, 0u);
-
-  for (const auto kind :
-       {fault::CorruptionKind::kBitFlip, fault::CorruptionKind::kTruncate,
-        fault::CorruptionKind::kDuplicateSpan, fault::CorruptionKind::kSwapSpans}) {
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      const auto damaged = fault::apply_corruption(clean_data, {kind, seed});
-      ASSERT_TRUE(damaged.ok());
-      for (const auto policy :
-           {ReadPolicy::kStrict, ReadPolicy::kSkipAndCount, ReadPolicy::kBestEffort}) {
-        const ReplayOutcome out = replay(damaged.value(), /*binary=*/true, policy);
-        // The checksum makes every silent-byte-damage scenario detectable: if
-        // nothing was surfaced, the ledger must be the clean one.
-        if (!out.surfaced) {
-          EXPECT_EQ(out.packets, clean.packets)
-              << fault::to_string(kind) << " seed " << seed;
-          EXPECT_EQ(out.bytes, clean.bytes);
-          EXPECT_DOUBLE_EQ(out.joules, clean.joules);
-        }
-      }
-    }
-  }
-}
-
 TEST(CorruptionProperty, CsvFieldFaultsAreAlwaysSurfaced) {
   const std::string clean_data = tiny_csv();
-  const ReplayOutcome clean = replay(clean_data, /*binary=*/false, ReadPolicy::kStrict);
+  const ReplayOutcome clean = replay(clean_data, ReadPolicy::kStrict);
   ASSERT_FALSE(clean.surfaced);
   ASSERT_GT(clean.packets, 0u);
 
@@ -529,7 +353,7 @@ TEST(CorruptionProperty, CsvFieldFaultsAreAlwaysSurfaced) {
       ASSERT_TRUE(damaged.ok());
       for (const auto policy :
            {ReadPolicy::kStrict, ReadPolicy::kSkipAndCount, ReadPolicy::kBestEffort}) {
-        const ReplayOutcome out = replay(damaged.value(), /*binary=*/false, policy);
+        const ReplayOutcome out = replay(damaged.value(), policy);
         EXPECT_TRUE(out.surfaced)
             << fault::to_string(kind) << " seed " << seed << " policy "
             << trace::to_string(policy);

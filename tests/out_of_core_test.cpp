@@ -3,9 +3,11 @@
 //
 // The hard requirements under test:
 //   - WESG segments round-trip chunks bit-exactly at every batch size.
-//   - Corruption matrix (satellite of PR 9): every fault/injector.h damage
-//     kind applied to a sealed segment yields a positioned util::Status on
-//     open — never a silent wrong replay.
+//   - Corruption matrix: every fault/injector.h damage kind applied to a
+//     sealed segment yields a positioned util::Status on open — never a
+//     silent wrong replay. A checksum-valid segment whose stream breaks the
+//     protocol (time runs backwards, leaves the study window) fails its
+//     replay with a positioned data_loss, through the store and the CLI.
 //   - SpillingTraceStore replays bit-identical to the RAM TraceStore: same
 //     ledgers, figures, and analyses at batch sizes {1, 256, 4096} and
 //     thread counts {1, 2, 8}; the budget actually bounds resident columns.
@@ -17,8 +19,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -46,6 +50,10 @@
 #include "trace/trace_store.h"
 #include "util/status.h"
 #include "util/time.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/wait.h>
+#endif
 
 namespace wildenergy {
 namespace {
@@ -154,7 +162,8 @@ trace::EventBatch collect_chunk(const trace::MappedSegment& segment,
     void on_packet(const trace::PacketRecord& p) override { out.add(p); }
     void on_transition(const trace::StateTransition& t) override { out.add(t); }
   } sink;
-  const util::Status status = segment.replay_chunk(chunk, sink, batch_size);
+  std::int64_t last_time_us = std::numeric_limits<std::int64_t>::min();
+  const util::Status status = segment.replay_chunk(chunk, sink, batch_size, last_time_us);
   EXPECT_TRUE(status.ok()) << status.to_string();
   sink.out.user = chunk.user;
   return sink.out;
@@ -329,6 +338,116 @@ TEST(SegmentCorruption, EveryDamageKindIsDetectedNeverSilent) {
   }
 }
 
+// A checksum proves only that a segment holds the bytes its writer wrote.
+// These segments are re-encoded by hand from a real chunk — valid framing,
+// valid trailer — with a stream no sink may see (time running backwards
+// within a chunk or across a chunk chain, a timestamp past the study window,
+// an out-of-range enum): the decoder itself must refuse it, naming the file,
+// user and chunk, whatever the batch size, and so must `analyze --store-dir`
+// (exit 1). WESG has no read policy; the check is always strict.
+TEST(SegmentCorruption, ChecksumValidOutOfOrderStreamIsDataLossOnReplay) {
+  const fs::path dir = scratch_dir("crafted");
+  sim::StudyConfig config = sim::small_study();
+  config.num_users = 3;
+  config.num_days = 3;
+  {
+    trace::SpillOptions spill;
+    spill.dir = dir.string();  // budget 0: one segment per user
+    trace::SpillingTraceStore store{spill};
+    sim::StudyGenerator generator{config};
+    ASSERT_TRUE(store.capture(generator).ok());
+    ASSERT_EQ(store.num_segments(), 3u);
+  }
+  const fs::path victim = dir / "seg_000002.wesg";
+  trace::StudyMeta meta;
+  trace::SegmentChunkInfo info;
+  trace::EventBatch events;
+  {
+    trace::MappedSegment segment;
+    ASSERT_TRUE(segment.open(victim.string()).ok());
+    ASSERT_EQ(segment.chunks().size(), 1u);
+    meta = segment.meta();
+    info = segment.chunks()[0];
+    events = collect_chunk(segment, info, trace::kDefaultBatchSize);
+  }  // unmapped before the file is rewritten
+  ASSERT_EQ(info.user, 1u);
+  ASSERT_GT(events.packets.size(), 10u);
+
+  // One packet set just below its predecessor: the event before it in the
+  // interleave is no earlier than that, so time runs backwards there.
+  trace::EventBatch backwards = events;
+  const std::size_t k = backwards.packets.size() / 2;
+  ASSERT_GT(backwards.packets[k - 1].time.us, meta.study_begin.us);
+  backwards.packets[k].time.us = backwards.packets[k - 1].time.us - 1;
+  // The last packet one microsecond past the study window.
+  trace::EventBatch past_end = events;
+  past_end.packets.back().time.us = meta.study_end.us + 1;
+  // A process state no enum value names, fully framed.
+  trace::EventBatch bad_enum = events;
+  ASSERT_FALSE(bad_enum.transitions.empty());
+  bad_enum.transitions.back().from = static_cast<trace::ProcessState>(200);
+
+  struct Crafted {
+    const char* name;
+    std::vector<trace::EventBatch> chunks;  ///< one user's chunk chain
+    const char* why;
+  };
+  // Two chunks, each in order on its own, whose chain runs backwards at the
+  // seam (the second repeats the first): only a check that carries time
+  // across the chain sees it.
+  trace::EventBatch head = events;
+  head.packets.resize(k);
+  head.transitions.clear();
+  head.order.assign(k, trace::EventKind::kPacket);
+  ASSERT_LT(head.packets.front().time.us, head.packets.back().time.us);
+  const std::vector<Crafted> crafted = {
+      {"backwards", {backwards}, "runs backwards"},
+      {"past study end", {past_end}, "outside the study window"},
+      {"bad enum", {bad_enum}, "bad transition fields at offset"},
+      {"backwards across the chunk chain", {head, head}, "runs backwards"},
+  };
+  for (const Crafted& c : crafted) {
+    SCOPED_TRACE(c.name);
+    trace::SegmentWriter writer{meta};
+    for (std::size_t seq = 0; seq < c.chunks.size(); ++seq) {
+      writer.add_chunk(c.chunks[seq], static_cast<std::uint32_t>(seq),
+                       seq + 1 == c.chunks.size());
+    }
+    write_file(victim, writer.finish());  // finish() writes a valid FNV trailer
+
+    trace::SpillOptions spill;
+    spill.dir = dir.string();
+    trace::SpillingTraceStore store{spill};
+    ASSERT_TRUE(store.open_existing().ok());  // framing and checksum are fine
+    ASSERT_EQ(store.num_users(), 3u);
+    for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+      trace::TraceCollector all;
+      trace::TraceCollector one;
+      for (const util::Status& st :
+           {store.emit(all, batch_size), store.emit_user(1, one, batch_size)}) {
+        ASSERT_FALSE(st.ok()) << "batch " << batch_size << ": replayed a broken stream";
+        EXPECT_EQ(st.code(), util::StatusCode::kDataLoss);
+        for (const char* part : {"seg_000002.wesg", "user 1 chunk ", c.why}) {
+          EXPECT_NE(st.message().find(part), std::string::npos)
+              << "missing '" << part << "': " << st.message();
+        }
+      }
+    }
+    // The untouched users still replay.
+    trace::TraceCollector other;
+    EXPECT_TRUE(store.emit_user(0, other, 64).ok());
+    EXPECT_TRUE(store.emit_user(2, other, 64).ok());
+
+#if defined(WILDENERGY_CLI) && (defined(__unix__) || defined(__APPLE__))
+    const std::string cmd = std::string{WILDENERGY_CLI} + " analyze --store-dir " +
+                            dir.string() + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << cmd;
+#endif
+  }
+}
+
 // -------------------------------------------------------- spilling store
 
 TEST(SpillingStore, ReplayBitIdenticalToRamStoreAcrossBatchAndThreads) {
@@ -472,16 +591,16 @@ TEST(SpillingStore, FullyOutOfCoreAndResidentTailModes) {
     ASSERT_EQ(a.transitions().size(), b.transitions().size());
   }
 
-  // Huge budget + seal_on_capture off: nothing spills, the resident tail
-  // replay path alone must still match.
+  // Huge budget, fed as a plain sink (no capture(), so no final seal):
+  // nothing spills, the resident tail replay path alone must still match.
   {
     const fs::path dir = scratch_dir("all_ram");
     trace::SpillOptions spill;
     spill.dir = dir.string();
     spill.budget_bytes = 1ull << 32;
-    spill.seal_on_capture = false;
     trace::SpillingTraceStore store{spill};
-    ASSERT_TRUE(store.capture(generator).ok());
+    ASSERT_TRUE(generator.emit(store, trace::kDefaultBatchSize).ok());
+    ASSERT_TRUE(store.health().ok()) << store.health().to_string();
     EXPECT_EQ(store.num_segments(), 0u);
     EXPECT_EQ(store.spilled_bytes(), 0u);
     trace::TraceCollector a;
@@ -496,15 +615,16 @@ TEST(SpillingStore, FullyOutOfCoreAndResidentTailModes) {
     }
   }
 
-  // Mid-size budget + seal off: mixed sealed-segment + resident-tail replay.
+  // Mid-size budget, fed as a plain sink: mixed sealed-segment +
+  // resident-tail replay.
   {
     const fs::path dir = scratch_dir("mixed");
     trace::SpillOptions spill;
     spill.dir = dir.string();
     spill.budget_bytes = 96 * 1024;
-    spill.seal_on_capture = false;
     trace::SpillingTraceStore store{spill};
-    ASSERT_TRUE(store.capture(generator).ok());
+    ASSERT_TRUE(generator.emit(store, trace::kDefaultBatchSize).ok());
+    ASSERT_TRUE(store.health().ok()) << store.health().to_string();
     trace::TraceCollector a;
     trace::TraceCollector b;
     ASSERT_TRUE(ram.emit(a, 256).ok());

@@ -33,7 +33,6 @@
 #include "sim/generator.h"
 #include "sim/study_config.h"
 #include "trace/batch.h"
-#include "trace/binary_io.h"
 #include "trace/csv_io.h"
 #include "trace/sink.h"
 #include "trace/trace_source.h"
@@ -251,21 +250,6 @@ TEST(TraceSourceConformance, GeneratorStoreAndReadersEmitIdenticalStreams) {
   trace::TraceCollector csv_again;
   ASSERT_TRUE(csv_source.emit(csv_again, /*batch_size=*/1).ok());  // seekable: rewinds
   expect_identical_streams(baseline, csv_again);
-
-  // Binary reader: same contract, same stream.
-  std::ostringstream bin_text;
-  {
-    trace::BinaryTraceWriter writer{bin_text};
-    generator.run(writer);
-  }
-  std::istringstream bin_in{bin_text.str()};
-  trace::BinaryTraceSource bin_source{bin_in};
-  EXPECT_FALSE(bin_source.supports_user_access());
-  trace::TraceCollector from_bin;
-  ASSERT_TRUE(bin_source.emit(from_bin, trace::kDefaultBatchSize).ok());
-  EXPECT_EQ(bin_source.meta().num_users, generator.config().num_users);
-  EXPECT_TRUE(bin_source.summary().checksum_ok);
-  expect_identical_streams(baseline, from_bin);
 }
 
 TEST(TraceSourceConformance, EmitUserStreamsOneBracketedUser) {
