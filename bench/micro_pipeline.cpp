@@ -15,7 +15,7 @@
 #include "trace/batch.h"
 #include "trace/instrumented_sink.h"
 #include "trace/interface_filter.h"
-#include "trace/trace_store.h"
+#include "trace/spilling_store.h"
 #include "util/rng.h"
 
 #include "bench_util.h"
@@ -216,8 +216,8 @@ double run_event_path(const CapturedStudy& study,
 }  // namespace wildenergy
 
 // Custom main instead of BENCHMARK_MAIN(): after the microbenches, the
-// headline "micro_pipeline" sweep captures the study once into a TraceStore
-// (untimed) and then runs the full pipeline — filter -> attribution ->
+// headline "micro_pipeline" sweep captures the study once into a resident
+// SpillingTraceStore (no directory, untimed) and then runs the full pipeline — filter -> attribution ->
 // ledger/analyses — over the store at each worker-thread count, emitting one
 // perf footer / WILDENERGY_BENCH_JSON record per thread count (with
 // `threads` and `speedup` = serial wall over that run's wall). Timing the
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   const sim::StudyConfig cfg = benchutil::config_from_env(/*default_days=*/60);
   {
     sim::StudyGenerator generator{cfg};
-    trace::TraceStore store;
+    trace::SpillingTraceStore store;
     if (!store.capture(generator).ok()) return 1;
     constexpr int kReps = 3;
     double serial_wall_ms = 0.0;

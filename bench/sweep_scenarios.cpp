@@ -4,9 +4,10 @@
 // SAME canonical trace. This bench measures both ways to get it:
 //  1. K independent single-thread StudyPipeline runs — each pays trace
 //     generation again for byte-identical events;
-//  2. one core::SweepEngine — capture the generator into a columnar
-//     trace::TraceStore once, replay the cached columns K times — at one
-//     thread (the apples-to-apples comparison) and at four.
+//  2. one core::SweepEngine — capture the generator into a resident
+//     trace::SpillingTraceStore (no store_dir) once, replay the cached
+//     columns K times — at one thread (the apples-to-apples comparison) and
+//     at four.
 //
 // Emits WILDENERGY_BENCH_JSON records (bench_util.h) named
 // "sweep_scenarios/..."; the sweep records carry the store footprint and

@@ -24,7 +24,7 @@
 #include "trace/instrumented_sink.h"
 #include "trace/interface_filter.h"
 #include "trace/shardable.h"
-#include "trace/store_backend.h"
+#include "trace/spilling_store.h"
 #include "util/thread_pool.h"
 
 namespace wildenergy::core::internal {
@@ -173,6 +173,7 @@ class Engine {
   Engine(trace::TraceSource& source, std::vector<EngineScenario>& scenarios,
          const EngineOptions& options)
       : source_(source),
+        store_(dynamic_cast<const trace::SpillingTraceStore*>(&source)),
         scenarios_(scenarios),
         opt_(options),
         random_access_(source.supports_user_access()),
@@ -210,6 +211,9 @@ class Engine {
   }
 
   trace::TraceSource& source_;
+  /// The source when it is a captured store (sweeps, pipelines over a store):
+  /// replayed rather than generated, and its footprint counts in the run.
+  const trace::SpillingTraceStore* const store_;
   std::vector<EngineScenario>& scenarios_;
   const EngineOptions& opt_;
   const bool random_access_;
@@ -698,9 +702,7 @@ util::Status Engine::close(std::size_t scenario) {
   for (std::size_t i = 1; i < plan.sc->sinks.size(); ++i) {
     s.memory.analyses += plan.sc->sinks[i].second->memory_use();
   }
-  if (const auto* backend = dynamic_cast<const trace::StoreBackend*>(&source_)) {
-    s.memory.store = backend->memory_use();
-  }
+  if (store_ != nullptr) s.memory.store = store_->memory_use();
   if (energy::AccountSpill* spill = plan.sc->spill) {
     // Resident is read before the final seal so the number describes the
     // bounded pending-writer footprint the run held, not the post-seal zero.
@@ -796,8 +798,7 @@ util::StatusOr<obs::RunStats> Engine::run() {
       // budget, so there the row absorbs everything else (builds, merges)
       // and the stage self times sum to the wall.
       obs::StageStats source_row;
-      source_row.name =
-          dynamic_cast<const trace::StoreBackend*>(&source_) != nullptr ? "replay" : "generate";
+      source_row.name = store_ != nullptr ? "replay" : "generate";
       source_row.self_ms = plan.source_ms;
       if (threads_ == 1 && plans_.size() == 1) {
         double accounted_ms = 0.0;
@@ -812,9 +813,7 @@ util::StatusOr<obs::RunStats> Engine::run() {
     }
     add_to_aggregate(run, s);
   }
-  if (const auto* backend = dynamic_cast<const trace::StoreBackend*>(&source_)) {
-    run.memory.store = backend->memory_use();
-  }
+  if (store_ != nullptr) run.memory.store = store_->memory_use();
   run.memory.shards.resident_bytes = window_bytes_;
   run.memory.peak_rss_bytes = obs::peak_rss_bytes();
   if (writer_ != nullptr) {

@@ -6,11 +6,11 @@
 //                     ->  ledger + user-registered analyses
 //
 // The source is anything emitting the canonical event stream — a
-// sim::StudyGenerator, the CSV reader (trace/csv_io.h), or a cached
-// trace::TraceStore / sealed trace::SpillingTraceStore — one execution
-// engine for live simulation and replay alike. The pipeline never owns its source: the caller holds it
-// (and its catalog), so source lifetime and app-name lookups are explicit
-// at every call site.
+// sim::StudyGenerator, the CSV reader (trace/csv_io.h), or a captured
+// trace::SpillingTraceStore, resident or sealed — one execution engine for
+// live simulation and replay alike. The pipeline never owns its source: the
+// caller holds it (and its catalog), so source lifetime and app-name lookups
+// are explicit at every call site.
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -64,7 +64,7 @@ enum class FailurePolicy : std::uint8_t {
 
 struct PipelineOptions {
   /// Radio model per user device; defaults to LTE (set in pipeline.cpp).
-  energy::RadioModelFactory radio_factory;
+  energy::RadioModelFactory radio_factory{};
   /// Tail-energy attribution rule (paper rule by default).
   energy::TailPolicy tail_policy = energy::TailPolicy::kLastPacket;
   /// Interface under analysis; non-matching packets are dropped before
@@ -109,7 +109,7 @@ struct PipelineOptions {
   /// and after the last one, for every source and thread count; the
   /// forward-only readers snapshot mid-stream the same way. A checkpointed
   /// run's outputs are bit-identical to an unchecked one.
-  std::string checkpoint_dir;
+  std::string checkpoint_dir{};
   /// Completed users between checkpoints (CLI --checkpoint-every). Clamped
   /// up to 1.
   std::size_t checkpoint_every_users = 4;
@@ -129,7 +129,7 @@ struct PipelineOptions {
   /// instead of growing with the population. Aggregates and every
   /// cursor-based figure are bit-identical to a resident run. Resuming a
   /// checkpointed fold run must pass the same directory.
-  std::string account_dir;
+  std::string account_dir{};
   /// Soft budget for the account spill plane (CLI --account-budget); the
   /// pending writer seals to disk as it fills so resident account bytes
   /// stay under it. 0 applies the AccountSpill default. Requires
@@ -140,7 +140,8 @@ struct PipelineOptions {
 class StudyPipeline {
  public:
   /// Run over a trace source (caller-owned sim::StudyGenerator, file
-  /// reader, or cached TraceStore). Non-owning; must outlive the pipeline.
+  /// reader, or captured SpillingTraceStore). Non-owning; must outlive the
+  /// pipeline.
   /// A run is one scenario of the execution engine (core/engine.h).
   /// Forward-only sources (supports_user_access() == false) are split into
   /// per-user shards on the reading thread, one at a time, whatever

@@ -8,26 +8,15 @@
 #include "core/engine.h"
 #include "obs/stopwatch.h"
 #include "radio/burst_machine.h"
-#include "trace/spilling_store.h"
 
 namespace wildenergy::core {
 
 SweepEngine::SweepEngine(trace::TraceSource* base, SweepOptions options)
-    : base_(base), options_(std::move(options)) {
-  if (options_.store_dir.empty()) {
-    owned_store_ = std::make_unique<trace::TraceStore>();
-  } else {
-    trace::SpillOptions spill;
-    spill.dir = options_.store_dir;
-    spill.budget_bytes = options_.store_budget_bytes;
-    spill.resume = options_.resume;
-    owned_store_ = std::make_unique<trace::SpillingTraceStore>(std::move(spill));
-  }
-  store_ = owned_store_.get();
-}
-
-SweepEngine::SweepEngine(trace::StoreBackend* store, SweepOptions options)
-    : store_(store), options_(std::move(options)) {}
+    : base_(base),
+      options_(std::move(options)),
+      store_({.dir = options_.store_dir,
+              .budget_bytes = options_.store_budget_bytes,
+              .resume = options_.resume}) {}
 
 void SweepEngine::add_scenario(Scenario scenario) {
   scenarios_.push_back(std::move(scenario));
@@ -38,15 +27,6 @@ const ScenarioResult* SweepEngine::result(std::string_view name) const {
     if (r.name == name) return &r;
   }
   return nullptr;
-}
-
-util::Status SweepEngine::ensure_captured() {
-  if (!store_->empty()) return util::Status::ok_status();  // simulate once
-  if (base_ == nullptr) {
-    return util::Status::failed_precondition(
-        "sweep store is empty and no base source was given");
-  }
-  return store_->capture(*base_, options_.batch_size);
 }
 
 util::StatusOr<obs::RunStats> SweepEngine::run() {
@@ -63,7 +43,16 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
         "account budget requires an account directory (set account_dir)");
   }
   const obs::Stopwatch total;
-  if (const util::Status captured = ensure_captured(); !captured.ok()) return captured;
+  if (store_.empty()) {  // simulate once
+    if (base_ == nullptr) {
+      return util::Status::failed_precondition(
+          "sweep store is empty and no base source was given");
+    }
+    if (const util::Status captured = store_.capture(*base_, options_.batch_size);
+        !captured.ok()) {
+      return captured;
+    }
+  }
 
   // Results are rebuilt per run; their ledgers are the parents the shard
   // clones merge into, so the vector must not reallocate once the engine
@@ -118,7 +107,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
       options_.progress(SweepProgress{done, total_shards, si, user});
     };
   }
-  auto run = internal::run_scenarios(*store_, plan, engine);
+  auto run = internal::run_scenarios(store_, plan, engine);
   if (!run.ok()) return run.status();
   run->wall_ms = total.elapsed_ms();  // the capture counts too
   return run;

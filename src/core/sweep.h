@@ -5,10 +5,11 @@
 // SAME canonical event stream. Running one StudyPipeline per scenario pays
 // trace generation — ~75% of pipeline wall time — once per scenario for
 // byte-identical events. The sweep engine captures the base source into a
-// trace::TraceStore once, then fans N scenarios out as (scenario × user)
-// shards over one worker pool, replaying the cached columns:
+// trace::SpillingTraceStore once — all resident, or sealed into WESG segments
+// under SweepOptions::store_dir — then fans N scenarios out as
+// (scenario × user) shards over one worker pool, replaying the cached columns:
 //
-//   core::SweepEngine sweep{&generator};              // or a ready TraceStore
+//   core::SweepEngine sweep{&generator};
 //   sweep.add_scenario({.name = "baseline"});
 //   sweep.add_scenario({.name = "kill-3d",
 //                       .policy = core::KillAfterIdlePolicy::factory(...)});
@@ -36,9 +37,8 @@
 #include "energy/attributor.h"
 #include "energy/ledger.h"
 #include "obs/run_stats.h"
-#include "trace/store_backend.h"
+#include "trace/spilling_store.h"
 #include "trace/trace_source.h"
-#include "trace/trace_store.h"
 #include "util/status.h"
 
 namespace wildenergy::core {
@@ -48,17 +48,17 @@ namespace wildenergy::core {
 struct Scenario {
   std::string name;
   /// Policy filter between replay and attribution; empty = baseline.
-  PolicyFactory policy;
+  PolicyFactory policy{};
   /// Radio model for this scenario's devices; empty = LTE (the pipeline
   /// default). Must be safe to invoke concurrently when num_threads > 1.
-  energy::RadioModelFactory radio_factory;
+  energy::RadioModelFactory radio_factory{};
   energy::TailPolicy tail_policy = energy::TailPolicy::kLastPacket;
   trace::Interface interface = trace::Interface::kCellular;
   /// Analysis sinks receiving this scenario's energy-annotated stream.
   /// Non-owning; must outlive run(). Shardable sinks ride the parallel
   /// merge; a custom non-shardable sink is wrapped in a collect-splice
   /// adapter (core/engine.cpp) and merged in user-id order.
-  std::vector<std::pair<std::string, trace::TraceSink*>> analyses;
+  std::vector<std::pair<std::string, trace::TraceSink*>> analyses{};
 };
 
 /// One completed (scenario × user) shard, reported through
@@ -83,7 +83,7 @@ struct SweepOptions {
   /// Invoked once per completed (scenario, user) shard, on the thread that
   /// called run(), as the shard merges (never concurrently). Keep it cheap —
   /// it runs inside the merge path.
-  std::function<void(const SweepProgress&)> progress;
+  std::function<void(const SweepProgress&)> progress{};
   /// Events per EventBatch on both the capture and replay paths; ≥ 1 (run()
   /// rejects 0). Shares trace::kDefaultBatchSize with PipelineOptions /
   /// ReadOptions.
@@ -107,7 +107,7 @@ struct SweepOptions {
   /// Outputs stay bit-identical to an unchecked sweep at every thread count.
   /// Per-shard rows and stage profiles of work done before a kill are not
   /// checkpointed (counters and results are).
-  std::string checkpoint_dir;
+  std::string checkpoint_dir{};
   /// Completed user shards between checkpoints within a scenario.
   std::size_t checkpoint_every_users = 4;
   /// Resume from the newest good checkpoint: finished scenarios are restored
@@ -116,11 +116,11 @@ struct SweepOptions {
   /// With store_dir set, resume also reopens sealed segments there and
   /// captures only the users the segments do not already cover.
   bool resume = false;
-  /// Out-of-core capture (CLI --store-dir): when non-empty, the base-source
-  /// ctor backs the sweep with a trace::SpillingTraceStore sealing WESG
-  /// segments into this directory instead of an all-RAM TraceStore. Replay
-  /// semantics (and every scenario output) are bit-identical either way.
-  std::string store_dir;
+  /// Out-of-core capture (CLI --store-dir): when non-empty, the sweep's
+  /// trace::SpillingTraceStore seals WESG segments into this directory;
+  /// empty keeps the captured study resident. Replay semantics (and every
+  /// scenario output) are bit-identical either way.
+  std::string store_dir{};
   /// Resident column budget for the spilling store (CLI --store-budget).
   /// 0 = fully out-of-core. Ignored when store_dir is empty.
   std::uint64_t store_budget_bytes = 0;
@@ -131,7 +131,7 @@ struct SweepOptions {
   /// slabs are freed. Scenario ledgers answer cursor-based queries from the
   /// spilled rows, bit-identically to a resident sweep. Composes with
   /// checkpoint_dir: a resume must pass the same directory.
-  std::string account_dir;
+  std::string account_dir{};
   /// Soft resident budget per scenario's account spill (CLI
   /// --account-budget); 0 applies the AccountSpill default. Requires
   /// account_dir.
@@ -150,15 +150,11 @@ struct ScenarioResult {
 
 class SweepEngine {
  public:
-  /// Capture `base` into an internal store on the first run() — simulate
+  /// Capture `base` into the engine's store on the first run() — simulate
   /// once — then replay it for every scenario. Non-owning; `base` must
-  /// outlive the first run() and support whole-study emission. The owned
-  /// store is a RAM TraceStore, or a SpillingTraceStore when
-  /// SweepOptions::store_dir is set.
+  /// outlive the first run() and support whole-study emission. The store
+  /// seals into SweepOptions::store_dir when it is set.
   explicit SweepEngine(trace::TraceSource* base, SweepOptions options = {});
-  /// Replay a caller-owned, already-captured backend (non-owning). Lets one
-  /// store back several engines, or a store loaded from a file reader.
-  explicit SweepEngine(trace::StoreBackend* store, SweepOptions options = {});
 
   /// Register a scenario. Order is preserved; results() matches it.
   void add_scenario(Scenario scenario);
@@ -175,20 +171,15 @@ class SweepEngine {
   /// Lookup by scenario name; nullptr when absent.
   [[nodiscard]] const ScenarioResult* result(std::string_view name) const;
   [[nodiscard]] std::size_t num_scenarios() const { return scenarios_.size(); }
-  /// The cached trace backing the sweep (empty until the first run() when
-  /// capturing from a base source). Exposes memory_use()/event_count()
-  /// plus the out-of-core surface (spilled_bytes()/num_segments()).
-  [[nodiscard]] const trace::StoreBackend& store() const { return *store_; }
+  /// The cached trace backing the sweep (empty until the first run()).
+  /// Exposes memory_use()/event_count() plus the out-of-core surface
+  /// (spilled_bytes()/num_segments()).
+  [[nodiscard]] const trace::SpillingTraceStore& store() const { return store_; }
 
  private:
-  util::Status ensure_captured();
-
-  trace::TraceSource* base_ = nullptr;  ///< captured on first run(); may be null
-  /// Backing store for the base ctor: TraceStore, or SpillingTraceStore when
-  /// options.store_dir is set. Null when a caller-owned store was supplied.
-  std::unique_ptr<trace::StoreBackend> owned_store_;
-  trace::StoreBackend* store_;  ///< owned_store_.get() or caller-supplied
+  trace::TraceSource* base_;  ///< captured on the first run(); may be null
   SweepOptions options_;
+  trace::SpillingTraceStore store_;
   std::vector<Scenario> scenarios_;
   std::vector<ScenarioResult> results_;
   /// One spill per scenario (parallel to results_) when account_dir is set;

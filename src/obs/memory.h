@@ -14,7 +14,7 @@
 
 namespace wildenergy::obs {
 
-/// One sink's (or backend's) memory footprint, split by where the bytes
+/// One sink's (or store's) memory footprint, split by where the bytes
 /// live. `resident_bytes` is the capacity estimate of owned containers —
 /// what counts against a RAM budget; `spilled_bytes` is what the component
 /// has written to durable side files (WESG segments, WEAC account files) and

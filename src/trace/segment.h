@@ -3,10 +3,10 @@
 //
 // A segment file holds sealed column *chunks* — contiguous spans of one
 // user's stream (packet column, transition column, interleave) — for many
-// users, in stream order. SpillingTraceStore seals chunks into segments when
-// the resident budget fills; replay maps the file read-only and decodes one
-// bounded span at a time, so a study much larger than RAM replays with a
-// working set of O(batch_size), not O(stream).
+// users, in stream order. SpillingTraceStore, when given a directory, seals
+// chunks into segments as its resident budget fills; replay maps the file
+// read-only and decodes one bounded span at a time, so a study much larger
+// than RAM replays with a working set of O(batch_size), not O(stream).
 //
 // File layout (all multi-byte integers are ckpt/codec.h primitives):
 //

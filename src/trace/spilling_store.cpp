@@ -67,6 +67,46 @@ util::Status write_file_atomic(const std::string& dir, const std::string& name,
 
 }  // namespace
 
+void replay_column_span(const EventBatch& events, TraceSink& sink, std::size_t batch_size) {
+  if (events.size() <= batch_size) {
+    if (!events.empty()) sink.on_batch(events);  // whole span at once, zero copies
+    return;
+  }
+  // Slice the columns into batch_size spans, preserving the interleave.
+  // Contiguous packet runs (the overwhelming bulk of a stream) copy as
+  // whole ranges instead of one record per iteration.
+  EventBatch scratch;
+  scratch.user = events.user;
+  scratch.reserve(batch_size);
+  std::size_t pi = 0;
+  std::size_t ti = 0;
+  std::size_t oi = 0;
+  const std::size_t n = events.order.size();
+  while (oi < n) {
+    if (events.order[oi] == EventKind::kPacket) {
+      const std::size_t room = batch_size - scratch.size();
+      std::size_t run = 1;
+      while (run < room && oi + run < n && events.order[oi + run] == EventKind::kPacket) {
+        ++run;
+      }
+      const auto first = events.packets.begin() + static_cast<std::ptrdiff_t>(pi);
+      scratch.packets.insert(scratch.packets.end(), first,
+                             first + static_cast<std::ptrdiff_t>(run));
+      scratch.order.insert(scratch.order.end(), run, EventKind::kPacket);
+      pi += run;
+      oi += run;
+    } else {
+      scratch.add(events.transitions[ti++]);
+      ++oi;
+    }
+    if (scratch.size() >= batch_size) {
+      sink.on_batch(scratch);
+      scratch.clear();
+    }
+  }
+  if (!scratch.empty()) sink.on_batch(scratch);
+}
+
 /// Forwards per-user pulls into the store while swallowing the per-pull
 /// study brackets that TraceSource::emit_user wraps each user in.
 class SpillingTraceStore::BracketStrip final : public TraceSink {
@@ -156,7 +196,8 @@ void SpillingTraceStore::on_user_end(UserId /*user*/) {
   if (resident_bytes_ > max_resident_bytes_) max_resident_bytes_ = resident_bytes_;
   current_ = EventBatch{};
   // Budget 0 means fully out-of-core: every completed user spills at once.
-  if (options_.budget_bytes == 0 || resident_bytes_ > options_.budget_bytes) {
+  if (!options_.dir.empty() &&
+      (options_.budget_bytes == 0 || resident_bytes_ > options_.budget_bytes)) {
     (void)spill_resident();  // failures latch health_
   }
 }
@@ -166,7 +207,9 @@ void SpillingTraceStore::on_study_end() { in_user_ = false; }
 void SpillingTraceStore::maybe_spill_mid_user() {
   const std::uint64_t live = resident_bytes_ + column_bytes(current_);
   if (live > max_resident_bytes_) max_resident_bytes_ = live;
-  if (options_.budget_bytes == 0 || live <= options_.budget_bytes) return;
+  if (options_.dir.empty() || options_.budget_bytes == 0 || live <= options_.budget_bytes) {
+    return;
+  }
   if (resident_bytes_ > 0) (void)spill_resident();
   if (column_bytes(current_) > options_.budget_bytes) {
     // One user alone overflows the budget: seal what we have as a non-final
@@ -183,10 +226,6 @@ void SpillingTraceStore::maybe_spill_mid_user() {
 
 util::Status SpillingTraceStore::spill_resident() {
   if (!health_.ok()) return health_;
-  if (options_.dir.empty()) {
-    health_ = util::Status::failed_precondition("spilling store has no directory configured");
-    return health_;
-  }
   std::vector<std::size_t> live;
   live.reserve(resident_.size());
   for (std::size_t i = 0; i < resident_.size(); ++i) {
@@ -254,7 +293,7 @@ util::Status SpillingTraceStore::seal() {
   if (in_user_) {
     return util::Status::failed_precondition("cannot seal a spilling store mid-user");
   }
-  if (resident_.empty()) return util::Status::ok_status();
+  if (options_.dir.empty() || resident_.empty()) return util::Status::ok_status();
   return spill_resident();
 }
 
@@ -265,6 +304,7 @@ util::Status SpillingTraceStore::open_existing() { return recover(); }
 util::Status SpillingTraceStore::recover() {
   if (recovered_) return util::Status::ok_status();
   recovered_ = true;
+  if (options_.dir.empty()) return util::Status::ok_status();  // nothing was ever sealed
   const fs::path manifest_path = fs::path(options_.dir) / kManifestName;
   std::error_code ec;
   if (!fs::exists(manifest_path, ec)) return util::Status::ok_status();  // nothing sealed yet

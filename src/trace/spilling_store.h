@@ -1,26 +1,34 @@
-// SpillingTraceStore: capture unbounded streams under a RAM budget
-// (DESIGN.md §14).
+// SpillingTraceStore: the one trace store — capture a stream once, replay it
+// arbitrarily often (DESIGN.md §14).
 //
-// The RAM TraceStore holds every user's columns resident, so study size is
-// capped by memory. This backend keeps only a bounded resident tail: as
-// captured columns approach `budget_bytes`, complete chunks are sealed into
-// WESG segment files (trace/segment.h) under `dir` and their RAM is
-// released. A user whose single stream exceeds the budget is split into
-// multiple chunks (seq 0..k, the last marked final), so even one enormous
-// user cannot blow the cap.
+// A scenario sweep (core/sweep.h) evaluates many variants over the SAME
+// canonical event stream; re-running the generator per scenario would pay
+// session synthesis once per scenario for identical bytes. The store is both
+// a TraceSink (capture) and a TraceSource (replay the whole study or any one
+// user):
 //
-//   capture                      spill                      replay
-//   -------                      -----                      ------
+//   capture                      spill (only with a dir)    replay
+//   -------                      -----------------------    ------
 //   source -> current_ column -> seal resident chunks ->    segments (mmap,
 //             per open user      seg_NNNNNN.wesg + mani-    bounded decode)
 //             complete chunks    fest rewrite (tmp+rename)  then resident
 //             queue resident                                tail, per user
 //
-// Replay obeys the exact StoreBackend contract: any user, any batch size,
-// bit-identical to the RAM store (chunk boundaries only introduce short
-// batches, which the batch-interleave contract explicitly allows). The
-// replay side mutates nothing, so concurrent emit_user() calls from sweep
-// shard workers are safe, same as TraceStore.
+// Without a directory (SpillOptions::dir empty) the store is all-resident:
+// nothing spills, budget_bytes is ignored, seal() leaves the tail resident,
+// and the store never touches the filesystem — resume included. With a
+// directory it keeps only a bounded resident tail: as captured columns
+// approach `budget_bytes`, complete chunks are sealed into WESG segment
+// files (trace/segment.h) under `dir` and their RAM is released. A user
+// whose single stream exceeds the budget is split into multiple chunks
+// (seq 0..k, the last marked final), so even one enormous user cannot blow
+// the cap.
+//
+// Replay contract: for any user and any batch size, the emitted event
+// sequence is the captured stream — resident or sealed, downstream outputs
+// are bit-identical (chunk boundaries only introduce short batches, which
+// the batch-interleave contract allows). The replay side mutates nothing,
+// so concurrent emit_user() calls from sweep shard workers are safe.
 //
 // Durability: a manifest (manifest.wesm) lists the sealed segments; both
 // manifest and segments land via tmp-write + rename, so a crash leaves
@@ -39,24 +47,32 @@
 #include "trace/batch.h"
 #include "trace/segment.h"
 #include "trace/sink.h"
-#include "trace/store_backend.h"
+#include "trace/trace_source.h"
 #include "util/status.h"
 
 namespace wildenergy::trace {
 
+/// Stream one full column set into `sink`, sliced into spans of batch_size
+/// (≥ 1) events, preserving the packet/transition interleave. Emits no
+/// user brackets — callers own the bracket protocol. Pure read: safe to call
+/// concurrently on the same columns from different shard workers.
+void replay_column_span(const EventBatch& events, TraceSink& sink, std::size_t batch_size);
+
 struct SpillOptions {
-  /// Directory for segment files + manifest; created if missing.
-  std::string dir;
+  /// Directory for segment files + manifest; created if missing. Empty keeps
+  /// every captured user resident and never touches the filesystem.
+  std::string dir{};
   /// Resident column budget. 0 = fully out-of-core: every user spills as
-  /// soon as their bracket closes.
+  /// soon as their bracket closes. Ignored without a directory.
   std::uint64_t budget_bytes = 0;
   /// Reuse sealed segments already in `dir` instead of regenerating them.
   bool resume = false;
 };
 
-class SpillingTraceStore final : public StoreBackend {
+class SpillingTraceStore final : public TraceSink, public TraceSource {
  public:
-  explicit SpillingTraceStore(SpillOptions options) : options_(std::move(options)) {}
+  /// Default: no directory, every user resident.
+  explicit SpillingTraceStore(SpillOptions options = {}) : options_(std::move(options)) {}
 
   // -- capture (TraceSink) --------------------------------------------------
   void on_study_begin(const StudyMeta& meta) override;
@@ -65,35 +81,46 @@ class SpillingTraceStore final : public StoreBackend {
   void on_study_end() override;
   void on_batch(const EventBatch& batch) override;
 
-  /// Captures `source`, reusing recovered users when options_.resume is set:
-  /// sources with per-user access are only asked for the missing users;
-  /// forward-only sources emit once and the store drops the users it
-  /// already holds sealed. The resident tail is sealed at the end, so the
-  /// captured stream is durable and resumable; a store fed as a plain sink
-  /// (source.emit(store, …)) keeps its tail resident until seal().
-  util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize) override;
+  /// Replaces the contents with one full pass over `source`, reusing
+  /// recovered users when options_.resume is set: sources with per-user
+  /// access are only asked for the missing users; forward-only sources emit
+  /// once and the store drops the users it already holds sealed. The
+  /// resident tail is sealed at the end, so with a directory the captured
+  /// stream is durable and resumable; a store fed as a plain sink
+  /// (source.emit(store, …)) keeps its tail resident until seal(). Returns
+  /// the source's emit status, or the store's health when capture degraded.
+  util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize);
 
   // -- replay (TraceSource) -------------------------------------------------
   util::Status emit(TraceSink& sink, std::size_t batch_size) override;
   util::Status emit_user(UserId user, TraceSink& sink, std::size_t batch_size) override;
   [[nodiscard]] StudyMeta meta() const override { return meta_; }
   [[nodiscard]] bool supports_user_access() const override { return true; }
+  /// User ids in arrival (stream) order — for generator-derived studies this
+  /// is ascending user id, which is also the shard-merge order.
   [[nodiscard]] std::vector<UserId> users() const override { return order_; }
 
-  // -- introspection (StoreBackend) -----------------------------------------
-  [[nodiscard]] bool empty() const override { return order_.empty() && meta_.num_users == 0; }
-  [[nodiscard]] std::size_t num_users() const override { return order_.size(); }
-  [[nodiscard]] std::uint64_t event_count() const override;
-  /// Resident half counts column/current capacity, user index, segment
-  /// indices; mapped segment payloads are page cache, not budget. Spilled
-  /// half is the sealed segment bytes on disk.
+  // -- introspection --------------------------------------------------------
+  [[nodiscard]] bool empty() const { return order_.empty() && meta_.num_users == 0; }
+  [[nodiscard]] std::size_t num_users() const { return order_.size(); }
+  /// Total captured events (packets + transitions) across all users.
+  [[nodiscard]] std::uint64_t event_count() const;
+  /// Resident half counts column/current capacity (allocation slack is real
+  /// memory), user index, segment indices; mapped segment payloads are page
+  /// cache, not budget. Spilled half is the sealed segment bytes on disk.
   [[nodiscard]] obs::MemoryUse memory_use() const override;
-  void clear() override;
+  void clear();
 
-  [[nodiscard]] std::uint64_t spilled_bytes() const override { return spilled_bytes_; }
-  [[nodiscard]] std::size_t num_segments() const override { return segments_.size(); }
-  util::Status seal() override;
-  [[nodiscard]] util::Status health() const override { return health_; }
+  /// Bytes sealed into on-disk segments — memory_use().spilled_bytes; only
+  /// resident bytes count against RAM.
+  [[nodiscard]] std::uint64_t spilled_bytes() const { return spilled_bytes_; }
+  [[nodiscard]] std::size_t num_segments() const { return segments_.size(); }
+  /// Flush the resident tail into a segment; without a directory the tail
+  /// stays resident and this returns the store's health.
+  util::Status seal();
+  /// Non-OK when a capture-side fault (failed spill, stale resume) left the
+  /// store unable to replay the full captured stream.
+  [[nodiscard]] util::Status health() const { return health_; }
 
   // -- spill/resume accounting ----------------------------------------------
   /// High-water mark of resident column bytes during capture — what the

@@ -8,13 +8,17 @@
 // stream (study bracket, users in order, time-ordered events per user) into
 // a TraceSink; StudyPipeline, the CLI and the sweep engine consume the
 // interface and no longer care whether events come from the simulator, a
-// file, or an in-memory TraceStore.
+// file, or a captured SpillingTraceStore (trace/spilling_store.h).
 //
 // Contract:
 //   - emit() streams the whole study, including the study/user brackets.
 //     Events are delivered via TraceSink::on_batch in spans of batch_size
 //     (≥ 1) events. Outputs downstream are bit-identical for every
 //     batch_size (trace/batch.h).
+//   - Every user id is below meta().num_users and opens at most one user
+//     bracket per study: sinks size per-user state by id and merge each user
+//     once. The CSV reader drops (lenient) or fails on (strict) a bracket
+//     that breaks this at its ingest boundary (trace/validating_sink.h).
 //   - meta() is the study header. Sources that only learn it from the stream
 //     itself (the file readers) return a zero StudyMeta until their first
 //     emit() has passed the header.

@@ -89,6 +89,7 @@ void ValidatingSink::on_study_begin(const StudyMeta& meta) {
     return;
   }
   in_study_ = true;
+  num_users_ = meta.num_users;
   has_window_ = meta.study_end.us > meta.study_begin.us;
   window_begin_us_ = meta.study_begin.us;
   window_end_us_ = meta.study_end.us;
@@ -106,6 +107,18 @@ void ValidatingSink::on_user_begin(UserId user) {
     flag("user begin outside study bracket", snippet);
     return;
   }
+  // Sinks index per-user state by id and merge each user once, so an id
+  // past the header's count or a second bracket for one user cannot pass.
+  if (user >= num_users_) {
+    flag("user " + std::to_string(user) + " outside the study's " + std::to_string(num_users_) +
+             " users",
+         snippet);
+    return;
+  }
+  if (seen_users_.contains(user)) {
+    flag("user " + std::to_string(user) + " appears twice in the study", snippet);
+    return;
+  }
   if (open_user_.has_value()) {
     if (options_.policy == ReadPolicy::kBestEffort) {
       // Repair: the previous user's end record went missing — close it.
@@ -117,6 +130,7 @@ void ValidatingSink::on_user_begin(UserId user) {
       return;
     }
   }
+  seen_users_.insert(user);
   open_user_ = user;
   last_time_us_ = std::numeric_limits<std::int64_t>::min();
   downstream_->on_user_begin(user);

@@ -18,6 +18,8 @@
 //     on_study_end
 //   - user brackets nest inside the study and do not nest in each other;
 //     on_user_end names the open user
+//   - each user id is below the header's num_users and opens one bracket
+//     per study — sinks size per-user state by id and merge each user once
 //   - packets/transitions arrive inside the bracket of the user they name,
 //     with per-user non-decreasing timestamps
 //   - timestamps lie inside the study window meta declared (when it declared
@@ -40,6 +42,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "trace/batch.h"
@@ -104,6 +107,8 @@ class ValidatingSink final : public TraceSink {
   bool has_window_ = false;  ///< meta declared a non-degenerate study window
   std::int64_t window_begin_us_ = 0;
   std::int64_t window_end_us_ = 0;
+  UserId num_users_ = 0;                  ///< from the study header
+  std::unordered_set<UserId> seen_users_;  ///< every user bracket opened so far
   std::optional<UserId> open_user_;
   std::int64_t last_time_us_ = 0;  ///< per open user; reset at on_user_begin
   std::uint64_t records_seen_ = 0;

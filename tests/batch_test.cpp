@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -39,6 +41,7 @@
 #include "trace/csv_io.h"
 #include "trace/interface_filter.h"
 #include "trace/sink.h"
+#include "trace/spilling_store.h"
 #include "trace/validating_sink.h"
 
 namespace wildenergy {
@@ -702,11 +705,33 @@ constexpr std::uint64_t kGoldenDigest[] = {
     0x878b139a7f3976d0ull,  // kRetriedFault: user 1 fails at callback 5, then retries
 };
 
-/// One full property_config() run of `which` with every analysis attached;
-/// `inspect` (if set) sees the finished pipeline before it is digested.
+/// Where a golden run's pipeline reads the study from: the generator itself,
+/// or a store that captured it — all resident, or sealed into WESG segments
+/// as each user closes (budget 0).
+enum class GoldenSource { kGenerator, kResidentStore, kSealedStore };
+
+/// One full property_config() run of `which` over `source` with every
+/// analysis attached; `inspect` (if set) sees the finished pipeline before it
+/// is digested.
 std::uint64_t golden_run(
-    GoldenCase which, std::size_t batch_size, unsigned threads,
+    GoldenCase which, GoldenSource source, std::size_t batch_size, unsigned threads,
     const std::function<void(const core::StudyPipeline&, AnalysisSet&)>& inspect = {}) {
+  sim::StudyGenerator generator{property_config()};
+  std::optional<trace::SpillingTraceStore> store;
+  trace::TraceSource* input = &generator;
+  if (source == GoldenSource::kResidentStore) {
+    store.emplace();
+    EXPECT_TRUE(store->capture(generator, batch_size).ok());
+    EXPECT_EQ(store->num_segments(), 0u);
+    input = &*store;
+  } else if (source == GoldenSource::kSealedStore) {
+    const auto dir = std::filesystem::temp_directory_path() / "wildenergy_batch_golden_sealed";
+    std::filesystem::remove_all(dir);
+    store.emplace(trace::SpillOptions{.dir = dir.string(), .budget_bytes = 0});
+    EXPECT_TRUE(store->capture(generator, batch_size).ok());
+    EXPECT_GT(store->num_segments(), 0u);
+    input = &*store;
+  }
   fault::FaultPlan plan;
   core::PipelineOptions options;
   options.batch_size = batch_size;
@@ -716,8 +741,7 @@ std::uint64_t golden_run(
     options.failure_policy = core::FailurePolicy::kRetryThenSkip;
     options.fault_plan = &plan;
   }
-  sim::StudyGenerator generator{property_config()};
-  core::StudyPipeline pipeline{&generator, options};
+  core::StudyPipeline pipeline{input, options};
   if (which == GoldenCase::kKillAfterIdle) {
     pipeline.set_policy([](trace::TraceSink* downstream) {
       return std::make_unique<core::KillAfterIdlePolicy>(downstream, days(1.0));
@@ -744,7 +768,8 @@ std::uint64_t golden_run(
 
 TEST(BatchProperty, EveryBatchSizeAndThreadCountIsBitIdenticalToPerRecord) {
   // Pairwise diagnostics against batch size 1 on one thread localize a
-  // divergence; the golden digests pin every value to the per-record record.
+  // divergence; the golden digests pin every value to the per-record record,
+  // whether the pipeline reads the generator or a store that captured it.
   sim::StudyGenerator baseline_gen{property_config()};
   core::PipelineOptions baseline_options;
   baseline_options.batch_size = 1;
@@ -753,26 +778,30 @@ TEST(BatchProperty, EveryBatchSizeAndThreadCountIsBitIdenticalToPerRecord) {
   baseline_set.attach(baseline);
   ASSERT_TRUE(baseline.run().ok());
 
-  for (const GoldenCase which :
-       {GoldenCase::kPlain, GoldenCase::kKillAfterIdle, GoldenCase::kRetriedFault}) {
-    for (const std::size_t batch_size : {1u, 7u, 64u, 4096u}) {
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE("case=" + std::to_string(static_cast<int>(which)) +
-                     " batch_size=" + std::to_string(batch_size) +
-                     " threads=" + std::to_string(threads));
-        const auto inspect = [&](const core::StudyPipeline& pipeline, AnalysisSet& set) {
-          if (which == GoldenCase::kKillAfterIdle) return;  // policy changes the outputs
-          expect_identical_ledgers(baseline.ledger(), pipeline.ledger());
-          expect_identical_figures(baseline.ledger(), pipeline.ledger());
-          expect_identical_analyses(baseline_set, set);
-          EXPECT_EQ(baseline.attributor().device_joules(),
-                    pipeline.attributor().device_joules());
-          EXPECT_EQ(baseline.attributor().counters().packets,
-                    pipeline.attributor().counters().packets);
-          EXPECT_EQ(baseline.off_interface_bytes(), pipeline.off_interface_bytes());
-        };
-        EXPECT_EQ(golden_run(which, batch_size, threads, inspect),
-                  kGoldenDigest[static_cast<int>(which)]);
+  for (const GoldenSource source :
+       {GoldenSource::kGenerator, GoldenSource::kResidentStore, GoldenSource::kSealedStore}) {
+    for (const GoldenCase which :
+         {GoldenCase::kPlain, GoldenCase::kKillAfterIdle, GoldenCase::kRetriedFault}) {
+      for (const std::size_t batch_size : {1u, 7u, 64u, 4096u}) {
+        for (const unsigned threads : {1u, 2u, 8u}) {
+          SCOPED_TRACE("source=" + std::to_string(static_cast<int>(source)) +
+                       " case=" + std::to_string(static_cast<int>(which)) +
+                       " batch_size=" + std::to_string(batch_size) +
+                       " threads=" + std::to_string(threads));
+          const auto inspect = [&](const core::StudyPipeline& pipeline, AnalysisSet& set) {
+            if (which == GoldenCase::kKillAfterIdle) return;  // policy changes the outputs
+            expect_identical_ledgers(baseline.ledger(), pipeline.ledger());
+            expect_identical_figures(baseline.ledger(), pipeline.ledger());
+            expect_identical_analyses(baseline_set, set);
+            EXPECT_EQ(baseline.attributor().device_joules(),
+                      pipeline.attributor().device_joules());
+            EXPECT_EQ(baseline.attributor().counters().packets,
+                      pipeline.attributor().counters().packets);
+            EXPECT_EQ(baseline.off_interface_bytes(), pipeline.off_interface_bytes());
+          };
+          EXPECT_EQ(golden_run(which, source, batch_size, threads, inspect),
+                    kGoldenDigest[static_cast<int>(which)]);
+        }
       }
     }
   }

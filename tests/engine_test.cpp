@@ -37,7 +37,6 @@
 #include "sim/generator.h"
 #include "sim/study_config.h"
 #include "trace/sink.h"
-#include "trace/trace_store.h"
 #include "util/time.h"
 
 namespace wildenergy {

@@ -228,10 +228,15 @@ TEST(ValidatingSink, RejectsEnumAndBracketViolations) {
   deliver(validator, bad_enum);
   validator.on_user_end(1);  // ends a user that is not open
   validator.on_user_end(0);
+  validator.on_user_begin(0);               // a second bracket for user 0
+  validator.on_user_begin(4'000'000'000u);  // past the header's 2 users
   validator.on_study_end();
   validator.on_study_end();  // second study end
-  EXPECT_EQ(validator.records_dropped(), 4u);
+  EXPECT_EQ(validator.records_dropped(), 6u);
   EXPECT_TRUE(collector.packets().empty());
+  ASSERT_EQ(validator.quarantine().size(), 6u);
+  EXPECT_EQ(validator.quarantine()[3].reason, "user 0 appears twice in the study");
+  EXPECT_EQ(validator.quarantine()[4].reason, "user 4000000000 outside the study's 2 users");
 }
 
 // ---------------------------------------------------------------------------
@@ -279,10 +284,22 @@ void drop_user_end(std::vector<std::string>& lines) {
   lines.erase(it);
 }
 
+/// Append a copy of user 0's bracket after the last user.
+void repeat_user(std::vector<std::string>& lines) {
+  const auto begin = std::find(lines.begin(), lines.end(), "U,0");
+  const auto end = std::find(lines.begin(), lines.end(), "V,0");
+  const auto study_end = std::find(lines.begin(), lines.end(), "E");
+  ASSERT_NE(end, lines.end());
+  ASSERT_NE(study_end, lines.end());
+  const std::vector<std::string> copy(begin, end + 1);
+  lines.insert(study_end, copy.begin(), copy.end());
+}
+
 TEST(IngestBoundary, StrictPipelineRunFailsWithAPositionedError) {
   for (const auto& [what, damage] :
        {std::pair{"backwards timestamp", &swap_backwards},
-        std::pair{"missing user end", &drop_user_end}}) {
+        std::pair{"missing user end", &drop_user_end},
+        std::pair{"repeated user", &repeat_user}}) {
     SCOPED_TRACE(what);
     std::istringstream is{damaged_csv(damage)};
     trace::CsvTraceSource source{is};
@@ -300,7 +317,8 @@ TEST(IngestBoundary, SkipAndCountPipelineCountsTheDrop) {
   const obs::ScopedMetricsRegistry scoped{&registry};
   for (const auto& [what, damage] :
        {std::pair{"backwards timestamp", &swap_backwards},
-        std::pair{"missing user end", &drop_user_end}}) {
+        std::pair{"missing user end", &drop_user_end},
+        std::pair{"repeated user", &repeat_user}}) {
     SCOPED_TRACE(what);
     std::istringstream is{damaged_csv(damage)};
     trace::CsvTraceSource source{is, with_policy(ReadPolicy::kSkipAndCount)};

@@ -1,5 +1,5 @@
-// Out-of-core trace plane (trace/store_backend.h, trace/segment.h,
-// trace/spilling_store.h, sim/population.h; DESIGN.md §14).
+// Out-of-core trace plane (trace/segment.h, trace/spilling_store.h,
+// sim/population.h; DESIGN.md §14).
 //
 // The hard requirements under test:
 //   - WESG segments round-trip chunks bit-exactly at every batch size.
@@ -8,9 +8,11 @@
 //     silent wrong replay. A checksum-valid segment whose stream breaks the
 //     protocol (time runs backwards, leaves the study window) fails its
 //     replay with a positioned data_loss, through the store and the CLI.
-//   - SpillingTraceStore replays bit-identical to the RAM TraceStore: same
-//     ledgers, figures, and analyses at batch sizes {1, 256, 4096} and
-//     thread counts {1, 2, 8}; the budget actually bounds resident columns.
+//   - A SpillingTraceStore sealing into a directory replays bit-identical to
+//     one with no directory (all resident): same ledgers, figures, and
+//     analyses at batch sizes {1, 256, 4096} and thread counts {1, 2, 8};
+//     the budget actually bounds resident columns. Without a directory the
+//     store touches no file, resume included.
 //   - Kill-and-recover: a capture killed mid-study leaves sealed segments a
 //     resuming capture reuses — only the missing users are regenerated.
 //   - Populations: user k's stream is identical at any population size, and
@@ -27,6 +29,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/figures.h"
@@ -46,8 +49,6 @@
 #include "trace/segment.h"
 #include "trace/sink.h"
 #include "trace/spilling_store.h"
-#include "trace/store_backend.h"
-#include "trace/trace_store.h"
 #include "util/status.h"
 #include "util/time.h"
 
@@ -171,7 +172,7 @@ trace::EventBatch collect_chunk(const trace::MappedSegment& segment,
 
 // --------------------------------------------------- output comparison kit
 // Same assertions as sweep_test.cpp: EXPECT_EQ everywhere, never NEAR — an
-// out-of-core replay must be bit-identical to the RAM store, not close.
+// out-of-core replay must be bit-identical to resident replay, not close.
 
 void expect_identical_ledgers(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
   EXPECT_EQ(a.total_joules(), b.total_joules());
@@ -455,7 +456,7 @@ TEST(SpillingStore, ReplayBitIdenticalToRamStoreAcrossBatchAndThreads) {
   const sim::StudyConfig config = ooc_study();
   sim::StudyGenerator generator{config};
 
-  trace::TraceStore ram;
+  trace::SpillingTraceStore ram;
   ASSERT_TRUE(ram.capture(generator).ok());
 
   trace::SpillOptions spill;
@@ -505,7 +506,7 @@ TEST(SpillingStore, EmitUserMatchesRamColumns) {
   const fs::path dir = scratch_dir("emit_user");
   const sim::StudyConfig config = ooc_study();
   sim::StudyGenerator generator{config};
-  trace::TraceStore ram;
+  trace::SpillingTraceStore ram;
   ASSERT_TRUE(ram.capture(generator).ok());
   trace::SpillOptions spill;
   spill.dir = dir.string();
@@ -548,7 +549,7 @@ TEST(SpillingStore, BudgetBoundsResidentColumns) {
   const sim::StudyConfig config = ooc_study();
   sim::StudyGenerator generator{config};
 
-  trace::TraceStore ram;
+  trace::SpillingTraceStore ram;
   ASSERT_TRUE(ram.capture(generator).ok());
   const std::uint64_t full_bytes = ram.memory_use().resident_bytes;
   ASSERT_GT(full_bytes, 128u * 1024u);
@@ -571,7 +572,7 @@ TEST(SpillingStore, BudgetBoundsResidentColumns) {
 TEST(SpillingStore, FullyOutOfCoreAndResidentTailModes) {
   const sim::StudyConfig config = ooc_study();
   sim::StudyGenerator generator{config};
-  trace::TraceStore ram;
+  trace::SpillingTraceStore ram;
   ASSERT_TRUE(ram.capture(generator).ok());
 
   // budget 0: every user spills as soon as their bracket closes.
@@ -642,7 +643,7 @@ TEST(SpillingStore, TinyBudgetSplitsUsersIntoChunks) {
   const fs::path dir = scratch_dir("split");
   const sim::StudyConfig config = ooc_study();
   sim::StudyGenerator generator{config};
-  trace::TraceStore ram;
+  trace::SpillingTraceStore ram;
   ASSERT_TRUE(ram.capture(generator).ok());
 
   trace::SpillOptions spill;
@@ -709,7 +710,52 @@ TEST(SpillingStore, MissingUserIsNotFound) {
   EXPECT_EQ(status.code(), util::StatusCode::kNotFound);
 }
 
-// ----------------------------------------------------- sweep over backends
+TEST(SpillingStore, NoDirectoryResumeTouchesNoFile) {
+  // A sealed store in the working directory: a no-directory store that read
+  // it would resume its users; one that wrote would change its files.
+  const fs::path dir = scratch_dir("no_dir_cwd");
+  sim::StudyGenerator generator{ooc_study()};
+  {
+    trace::SpillingTraceStore sealed{{.dir = dir.string(), .budget_bytes = 0}};
+    ASSERT_TRUE(sealed.capture(generator).ok());
+  }
+  ASSERT_TRUE(fs::exists(dir / "manifest.wesm"));
+  const auto listing = [&dir] {
+    std::vector<std::pair<std::string, std::uintmax_t>> files;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      files.emplace_back(entry.path().filename().string(), entry.file_size());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto before = listing();
+  const auto manifest_time = fs::last_write_time(dir / "manifest.wesm");
+
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+  trace::SpillingTraceStore store{{.resume = true}};
+  const util::Status captured = store.capture(generator);
+  const util::Status sealed = store.seal();
+  trace::TraceCollector replayed;
+  const util::Status emitted = store.emit(replayed, trace::kDefaultBatchSize);
+  fs::current_path(cwd);
+
+  ASSERT_TRUE(captured.ok()) << captured.to_string();
+  ASSERT_TRUE(sealed.ok()) << sealed.to_string();
+  ASSERT_TRUE(emitted.ok()) << emitted.to_string();
+  EXPECT_EQ(store.resumed_users(), 0u);
+  EXPECT_EQ(store.num_segments(), 0u);
+  EXPECT_EQ(store.spilled_bytes(), 0u);
+  EXPECT_EQ(store.num_users(), generator.config().num_users);
+  trace::TraceCollector live;
+  ASSERT_TRUE(generator.emit(live, trace::kDefaultBatchSize).ok());
+  EXPECT_EQ(replayed.packets().size(), live.packets().size());
+  EXPECT_EQ(replayed.transitions().size(), live.transitions().size());
+  EXPECT_EQ(listing(), before);
+  EXPECT_EQ(fs::last_write_time(dir / "manifest.wesm"), manifest_time);
+}
+
+// --------------------------------------------- sweep over a sealed store
 
 TEST(SweepStoreBackend, SpillingSweepMatchesRamSweep) {
   const sim::StudyConfig config = ooc_study();
@@ -798,7 +844,7 @@ TEST(SpillKillRecover, ResumeReusesSealedSegmentsAndPullsOnlyMissingUsers) {
   const sim::StudyConfig config = ooc_study();
   constexpr std::size_t kKillAfter = 3;
 
-  trace::TraceStore ram;
+  trace::SpillingTraceStore ram;
   {
     sim::StudyGenerator generator{config};
     ASSERT_TRUE(ram.capture(generator).ok());
@@ -869,7 +915,7 @@ TEST(SpillKillRecover, ForwardOnlyResumeSkipsSealedUsers) {
     sim::StudyGenerator{ooc_study()}.run(writer);
   }
 
-  trace::TraceStore uninterrupted;
+  trace::SpillingTraceStore uninterrupted;
   {
     std::istringstream is{csv.str()};
     trace::CsvTraceSource source{is};
@@ -1013,17 +1059,18 @@ TEST(Population, InstallScaleSparsifiesPortfolios) {
 
 TEST(TraceStoreMemory, MemoryBytesCoversColumnsAndIndex) {
   sim::StudyGenerator generator{ooc_study()};
-  trace::TraceStore store;
+  trace::SpillingTraceStore store;
   ASSERT_TRUE(store.capture(generator).ok());
 
   std::uint64_t payload = 0;
   std::size_t users = 0;
   for (const trace::UserId user : store.users()) {
-    const trace::EventBatch* events = store.find_user(user);
-    ASSERT_NE(events, nullptr);
-    payload += events->packets.size() * sizeof(trace::PacketRecord) +
-               events->transitions.size() * sizeof(trace::StateTransition) +
-               events->order.size() * sizeof(trace::EventKind);
+    trace::TraceCollector events;
+    ASSERT_TRUE(store.emit_user(user, events, trace::kDefaultBatchSize).ok());
+    const std::size_t num_events = events.packets().size() + events.transitions().size();
+    payload += events.packets().size() * sizeof(trace::PacketRecord) +
+               events.transitions().size() * sizeof(trace::StateTransition) +
+               num_events * sizeof(trace::EventKind);
     ++users;
   }
   // Capacity accounting can only exceed the payload, and the per-user

@@ -1,9 +1,10 @@
 // Scenario sweep engine (core/sweep.h) and the trace layer behind it
-// (trace/trace_source.h, trace/trace_store.h).
+// (trace/trace_source.h, trace/spilling_store.h).
 //
 // The hard requirements under test:
-//   - TraceSource conformance: the generator, both file readers, and the
-//     TraceStore emit byte-identical canonical streams for the same study.
+//   - TraceSource conformance: the generator, the CSV reader, and a resident
+//     SpillingTraceStore emit byte-identical canonical streams for the same
+//     study.
 //   - Store replay == live generation: a pipeline fed from a captured store
 //     produces EXPECT_EQ-identical ledgers, figures, and analyses.
 //   - A K-scenario sweep == K independent StudyPipeline runs, scenario by
@@ -36,7 +37,7 @@
 #include "trace/csv_io.h"
 #include "trace/sink.h"
 #include "trace/trace_source.h"
-#include "trace/trace_store.h"
+#include "trace/spilling_store.h"
 #include "util/time.h"
 
 namespace wildenergy {
@@ -221,13 +222,14 @@ TEST(TraceSourceConformance, GeneratorStoreAndReadersEmitIdenticalStreams) {
   ASSERT_EQ(ids.size(), generator.config().num_users);
   for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
 
-  // TraceStore: capture once, replay identically.
-  trace::TraceStore store;
+  // A store with no directory: capture once, replay identically from RAM.
+  trace::SpillingTraceStore store;
   ASSERT_TRUE(store.capture(generator).ok());
   EXPECT_TRUE(store.supports_user_access());
   EXPECT_EQ(store.num_users(), generator.config().num_users);
   EXPECT_EQ(store.event_count(), baseline.packets().size() + baseline.transitions().size());
   EXPECT_GT(store.memory_use().resident_bytes, 0u);
+  EXPECT_EQ(store.memory_use().spilled_bytes, 0u);
   trace::TraceCollector from_store;
   ASSERT_TRUE(store.emit(from_store, trace::kDefaultBatchSize).ok());
   expect_identical_streams(baseline, from_store);
@@ -254,7 +256,7 @@ TEST(TraceSourceConformance, GeneratorStoreAndReadersEmitIdenticalStreams) {
 
 TEST(TraceSourceConformance, EmitUserStreamsOneBracketedUser) {
   sim::StudyGenerator generator{sim::small_study(/*seed=*/4)};
-  trace::TraceStore store;
+  trace::SpillingTraceStore store;
   ASSERT_TRUE(store.capture(generator).ok());
 
   for (const trace::UserId user : store.users()) {
@@ -274,7 +276,7 @@ TEST(TraceSourceConformance, EmitUserStreamsOneBracketedUser) {
 
 TEST(TraceStore, ReplayIsBatchSizeInvariant) {
   sim::StudyGenerator generator{sim::small_study(/*seed=*/5)};
-  trace::TraceStore store;
+  trace::SpillingTraceStore store;
   ASSERT_TRUE(store.capture(generator, /*batch_size=*/64).ok());
 
   trace::TraceCollector one_by_one;
@@ -289,8 +291,8 @@ TEST(TraceStore, ReplayIsBatchSizeInvariant) {
 
 TEST(TraceStore, BatchedAndPerRecordCaptureProduceTheSameStore) {
   sim::StudyGenerator generator{sim::small_study(/*seed=*/6)};
-  trace::TraceStore batched;
-  trace::TraceStore one_by_one;
+  trace::SpillingTraceStore batched;
+  trace::SpillingTraceStore one_by_one;
   ASSERT_TRUE(batched.capture(generator, /*batch_size=*/33).ok());
   ASSERT_TRUE(one_by_one.capture(generator, /*batch_size=*/1).ok());
   ASSERT_EQ(batched.num_users(), one_by_one.num_users());
@@ -316,7 +318,7 @@ TEST(TraceStore, PipelineOverStoreMatchesLiveGeneration) {
   ASSERT_GT(live.ledger().total_joules(), 0.0);
 
   sim::StudyGenerator generator{config};
-  trace::TraceStore store;
+  trace::SpillingTraceStore store;
   ASSERT_TRUE(store.capture(generator).ok());
   core::StudyPipeline replayed{&store};
   AnalysisSet replay_set;
@@ -339,7 +341,7 @@ TEST(TraceStore, ShardedPipelineOverStoreMatchesLiveGeneration) {
   live.run();
 
   sim::StudyGenerator generator{config};
-  trace::TraceStore store;
+  trace::SpillingTraceStore store;
   ASSERT_TRUE(store.capture(generator).ok());
   core::PipelineOptions options;
   options.num_threads = 4;
@@ -468,10 +470,8 @@ TEST(SweepEngine, ThreadCountsProduceBitIdenticalScenarios) {
   const sim::StudyConfig config = sim::small_study(/*seed=*/17);
   const auto specs = test_scenarios();
 
-  // Shared store captured once; each engine replays it (TraceStore ctor).
+  // One generator; each engine captures it into its own resident store.
   sim::StudyGenerator generator{config};
-  trace::TraceStore store;
-  ASSERT_TRUE(store.capture(generator).ok());
 
   std::vector<energy::EnergyLedger> reference;
   std::unique_ptr<std::vector<std::unique_ptr<AnalysisSet>>> reference_sets;
@@ -479,7 +479,7 @@ TEST(SweepEngine, ThreadCountsProduceBitIdenticalScenarios) {
     SCOPED_TRACE(threads);
     core::SweepOptions options;
     options.num_threads = threads;
-    core::SweepEngine sweep{&store, options};
+    core::SweepEngine sweep{&generator, options};
     auto sets = std::make_unique<std::vector<std::unique_ptr<AnalysisSet>>>();
     for (const auto& spec : specs) {
       core::Scenario scenario;
@@ -614,8 +614,7 @@ TEST(SweepEngine, ExhaustedRetriesSkipTheUserInThatScenarioOnly) {
 }
 
 TEST(SweepEngine, EmptyStoreWithoutBaseFails) {
-  trace::TraceStore store;
-  core::SweepEngine sweep{&store};
+  core::SweepEngine sweep{nullptr};
   core::Scenario scenario;
   scenario.name = "x";
   sweep.add_scenario(std::move(scenario));

@@ -22,7 +22,7 @@
 #include "obs/memory.h"
 #include "obs/run_stats.h"
 #include "sim/generator.h"
-#include "trace/trace_store.h"
+#include "trace/spilling_store.h"
 
 namespace wildenergy {
 namespace {
@@ -229,7 +229,7 @@ TEST(TelemetryMemory, CapturedTraceStoreReportsAndGrows) {
   sim::StudyConfig small = telemetry_config();
   small.num_days = 5;
   sim::StudyGenerator small_gen{small};
-  trace::TraceStore small_store;
+  trace::SpillingTraceStore small_store;
   ASSERT_TRUE(small_store.capture(small_gen).ok());
   ASSERT_GT(small_store.event_count(), 0u);
   EXPECT_GT(small_store.memory_use().resident_bytes, 0u);
@@ -240,7 +240,7 @@ TEST(TelemetryMemory, CapturedTraceStoreReportsAndGrows) {
   sim::StudyConfig big = telemetry_config();
   big.num_days = 20;
   sim::StudyGenerator big_gen{big};
-  trace::TraceStore big_store;
+  trace::SpillingTraceStore big_store;
   ASSERT_TRUE(big_store.capture(big_gen).ok());
   EXPECT_GT(big_store.memory_use().resident_bytes, small_store.memory_use().resident_bytes);
 }
