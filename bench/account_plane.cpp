@@ -84,6 +84,7 @@ int main() {
     const sim::StudyConfig cfg = pop.study();
 
     std::filesystem::remove_all(dir);
+    obs::reset_peak_rss();
     sim::StudyGenerator generator{cfg};
     core::PipelineOptions options;
     options.account_dir = dir.string();

@@ -9,12 +9,15 @@
 // machine-readable JSON line per run to that file:
 //   {"bench":...,"users":...,"days":...,"seed":...,"wall_ms":...,
 //    "packets":...,"packets_per_sec":...,"joules":...,"threads":...,
-//    "speedup":...,"peak_rss_bytes":...}
+//    "speedup":...,"peak_rss_bytes":...,"host_cpus":...}
 // `threads` is the pipeline's worker count and `speedup` the serial wall time
 // divided by this run's wall time (1 for serial runs by definition).
 // `joules` is omitted (pass no_joules()) for benches with no attribution
-// stage; `peak_rss_bytes` is the process max RSS at report time (monotone
-// over the process life). tools/bench_diff consumes these records.
+// stage; `peak_rss_bytes` is the process peak RSS at report time — the
+// phase's own peak when the bench main called obs::reset_peak_rss() before
+// the phase, the process-lifetime peak otherwise. `host_cpus` is the
+// recording host's hardware thread count. tools/bench_diff consumes these
+// records.
 #pragma once
 
 #include <cerrno>
@@ -24,6 +27,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "core/pipeline.h"
 #include "obs/memory.h"
@@ -98,7 +102,8 @@ inline void report_perf(const std::string& bench, const sim::StudyConfig& cfg, d
      << ",\"packets\":" << packets << ",\"packets_per_sec\":" << pps;
   if (!std::isnan(joules)) os << ",\"joules\":" << joules;
   os << ",\"threads\":" << threads << ",\"speedup\":" << speedup
-     << ",\"peak_rss_bytes\":" << peak_rss;
+     << ",\"peak_rss_bytes\":" << peak_rss
+     << ",\"host_cpus\":" << std::thread::hardware_concurrency();
   if (!extra_json.empty()) os << ',' << extra_json;
   os << "}\n";
 }

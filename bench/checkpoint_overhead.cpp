@@ -76,6 +76,7 @@ int main() {
   TextTable table({"shape", "threads", "wall (ms)", "vs off", "checkpoints", "ckpt bytes"});
   for (const unsigned threads : {1u, 4u}) {
     std::filesystem::remove_all(dir);
+    obs::reset_peak_rss();
     const Measured off = timed_run(cfg, threads, "", 0);
     benchutil::report_perf("checkpoint_overhead.off", cfg, off.wall_ms, off.packets,
                            off.joules, threads);
@@ -83,6 +84,7 @@ int main() {
 
     for (const std::size_t every : {std::size_t{4}, std::size_t{1}}) {
       std::filesystem::remove_all(dir);
+      obs::reset_peak_rss();
       const Measured on = timed_run(cfg, threads, dir.string(), every);
       const std::string bench = "checkpoint_overhead.every" + std::to_string(every);
       benchutil::report_perf(bench, cfg, on.wall_ms, on.packets, on.joules, threads,
@@ -109,6 +111,7 @@ int main() {
         // the scripted kill
       }
     }
+    obs::reset_peak_rss();
     const Measured resumed = timed_run(cfg, threads, dir.string(), 4, /*resume=*/true);
     benchutil::report_perf("checkpoint_overhead.resume", cfg, resumed.wall_ms,
                            resumed.packets, resumed.joules, threads,

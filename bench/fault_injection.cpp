@@ -104,6 +104,7 @@ int main() {
   }
   for (const auto& c : cases) {
     for (const auto policy : kPolicies) {
+      obs::reset_peak_rss();
       const ReadOutcome out = timed_read(c.data, policy);
       table.add_row({c.label, trace::to_string(policy),
                      fmt(out.wall_ms, 1), out.outcome, std::to_string(out.dropped),
@@ -132,6 +133,7 @@ int main() {
       {"fault_injection/engine-skip-user", 1000},
   };
   for (const auto& ec : engine_cases) {
+    obs::reset_peak_rss();
     fault::FaultPlan plan;
     if (ec.fail_attempts > 0) {
       plan.add({/*user=*/cfg.num_users / 2, /*nth_callback=*/100,

@@ -9,6 +9,7 @@
 
 #include "core/pipeline.h"
 #include "energy/attributor.h"
+#include "obs/memory.h"
 #include "obs/stopwatch.h"
 #include "radio/burst_machine.h"
 #include "sim/generator.h"
@@ -230,7 +231,10 @@ double run_event_path(const CapturedStudy& study,
 // the generator-backed full pipeline at batch size 1 vs the default —
 // micro_pipeline.full_batched keeps end-to-end continuity with records from
 // before this bench was redefined (each record carries "batch_size":N;
-// speedup is the batch-size-1 wall over that run's wall).
+// speedup is the batch-size-1 wall over that run's wall). Last,
+// micro_pipeline.generate times the generator alone into a counting sink.
+// Each phase starts with obs::reset_peak_rss(), so each record's
+// peak_rss_bytes is that phase's own peak where the host allows the reset.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -240,6 +244,7 @@ int main(int argc, char** argv) {
   using namespace wildenergy;
   const sim::StudyConfig cfg = benchutil::config_from_env(/*default_days=*/60);
   {
+    obs::reset_peak_rss();
     sim::StudyGenerator generator{cfg};
     trace::SpillingTraceStore store;
     if (!store.capture(generator).ok()) return 1;
@@ -263,6 +268,7 @@ int main(int argc, char** argv) {
   // Sink-chain dispatch by batch size, single thread. Each configuration
   // keeps the best of kReps runs (dispatch benches are noisy).
   {
+    obs::reset_peak_rss();
     CapturedStudy study;
     sim::StudyGenerator{cfg}.run(study);
     constexpr int kReps = 5;
@@ -288,6 +294,7 @@ int main(int argc, char** argv) {
   // Full pipeline, generation and attribution included: the honest end-to-end
   // cost of batch size 1 vs the default batch size.
   {
+    obs::reset_peak_rss();
     constexpr int kReps = 3;
     double batch1_ms = 0.0;
     for (const std::size_t batch_size : {std::size_t{1}, core::PipelineOptions{}.batch_size}) {
@@ -309,6 +316,26 @@ int main(int argc, char** argv) {
                              last_stats.joules, /*threads=*/1, speedup,
                              "\"batch_size\":" + std::to_string(batch_size));
     }
+  }
+
+  // The generator alone (ROADMAP item 1's layer): serial, default batch size,
+  // into a sink that only counts, best of kReps.
+  {
+    obs::reset_peak_rss();
+    constexpr int kReps = 3;
+    const sim::StudyGenerator generator{cfg};
+    double best_ms = 0.0;
+    std::uint64_t packets = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      CountingSink counter;
+      const obs::Stopwatch watch;
+      generator.run(counter);
+      const double ms = watch.elapsed_ms();
+      packets = counter.packets();
+      if (rep == 0 || ms < best_ms) best_ms = ms;
+    }
+    benchutil::report_perf("micro_pipeline.generate", cfg, best_ms, packets,
+                           benchutil::no_joules());
   }
   return 0;
 }

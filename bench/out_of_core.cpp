@@ -76,6 +76,7 @@ int main() {
     const sim::StudyConfig cfg = pop.study();
 
     std::filesystem::remove_all(dir);
+    obs::reset_peak_rss();
     sim::StudyGenerator generator{cfg};
     trace::SpillOptions spill;
     spill.dir = dir.string();

@@ -62,6 +62,7 @@ int main() {
   double independent_total_ms = 0.0;
   std::uint64_t independent_packets = 0;
   double independent_joules = 0.0;
+  obs::reset_peak_rss();
   for (const auto& spec : specs) {
     sim::StudyGenerator generator{config};
     core::StudyPipeline pipeline{&generator};
@@ -88,6 +89,7 @@ int main() {
 
   // -- One sweep engine per thread count: capture once, replay K scenarios.
   for (const unsigned threads : {1u, 4u}) {
+    obs::reset_peak_rss();
     core::SweepOptions options;
     options.num_threads = threads;
     sim::StudyGenerator generator{config};

@@ -37,6 +37,7 @@ std::vector<BenchRecord> parse_bench_log(std::string_view jsonl) {
     rec.seed = static_cast<std::int64_t>(parsed->number_or("seed", 0));
     rec.wall_ms = parsed->number_or("wall_ms", 0.0);
     rec.packets_per_sec = parsed->number_or("packets_per_sec", 0.0);
+    rec.host_cpus = static_cast<std::int64_t>(parsed->number_or("host_cpus", 0));
     // "resumed" may arrive as a JSON bool or as the string "true" (it is
     // spliced via report_perf's free-form extra_json parameter).
     if (const JsonValue* resumed = parsed->get("resumed"); resumed != nullptr) {
@@ -169,7 +170,8 @@ BenchDiffReport diff_bench_logs(std::string_view baseline_jsonl, std::string_vie
     } else {
       const BenchRecord& b = it->second;
       e.baseline_pps = b.packets_per_sec;
-      if (b.users != f.users || b.days != f.days || b.seed != f.seed) {
+      const bool other_host = b.host_cpus > 0 && f.host_cpus > 0 && b.host_cpus != f.host_cpus;
+      if (b.users != f.users || b.days != f.days || b.seed != f.seed || other_host) {
         e.status = BenchDiffStatus::kScaleMismatch;
       } else if (b.packets_per_sec <= 0.0 || !std::isfinite(f.packets_per_sec)) {
         e.status = BenchDiffStatus::kScaleMismatch;  // degenerate record

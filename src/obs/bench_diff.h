@@ -8,7 +8,9 @@
 // flags any pair whose throughput dropped by more than the threshold.
 // Records whose scale differs (users/days/seed) are skipped rather than
 // compared: a 4-user CI smoke run must not be judged against the committed
-// 20-user trajectory.
+// 20-user trajectory. So are records that both name their host's CPU count
+// (`host_cpus`) when the counts differ; a record without the field (every
+// baseline written before it existed) still pairs, so the gate stays live.
 //
 // Pure string-to-struct logic, no I/O: the tools/bench_diff.cpp CLI does the
 // file reading, and tests feed literal JSONL.
@@ -33,6 +35,7 @@ struct BenchRecord {
   std::int64_t seed = 0;
   double wall_ms = 0.0;
   double packets_per_sec = 0.0;
+  std::int64_t host_cpus = 0;  ///< hardware threads of the recording host; 0 = field absent
   /// Record came from a resumed (checkpoint-restored) run: it covers only
   /// the post-resume remainder, so it must never pair with a full-run
   /// baseline. Parsed from the "resumed" extra field.
@@ -62,7 +65,7 @@ enum class BenchDiffStatus : std::uint8_t {
   kOk = 0,          ///< within threshold
   kImproved,        ///< faster by more than the threshold (informational)
   kRegressed,       ///< slower by more than the threshold — fails the gate
-  kScaleMismatch,   ///< users/days/seed differ; not comparable, skipped
+  kScaleMismatch,   ///< users/days/seed (or both-present host_cpus) differ; skipped
   kMissingBaseline  ///< fresh bench with no committed baseline record
 };
 

@@ -1,12 +1,30 @@
 #include "obs/memory.h"
 
+#include <fstream>
+#include <string>
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 namespace wildenergy::obs {
 
-std::uint64_t peak_rss_bytes() {
+namespace {
+
+/// VmHWM from /proc/self/status in bytes, or 0 where procfs is absent.
+std::uint64_t proc_vm_hwm_bytes() {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6)) * 1024;  // kB
+  }
+  return 0;
+}
+
+std::uint64_t rusage_max_rss_bytes() {
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
@@ -18,6 +36,26 @@ std::uint64_t peak_rss_bytes() {
 #else
   return 0;
 #endif
+}
+
+}  // namespace
+
+std::uint64_t peak_rss_bytes() {
+  const std::uint64_t hwm = proc_vm_hwm_bytes();
+  return hwm != 0 ? hwm : rusage_max_rss_bytes();
+}
+
+bool reset_peak_rss() {
+#if defined(__GLIBC__)
+  // Hand freed heap pages back first: the mark resets to the current
+  // resident set, which would otherwise keep the last phase's free lists.
+  malloc_trim(0);
+#endif
+  std::ofstream clear_refs{"/proc/self/clear_refs"};
+  if (!clear_refs) return false;
+  clear_refs << "5";
+  clear_refs.flush();
+  return static_cast<bool>(clear_refs);
 }
 
 }  // namespace wildenergy::obs

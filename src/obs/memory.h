@@ -31,10 +31,21 @@ struct MemoryUse {
   [[nodiscard]] std::uint64_t total_bytes() const { return resident_bytes + spilled_bytes; }
 };
 
-/// Peak resident set size of this process, in bytes (getrusage ru_maxrss).
-/// Monotone over the process lifetime: it never decreases, so per-run deltas
-/// are only meaningful for the first run in a process. Returns 0 when the
-/// platform does not report it.
+/// Peak resident set size of this process, in bytes: VmHWM from
+/// /proc/self/status, falling back to getrusage ru_maxrss where procfs is
+/// absent. Monotone between resets: it never decreases until
+/// reset_peak_rss() lowers the mark to the current resident set, so a bench
+/// that resets before each phase reads that phase's own peak. Returns 0
+/// when the platform does not report it.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
+
+/// Lower the peak-RSS mark to the current resident set (writes "5" to
+/// /proc/self/clear_refs, Linux ≥ 4.0), after returning freed heap pages to
+/// the OS (glibc malloc_trim) so the mark does not start at the previous
+/// phase's free lists. Returns whether the reset worked; when it
+/// did not (no procfs, file not writable), peak_rss_bytes() stays the
+/// process-lifetime peak. ru_maxrss is never reset, so the fallback is
+/// always lifetime-monotone.
+bool reset_peak_rss();
 
 }  // namespace wildenergy::obs

@@ -35,6 +35,27 @@ struct Session {
   bool visible = false;     ///< secondary-UI session (Fig. 3 "visible" state)
 };
 
+/// A packet as UserSim buffers it: a PacketRecord without `user` (constant
+/// per UserSim) and `interface` (a pure function of time), which emission
+/// fills in. Half the size of the record, so a user's buffered stream is too.
+struct GenPacket {
+  TimePoint time;
+  std::uint64_t bytes = 0;
+  trace::FlowId flow = 0;
+  AppId app = 0;
+  Direction direction = Direction::kDownlink;
+  ProcessState state = ProcessState::kBackground;
+};
+static_assert(sizeof(GenPacket) == 32);
+
+/// One study day of a user's events, each kind in insertion order.
+struct DayBucket {
+  std::vector<GenPacket> packets;
+  std::vector<StateTransition> transitions;
+};
+
+constexpr std::int64_t kDayUs = days(1.0).us;
+
 /// Builds one user's event stream. All state is local; determinism comes
 /// from keyed Rng streams.
 class UserSim {
@@ -42,7 +63,8 @@ class UserSim {
   UserSim(const StudyConfig& config, const appmodel::AppCatalog& catalog, UserId user)
       : config_(config), catalog_(catalog), user_(user),
         plan_(make_user_plan(config, catalog, user)),
-        diurnal_(make_user_diurnal(config, user)) {
+        diurnal_(make_user_diurnal(config, user)),
+        buckets_(static_cast<std::size_t>(std::max<std::int64_t>(config.num_days, 0))) {
     if (config.wifi_availability > 0.0) {
       Rng rng = stream("wifi-window");
       wifi_hours_ = std::clamp(config.wifi_availability, 0.0, 1.0) * 24.0;
@@ -68,19 +90,16 @@ class UserSim {
 
   [[nodiscard]] TimePoint study_end() const { return config_.study_end(); }
 
+  /// The bucket of the study day t falls on. Callers have checked
+  /// t in [study_begin, study_end), which bounds the index by num_days.
+  DayBucket& bucket(TimePoint t) {
+    return buckets_[static_cast<std::size_t>((t - config_.study_begin()).us / kDayUs)];
+  }
+
   void packet(TimePoint t, AppId app, std::uint64_t bytes, Direction dir, ProcessState state,
               trace::FlowId flow) {
     if (bytes == 0 || t >= study_end() || t < config_.study_begin()) return;
-    PacketRecord p;
-    p.time = t;
-    p.user = user_;
-    p.app = app;
-    p.flow = flow;
-    p.bytes = bytes;
-    p.direction = dir;
-    p.interface = interface_at(t);
-    p.state = state;
-    packets_.push_back(p);
+    bucket(t).packets.push_back({t, bytes, flow, app, dir, state});
   }
 
   /// Interface in use at t: WiFi during the user's nightly home window when
@@ -95,7 +114,7 @@ class UserSim {
 
   void transition(TimePoint t, AppId app, ProcessState from, ProcessState to) {
     if (t >= study_end() || t < config_.study_begin()) return;
-    transitions_.push_back({t, user_, app, from, to});
+    bucket(t).transitions.push_back({t, user_, app, from, to});
   }
 
   /// Process state an app's *scheduled-background* packet should carry at t:
@@ -434,35 +453,49 @@ class UserSim {
     }
   }
 
-  // -- phase 5: sort and emit -------------------------------------------------
+  // -- phase 5: sort and emit, one day at a time ------------------------------
 
+  /// The user's stream is every event stable-sorted by time, transitions
+  /// winning ties. A day's bucket holds exactly the events of one time range,
+  /// in insertion order, so sorting each day and concatenating the days in
+  /// order yields that same stream without sorting the whole user at once.
   void emit_stream(trace::TraceSink& sink, std::size_t batch_size) {
-    std::stable_sort(packets_.begin(), packets_.end(),
-                     [](const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; });
-    std::stable_sort(transitions_.begin(), transitions_.end(),
-                     [](const StateTransition& a, const StateTransition& b) {
-                       return a.time < b.time;
-                     });
-    // Merge into spans of batch_size events; transitions win ties so a
-    // session's packets follow its transition into the new state.
-    std::size_t pi = 0;
-    std::size_t ti = 0;
+    std::size_t total = 0;
+    for (const DayBucket& day : buckets_) total += day.packets.size() + day.transitions.size();
     trace::EventBatch batch;
     batch.user = user_;
-    batch.reserve(std::min(batch_size, packets_.size() + transitions_.size()));
-    while (pi < packets_.size() || ti < transitions_.size()) {
-      const bool take_transition =
-          ti < transitions_.size() &&
-          (pi >= packets_.size() || transitions_[ti].time <= packets_[pi].time);
-      if (take_transition) {
-        batch.add(transitions_[ti++]);
-      } else {
-        batch.add(packets_[pi++]);
+    batch.reserve(std::min(batch_size, total));
+    for (DayBucket& day : buckets_) {
+      std::vector<GenPacket>& packets = day.packets;
+      std::vector<StateTransition>& transitions = day.transitions;
+      std::stable_sort(packets.begin(), packets.end(),
+                       [](const GenPacket& a, const GenPacket& b) { return a.time < b.time; });
+      std::stable_sort(transitions.begin(), transitions.end(),
+                       [](const StateTransition& a, const StateTransition& b) {
+                         return a.time < b.time;
+                       });
+      // Merge into spans of batch_size events (spans run across days);
+      // transitions win ties so a session's packets follow its transition
+      // into the new state.
+      std::size_t pi = 0;
+      std::size_t ti = 0;
+      while (pi < packets.size() || ti < transitions.size()) {
+        const bool take_transition =
+            ti < transitions.size() &&
+            (pi >= packets.size() || transitions[ti].time <= packets[pi].time);
+        if (take_transition) {
+          batch.add(transitions[ti++]);
+        } else {
+          const GenPacket& p = packets[pi++];
+          batch.add(PacketRecord{p.time, user_, p.app, p.flow, p.bytes, p.direction,
+                                 interface_at(p.time), p.state});
+        }
+        if (batch.size() >= batch_size) {
+          sink.on_batch(batch);
+          batch.clear();
+        }
       }
-      if (batch.size() >= batch_size) {
-        sink.on_batch(batch);
-        batch.clear();
-      }
+      day = DayBucket{};  // release the day's buffers
     }
     if (!batch.empty()) sink.on_batch(batch);
   }
@@ -474,8 +507,7 @@ class UserSim {
   DiurnalProfile diurnal_;  ///< per-user rhythm (shared curve at paper defaults)
   std::vector<Session> sessions_;
   std::unordered_map<AppId, std::vector<std::pair<TimePoint, TimePoint>>> fg_intervals_;
-  std::vector<PacketRecord> packets_;
-  std::vector<StateTransition> transitions_;
+  std::vector<DayBucket> buckets_;  ///< one per study day; empty when num_days <= 0
   trace::FlowId next_flow_ = 1;
   double wifi_hours_ = 0.0;   ///< daily WiFi window length (0 = disabled)
   double wifi_start_ = 20.0;  ///< window start, hour of day

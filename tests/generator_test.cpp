@@ -5,10 +5,13 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "appmodel/catalog.h"
 #include "sim/generator.h"
+#include "sim/population.h"
 #include "sim/user_model.h"
+#include "trace/batch.h"
 #include "trace/sink.h"
 
 namespace wildenergy::sim {
@@ -180,6 +183,124 @@ TEST(StudyGenerator, RunUserMatchesFullRunSubset) {
     if (p.user == 1) ++full_user1;
   }
   EXPECT_EQ(single.packets().size(), full_user1);
+}
+
+/// FNV-1a over every field of every event and every user bracket, in stream
+/// order. Study brackets are counted, not hashed, so a concatenation of
+/// run_user streams digests the same as one run.
+class StreamDigest final : public trace::TraceSink {
+ public:
+  explicit StreamDigest(std::size_t batch_size) : batch_size_(batch_size) {}
+
+  void on_study_begin(const trace::StudyMeta&) override { ++study_begins; }
+  void on_user_begin(trace::UserId user) override {
+    mix(1);
+    mix(user);
+    user_ = user;
+  }
+  void on_batch(const trace::EventBatch& batch) override {
+    ++batches;
+    EXPECT_EQ(batch.user, user_);
+    EXPECT_FALSE(batch.empty());
+    EXPECT_LE(batch.size(), batch_size_);
+    trace::for_each_event(
+        batch,
+        [&](const trace::PacketRecord& p) {
+          mix(2);
+          mix(static_cast<std::uint64_t>(p.time.us));
+          mix(p.user);
+          mix(p.app);
+          mix(p.flow);
+          mix(p.bytes);
+          mix(static_cast<std::uint64_t>(p.direction));
+          mix(static_cast<std::uint64_t>(p.interface));
+          mix(static_cast<std::uint64_t>(p.state));
+          ++events;
+        },
+        [&](const trace::StateTransition& t) {
+          mix(3);
+          mix(static_cast<std::uint64_t>(t.time.us));
+          mix(t.user);
+          mix(t.app);
+          mix(static_cast<std::uint64_t>(t.from));
+          mix(static_cast<std::uint64_t>(t.to));
+          ++events;
+        });
+  }
+  void on_user_end(trace::UserId user) override {
+    mix(4);
+    mix(user);
+  }
+  void on_study_end() override { ++study_ends; }
+
+  std::uint64_t digest = 14695981039346656037ULL;
+  std::uint64_t events = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t study_begins = 0;
+  std::uint64_t study_ends = 0;
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 1099511628211ULL;
+    }
+  }
+
+  std::size_t batch_size_;
+  trace::UserId user_ = 0;
+};
+
+// The generator's whole stream, pinned: every field of every event (flow
+// ids and interfaces included, which no downstream digest sees), at several
+// batch sizes, with per-user generation concatenating to the full run. A
+// change to how the generator stores or orders events must keep these.
+TEST(StudyGenerator, StreamDigestIsPinned) {
+  StudyConfig wifi = small_study(42);
+  wifi.wifi_availability = 0.4;
+  PopulationConfig population;
+  population.num_users = 40;
+  population.num_days = 3;
+  population.seed = 7;
+  StudyConfig no_days = small_study(42);
+  no_days.num_days = 0;
+  StudyConfig negative_days = small_study(42);
+  negative_days.num_days = -3;
+  struct Case {
+    const char* name;
+    StudyConfig config;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"small_study", small_study(42), 0x2f9cd24281ccf838ULL},
+      {"wifi_0.4", wifi, 0x422867782b43d979ULL},
+      {"population_40x3", population.study(), 0xc931a057b9c63ad6ULL},
+      {"num_days_0", no_days, 0xca5ae66062fd6ae5ULL},
+      {"num_days_-3", negative_days, 0xca5ae66062fd6ae5ULL},
+  };
+  for (const Case& c : cases) {
+    const StudyGenerator gen{c.config};
+    for (const std::size_t batch_size : {1, 7, 256, 4096}) {
+      SCOPED_TRACE(std::string{c.name} + " batch " + std::to_string(batch_size));
+      StreamDigest full{batch_size};
+      gen.run(full, batch_size);
+      EXPECT_EQ(full.study_begins, 1u);
+      EXPECT_EQ(full.study_ends, 1u);
+      EXPECT_EQ(full.digest, c.digest) << std::hex << "0x" << full.digest << std::dec << " over "
+                                       << full.events << " events";
+      if (c.config.num_days <= 0) {
+        EXPECT_EQ(full.batches, 0u);  // bracket-only users
+      } else {
+        EXPECT_GT(full.events, 0u);
+      }
+
+      StreamDigest per_user{batch_size};
+      for (trace::UserId u = 0; u < c.config.num_users; ++u) gen.run_user(u, per_user, batch_size);
+      EXPECT_EQ(per_user.study_begins, c.config.num_users);
+      EXPECT_EQ(per_user.digest, full.digest);
+      EXPECT_EQ(per_user.events, full.events);
+    }
+  }
 }
 
 TEST(UserModel, PlansAreDeterministicAndDiverse) {

@@ -254,6 +254,24 @@ TEST(TelemetryMemory, PeakRssIsMonotone) {
 #endif
 }
 
+TEST(TelemetryMemory, ResetPeakRssLowersTheMarkAfterAFreedBlock) {
+  constexpr std::size_t kBlock = std::size_t{64} << 20;
+  std::uint64_t with_block = 0;
+  {
+    std::vector<char> block(kBlock);
+    char* volatile data = block.data();  // keep the allocation observable
+    for (std::size_t i = 0; i < kBlock; i += 4096) data[i] = 1;  // touch every page
+    with_block = obs::peak_rss_bytes();
+  }
+  ASSERT_GE(with_block, kBlock);
+  if (!obs::reset_peak_rss()) {
+    GTEST_SKIP() << "/proc/self/clear_refs is not writable here; the peak stays process-lifetime";
+  }
+  const std::uint64_t after_reset = obs::peak_rss_bytes();
+  EXPECT_LT(after_reset + kBlock / 2, with_block)
+      << "the 64 MB block was freed before the reset, so the new mark must sit well below it";
+}
+
 // -------------------------------------------- shard-aware stage profiling --
 
 TEST(TelemetryShardedProfile, StageCountersAndHistogramCountsMatchAcrossThreadCounts) {
@@ -427,6 +445,40 @@ TEST(BenchDiff, ScaleMismatchIsSkippedNotCompared) {
   ASSERT_EQ(report.entries.size(), 1u);
   EXPECT_EQ(report.entries[0].status, obs::BenchDiffStatus::kScaleMismatch);
   EXPECT_FALSE(report.has_regressions());  // a 10x "slowdown" at 1/10 scale is not one
+}
+
+TEST(BenchDiff, HostCpuMismatchSkipsOnlyWhenBothRecordsNameTheirHost) {
+  const std::string on4 =
+      "{\"bench\":\"pipe\",\"users\":4,\"days\":60,\"seed\":42,\"wall_ms\":10,"
+      "\"packets_per_sec\":1000,\"threads\":1,\"host_cpus\":4}\n";
+  const std::string slow_on4 =
+      "{\"bench\":\"pipe\",\"users\":4,\"days\":60,\"seed\":42,\"wall_ms\":16.7,"
+      "\"packets_per_sec\":600,\"threads\":1,\"host_cpus\":4}\n";
+  const std::string slow_on8 =
+      "{\"bench\":\"pipe\",\"users\":4,\"days\":60,\"seed\":42,\"wall_ms\":16.7,"
+      "\"packets_per_sec\":600,\"threads\":1,\"host_cpus\":8}\n";
+  const auto parsed = obs::parse_bench_log(on4 + bench_line("pipe", 1000.0));
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].host_cpus, 4);
+  EXPECT_EQ(parsed[1].host_cpus, 0);  // absent
+
+  // Different hosts: not comparable.
+  const auto other_host = obs::diff_bench_logs(on4, slow_on8, {});
+  ASSERT_EQ(other_host.entries.size(), 1u);
+  EXPECT_EQ(other_host.entries[0].status, obs::BenchDiffStatus::kScaleMismatch);
+
+  // Same host: a 40% slowdown (CI's injected self-test) still fails.
+  const auto same_host = obs::diff_bench_logs(on4, slow_on4, {});
+  ASSERT_EQ(same_host.entries.size(), 1u);
+  EXPECT_EQ(same_host.entries[0].status, obs::BenchDiffStatus::kRegressed);
+
+  // A baseline written before the field existed still pairs either way.
+  const auto legacy_baseline = obs::diff_bench_logs(bench_line("pipe", 1000.0), slow_on8, {});
+  ASSERT_EQ(legacy_baseline.entries.size(), 1u);
+  EXPECT_EQ(legacy_baseline.entries[0].status, obs::BenchDiffStatus::kRegressed);
+  const auto legacy_fresh = obs::diff_bench_logs(on4, bench_line("pipe", 600.0), {});
+  ASSERT_EQ(legacy_fresh.entries.size(), 1u);
+  EXPECT_EQ(legacy_fresh.entries[0].status, obs::BenchDiffStatus::kRegressed);
 }
 
 TEST(BenchDiff, MissingBaselineIsReportedNotFailed) {
