@@ -132,9 +132,9 @@ struct CliOptions {
   // Out-of-core trace plane (run/sweep/analyze; DESIGN.md §14).
   std::string store_dir;           ///< spill sealed WESG segments here
   std::uint64_t store_budget = 0;  ///< resident column budget; 0 = fully out-of-core
-  // Fold-and-release account plane (run/sweep; DESIGN.md §15).
-  std::string account_dir;           ///< spill per-user WEAC detail rows here
-  std::uint64_t account_budget = 0;  ///< resident spill budget; 0 = default
+  // Account plane (run/sweep; DESIGN.md §15).
+  std::string account_dir;           ///< write folded per-user WEAC detail rows here
+  std::uint64_t account_budget = 0;  ///< unsealed account-row budget; 0 = default
 };
 
 /// Strict base-10 parse: the whole string must be a number (no "12abc" -> 12,
@@ -774,9 +774,11 @@ int main(int argc, char** argv) {
                  "replays a sealed dir)\n"
               << "            --store-budget BYTES (resident column cap; 0 = fully "
                  "out-of-core)  --resume (reuse sealed segments)\n"
-              << "bounded analyses (run/sweep): --account-dir DIR (fold-and-release: spill "
-                 "per-user detail rows to WEAC account files)\n"
-              << "            --account-budget BYTES (resident account-row cap)\n"
+              << "account plane (run/sweep): --account-dir DIR (write the folded per-user "
+                 "detail rows as WEAC account files here; default <checkpoint-dir>/accounts, "
+                 "else memory)\n"
+              << "            --account-budget BYTES (unsealed account-row cap; needs "
+                 "--account-dir)\n"
               << "exit codes: 0 ok; 1 runtime/data failure (incl. missing/corrupt/stale "
                  "checkpoint on --resume); 2 usage error (incl. --resume without "
                  "--checkpoint-dir or --store-dir)\n";

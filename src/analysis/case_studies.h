@@ -8,15 +8,17 @@
 // Flow definition: idle-gap flow assembly (trace/flow_assembler.h); the
 // update period is estimated from the gaps between background flow starts.
 //
-// Data-plane layout (DESIGN.md §12): tracked apps resolve through a dense
-// AppId->slot index, energy partials live in dense per-user arrays, and the
-// last-flow-start anchor is a per-app scalar for the single live user (the
-// stream is user-bracketed) — no hashing on the packet path.
+// Data-plane layout (DESIGN.md §12, §15): tracked apps resolve through a
+// dense AppId->slot index, the last-flow-start anchor is a per-app scalar
+// for the single live user (the stream is user-bracketed), and energy
+// partials and day bitmaps live in one row per pending user — folded into
+// per-app sums by fold_user. The live user's row is looked up once per user,
+// so the packet path never hashes.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "ckpt/checkpointable.h"
@@ -76,31 +78,30 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   void on_user_end(trace::UserId user) override;
   void on_study_end() override;
 
-  // ShardableSink: counters add, day bitmaps OR (users touch disjoint
-  // ranges), gap samples append in user-id order, and per-app joules are
-  // kept as per-user partials folded by result() (trace/shardable.h).
+  // ShardableSink: counters add, gap samples append in user-id order, and
+  // the clone's per-user row moves over, to be folded in user-id order
+  // (trace/shardable.h).
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // CheckpointableSink: per-user joules, day bitmaps, and gap samples in
-  // their stored order (flow anchors reset at every user end).
+  // CheckpointableSink: counters, folded sums, not-yet-folded gap samples in
+  // their stored order, and the pending per-user rows (flow anchors reset
+  // at every user end).
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
   [[nodiscard]] CaseStudyResult result(trace::AppId app);
   [[nodiscard]] const std::vector<trace::AppId>& tracked() const { return apps_; }
 
-  // -- fold-and-release (DESIGN.md §15) --------------------------------------
-  /// Arm fold mode: the dense per-app O(users) energy arrays and
-  /// O(users x days) day bitmaps are not allocated. The live user accumulates
-  /// in per-app scalars and one day bitmap; fold_user() folds them into
-  /// per-app running sums (stream order = ascending user id, bit-identical
-  /// to the ascending query-time folds), spills the user's detail — energy,
-  /// day bits, and flow-gap samples — as a "case" section, and clears it.
-  /// result() hydrates the spilled gap samples lazily (period estimation
-  /// needs the full sample set; it sorts, so replay order cannot matter).
-  void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
+  // -- account plane (DESIGN.md §15) -----------------------------------------
+  /// The spill fold_user() writes through; unarmed, every row stays pending.
+  void set_account_spill(energy::AccountSpill* spill) override;
+  /// Fold `user`'s pending row into the per-app running sums (ascending user
+  /// order, bit-identical to every query-time fold), spill the detail —
+  /// energy, day bits, and the gap samples recorded since the previous
+  /// fold — as a "case" section, and clear it. result() hydrates the
+  /// spilled gap samples lazily (period estimation needs the full sample
+  /// set; it sorts, so replay order cannot matter).
   void fold_user(trace::UserId user) override;
   /// OK unless query-time hydration of spilled gap samples failed.
   [[nodiscard]] const util::Status& hydrate_status() const { return hydrate_status_; }
@@ -110,37 +111,30 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   [[nodiscard]] obs::MemoryUse memory_use() const override;
 
  private:
-  /// One merged shard row awaiting its fold_user call (sharded fold mode).
-  struct StagedPart {
+  /// One user's partial for one tracked app.
+  struct UserPart {
     double joules = 0.0;
-    std::vector<bool> days;
+    bool touched = false;
+    std::vector<bool> days;  ///< the user's day-activity bitmap
   };
+  using Row = std::vector<UserPart>;  ///< one UserPart per tracked slot
   struct PerApp {
-    std::vector<double> joules_by_user;  ///< dense by UserId
-    std::vector<bool> joules_touched;    ///< user has an energy partial
     std::uint64_t bytes = 0;
     std::uint64_t flows = 0;
-    std::vector<bool> active_day;  ///< (user-major) day activity bitmaps, merged
-    /// Gaps between consecutive background flow starts, split into eras.
+    /// Gaps between consecutive background flow starts, split into eras,
+    /// recorded since the previous fold.
     Distribution early_gaps;
     Distribution late_gaps;
     /// Start of the current user's previous background flow (the stream is
     /// user-bracketed, so one anchor per app suffices).
     TimePoint last_flow_start;
     bool has_last_flow = false;
-    // Single-user state (fold mode and shard clones). In fold mode
-    // early_gaps/late_gaps hold only the not-yet-folded samples.
-    double live_joules = 0.0;
-    bool live_touched = false;
-    std::vector<bool> live_days;  ///< the live user's day-activity bitmap
     double folded_joules = 0.0;
     std::uint64_t folded_days_active = 0;
     /// Spilled gap samples, rehydrated at query time (spilled prefix; the
-    /// resident early_gaps/late_gaps tail merges after).
+    /// unfolded early_gaps/late_gaps tail merges after).
     Distribution spill_early;
     Distribution spill_late;
-    /// Merged shard rows awaiting their fold_user call (sharded fold mode).
-    std::vector<std::pair<trace::UserId, StagedPart>> staged;
   };
   static constexpr std::uint32_t kUntracked = UINT32_MAX;
   static constexpr trace::UserId kNoUser = UINT32_MAX;
@@ -150,8 +144,6 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   /// Reset per-app flow anchors when the stream moves to a new user.
   void switch_user(trace::UserId user);
   void on_flow(const trace::FlowRecord& flow);
-  /// Fold mode and shard clones keep the live user in PerApp::live_*.
-  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
   /// Stream spilled "case" sections' gap samples back into spill_early /
   /// spill_late (query-time only). Idempotent; errors latch hydrate_status_.
   void hydrate();
@@ -164,12 +156,13 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   std::size_t num_days_ = 1;       ///< study days (>= 1), the day-bitmap width
   trace::UserId cur_user_ = kNoUser;
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
+  /// Per-user rows not yet folded: the live user of a stream or clone, and
+  /// merged users awaiting fold_user.
+  std::map<trace::UserId, Row> pending_;
+  Row* cur_row_ = nullptr;  ///< cur_user_'s row, looked up on its first packet
   trace::FlowAssembler assembler_;
-  bool shard_ = false;           ///< made by clone_shard(): one user
-  trace::UserId live_user_ = 0;  ///< the user PerApp::live_* belongs to
 
-  // Fold-and-release state (zero outside fold mode).
-  energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
+  std::shared_ptr<energy::AccountSpill> spill_;  ///< armed by the engine (share_spill)
   std::uint64_t spilled_self_ = 0;
   bool hydrated_ = false;
   util::Status hydrate_status_;

@@ -28,8 +28,9 @@ struct DiversityResult {
 };
 
 /// Top-N per user is ranked by total data consumption, as in Fig. 1. Reads
-/// detail rows through an AccountCursor (resident or spilled, identical
-/// results); a corrupt account file latches the first error in `status`.
+/// detail rows through an AccountCursor (folded or pending, identical
+/// results); a missing or corrupt account image latches the first error in
+/// `status`.
 [[nodiscard]] DiversityResult top_n_diversity(const energy::EnergyLedger& ledger,
                                               std::size_t top_n = 10,
                                               util::Status* status = nullptr);

@@ -11,7 +11,7 @@ std::vector<PopularityEntry> top10_popularity(const energy::EnergyLedger& ledger
                                               std::uint32_t min_users, std::size_t top_n,
                                               util::Status* status) {
   // Per user: rank apps by bytes, take the top N. The cursor hands each
-  // user's accounts together whether they are resident or spilled.
+  // user's accounts together whether they are folded or pending.
   std::map<trace::AppId, std::uint32_t> counts;
   util::Status st = energy::for_each_user_accounts(
       ledger, [&](trace::UserId, std::span<const energy::AppUserAccount> accounts) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "energy/account_file.h"
@@ -36,13 +37,8 @@ void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   meta_ = meta;
   num_days_ = static_cast<std::int64_t>(std::ceil(meta.span().days()));
   num_weeks_ = std::max<std::size_t>(static_cast<std::size_t>((num_days_ + 6) / 7), 1);
-  users_.clear();
-  // Fold mode and shard clones never allocate the dense per-user partial
-  // array: the live user accumulates in live_ (DESIGN.md §15).
-  if (!single_user()) users_.resize(meta.num_users);
+  pending_.clear();
   spilled_self_ = 0;
-  live_valid_ = false;
-  staged_.clear();
   folded_fg_weeks_.assign(num_weeks_, 0.0);
   folded_bg_weeks_.assign(num_weeks_, 0.0);
   folded_eras_.assign(tracked_.size(), EraAccum{});
@@ -50,25 +46,13 @@ void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
 }
 
 LongitudinalAnalysis::UserPart& LongitudinalAnalysis::user_part(trace::UserId user) {
-  if (single_user()) {
-    if (!live_valid_ || live_user_ != user) {
-      live_.fg_weeks.assign(num_weeks_, 0.0);
-      live_.bg_weeks.assign(num_weeks_, 0.0);
-      live_.eras.assign(tracked_.size(), EraAccum{});
-      live_user_ = user;
-      live_valid_ = true;
-    }
-    return live_;
+  auto [it, inserted] = pending_.try_emplace(user);
+  if (inserted) {
+    it->second.fg_weeks.assign(num_weeks_, 0.0);
+    it->second.bg_weeks.assign(num_weeks_, 0.0);
+    it->second.eras.resize(tracked_.size());
   }
-  if (user >= users_.size()) users_.resize(user + 1);
-  auto& slot = users_[user];
-  if (!slot) {
-    slot = std::make_unique<UserPart>();
-    slot->fg_weeks.assign(num_weeks_, 0.0);
-    slot->bg_weeks.assign(num_weeks_, 0.0);
-    slot->eras.resize(tracked_.size());
-  }
-  return *slot;
+  return it->second;
 }
 
 void LongitudinalAnalysis::on_batch(const trace::EventBatch& batch) {
@@ -100,186 +84,140 @@ void LongitudinalAnalysis::on_batch(const trace::EventBatch& batch) {
 }
 
 std::unique_ptr<trace::TraceSink> LongitudinalAnalysis::clone_shard() const {
-  auto clone = std::make_unique<LongitudinalAnalysis>(tracked_);
-  clone->shard_ = true;
-  return clone;
+  return std::make_unique<LongitudinalAnalysis>(tracked_);
 }
 
 void LongitudinalAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<LongitudinalAnalysis&>(shard);
+  pending_.merge(other.pending_);  // steals the shard's one partial
   dirty_ = true;
-  if (!other.live_valid_) return;  // the clone's user had no traffic
-  other.live_valid_ = false;
-  const trace::UserId user = other.live_user_;
-  if (spill_ != nullptr) {
-    // Fold mode: stage the clone's row until the engine's fold_user call
-    // collapses and spills it.
-    staged_.emplace_back(user, std::move(other.live_));
-    return;
-  }
-  if (user >= users_.size()) users_.resize(user + 1);
-  users_[user] = std::make_unique<UserPart>(std::move(other.live_));
 }
 
-void LongitudinalAnalysis::fold_user(trace::UserId user) {
-  if (spill_ == nullptr) return;
-  UserPart* part = nullptr;
-  auto staged_it = staged_.end();
-  if (live_valid_ && live_user_ == user) {
-    part = &live_;
-  } else {
-    staged_it = std::find_if(staged_.begin(), staged_.end(),
-                             [user](const auto& entry) { return entry.first == user; });
-    if (staged_it != staged_.end()) part = &staged_it->second;
+namespace {
+
+// Templates: EraAccum is private to the sink; deduction names it here.
+template <typename EraAccum>
+void put_eras(ckpt::ByteWriter& out, const std::vector<EraAccum>& eras) {
+  out.put_varint(eras.size());
+  for (const auto& era : eras) {
+    out.put_f64(era.early_joules);
+    out.put_f64(era.late_joules);
+    out.put_varint(era.early_bytes);
+    out.put_varint(era.late_bytes);
   }
-  if (part == nullptr) return;  // the user had no traffic for this sink
-  // Stream order is ascending user id, so these running sums reproduce the
-  // ascending query-time fold bit for bit.
+}
+
+template <typename EraAccum>
+util::Status get_eras(ckpt::ByteReader& in, std::vector<EraAccum>& eras) {
+  auto num_eras = in.get_varint("longitudinal.eras");
+  if (!num_eras.ok()) return num_eras.status();
+  if (*num_eras != eras.size()) {
+    return util::Status::data_loss("corrupt checkpoint: longitudinal tracks " +
+                                   std::to_string(eras.size()) + " apps, snapshot holds " +
+                                   std::to_string(*num_eras));
+  }
+  for (auto& era : eras) {
+    auto early_j = in.get_f64("longitudinal.era_early_joules");
+    if (!early_j.ok()) return early_j.status();
+    era.early_joules = *early_j;
+    auto late_j = in.get_f64("longitudinal.era_late_joules");
+    if (!late_j.ok()) return late_j.status();
+    era.late_joules = *late_j;
+    auto early_b = in.get_varint("longitudinal.era_early_bytes");
+    if (!early_b.ok()) return early_b.status();
+    era.early_bytes = *early_b;
+    auto late_b = in.get_varint("longitudinal.era_late_bytes");
+    if (!late_b.ok()) return late_b.status();
+    era.late_bytes = *late_b;
+  }
+  return util::Status::ok_status();
+}
+
+}  // namespace
+
+void LongitudinalAnalysis::fold_user(trace::UserId user) {
+  if (spill_ == nullptr) return;  // unarmed: the partial stays pending
+  const auto it = pending_.find(user);
+  if (it == pending_.end()) return;  // the user had no traffic for this sink
+  const UserPart& part = it->second;
+  // Folds run in ascending user order, so these running sums reproduce
+  // every query-time fold bit for bit.
   for (std::size_t w = 0; w < num_weeks_; ++w) {
-    folded_fg_weeks_[w] += part->fg_weeks[w];
-    folded_bg_weeks_[w] += part->bg_weeks[w];
+    folded_fg_weeks_[w] += part.fg_weeks[w];
+    folded_bg_weeks_[w] += part.bg_weeks[w];
   }
   for (std::size_t i = 0; i < folded_eras_.size(); ++i) {
-    folded_eras_[i].early_joules += part->eras[i].early_joules;
-    folded_eras_[i].late_joules += part->eras[i].late_joules;
-    folded_eras_[i].early_bytes += part->eras[i].early_bytes;
-    folded_eras_[i].late_bytes += part->eras[i].late_bytes;
+    folded_eras_[i].early_joules += part.eras[i].early_joules;
+    folded_eras_[i].late_joules += part.eras[i].late_joules;
+    folded_eras_[i].early_bytes += part.eras[i].early_bytes;
+    folded_eras_[i].late_bytes += part.eras[i].late_bytes;
   }
   ckpt::ByteWriter row;
-  row.put_f64_span(part->fg_weeks);
-  row.put_f64_span(part->bg_weeks);
-  row.put_varint(part->eras.size());
-  for (const EraAccum& era : part->eras) {
-    row.put_f64(era.early_joules);
-    row.put_f64(era.late_joules);
-    row.put_varint(era.early_bytes);
-    row.put_varint(era.late_bytes);
-  }
+  row.put_f64_span(part.fg_weeks);
+  row.put_f64_span(part.bg_weeks);
+  put_eras(row, part.eras);
   spilled_self_ += spill_->add_section(kLongitSection, row.bytes());
-  if (staged_it != staged_.end()) {
-    staged_.erase(staged_it);
-  } else {
-    live_valid_ = false;
-  }
+  pending_.erase(it);
   dirty_ = true;
 }
 
 void LongitudinalAnalysis::save_state(ckpt::ByteWriter& out) const {
-  // Leading mode byte: 0 = dense resident partials (historical body
-  // follows); 1 = fold mode, folded week/era sums first.
-  out.put_u8(spill_ != nullptr ? 1 : 0);
-  if (spill_ != nullptr) {
-    out.put_f64_span(folded_fg_weeks_);
-    out.put_f64_span(folded_bg_weeks_);
-    out.put_varint(folded_eras_.size());
-    for (const EraAccum& era : folded_eras_) {
-      out.put_f64(era.early_joules);
-      out.put_f64(era.late_joules);
-      out.put_varint(era.early_bytes);
-      out.put_varint(era.late_bytes);
-    }
-    out.put_varint(spilled_self_);
-  }
-  out.put_varint(users_.size());
-  for (const auto& part : users_) {
-    out.put_u8(part ? 1 : 0);
-    if (!part) continue;
-    out.put_f64_span(part->fg_weeks);
-    out.put_f64_span(part->bg_weeks);
-    out.put_varint(part->eras.size());
-    for (const EraAccum& era : part->eras) {
-      out.put_f64(era.early_joules);
-      out.put_f64(era.late_joules);
-      out.put_varint(era.early_bytes);
-      out.put_varint(era.late_bytes);
-    }
+  out.put_f64_span(folded_fg_weeks_);
+  out.put_f64_span(folded_bg_weeks_);
+  put_eras(out, folded_eras_);
+  out.put_varint(spilled_self_);
+  out.put_varint(pending_.size());
+  trace::UserId prev = 0;
+  for (const auto& [user, part] : pending_) {
+    out.put_varint(user - prev);
+    prev = user;
+    out.put_f64_span(part.fg_weeks);
+    out.put_f64_span(part.bg_weeks);
+    put_eras(out, part.eras);
   }
 }
 
 util::Status LongitudinalAnalysis::restore_state(ckpt::ByteReader& in) {
-  auto mode = in.get_u8("longitudinal.mode");
-  if (!mode.ok()) return mode.status();
-  if (*mode > 1) {
-    return util::Status::data_loss("corrupt checkpoint: unknown longitudinal mode " +
-                                   std::to_string(*mode));
-  }
-  spilled_self_ = 0;
-  live_valid_ = false;
-  staged_.clear();
-  folded_fg_weeks_.assign(num_weeks_, 0.0);
-  folded_bg_weeks_.assign(num_weeks_, 0.0);
-  folded_eras_.assign(tracked_.size(), EraAccum{});
-  if (*mode == 1) {
-    auto status = in.get_f64_span(folded_fg_weeks_, "longitudinal.folded_fg_weeks");
-    if (!status.ok()) return status;
-    status = in.get_f64_span(folded_bg_weeks_, "longitudinal.folded_bg_weeks");
-    if (!status.ok()) return status;
-    auto num_eras = in.get_varint("longitudinal.folded_eras");
-    if (!num_eras.ok()) return num_eras.status();
-    if (*num_eras != folded_eras_.size()) {
-      return util::Status::data_loss("corrupt checkpoint: longitudinal tracks " +
-                                     std::to_string(folded_eras_.size()) +
-                                     " apps, snapshot holds " + std::to_string(*num_eras));
-    }
-    for (EraAccum& era : folded_eras_) {
-      auto early_j = in.get_f64("longitudinal.folded_era_early_joules");
-      if (!early_j.ok()) return early_j.status();
-      era.early_joules = *early_j;
-      auto late_j = in.get_f64("longitudinal.folded_era_late_joules");
-      if (!late_j.ok()) return late_j.status();
-      era.late_joules = *late_j;
-      auto early_b = in.get_varint("longitudinal.folded_era_early_bytes");
-      if (!early_b.ok()) return early_b.status();
-      era.early_bytes = *early_b;
-      auto late_b = in.get_varint("longitudinal.folded_era_late_bytes");
-      if (!late_b.ok()) return late_b.status();
-      era.late_bytes = *late_b;
-    }
-    auto spilled = in.get_varint("longitudinal.spilled_bytes");
-    if (!spilled.ok()) return spilled.status();
-    spilled_self_ = *spilled;
-  }
-  auto num_users = in.get_varint("longitudinal.users");
-  if (!num_users.ok()) return num_users.status();
-  users_.clear();
-  users_.resize(*num_users);
-  for (auto& slot : users_) {
-    auto present = in.get_u8("longitudinal.user_present");
-    if (!present.ok()) return present.status();
-    if (*present == 0) continue;
-    auto part = std::make_unique<UserPart>();
-    part->fg_weeks.assign(num_weeks_, 0.0);
-    part->bg_weeks.assign(num_weeks_, 0.0);
-    auto status = in.get_f64_span(part->fg_weeks, "longitudinal.fg_weeks");
-    if (!status.ok()) return status;
-    status = in.get_f64_span(part->bg_weeks, "longitudinal.bg_weeks");
-    if (!status.ok()) return status;
-    auto num_eras = in.get_varint("longitudinal.eras");
-    if (!num_eras.ok()) return num_eras.status();
-    part->eras.resize(*num_eras);
-    for (EraAccum& era : part->eras) {
-      auto early_j = in.get_f64("longitudinal.era_early_joules");
-      if (!early_j.ok()) return early_j.status();
-      era.early_joules = *early_j;
-      auto late_j = in.get_f64("longitudinal.era_late_joules");
-      if (!late_j.ok()) return late_j.status();
-      era.late_joules = *late_j;
-      auto early_b = in.get_varint("longitudinal.era_early_bytes");
-      if (!early_b.ok()) return early_b.status();
-      era.early_bytes = *early_b;
-      auto late_b = in.get_varint("longitudinal.era_late_bytes");
-      if (!late_b.ok()) return late_b.status();
-      era.late_bytes = *late_b;
-    }
-    slot = std::move(part);
-  }
+  pending_.clear();
   dirty_ = true;
+  util::Status status = in.get_f64_span(folded_fg_weeks_, "longitudinal.folded_fg_weeks");
+  if (!status.ok()) return status;
+  status = in.get_f64_span(folded_bg_weeks_, "longitudinal.folded_bg_weeks");
+  if (!status.ok()) return status;
+  status = get_eras(in, folded_eras_);
+  if (!status.ok()) return status;
+  auto spilled = in.get_varint("longitudinal.spilled_bytes");
+  if (!spilled.ok()) return spilled.status();
+  spilled_self_ = *spilled;
+  auto num_pending = in.get_varint("longitudinal.pending");
+  if (!num_pending.ok()) return num_pending.status();
+  std::uint64_t user = 0;
+  for (std::uint64_t i = 0; i < *num_pending; ++i) {
+    auto delta = in.get_varint("longitudinal.pending.user");
+    if (!delta.ok()) return delta.status();
+    user += *delta;
+    if (user > std::numeric_limits<trace::UserId>::max()) {
+      return util::Status::data_loss("corrupt checkpoint: longitudinal user id out of range");
+    }
+    UserPart& part = user_part(static_cast<trace::UserId>(user));
+    status = in.get_f64_span(part.fg_weeks, "longitudinal.fg_weeks");
+    if (!status.ok()) return status;
+    status = in.get_f64_span(part.bg_weeks, "longitudinal.bg_weeks");
+    if (!status.ok()) return status;
+    status = get_eras(in, part.eras);
+    if (!status.ok()) return status;
+  }
   return util::Status::ok_status();
 }
 
 void LongitudinalAnalysis::fold() const {
   if (!dirty_) return;
-  const auto add_part = [this](const UserPart& part) {
+  // The folded sums first, then the pending partials in the same ascending
+  // user order — the identical floating-point fold however far folds got.
+  overall_.fg_joules = folded_fg_weeks_;
+  overall_.bg_joules = folded_bg_weeks_;
+  eras_ = folded_eras_;
+  for (const auto& [user, part] : pending_) {
     for (std::size_t w = 0; w < num_weeks_; ++w) {
       overall_.fg_joules[w] += part.fg_weeks[w];
       overall_.bg_joules[w] += part.bg_weeks[w];
@@ -290,23 +228,7 @@ void LongitudinalAnalysis::fold() const {
       eras_[i].early_bytes += part.eras[i].early_bytes;
       eras_[i].late_bytes += part.eras[i].late_bytes;
     }
-  };
-  // Folded prefix first, then the resident remainder in the same ascending
-  // user order — the identical floating-point fold either way.
-  if (spill_ != nullptr) {
-    overall_.fg_joules = folded_fg_weeks_;
-    overall_.bg_joules = folded_bg_weeks_;
-    eras_ = folded_eras_;
-  } else {
-    overall_.fg_joules.assign(num_weeks_, 0.0);
-    overall_.bg_joules.assign(num_weeks_, 0.0);
-    eras_.assign(tracked_.size(), EraAccum{});
   }
-  for (const auto& part : users_) {
-    if (part) add_part(*part);
-  }
-  for (const auto& [user, part] : staged_) add_part(part);
-  if (live_valid_) add_part(live_);
   dirty_ = false;
 }
 
@@ -335,19 +257,14 @@ EraComparison LongitudinalAnalysis::era_comparison(trace::AppId app) const {
 }
 
 obs::MemoryUse LongitudinalAnalysis::memory_use() const {
-  const auto part_bytes = [](const UserPart& part) -> std::uint64_t {
-    return sizeof(UserPart) +
-           (part.fg_weeks.capacity() + part.bg_weeks.capacity()) * sizeof(double) +
-           part.eras.capacity() * sizeof(EraAccum);
-  };
-  std::uint64_t total = users_.capacity() * sizeof(users_[0]) +
-                        (folded_fg_weeks_.capacity() + folded_bg_weeks_.capacity()) *
+  std::uint64_t total = (folded_fg_weeks_.capacity() + folded_bg_weeks_.capacity()) *
                             sizeof(double) +
-                        folded_eras_.capacity() * sizeof(EraAccum) + part_bytes(live_);
-  for (const auto& part : users_) {
-    if (part) total += part_bytes(*part);
+                        folded_eras_.capacity() * sizeof(EraAccum);
+  for (const auto& [user, part] : pending_) {
+    total += sizeof(user) + sizeof(UserPart) +
+             (part.fg_weeks.capacity() + part.bg_weeks.capacity()) * sizeof(double) +
+             part.eras.capacity() * sizeof(EraAccum);
   }
-  for (const auto& [user, part] : staged_) total += sizeof(user) + part_bytes(part);
   return {.resident_bytes = total, .spilled_bytes = spilled_self_};
 }
 

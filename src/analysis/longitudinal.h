@@ -11,15 +11,16 @@
 //
 // Shardable (trace/shardable.h): the weekly series and era accumulators are
 // cross-user double sums, so they are kept as per-user partials — one dense
-// week vector and era array per user — and folded in user-id order when
-// queried. The serial pass and the sharded merge therefore perform the exact
-// same floating-point fold, and outputs are bit-identical at any thread
-// count (DESIGN.md §12).
+// week vector and era array per pending user — and folded in user-id order,
+// by fold_user into running sums and by queries over the pending rest. The
+// serial pass and the sharded merge therefore perform the exact same
+// floating-point fold, and outputs are bit-identical at any thread count
+// (DESIGN.md §12, §15).
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "ckpt/checkpointable.h"
@@ -68,24 +69,22 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   void on_batch(const trace::EventBatch& batch) override;
 
   // ShardableSink: the clone's one week/era partial is stolen and folded in
-  // user-id order at query time.
+  // user-id order.
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // CheckpointableSink: per-user week/era partials (raw double bits); the
-  // query-time fold cache is rebuilt lazily after restore.
+  // CheckpointableSink: folded week/era sums and pending per-user partials
+  // (raw double bits); the query-time fold cache is rebuilt lazily after
+  // restore.
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
-  // -- fold-and-release (DESIGN.md §15) --------------------------------------
-  /// Arm fold mode: the dense per-user partial array is not allocated. The
-  /// live user accumulates in one UserPart; merged shard rows stage in a
-  /// small buffer; fold_user() folds the completed user's partial into
-  /// running week/era accumulators (stream order = ascending user id,
-  /// bit-identical to the ascending query-time folds), spills it as a
-  /// "longit" section, and releases it.
-  void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
+  // -- account plane (DESIGN.md §15) -----------------------------------------
+  /// The spill fold_user() writes through; unarmed, every row stays pending.
+  void set_account_spill(energy::AccountSpill* spill) override { spill_ = spill; }
+  /// Fold `user`'s pending partial into the running week/era sums
+  /// (ascending user order, bit-identical to every query-time fold), spill
+  /// it as a "longit" section, and release it.
   void fold_user(trace::UserId user) override;
 
   [[nodiscard]] const WeeklySeries& overall() const;
@@ -111,10 +110,10 @@ class LongitudinalAnalysis final : public trace::TraceSink,
 
   static constexpr std::uint32_t kUntracked = UINT32_MAX;
 
+  /// `user`'s pending partial, created zeroed on first touch.
   UserPart& user_part(trace::UserId user);
-  /// Fold mode and shard clones keep the live user in live_.
-  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
-  /// Fold per-user partials (user-id order) into overall_/eras_.
+  /// Fold the running sums, then the pending partials (user-id order), into
+  /// overall_/eras_.
   void fold() const;
 
   trace::StudyMeta meta_;
@@ -123,20 +122,13 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   std::vector<trace::AppId> tracked_;
   /// Dense app-id -> tracked slot map (kUntracked when not tracked).
   std::vector<std::uint32_t> tracked_index_;
-  /// Per-user partials, indexed by UserId; null until the user has traffic.
-  std::vector<std::unique_ptr<UserPart>> users_;
+  /// Per-user partials not yet folded: the live user of a stream or clone,
+  /// and merged users awaiting fold_user.
+  std::map<trace::UserId, UserPart> pending_;
 
-  bool shard_ = false;  ///< made by clone_shard(): one user, in live_
-
-  // Fold-and-release state (all empty/zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
-  UserPart live_;  ///< the live user's partial (fold mode, shard clones)
-  trace::UserId live_user_ = 0;
-  bool live_valid_ = false;
-  /// Merged shard rows awaiting their fold_user call (sharded fold mode).
-  std::vector<std::pair<trace::UserId, UserPart>> staged_;
-  /// Running week/era sums over folded users (stream = ascending user order).
+  /// Running week/era sums over folded users (ascending user order).
   std::vector<double> folded_fg_weeks_;
   std::vector<double> folded_bg_weeks_;
   std::vector<EraAccum> folded_eras_;

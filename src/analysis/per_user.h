@@ -29,9 +29,9 @@ struct UserSummary {
 };
 
 /// One summary per user with any traffic, ordered by user id. Reads the
-/// detail rows through an AccountCursor, so it works identically over
-/// resident and spilled (fold-and-release) ledgers; a corrupt account file
-/// latches the first decode error in `status`.
+/// detail rows through an AccountCursor, so it works identically however
+/// far the ledger folded; a missing or corrupt account image latches the
+/// first error in `status`.
 [[nodiscard]] std::vector<UserSummary> per_user_summaries(const energy::EnergyLedger& ledger,
                                                           std::size_t top_apps = 5,
                                                           util::Status* status = nullptr);

@@ -94,11 +94,14 @@ void PersistenceAnalysis::merge_from(trace::TraceSink& shard) {
   }
 }
 
+void PersistenceAnalysis::set_account_spill(energy::AccountSpill* spill) {
+  spill_ = energy::share_spill(spill);
+}
+
 void PersistenceAnalysis::fold_user(trace::UserId /*user*/) {
   if (spill_ == nullptr || hydrated_) return;
-  // In fold mode durations_ holds only the samples recorded since the last
-  // fold — exactly the completed user's samples (the stream is user-bracketed
-  // and every completed user folds).
+  // durations_ holds only the samples recorded since the last fold, in
+  // merge order; they travel under this user's row group.
   std::size_t with_samples = 0;
   for (const Distribution& dist : durations_) with_samples += dist.count() > 0 ? 1 : 0;
   if (with_samples == 0) return;
@@ -116,16 +119,16 @@ void PersistenceAnalysis::fold_user(trace::UserId /*user*/) {
 }
 
 void PersistenceAnalysis::hydrate() {
-  if (spill_ == nullptr || hydrated_) return;
+  if (hydrated_) return;
   hydrated_ = true;
   energy::AccountReader reader;
-  util::Status st = reader.open(spill_->dir());
+  util::Status st = reader.open(spill_.get());
   if (!st.ok()) {
     hydrate_status_ = std::move(st);
     return;
   }
-  // Spilled samples land first (they are the stream-order prefix); the
-  // resident tail is appended after, rebuilding the user-major order.
+  // Spilled samples land first (they are the merge-order prefix); the
+  // unfolded tail is appended after.
   std::vector<std::vector<double>> rebuilt(durations_.size());
   reader.for_each_section(
       kPersistSection, [&](trace::UserId user, std::string_view payload) {
@@ -177,10 +180,7 @@ void PersistenceAnalysis::hydrate() {
 void PersistenceAnalysis::on_user_end(trace::UserId /*user*/) { flush_user(); }
 
 void PersistenceAnalysis::save_state(ckpt::ByteWriter& out) const {
-  // Leading mode byte: 0 = all samples resident (historical body follows);
-  // 1 = fold mode, spill accounting first, body holds the resident tail.
-  out.put_u8(spill_ != nullptr ? 1 : 0);
-  if (spill_ != nullptr) out.put_varint(spilled_self_);
+  out.put_varint(spilled_self_);
   out.put_varint(durations_.size());
   out.put_bool_vec(known_);
   for (std::size_t app = 0; app < durations_.size(); ++app) {
@@ -190,18 +190,9 @@ void PersistenceAnalysis::save_state(ckpt::ByteWriter& out) const {
 }
 
 util::Status PersistenceAnalysis::restore_state(ckpt::ByteReader& in) {
-  auto mode = in.get_u8("persistence.mode");
-  if (!mode.ok()) return mode.status();
-  if (*mode > 1) {
-    return util::Status::data_loss("corrupt checkpoint: unknown persistence mode " +
-                                   std::to_string(*mode));
-  }
-  spilled_self_ = 0;
-  if (*mode == 1) {
-    auto spilled = in.get_varint("persistence.spilled_bytes");
-    if (!spilled.ok()) return spilled.status();
-    spilled_self_ = *spilled;
-  }
+  auto spilled = in.get_varint("persistence.spilled_bytes");
+  if (!spilled.ok()) return spilled.status();
+  spilled_self_ = *spilled;
   auto num_apps = in.get_varint("persistence.apps");
   if (!num_apps.ok()) return num_apps.status();
   auto status = in.get_bool_vec(known_, "persistence.known");

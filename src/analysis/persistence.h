@@ -49,18 +49,23 @@ class PersistenceAnalysis final : public trace::TraceSink,
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // CheckpointableSink: per-app duration samples in insertion order (open
-  // episodes are flushed at every user end, so none exist at a checkpoint).
+  // CheckpointableSink: the spill accounting plus the not-yet-folded
+  // per-app duration samples in insertion order (open episodes are flushed
+  // at every user end, so none exist at a checkpoint).
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
-  // -- fold-and-release (DESIGN.md §15) --------------------------------------
-  /// Arm fold mode: fold_user() spills the completed user's duration samples
-  /// as a "persist" row-group section and clears the resident sample arrays
-  /// (known_ flags survive, so tracked_apps() stays exact). Queries hydrate
-  /// the spilled samples back lazily, rebuilding the user-major sample order.
-  void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
+  // -- account plane (DESIGN.md §15) -----------------------------------------
+  /// The spill fold_user() writes through; unarmed, every sample stays in
+  /// memory.
+  void set_account_spill(energy::AccountSpill* spill) override;
+  /// Spill every sample recorded since the previous fold as a "persist"
+  /// row-group section and clear the sample arrays (known_ flags survive, so
+  /// tracked_apps() stays exact). Under the engine's per-merge folds that is
+  /// exactly `user`'s samples; when folds are deferred to the end of a
+  /// stream whose users arrived out of id order, the first fold carries
+  /// every deferred user's samples in arrival order. Queries hydrate the
+  /// spilled samples back lazily, rebuilding the stored sample order.
   void fold_user(trace::UserId user) override;
   /// OK unless query-time hydration of spilled samples failed.
   [[nodiscard]] const util::Status& hydrate_status() const { return hydrate_status_; }
@@ -96,9 +101,9 @@ class PersistenceAnalysis final : public trace::TraceSink,
   /// happen mid-run: unsealed rows would be unreadable and their cleared
   /// samples lost).
   Distribution& dist_slot(trace::AppId app);
-  /// Stream spilled "persist" sections back into the resident sample arrays
-  /// (spilled prefix first, resident tail after — the user-major order a
-  /// fully resident run holds). Idempotent; errors latch in hydrate_status_.
+  /// Stream spilled "persist" sections back into the sample arrays (spilled
+  /// prefix first, unfolded tail after — the merge order of the stream).
+  /// Idempotent; errors latch in hydrate_status_.
   void hydrate();
 
   Duration quiet_gap_;
@@ -106,14 +111,13 @@ class PersistenceAnalysis final : public trace::TraceSink,
   /// at a time — the stream is user-bracketed).
   trace::UserId cur_user_ = kNoUser;
   std::vector<Episode> episodes_;
-  /// Duration samples per app (dense by AppId); known_ mirrors which apps
-  /// have an entry at all (recorded or created via durations()).
+  /// Duration samples per app (dense by AppId) not yet folded — every
+  /// sample once hydrated; known_ mirrors which apps have an entry at all
+  /// (recorded or created via durations()).
   std::vector<Distribution> durations_;
   std::vector<bool> known_;
 
-  // Fold-and-release state (all empty/zero outside fold mode). In fold mode
-  // durations_ holds only the not-yet-folded samples (the resident tail).
-  energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
+  std::shared_ptr<energy::AccountSpill> spill_;  ///< armed by the engine (share_spill)
   std::uint64_t spilled_self_ = 0;
   bool hydrated_ = false;
   util::Status hydrate_status_;

@@ -10,16 +10,17 @@
 // seen), and *wasted* otherwise. Updates are background flows reconstructed
 // with the same idle-gap assembler as Table 1.
 //
-// Data-plane layout (DESIGN.md §12): tracked apps resolve through a dense
-// AppId->slot index, energy partials live in dense per-user arrays, and the
-// pending-update queue is per app for the single live user (the stream is
-// user-bracketed), so the packet path never hashes.
+// Data-plane layout (DESIGN.md §12, §15): tracked apps resolve through a
+// dense AppId->slot index, the unsettled-update queue is per app for the
+// single live user (the stream is user-bracketed), and energy partials live
+// in one row per pending user — folded into per-app sums by fold_user — so
+// the packet path never hashes.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "ckpt/checkpointable.h"
@@ -66,25 +67,22 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   void on_user_end(trace::UserId user) override;
 
   // ShardableSink: update counts add; joules are kept as per-user partials
-  // and folded in user-id order by result() (trace/shardable.h).
+  // and folded in user-id order (trace/shardable.h).
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // CheckpointableSink: update counts plus per-user energy partials (pending
-  // queues drain at every user end, so none exist at a checkpoint).
+  // CheckpointableSink: update counts, folded per-app sums and pending
+  // per-user partials (unsettled queues drain at every user end, so none
+  // exist at a checkpoint).
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
-  // -- fold-and-release (DESIGN.md §15) --------------------------------------
-  /// Arm fold mode: the dense per-app user_parts arrays are not allocated
-  /// (they are O(apps x users), the sink's entire footprint). The live user
-  /// accumulates in one part per app; merged shard rows stage in a small
-  /// buffer; fold_user() folds the completed user's parts into per-app
-  /// running sums (stream order = ascending user id, bit-identical to the
-  /// ascending query-time folds), spills them as a "waste" section, and
-  /// clears them.
-  void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
+  // -- account plane (DESIGN.md §15) -----------------------------------------
+  /// The spill fold_user() writes through; unarmed, every row stays pending.
+  void set_account_spill(energy::AccountSpill* spill) override { spill_ = spill; }
+  /// Fold `user`'s pending row into the per-app running sums (ascending user
+  /// order, the additions every query performs), spill it as a "waste"
+  /// section, and drop it.
   void fold_user(trace::UserId user) override;
 
   [[nodiscard]] WasteResult result(trace::AppId app) const;
@@ -109,13 +107,8 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   struct PerApp {
     std::uint64_t updates = 0;
     std::uint64_t wasted_updates = 0;
-    std::vector<UserPart> user_parts;  ///< dense by UserId (resident mode only)
     /// Current user's not-yet-settled updates (one user is live at a time).
-    std::deque<PendingUpdate> pending;
-    // Fold-and-release state (unused outside fold mode).
-    UserPart live;  ///< the live user's partial (fold mode, shard clones)
-    /// Merged shard rows awaiting their fold_user call (sharded fold mode).
-    std::vector<std::pair<trace::UserId, UserPart>> staged;
+    std::deque<PendingUpdate> unsettled;
     double folded_joules = 0.0;
     double folded_wasted_joules = 0.0;
   };
@@ -124,26 +117,27 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
 
   /// Tracked slot for `app`, or nullptr when the app is not a study subject.
   PerApp* slot(trace::AppId app);
-  UserPart& part(PerApp& pa, trace::UserId user);
-  /// Flush the previous user's pending updates (never looked at: wasted)
+  /// `user`'s partial for `pa`, in the user's pending row.
+  UserPart& part(const PerApp& pa, trace::UserId user);
+  /// Flush the previous user's unsettled updates (never looked at: wasted)
   /// and make `user` current.
   void switch_user(trace::UserId user);
+  /// Every unsettled update of `user` was never followed by use: wasted.
+  void waste_unsettled(trace::UserId user);
   void on_flow(const trace::FlowRecord& flow);
   void expire(PerApp& pa, trace::UserId user, TimePoint now);
   void settle_on_foreground(trace::AppId app, trace::UserId user, TimePoint now);
-  /// Fold mode and shard clones keep the live user's parts in PerApp::live.
-  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
 
   std::vector<trace::AppId> apps_;
   std::vector<std::uint32_t> tracked_index_;  ///< AppId -> per_app_ slot
   Duration useful_window_;
   trace::UserId cur_user_ = kNoUser;
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
+  /// Per-user partials not yet folded, one UserPart per tracked slot: the
+  /// live user of a stream or clone, and merged users awaiting fold_user.
+  std::map<trace::UserId, std::vector<UserPart>> pending_;
   trace::FlowAssembler assembler_;
-  bool shard_ = false;              ///< made by clone_shard(): one user
-  trace::UserId live_user_ = 0;     ///< the user PerApp::live belongs to
 
-  // Fold-and-release state (zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
 };

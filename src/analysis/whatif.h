@@ -8,8 +8,8 @@
 //
 // These are day-granularity computations over the ledger's detail rows,
 // read through an AccountCursor (energy/account_cursor.h) so they work
-// unchanged — and bit-identically — whether the accounts are resident or
-// spilled by a fold-and-release run (DESIGN.md §15). The exact packet-level
+// unchanged — and bit-identically — whether the accounts are folded into
+// account images or still pending (DESIGN.md §15). The exact packet-level
 // counterpart (re-running attribution with a policy filter in the stream)
 // lives in core/policy.h, and bench/table2_whatif compares both.
 //
@@ -42,8 +42,8 @@ struct WhatIfRow {
                                           std::int64_t idle_days = 3,
                                           util::Status* status = nullptr);
 
-/// Table 2 rows for several apps in ONE pass over the account rows (under
-/// fold mode each pass replays the spilled files, so per-app calls in a loop
+/// Table 2 rows for several apps in ONE pass over the account rows (each
+/// pass replays the folded account images, so per-app calls in a loop
 /// would re-read them once per app). Rows come back in `apps` order.
 [[nodiscard]] std::vector<WhatIfRow> whatif_kill_after_all(const energy::EnergyLedger& ledger,
                                                            std::span<const trace::AppId> apps,

@@ -7,7 +7,9 @@
 // progress), and named per-sink sections holding each CheckpointableSink's
 // serialized state.
 //
-// On disk a snapshot is "WECK" magic, a version byte, the payload
+// On disk a snapshot is "WECK" magic, a version byte (2: every sink section
+// holds folded aggregates plus pending per-user rows, with no mode byte;
+// version 1 snapshots are refused), the payload
 // (ckpt/codec.h primitives), and a u64 FNV-1a checksum trailer over every
 // byte before it; the checksum is verified before any field is trusted. Files are named ckpt_<seq> with monotonically increasing sequence
 // numbers, written to a temp name and renamed into place so a crash mid-write
@@ -32,7 +34,7 @@
 namespace wildenergy::ckpt {
 
 inline constexpr char kCheckpointMagic[4] = {'W', 'E', 'C', 'K'};
-inline constexpr std::uint8_t kCheckpointVersion = 1;
+inline constexpr std::uint8_t kCheckpointVersion = 2;
 
 struct Snapshot {
   trace::StudyMeta meta;

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -139,6 +140,7 @@ struct Plan {
   std::vector<trace::TraceSink*> parents;        ///< each sink, or its adapter
   std::vector<trace::UserId> done;       ///< sorted users a checkpoint covers
   std::vector<trace::UserId> completed;  ///< merged users, stream order (checkpointing only)
+  std::vector<trace::UserId> unfolded;   ///< merged users whose fold waits for close
   std::size_t pending = 0;               ///< tasks not yet merged
   std::size_t since_checkpoint = 0;      ///< tasks merged since the last snapshot
   std::uint64_t dropped_packets = 0;
@@ -203,6 +205,8 @@ class Engine {
   void execute(Task& task, unsigned worker) const;
   void absorb(Task& task) const;
   void merge(Plan& plan, Task& task, obs::ShardRunStats& row);
+  /// One fold round: `user`'s rows leave every parent for the spill.
+  void fold(Plan& plan, trace::UserId user);
   util::Status close_ready();
   util::Status close(std::size_t scenario);
   void write_snapshot();
@@ -217,6 +221,8 @@ class Engine {
   std::vector<EngineScenario>& scenarios_;
   const EngineOptions& opt_;
   const bool random_access_;
+  /// Users arrive in ascending id order, so each folds right after its merge.
+  bool fold_on_merge_ = false;
   const bool retry_then_skip_;
   const bool timed_;
   fault::FaultPlan* const fault_plan_;
@@ -312,8 +318,7 @@ util::Status Engine::prepare() {
       }
     }
     plan.sc->stats->serial_fallback_sinks = plan.adapters.size();
-    // Arm (or, with nullptr, disarm — sinks may be armed by an earlier run)
-    // fold-and-release before any study bracket opens.
+    // Arm every sink with this run's spill before any study bracket opens.
     plan.sc->attributor->set_account_spill(plan.sc->spill);
     for (auto* s : plan.shardable) s->set_account_spill(plan.sc->spill);
   }
@@ -348,14 +353,13 @@ util::Status Engine::open(const trace::StudyMeta& meta) {
     Plan& plan = plans_[si];
     if (si >= resumed_done_ && random_access_) plan.pending = num_users() - plan.done.size();
     total_tasks_ += plan.pending;
-    if (energy::AccountSpill* spill = plan.sc->spill) {
-      // Keep the account-file prefix the checkpoint vouches for; later files
-      // hold rows of users the resume re-runs (they respill).
-      util::Status st = si < restored_
-                            ? spill->resume(resumed_->counter(prefix(si) + "account_sealed_files"))
-                            : spill->open_fresh();
-      if (!st.ok()) return st;
-    }
+    // Keep the account-file prefix the checkpoint vouches for; later files
+    // hold rows of users the resume re-runs (they respill).
+    util::Status st =
+        si < restored_
+            ? plan.sc->spill->resume(resumed_->counter(prefix(si) + "account_sealed_files"))
+            : plan.sc->spill->open_fresh();
+    if (!st.ok()) return st;
   }
   return util::Status::ok_status();
 }
@@ -433,6 +437,8 @@ util::Status Engine::restore(const ckpt::Snapshot& snap) {
     restored_ = si + 1;
     if (si < resumed_done_) continue;  // finished: nothing of it runs again
     plan.completed = snap.completed_users;
+    // Deferred folds: the snapshot's users are still pending in the sinks.
+    if (!fold_on_merge_) plan.unfolded = plan.completed;
     plan.done = plan.completed;
     plan.done.insert(plan.done.end(), stats.failed_users.begin(), stats.failed_users.end());
     std::sort(plan.done.begin(), plan.done.end());
@@ -635,14 +641,10 @@ void Engine::merge(Plan& plan, Task& task, obs::ShardRunStats& row) {
   for (std::size_t i = 0; i < plan.shardable.size(); ++i) {
     plan.shardable[i]->merge_from(*chain.clones[i]);
   }
-  if (energy::AccountSpill* spill = plan.sc->spill) {
-    // Fold-and-release right after the user's detail landed in the parents:
-    // merges run in stream order, so folds do too. Section order:
-    // attributor, ledger, analyses.
-    spill->begin_user(task.user);
-    plan.sc->attributor->fold_user(task.user);
-    for (auto* s : plan.shardable) s->fold_user(task.user);
-    spill->end_user();
+  if (fold_on_merge_) {
+    fold(plan, task.user);
+  } else {
+    plan.unfolded.push_back(task.user);
   }
   plan.dropped_packets += chain.filter->dropped_packets();
   plan.dropped_bytes += chain.filter->dropped_bytes();
@@ -662,6 +664,15 @@ void Engine::merge(Plan& plan, Task& task, obs::ShardRunStats& row) {
   plan.source_ms += std::max(0.0, task.wall_ms - accounted_ms);
 }
 
+// Section order within a row group: attributor, ledger, analyses.
+void Engine::fold(Plan& plan, trace::UserId user) {
+  energy::AccountSpill& spill = *plan.sc->spill;
+  spill.begin_user(user);
+  plan.sc->attributor->fold_user(user);
+  for (auto* s : plan.shardable) s->fold_user(user);
+  spill.end_user();
+}
+
 util::Status Engine::close_ready() {
   while (closed_ < plans_.size() && plans_[closed_].pending == 0) {
     if (util::Status st = close(closed_); !st.ok()) return st;
@@ -675,6 +686,11 @@ util::Status Engine::close(std::size_t scenario) {
     write_snapshot();  // the scenario's last stretch
     plan.since_checkpoint = 0;
   }
+  // Deferred folds run after the last snapshot, so no snapshot ever records
+  // a user both pending and folded.
+  std::sort(plan.unfolded.begin(), plan.unfolded.end());
+  for (const trace::UserId user : plan.unfolded) fold(plan, user);
+  plan.unfolded.clear();
   for (auto* parent : plan.parents) parent->on_study_end();
   obs::RunStats& s = *plan.sc->stats;
   const auto& ledger = dynamic_cast<const energy::EnergyLedger&>(*plan.sc->sinks[0].second);
@@ -703,14 +719,12 @@ util::Status Engine::close(std::size_t scenario) {
     s.memory.analyses += plan.sc->sinks[i].second->memory_use();
   }
   if (store_ != nullptr) s.memory.store = store_->memory_use();
-  if (energy::AccountSpill* spill = plan.sc->spill) {
-    // Resident is read before the final seal so the number describes the
-    // bounded pending-writer footprint the run held, not the post-seal zero.
-    s.memory.accounts.resident_bytes = spill->resident_bytes();
-    if (util::Status st = spill->seal(); !st.ok()) return st;
-    if (util::Status st = spill->health(); !st.ok()) return st;
-    s.memory.accounts.spilled_bytes = spill->spilled_bytes();
-  }
+  // Resident is read before the final seal so the number describes the
+  // bounded pending-writer footprint the run held, not the post-seal zero.
+  energy::AccountSpill& spill = *plan.sc->spill;
+  s.memory.accounts.resident_bytes = spill.resident_bytes();
+  if (util::Status st = spill.seal(); !st.ok()) return st;
+  s.memory.accounts.spilled_bytes = spill.spilled_bytes();
   s.memory.peak_rss_bytes = obs::peak_rss_bytes();
   ++closed_;
   // Between scenarios, snapshot the closed one too, so a resume restores it
@@ -745,12 +759,10 @@ void Engine::write_snapshot() {
     for (std::size_t r = 0; r < kRadioCounters.size(); ++r) {
       snap.set_counter(p + kRadioCounters[r], plan.radio[r]);
     }
-    if (energy::AccountSpill* spill = plan.sc->spill) {
-      // Seal BEFORE recording the counter: a resume keeps exactly the files
-      // the snapshot vouches for. Failures latch into health().
-      (void)spill->seal();
-      snap.set_counter(p + "account_sealed_files", spill->sealed_files());
-    }
+    // Seal BEFORE recording the counter: a resume keeps exactly the files
+    // the snapshot vouches for. Failures latch into health().
+    (void)plan.sc->spill->seal();
+    snap.set_counter(p + "account_sealed_files", plan.sc->spill->sealed_files());
     ckpt::ByteWriter failed;
     failed.put_u64_span(stats.failed_users);
     snap.add_section(p + "failed", failed.take());
@@ -771,6 +783,8 @@ util::StatusOr<obs::RunStats> Engine::run() {
   if (util::Status st = prepare(); !st.ok()) return st;
   if (random_access_) {
     user_ids_ = source_.users();
+    fold_on_merge_ = std::adjacent_find(user_ids_.begin(), user_ids_.end(),
+                                        std::greater_equal<>()) == user_ids_.end();
     if (util::Status st = open(source_.meta()); !st.ok()) return st;
     if (util::Status st = run_window(); !st.ok()) return st;
   } else {
@@ -844,6 +858,13 @@ util::StatusOr<obs::RunStats> Engine::run() {
 }
 
 }  // namespace
+
+std::string account_spill_dir(const std::string& account_dir,
+                              const std::string& checkpoint_dir) {
+  if (!account_dir.empty()) return account_dir;
+  if (!checkpoint_dir.empty()) return checkpoint_dir + "/accounts";
+  return {};
+}
 
 util::StatusOr<obs::RunStats> run_scenarios(trace::TraceSource& source,
                                             std::vector<EngineScenario>& scenarios,

@@ -15,12 +15,20 @@
 // thread builds chains serially, in task order (policy factories and
 // clone_shard() need not be thread-safe); workers only run
 // TraceSource::emit_user; the calling thread merges the completed prefix, in
-// order: retries, merge_from, the fold-and-release round, and the
-// ShardRunStats row. W = 1 (one thread) runs each task inline, no pool.
+// order: retries, merge_from, the fold round, and the ShardRunStats row.
+// W = 1 (one thread) runs each task inline, no pool.
+//
+// Every merged user folds (DESIGN.md §15): its rows move from the parents'
+// pending state into their aggregates and its detail into the scenario's
+// AccountSpill. Folds must run in ascending user order, so a source whose
+// users arrive in ascending order folds each user right after its merge;
+// any other source keeps merged users pending and folds them, ascending,
+// when the scenario closes.
 //
 // Forward-only sources (the CSV reader) feed the same merge path
 // at W = 1: a per-user splitter on the reading thread opens a chain at each
-// user bracket and settles it when the bracket closes.
+// user bracket and settles it when the bracket closes. Their user order is
+// unknown until the stream ends, so they always take the deferred folds.
 //
 // Checkpoints (src/ckpt/) fire every checkpoint_every_users merged tasks of
 // a scenario, when a scenario's last task has merged, and as a scenario
@@ -57,8 +65,8 @@ struct EngineScenario {
   trace::Interface interface = trace::Interface::kCellular;
   /// Parent sinks in fan-out order, the energy::EnergyLedger first.
   std::vector<std::pair<std::string, trace::TraceSink*>> sinks;
-  /// Fold-and-release target (DESIGN.md §15), not yet opened; null keeps
-  /// every sink resident. The engine opens it fresh or resumes it.
+  /// The scenario's account spill (DESIGN.md §15), not yet opened; never
+  /// null. The engine opens it fresh or resumes it.
   energy::AccountSpill* spill = nullptr;
   /// This scenario's results: totals, counters, shard rows, stage profile.
   obs::RunStats* stats = nullptr;
@@ -79,6 +87,13 @@ struct EngineOptions {
   /// (tasks merged, tasks this run, scenario index, user).
   std::function<void(std::size_t, std::size_t, std::size_t, trace::UserId)> progress;
 };
+
+/// Where a run's account spill keeps its sealed files (DESIGN.md §15):
+/// `account_dir` when set, else `<checkpoint_dir>/accounts` so a
+/// checkpointed run's detail is durable and its snapshots carry only
+/// aggregates, else empty — in memory.
+[[nodiscard]] std::string account_spill_dir(const std::string& account_dir,
+                                            const std::string& checkpoint_dir);
 
 /// Run every scenario over `source`. Per-scenario results land in each
 /// EngineScenario::stats; the returned RunStats carries the run-level

@@ -46,13 +46,12 @@ util::StatusOr<obs::RunStats> StudyPipeline::run() {
     return util::Status::invalid_argument(
         "account budget requires an account directory (set account_dir)");
   }
-  // Fold-and-release (DESIGN.md §15): a fresh spill per run, or none — so a
-  // pipeline that drops its account_dir between runs is fully resident again.
-  account_spill_.reset();
-  if (!options_.account_dir.empty()) {
-    account_spill_ = std::make_unique<energy::AccountSpill>(
-        energy::AccountSpill::Options{options_.account_dir, options_.account_budget_bytes});
-  }
+  // A fresh account spill per run (DESIGN.md §15): under account_dir, else
+  // under the checkpoint directory so a checkpointed run's detail is
+  // durable and its snapshots carry only aggregates, else in memory.
+  account_spill_ = std::make_shared<energy::AccountSpill>(energy::AccountSpill::Options{
+      internal::account_spill_dir(options_.account_dir, options_.checkpoint_dir),
+      options_.account_budget_bytes});
 
   // One scenario of the execution engine; the ledger leads the fan-out.
   std::vector<internal::EngineScenario> scenario(1);

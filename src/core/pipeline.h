@@ -119,21 +119,21 @@ struct PipelineOptions {
   /// corrupt, or stale (different study/sink set) checkpoint fails run()
   /// with a positioned status — resume never silently restarts from zero.
   bool resume = false;
-  /// Directory for spilled per-user account detail rows (CLI --account-dir).
-  /// Empty (default) keeps every sink fully resident — the classic
-  /// lifecycle. When set, the run goes fold-and-release (DESIGN.md §15):
-  /// after each user's stream completes, the engine folds every opted-in
-  /// sink (attributor, ledger, analyses), the folded detail rows spill to
-  /// WEAC account files under this directory, and the per-user slabs are
-  /// freed — so resident detail memory stays bounded by the spill budget
-  /// instead of growing with the population. Aggregates and every
-  /// cursor-based figure are bit-identical to a resident run. Resuming a
-  /// checkpointed fold run must pass the same directory.
+  /// Directory for the folded per-user account detail rows (CLI
+  /// --account-dir). Every run folds each user as it completes (DESIGN.md
+  /// §15): the engine collapses the user's rows in every sink (attributor,
+  /// ledger, analyses) into running aggregates, the detail rows go to WEAC
+  /// account images, and the per-user slabs are freed — so resident detail
+  /// memory stays bounded instead of growing with the population. The
+  /// images are files under this directory; when it is empty they go under
+  /// `<checkpoint_dir>/accounts` for a checkpointed run, else they stay in
+  /// memory. Aggregates and every cursor-based figure are bit-identical
+  /// wherever the images live. Resuming a checkpointed run must pass the
+  /// same directory.
   std::string account_dir{};
   /// Soft budget for the account spill plane (CLI --account-budget); the
-  /// pending writer seals to disk as it fills so resident account bytes
-  /// stay under it. 0 applies the AccountSpill default. Requires
-  /// account_dir.
+  /// pending writer seals as it fills so unsealed account bytes stay under
+  /// it. 0 applies the AccountSpill default. Requires account_dir.
   std::uint64_t account_budget_bytes = 0;
 };
 
@@ -186,9 +186,9 @@ class StudyPipeline {
   trace::TraceMulticast downstream_;  ///< stays empty: shard chains feed the sinks
   energy::EnergyAttributor attributor_;
   PolicyFactory policy_factory_;
-  /// Live only while account_dir is set; owned here (not per-run) because
-  /// post-run queries read the sealed files through ledger_.account_spill().
-  std::unique_ptr<energy::AccountSpill> account_spill_;
+  /// The last run's account spill; owned here (not per-run) because
+  /// post-run queries read its sealed images through ledger_.account_spill().
+  std::shared_ptr<energy::AccountSpill> account_spill_;
   std::uint64_t off_interface_bytes_ = 0;
   /// Registered analyses, in registration order.
   std::vector<std::pair<std::string, trace::TraceSink*>> analyses_;

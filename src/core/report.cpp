@@ -53,9 +53,9 @@ Report Report::build(const energy::EnergyLedger& ledger, const appmodel::AppCata
 
   const std::size_t n = std::min(options.max_apps, totals.size());
 
-  // One account-cursor pass for every reported app's §5 kill estimate: under
-  // fold mode each pass replays the spilled detail files, so the per-app
-  // convenience call would re-read them max_apps times.
+  // One account-cursor pass for every reported app's §5 kill estimate: each
+  // pass replays the folded account images, so the per-app convenience call
+  // would re-read them max_apps times.
   std::vector<trace::AppId> report_apps;
   report_apps.reserve(n);
   for (std::size_t i = 0; i < n; ++i) report_apps.push_back(totals[i].app);

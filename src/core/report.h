@@ -78,8 +78,8 @@ struct Report {
   std::vector<AppDiagnosis> apps;  ///< ordered by energy, descending
   double total_joules = 0.0;
   double background_fraction = 0.0;
-  /// First error reading spilled account detail rows (fold-and-release
-  /// runs); the report still covers whatever decoded cleanly.
+  /// First error reading the folded account detail rows; the report still
+  /// covers whatever decoded cleanly.
   util::Status account_status;
 
   /// Build from a completed study. `persistence` (if provided) enables the

@@ -73,13 +73,12 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
     attributors.push_back(std::make_unique<energy::EnergyAttributor>(
         scenario.radio_factory ? scenario.radio_factory : radio::make_lte_model, &no_downstream,
         scenario.tail_policy));
-    if (!options_.account_dir.empty()) {
-      // One spill per scenario, under an index-named subdirectory (scenario
-      // names are user strings, not filesystem-safe).
-      account_spills_.push_back(
-          std::make_unique<energy::AccountSpill>(energy::AccountSpill::Options{
-              options_.account_dir + "/s" + std::to_string(si), options_.account_budget_bytes}));
-    }
+    // One spill per scenario, under an index-named subdirectory (scenario
+    // names are user strings, not filesystem-safe), or in memory.
+    std::string account_dir = internal::account_spill_dir(options_.account_dir, options_.checkpoint_dir);
+    if (!account_dir.empty()) account_dir += "/s" + std::to_string(si);
+    account_spills_.push_back(std::make_shared<energy::AccountSpill>(
+        energy::AccountSpill::Options{std::move(account_dir), options_.account_budget_bytes}));
     plan[si].name = scenario.name;
     plan[si].attributor = attributors.back().get();
     plan[si].policy = scenario.policy;
@@ -87,7 +86,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
     plan[si].sinks.emplace_back("ledger", &res.ledger);
     plan[si].sinks.insert(plan[si].sinks.end(), scenario.analyses.begin(),
                           scenario.analyses.end());
-    plan[si].spill = account_spills_.empty() ? nullptr : account_spills_.back().get();
+    plan[si].spill = account_spills_.back().get();
     plan[si].stats = &res.stats;
   }
 

@@ -124,15 +124,15 @@ struct SweepOptions {
   /// Resident column budget for the spilling store (CLI --store-budget).
   /// 0 = fully out-of-core. Ignored when store_dir is empty.
   std::uint64_t store_budget_bytes = 0;
-  /// Fold-and-release account plane (CLI --account-dir, DESIGN.md §15):
-  /// when non-empty, every scenario runs fold-and-release — each user's
-  /// detail rows spill to WEAC files under the per-scenario subdirectory
-  /// s<index> (registration order) as its shard merges, and the per-user
-  /// slabs are freed. Scenario ledgers answer cursor-based queries from the
-  /// spilled rows, bit-identically to a resident sweep. Composes with
-  /// checkpoint_dir: a resume must pass the same directory.
+  /// Account plane directory (CLI --account-dir, DESIGN.md §15): every
+  /// scenario folds each user as its shard merges, and the detail rows go
+  /// to WEAC files under the per-scenario subdirectory s<index>
+  /// (registration order) — of this directory, else of
+  /// `<checkpoint_dir>/accounts`, else they stay in memory. Scenario ledgers
+  /// answer cursor-based queries from those rows, bit-identically wherever
+  /// they live. A resume must pass the same directory.
   std::string account_dir{};
-  /// Soft resident budget per scenario's account spill (CLI
+  /// Soft unsealed-bytes budget per scenario's account spill (CLI
   /// --account-budget); 0 applies the AccountSpill default. Requires
   /// account_dir.
   std::uint64_t account_budget_bytes = 0;
@@ -182,10 +182,10 @@ class SweepEngine {
   trace::SpillingTraceStore store_;
   std::vector<Scenario> scenarios_;
   std::vector<ScenarioResult> results_;
-  /// One spill per scenario (parallel to results_) when account_dir is set;
-  /// owned here because post-run queries read the sealed files through each
-  /// result ledger's account_spill().
-  std::vector<std::unique_ptr<energy::AccountSpill>> account_spills_;
+  /// One spill per scenario (parallel to results_); owned here because
+  /// post-run queries read the sealed images through each result ledger's
+  /// account_spill().
+  std::vector<std::shared_ptr<energy::AccountSpill>> account_spills_;
 };
 
 }  // namespace wildenergy::core

@@ -69,17 +69,13 @@ util::Status decode_ledger_section(trace::UserId user, std::string_view payload,
 }
 
 AccountCursor::AccountCursor(const EnergyLedger& ledger) : ledger_(ledger) {
-  if (ledger.account_spill() != nullptr) {
-    status_ = reader_.open(ledger.account_spill()->dir());
-    if (!status_.ok()) spill_done_ = true;
-  } else {
-    spill_done_ = true;
-  }
+  status_ = reader_.open(ledger.account_spill());
+  if (!status_.ok()) spill_done_ = true;
 }
 
 bool AccountCursor::refill_from_spill() {
-  pending_.clear();
-  pending_pos_ = 0;
+  decoded_.clear();
+  decoded_pos_ = 0;
   const auto& files = reader_.files();
   while (file_idx_ < files.size()) {
     const MappedAccountFile& file = *files[file_idx_];
@@ -89,13 +85,13 @@ bool AccountCursor::refill_from_spill() {
       ++row_idx_;
       const AccountSectionRef* section = file.find_section(row, name_id);
       if (section == nullptr) continue;  // user folded with no ledger detail
-      util::Status st = decode_ledger_section(row.user, file.payload(*section), pending_);
+      util::Status st = decode_ledger_section(row.user, file.payload(*section), decoded_);
       if (!st.ok()) {
         status_ = std::move(st);
         spill_done_ = true;
         return false;
       }
-      if (!pending_.empty()) return true;
+      if (!decoded_.empty()) return true;
     }
     ++file_idx_;
     row_idx_ = 0;
@@ -106,45 +102,43 @@ bool AccountCursor::refill_from_spill() {
 
 const AppUserAccount* AccountCursor::next() {
   while (!spill_done_) {
-    if (pending_pos_ < pending_.size()) return &pending_[pending_pos_++];
+    if (decoded_pos_ < decoded_.size()) return &decoded_[decoded_pos_++];
     if (!refill_from_spill()) break;
   }
   if (!status_.ok()) return nullptr;
-  if (!resident_started_) {
-    resident_started_ = true;
+  if (!pending_started_) {
+    pending_started_ = true;
     const auto view = ledger_.accounts();
-    resident_it_ = view.begin();
-    resident_end_ = view.end();
+    pending_it_ = view.begin();
+    pending_end_ = view.end();
   }
-  if (resident_it_ == resident_end_) return nullptr;
-  const AppUserAccount* acc = &*resident_it_;
-  ++resident_it_;
+  if (pending_it_ == pending_end_) return nullptr;
+  const AppUserAccount* acc = &*pending_it_;
+  ++pending_it_;
   return acc;
 }
 
 util::Status for_each_user_accounts(
     const EnergyLedger& ledger,
     const std::function<void(trace::UserId, std::span<const AppUserAccount>)>& cb) {
-  // Spilled prefix: one row group per folded user, already app-ascending.
-  if (ledger.account_spill() != nullptr) {
-    AccountReader reader;
-    util::Status st = reader.open(ledger.account_spill()->dir());
-    if (!st.ok()) return st;
-    std::vector<AppUserAccount> group;
-    for (const auto& file : reader.files()) {
-      const int name_id = file->find_name(kLedgerSection);
-      for (const AccountUserRow& row : file->rows()) {
-        const AccountSectionRef* section = file->find_section(row, name_id);
-        if (section == nullptr) continue;
-        group.clear();
-        st = decode_ledger_section(row.user, file->payload(*section), group);
-        if (!st.ok()) return st;
-        if (!group.empty()) cb(row.user, group);
-      }
+  // Folded prefix: one row group per folded user, already app-ascending.
+  AccountReader reader;
+  util::Status st = reader.open(ledger.account_spill());
+  if (!st.ok()) return st;
+  std::vector<AppUserAccount> group;
+  for (const auto& file : reader.files()) {
+    const int name_id = file->find_name(kLedgerSection);
+    for (const AccountUserRow& row : file->rows()) {
+      const AccountSectionRef* section = file->find_section(row, name_id);
+      if (section == nullptr) continue;
+      group.clear();
+      st = decode_ledger_section(row.user, file->payload(*section), group);
+      if (!st.ok()) return st;
+      if (!group.empty()) cb(row.user, group);
     }
   }
-  // Resident remainder, user-major app-ascending.
-  std::vector<AppUserAccount> group;
+  // Pending remainder, user-major app-ascending.
+  group.clear();
   trace::UserId current = 0;
   for (const AppUserAccount& acc : ledger.accounts()) {
     if (!group.empty() && acc.user != current) {

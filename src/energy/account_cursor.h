@@ -1,25 +1,25 @@
-// AccountCursor: the one detail-row read path over a fold-and-release run
+// AccountCursor: the one detail-row read path over the account plane
 // (DESIGN.md §15).
 //
-// Downstream consumers (what-if replays, per-user figures, diversity counts)
-// used to iterate EnergyLedger::accounts() — which requires every (user, app)
-// slab resident. Under fold mode those slabs are spilled to WEAC account
-// files and released, so consumers iterate an AccountCursor instead: it
-// yields every account with traffic, user-major and app-ascending, replaying
-// the spilled row groups first (they are the stream-order prefix) and the
-// resident remainder after. For an all-resident ledger the cursor degrades
-// to a thin wrapper over accounts() — the yielded sequence is byte-identical
-// either way, which is what keeps figures and reports bit-identical across
-// the two lifecycles.
+// Every run folds each completed user: the ledger collapses the user's
+// (user, app) slabs into running aggregates and spills the detail rows
+// through its AccountSpill (files, or in-memory images without a
+// directory). Consumers (what-if replays, per-user figures, diversity
+// counts) iterate an AccountCursor: it yields every account with traffic,
+// user-major and app-ascending, replaying the folded row groups first (they
+// are the ascending prefix) and the ledger's pending rows after — the users
+// fed or merged but not yet folded. The sequence is the same however far
+// the folds got, which is what keeps figures and reports bit-identical
+// across account directories, checkpoints and thread counts.
 //
 // Usage:
 //   AccountCursor cursor{ledger};
 //   while (const AppUserAccount* acc = cursor.next()) { ... }
-//   if (!cursor.status().ok()) { /* corrupt account file */ }
+//   if (!cursor.status().ok()) { /* missing or corrupt account image */ }
 //
 // next() returns nullptr at end OR on a decode error — always check
-// status() after the loop. Spill-backed rows decode into cursor-owned
-// scratch, invalidated by the following next() call.
+// status() after the loop. Folded rows decode into cursor-owned scratch,
+// invalidated by the following next() call.
 #pragma once
 
 #include <cstdint>
@@ -44,21 +44,21 @@ inline constexpr const char* kLedgerSection = "ledger";
 
 class AccountCursor {
  public:
-  /// Binds to `ledger`'s current backend: when the ledger folded through an
-  /// AccountSpill, the spill directory is mapped up front (open errors
-  /// surface through status() and the cursor yields nothing).
+  /// Binds to `ledger`: the sealed images of its AccountSpill are opened up
+  /// front (open errors surface through status() and the cursor yields
+  /// nothing).
   explicit AccountCursor(const EnergyLedger& ledger);
 
   /// The next account with traffic, or nullptr when exhausted (or when a
-  /// spilled row failed to decode — check status()). Spill-backed returns
-  /// point into cursor scratch and are invalidated by the next call.
+  /// folded row failed to decode — check status()). Folded returns point
+  /// into cursor scratch and are invalidated by the next call.
   [[nodiscard]] const AppUserAccount* next();
 
-  /// OK unless a spilled account file failed to open or decode.
+  /// OK unless an account image was missing or failed to open or decode.
   [[nodiscard]] const util::Status& status() const { return status_; }
 
  private:
-  /// Refill pending_ with the next spilled row group; false when spilled
+  /// Refill decoded_ with the next folded row group; false when folded
   /// rows are exhausted (or an error latched).
   [[nodiscard]] bool refill_from_spill();
 
@@ -69,18 +69,18 @@ class AccountCursor {
   bool spill_done_ = false;
   std::size_t file_idx_ = 0;
   std::size_t row_idx_ = 0;
-  std::vector<AppUserAccount> pending_;  ///< decoded current row group
-  std::size_t pending_pos_ = 0;
+  std::vector<AppUserAccount> decoded_;  ///< decoded current row group
+  std::size_t decoded_pos_ = 0;
 
-  bool resident_started_ = false;
-  EnergyLedger::AccountIterator resident_it_;
-  EnergyLedger::AccountIterator resident_end_;
+  bool pending_started_ = false;
+  EnergyLedger::AccountIterator pending_it_;
+  EnergyLedger::AccountIterator pending_end_;
 };
 
 /// User-grouped iteration for consumers that need one user's accounts
 /// together (per-user energy figures, app-diversity counts, what-if
 /// percentiles): cb(user, accounts) fires once per user with traffic, in
-/// the cursor order (spilled prefix, then resident), with that user's
+/// the cursor order (folded prefix, then pending), with that user's
 /// accounts app-ascending. The span is only valid inside the callback.
 [[nodiscard]] util::Status for_each_user_accounts(
     const EnergyLedger& ledger,

@@ -193,6 +193,13 @@ util::Status MappedAccountFile::open(const std::string& path) {
   return parse();
 }
 
+util::Status MappedAccountFile::open_image(const std::string& label, std::string_view bytes) {
+  path_ = label;
+  data_ = bytes.data();
+  size_ = bytes.size();
+  return parse();
+}
+
 util::Status MappedAccountFile::parse() {
   constexpr std::size_t kHeader = sizeof kAccountMagic + 1;
   constexpr std::size_t kFooter = 16;  // index offset + checksum
@@ -316,6 +323,12 @@ AccountSpill::AccountSpill(Options options)
                                                  : kDefaultFlushBytes) {}
 
 util::Status AccountSpill::open_fresh() {
+  writer_.reset();
+  images_.clear();
+  spilled_bytes_ = 0;
+  sealed_files_ = 0;
+  health_ = util::Status::ok_status();
+  if (options_.dir.empty()) return util::Status::ok_status();
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
   if (ec) {
@@ -333,6 +346,12 @@ util::Status AccountSpill::open_fresh() {
 }
 
 util::Status AccountSpill::resume(std::uint64_t sealed_files) {
+  if (options_.dir.empty()) {
+    if (sealed_files == 0) return open_fresh();
+    return util::Status::failed_precondition(
+        "checkpoint recorded " + std::to_string(sealed_files) +
+        " sealed account files, but this account spill keeps no directory");
+  }
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
   if (ec) {
@@ -394,45 +413,82 @@ util::Status AccountSpill::seal() {
 }
 
 util::Status AccountSpill::flush_writer() {
-  const std::string bytes = writer_->finish();
+  std::string bytes = writer_->finish();
   writer_.reset();
-  const std::string name = account_file_name(sealed_files_ + 1);
-  util::Status st = write_file_atomic(options_.dir, name, bytes);
-  if (!st.ok()) return st;
+  const std::uint64_t size = bytes.size();
+  if (options_.dir.empty()) {
+    images_.push_back(std::move(bytes));
+  } else {
+    util::Status st = write_file_atomic(options_.dir, account_file_name(sealed_files_ + 1), bytes);
+    if (!st.ok()) return st;
+  }
   ++sealed_files_;
-  spilled_bytes_ += bytes.size();
+  spilled_bytes_ += size;
   return util::Status::ok_status();
 }
 
 std::uint64_t AccountSpill::resident_bytes() const {
-  return writer_ != nullptr ? writer_->size() : 0;
+  const std::uint64_t pending = writer_ != nullptr ? writer_->size() : 0;
+  return options_.dir.empty() ? pending + spilled_bytes_ : pending;
+}
+
+std::size_t AccountSpill::unsealed_groups() const {
+  return writer_ != nullptr ? writer_->group_count() : 0;
+}
+
+std::shared_ptr<AccountSpill> share_spill(AccountSpill* spill) {
+  if (spill == nullptr) return nullptr;
+  if (std::shared_ptr<AccountSpill> owned = spill->weak_from_this().lock()) return owned;
+  return {std::shared_ptr<AccountSpill>{}, spill};  // borrowed: no ownership
 }
 
 // --- AccountReader ---------------------------------------------------------
 
-util::Status AccountReader::open(const std::string& dir) {
+util::Status AccountReader::open(const AccountSpill* spill) {
   files_.clear();
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return util::Status::ok_status();
-  for (const auto& [seq, name] : list_account_files(dir)) {
+  if (spill == nullptr) return util::Status::ok_status();
+  if (util::Status st = spill->health(); !st.ok()) return st;
+  if (spill->unsealed_groups() > 0) {
+    return util::Status::failed_precondition(
+        "account spill holds " + std::to_string(spill->unsealed_groups()) +
+        " unsealed row groups; seal() it before reading");
+  }
+  const std::uint64_t sealed = spill->sealed_files();
+  if (spill->dir().empty()) {
+    for (std::uint64_t seq = 1; seq <= sealed; ++seq) {
+      auto file = std::make_unique<MappedAccountFile>();
+      util::Status st = file->open_image(account_file_name(seq) + " (in memory)",
+                                         spill->images()[seq - 1]);
+      if (!st.ok()) return st;
+      files_.push_back(std::move(file));
+    }
+    return util::Status::ok_status();
+  }
+  // Exactly the sequence 1..sealed: a gap means the directory lost a file,
+  // and a file past the count was not sealed by this spill — neither may
+  // pass for fewer or duplicated rows.
+  const fs::path dir = spill->dir();
+  const std::string sealed_note = " (the spill sealed " + std::to_string(sealed) + " files)";
+  std::uint64_t expected = 1;
+  for (const auto& [seq, name] : list_account_files(spill->dir())) {
+    if (seq > sealed) {
+      return util::Status::data_loss("account file " + (dir / name).string() +
+                                     ": not sealed by this run" + sealed_note);
+    }
+    if (seq != expected) break;  // file `expected` is missing
+    ++expected;
+  }
+  if (expected <= sealed) {
+    return util::Status::data_loss("account file " + (dir / account_file_name(expected)).string() +
+                                   ": missing" + sealed_note);
+  }
+  for (std::uint64_t seq = 1; seq <= sealed; ++seq) {
     auto file = std::make_unique<MappedAccountFile>();
-    util::Status st = file->open((fs::path(dir) / name).string());
+    util::Status st = file->open((dir / account_file_name(seq)).string());
     if (!st.ok()) return st;
     files_.push_back(std::move(file));
   }
   return util::Status::ok_status();
-}
-
-std::size_t AccountReader::num_rows() const {
-  std::size_t n = 0;
-  for (const auto& f : files_) n += f->rows().size();
-  return n;
-}
-
-std::uint64_t AccountReader::file_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& f : files_) n += f->file_bytes();
-  return n;
 }
 
 void AccountReader::for_each_section(

@@ -1,15 +1,15 @@
-// WEAC per-user account files: the spilled half of the fold-and-release
-// analysis plane (DESIGN.md §15).
+// WEAC per-user account files: the folded half of the account plane
+// (DESIGN.md §15).
 //
-// Under fold-and-release, sinks collapse each completed user's detail state
-// into running aggregates and release the slab — but several consumers
+// Every run folds each completed user's detail state into running
+// aggregates and releases the per-user rows — but several consumers
 // (what-if replays, per-user figures, persistence CDFs) still need the
 // per-user detail rows. Those rows are spilled here: one *row group* per
 // user, each holding named byte sections ("ledger", "attrib", "persist",
 // ...) encoded by the owning sink with ckpt/codec.h primitives. Groups land
-// in stream order, so reading the files back in sequence replays every
-// user's detail in exactly the order a fully resident run would have
-// iterated them.
+// in fold order (ascending user id), so reading the images back in sequence
+// replays every user's detail in exactly the order the sinks' query-time
+// folds visit them.
 //
 // File layout (all multi-byte integers are ckpt/codec.h primitives):
 //
@@ -31,10 +31,13 @@
 // file can never silently feed wrong detail rows to a figure
 // (tests/account_plane_test.cpp corruption matrix).
 //
-// A run spills through AccountSpill, which rolls sealed files
-// (accounts_%08u.weac, tmp-write + rename) when the pending writer crosses
-// the flush threshold; AccountReader maps every sealed file in a directory
-// back, in sequence order, for the cursor layer (energy/account_cursor.h).
+// A run spills through AccountSpill, which seals the pending writer into an
+// image when it crosses the flush threshold. With a directory each image is
+// a file (accounts_%08u.weac, tmp-write + rename); without one the images
+// stay in memory and no file is touched. AccountReader opens exactly the
+// images 1..sealed_files() of a spill, in sequence order, for the cursor
+// layer (energy/account_cursor.h) — a missing or extra file is an error,
+// never fewer rows.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +122,12 @@ class MappedAccountFile {
   /// Open + verify `path`. Any framing, checksum, or index inconsistency is
   /// a positioned data_loss status naming the file.
   [[nodiscard]] util::Status open(const std::string& path);
+  /// Verify an in-memory image the caller keeps alive, as the buffered read
+  /// path does; `label` names it in errors.
+  [[nodiscard]] util::Status open_image(const std::string& label, std::string_view bytes);
 
   [[nodiscard]] const std::vector<std::string>& names() const { return names_; }
   [[nodiscard]] const std::vector<AccountUserRow>& rows() const { return rows_; }
-  [[nodiscard]] std::uint64_t file_bytes() const { return size_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
   /// Interned id of `name` in this file, or -1 when absent.
@@ -149,31 +154,35 @@ class MappedAccountFile {
 };
 
 /// The run-side spill target sinks write through during fold_user. The
-/// engine brackets each fold round (begin_user .. end_user); every opted-in
-/// sink appends its named section in between. Sealed files roll when the
-/// pending writer crosses the flush threshold, so resident spill state stays
-/// bounded no matter how many users fold.
-class AccountSpill {
+/// engine brackets each fold round (begin_user .. end_user); every sink
+/// appends its named section in between. The pending writer seals into an
+/// image when it crosses the flush threshold — a file under the directory,
+/// or, with no directory, an image kept in memory — so the unsealed state
+/// stays bounded no matter how many users fold.
+class AccountSpill : public std::enable_shared_from_this<AccountSpill> {
  public:
   struct Options {
-    /// Directory for sealed account files; created if missing.
+    /// Directory for sealed account files; created if missing. Empty keeps
+    /// the sealed images in memory and touches no file.
     std::string dir;
     /// Soft budget for the account plane. The pending in-memory writer is
-    /// sealed to disk whenever it crosses half this budget (a sane default
-    /// applies when 0), so resident account bytes stay < budget while file
+    /// sealed whenever it crosses half this budget (a sane default applies
+    /// when 0), so unsealed account bytes stay < budget while the image
     /// count stays modest.
     std::uint64_t budget_bytes = 0;
   };
 
   explicit AccountSpill(Options options);
 
-  /// Create the directory and remove stale account files from a previous
-  /// run. Fresh-run entry point; resuming runs call resume() instead.
+  /// Forget every sealed image: create the directory and remove stale
+  /// account files from a previous run, or drop the in-memory images.
+  /// Fresh-run entry point; resuming runs call resume() instead.
   [[nodiscard]] util::Status open_fresh();
   /// Keep the first `sealed_files` account files (the checkpoint recorded
   /// them durable), delete any later ones (sealed after the checkpoint — the
   /// re-run users will respill), and continue numbering after the kept
-  /// prefix.
+  /// prefix. An in-memory spill has nothing durable to keep, so it resumes
+  /// only from zero.
   [[nodiscard]] util::Status resume(std::uint64_t sealed_files);
 
   void begin_user(trace::UserId user);
@@ -181,23 +190,30 @@ class AccountSpill {
   /// accounting (each sink counts only its sections, so the plane's total is
   /// the sum over sinks without double counting).
   std::size_t add_section(std::string_view name, std::string_view payload);
-  /// Close the user's row group; seals the pending writer into a file when
-  /// it crossed the flush threshold. Failures latch into health().
+  /// Close the user's row group; seals the pending writer when it crossed
+  /// the flush threshold. Failures latch into health().
   void end_user();
-  /// Flush the pending writer (if it holds any groups) so every spilled row
-  /// is durable. Call at end of run, and before checkpointing.
+  /// Seal the pending writer (if it holds any groups) so every spilled row
+  /// is readable. Call at end of run, and before checkpointing.
   [[nodiscard]] util::Status seal();
 
+  /// Empty for an in-memory spill.
   [[nodiscard]] const std::string& dir() const { return options_.dir; }
-  /// Bytes held by the pending (unsealed) writer.
+  /// Bytes held in memory: the pending (unsealed) writer, plus the sealed
+  /// images of an in-memory spill.
   [[nodiscard]] std::uint64_t resident_bytes() const;
-  /// Bytes sealed into account files on disk.
+  /// Bytes sealed into images (files, or memory without a directory).
   [[nodiscard]] std::uint64_t spilled_bytes() const { return spilled_bytes_; }
-  /// Sealed file count — the checkpoint counter that makes spills resumable.
+  /// Sealed image count — the checkpoint counter that makes spills resumable.
   [[nodiscard]] std::uint64_t sealed_files() const { return sealed_files_; }
+  /// Row groups appended since the last seal; readers refuse a spill with
+  /// any, since their rows are in no image yet.
+  [[nodiscard]] std::size_t unsealed_groups() const;
   /// Non-OK when a spill write failed: detail rows are incomplete and
-  /// cursor-based consumers must not trust the directory.
+  /// cursor-based consumers must not trust the spill.
   [[nodiscard]] util::Status health() const { return health_; }
+  /// The sealed in-memory images, in sequence order (empty with a directory).
+  [[nodiscard]] const std::vector<std::string>& images() const { return images_; }
 
  private:
   [[nodiscard]] util::Status flush_writer();
@@ -205,24 +221,30 @@ class AccountSpill {
   Options options_;
   std::uint64_t flush_threshold_;
   std::unique_ptr<AccountFileWriter> writer_;
+  std::vector<std::string> images_;  ///< sealed images when dir is empty
   std::uint64_t spilled_bytes_ = 0;
   std::uint64_t sealed_files_ = 0;
   util::Status health_;
 };
 
-/// Maps every sealed account file under a directory, in sequence order. The
-/// global row order — file order, then group order within each file — is the
-/// stream order the rows were folded in (ascending user id).
+/// A handle to `spill` for the sinks that read it back at query time. A
+/// spill owned by a std::shared_ptr (the pipeline and sweep make theirs that
+/// way) is kept alive, so ledger copies and analyses can outlive the run
+/// that filled them; any other spill is borrowed, and its owner must outlive
+/// the readers. Null stays null.
+[[nodiscard]] std::shared_ptr<AccountSpill> share_spill(AccountSpill* spill);
+
+/// Opens every sealed image of a spill, in sequence order. The global row
+/// order — image order, then group order within each image — is the fold
+/// order (ascending user id).
 class AccountReader {
  public:
-  /// Open + verify every accounts_*.weac under `dir` (positioned error on
-  /// the first bad file). An empty or missing directory opens empty.
-  [[nodiscard]] util::Status open(const std::string& dir);
+  /// Open + verify exactly the images 1..sealed_files() of `spill`. A
+  /// missing file, an extra one past the count, or a bad image is a data_loss
+  /// status naming the file; a spill with unsealed groups or a failed write
+  /// is refused. A null spill (a sink that never folded) opens empty.
+  [[nodiscard]] util::Status open(const AccountSpill* spill);
 
-  [[nodiscard]] std::size_t num_files() const { return files_.size(); }
-  /// Total row groups (= folded users) across all files.
-  [[nodiscard]] std::size_t num_rows() const;
-  [[nodiscard]] std::uint64_t file_bytes() const;
   [[nodiscard]] const std::vector<std::unique_ptr<MappedAccountFile>>& files() const {
     return files_;
   }

@@ -1,13 +1,24 @@
 #include "energy/attributor.h"
 
-#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "energy/account_file.h"
 #include "radio/burst_machine.h"
 
 namespace wildenergy::energy {
+
+namespace {
+
+/// Every UserEnergy field, in the order rows and snapshots encode them.
+constexpr double EnergyAttributor::UserEnergy::*kEnergyFields[] = {
+    &EnergyAttributor::UserEnergy::device,    &EnergyAttributor::UserEnergy::attributed,
+    &EnergyAttributor::UserEnergy::baseline,  &EnergyAttributor::UserEnergy::tail,
+    &EnergyAttributor::UserEnergy::promotion, &EnergyAttributor::UserEnergy::transfer,
+};
+
+}  // namespace
 
 void AttributionCounters::merge_from(const AttributionCounters& other) {
   packets += other.packets;
@@ -35,19 +46,8 @@ EnergyAttributor::EnergyAttributor(RadioModelFactory factory, trace::TraceSink* 
 
 void EnergyAttributor::on_study_begin(const trace::StudyMeta& meta) {
   meta_ = meta;
-  if (!single_user()) {
-    per_user_.assign(meta.num_users, UserEnergy{});
-    user_touched_.assign(meta.num_users, false);
-  } else {
-    // Fold mode and shard clones never allocate the dense per-user array:
-    // one live slot (a stream or a clone) or a small staging buffer (merges)
-    // is the whole per-user footprint.
-    per_user_.clear();
-    user_touched_.clear();
-  }
+  pending_.clear();
   folded_ = UserEnergy{};
-  live_valid_ = false;
-  staged_.clear();
   spilled_self_ = 0;
   current_ = nullptr;
   counters_ = {};
@@ -58,24 +58,7 @@ void EnergyAttributor::on_user_begin(trace::UserId user) {
   ++counters_.users;
   model_ = factory_();
   burst_ = dynamic_cast<radio::BurstMachine*>(model_.get());
-  if (single_user()) {
-    live_ = UserEnergy{};
-    live_user_ = user;
-    live_valid_ = true;
-    current_ = &live_;
-  } else {
-    if (user >= per_user_.size()) {
-      // Out-of-hint ids (hand-built streams with a zero StudyMeta) grow the
-      // array geometrically — the old exact resize(user + 1) re-touched
-      // every slot once per new user, quadratic over a cold stream.
-      const std::size_t grown =
-          std::max<std::size_t>(user + 1, per_user_.size() + per_user_.size() / 2);
-      per_user_.resize(grown);
-      user_touched_.resize(grown, false);
-    }
-    current_ = &per_user_[user];
-    user_touched_[user] = true;
-  }
+  current_ = &pending_[user];
   window_.clear();
   held_transitions_.clear();
   out_.clear();
@@ -239,113 +222,38 @@ void EnergyAttributor::on_user_end(trace::UserId user) {
 
 void EnergyAttributor::on_study_end() { downstream_->on_study_end(); }
 
-// The fold visits touched users in ascending id, matching the user-bracket
-// order of a serial pass and the merge order of a sharded one.
-double EnergyAttributor::device_joules() const {
-  double total = folded_.device;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].device;
-  }
-  for (const auto& [user, e] : staged_) total += e.device;
-  if (live_valid_) total += live_.device;
-  return total;
+// The fold visits pending users in ascending id after the folded prefix,
+// matching the user-bracket order of a serial pass and the merge order of a
+// sharded one.
+double EnergyAttributor::total(double UserEnergy::*field) const {
+  double sum = folded_.*field;
+  for (const auto& [user, e] : pending_) sum += e.*field;
+  return sum;
 }
 
-double EnergyAttributor::attributed_joules() const {
-  double total = folded_.attributed;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].attributed;
-  }
-  for (const auto& [user, e] : staged_) total += e.attributed;
-  if (live_valid_) total += live_.attributed;
-  return total;
-}
-
-double EnergyAttributor::baseline_joules() const {
-  double total = folded_.baseline;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].baseline;
-  }
-  for (const auto& [user, e] : staged_) total += e.baseline;
-  if (live_valid_) total += live_.baseline;
-  return total;
-}
-
-double EnergyAttributor::tail_joules() const {
-  double total = folded_.tail;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].tail;
-  }
-  for (const auto& [user, e] : staged_) total += e.tail;
-  if (live_valid_) total += live_.tail;
-  return total;
-}
-
-double EnergyAttributor::promotion_joules() const {
-  double total = folded_.promotion;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].promotion;
-  }
-  for (const auto& [user, e] : staged_) total += e.promotion;
-  if (live_valid_) total += live_.promotion;
-  return total;
-}
-
-double EnergyAttributor::transfer_joules() const {
-  double total = folded_.transfer;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].transfer;
-  }
-  for (const auto& [user, e] : staged_) total += e.transfer;
-  if (live_valid_) total += live_.transfer;
-  return total;
-}
-
-// --- fold-and-release ------------------------------------------------------
+// --- account plane ---------------------------------------------------------
 
 void EnergyAttributor::fold_user(trace::UserId user) {
-  if (spill_ == nullptr) return;
-  const UserEnergy* row = nullptr;
-  auto staged_it = staged_.end();
-  if (live_valid_ && live_user_ == user) {
-    row = &live_;
-  } else {
-    staged_it = std::find_if(staged_.begin(), staged_.end(),
-                             [user](const auto& entry) { return entry.first == user; });
-    if (staged_it != staged_.end()) row = &staged_it->second;
-  }
-  if (row == nullptr) return;  // user never began a bracket here
-  // Folds arrive in stream order (ascending user id): the same addition
-  // sequence the query-time loops perform over a dense resident array.
-  folded_.device += row->device;
-  folded_.attributed += row->attributed;
-  folded_.baseline += row->baseline;
-  folded_.tail += row->tail;
-  folded_.promotion += row->promotion;
-  folded_.transfer += row->transfer;
+  if (spill_ == nullptr) return;  // unarmed: the row stays pending
+  const auto it = pending_.find(user);
+  if (it == pending_.end()) return;  // user never began a bracket here
+  const UserEnergy& row = it->second;
   ckpt::ByteWriter out;
-  out.put_f64(row->device);
-  out.put_f64(row->attributed);
-  out.put_f64(row->baseline);
-  out.put_f64(row->tail);
-  out.put_f64(row->promotion);
-  out.put_f64(row->transfer);
-  spilled_self_ += spill_->add_section("attrib", out.bytes());
-  if (staged_it != staged_.end()) {
-    staged_.erase(staged_it);
-  } else {
-    live_valid_ = false;
-    current_ = nullptr;
+  for (double UserEnergy::*field : kEnergyFields) {
+    folded_.*field += row.*field;
+    out.put_f64(row.*field);
   }
+  spilled_self_ += spill_->add_section("attrib", out.bytes());
+  if (current_ == &it->second) current_ = nullptr;
+  pending_.erase(it);
 }
 
 util::Status EnergyAttributor::decode_user_energy(std::string_view payload, UserEnergy& out) {
   ckpt::ByteReader in{payload};
-  for (double* field : {&out.device, &out.attributed, &out.baseline, &out.tail, &out.promotion,
-                        &out.transfer}) {
+  for (double UserEnergy::*field : kEnergyFields) {
     const auto v = in.get_f64("attrib row energy");
     if (!v.ok()) return v.status();
-    *field = *v;
+    out.*field = *v;
   }
   if (!in.at_end()) {
     return util::Status::data_loss("attrib row: trailing bytes at offset " +
@@ -355,36 +263,19 @@ util::Status EnergyAttributor::decode_user_energy(std::string_view payload, User
 }
 
 obs::MemoryUse EnergyAttributor::memory_use() const {
-  return {.resident_bytes = per_user_.capacity() * sizeof(UserEnergy) +
-                            user_touched_.capacity() / 8 +
-                            staged_.capacity() * sizeof(staged_[0]),
+  return {.resident_bytes = pending_.size() * sizeof(decltype(pending_)::value_type),
           .spilled_bytes = spilled_self_};
 }
 
 void EnergyAttributor::save_state(ckpt::ByteWriter& out) const {
-  // Leading mode byte: 0 = dense resident partials (historical body
-  // follows); 1 = fold mode, folded aggregates first.
-  out.put_u8(spill_ != nullptr ? 1 : 0);
-  if (spill_ != nullptr) {
-    out.put_f64(folded_.device);
-    out.put_f64(folded_.attributed);
-    out.put_f64(folded_.baseline);
-    out.put_f64(folded_.tail);
-    out.put_f64(folded_.promotion);
-    out.put_f64(folded_.transfer);
-    out.put_varint(spilled_self_);
-  }
-  out.put_varint(per_user_.size());
-  out.put_bool_vec(user_touched_);
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (!user_touched_[user]) continue;
-    const UserEnergy& e = per_user_[user];
-    out.put_f64(e.device);
-    out.put_f64(e.attributed);
-    out.put_f64(e.baseline);
-    out.put_f64(e.tail);
-    out.put_f64(e.promotion);
-    out.put_f64(e.transfer);
+  for (double UserEnergy::*field : kEnergyFields) out.put_f64(folded_.*field);
+  out.put_varint(spilled_self_);
+  out.put_varint(pending_.size());
+  trace::UserId prev = 0;
+  for (const auto& [user, e] : pending_) {
+    out.put_varint(user - prev);
+    prev = user;
+    for (double UserEnergy::*field : kEnergyFields) out.put_f64(e.*field);
   }
   const std::uint64_t counters[] = {
       counters_.packets,         counters_.transitions,        counters_.users,
@@ -396,49 +287,35 @@ void EnergyAttributor::save_state(ckpt::ByteWriter& out) const {
 }
 
 util::Status EnergyAttributor::restore_state(ckpt::ByteReader& in) {
-  auto mode = in.get_u8("attributor.mode");
-  if (!mode.ok()) return mode.status();
-  if (*mode > 1) {
-    return util::Status::data_loss("corrupt checkpoint: unknown attributor mode " +
-                                   std::to_string(*mode));
-  }
-  folded_ = UserEnergy{};
-  spilled_self_ = 0;
-  live_valid_ = false;
-  staged_.clear();
-  if (*mode == 1) {
-    for (double* field : {&folded_.device, &folded_.attributed, &folded_.baseline, &folded_.tail,
-                          &folded_.promotion, &folded_.transfer}) {
-      auto v = in.get_f64("attributor.folded");
-      if (!v.ok()) return v.status();
-      *field = *v;
-    }
-    auto spilled = in.get_varint("attributor.folded.spilled_bytes");
-    if (!spilled.ok()) return spilled.status();
-    spilled_self_ = *spilled;
-  }
-  auto num_users = in.get_varint("attributor.users");
-  if (!num_users.ok()) return num_users.status();
-  auto status = in.get_bool_vec(user_touched_, "attributor.touched");
-  if (!status.ok()) return status;
-  if (user_touched_.size() != *num_users) {
-    return util::Status::data_loss("corrupt checkpoint: attributor touched flags mismatch");
-  }
-  per_user_.assign(*num_users, UserEnergy{});
+  pending_.clear();
   current_ = nullptr;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (!user_touched_[user]) continue;
-    UserEnergy& e = per_user_[user];
-    for (double* field : {&e.device, &e.attributed, &e.baseline, &e.tail, &e.promotion,
-                          &e.transfer}) {
+  for (double UserEnergy::*field : kEnergyFields) {
+    auto v = in.get_f64("attributor.folded");
+    if (!v.ok()) return v.status();
+    folded_.*field = *v;
+  }
+  auto spilled = in.get_varint("attributor.folded.spilled_bytes");
+  if (!spilled.ok()) return spilled.status();
+  spilled_self_ = *spilled;
+  auto num_pending = in.get_varint("attributor.pending");
+  if (!num_pending.ok()) return num_pending.status();
+  std::uint64_t user = 0;
+  for (std::uint64_t i = 0; i < *num_pending; ++i) {
+    auto delta = in.get_varint("attributor.pending.user");
+    if (!delta.ok()) return delta.status();
+    user += *delta;
+    if (user > std::numeric_limits<trace::UserId>::max()) {
+      return util::Status::data_loss("corrupt checkpoint: attributor user id out of range");
+    }
+    UserEnergy& e = pending_[static_cast<trace::UserId>(user)];
+    for (double UserEnergy::*field : kEnergyFields) {
       auto v = in.get_f64("attributor.energy");
       if (!v.ok()) return v.status();
-      *field = *v;
+      e.*field = *v;
     }
   }
   std::uint64_t counters[10] = {};
-  status = in.get_u64_span(counters, "attributor.counters");
-  if (!status.ok()) return status;
+  if (util::Status st = in.get_u64_span(counters, "attributor.counters"); !st.ok()) return st;
   counters_.packets = counters[0];
   counters_.transitions = counters[1];
   counters_.users = counters[2];
@@ -454,28 +331,14 @@ util::Status EnergyAttributor::restore_state(ckpt::ByteReader& in) {
 
 std::unique_ptr<EnergyAttributor> EnergyAttributor::clone_shard(
     trace::TraceSink* downstream) const {
-  auto clone = std::make_unique<EnergyAttributor>(factory_, downstream, policy_);
-  clone->shard_ = true;
-  return clone;
+  return std::make_unique<EnergyAttributor>(factory_, downstream, policy_);
 }
 
-void EnergyAttributor::merge_from(const EnergyAttributor& shard) {
+void EnergyAttributor::merge_from(EnergyAttributor& shard) {
   counters_.merge_from(shard.counters_);
-  if (!shard.live_valid_) return;  // the clone's user never began a bracket
-  if (spill_ != nullptr) {
-    // Fold mode: stage the row until the engine's fold_user call collapses
-    // and spills it — the parent never grows a dense per-user array.
-    staged_.emplace_back(shard.live_user_, shard.live_);
-    return;
-  }
-  const trace::UserId user = shard.live_user_;
-  if (user >= per_user_.size()) {
-    per_user_.resize(user + 1);
-    user_touched_.resize(user + 1, false);
-  }
-  assert(!user_touched_[user]);
-  per_user_[user] = shard.live_;
-  user_touched_[user] = true;
+  pending_.merge(shard.pending_);
+  assert(shard.pending_.empty());  // users are disjoint
+  shard.current_ = nullptr;
 }
 
 }  // namespace wildenergy::energy

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -120,19 +121,20 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   /// for every batch size.
   void on_batch(const trace::EventBatch& batch) override;
 
-  // Study-wide energy totals. Each is kept as per-user partial sums and
-  // folded in user-id order here, so a sharded run merged in user order
-  // yields bit-identical values to the serial pass (trace/shardable.h).
+  // Study-wide energy totals: the folded aggregate, then each pending user's
+  // partials in ascending user order — the same fold however far the folds
+  // got, so a sharded run merged in user order yields bit-identical values
+  // to the serial pass (trace/shardable.h).
 
   /// Total energy of every segment (incl. idle baseline) — the device total.
-  [[nodiscard]] double device_joules() const;
+  [[nodiscard]] double device_joules() const { return total(&UserEnergy::device); }
   /// Energy attributed to apps (promotion + transfer + tail).
-  [[nodiscard]] double attributed_joules() const;
+  [[nodiscard]] double attributed_joules() const { return total(&UserEnergy::attributed); }
   /// Idle/paging baseline energy (never attributed).
-  [[nodiscard]] double baseline_joules() const;
-  [[nodiscard]] double tail_joules() const;
-  [[nodiscard]] double promotion_joules() const;
-  [[nodiscard]] double transfer_joules() const;
+  [[nodiscard]] double baseline_joules() const { return total(&UserEnergy::baseline); }
+  [[nodiscard]] double tail_joules() const { return total(&UserEnergy::tail); }
+  [[nodiscard]] double promotion_joules() const { return total(&UserEnergy::promotion); }
+  [[nodiscard]] double transfer_joules() const { return total(&UserEnergy::transfer); }
   /// Event counters for this run (reset on each study begin).
   [[nodiscard]] const AttributionCounters& counters() const { return counters_; }
 
@@ -140,21 +142,19 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   /// feeding `downstream`, for one user's shard chain. It holds only that
   /// user's partials, whatever the study size.
   [[nodiscard]] std::unique_ptr<EnergyAttributor> clone_shard(trace::TraceSink* downstream) const;
-  /// Fold a clone's per-user energy and counters into this one (called by
-  /// the engine in stream order; users must be disjoint).
-  void merge_from(const EnergyAttributor& shard);
+  /// Fold a clone's counters into this one and steal its per-user row
+  /// (called by the engine in stream order; users must be disjoint).
+  void merge_from(EnergyAttributor& shard);
 
-  // -- fold-and-release (DESIGN.md §15) -------------------------------------
-  /// Arm fold mode: the dense per-user partial array is not allocated at
-  /// all. Serial runs accumulate into a single live slot; sharded runs stage
-  /// merged rows in a small buffer. fold_user() then folds the completed
-  /// user's partials into the study-wide accumulators (in stream order —
-  /// bit-identical to the ascending query-time folds), spills them as an
-  /// "attrib" row-group section, and drops the row.
+  // -- account plane (DESIGN.md §15) -----------------------------------------
+  /// The spill fold_user() writes through. Unarmed, the attributor never
+  /// folds and every user's partials stay pending.
   void set_account_spill(AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
-  /// The engine calls this explicitly (the attributor sits above the fan-out
-  /// and is not a ShardableSink).
+  /// Fold `user`'s pending partials into the study-wide aggregate (in
+  /// ascending user order — the additions every query performs), spill them
+  /// as an "attrib" row-group section, and drop the row. The engine calls
+  /// this explicitly (the attributor sits above the fan-out and is not a
+  /// ShardableSink).
   void fold_user(trace::UserId user);
   /// Decode one spilled "attrib" section (the fold_user encode mirror).
   [[nodiscard]] static util::Status decode_user_energy(std::string_view payload,
@@ -162,8 +162,8 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
 
   [[nodiscard]] obs::MemoryUse memory_use() const override;
 
-  // CheckpointableSink: per-user energy partials (raw double bits) plus the
-  // attribution counters. Per-packet transients (window_, pending tails) are
+  // CheckpointableSink: the folded aggregate and pending per-user partials
+  // (raw double bits) plus the attribution counters. Per-packet transients (window_, pending tails) are
   // empty at user boundaries, so only the durable fold state travels.
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
@@ -182,9 +182,8 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   void on_run_segment(std::size_t index, const radio::EnergySegment& segment);
   /// Send the annotated events collected in out_ downstream as one batch.
   void flush_out();
-  /// Fold mode and shard clones keep the current user in live_ instead of
-  /// the dense per-user array.
-  [[nodiscard]] bool single_user() const { return spill_ != nullptr || shard_; }
+  /// The folded aggregate of `field` plus every pending user's, ascending.
+  [[nodiscard]] double total(double UserEnergy::*field) const;
 
   RadioModelFactory factory_;
   trace::TraceSink* downstream_;
@@ -204,25 +203,15 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   double pending_tail_ = 0.0;   ///< tail energy awaiting proportional split
   double current_joules_ = 0.0; ///< promo+transfer energy of the packet being fed
 
-  // Per-user energy partials, dense by UserId (DESIGN.md §12). touched_
-  // marks users that actually began a bracket so the query-time folds visit
-  // exactly the users the old associative layout held — same fold sequence,
-  // bit-identical sums.
-  std::vector<UserEnergy> per_user_;
-  std::vector<bool> user_touched_;
+  // Per-user energy partials of users not yet folded: the one a stream or
+  // clone is feeding, and merged ones awaiting fold_user.
+  std::map<trace::UserId, UserEnergy> pending_;
   UserEnergy* current_ = nullptr;  ///< this user's partials (set in on_user_begin)
   AttributionCounters counters_;
-  bool shard_ = false;  ///< made by clone_shard(): one user, in live_
 
-  // Fold-and-release state (all empty/zero outside fold mode).
   AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
   UserEnergy folded_;              ///< study-wide fold over released users
-  UserEnergy live_;                ///< the one user of a stream or clone
-  trace::UserId live_user_ = 0;
-  bool live_valid_ = false;
-  /// Sharded fold mode: merged rows awaiting their fold_user call.
-  std::vector<std::pair<trace::UserId, UserEnergy>> staged_;
 
   // Hoisted sink adapters (building a std::function per packet was a
   // measurable per-record cost) and reused scratch state.

@@ -5,30 +5,36 @@
 //   - joules per Android process state (Fig. 3),
 //   - per-day foreground/background joules and bytes plus a "had foreground
 //     traffic" flag (the §5 what-if analysis),
-// while keeping memory at O(users x apps x days) counters, independent of
-// packet count.
+// while keeping memory at O(apps x days) counters per pending user plus
+// O(apps) folded aggregates, independent of packet count.
 //
-// Data-plane layout (DESIGN.md §12): user and app populations are dense ids
-// known up front from StudyMeta, so accounts live in flat per-user slabs —
-// one lazily allocated UserState per user holding a dense
-// std::vector<AppUserAccount> indexed by AppId — and the hot path is two
-// indexed loads instead of a map walk. Ids beyond the StudyMeta hint (hand
-// built streams) grow the arrays on demand.
+// Data-plane layout (DESIGN.md §12, §15): app ids are dense and known up
+// front from StudyMeta, so a user's accounts live in one flat slab — a
+// UserState holding a dense std::vector<AppUserAccount> indexed by AppId —
+// and the hot path is one lookup per batch plus indexed loads. Ids beyond
+// the StudyMeta hint (hand built streams) grow the slab on demand.
+//
+// One account plane: the ledger holds folded aggregates plus *pending* user
+// slabs, keyed by user id. A pending slab is the user a direct feed or a
+// shard clone is accumulating, or a user merged from a clone but not yet
+// folded. fold_user() moves a slab into the aggregates and its detail rows
+// into the AccountSpill, then frees it; the engine folds every user, so a
+// pipeline's ledger ends with no pending slabs. Determinism is by
+// construction: folds run in ascending user order, and every query folds
+// the aggregates and then the pending slabs in ascending user order — the
+// same floating-point sequence however far the folds got, at any thread
+// count. accounts() iterates the pending slabs user-major, app-ascending;
+// AccountCursor (energy/account_cursor.h) replays the folded rows first and
+// then that view.
 //
 // Shardable (trace/shardable.h): one clone per user, folded back with
 // merge_from(), which steals the shard's one slab (the shard is left empty).
-// A clone holds only its own user's slot, never a study-sized array.
-// Determinism is by construction: study-wide double totals are stored as
-// per-user partial sums and folded in user-id order at query time, so every
-// thread count produces the exact same floating-point fold. accounts()
-// iterates user-major, app-ascending — the same deterministic order the old
-// (user << 32 | app) ordered map produced — regardless of how the ledger was
-// built.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -74,14 +80,6 @@ class EnergyLedger final : public trace::TraceSink,
                            public trace::ShardableSink,
                            public ckpt::CheckpointableSink {
  public:
-  EnergyLedger() = default;
-  // Copies deep-copy the per-user slabs (sweep results snapshot ledgers);
-  // moves steal them.
-  EnergyLedger(const EnergyLedger& other);
-  EnergyLedger& operator=(const EnergyLedger& other);
-  EnergyLedger(EnergyLedger&&) noexcept = default;
-  EnergyLedger& operator=(EnergyLedger&&) noexcept = default;
-
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_batch(const trace::EventBatch& batch) override;
 
@@ -89,63 +87,50 @@ class EnergyLedger final : public trace::TraceSink,
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // -- fold-and-release (DESIGN.md §15) -------------------------------------
-  /// Arm fold mode: fold_user() collapses each completed user's slab into
-  /// running grand totals (in stream order, so the folds are bit-identical
-  /// to the ascending query-time folds of an all-resident run), spills the
-  /// detail accounts as a "ledger" row-group section into `spill`, and frees
-  /// the slab. Detail consumers then read through an AccountCursor
-  /// (energy/account_cursor.h) instead of accounts().
-  void set_account_spill(AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] AccountSpill* account_spill() const { return spill_; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
+  // -- account plane (DESIGN.md §15) ----------------------------------------
+  /// The spill fold_user() writes detail rows through, and AccountCursor
+  /// reads them back from. Unarmed, the ledger never folds.
+  void set_account_spill(AccountSpill* spill) override;
+  [[nodiscard]] AccountSpill* account_spill() const { return spill_.get(); }
+  /// Collapse `user`'s pending slab into the folded aggregates (in ascending
+  /// user order, so the folds are the exact additions every query performs),
+  /// spill its detail accounts as a "ledger" row-group section, and free the
+  /// slab.
   void fold_user(trace::UserId user) override;
 
-  /// Fold a shard ledger's accounts and per-user totals into this one. The
-  /// shard's users must be disjoint from this ledger's.
-  void merge(const EnergyLedger& shard);
-
-  // CheckpointableSink: serializes the live per-user slabs (only accounts
-  // with traffic) with doubles as raw bits; restore after on_study_begin
-  // rebuilds a bit-identical ledger.
+  // CheckpointableSink: the folded aggregates plus every pending slab (only
+  // accounts with traffic) with doubles as raw bits; restore after
+  // on_study_begin rebuilds a bit-identical ledger.
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
   [[nodiscard]] const trace::StudyMeta& meta() const { return meta_; }
 
-  /// Typed iteration over every RESIDENT (user, app) account with traffic,
-  /// user-major and app-ascending. Yields const AppUserAccount& — the
-  /// user/app pair is on the account itself, no packed-key unpacking
-  /// anywhere. Under fold mode the folded users' slabs are gone; detail
+  /// Typed iteration over every PENDING (user, app) account with traffic,
+  /// user-major and app-ascending. Folded users' slabs are gone; detail
   /// consumers use AccountCursor (energy/account_cursor.h), which replays
-  /// spilled rows first and then this view — the same sequence either way.
+  /// the folded rows first and then this view.
   class AccountView;
   [[nodiscard]] AccountView accounts() const;
-  /// Number of resident (user, app) accounts with traffic — accounts().size().
+  /// Number of pending (user, app) accounts with traffic — accounts().size().
   [[nodiscard]] std::size_t num_accounts() const { return num_accounts_; }
-  /// Accounts with traffic including folded-and-spilled ones — the length of
-  /// the AccountCursor sequence.
+  /// Accounts with traffic, folded and pending — the length of the
+  /// AccountCursor sequence.
   [[nodiscard]] std::size_t total_accounts() const { return num_accounts_ + folded_accounts_; }
-
-  /// RESIDENT account for one (user, app); nullptr when the pair has no
-  /// traffic or its user was folded.
-  [[nodiscard]] const AppUserAccount* find(trace::UserId user, trace::AppId app) const;
 
   /// User ids with any traffic (folded users included), ascending.
   [[nodiscard]] std::vector<trace::UserId> users() const;
-  /// One user's accounts with traffic, app-ascending (empty when unknown).
-  [[nodiscard]] std::vector<const AppUserAccount*> user_accounts(trace::UserId user) const;
 
   /// Sum of accounts for `app` across all users.
   [[nodiscard]] AppUserAccount app_total(trace::AppId app) const;
   /// All app ids with any traffic, ascending.
   [[nodiscard]] std::vector<trace::AppId> apps() const;
 
-  /// Approximate resident footprint: per-user slabs (including each
-  /// account's per-day cell vector).
+  /// Approximate resident footprint: pending slabs (including each
+  /// account's per-day cell vector) plus the folded aggregates.
   [[nodiscard]] obs::MemoryUse memory_use() const override;
 
-  // Study-wide totals, folded from per-user partials in user-id order.
+  // Study-wide totals: the folded aggregates, then pending users ascending.
   [[nodiscard]] double total_joules() const;
   [[nodiscard]] std::uint64_t total_bytes() const;
   [[nodiscard]] std::uint64_t total_packets() const;
@@ -167,41 +152,35 @@ class EnergyLedger final : public trace::TraceSink,
     UserTotals totals;
     std::vector<AppUserAccount> apps;  ///< indexed by AppId; days empty = no traffic
   };
+  using PendingMap = std::map<trace::UserId, UserState>;
 
-  /// The user's slab, allocated on first touch (apps pre-sized to the
+  /// The user's pending slab, created on first touch (apps pre-sized to the
   /// StudyMeta hint; grown on demand for out-of-hint ids).
   UserState& user_state(trace::UserId user);
   /// The (user, app) account inside `state`, initialized on first touch.
   AppUserAccount& account(UserState& state, trace::UserId user, trace::AppId app);
 
-  /// Collapse one user's slab into the folded aggregates (no spill, no
-  /// release bookkeeping beyond the counters).
+  /// Collapse one user's slab into the folded aggregates.
   void fold_slab_totals(const UserState& state);
   /// Encode the slab's live accounts as the "ledger" section payload — the
   /// decode mirror is decode_ledger_section (energy/account_cursor.h).
-  void encode_slab(const UserState& state, ckpt::ByteWriter& out) const;
+  static void encode_slab(const UserState& state, ckpt::ByteWriter& out);
 
   trace::StudyMeta meta_;
   std::size_t num_days_ = 0;
   std::uint32_t num_apps_hint_ = 0;
-  std::size_t num_accounts_ = 0;
-  /// Dense per-user slabs, indexed by UserId - base_; null until the user has
-  /// traffic. base_ is 0 except in a shard clone, whose single slot is its
-  /// user's.
-  std::vector<std::unique_ptr<UserState>> users_;
-  bool shard_ = false;  ///< made by clone_shard(): one user, one slot
-  trace::UserId base_ = 0;
+  std::size_t num_accounts_ = 0;  ///< live accounts in pending_
+  PendingMap pending_;
 
-  // -- fold-and-release state (all zero/empty outside fold mode) ------------
-  AccountSpill* spill_ = nullptr;       ///< non-owning; armed by the engine
-  std::uint64_t spilled_self_ = 0;      ///< bytes this ledger spilled
-  std::size_t folded_accounts_ = 0;     ///< live accounts released by folds
-  UserTotals folded_totals_;            ///< grand totals over folded users
-  std::vector<AppUserAccount> folded_apps_;   ///< per-app totals, days empty
-  std::vector<trace::UserId> folded_users_;   ///< folded users with traffic
+  std::shared_ptr<AccountSpill> spill_;   ///< armed by the engine (share_spill)
+  std::uint64_t spilled_self_ = 0;        ///< bytes this ledger spilled
+  std::size_t folded_accounts_ = 0;       ///< live accounts released by folds
+  UserTotals folded_totals_;              ///< grand totals over folded users
+  std::vector<AppUserAccount> folded_apps_;  ///< per-app totals, days empty
+  std::vector<trace::UserId> folded_users_;  ///< folded users with traffic
 
  public:
-  /// Forward iterator over live accounts: user-major, app-ascending.
+  /// Forward iterator over pending accounts: user-major, app-ascending.
   class AccountIterator {
    public:
     using iterator_category = std::forward_iterator_tag;
@@ -211,13 +190,12 @@ class EnergyLedger final : public trace::TraceSink,
     using reference = const AppUserAccount&;
 
     AccountIterator() = default;
-    AccountIterator(const std::vector<std::unique_ptr<UserState>>* users, std::size_t user,
-                    std::size_t app)
-        : users_(users), user_(user), app_(app) {
+    AccountIterator(PendingMap::const_iterator user, PendingMap::const_iterator end)
+        : user_(user), end_(end) {
       advance_to_live();
     }
 
-    reference operator*() const { return (*users_)[user_]->apps[app_]; }
+    reference operator*() const { return user_->second.apps[app_]; }
     pointer operator->() const { return &**this; }
     AccountIterator& operator++() {
       ++app_;
@@ -238,39 +216,37 @@ class EnergyLedger final : public trace::TraceSink,
 
    private:
     void advance_to_live() {
-      if (users_ == nullptr) return;
-      for (; user_ < users_->size(); ++user_, app_ = 0) {
-        const UserState* state = (*users_)[user_].get();
-        if (state == nullptr) continue;
-        for (; app_ < state->apps.size(); ++app_) {
-          if (state->apps[app_].packets != 0) return;
+      for (; user_ != end_; ++user_, app_ = 0) {
+        const std::vector<AppUserAccount>& apps = user_->second.apps;
+        for (; app_ < apps.size(); ++app_) {
+          if (apps[app_].packets != 0) return;
         }
       }
-      app_ = 0;  // one canonical end(): (users_.size(), 0)
+      app_ = 0;  // one canonical end(): (end, 0)
     }
 
-    const std::vector<std::unique_ptr<UserState>>* users_ = nullptr;
-    std::size_t user_ = 0;
+    PendingMap::const_iterator user_;
+    PendingMap::const_iterator end_;
     std::size_t app_ = 0;
   };
 
   class AccountView {
    public:
-    AccountView(const std::vector<std::unique_ptr<UserState>>* users, std::size_t count)
-        : users_(users), count_(count) {}
-    [[nodiscard]] AccountIterator begin() const { return {users_, 0, 0}; }
-    [[nodiscard]] AccountIterator end() const { return {users_, users_->size(), 0}; }
+    AccountView(const PendingMap* pending, std::size_t count)
+        : pending_(pending), count_(count) {}
+    [[nodiscard]] AccountIterator begin() const { return {pending_->begin(), pending_->end()}; }
+    [[nodiscard]] AccountIterator end() const { return {pending_->end(), pending_->end()}; }
     [[nodiscard]] std::size_t size() const { return count_; }
     [[nodiscard]] bool empty() const { return count_ == 0; }
 
    private:
-    const std::vector<std::unique_ptr<UserState>>* users_;
+    const PendingMap* pending_;
     std::size_t count_;
   };
 };
 
 inline EnergyLedger::AccountView EnergyLedger::accounts() const {
-  return AccountView{&users_, num_accounts_};
+  return AccountView{&pending_, num_accounts_};
 }
 
 }  // namespace wildenergy::energy

@@ -44,18 +44,18 @@ void RunStats::print(std::ostream& os) const {
     if (memory.store.resident_bytes > 0) {
       os << ", trace store " << fmt_bytes(static_cast<double>(memory.store.resident_bytes));
     }
-    const std::uint64_t spilled = memory.store.spilled_bytes + memory.ledger.spilled_bytes +
-                                  memory.analyses.spilled_bytes;
-    if (spilled > 0) {
-      os << ", spilled " << fmt_bytes(static_cast<double>(spilled)) << " on disk";
+    if (memory.store.spilled_bytes > 0) {
+      os << ", spilled " << fmt_bytes(static_cast<double>(memory.store.spilled_bytes))
+         << " on disk";
     }
     if (memory.shards.resident_bytes > 0) {
       os << ", shard window " << fmt_bytes(static_cast<double>(memory.shards.resident_bytes));
     }
+    // The sinks' own spilled bytes are their sections of these images.
     if (memory.accounts.total_bytes() > 0) {
-      os << ", account files " << fmt_bytes(static_cast<double>(memory.accounts.spilled_bytes))
-         << " (+" << fmt_bytes(static_cast<double>(memory.accounts.resident_bytes))
-         << " pending)";
+      os << ", account images " << fmt_bytes(static_cast<double>(memory.accounts.spilled_bytes))
+         << " sealed (" << fmt_bytes(static_cast<double>(memory.accounts.resident_bytes))
+         << " in memory)";
     }
     os << "; peak RSS " << fmt_bytes(static_cast<double>(memory.peak_rss_bytes)) << "\n";
   }

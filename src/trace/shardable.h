@@ -57,22 +57,19 @@ class ShardableSink {
   /// clone_shard()) into this sink. Called serially, in user-id order.
   virtual void merge_from(TraceSink& shard) = 0;
 
-  /// Fold-and-release lifecycle hook (DESIGN.md §15): `user`'s stream is
-  /// complete and its shard merged into this parent.
-  /// Sinks that opt in collapse the user's detail state into running
-  /// aggregates — optionally spilling the detail rows to an account side
-  /// file first — and free the per-user slab. Called in stream order, which
-  /// is ascending user id, so double folds performed here
-  /// are bit-identical to the ascending query-time folds an all-resident
-  /// run performs. Only invoked when the engine runs with an account spill
-  /// configured; sinks without per-user detail leave the no-op default.
+  /// Account-plane hook (DESIGN.md §15): `user`'s stream is complete and
+  /// its shard merged into this parent. Sinks with per-user rows collapse
+  /// the user's row into running aggregates, spill its detail through the
+  /// armed AccountSpill, and free it. The engine folds every merged user,
+  /// in ascending user id, so double folds performed here are bit-identical
+  /// to the ascending query-time folds over rows still pending. Sinks
+  /// without per-user rows leave the no-op default.
   virtual void fold_user(UserId /*user*/) {}
 
-  /// Arm (non-null) or disarm (null) the fold-and-release spill target the
-  /// sink writes its detail rows through during fold_user. The engines call
-  /// this on every run, before the study bracket opens, so a sink armed by
-  /// an earlier run is always reset. Sinks without per-user detail leave
-  /// the no-op default.
+  /// Arm the spill target the sink writes its detail rows through during
+  /// fold_user, and reads them back from at query time. The engines call
+  /// this on every run, before the study bracket opens. Sinks without
+  /// per-user rows leave the no-op default.
   virtual void set_account_spill(energy::AccountSpill* /*spill*/) {}
 };
 

@@ -20,6 +20,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "ledger_compare.h"
 #include "analysis/case_studies.h"
 #include "analysis/figures.h"
 #include "analysis/longitudinal.h"
@@ -495,36 +496,6 @@ struct AnalysisSet {
   }
 };
 
-void expect_identical_ledgers(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
-  EXPECT_EQ(a.total_joules(), b.total_joules());  // exact, not NEAR
-  EXPECT_EQ(a.total_bytes(), b.total_bytes());
-  EXPECT_EQ(a.total_packets(), b.total_packets());
-  const auto a_states = a.state_totals();
-  const auto b_states = b.state_totals();
-  for (std::size_t s = 0; s < a_states.size(); ++s) EXPECT_EQ(a_states[s], b_states[s]);
-  ASSERT_EQ(a.accounts().size(), b.accounts().size());
-  auto bit = b.accounts().begin();
-  for (const auto& acc : a.accounts()) {
-    ASSERT_EQ(acc.user, bit->user);  // same deterministic user-major order
-    ASSERT_EQ(acc.app, bit->app);
-    const auto& other = *bit;
-    EXPECT_EQ(acc.joules, other.joules);
-    EXPECT_EQ(acc.bytes, other.bytes);
-    EXPECT_EQ(acc.packets, other.packets);
-    for (std::size_t s = 0; s < acc.state_joules.size(); ++s) {
-      EXPECT_EQ(acc.state_joules[s], other.state_joules[s]);
-    }
-    ASSERT_EQ(acc.days.size(), other.days.size());
-    for (std::size_t d = 0; d < acc.days.size(); ++d) {
-      EXPECT_EQ(acc.days[d].fg_joules, other.days[d].fg_joules);
-      EXPECT_EQ(acc.days[d].bg_joules, other.days[d].bg_joules);
-      EXPECT_EQ(acc.days[d].fg_bytes, other.days[d].fg_bytes);
-      EXPECT_EQ(acc.days[d].bg_bytes, other.days[d].bg_bytes);
-    }
-    ++bit;
-  }
-}
-
 void expect_identical_figures(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
   const auto pop_a = analysis::top10_popularity(a);
   const auto pop_b = analysis::top10_popularity(b);
@@ -627,8 +598,8 @@ GoldenString golden_outputs(const core::StudyPipeline& pipeline, AnalysisSet& se
   g.put(ledger.total_bytes());
   g.put(ledger.total_packets());
   for (const double joules : ledger.state_totals()) g.put(joules);
-  g.put(ledger.accounts().size());
-  for (const auto& acc : ledger.accounts()) {
+  g.put(ledger.total_accounts());
+  for (const auto& acc : cursor_accounts(ledger)) {
     g.put(acc.user);
     g.put(acc.app);
     g.put(acc.joules);

@@ -152,6 +152,25 @@ TEST(CheckpointSnapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->section("no_such_section"), nullptr);
 }
 
+TEST(CheckpointSnapshot, Version1SnapshotIsRefusedByName) {
+  // Version 1 sink sections led with a lifecycle mode byte and carried whole
+  // resident per-user arrays; version 2 carries folded aggregates plus
+  // pending rows. Re-seal the checksum so the version is the only damage.
+  std::string bytes = ckpt::encode_snapshot(test_snapshot(/*tag=*/1), /*seq=*/1);
+  ASSERT_EQ(static_cast<std::uint8_t>(bytes[sizeof ckpt::kCheckpointMagic]), 2u);
+  bytes[sizeof ckpt::kCheckpointMagic] = 1;
+  const std::uint64_t checksum = ckpt::fnv1a(std::string_view{bytes}.substr(0, bytes.size() - 8));
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<char>(checksum >> (8 * i));
+  }
+  const auto decoded = ckpt::decode_snapshot(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << decoded.status().message();
+}
+
 TEST(CheckpointSnapshot, EveryDamagedByteIsDetected) {
   const std::string bytes = ckpt::encode_snapshot(test_snapshot(/*tag=*/1), /*seq=*/1);
   // Flip one bit in every byte of the frame — magic, version, payload, and

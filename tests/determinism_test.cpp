@@ -7,29 +7,13 @@
 
 #include <cstdint>
 
+#include "ledger_compare.h"
 #include "core/pipeline.h"
 #include "sim/generator.h"
 #include "sim/study_config.h"
 
 namespace wildenergy {
 namespace {
-
-void expect_identical_ledgers(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
-  EXPECT_EQ(a.total_joules(), b.total_joules());  // exact, not NEAR
-  EXPECT_EQ(a.total_bytes(), b.total_bytes());
-  EXPECT_EQ(a.total_packets(), b.total_packets());
-  ASSERT_EQ(a.accounts().size(), b.accounts().size());
-  for (const auto& acc : a.accounts()) {
-    const energy::AppUserAccount* other = b.find(acc.user, acc.app);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(acc.joules, other->joules);
-    EXPECT_EQ(acc.bytes, other->bytes);
-    EXPECT_EQ(acc.packets, other->packets);
-    for (std::size_t s = 0; s < acc.state_joules.size(); ++s) {
-      EXPECT_EQ(acc.state_joules[s], other->state_joules[s]);
-    }
-  }
-}
 
 TEST(Determinism, TwoFreshPipelinesProduceIdenticalLedgers) {
   sim::StudyGenerator first_gen{sim::small_study(/*seed=*/7)};

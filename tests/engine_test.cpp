@@ -7,8 +7,8 @@
 //     (clamped to [1, users]; 1 thread runs inline), for pipelines and
 //     sweeps alike, and fault-plan arming — hence retries, skipped users and
 //     per-shard attempts — is identical at every thread count.
-//   - KillRecoverFoldSweep: a checkpointed fold-and-release sweep killed
-//     mid-scenario resumes bit-identically to an uninterrupted one,
+//   - KillRecoverFoldSweep: a checkpointed sweep with an account directory
+//     killed mid-scenario resumes bit-identically to an uninterrupted one,
 //     account-file read-back included.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "ledger_compare.h"
 #include "analysis/case_studies.h"
 #include "analysis/longitudinal.h"
 #include "analysis/persistence.h"
@@ -304,30 +305,6 @@ struct FoldSweep {
   }
 };
 
-std::vector<energy::AppUserAccount> cursor_rows(const energy::EnergyLedger& ledger) {
-  std::vector<energy::AppUserAccount> rows;
-  energy::AccountCursor cursor{ledger};
-  while (const energy::AppUserAccount* acc = cursor.next()) rows.push_back(*acc);
-  EXPECT_TRUE(cursor.status().ok()) << cursor.status().to_string();
-  return rows;
-}
-
-void expect_identical_rows(const std::vector<energy::AppUserAccount>& a,
-                           const std::vector<energy::AppUserAccount>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].user, b[i].user);
-    ASSERT_EQ(a[i].app, b[i].app);
-    EXPECT_EQ(a[i].joules, b[i].joules);
-    EXPECT_EQ(a[i].bytes, b[i].bytes);
-    ASSERT_EQ(a[i].days.size(), b[i].days.size());
-    for (std::size_t d = 0; d < a[i].days.size(); ++d) {
-      EXPECT_EQ(a[i].days[d].fg_joules, b[i].days[d].fg_joules);
-      EXPECT_EQ(a[i].days[d].bg_joules, b[i].days[d].bg_joules);
-    }
-  }
-}
-
 TEST(KillRecoverFoldSweep, ResumedFoldSweepBitIdenticalAtEveryThreadCount) {
   sim::StudyConfig cfg = sim::small_study(/*seed=*/23);
   cfg.num_days = 30;
@@ -381,7 +358,7 @@ TEST(KillRecoverFoldSweep, ResumedFoldSweepBitIdenticalAtEveryThreadCount) {
       EXPECT_EQ(b.ledger.num_accounts(), 0u);  // every slab folded and released
       EXPECT_EQ(a.stats.radio_promotions, b.stats.radio_promotions);
       EXPECT_EQ(a.stats.off_interface_bytes, b.stats.off_interface_bytes);
-      expect_identical_rows(cursor_rows(a.ledger), cursor_rows(b.ledger));
+      expect_identical_rows(cursor_accounts(a.ledger), cursor_accounts(b.ledger));
     }
     for (const trace::AppId app : reference.baseline_persist.tracked_apps()) {
       const auto ra = reference.killed_persist.durations(app).sorted_samples();

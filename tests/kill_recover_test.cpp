@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "ledger_compare.h"
 #include "analysis/persistence.h"
 #include "analysis/waste.h"
 #include "ckpt/checkpoint.h"
@@ -52,24 +53,6 @@ void arm_hard_stop(fault::FaultPlan& plan, std::uint64_t nth) {
   plan.add_checkpoint_fault(
       fault::parse_checkpoint_fault_spec("nth=" + std::to_string(nth) + ",kind=hard-stop")
           .value());
-}
-
-void expect_identical_ledgers(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
-  EXPECT_EQ(a.total_joules(), b.total_joules());
-  EXPECT_EQ(a.total_bytes(), b.total_bytes());
-  ASSERT_EQ(a.accounts().size(), b.accounts().size());
-  auto bit = b.accounts().begin();
-  for (const auto& acc : a.accounts()) {
-    ASSERT_EQ(acc.user, bit->user);
-    ASSERT_EQ(acc.app, bit->app);
-    EXPECT_EQ(acc.joules, bit->joules);
-    EXPECT_EQ(acc.bytes, bit->bytes);
-    EXPECT_EQ(acc.packets, bit->packets);
-    for (std::size_t s = 0; s < acc.state_joules.size(); ++s) {
-      EXPECT_EQ(acc.state_joules[s], bit->state_joules[s]);
-    }
-    ++bit;
-  }
 }
 
 /// The analysis sinks every kill/recover run carries. All implement

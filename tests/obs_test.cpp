@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "deliver.h"
+#include "ledger_compare.h"
 #include "core/pipeline.h"
 #include "sim/generator.h"
 #include "obs/metrics.h"
@@ -416,13 +417,7 @@ TEST(RunStats, InstrumentationDoesNotPerturbAttribution) {
   EXPECT_EQ(plain.attributor().device_joules(), instrumented.attributor().device_joules());
 
   // Every (user, app) account identical to the bit.
-  ASSERT_EQ(plain.ledger().accounts().size(), instrumented.ledger().accounts().size());
-  for (const auto& acc : plain.ledger().accounts()) {
-    const energy::AppUserAccount* other = instrumented.ledger().find(acc.user, acc.app);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(acc.joules, other->joules);
-    EXPECT_EQ(acc.bytes, other->bytes);
-  }
+  expect_identical_ledgers(plain.ledger(), instrumented.ledger());
 
   // And the span file is valid, Perfetto-loadable JSON with per-user spans.
   EXPECT_GT(writer.span_count(), 0u);

@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "ledger_compare.h"
 #include "analysis/figures.h"
 #include "analysis/persistence.h"
 #include "appmodel/catalog.h"
@@ -173,36 +174,6 @@ trace::EventBatch collect_chunk(const trace::MappedSegment& segment,
 // --------------------------------------------------- output comparison kit
 // Same assertions as sweep_test.cpp: EXPECT_EQ everywhere, never NEAR — an
 // out-of-core replay must be bit-identical to resident replay, not close.
-
-void expect_identical_ledgers(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
-  EXPECT_EQ(a.total_joules(), b.total_joules());
-  EXPECT_EQ(a.total_bytes(), b.total_bytes());
-  EXPECT_EQ(a.total_packets(), b.total_packets());
-  const auto a_states = a.state_totals();
-  const auto b_states = b.state_totals();
-  for (std::size_t s = 0; s < a_states.size(); ++s) EXPECT_EQ(a_states[s], b_states[s]);
-  ASSERT_EQ(a.accounts().size(), b.accounts().size());
-  auto bit = b.accounts().begin();
-  for (const auto& acc : a.accounts()) {
-    ASSERT_EQ(acc.user, bit->user);
-    ASSERT_EQ(acc.app, bit->app);
-    const auto& other = *bit;
-    EXPECT_EQ(acc.joules, other.joules);
-    EXPECT_EQ(acc.bytes, other.bytes);
-    EXPECT_EQ(acc.packets, other.packets);
-    for (std::size_t s = 0; s < acc.state_joules.size(); ++s) {
-      EXPECT_EQ(acc.state_joules[s], other.state_joules[s]);
-    }
-    ASSERT_EQ(acc.days.size(), other.days.size());
-    for (std::size_t d = 0; d < acc.days.size(); ++d) {
-      EXPECT_EQ(acc.days[d].fg_joules, other.days[d].fg_joules);
-      EXPECT_EQ(acc.days[d].bg_joules, other.days[d].bg_joules);
-      EXPECT_EQ(acc.days[d].fg_bytes, other.days[d].fg_bytes);
-      EXPECT_EQ(acc.days[d].bg_bytes, other.days[d].bg_bytes);
-    }
-    ++bit;
-  }
-}
 
 void expect_identical_figures(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
   const auto pop_a = analysis::top10_popularity(a);

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "ledger_compare.h"
 #include "analysis/case_studies.h"
 #include "analysis/figures.h"
 #include "analysis/longitudinal.h"
@@ -134,36 +135,6 @@ TEST(MetricsRegistryMerge, FoldsCountersGaugesAndHistograms) {
 
 // ------------------------------------------------------------- ledger merge
 
-void expect_identical_ledgers(const energy::EnergyLedger& a, const energy::EnergyLedger& b) {
-  EXPECT_EQ(a.total_joules(), b.total_joules());  // exact, not NEAR
-  EXPECT_EQ(a.total_bytes(), b.total_bytes());
-  EXPECT_EQ(a.total_packets(), b.total_packets());
-  const auto a_states = a.state_totals();
-  const auto b_states = b.state_totals();
-  for (std::size_t s = 0; s < a_states.size(); ++s) EXPECT_EQ(a_states[s], b_states[s]);
-  ASSERT_EQ(a.accounts().size(), b.accounts().size());
-  auto bit = b.accounts().begin();
-  for (const auto& acc : a.accounts()) {
-    ASSERT_EQ(acc.user, bit->user);  // same deterministic user-major order
-    ASSERT_EQ(acc.app, bit->app);
-    const auto& other = *bit;
-    EXPECT_EQ(acc.joules, other.joules);
-    EXPECT_EQ(acc.bytes, other.bytes);
-    EXPECT_EQ(acc.packets, other.packets);
-    for (std::size_t s = 0; s < acc.state_joules.size(); ++s) {
-      EXPECT_EQ(acc.state_joules[s], other.state_joules[s]);
-    }
-    ASSERT_EQ(acc.days.size(), other.days.size());
-    for (std::size_t d = 0; d < acc.days.size(); ++d) {
-      EXPECT_EQ(acc.days[d].fg_joules, other.days[d].fg_joules);
-      EXPECT_EQ(acc.days[d].bg_joules, other.days[d].bg_joules);
-      EXPECT_EQ(acc.days[d].fg_bytes, other.days[d].fg_bytes);
-      EXPECT_EQ(acc.days[d].bg_bytes, other.days[d].bg_bytes);
-    }
-    ++bit;
-  }
-}
-
 TEST(EnergyLedgerMerge, PerUserShardsMergeToTheSerialLedger) {
   const sim::StudyGenerator generator{sim::small_study(/*seed=*/11)};
 
@@ -177,7 +148,7 @@ TEST(EnergyLedgerMerge, PerUserShardsMergeToTheSerialLedger) {
     energy::EnergyLedger shard;
     energy::EnergyAttributor shard_attr{radio::make_lte_model, &shard};
     generator.run_user(user, shard_attr);
-    merged.merge(shard);
+    merged.merge_from(shard);
   }
   EXPECT_GT(serial.total_joules(), 0.0);
   expect_identical_ledgers(serial, merged);

@@ -13,6 +13,7 @@
 #include "analysis/time_since_fg.h"
 #include "analysis/whatif.h"
 #include "core/pipeline.h"
+#include "energy/account_cursor.h"
 #include "sim/generator.h"
 #include "core/policy.h"
 #include "radio/burst_machine.h"
@@ -102,11 +103,14 @@ TEST(Pipeline, KillPolicyReducesEnergy) {
   // slightly because tail attribution changes once bg packets vanish).
   const auto fg_bytes = [](const energy::EnergyLedger& ledger) {
     std::uint64_t total = 0;
-    for (const auto& acc : ledger.accounts()) {
-      for (const auto& cell : acc.days) total += cell.fg_bytes;
+    energy::AccountCursor cursor{ledger};
+    while (const energy::AppUserAccount* acc = cursor.next()) {
+      for (const auto& cell : acc->days) total += cell.fg_bytes;
     }
+    EXPECT_TRUE(cursor.status().ok()) << cursor.status().to_string();
     return total;
   };
+  EXPECT_GT(fg_bytes(baseline.ledger()), 0u);
   EXPECT_EQ(fg_bytes(filtered.ledger()), fg_bytes(baseline.ledger()));
 }
 

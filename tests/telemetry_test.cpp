@@ -215,14 +215,18 @@ TEST(TelemetryMemory, RunStatsCarriesLedgerAnalysesAndPeakRss) {
   EXPECT_GT(run->memory.ledger.resident_bytes, 0u);
   EXPECT_GT(run->memory.analyses.resident_bytes, 0u);
   EXPECT_EQ(run->memory.store.resident_bytes, 0u);  // generator-backed run: no cached trace
-  EXPECT_EQ(run->memory.tracked_bytes(),
-            run->memory.ledger.resident_bytes + run->memory.analyses.resident_bytes);
+  // No account directory: the folded detail images stay in memory.
+  EXPECT_GT(run->memory.accounts.resident_bytes, 0u);
+  EXPECT_EQ(run->memory.tracked_bytes(), run->memory.ledger.resident_bytes +
+                                             run->memory.analyses.resident_bytes +
+                                             run->memory.accounts.resident_bytes);
 #ifdef __linux__
   EXPECT_GT(run->memory.peak_rss_bytes, 0u);
 #endif
-  // The ledger estimate at least covers its per-account payloads.
+  // Every user folded: the ledger estimate at least covers its per-app
+  // folded totals.
   EXPECT_GE(run->memory.ledger.resident_bytes,
-            pipeline.ledger().accounts().size() * sizeof(energy::AppUserAccount));
+            pipeline.ledger().apps().size() * sizeof(energy::AppUserAccount));
 }
 
 TEST(TelemetryMemory, CapturedTraceStoreReportsAndGrows) {
