@@ -233,6 +233,9 @@ double run_event_path(const CapturedStudy& study,
 // before this bench was redefined (each record carries "batch_size":N;
 // speedup is the batch-size-1 wall over that run's wall). Last,
 // micro_pipeline.generate times the generator alone into a counting sink.
+// micro_pipeline.attribute, timed right after the thread sweep over the
+// same store, is attribution alone; with .generate, two layers each have
+// their own trajectory.
 // Each phase starts with obs::reset_peak_rss(), so each record's
 // peak_rss_bytes is that phase's own peak where the host allows the reset.
 int main(int argc, char** argv) {
@@ -263,6 +266,26 @@ int main(int argc, char** argv) {
       if (threads == 1) serial_wall_ms = best.wall_ms;
       benchutil::report_perf("micro_pipeline", cfg, best, serial_wall_ms);
     }
+
+    // Attribution alone (the layer after generation in ROADMAP item 1): the
+    // same store replayed into an EnergyAttributor on the default LTE model,
+    // whose annotated stream goes nowhere; serial, best of kReps. Its joules
+    // are the attributed total, which the pipeline's ledger records too.
+    obs::reset_peak_rss();
+    double best_ms = 0.0;
+    energy::AttributionCounters counters;
+    double joules = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      trace::TraceSink discard;
+      energy::EnergyAttributor attributor{radio::make_lte_model, &discard};
+      const obs::Stopwatch watch;
+      if (!store.emit(attributor, trace::kDefaultBatchSize).ok()) return 1;
+      const double ms = watch.elapsed_ms();
+      counters = attributor.counters();
+      joules = attributor.attributed_joules();
+      if (rep == 0 || ms < best_ms) best_ms = ms;
+    }
+    benchutil::report_perf("micro_pipeline.attribute", cfg, best_ms, counters.packets, joules);
   }
 
   // Sink-chain dispatch by batch size, single thread. Each configuration

@@ -38,6 +38,7 @@ std::vector<BenchRecord> parse_bench_log(std::string_view jsonl) {
     rec.wall_ms = parsed->number_or("wall_ms", 0.0);
     rec.packets_per_sec = parsed->number_or("packets_per_sec", 0.0);
     rec.host_cpus = static_cast<std::int64_t>(parsed->number_or("host_cpus", 0));
+    rec.peak_rss_bytes = static_cast<std::uint64_t>(parsed->number_or("peak_rss_bytes", 0));
     // "resumed" may arrive as a JSON bool or as the string "true" (it is
     // spliced via report_perf's free-form extra_json parameter).
     if (const JsonValue* resumed = parsed->get("resumed"); resumed != nullptr) {
@@ -59,6 +60,7 @@ const char* to_string(BenchDiffStatus s) {
     case BenchDiffStatus::kOk: return "ok";
     case BenchDiffStatus::kImproved: return "improved";
     case BenchDiffStatus::kRegressed: return "REGRESSED";
+    case BenchDiffStatus::kMemoryGrew: return "REGRESSED (peak RSS)";
     case BenchDiffStatus::kScaleMismatch: return "skipped (scale mismatch)";
     case BenchDiffStatus::kMissingBaseline: return "new (no baseline)";
   }
@@ -67,7 +69,9 @@ const char* to_string(BenchDiffStatus s) {
 
 bool BenchDiffReport::has_regressions() const {
   for (const auto& e : entries) {
-    if (e.status == BenchDiffStatus::kRegressed) return true;
+    if (e.status == BenchDiffStatus::kRegressed || e.status == BenchDiffStatus::kMemoryGrew) {
+      return true;
+    }
   }
   return false;
 }
@@ -93,31 +97,44 @@ std::string fmt_pps(double pps) {
   return buf;
 }
 
+bool compared(const BenchDiffEntry& e) {
+  return e.status != BenchDiffStatus::kScaleMismatch &&
+         e.status != BenchDiffStatus::kMissingBaseline;
+}
+
 std::string fmt_delta(const BenchDiffEntry& e) {
-  if (e.status == BenchDiffStatus::kScaleMismatch ||
-      e.status == BenchDiffStatus::kMissingBaseline) {
-    return "-";
-  }
+  if (!compared(e)) return "-";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%+.1f%%", e.delta * 100.0);
+  return buf;
+}
+
+/// "28.0 -> 30.1 MB (+7.5%)" when both records carry a peak RSS, else "-".
+std::string fmt_rss(const BenchDiffEntry& e) {
+  if (!compared(e) || e.baseline_rss == 0 || e.fresh_rss == 0) return "-";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.1f -> %.1f MB (%+.1f%%)",
+                static_cast<double>(e.baseline_rss) / 1e6, static_cast<double>(e.fresh_rss) / 1e6,
+                e.rss_delta * 100.0);
   return buf;
 }
 }  // namespace
 
 std::string BenchDiffReport::to_markdown() const {
   std::string md = "## Bench throughput vs committed baseline\n\n";
-  md += "| bench | baseline pkt/s | fresh pkt/s | delta | threshold | status |\n";
-  md += "|---|---:|---:|---:|---:|---|\n";
+  md += "| bench | baseline pkt/s | fresh pkt/s | delta | peak RSS | threshold | status |\n";
+  md += "|---|---:|---:|---:|---:|---:|---|\n";
   for (const auto& e : entries) {
     char thr[16];
     std::snprintf(thr, sizeof(thr), "-%.0f%%", e.threshold * 100.0);
     md += "| " + e.key + " | " +
           (e.status == BenchDiffStatus::kMissingBaseline ? "-" : fmt_pps(e.baseline_pps)) +
-          " | " + fmt_pps(e.fresh_pps) + " | " + fmt_delta(e) + " | " + thr + " | " +
-          to_string(e.status) + " |\n";
+          " | " + fmt_pps(e.fresh_pps) + " | " + fmt_delta(e) + " | " + fmt_rss(e) + " | " +
+          thr + " | " + to_string(e.status) + " |\n";
   }
   md += "\n";
   md += std::to_string(count(BenchDiffStatus::kRegressed)) + " regressed, " +
+        std::to_string(count(BenchDiffStatus::kMemoryGrew)) + " grew in peak RSS, " +
         std::to_string(count(BenchDiffStatus::kImproved)) + " improved, " +
         std::to_string(count(BenchDiffStatus::kOk)) + " within threshold, " +
         std::to_string(count(BenchDiffStatus::kScaleMismatch)) + " skipped (scale mismatch), " +
@@ -134,11 +151,15 @@ void BenchDiffReport::print(std::ostream& os) const {
       os << "skipped (scale mismatch vs baseline)";
     } else {
       os << fmt_pps(e.baseline_pps) << " -> " << fmt_pps(e.fresh_pps) << " pkt/s ("
-         << fmt_delta(e) << ") " << to_string(e.status);
+         << fmt_delta(e) << ")";
+      if (const std::string rss = fmt_rss(e); rss != "-") os << ", peak RSS " << rss;
+      os << " " << to_string(e.status);
     }
     os << "\n";
   }
-  os << "[diff] " << count(BenchDiffStatus::kRegressed) << " regression(s) over threshold\n";
+  os << "[diff] "
+     << count(BenchDiffStatus::kRegressed) + count(BenchDiffStatus::kMemoryGrew)
+     << " regression(s) over threshold\n";
 }
 
 BenchDiffReport diff_bench_logs(std::string_view baseline_jsonl, std::string_view fresh_jsonl,
@@ -180,6 +201,16 @@ BenchDiffReport diff_bench_logs(std::string_view baseline_jsonl, std::string_vie
         e.status = e.delta < -e.threshold  ? BenchDiffStatus::kRegressed
                    : e.delta > e.threshold ? BenchDiffStatus::kImproved
                                            : BenchDiffStatus::kOk;
+        e.baseline_rss = b.peak_rss_bytes;
+        e.fresh_rss = f.peak_rss_bytes;
+        if (b.peak_rss_bytes > 0 && f.peak_rss_bytes > 0) {
+          e.rss_delta = (static_cast<double>(f.peak_rss_bytes) -
+                         static_cast<double>(b.peak_rss_bytes)) /
+                        static_cast<double>(b.peak_rss_bytes);
+          if (e.status != BenchDiffStatus::kRegressed && e.rss_delta > e.threshold) {
+            e.status = BenchDiffStatus::kMemoryGrew;
+          }
+        }
       }
     }
     report.entries.push_back(std::move(e));

@@ -11,6 +11,9 @@
 // 20-user trajectory. So are records that both name their host's CPU count
 // (`host_cpus`) when the counts differ; a record without the field (every
 // baseline written before it existed) still pairs, so the gate stays live.
+// Memory is gated next to throughput: a pair whose peak RSS grew by more
+// than the same threshold fails too, but only when both records carry a
+// nonzero `peak_rss_bytes`.
 //
 // Pure string-to-struct logic, no I/O: the tools/bench_diff.cpp CLI does the
 // file reading, and tests feed literal JSONL.
@@ -36,6 +39,7 @@ struct BenchRecord {
   double wall_ms = 0.0;
   double packets_per_sec = 0.0;
   std::int64_t host_cpus = 0;  ///< hardware threads of the recording host; 0 = field absent
+  std::uint64_t peak_rss_bytes = 0;  ///< 0 = field absent (or unreadable on its host)
   /// Record came from a resumed (checkpoint-restored) run: it covers only
   /// the post-resume remainder, so it must never pair with a full-run
   /// baseline. Parsed from the "resumed" extra field.
@@ -52,7 +56,8 @@ struct BenchRecord {
 
 struct BenchDiffOptions {
   /// Relative throughput drop that fails the gate: 0.25 = fail when a fresh
-  /// run is more than 25% slower than its baseline record.
+  /// run is more than 25% slower than its baseline record. The same share of
+  /// peak-RSS growth fails it too.
   double threshold = 0.25;
   /// Per-bench overrides, keyed by exact bench name (noisier benches get a
   /// looser gate).
@@ -65,6 +70,7 @@ enum class BenchDiffStatus : std::uint8_t {
   kOk = 0,          ///< within threshold
   kImproved,        ///< faster by more than the threshold (informational)
   kRegressed,       ///< slower by more than the threshold — fails the gate
+  kMemoryGrew,      ///< peak RSS grew by more than the threshold — fails the gate
   kScaleMismatch,   ///< users/days/seed (or both-present host_cpus) differ; skipped
   kMissingBaseline  ///< fresh bench with no committed baseline record
 };
@@ -77,6 +83,9 @@ struct BenchDiffEntry {
   double baseline_pps = 0.0;
   double fresh_pps = 0.0;
   double delta = 0.0;  ///< (fresh - baseline) / baseline; 0 when not comparable
+  std::uint64_t baseline_rss = 0;  ///< peak RSS bytes; 0 = absent
+  std::uint64_t fresh_rss = 0;
+  double rss_delta = 0.0;  ///< (fresh - baseline) / baseline RSS; 0 unless both carry it
   double threshold = 0.0;
   BenchDiffStatus status = BenchDiffStatus::kOk;
 };

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <limits>
+#include <optional>
 #include <vector>
 
+#include "sim/run_merge.h"
 #include "sim/user_model.h"
 #include "trace/batch.h"
 
@@ -55,6 +57,71 @@ struct DayBucket {
 };
 
 constexpr std::int64_t kDayUs = days(1.0).us;
+
+/// A foreground interval of one app: [begin, end).
+using Interval = std::pair<TimePoint, TimePoint>;
+
+/// One app's foreground intervals, sorted by begin, and a read position.
+/// Emitters query mostly forward in time, so a query resumes where the last
+/// one stopped and walks forward; only a step back past an interval's begin
+/// (a forced-close restart, an overlapping update) searches again. Either way
+/// the position is std::upper_bound's: the first interval beginning after t.
+class ForegroundCursor {
+ public:
+  ForegroundCursor(const std::vector<Interval>& intervals, TimePoint study_end)
+      : intervals_(&intervals), study_end_(study_end) {}
+
+  /// State a scheduled-background packet of the app carries at t: if the
+  /// app happens to be foregrounded, the traffic is foreground.
+  ProcessState state_at(TimePoint t, ProcessState scheduled) {
+    const std::size_t pos = seek(t);
+    return pos > 0 && t < (*intervals_)[pos - 1].second ? ProcessState::kForeground : scheduled;
+  }
+
+  /// Start of the app's next foreground session strictly after t (or study end).
+  TimePoint next_session_after(TimePoint t) {
+    const std::size_t pos = seek(t);
+    return pos == intervals_->size() ? study_end_ : (*intervals_)[pos].first;
+  }
+
+ private:
+  std::size_t seek(TimePoint t) {
+    const std::vector<Interval>& ivs = *intervals_;
+    if (pos_ > 0 && t < ivs[pos_ - 1].first) {
+      pos_ = static_cast<std::size_t>(
+          std::upper_bound(ivs.begin(), ivs.end(), t,
+                           [](TimePoint v, const Interval& iv) { return v < iv.first; }) -
+          ivs.begin());
+    } else {
+      while (pos_ < ivs.size() && ivs[pos_].first <= t) ++pos_;
+    }
+    return pos_;
+  }
+
+  const std::vector<Interval>* intervals_;
+  TimePoint study_end_;
+  std::size_t pos_ = 0;  ///< every interval before it begins at or before the last t
+};
+
+/// A periodic spec's update sizes on one study day and the logs their draws
+/// take, computed once per (emitter, day) rather than once per draw. Same
+/// expressions, same arguments, so the values are bit-equal.
+struct UpdateSizes {
+  std::int64_t day = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t up = 0;
+  std::uint64_t down = 0;
+  double log_up = 0.0;
+  double log_down = 0.0;
+
+  void on_day(const PeriodicSpec& spec, std::int64_t d) {
+    if (d == day) return;
+    day = d;
+    up = spec.bytes_up.at(d);
+    down = spec.bytes_down.at(d);
+    log_up = std::log(static_cast<double>(up));
+    log_down = std::log(static_cast<double>(down));
+  }
+};
 
 /// Builds one user's event stream. All state is local; determinism comes
 /// from keyed Rng streams.
@@ -115,31 +182,6 @@ class UserSim {
   void transition(TimePoint t, AppId app, ProcessState from, ProcessState to) {
     if (t >= study_end() || t < config_.study_begin()) return;
     bucket(t).transitions.push_back({t, user_, app, from, to});
-  }
-
-  /// Process state an app's *scheduled-background* packet should carry at t:
-  /// if the app happens to be foregrounded, the traffic is foreground.
-  ProcessState state_at(AppId app, TimePoint t, ProcessState scheduled) const {
-    const auto it = fg_intervals_.find(app);
-    if (it == fg_intervals_.end()) return scheduled;
-    const auto& ivs = it->second;
-    auto pos = std::upper_bound(ivs.begin(), ivs.end(), t,
-                                [](TimePoint v, const auto& iv) { return v < iv.first; });
-    if (pos != ivs.begin()) {
-      --pos;
-      if (t >= pos->first && t < pos->second) return ProcessState::kForeground;
-    }
-    return scheduled;
-  }
-
-  /// Start of the app's next foreground session strictly after t (or study end).
-  TimePoint next_session_after(AppId app, TimePoint t) const {
-    const auto it = fg_intervals_.find(app);
-    if (it == fg_intervals_.end()) return study_end();
-    const auto& ivs = it->second;
-    const auto pos = std::upper_bound(ivs.begin(), ivs.end(), t,
-                                      [](TimePoint v, const auto& iv) { return v < iv.first; });
-    return pos == ivs.end() ? study_end() : pos->first;
   }
 
   // -- phase 1: user-driven foreground sessions -----------------------------
@@ -241,23 +283,32 @@ class UserSim {
   void index_foreground_intervals() {
     std::sort(sessions_.begin(), sessions_.end(),
               [](const Session& a, const Session& b) { return a.begin < b.begin; });
+    fg_intervals_.resize(catalog_.size());
     for (const auto& s : sessions_) {
       if (s.media && catalog_[s.app].media->delegated_service) continue;
       const TimePoint fg_hi = s.media ? s.fg_end : s.end;
       fg_intervals_[s.app].emplace_back(s.begin, fg_hi);
     }
-    for (auto& [app, ivs] : fg_intervals_) {
-      std::sort(ivs.begin(), ivs.end());
-    }
+    for (auto& ivs : fg_intervals_) std::sort(ivs.begin(), ivs.end());
+  }
+
+  [[nodiscard]] ForegroundCursor foreground(AppId app) const {
+    return ForegroundCursor{fg_intervals_[app], study_end()};
   }
 
   // -- phase 3: per-session traffic (fg bursts, flush, leaks, media chunks) --
 
   void emit_session_traffic() {
-    std::unordered_map<AppId, Rng> rngs;
+    // Per app: its session-traffic stream, keyed on first use, and one
+    // cursor for the flush and leak queries of all its sessions.
+    std::vector<std::optional<Rng>> rngs(catalog_.size());
+    std::vector<ForegroundCursor> cursors;
+    cursors.reserve(catalog_.size());
+    for (AppId app = 0; app < catalog_.size(); ++app) cursors.push_back(foreground(app));
     for (const auto& s : sessions_) {
-      auto [it, inserted] = rngs.try_emplace(s.app, stream("session-traffic", s.app));
-      Rng& rng = it->second;
+      std::optional<Rng>& slot = rngs[s.app];
+      if (!slot) slot.emplace(stream("session-traffic", s.app));
+      Rng& rng = *slot;
       const AppProfile& profile = catalog_[s.app];
 
       if (s.media) {
@@ -269,43 +320,45 @@ class UserSim {
       transition(s.begin, s.app, ProcessState::kBackground, fg_state);
       const trace::FlowId flow = next_flow_++;
       const auto& fg = profile.foreground;
+      const double log_up = std::log(static_cast<double>(fg.burst_bytes_up));
+      const double log_down = std::log(static_cast<double>(fg.burst_bytes_down));
+      const double interval_s = fg.burst_interval.seconds();
       TimePoint t = s.begin + sec(0.5);
       while (t < s.end) {
         const bool up = rng.chance(0.15);
-        const double mean_bytes =
-            static_cast<double>(up ? fg.burst_bytes_up : fg.burst_bytes_down);
-        const auto bytes =
-            static_cast<std::uint64_t>(rng.lognormal(std::log(mean_bytes), 0.8));
+        const auto bytes = static_cast<std::uint64_t>(rng.lognormal(up ? log_up : log_down, 0.8));
         packet(t, s.app, bytes, up ? Direction::kUplink : Direction::kDownlink, fg_state, flow);
-        t += sec(rng.exponential(fg.burst_interval.seconds()));
+        t += sec(rng.exponential(interval_s));
       }
       transition(s.end, s.app, fg_state, ProcessState::kBackground);
 
-      if (profile.flush) emit_flush(s, *profile.flush, rng);
+      ForegroundCursor& cursor = cursors[s.app];
+      if (profile.flush) emit_flush(s, *profile.flush, rng, cursor);
       // A leak is the *same* logical flow continuing after minimize (§4.1),
       // so it keeps the session's flow id.
-      if (profile.leak) emit_leak(s, *profile.leak, flow, rng);
+      if (profile.leak) emit_leak(s, *profile.leak, flow, rng, cursor);
     }
   }
 
-  void emit_flush(const Session& s, const FlushSpec& flush, Rng& rng) {
+  void emit_flush(const Session& s, const FlushSpec& flush, Rng& rng, ForegroundCursor& fg) {
     if (!rng.chance(flush.flush_probability)) return;
     const trace::FlowId flow = next_flow_++;
+    const double spacing_s = flush.mean_spacing.seconds();
+    const double log_down = std::log(static_cast<double>(flush.bytes_down));
+    const double log_up = std::log(static_cast<double>(flush.bytes_up));
     TimePoint t = s.end;
     for (int b = 0; b < flush.bursts; ++b) {
-      t += sec(rng.exponential(flush.mean_spacing.seconds()));
-      const auto down = static_cast<std::uint64_t>(
-          rng.lognormal(std::log(static_cast<double>(flush.bytes_down)), 0.6));
-      const auto up = static_cast<std::uint64_t>(
-          rng.lognormal(std::log(static_cast<double>(flush.bytes_up)), 0.6));
-      packet(t, s.app, up, Direction::kUplink,
-             state_at(s.app, t, ProcessState::kBackground), flow);
+      t += sec(rng.exponential(spacing_s));
+      const auto down = static_cast<std::uint64_t>(rng.lognormal(log_down, 0.6));
+      const auto up = static_cast<std::uint64_t>(rng.lognormal(log_up, 0.6));
+      packet(t, s.app, up, Direction::kUplink, fg.state_at(t, ProcessState::kBackground), flow);
       packet(t + msec(300), s.app, down, Direction::kDownlink,
-             state_at(s.app, t + msec(300), ProcessState::kBackground), flow);
+             fg.state_at(t + msec(300), ProcessState::kBackground), flow);
     }
   }
 
-  void emit_leak(const Session& s, const LeakSpec& leak, trace::FlowId flow, Rng& rng) {
+  void emit_leak(const Session& s, const LeakSpec& leak, trace::FlowId flow, Rng& rng,
+                 ForegroundCursor& fg) {
     if (!rng.chance(leak.leak_probability)) return;
     const std::int64_t day = s.end.day_index();
 
@@ -326,14 +379,16 @@ class UserSim {
       }
     }
     TimePoint stop = s.end + lifetime;
-    stop = std::min({stop, next_session_after(s.app, s.end), study_end()});
+    stop = std::min({stop, fg.next_session_after(s.end), study_end()});
 
+    const double log_poll = std::log(poll_s);
+    const double poll_sigma = egregious ? 0.05 : leak.poll_period_sigma;
     TimePoint t = s.end + sec(rng.exponential(poll_s));
     while (t < stop) {
       packet(t, s.app, leak.poll_bytes_up, Direction::kUplink, ProcessState::kBackground, flow);
       packet(t + msec(200), s.app, leak.poll_bytes_down, Direction::kDownlink,
              ProcessState::kBackground, flow);
-      t += sec(rng.lognormal(std::log(poll_s), egregious ? 0.05 : leak.poll_period_sigma));
+      t += sec(rng.lognormal(log_poll, poll_sigma));
     }
   }
 
@@ -356,14 +411,13 @@ class UserSim {
              ProcessState::kPerceptible, flow);
       return;
     }
-    const double period_s = media.chunk_period.at(day).seconds();
-    const auto chunk = media.chunk_bytes.at(day);
+    const double log_period = std::log(media.chunk_period.at(day).seconds());
+    const double log_chunk = std::log(static_cast<double>(media.chunk_bytes.at(day)));
     TimePoint t = s.fg_end + sec(1.0);
     while (t < s.end) {
-      const auto bytes = static_cast<std::uint64_t>(
-          rng.lognormal(std::log(static_cast<double>(chunk)), 0.25));
+      const auto bytes = static_cast<std::uint64_t>(rng.lognormal(log_chunk, 0.25));
       packet(t, s.app, bytes, Direction::kDownlink, ProcessState::kPerceptible, next_flow_++);
-      t += sec(rng.lognormal(std::log(period_s), 0.15));
+      t += sec(rng.lognormal(log_period, 0.15));
     }
   }
 
@@ -385,28 +439,33 @@ class UserSim {
     }
   }
 
-  void emit_update(TimePoint t, AppId app, const PeriodicSpec& spec, Rng& rng) {
-    const std::int64_t day = t.day_index();
+  void emit_update(TimePoint t, AppId app, const PeriodicSpec& spec, Rng& rng,
+                   ForegroundCursor& fg, UpdateSizes& sizes) {
+    sizes.on_day(spec, t.day_index());
     const trace::FlowId flow = next_flow_++;
     // Mild payload variation around the scheduled sizes.
-    const auto vary = [&rng](std::uint64_t mean) {
+    const auto vary = [&rng](std::uint64_t mean, double log_mean) {
       return mean == 0 ? std::uint64_t{0}
-                       : static_cast<std::uint64_t>(
-                             rng.lognormal(std::log(static_cast<double>(mean)), 0.25));
+                       : static_cast<std::uint64_t>(rng.lognormal(log_mean, 0.25));
     };
-    const auto up = vary(spec.bytes_up.at(day));
-    const auto down_total = vary(spec.bytes_down.at(day));
+    const auto up = vary(sizes.up, sizes.log_up);
+    const auto down_total = vary(sizes.down, sizes.log_down);
     const int bursts = std::max(1, spec.bursts_per_update);
-    packet(t, app, up, Direction::kUplink, state_at(app, t, spec.state), flow);
+    packet(t, app, up, Direction::kUplink, fg.state_at(t, spec.state), flow);
     TimePoint bt = t + msec(400);
     for (int b = 0; b < bursts; ++b) {
       const auto bytes = std::max<std::uint64_t>(1, down_total / static_cast<std::uint64_t>(bursts));
-      packet(bt, app, bytes, Direction::kDownlink, state_at(app, bt, spec.state), flow);
+      packet(bt, app, bytes, Direction::kDownlink, fg.state_at(bt, spec.state), flow);
       bt += spec.intra_update_gap;
     }
   }
 
   void emit_free_running_periodic(AppId app, const PeriodicSpec& spec, Rng& rng) {
+    ForegroundCursor fg = foreground(app);
+    UpdateSizes sizes;
+    const double sigma = spec.period_jitter;
+    std::int64_t period_day = std::numeric_limits<std::int64_t>::min();
+    double period_mu = 0.0;  ///< the period draw's mu on period_day
     TimePoint t = config_.study_begin() + sec(rng.uniform(0.0, spec.period.at(0).seconds()));
     TimePoint next_close = spec.forced_close_mean_days > 0.0
                                ? t + days(rng.exponential(spec.forced_close_mean_days))
@@ -416,7 +475,7 @@ class UserSim {
         // Forced close: traffic pauses until a restart (alarm/boot) or the
         // user foregrounds the app again — non-sticky processes only come
         // back with the user.
-        const TimePoint reopened = next_session_after(app, next_close);
+        const TimePoint reopened = fg.next_session_after(next_close);
         if (spec.restart_on_foreground_only) {
           t = reopened + sec(5.0);
         } else {
@@ -426,54 +485,59 @@ class UserSim {
         next_close = t + days(rng.exponential(std::max(0.05, spec.forced_close_mean_days)));
         continue;
       }
-      emit_update(t, app, spec, rng);
-      const double period_s = spec.period.at(t.day_index()).seconds();
-      const double sigma = spec.period_jitter;
-      t += sec(std::max(1.0, rng.lognormal(std::log(period_s) - 0.5 * sigma * sigma, sigma)));
+      emit_update(t, app, spec, rng, fg, sizes);
+      if (const std::int64_t day = t.day_index(); day != period_day) {
+        period_day = day;
+        period_mu = std::log(spec.period.at(day).seconds()) - 0.5 * sigma * sigma;
+      }
+      t += sec(std::max(1.0, rng.lognormal(period_mu, sigma)));
     }
   }
 
   void emit_reset_phase_periodic(AppId app, const PeriodicSpec& spec, Rng& rng) {
-    const auto it = fg_intervals_.find(app);
-    if (it == fg_intervals_.end()) return;
-    for (const auto& [begin, end] : it->second) {
+    ForegroundCursor fg = foreground(app);
+    UpdateSizes sizes;
+    const double mu = -0.5 * spec.period_jitter * spec.period_jitter;
+    for (const auto& [begin, end] : fg_intervals_[app]) {
       // The timer re-arms when the app leaves the foreground and keeps
       // firing until the next session or a forced stop.
       const TimePoint stop =
-          std::min({next_session_after(app, end),
+          std::min({fg.next_session_after(end),
                     end + hours(rng.exponential(spec.restart_mean_hours)), study_end()});
       const double period_s = spec.period.at(end.day_index()).seconds();
-      TimePoint t = end + sec(period_s * rng.lognormal(-0.5 * spec.period_jitter * spec.period_jitter,
-                                                       spec.period_jitter));
+      TimePoint t = end + sec(period_s * rng.lognormal(mu, spec.period_jitter));
       while (t < stop) {
-        emit_update(t, app, spec, rng);
-        t += sec(period_s *
-                 rng.lognormal(-0.5 * spec.period_jitter * spec.period_jitter, spec.period_jitter));
+        emit_update(t, app, spec, rng, fg, sizes);
+        t += sec(period_s * rng.lognormal(mu, spec.period_jitter));
       }
     }
   }
 
-  // -- phase 5: sort and emit, one day at a time ------------------------------
+  // -- phase 5: merge and emit, one day at a time -----------------------------
 
   /// The user's stream is every event stable-sorted by time, transitions
   /// winning ties. A day's bucket holds exactly the events of one time range,
   /// in insertion order, so sorting each day and concatenating the days in
   /// order yields that same stream without sorting the whole user at once.
+  /// Each emitter wrote its events in time order, so a bucket is a handful of
+  /// runs, and merging them stably is that stable sort (sim/run_merge.h).
   void emit_stream(trace::TraceSink& sink, std::size_t batch_size) {
+    // The sessions and intervals are spent; freeing them lets the merge
+    // scratch (one per user, grown to half its busiest day) take their place.
+    sessions_ = {};
+    fg_intervals_ = {};
     std::size_t total = 0;
     for (const DayBucket& day : buckets_) total += day.packets.size() + day.transitions.size();
     trace::EventBatch batch;
     batch.user = user_;
     batch.reserve(std::min(batch_size, total));
+    std::vector<GenPacket> packet_scratch;
+    std::vector<StateTransition> transition_scratch;
     for (DayBucket& day : buckets_) {
       std::vector<GenPacket>& packets = day.packets;
       std::vector<StateTransition>& transitions = day.transitions;
-      std::stable_sort(packets.begin(), packets.end(),
-                       [](const GenPacket& a, const GenPacket& b) { return a.time < b.time; });
-      std::stable_sort(transitions.begin(), transitions.end(),
-                       [](const StateTransition& a, const StateTransition& b) {
-                         return a.time < b.time;
-                       });
+      merge_time_runs(packets, packet_scratch);
+      merge_time_runs(transitions, transition_scratch);
       // Merge into spans of batch_size events (spans run across days);
       // transitions win ties so a session's packets follow its transition
       // into the new state.
@@ -506,7 +570,7 @@ class UserSim {
   UserPlan plan_;
   DiurnalProfile diurnal_;  ///< per-user rhythm (shared curve at paper defaults)
   std::vector<Session> sessions_;
-  std::unordered_map<AppId, std::vector<std::pair<TimePoint, TimePoint>>> fg_intervals_;
+  std::vector<std::vector<Interval>> fg_intervals_;  ///< per AppId, sorted by begin
   std::vector<DayBucket> buckets_;  ///< one per study day; empty when num_days <= 0
   trace::FlowId next_flow_ = 1;
   double wifi_hours_ = 0.0;   ///< daily WiFi window length (0 = disabled)

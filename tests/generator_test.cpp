@@ -251,6 +251,65 @@ class StreamDigest final : public trace::TraceSink {
   trace::UserId user_ = 0;
 };
 
+/// A catalog built so that every emitter's output is many short, overlapping
+/// time runs: each periodic spec's period is shorter than its update's burst
+/// train (400 ms + bursts × intra_update_gap), leaks poll faster than their
+/// 200 ms reply, and schedules change mid-study (one drops bytes_up to 0).
+appmodel::AppCatalog overlapping_catalog() {
+  appmodel::AppCatalog catalog;
+  appmodel::AppProfile chatty;
+  chatty.name = "overlap-free-running";
+  chatty.install_probability = 1.0;
+  chatty.foreground.sessions_per_day = 6.0;
+  appmodel::PeriodicSpec fast;
+  fast.period = appmodel::Schedule<Duration>{sec(45.0)}.then(2, sec(30.0));
+  fast.bursts_per_update = 3;
+  fast.intra_update_gap = sec(20.0);  // 60.4 s train > 45 s period
+  fast.bytes_up = appmodel::Schedule<std::uint64_t>{std::uint64_t{800}}.then(3, 0);
+  fast.forced_close_mean_days = 0.3;
+  fast.restart_mean_hours = 2.0;
+  chatty.periodic.push_back(fast);
+  appmodel::PeriodicSpec fg_only = fast;
+  fg_only.period = sec(25.0);
+  fg_only.restart_on_foreground_only = true;
+  chatty.periodic.push_back(fg_only);
+  appmodel::LeakSpec leak;
+  leak.leak_probability = 0.6;
+  leak.poll_period = appmodel::Schedule<Duration>{sec(0.15)}.then(1, sec(0.4));
+  leak.egregious_probability = 0.2;
+  leak.egregious_poll_period = sec(0.1);
+  chatty.leak = leak;
+  chatty.flush = appmodel::FlushSpec{};
+  catalog.add(chatty);
+
+  appmodel::AppProfile reset;
+  reset.name = "overlap-reset-phase";
+  reset.install_probability = 1.0;
+  reset.foreground.sessions_per_day = 8.0;
+  appmodel::PeriodicSpec timer;
+  timer.period = sec(10.0);
+  timer.bursts_per_update = 4;
+  timer.intra_update_gap = sec(3.0);  // 12.4 s train > 10 s period
+  timer.phase = appmodel::PeriodPhase::kResetOnBackground;
+  timer.restart_mean_hours = 0.5;
+  reset.periodic.push_back(timer);
+  appmodel::MediaSpec media;
+  media.listen_sessions_per_day = 2.0;
+  media.chunk_period = appmodel::Schedule<Duration>{sec(20.0)}.then(2, sec(40.0));
+  media.chunk_bytes = appmodel::Schedule<std::uint64_t>{std::uint64_t{90'000}}.then(3, 30'000);
+  reset.media = media;
+  catalog.add(reset);
+
+  appmodel::AppProfile service;
+  service.name = "overlap-delegated-media";
+  service.install_probability = 1.0;
+  appmodel::MediaSpec delegated = media;
+  delegated.delegated_service = true;
+  service.media = delegated;
+  catalog.add(service);
+  return catalog;
+}
+
 // The generator's whole stream, pinned: every field of every event (flow
 // ids and interfaces included, which no downstream digest sees), at several
 // batch sizes, with per-user generation concatenating to the full run. A
@@ -266,20 +325,32 @@ TEST(StudyGenerator, StreamDigestIsPinned) {
   no_days.num_days = 0;
   StudyConfig negative_days = small_study(42);
   negative_days.num_days = -3;
+  // The paper's panel (342 apps): reset-phase timers, foreground-only
+  // restarts and forced-close restarts that step back in time.
+  StudyConfig panel;
+  panel.seed = 1;
+  panel.num_users = 2;
+  panel.num_days = 120;
+  StudyConfig overlapping = small_study(5);
+  overlapping.num_users = 2;
+  overlapping.num_days = 4;
   struct Case {
     const char* name;
-    StudyConfig config;
+    StudyGenerator gen;
     std::uint64_t digest;
   };
   const Case cases[] = {
-      {"small_study", small_study(42), 0x2f9cd24281ccf838ULL},
-      {"wifi_0.4", wifi, 0x422867782b43d979ULL},
-      {"population_40x3", population.study(), 0xc931a057b9c63ad6ULL},
-      {"num_days_0", no_days, 0xca5ae66062fd6ae5ULL},
-      {"num_days_-3", negative_days, 0xca5ae66062fd6ae5ULL},
+      {"small_study", StudyGenerator{small_study(42)}, 0x2f9cd24281ccf838ULL},
+      {"wifi_0.4", StudyGenerator{wifi}, 0x422867782b43d979ULL},
+      {"population_40x3", StudyGenerator{population.study()}, 0xc931a057b9c63ad6ULL},
+      {"num_days_0", StudyGenerator{no_days}, 0xca5ae66062fd6ae5ULL},
+      {"num_days_-3", StudyGenerator{negative_days}, 0xca5ae66062fd6ae5ULL},
+      {"paper_panel_2x120", StudyGenerator{panel}, 0x99f3760fc28bcd94ULL},
+      {"overlapping_runs", StudyGenerator{overlapping, overlapping_catalog()},
+       0x6e71e5c6b2f67e53ULL},
   };
   for (const Case& c : cases) {
-    const StudyGenerator gen{c.config};
+    const StudyGenerator& gen = c.gen;
     for (const std::size_t batch_size : {1, 7, 256, 4096}) {
       SCOPED_TRACE(std::string{c.name} + " batch " + std::to_string(batch_size));
       StreamDigest full{batch_size};
@@ -288,15 +359,17 @@ TEST(StudyGenerator, StreamDigestIsPinned) {
       EXPECT_EQ(full.study_ends, 1u);
       EXPECT_EQ(full.digest, c.digest) << std::hex << "0x" << full.digest << std::dec << " over "
                                        << full.events << " events";
-      if (c.config.num_days <= 0) {
+      if (gen.config().num_days <= 0) {
         EXPECT_EQ(full.batches, 0u);  // bracket-only users
       } else {
         EXPECT_GT(full.events, 0u);
       }
 
       StreamDigest per_user{batch_size};
-      for (trace::UserId u = 0; u < c.config.num_users; ++u) gen.run_user(u, per_user, batch_size);
-      EXPECT_EQ(per_user.study_begins, c.config.num_users);
+      for (trace::UserId u = 0; u < gen.config().num_users; ++u) {
+        gen.run_user(u, per_user, batch_size);
+      }
+      EXPECT_EQ(per_user.study_begins, gen.config().num_users);
       EXPECT_EQ(per_user.digest, full.digest);
       EXPECT_EQ(per_user.events, full.events);
     }

@@ -540,6 +540,78 @@ TEST(BenchDiff, LastRecordPerKeyWinsOnBothSides) {
   EXPECT_EQ(report.entries[0].status, obs::BenchDiffStatus::kOk);
 }
 
+std::string rss_line(const std::string& bench, double pps, std::uint64_t peak_rss_bytes) {
+  return "{\"bench\":\"" + bench +
+         "\",\"users\":4,\"days\":60,\"seed\":42,\"wall_ms\":10,\"packets_per_sec\":" +
+         std::to_string(pps) + ",\"threads\":1,\"peak_rss_bytes\":" +
+         std::to_string(peak_rss_bytes) + "}\n";
+}
+
+TEST(BenchDiff, PeakRssGrowthOverThresholdFailsTheGate) {
+  const auto parsed = obs::parse_bench_log(rss_line("pipe", 1000.0, 40'000'000));
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].peak_rss_bytes, 40'000'000u);
+
+  // CI's injected self-test: same throughput, 40% more memory.
+  const auto grew = obs::diff_bench_logs(rss_line("pipe", 1000.0, 40'000'000),
+                                         rss_line("pipe", 1000.0, 56'000'000), {});
+  ASSERT_EQ(grew.entries.size(), 1u);
+  EXPECT_EQ(grew.entries[0].status, obs::BenchDiffStatus::kMemoryGrew);
+  EXPECT_NEAR(grew.entries[0].rss_delta, 0.4, 1e-9);
+  EXPECT_TRUE(grew.has_regressions());
+  const std::string md = grew.to_markdown();
+  EXPECT_NE(md.find("REGRESSED (peak RSS)"), std::string::npos);
+  EXPECT_NE(md.find("40.0 -> 56.0 MB (+40.0%)"), std::string::npos);
+
+  // Faster but fatter still fails; growth within the threshold, or a
+  // shrink, passes.
+  const auto faster_fatter = obs::diff_bench_logs(rss_line("pipe", 1000.0, 40'000'000),
+                                                  rss_line("pipe", 2000.0, 56'000'000), {});
+  EXPECT_EQ(faster_fatter.entries[0].status, obs::BenchDiffStatus::kMemoryGrew);
+  const auto within = obs::diff_bench_logs(rss_line("pipe", 1000.0, 40'000'000),
+                                           rss_line("pipe", 1000.0, 48'000'000), {});
+  EXPECT_EQ(within.entries[0].status, obs::BenchDiffStatus::kOk);
+  EXPECT_NEAR(within.entries[0].rss_delta, 0.2, 1e-9);
+  const auto shrank = obs::diff_bench_logs(rss_line("pipe", 1000.0, 40'000'000),
+                                           rss_line("pipe", 1000.0, 4'000'000), {});
+  EXPECT_EQ(shrank.entries[0].status, obs::BenchDiffStatus::kOk);
+
+  // A throughput regression keeps its own status when memory grew too.
+  const auto both = obs::diff_bench_logs(rss_line("pipe", 1000.0, 40'000'000),
+                                         rss_line("pipe", 500.0, 80'000'000), {});
+  EXPECT_EQ(both.entries[0].status, obs::BenchDiffStatus::kRegressed);
+
+  // The per-bench threshold governs memory too.
+  obs::BenchDiffOptions loose;
+  loose.per_bench["pipe"] = 0.50;
+  const auto overridden = obs::diff_bench_logs(rss_line("pipe", 1000.0, 40'000'000),
+                                               rss_line("pipe", 1000.0, 56'000'000), loose);
+  EXPECT_EQ(overridden.entries[0].status, obs::BenchDiffStatus::kOk);
+}
+
+TEST(BenchDiff, PeakRssIsComparedOnlyWhenBothRecordsCarryIt) {
+  const std::string without = bench_line("pipe", 1000.0);
+  const std::string huge = rss_line("pipe", 1000.0, 4'000'000'000);
+  const std::string unreadable = rss_line("pipe", 1000.0, 0);
+  for (const auto& [baseline, fresh] :
+       {std::pair{without, huge}, std::pair{huge, without}, std::pair{unreadable, huge},
+        std::pair{huge, unreadable}}) {
+    const auto report = obs::diff_bench_logs(baseline, fresh, {});
+    ASSERT_EQ(report.entries.size(), 1u);
+    EXPECT_EQ(report.entries[0].status, obs::BenchDiffStatus::kOk);
+    EXPECT_EQ(report.entries[0].rss_delta, 0.0);
+    EXPECT_EQ(report.to_markdown().find(" MB ("), std::string::npos);
+  }
+  // A scale mismatch skips the memory gate with the throughput one.
+  const auto other_scale = obs::diff_bench_logs(
+      rss_line("pipe", 1000.0, 4'000'000),
+      "{\"bench\":\"pipe\",\"users\":20,\"days\":60,\"seed\":42,\"wall_ms\":10,"
+      "\"packets_per_sec\":1000,\"threads\":1,\"peak_rss_bytes\":400000000}\n",
+      {});
+  EXPECT_EQ(other_scale.entries[0].status, obs::BenchDiffStatus::kScaleMismatch);
+  EXPECT_FALSE(other_scale.has_regressions());
+}
+
 TEST(BenchDiff, MarkdownSummaryNamesTheRegression) {
   const std::string baseline = bench_line("pipe", 1000.0);
   const std::string fresh = bench_line("pipe", 500.0);

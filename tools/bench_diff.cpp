@@ -1,8 +1,9 @@
 // bench_diff: compare a fresh WILDENERGY_BENCH_JSON run against the
-// committed BENCH_pipeline.json baseline and fail on throughput regressions.
+// committed BENCH_pipeline.json baseline and fail on throughput regressions
+// and on peak-RSS growth.
 //
 //   bench_diff <baseline.jsonl> <fresh.jsonl>
-//              [--threshold PCT]           default 25 (percent)
+//              [--threshold PCT]           default 25 (percent), both gates
 //              [--threshold-for BENCH=PCT] repeatable per-bench override
 //              [--markdown FILE]           write the summary table for CI
 //
