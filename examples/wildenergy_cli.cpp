@@ -69,7 +69,8 @@
 // Exit codes: 0 success; 1 runtime/data failure (unreadable or corrupt input,
 // run aborted by a fault, unwritable output, missing/corrupt/stale checkpoint
 // on --resume); 2 usage error (bad command or flag value, --resume without
-// --checkpoint-dir).
+// --checkpoint-dir or --store-dir, a flag on a command it does not apply to
+// such as --progress outside sweep).
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -106,15 +107,14 @@ using namespace wildenergy;
 
 struct CliOptions {
   sim::StudyConfig study;
+  /// The engine knobs the flags set directly (--threads, --batch-size,
+  /// --failure-policy, --max-shard-retries, --checkpoint-dir/-every,
+  /// --resume, --account-dir/-budget); run_options() adds the rest.
+  core::RunOptions run;
   bool stats = false;
   std::string stats_json;  ///< --stats-json FILE: structured run report
   bool progress = false;   ///< --progress: per-shard sweep progress on stderr
   std::string trace_out;
-  unsigned threads = 1;
-  /// Events per batch (≥ 1). Threads through both the pipeline
-  /// (PipelineOptions::batch_size) and the analyze readers
-  /// (ReadOptions::batch_size) — one knob, one shared default.
-  std::size_t batch_size = trace::kDefaultBatchSize;
   // Ingestion robustness (analyze).
   std::string replay;  ///< file to read instead of stdin
   trace::ReadPolicy read_policy = trace::ReadPolicy::kStrict;
@@ -122,19 +122,10 @@ struct CliOptions {
   std::uint64_t corrupt_seed = 0;
   // Execution resilience (generate/report/figures).
   std::vector<fault::ShardFaultSpec> faults;
-  core::FailurePolicy failure_policy = core::FailurePolicy::kFailFast;
-  unsigned max_shard_retries = 2;
-  // Checkpoint/restore (run/sweep/analyze; src/ckpt/, DESIGN.md §13).
-  std::string checkpoint_dir;
-  std::size_t checkpoint_every = 4;
-  bool resume = false;
   std::vector<fault::CheckpointFaultSpec> ckpt_faults;  ///< kill-and-recover harness
   // Out-of-core trace plane (run/sweep/analyze; DESIGN.md §14).
   std::string store_dir;           ///< spill sealed WESG segments here
   std::uint64_t store_budget = 0;  ///< resident column budget; 0 = fully out-of-core
-  // Account plane (run/sweep; DESIGN.md §15).
-  std::string account_dir;           ///< write folded per-user WEAC detail rows here
-  std::uint64_t account_budget = 0;  ///< unsealed account-row budget; 0 = default
 };
 
 /// Strict base-10 parse: the whole string must be a number (no "12abc" -> 12,
@@ -196,20 +187,20 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
         std::cerr << "--account-dir requires a directory path\n";
         return false;
       }
-      options.account_dir = v;
+      options.run.account_dir = v;
     } else if (flag == "--account-budget") {
       if (!parse_int_flag(flag, next(), 0, value)) return false;
-      options.account_budget = static_cast<std::uint64_t>(value);
+      options.run.account_budget_bytes = static_cast<std::uint64_t>(value);
       account_budget_set = true;
     } else if (flag == "--seed") {
       if (!parse_int_flag(flag, next(), 0, value)) return false;
       options.study.seed = static_cast<std::uint64_t>(value);
     } else if (flag == "--threads") {
       if (!parse_int_flag(flag, next(), 1, value)) return false;
-      options.threads = static_cast<unsigned>(value);
+      options.run.num_threads = static_cast<unsigned>(value);
     } else if (flag == "--batch-size") {
       if (!parse_int_flag(flag, next(), 1, value)) return false;
-      options.batch_size = static_cast<std::size_t>(value);
+      options.run.batch_size = static_cast<std::size_t>(value);
     } else if (flag == "--replay") {
       const char* v = next();
       if (!v || *v == '\0') {
@@ -254,28 +245,28 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
       const char* v = next();
       const std::string_view name = v != nullptr ? v : "";
       if (name == "failfast") {
-        options.failure_policy = core::FailurePolicy::kFailFast;
+        options.run.failure_policy = core::FailurePolicy::kFailFast;
       } else if (name == "retry-then-skip") {
-        options.failure_policy = core::FailurePolicy::kRetryThenSkip;
+        options.run.failure_policy = core::FailurePolicy::kRetryThenSkip;
       } else {
         std::cerr << "--failure-policy expects failfast|retry-then-skip, got '" << name << "'\n";
         return false;
       }
     } else if (flag == "--max-shard-retries") {
       if (!parse_int_flag(flag, next(), 0, value)) return false;
-      options.max_shard_retries = static_cast<unsigned>(value);
+      options.run.max_shard_retries = static_cast<unsigned>(value);
     } else if (flag == "--checkpoint-dir") {
       const char* v = next();
       if (!v || *v == '\0') {
         std::cerr << "--checkpoint-dir requires a directory path\n";
         return false;
       }
-      options.checkpoint_dir = v;
+      options.run.checkpoint_dir = v;
     } else if (flag == "--checkpoint-every") {
       if (!parse_int_flag(flag, next(), 1, value)) return false;
-      options.checkpoint_every = static_cast<std::size_t>(value);
+      options.run.checkpoint_every_users = static_cast<std::size_t>(value);
     } else if (flag == "--resume") {
-      options.resume = true;
+      options.run.resume = true;
     } else if (flag == "--inject-ckpt-fault") {
       const char* v = next();
       const auto spec = fault::parse_checkpoint_fault_spec(v != nullptr ? v : "");
@@ -309,11 +300,11 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
   }
   // Usage errors (exit 2), distinct from a missing/corrupt checkpoint at
   // runtime (exit 1): the flag combination itself is wrong.
-  if (options.resume && options.checkpoint_dir.empty() && options.store_dir.empty()) {
+  if (options.run.resume && options.run.checkpoint_dir.empty() && options.store_dir.empty()) {
     std::cerr << "--resume requires --checkpoint-dir or --store-dir\n";
     return false;
   }
-  if (!options.ckpt_faults.empty() && options.checkpoint_dir.empty()) {
+  if (!options.ckpt_faults.empty() && options.run.checkpoint_dir.empty()) {
     std::cerr << "--inject-ckpt-fault requires --checkpoint-dir\n";
     return false;
   }
@@ -321,7 +312,7 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
     std::cerr << "--store-budget requires --store-dir\n";
     return false;
   }
-  if (account_budget_set && options.account_dir.empty()) {
+  if (account_budget_set && options.run.account_dir.empty()) {
     std::cerr << "--account-budget requires --account-dir\n";
     return false;
   }
@@ -339,31 +330,29 @@ bool parse_flags(int argc, char** argv, int start, CliOptions& options) {
   return true;
 }
 
-/// Pipeline options for the requested observability and resilience level,
-/// bound to `writer` and `plan` (both must outlive the pipeline's run).
-core::PipelineOptions observed_options(const CliOptions& options, obs::TraceWriter& writer,
-                                       fault::FaultPlan& plan) {
-  core::PipelineOptions pipeline_options;
+/// The engine knobs of a run or sweep: the flags' RunOptions plus the
+/// requested observability and scripted faults, bound to `writer` and `plan`
+/// (both must outlive the run).
+core::RunOptions run_options(const CliOptions& options, obs::TraceWriter& writer,
+                             fault::FaultPlan& plan) {
+  core::RunOptions run = options.run;
   // The JSON report carries the per-stage profile too, so either flag turns
   // stage collection on.
-  pipeline_options.collect_stage_stats = options.stats || !options.stats_json.empty();
-  pipeline_options.num_threads = options.threads;
-  pipeline_options.batch_size = options.batch_size;
-  if (!options.trace_out.empty()) pipeline_options.trace_writer = &writer;
-  pipeline_options.failure_policy = options.failure_policy;
-  pipeline_options.max_shard_retries = options.max_shard_retries;
-  pipeline_options.checkpoint_dir = options.checkpoint_dir;
-  pipeline_options.checkpoint_every_users = options.checkpoint_every;
-  // --resume without --checkpoint-dir is about a --store-dir's sealed
-  // segments, not the pipeline (parse_flags allows nothing else).
-  pipeline_options.resume = options.resume && !options.checkpoint_dir.empty();
-  pipeline_options.account_dir = options.account_dir;
-  pipeline_options.account_budget_bytes = options.account_budget;
+  run.collect_stage_stats = options.stats || !options.stats_json.empty();
+  if (!options.trace_out.empty()) run.trace_writer = &writer;
   for (const auto& spec : options.faults) plan.add(spec);
   for (const auto& spec : options.ckpt_faults) plan.add_checkpoint_fault(spec);
-  if (!options.faults.empty() || !options.ckpt_faults.empty()) {
-    pipeline_options.fault_plan = &plan;
-  }
+  if (!options.faults.empty() || !options.ckpt_faults.empty()) run.fault_plan = &plan;
+  return run;
+}
+
+/// Pipeline options: run_options() with the pipeline's default attribution.
+core::PipelineOptions observed_options(const CliOptions& options, obs::TraceWriter& writer,
+                                       fault::FaultPlan& plan) {
+  core::PipelineOptions pipeline_options{run_options(options, writer, plan)};
+  // --resume without --checkpoint-dir is about a --store-dir's sealed
+  // segments, not the pipeline (parse_flags allows nothing else).
+  if (options.run.checkpoint_dir.empty()) pipeline_options.resume = false;
   return pipeline_options;
 }
 
@@ -393,8 +382,8 @@ std::optional<obs::RunStats> run_guarded(core::StudyPipeline& pipeline) {
 /// Resume/checkpoint facts on stderr after a successful run — recovery is
 /// never silent (DESIGN.md §13). Shared by every command that checkpoints.
 void print_checkpoint_notes(const CliOptions& options, const obs::RunStats& stats) {
-  if (options.checkpoint_dir.empty()) return;
-  if (options.resume) {
+  if (options.run.checkpoint_dir.empty()) return;
+  if (options.run.resume) {
     std::cerr << "resumed: skipped " << stats.resumed_users << " already-completed user(s)";
     if (stats.recovered_from_seq != 0) {
       std::cerr << " (recovered from checkpoint seq " << stats.recovered_from_seq
@@ -624,13 +613,13 @@ int cmd_run(const CliOptions& options) {
   if (!options.store_dir.empty()) {
     store.emplace(trace::SpillOptions{.dir = options.store_dir,
                                       .budget_bytes = options.store_budget,
-                                      .resume = options.resume});
-    if (const util::Status captured = store->capture(generator, options.batch_size);
+                                      .resume = options.run.resume});
+    if (const util::Status captured = store->capture(generator, options.run.batch_size);
         !captured.ok()) {
       std::cerr << "capture failed: " << captured.to_string() << "\n";
       return 1;
     }
-    if (options.resume) {
+    if (options.run.resume) {
       std::cerr << "resumed: reused " << store->resumed_users() << " sealed user(s) from "
                 << options.store_dir << "\n";
     }
@@ -657,25 +646,11 @@ int cmd_run(const CliOptions& options) {
 /// trace (core/sweep.h). One row per scenario; --progress streams completed
 /// (scenario x user) shard counts to stderr while the sweep runs.
 int cmd_sweep(const CliOptions& options) {
+  obs::TraceWriter spans;
   fault::FaultPlan plan;
-  core::SweepOptions sweep_options;
-  sweep_options.num_threads = options.threads;
-  sweep_options.batch_size = options.batch_size;
-  sweep_options.collect_stage_stats = options.stats || !options.stats_json.empty();
-  sweep_options.failure_policy = options.failure_policy;
-  sweep_options.max_shard_retries = options.max_shard_retries;
-  sweep_options.checkpoint_dir = options.checkpoint_dir;
-  sweep_options.checkpoint_every_users = options.checkpoint_every;
-  sweep_options.resume = options.resume;
+  core::SweepOptions sweep_options{run_options(options, spans, plan)};
   sweep_options.store_dir = options.store_dir;
   sweep_options.store_budget_bytes = options.store_budget;
-  sweep_options.account_dir = options.account_dir;
-  sweep_options.account_budget_bytes = options.account_budget;
-  for (const auto& spec : options.faults) plan.add(spec);
-  for (const auto& spec : options.ckpt_faults) plan.add_checkpoint_fault(spec);
-  if (!options.faults.empty() || !options.ckpt_faults.empty()) {
-    sweep_options.fault_plan = &plan;
-  }
   if (options.progress) {
     sweep_options.progress = [](const core::SweepProgress& p) {
       std::cerr << "\r[sweep] " << p.completed << "/" << p.total << " shards (scenario "
@@ -734,11 +709,9 @@ int cmd_sweep(const CliOptions& options) {
 
   // --stats / --stats-json report the sweep-wide aggregate RunStats (its
   // stages fold every scenario's chains; per-scenario stats live on the
-  // ScenarioResult for library users).
-  obs::TraceWriter no_spans;
-  CliOptions observability = options;
-  observability.trace_out.clear();  // no span writer on the sweep path
-  return finish_observability(observability, *stats, no_spans, std::cout) ? 0 : 1;
+  // ScenarioResult for library users); --trace-out holds one span per
+  // (scenario x user) shard.
+  return finish_observability(options, *stats, spans, std::cout) ? 0 : 1;
 }
 
 }  // namespace
@@ -752,8 +725,9 @@ int main(int argc, char** argv) {
                  "results identical for every N)\n"
               << "       --stats (per-stage profile)  --stats-json FILE (structured run "
                  "report, schema wildenergy.run_stats.v2)\n"
-              << "       --trace-out FILE (Perfetto spans)\n"
-              << "sweep: --progress (per-shard progress on stderr)\n"
+              << "       --trace-out FILE (Perfetto spans; under sweep one per scenario x "
+                 "user shard)\n"
+              << "sweep only: --progress (per-shard progress on stderr)\n"
               << "analyze: --replay FILE (read FILE instead of stdin)\n"
               << "         --read-policy strict|skip-and-count|best-effort\n"
               << "         --corrupt bit-flip|truncate|duplicate-span|swap-spans|bad-enum|"
@@ -793,8 +767,12 @@ int main(int argc, char** argv) {
     std::cerr << "--store-dir applies to run|sweep|analyze only\n";
     return 2;
   }
-  if (!options.account_dir.empty() && cmd != "run" && cmd != "sweep") {
+  if (!options.run.account_dir.empty() && cmd != "run" && cmd != "sweep") {
     std::cerr << "--account-dir applies to run|sweep only\n";
+    return 2;
+  }
+  if (options.progress && cmd != "sweep") {
+    std::cerr << "--progress applies to sweep only\n";
     return 2;
   }
   if (cmd == "generate") return cmd_generate(options);

@@ -173,11 +173,12 @@ void add_to_aggregate(obs::RunStats& aggregate, const obs::RunStats& s) {
 class Engine {
  public:
   Engine(trace::TraceSource& source, std::vector<EngineScenario>& scenarios,
-         const EngineOptions& options)
+         const RunOptions& options, const std::function<void(const SweepProgress&)>& progress)
       : source_(source),
         store_(dynamic_cast<const trace::SpillingTraceStore*>(&source)),
         scenarios_(scenarios),
         opt_(options),
+        progress_(progress),
         random_access_(source.supports_user_access()),
         retry_then_skip_(options.failure_policy == FailurePolicy::kRetryThenSkip),
         timed_(options.collect_stage_stats || options.trace_writer != nullptr),
@@ -219,7 +220,8 @@ class Engine {
   /// replayed rather than generated, and its footprint counts in the run.
   const trace::SpillingTraceStore* const store_;
   std::vector<EngineScenario>& scenarios_;
-  const EngineOptions& opt_;
+  const RunOptions& opt_;
+  const std::function<void(const SweepProgress&)>& progress_;
   const bool random_access_;
   /// Users arrive in ascending id order, so each folds right after its merge.
   bool fold_on_merge_ = false;
@@ -621,7 +623,7 @@ util::Status Engine::settle(Task& task) {
                                     static_cast<std::int64_t>(task.wall_ms * 1e3),
                                     1 + static_cast<int>(task.worker));
   }
-  if (opt_.progress) opt_.progress(++merged_tasks_, total_tasks_, task.scenario, task.user);
+  if (progress_) progress_({++merged_tasks_, total_tasks_, task.scenario, task.user});
   if (writer_ != nullptr &&
       ++plan.since_checkpoint >= std::max<std::size_t>(1, opt_.checkpoint_every_users)) {
     write_snapshot();
@@ -859,17 +861,16 @@ util::StatusOr<obs::RunStats> Engine::run() {
 
 }  // namespace
 
-std::string account_spill_dir(const std::string& account_dir,
-                              const std::string& checkpoint_dir) {
-  if (!account_dir.empty()) return account_dir;
-  if (!checkpoint_dir.empty()) return checkpoint_dir + "/accounts";
+std::string account_spill_dir(const RunOptions& options) {
+  if (!options.account_dir.empty()) return options.account_dir;
+  if (!options.checkpoint_dir.empty()) return options.checkpoint_dir + "/accounts";
   return {};
 }
 
-util::StatusOr<obs::RunStats> run_scenarios(trace::TraceSource& source,
-                                            std::vector<EngineScenario>& scenarios,
-                                            const EngineOptions& options) {
-  Engine engine{source, scenarios, options};
+util::StatusOr<obs::RunStats> run_scenarios(
+    trace::TraceSource& source, std::vector<EngineScenario>& scenarios,
+    const RunOptions& options, const std::function<void(const SweepProgress&)>& progress) {
+  Engine engine{source, scenarios, options, progress};
   return engine.run();
 }
 

@@ -44,10 +44,10 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/sweep.h"
 #include "energy/account_file.h"
 #include "energy/attributor.h"
 #include "obs/run_stats.h"
-#include "obs/trace_writer.h"
 #include "trace/sink.h"
 #include "trace/trace_source.h"
 #include "util/status.h"
@@ -72,36 +72,21 @@ struct EngineScenario {
   obs::RunStats* stats = nullptr;
 };
 
-struct EngineOptions {
-  unsigned num_threads = 1;
-  std::size_t batch_size = trace::kDefaultBatchSize;
-  FailurePolicy failure_policy = FailurePolicy::kFailFast;
-  unsigned max_shard_retries = 2;
-  fault::FaultPlan* fault_plan = nullptr;
-  std::string checkpoint_dir;  ///< empty = no checkpoints
-  std::size_t checkpoint_every_users = 4;
-  bool resume = false;
-  bool collect_stage_stats = false;
-  obs::TraceWriter* trace_writer = nullptr;
-  /// Called on the calling thread as each task merges:
-  /// (tasks merged, tasks this run, scenario index, user).
-  std::function<void(std::size_t, std::size_t, std::size_t, trace::UserId)> progress;
-};
-
 /// Where a run's account spill keeps its sealed files (DESIGN.md §15):
 /// `account_dir` when set, else `<checkpoint_dir>/accounts` so a
 /// checkpointed run's detail is durable and its snapshots carry only
 /// aggregates, else empty — in memory.
-[[nodiscard]] std::string account_spill_dir(const std::string& account_dir,
-                                            const std::string& checkpoint_dir);
+[[nodiscard]] std::string account_spill_dir(const RunOptions& options);
 
 /// Run every scenario over `source`. Per-scenario results land in each
 /// EngineScenario::stats; the returned RunStats carries the run-level
 /// numbers (wall time, threads, users, totals summed over scenarios,
 /// checkpoint and memory accounting). A source or spill error returns its
 /// status; under FailurePolicy::kFailFast a throwing shard rethrows here.
+/// `progress`, when set, is called on the calling thread as each task
+/// merges. The engine resumes only from options.checkpoint_dir.
 [[nodiscard]] util::StatusOr<obs::RunStats> run_scenarios(
     trace::TraceSource& source, std::vector<EngineScenario>& scenarios,
-    const EngineOptions& options);
+    const RunOptions& options, const std::function<void(const SweepProgress&)>& progress = {});
 
 }  // namespace wildenergy::core::internal

@@ -6,20 +6,21 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "radio/burst_machine.h"
 
 namespace wildenergy::core {
 
-namespace {
-PipelineOptions with_default_radio(PipelineOptions options) {
-  if (!options.radio_factory) options.radio_factory = radio::make_lte_model;
-  return options;
+util::Status RunOptions::check() const {
+  if (batch_size == 0) return util::Status::invalid_argument("batch_size must be at least 1");
+  if (account_dir.empty() && account_budget_bytes != 0) {
+    return util::Status::invalid_argument(
+        "account budget requires an account directory (set account_dir)");
+  }
+  return util::Status::ok_status();
 }
-}  // namespace
 
 StudyPipeline::StudyPipeline(trace::TraceSource* source, PipelineOptions options)
     : source_(source),
-      options_(with_default_radio(std::move(options))),
+      options_(std::move(options)),
       attributor_(options_.radio_factory, &downstream_, options_.tail_policy) {}
 
 void StudyPipeline::add_analysis(trace::TraceSink* sink) {
@@ -35,23 +36,14 @@ void StudyPipeline::set_policy(PolicyFactory factory) { policy_factory_ = std::m
 util::StatusOr<obs::RunStats> StudyPipeline::run() {
   stats_ = {};
   off_interface_bytes_ = 0;  // repeated run() must not report a stale count
-  if (options_.batch_size == 0) {
-    return util::Status::invalid_argument("batch_size must be at least 1");
-  }
+  if (util::Status checked = options_.check(); !checked.ok()) return checked;
   if (options_.resume && options_.checkpoint_dir.empty()) {
     return util::Status::invalid_argument(
         "resume requested without a checkpoint directory (set checkpoint_dir)");
   }
-  if (options_.account_dir.empty() && options_.account_budget_bytes != 0) {
-    return util::Status::invalid_argument(
-        "account budget requires an account directory (set account_dir)");
-  }
-  // A fresh account spill per run (DESIGN.md §15): under account_dir, else
-  // under the checkpoint directory so a checkpointed run's detail is
-  // durable and its snapshots carry only aggregates, else in memory.
+  // A fresh account spill per run (DESIGN.md §15).
   account_spill_ = std::make_shared<energy::AccountSpill>(energy::AccountSpill::Options{
-      internal::account_spill_dir(options_.account_dir, options_.checkpoint_dir),
-      options_.account_budget_bytes});
+      internal::account_spill_dir(options_), options_.account_budget_bytes});
 
   // One scenario of the execution engine; the ledger leads the fan-out.
   std::vector<internal::EngineScenario> scenario(1);
@@ -63,18 +55,7 @@ util::StatusOr<obs::RunStats> StudyPipeline::run() {
   scenario[0].spill = account_spill_.get();
   scenario[0].stats = &stats_;
 
-  internal::EngineOptions engine;
-  engine.num_threads = options_.num_threads;
-  engine.batch_size = options_.batch_size;
-  engine.failure_policy = options_.failure_policy;
-  engine.max_shard_retries = options_.max_shard_retries;
-  engine.fault_plan = options_.fault_plan;
-  engine.checkpoint_dir = options_.checkpoint_dir;
-  engine.checkpoint_every_users = options_.checkpoint_every_users;
-  engine.resume = options_.resume;
-  engine.collect_stage_stats = options_.collect_stage_stats;
-  engine.trace_writer = options_.trace_writer;
-  const auto run = internal::run_scenarios(*source_, scenario, engine);
+  const auto run = internal::run_scenarios(*source_, scenario, options_);
   if (!run.ok()) return run.status();
 
   // Run-level numbers the engine keeps outside the scenario.

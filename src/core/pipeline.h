@@ -62,62 +62,60 @@ enum class FailurePolicy : std::uint8_t {
   kRetryThenSkip,
 };
 
-struct PipelineOptions {
-  /// Radio model per user device; defaults to LTE (set in pipeline.cpp).
-  energy::RadioModelFactory radio_factory{};
-  /// Tail-energy attribution rule (paper rule by default).
-  energy::TailPolicy tail_policy = energy::TailPolicy::kLastPacket;
-  /// Interface under analysis; non-matching packets are dropped before
-  /// attribution (paper §3: the analyses are cellular-only).
-  trace::Interface interface = trace::Interface::kCellular;
-  /// Profile each stage's self time and per-sink throughput during run()
-  /// (obs::RunStats::stages). Off by default: it costs two clock reads per
-  /// callback per stage; totals and counters are collected regardless.
-  bool collect_stage_stats = false;
-  /// Optional Chrome-trace span export (implies stage profiling). Non-owning;
-  /// must outlive run(). Load the written file at https://ui.perfetto.dev.
-  obs::TraceWriter* trace_writer = nullptr;
-  /// Worker threads for the execution engine (core/engine.h). The study
-  /// runs as one shard per user; at most 2 × num_threads shard chains are
-  /// alive at once and they merge back in user-id order. 1 (default) runs
-  /// every shard inline on the calling thread; N > 1 uses
-  /// min(N, num_users) pool workers. Every output is bit-identical for every
-  /// value (see trace/shardable.h). With N > 1 the radio factory must be
-  /// safe to invoke concurrently.
+/// The execution engine's run knobs (core/engine.h), declared once for both
+/// façades: PipelineOptions (one scenario) and SweepOptions (K scenarios)
+/// derive from it, and the engine reads it as is.
+struct RunOptions {
+  /// Worker threads for the execution engine. A run is one shard per
+  /// (scenario, user); at most 2 × num_threads shard chains are alive at
+  /// once and they merge back in scenario-major, user-id order. 1 (default)
+  /// runs every shard inline on the calling thread; N > 1 uses
+  /// min(N, users per scenario) pool workers. Every output is bit-identical
+  /// for every value (see trace/shardable.h). With N > 1 the radio factories
+  /// must be safe to invoke concurrently.
   unsigned num_threads = 1;
-  /// Shard failure handling. Retries run on the calling thread, so outputs
-  /// stay bit-identical across thread counts either way.
+  /// Events per EventBatch on the source -> sinks path (and a sweep's
+  /// capture); ≥ 1 (check() rejects 0). Outputs are bit-identical for every
+  /// value (trace/batch.h); the shared default (trace::kDefaultBatchSize,
+  /// also used by trace::ReadOptions and the CLI --batch-size flag) is a
+  /// cache-friendly span that measures well on the micro_pipeline sweep.
+  std::size_t batch_size = trace::kDefaultBatchSize;
+  /// Shard failure handling, applied per scenario: kRetryThenSkip skips a
+  /// user in that scenario only. Retries run on the calling thread, so
+  /// outputs stay bit-identical across thread counts either way.
   FailurePolicy failure_policy = FailurePolicy::kFailFast;
   /// Extra attempts a failed shard gets under kRetryThenSkip before its
   /// user is skipped.
   unsigned max_shard_retries = 2;
   /// Scripted shard faults for tests/benches/CLI (--inject-fault).
   /// Non-owning; must outlive run(). Under kFailFast an injected fault
-  /// propagates out of run() as fault::ShardFault.
+  /// propagates out of run() as fault::ShardFault. A spec matching user U
+  /// arms once per (scenario, user) chain build, in scenario order; a user's
+  /// retries settle before its next scenario's chain is built, so arming
+  /// never depends on thread timing.
   fault::FaultPlan* fault_plan = nullptr;
-  /// Events per EventBatch on the source -> sinks path; ≥ 1 (run() rejects
-  /// 0). Outputs are bit-identical for every value (trace/batch.h); the
-  /// shared default (trace::kDefaultBatchSize, also used by
-  /// trace::ReadOptions and the CLI --batch-size flag) is a cache-friendly
-  /// span that measures well on the micro_pipeline sweep.
-  std::size_t batch_size = trace::kDefaultBatchSize;
   /// Directory for crash-recovery checkpoints (src/ckpt/, CLI
   /// --checkpoint-dir). Empty (default) disables checkpointing. When set,
   /// every registered sink must implement ckpt::CheckpointableSink (the
   /// default analysis set does) — run() refuses otherwise, naming the sink.
   /// A snapshot is written after every checkpoint_every_users merged users
-  /// and after the last one, for every source and thread count; the
-  /// forward-only readers snapshot mid-stream the same way. A checkpointed
-  /// run's outputs are bit-identical to an unchecked one.
+  /// of a scenario, after its last one, and as a scenario closes with more
+  /// to follow, for every source and thread count; the forward-only readers
+  /// snapshot mid-stream the same way. A checkpointed run's outputs are
+  /// bit-identical to an unchecked one. Per-shard rows and stage profiles
+  /// of work done before a kill are not checkpointed (counters and results
+  /// are).
   std::string checkpoint_dir{};
   /// Completed users between checkpoints (CLI --checkpoint-every). Clamped
   /// up to 1.
   std::size_t checkpoint_every_users = 4;
-  /// Resume from the newest good checkpoint in checkpoint_dir: completed
-  /// users are skipped, their partial sink state is folded back in, and the
-  /// finished run is bit-identical to an uninterrupted one. A missing,
-  /// corrupt, or stale (different study/sink set) checkpoint fails run()
-  /// with a positioned status — resume never silently restarts from zero.
+  /// Resume from the newest good checkpoint in checkpoint_dir: finished
+  /// scenarios are restored verbatim, completed users are skipped, their
+  /// partial sink state is folded back in, and the finished run is
+  /// bit-identical to an uninterrupted one. A missing, corrupt, or stale
+  /// (different study/sink set) checkpoint fails run() with a positioned
+  /// status — resume never silently restarts from zero. Each façade checks
+  /// where it may resume from (a sweep also from its store_dir).
   bool resume = false;
   /// Directory for the folded per-user account detail rows (CLI
   /// --account-dir). Every run folds each user as it completes (DESIGN.md
@@ -125,16 +123,42 @@ struct PipelineOptions {
   /// ledger, analyses) into running aggregates, the detail rows go to WEAC
   /// account images, and the per-user slabs are freed — so resident detail
   /// memory stays bounded instead of growing with the population. The
-  /// images are files under this directory; when it is empty they go under
-  /// `<checkpoint_dir>/accounts` for a checkpointed run, else they stay in
-  /// memory. Aggregates and every cursor-based figure are bit-identical
-  /// wherever the images live. Resuming a checkpointed run must pass the
-  /// same directory.
+  /// images are files under this directory (a sweep uses one subdirectory
+  /// s<index> per scenario, in registration order); when it is empty they
+  /// go under `<checkpoint_dir>/accounts` for a checkpointed run, else they
+  /// stay in memory. Aggregates and every cursor-based figure are
+  /// bit-identical wherever the images live. Resuming a checkpointed run
+  /// must pass the same directory.
   std::string account_dir{};
-  /// Soft budget for the account spill plane (CLI --account-budget); the
-  /// pending writer seals as it fills so unsealed account bytes stay under
-  /// it. 0 applies the AccountSpill default. Requires account_dir.
+  /// Soft budget for each scenario's account spill (CLI --account-budget);
+  /// the pending writer seals as it fills so unsealed account bytes stay
+  /// under it. 0 applies the AccountSpill default. Requires account_dir.
   std::uint64_t account_budget_bytes = 0;
+  /// Profile each stage's self time and per-sink throughput during run()
+  /// (obs::RunStats::stages; per scenario in a sweep). Off by default: it
+  /// costs two clock reads per callback per stage; totals and counters are
+  /// collected regardless.
+  bool collect_stage_stats = false;
+  /// Optional Chrome-trace span export (implies stage profiling): one
+  /// `shard` span per (scenario, user) task plus the `run` span.
+  /// Non-owning; must outlive run(). Load the written file at
+  /// https://ui.perfetto.dev.
+  obs::TraceWriter* trace_writer = nullptr;
+
+  /// The checks every run makes before it touches its source: batch_size
+  /// ≥ 1, and an account budget only with an account directory.
+  [[nodiscard]] util::Status check() const;
+};
+
+/// One scenario's run: the engine knobs plus how it attributes.
+struct PipelineOptions : RunOptions {
+  /// Radio model per user device; empty means LTE (energy/attributor.h).
+  energy::RadioModelFactory radio_factory{};
+  /// Tail-energy attribution rule (paper rule by default).
+  energy::TailPolicy tail_policy = energy::TailPolicy::kLastPacket;
+  /// Interface under analysis; non-matching packets are dropped before
+  /// attribution (paper §3: the analyses are cellular-only).
+  trace::Interface interface = trace::Interface::kCellular;
 };
 
 class StudyPipeline {

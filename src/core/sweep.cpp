@@ -7,7 +7,6 @@
 
 #include "core/engine.h"
 #include "obs/stopwatch.h"
-#include "radio/burst_machine.h"
 
 namespace wildenergy::core {
 
@@ -30,17 +29,11 @@ const ScenarioResult* SweepEngine::result(std::string_view name) const {
 }
 
 util::StatusOr<obs::RunStats> SweepEngine::run() {
-  if (options_.batch_size == 0) {
-    return util::Status::invalid_argument("batch_size must be at least 1");
-  }
+  if (util::Status checked = options_.check(); !checked.ok()) return checked;
   if (options_.resume && options_.checkpoint_dir.empty() && options_.store_dir.empty()) {
     return util::Status::invalid_argument(
         "resume requested without a checkpoint or store directory (set checkpoint_dir or "
         "store_dir)");
-  }
-  if (options_.account_dir.empty() && options_.account_budget_bytes != 0) {
-    return util::Status::invalid_argument(
-        "account budget requires an account directory (set account_dir)");
   }
   const obs::Stopwatch total;
   if (store_.empty()) {  // simulate once
@@ -71,11 +64,10 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
     ScenarioResult& res = results_[si];
     res.name = scenario.name;
     attributors.push_back(std::make_unique<energy::EnergyAttributor>(
-        scenario.radio_factory ? scenario.radio_factory : radio::make_lte_model, &no_downstream,
-        scenario.tail_policy));
+        scenario.radio_factory, &no_downstream, scenario.tail_policy));
     // One spill per scenario, under an index-named subdirectory (scenario
     // names are user strings, not filesystem-safe), or in memory.
-    std::string account_dir = internal::account_spill_dir(options_.account_dir, options_.checkpoint_dir);
+    std::string account_dir = internal::account_spill_dir(options_);
     if (!account_dir.empty()) account_dir += "/s" + std::to_string(si);
     account_spills_.push_back(std::make_shared<energy::AccountSpill>(
         energy::AccountSpill::Options{std::move(account_dir), options_.account_budget_bytes}));
@@ -90,23 +82,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
     plan[si].stats = &res.stats;
   }
 
-  internal::EngineOptions engine;
-  engine.num_threads = options_.num_threads;
-  engine.batch_size = options_.batch_size;
-  engine.failure_policy = options_.failure_policy;
-  engine.max_shard_retries = options_.max_shard_retries;
-  engine.fault_plan = options_.fault_plan;
-  engine.checkpoint_dir = options_.checkpoint_dir;
-  engine.checkpoint_every_users = options_.checkpoint_every_users;
-  engine.resume = options_.resume && !options_.checkpoint_dir.empty();
-  engine.collect_stage_stats = options_.collect_stage_stats;
-  if (options_.progress) {
-    engine.progress = [this](std::size_t done, std::size_t total_shards, std::size_t si,
-                             trace::UserId user) {
-      options_.progress(SweepProgress{done, total_shards, si, user});
-    };
-  }
-  auto run = internal::run_scenarios(store_, plan, engine);
+  auto run = internal::run_scenarios(store_, plan, options_, options_.progress);
   if (!run.ok()) return run.status();
   run->wall_ms = total.elapsed_ms();  // the capture counts too
   return run;

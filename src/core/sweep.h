@@ -70,72 +70,23 @@ struct SweepProgress {
   trace::UserId user = 0;          ///< its user
 };
 
-struct SweepOptions {
-  /// Worker threads shared by ALL (scenario × user) shards. The engine
-  /// keeps at most 2 × num_threads shard chains alive, in scenario-major
-  /// order; 1 runs every shard inline (still one capture, K replays).
-  unsigned num_threads = 1;
-  /// Profile each chain's stages into the per-scenario
-  /// ScenarioResult::stats.stages (self time + batch latency), exactly like
-  /// PipelineOptions::collect_stage_stats. Off by default (two clock reads
-  /// per callback per stage per shard).
-  bool collect_stage_stats = false;
+/// A sweep's run: the engine knobs (shared by every scenario's shards) plus
+/// progress reporting and where the captured study lives.
+struct SweepOptions : RunOptions {
   /// Invoked once per completed (scenario, user) shard, on the thread that
   /// called run(), as the shard merges (never concurrently). Keep it cheap —
   /// it runs inside the merge path.
   std::function<void(const SweepProgress&)> progress{};
-  /// Events per EventBatch on both the capture and replay paths; ≥ 1 (run()
-  /// rejects 0). Shares trace::kDefaultBatchSize with PipelineOptions /
-  /// ReadOptions.
-  std::size_t batch_size = trace::kDefaultBatchSize;
-  /// Shard failure handling, applied per scenario: kRetryThenSkip retries a
-  /// failed (scenario, user) shard up to max_shard_retries times, then skips
-  /// that user in THAT scenario only (other scenarios keep the user).
-  FailurePolicy failure_policy = FailurePolicy::kFailFast;
-  unsigned max_shard_retries = 2;
-  /// Scripted shard faults (--inject-fault). Non-owning; must outlive run().
-  /// A spec matching user U arms once per (scenario, user) chain build, in
-  /// scenario order; a user's retries settle before its next scenario's
-  /// chain is built, so arming never depends on thread timing.
-  fault::FaultPlan* fault_plan = nullptr;
-  /// Directory for crash-recovery checkpoints (src/ckpt/, CLI
-  /// --checkpoint-dir). Empty (default) disables checkpointing. When set, a
-  /// snapshot is written after every checkpoint_every_users merged shards of
-  /// a scenario, after its last shard, and once more as a scenario closes
-  /// with more to follow;
-  /// every scenario analysis sink must implement ckpt::CheckpointableSink.
-  /// Outputs stay bit-identical to an unchecked sweep at every thread count.
-  /// Per-shard rows and stage profiles of work done before a kill are not
-  /// checkpointed (counters and results are).
-  std::string checkpoint_dir{};
-  /// Completed user shards between checkpoints within a scenario.
-  std::size_t checkpoint_every_users = 4;
-  /// Resume from the newest good checkpoint: finished scenarios are restored
-  /// verbatim, the interrupted one continues from its last epoch. Missing,
-  /// corrupt, or stale checkpoints fail run() — never a silent restart.
-  /// With store_dir set, resume also reopens sealed segments there and
-  /// captures only the users the segments do not already cover.
-  bool resume = false;
   /// Out-of-core capture (CLI --store-dir): when non-empty, the sweep's
   /// trace::SpillingTraceStore seals WESG segments into this directory;
   /// empty keeps the captured study resident. Replay semantics (and every
-  /// scenario output) are bit-identical either way.
+  /// scenario output) are bit-identical either way. With resume set, the
+  /// store reopens sealed segments here and captures only the users they do
+  /// not already cover (checkpoint_dir may then stay empty).
   std::string store_dir{};
   /// Resident column budget for the spilling store (CLI --store-budget).
   /// 0 = fully out-of-core. Ignored when store_dir is empty.
   std::uint64_t store_budget_bytes = 0;
-  /// Account plane directory (CLI --account-dir, DESIGN.md §15): every
-  /// scenario folds each user as its shard merges, and the detail rows go
-  /// to WEAC files under the per-scenario subdirectory s<index>
-  /// (registration order) — of this directory, else of
-  /// `<checkpoint_dir>/accounts`, else they stay in memory. Scenario ledgers
-  /// answer cursor-based queries from those rows, bit-identically wherever
-  /// they live. A resume must pass the same directory.
-  std::string account_dir{};
-  /// Soft unsealed-bytes budget per scenario's account spill (CLI
-  /// --account-budget); 0 applies the AccountSpill default. Requires
-  /// account_dir.
-  std::uint64_t account_budget_bytes = 0;
 };
 
 /// One scenario's outcome: its ledger, its per-scenario RunStats (totals,

@@ -38,9 +38,8 @@ EnergyAttributor::EnergyAttributor(RadioModelFactory factory, trace::TraceSink* 
     : factory_(std::move(factory)),
       downstream_(downstream),
       policy_(policy),
-      segment_sink_([this](const radio::EnergySegment& s) { handle_segment(s); }),
-      run_sink_([this](std::size_t i, const radio::EnergySegment& s) { on_run_segment(i, s); }) {
-  assert(factory_);
+      segment_sink_([this](const radio::EnergySegment& s) { handle_segment(s); }) {
+  if (!factory_) factory_ = radio::make_lte_model;
   assert(downstream_ != nullptr);
 }
 
@@ -57,7 +56,6 @@ void EnergyAttributor::on_study_begin(const trace::StudyMeta& meta) {
 void EnergyAttributor::on_user_begin(trace::UserId user) {
   ++counters_.users;
   model_ = factory_();
-  burst_ = dynamic_cast<radio::BurstMachine*>(model_.get());
   current_ = &pending_[user];
   window_.clear();
   held_transitions_.clear();
@@ -173,15 +171,11 @@ void EnergyAttributor::on_batch(const trace::EventBatch& batch) {
     counters_.packets += run_events_.size();
     run_packets_ = batch.packets.data() + run_begin;
     run_finalized_ = 0;
-    if (burst_ != nullptr) {
-      // Statically-dispatched run: the segment chain inlines end to end.
-      burst_->transfers(run_events_.data(), run_events_.size(),
-                        [this](std::size_t i, const radio::EnergySegment& s) {
-                          on_run_segment(i, s);
-                        });
-    } else {
-      model_->on_transfers(run_events_.data(), run_events_.size(), run_sink_);
-    }
+    // Statically-dispatched run: the segment chain inlines end to end.
+    model_->transfers(run_events_.data(), run_events_.size(),
+                      [this](std::size_t i, const radio::EnergySegment& s) {
+                        on_run_segment(i, s);
+                      });
     while (run_finalized_ < run_events_.size()) {
       finalize_packet(run_packets_[run_finalized_++]);
     }

@@ -22,13 +22,9 @@
 #include <vector>
 
 #include "ckpt/checkpointable.h"
-#include "radio/radio_model.h"
+#include "radio/burst_machine.h"
 #include "trace/batch.h"
 #include "trace/sink.h"
-
-namespace wildenergy::radio {
-class BurstMachine;
-}  // namespace wildenergy::radio
 
 namespace wildenergy::energy {
 
@@ -65,7 +61,8 @@ class PendingQueue {
   std::size_t head_ = 0;
 };
 
-using RadioModelFactory = std::function<std::unique_ptr<radio::RadioModel>()>;
+/// Builds one user's radio model (radio::make_lte_model and its siblings).
+using RadioModelFactory = std::function<std::unique_ptr<radio::BurstMachine>()>;
 
 /// Alternative attribution rules, for the ablation bench (DESIGN.md §4.1).
 enum class TailPolicy {
@@ -108,6 +105,8 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   };
 
   /// `downstream` receives the energy-annotated stream; it must outlive this.
+  /// An empty `factory` means LTE (radio::make_lte_model), the default every
+  /// façade (core/pipeline.h, core/sweep.h) relies on.
   EnergyAttributor(RadioModelFactory factory, trace::TraceSink* downstream,
                    TailPolicy policy = TailPolicy::kLastPacket);
 
@@ -116,9 +115,9 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   void on_user_end(trace::UserId user) override;
   void on_study_end() override;
   /// Feeds consecutive-packet runs to the radio model through
-  /// RadioModel::on_transfers (one segment adapter per run instead of one
-  /// per packet) and emits the annotated events as one batch. Bit-identical
-  /// for every batch size.
+  /// BurstMachine::transfers (one statically-dispatched segment adapter per
+  /// run instead of one per packet) and emits the annotated events as one
+  /// batch. Bit-identical for every batch size.
   void on_batch(const trace::EventBatch& batch) override;
 
   // Study-wide energy totals: the folded aggregate, then each pending user's
@@ -188,11 +187,7 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   RadioModelFactory factory_;
   trace::TraceSink* downstream_;
   TailPolicy policy_;
-  std::unique_ptr<radio::RadioModel> model_;
-  /// model_ downcast to the concrete machine (null for custom models),
-  /// refreshed per user. Lets the batch path call the statically-dispatched
-  /// BurstMachine::transfers — no std::function hop per segment.
-  radio::BurstMachine* burst_ = nullptr;
+  std::unique_ptr<radio::BurstMachine> model_;  ///< this user's radio
   trace::StudyMeta meta_;
 
   // Packets whose tail attribution is not yet settled. Under kLastPacket this
@@ -216,7 +211,6 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   // Hoisted sink adapters (building a std::function per packet was a
   // measurable per-record cost) and reused scratch state.
   radio::SegmentSink segment_sink_;
-  radio::IndexedSegmentSink run_sink_;
   trace::EventBatch out_;             ///< annotated output batch (reused)
   std::vector<radio::TransferEvent> run_events_;  ///< current packet run
   const trace::PacketRecord* run_packets_ = nullptr;  ///< run's source packets

@@ -4,7 +4,7 @@
 // state-machine counters) is collected on every run from counters the
 // pipeline maintains anyway. The per-stage breakdown (`stages`, self-time
 // profiling of generator vs filter vs policy vs attributor vs each sink) is
-// only populated when PipelineOptions::collect_stage_stats or a trace writer
+// only populated when RunOptions::collect_stage_stats or a trace writer
 // asks for it, because it costs two clock reads per callback per stage.
 //
 // Serializable: to_json() emits the stable "wildenergy.run_stats.v2" schema
@@ -57,7 +57,7 @@ struct ShardRunStats {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
   double joules = 0.0;
-  // Failure handling (PipelineOptions::FailurePolicy::kRetryThenSkip).
+  // Failure handling (RunOptions::failure_policy, kRetryThenSkip).
   unsigned attempts = 1;   ///< 1 = succeeded first try; >1 = retried
   bool skipped = false;    ///< user excluded from the merge after retries
   util::Status status;     ///< last failure; OK for healthy shards
@@ -144,7 +144,7 @@ struct RunStats {
   std::uint64_t shard_retries = 0;
   std::vector<std::uint64_t> failed_users;
 
-  // Checkpoint/restore accounting (src/ckpt/, PipelineOptions::checkpoint_dir).
+  // Checkpoint/restore accounting (src/ckpt/, RunOptions::checkpoint_dir).
   // The written/bytes/failure counters cover this process only — they reset
   // on resume, because the writes of the killed run are not this run's work.
   std::uint64_t checkpoints_written = 0;

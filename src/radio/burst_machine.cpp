@@ -40,13 +40,6 @@ void BurstMachine::on_transfer(const TransferEvent& event, const SegmentSink& si
   transfer_impl(event, sink);
 }
 
-void BurstMachine::on_transfers(const TransferEvent* events, std::size_t count,
-                                const IndexedSegmentSink& sink) {
-  // The indexed adapter is a plain lambda handed through the templated core:
-  // each segment pays one std::function hop (the caller's sink), not two.
-  transfers(events, count, sink);
-}
-
 void BurstMachine::finish(TimePoint end, const SegmentSink& sink) {
   if (started_ && end > cursor_) {
     std::size_t phase = kIdlePhase;
@@ -66,16 +59,16 @@ void BurstMachine::reset() {
   active_until_ = {};
 }
 
-std::unique_ptr<RadioModel> make_lte_model() {
+std::unique_ptr<BurstMachine> make_lte_model() {
   return std::make_unique<BurstMachine>(lte_params());
 }
-std::unique_ptr<RadioModel> make_lte_fast_dormancy_model() {
+std::unique_ptr<BurstMachine> make_lte_fast_dormancy_model() {
   return std::make_unique<BurstMachine>(lte_fast_dormancy_params());
 }
-std::unique_ptr<RadioModel> make_umts_model() {
+std::unique_ptr<BurstMachine> make_umts_model() {
   return std::make_unique<BurstMachine>(umts_params());
 }
-std::unique_ptr<RadioModel> make_wifi_model() {
+std::unique_ptr<BurstMachine> make_wifi_model() {
   return std::make_unique<BurstMachine>(wifi_params());
 }
 

@@ -1,49 +1,61 @@
-// Generic burst-driven radio state machine.
+// The radio interface power/state model: one burst-driven state machine.
 //
-// LTE, UMTS and WiFi all share the same skeleton — promote, transfer,
-// multi-phase tail, idle — and differ only in parameters (power levels,
-// durations, whether a mid-tail arrival needs a repromotion). This class
-// implements the skeleton once; LteModel/UmtsModel/WifiModel are thin
-// parameterizations (R: avoid duplication; see DESIGN.md §2).
+// LTE (primary, §3.1 of the paper), UMTS and WiFi all share the same
+// skeleton — promote, transfer, multi-phase tail, idle — and differ only in
+// parameters (power levels, durations, whether a mid-tail arrival needs a
+// repromotion). This class implements the skeleton once; the make_*_model
+// helpers below are thin parameterizations (see DESIGN.md §2).
 //
 // The segment-emission core is templated on the sink so the batched
-// attribution path (on_transfers) hands its indexed adapter through without
-// an extra std::function layer per segment.
+// attribution path (transfers) inlines its indexed adapter without an extra
+// std::function layer per segment.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "radio/power_params.h"
-#include "radio/radio_model.h"
+#include "radio/segment.h"
 
 namespace wildenergy::radio {
 
-class BurstMachine final : public RadioModel {
+class BurstMachine {
  public:
   explicit BurstMachine(BurstMachineParams params);
 
-  void on_transfer(const TransferEvent& event, const SegmentSink& sink) override;
-  void on_transfers(const TransferEvent* events, std::size_t count,
-                    const IndexedSegmentSink& sink) override;
+  /// Feed the next transfer. Events must arrive in non-decreasing time order;
+  /// the machine emits every energy segment that is fully determined up to
+  /// (and including) the start of this transfer's active period.
+  void on_transfer(const TransferEvent& event, const SegmentSink& sink);
 
-  /// Statically-dispatched run attribution: like on_transfers, but the sink
-  /// is a template parameter, so a caller holding a concrete BurstMachine*
-  /// (the attributor caches one per user) pays zero std::function hops per
-  /// segment — the whole emit chain inlines into the caller.
+  /// Feed a run of consecutive transfers (the batched event path). Exactly
+  /// equivalent to calling on_transfer for each event in order; `sink` is
+  /// called as sink(index, segment) with the index of the event that
+  /// produced each segment (non-decreasing across the run), so a batch
+  /// consumer can settle earlier events lazily. The sink is a template
+  /// parameter, so the whole emit chain inlines into the caller.
   template <class Sink>
   void transfers(const TransferEvent* events, std::size_t count, Sink&& sink) {
     std::size_t index = 0;
     const auto adapter = [&sink, &index](const EnergySegment& s) { sink(index, s); };
     for (; index < count; ++index) transfer_impl(events[index], adapter);
   }
-  void finish(TimePoint end, const SegmentSink& sink) override;
-  [[nodiscard]] bool is_powered_at(TimePoint t) const override;
-  [[nodiscard]] std::string name() const override { return params_.model_name; }
-  void reset() override;
+  /// Close out the machine at `end`: emits any remaining tail and trailing
+  /// idle segments. The machine returns to its initial (idle) state.
+  void finish(TimePoint end, const SegmentSink& sink);
+  /// True if the radio would still be in a powered (non-idle) state at `t`,
+  /// assuming no transfers after the last one fed in.
+  [[nodiscard]] bool is_powered_at(TimePoint t) const;
+  /// Model name for reports ("LTE", "UMTS", "WiFi").
+  [[nodiscard]] std::string name() const { return params_.model_name; }
+  /// Reset to the initial idle state, forgetting all history.
+  void reset();
 
   [[nodiscard]] const BurstMachineParams& params() const { return params_; }
 
@@ -157,9 +169,9 @@ class BurstMachine final : public RadioModel {
 };
 
 /// Factory helpers matching the parameter sets in power_params.h.
-[[nodiscard]] std::unique_ptr<RadioModel> make_lte_model();
-[[nodiscard]] std::unique_ptr<RadioModel> make_lte_fast_dormancy_model();
-[[nodiscard]] std::unique_ptr<RadioModel> make_umts_model();
-[[nodiscard]] std::unique_ptr<RadioModel> make_wifi_model();
+[[nodiscard]] std::unique_ptr<BurstMachine> make_lte_model();
+[[nodiscard]] std::unique_ptr<BurstMachine> make_lte_fast_dormancy_model();
+[[nodiscard]] std::unique_ptr<BurstMachine> make_umts_model();
+[[nodiscard]] std::unique_ptr<BurstMachine> make_wifi_model();
 
 }  // namespace wildenergy::radio

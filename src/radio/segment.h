@@ -71,9 +71,4 @@ struct EnergySegment {
 /// between consecutive segments from one model instance.
 using SegmentSink = std::function<void(const EnergySegment&)>;
 
-/// Batch variant: additionally receives the index (into the fed run of
-/// transfer events) of the event that produced each segment. Indices are
-/// non-decreasing across one run.
-using IndexedSegmentSink = std::function<void(std::size_t, const EnergySegment&)>;
-
 }  // namespace wildenergy::radio

@@ -31,8 +31,8 @@
 namespace wildenergy::trace {
 
 /// The one default batch size, shared by every knob that slices the event
-/// stream (core::PipelineOptions::batch_size, trace::ReadOptions::batch_size,
-/// core::SweepOptions::batch_size, CLI --batch-size). A cache-friendly span
+/// stream (core::RunOptions::batch_size — so both the pipeline and the sweep —
+/// trace::ReadOptions::batch_size, CLI --batch-size). A cache-friendly span
 /// that measures well on the micro_pipeline event-path sweep; outputs are
 /// bit-identical for every value, so changing it is purely a perf decision.
 inline constexpr std::size_t kDefaultBatchSize = 256;

@@ -49,7 +49,7 @@ struct ReadOptions {
   std::size_t max_quarantine = 8;
   /// Events per EventBatch the readers deliver to the sink (trace/batch.h);
   /// ≥ 1 (0 is treated as 1). Outputs are bit-identical for every value.
-  /// Shares trace::kDefaultBatchSize with core::PipelineOptions::batch_size —
+  /// Shares trace::kDefaultBatchSize with core::RunOptions::batch_size —
   /// one documented default; CLI --batch-size threads through both.
   std::size_t batch_size = kDefaultBatchSize;
   /// Optional app-name resolution for the CSV reader: when set, a

@@ -291,7 +291,7 @@ TEST(KillRecoverAccountPlane, ResumedFoldRunBitIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     // Reference: fully resident, uninterrupted, no checkpointing at all.
     sim::StudyGenerator reference_gen{cfg};
-    core::StudyPipeline reference{&reference_gen, {.num_threads = threads}};
+    core::StudyPipeline reference{&reference_gen, {{.num_threads = threads}}};
     analysis::PersistenceAnalysis reference_persist;
     reference.add_analysis("persistence", &reference_persist);
     ASSERT_TRUE(reference.run().ok());

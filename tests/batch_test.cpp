@@ -870,24 +870,67 @@ TEST(FaultySink, NthCallbackCountsEventsInsideBatches) {
   }
 }
 
+// Every rejected option combination, through both façades: the exact status
+// each returns, before any event is generated or captured.
 TEST(BatchSize, ZeroIsRejectedByPipelineAndSweep) {
-  sim::StudyGenerator generator{property_config()};
-  core::PipelineOptions options;
-  options.batch_size = 0;
-  core::StudyPipeline pipeline{&generator, options};
-  const auto run = pipeline.run();
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument);
+  struct Case {
+    const char* label;
+    std::function<void(core::PipelineOptions&)> pipeline;
+    std::function<void(core::SweepOptions&)> sweep;
+    std::string pipeline_message;
+    std::string sweep_message;
+  };
+  const std::string zero_batch = "batch_size must be at least 1";
+  const std::string lone_budget = "account budget requires an account directory (set account_dir)";
+  const std::vector<Case> cases = {
+      {"batch_size 0", [](core::PipelineOptions& o) { o.batch_size = 0; },
+       [](core::SweepOptions& o) { o.batch_size = 0; }, zero_batch, zero_batch},
+      {"account budget without account_dir",
+       [](core::PipelineOptions& o) { o.account_budget_bytes = 1 << 20; },
+       [](core::SweepOptions& o) { o.account_budget_bytes = 1 << 20; }, lone_budget, lone_budget},
+      {"resume without a directory", [](core::PipelineOptions& o) { o.resume = true; },
+       [](core::SweepOptions& o) { o.resume = true; },
+       "resume requested without a checkpoint directory (set checkpoint_dir)",
+       "resume requested without a checkpoint or store directory (set checkpoint_dir or "
+       "store_dir)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    sim::StudyGenerator generator{property_config()};
+    core::PipelineOptions options;
+    c.pipeline(options);
+    core::StudyPipeline pipeline{&generator, options};
+    const auto run = pipeline.run();
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(run.status().message(), c.pipeline_message);
 
-  core::SweepOptions sweep_options;
-  sweep_options.batch_size = 0;
-  core::SweepEngine sweep{&generator, sweep_options};
-  core::Scenario scenario;
-  scenario.name = "baseline";
-  sweep.add_scenario(scenario);
+    core::SweepOptions sweep_options;
+    c.sweep(sweep_options);
+    core::SweepEngine sweep{&generator, sweep_options};
+    sweep.add_scenario({.name = "baseline"});
+    const auto swept = sweep.run();
+    ASSERT_FALSE(swept.ok());
+    EXPECT_EQ(swept.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(swept.status().message(), c.sweep_message);
+    EXPECT_TRUE(sweep.store().empty());  // rejected before capture
+  }
+
+  // A sealing sweep rejects the options before capture: no segment lands.
+  const auto dir = std::filesystem::temp_directory_path() / "wildenergy_batch_zero_sealed";
+  std::filesystem::remove_all(dir);
+  sim::StudyGenerator generator{property_config()};
+  core::SweepOptions sealed;
+  sealed.batch_size = 0;
+  sealed.store_dir = dir.string();
+  core::SweepEngine sweep{&generator, sealed};
+  sweep.add_scenario({.name = "baseline"});
   const auto swept = sweep.run();
   ASSERT_FALSE(swept.ok());
-  EXPECT_EQ(swept.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(swept.status().message(), zero_batch);
+  EXPECT_EQ(sweep.store().num_segments(), 0u);
+  EXPECT_TRUE(!std::filesystem::exists(dir) || std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------- readers

@@ -171,7 +171,7 @@ TEST(EngineWindow, LiveClonesNeverExceedTheWindow) {
       cfg.num_users = 200;
       cfg.num_days = 1;
       sim::StudyGenerator generator{cfg};
-      core::StudyPipeline pipeline{&generator, {.num_threads = threads}};
+      core::StudyPipeline pipeline{&generator, {{.num_threads = threads}}};
       CloneCounter counter;
       pipeline.add_analysis("counter", &counter);
       CloneCounter::reset();
@@ -185,7 +185,7 @@ TEST(EngineWindow, LiveClonesNeverExceedTheWindow) {
       cfg.num_users = 50;
       cfg.num_days = 1;
       sim::StudyGenerator generator{cfg};
-      core::SweepEngine sweep{&generator, {.num_threads = threads}};
+      core::SweepEngine sweep{&generator, {{.num_threads = threads}}};
       std::vector<std::unique_ptr<CloneCounter>> counters;
       for (const char* name : {"a", "b", "c"}) {
         counters.push_back(std::make_unique<CloneCounter>());

@@ -95,7 +95,7 @@ TEST(KillRecoverPipeline, ResumedRunIsBitIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     // Reference: the same study left uninterrupted, no checkpointing at all.
     sim::StudyGenerator reference_gen{cfg};
-    core::StudyPipeline reference{&reference_gen, {.num_threads = threads}};
+    core::StudyPipeline reference{&reference_gen, {{.num_threads = threads}}};
     Analyses reference_set;
     reference_set.attach(reference);
     ASSERT_TRUE(reference.run().ok());
@@ -141,7 +141,7 @@ TEST(KillRecoverPipeline, ResumedRunIsBitIdenticalAtEveryThreadCount) {
 TEST(KillRecoverPipeline, ResumeFallsBackPastATornCheckpointLoudly) {
   const sim::StudyConfig cfg = test_config();
   sim::StudyGenerator reference_gen{cfg};
-  core::StudyPipeline reference{&reference_gen, {.num_threads = 2}};
+  core::StudyPipeline reference{&reference_gen, {{.num_threads = 2}}};
   ASSERT_TRUE(reference.run().ok());
 
   const fs::path dir = scratch_dir("torn");
@@ -186,7 +186,7 @@ TEST(KillRecoverPipeline, ResumeFallsBackPastATornCheckpointLoudly) {
 TEST(KillRecoverPipeline, IoErrorWriteFailureIsCountedAndTheRunCompletes) {
   const sim::StudyConfig cfg = test_config();
   sim::StudyGenerator reference_gen{cfg};
-  core::StudyPipeline reference{&reference_gen, {.num_threads = 2}};
+  core::StudyPipeline reference{&reference_gen, {{.num_threads = 2}}};
   ASSERT_TRUE(reference.run().ok());
 
   const fs::path dir = scratch_dir("io_error");
@@ -383,7 +383,7 @@ TEST(KillRecoverSweep, MidScenarioKillResumesBitIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     // Reference: the classic flat pool, checkpointing off.
     sim::StudyGenerator flat_gen{cfg};
-    core::SweepEngine flat{&flat_gen, {.num_threads = threads}};
+    core::SweepEngine flat{&flat_gen, {{.num_threads = threads}}};
     SweepSetup flat_setup;
     flat_setup.add_scenarios(flat);
     ASSERT_TRUE(flat.run().ok());

@@ -68,7 +68,7 @@ TEST(PowerMonitor, EmptyTimeline) {
 class MonitorAcrossModels : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(MonitorAcrossModels, CalibrationUnder2Percent) {
-  std::unique_ptr<radio::RadioModel> model;
+  std::unique_ptr<radio::BurstMachine> model;
   const std::string_view which = GetParam();
   if (which == "lte") model = radio::make_lte_model();
   if (which == "lte_fd") model = radio::make_lte_fast_dormancy_model();

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -15,6 +16,8 @@
 #include "deliver.h"
 #include "ledger_compare.h"
 #include "core/pipeline.h"
+#include "core/policy.h"
+#include "core/sweep.h"
 #include "sim/generator.h"
 #include "obs/metrics.h"
 #include "obs/run_stats.h"
@@ -424,6 +427,50 @@ TEST(RunStats, InstrumentationDoesNotPerturbAttribution) {
   std::ostringstream os;
   writer.write(os);
   EXPECT_TRUE(JsonChecker{os.str()}.valid());
+
+  // A sweep takes the same writer: 2 scenarios x 3 users is exactly 6
+  // `shard` spans plus the `run` span at every thread count, and its
+  // ledgers match a sweep without the writer bit for bit.
+  const auto sweep_with = [](sim::StudyGenerator& generator, obs::TraceWriter* spans,
+                             unsigned threads) {
+    core::SweepOptions sweep_options;
+    sweep_options.num_threads = threads;
+    sweep_options.trace_writer = spans;
+    auto sweep = std::make_unique<core::SweepEngine>(&generator, sweep_options);
+    sweep->add_scenario({.name = "baseline"});
+    sweep->add_scenario({.name = "doze", .policy = [](trace::TraceSink* downstream) {
+                           return std::make_unique<core::DozeLikePolicy>(downstream);
+                         }});
+    EXPECT_TRUE(sweep->run().ok());
+    return sweep;
+  };
+  const auto count = [](const std::string& text, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  sim::StudyGenerator plain_sweep_gen{obs_test_config()};
+  const auto plain_sweep = sweep_with(plain_sweep_gen, nullptr, 1);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::TraceWriter sweep_writer;
+    sim::StudyGenerator traced_sweep_gen{obs_test_config()};
+    const auto traced_sweep = sweep_with(traced_sweep_gen, &sweep_writer, threads);
+    ASSERT_EQ(traced_sweep->results().size(), 2u);
+    for (std::size_t si = 0; si < 2; ++si) {
+      expect_identical_ledgers(plain_sweep->results()[si].ledger,
+                               traced_sweep->results()[si].ledger);
+    }
+    std::ostringstream sweep_os;
+    sweep_writer.write(sweep_os);
+    const std::string json = sweep_os.str();
+    EXPECT_TRUE(JsonChecker{json}.valid());
+    EXPECT_EQ(count(json, R"("cat":"shard")"), 6u);
+    EXPECT_EQ(count(json, R"("name":"run")"), 1u);
+  }
 }
 
 TEST(RunStats, RepeatedRunsResetStats) {

@@ -742,7 +742,7 @@ TEST(SweepStoreBackend, SpillingSweepMatchesRamSweep) {
   };
 
   sim::StudyGenerator ram_gen{config};
-  core::SweepEngine ram_sweep{&ram_gen, {.num_threads = 2}};
+  core::SweepEngine ram_sweep{&ram_gen, {{.num_threads = 2}}};
   add_scenarios(ram_sweep);
   const auto ram_stats = ram_sweep.run();
   ASSERT_TRUE(ram_stats.ok()) << ram_stats.status().to_string();

@@ -168,7 +168,7 @@ TEST(BurstMachine, ResetForgetsHistory) {
 class ModelEnergyMonotone : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ModelEnergyMonotone, EnergyMonotoneInBytes) {
-  std::unique_ptr<RadioModel> model;
+  std::unique_ptr<BurstMachine> model;
   const std::string_view which = GetParam();
   if (which == "lte") model = make_lte_model();
   if (which == "lte_fd") model = make_lte_fast_dormancy_model();
