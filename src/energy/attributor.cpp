@@ -1,6 +1,7 @@
 #include "energy/attributor.h"
 
 #include <cassert>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -35,10 +36,7 @@ void AttributionCounters::merge_from(const AttributionCounters& other) {
 
 EnergyAttributor::EnergyAttributor(RadioModelFactory factory, trace::TraceSink* downstream,
                                    TailPolicy policy)
-    : factory_(std::move(factory)),
-      downstream_(downstream),
-      policy_(policy),
-      segment_sink_([this](const radio::EnergySegment& s) { handle_segment(s); }) {
+    : factory_(std::move(factory)), downstream_(downstream), policy_(policy) {
   if (!factory_) factory_ = radio::make_lte_model;
   assert(downstream_ != nullptr);
 }
@@ -57,148 +55,158 @@ void EnergyAttributor::on_user_begin(trace::UserId user) {
   ++counters_.users;
   model_ = factory_();
   current_ = &pending_[user];
-  window_.clear();
-  held_transitions_.clear();
   out_.clear();
+  win_pkt_ = 0;
+  win_ord_ = 0;
   pending_tail_ = 0.0;
-  current_joules_ = 0.0;
   downstream_->on_user_begin(user);
 }
 
-void EnergyAttributor::handle_segment(const radio::EnergySegment& segment) {
-  assert(current_ != nullptr);
-  current_->device += segment.joules;
-  switch (segment.kind) {
-    case radio::SegmentKind::kIdle:
-      ++counters_.idle_segments;
-      current_->baseline += segment.joules;
-      flush_pending();  // the radio went idle: the active window is over
-      break;
-    case radio::SegmentKind::kTail:
-      ++counters_.tail_segments;
-      counters_.drx_segments += segment.drx ? 1 : 0;
-      current_->tail += segment.joules;
-      current_->attributed += segment.joules;
-      assert(!window_.empty());
-      if (policy_ == TailPolicy::kLastPacket) {
-        ++counters_.tail_attributions;
-        window_.back().joules += segment.joules;
-      } else {
-        pending_tail_ += segment.joules;
-      }
-      break;
-    case radio::SegmentKind::kPromotion:
-      ++counters_.promotion_segments;
-      current_->promotion += segment.joules;
-      current_->attributed += segment.joules;
-      current_joules_ += segment.joules;
-      break;
-    case radio::SegmentKind::kTransfer:
-      ++counters_.transfer_segments;
-      current_->transfer += segment.joules;
-      current_->attributed += segment.joules;
-      current_joules_ += segment.joules;
-      break;
-  }
-}
+/// The radio's segment sink for one pass over out_: promotion and transfer
+/// joules go to packet `k`, the one being fed; tail joules to packet k - 1
+/// (kLastPacket) or to pending_tail_ (kProportional); an idle segment settles
+/// the window. The energy partials and counters are local copies, stored
+/// back once per pass; every field still adds its segments in stream order.
+struct EnergyAttributor::Pass {
+  EnergyAttributor& self;
+  trace::PacketRecord* pk;  ///< out_.packets
+  UserEnergy energy;
+  AttributionCounters counters;
+  std::size_t k = 0;    ///< the packet being fed (the count, when finishing)
+  std::size_t ord = 0;  ///< its order position (the event count, when finishing)
 
-void EnergyAttributor::flush_pending() {
-  if (window_.empty() && held_transitions_.empty()) return;
-
-  if (policy_ == TailPolicy::kProportional && pending_tail_ > 0.0 && !window_.empty()) {
-    ++counters_.proportional_splits;
-    counters_.tail_attributions += window_.size();  // each packet gets a tail share
-    double total_bytes = 0.0;
-    for (const auto& p : window_) total_bytes += static_cast<double>(p.bytes);
-    for (auto& p : window_) {
-      const double share = total_bytes > 0.0
-                               ? static_cast<double>(p.bytes) / total_bytes
-                               : 1.0 / static_cast<double>(window_.size());
-      p.joules += pending_tail_ * share;
+  void operator()(const radio::EnergySegment& s) {
+    energy.device += s.joules;
+    switch (s.kind) {
+      case radio::SegmentKind::kIdle:
+        ++counters.idle_segments;
+        energy.baseline += s.joules;
+        self.settle(k, ord, counters);  // the radio went idle: the window is over
+        break;
+      case radio::SegmentKind::kTail:
+        ++counters.tail_segments;
+        counters.drx_segments += s.drx ? 1 : 0;
+        energy.tail += s.joules;
+        energy.attributed += s.joules;
+        if (self.policy_ == TailPolicy::kLastPacket) {
+          assert(k > 0);  // a tail follows a transfer
+          ++counters.tail_attributions;
+          pk[k - 1].joules += s.joules;
+        } else {
+          self.pending_tail_ += s.joules;
+        }
+        break;
+      case radio::SegmentKind::kPromotion:
+        ++counters.promotion_segments;
+        energy.promotion += s.joules;
+        energy.attributed += s.joules;
+        pk[k].joules += s.joules;
+        break;
+      case radio::SegmentKind::kTransfer:
+        ++counters.transfer_segments;
+        energy.transfer += s.joules;
+        energy.attributed += s.joules;
+        pk[k].joules += s.joules;
+        break;
     }
   }
-  pending_tail_ = 0.0;
 
-  // Merge packets and held transitions back into time order.
-  while (!window_.empty() || !held_transitions_.empty()) {
-    const bool take_packet =
-        !window_.empty() &&
-        (held_transitions_.empty() || window_.front().time <= held_transitions_.front().time);
-    if (take_packet) {
-      out_.add(window_.front());
-      window_.pop_front();
+  /// Store the partials and counters back into the attributor.
+  void commit() {
+    *self.current_ = energy;
+    self.counters_ = counters;
+  }
+};
+
+void EnergyAttributor::settle(std::size_t end_pkt, std::size_t end_ord,
+                              AttributionCounters& counters) {
+  // Only a window with a tail to split or transitions to reorder has work.
+  if (end_pkt > win_pkt_ && (pending_tail_ > 0.0 || end_ord - win_ord_ > end_pkt - win_pkt_)) {
+    close_window(end_pkt, end_ord, counters);
+  }
+  pending_tail_ = 0.0;
+  win_pkt_ = end_pkt;
+  win_ord_ = end_ord;
+}
+
+void EnergyAttributor::close_window(std::size_t end_pkt, std::size_t end_ord,
+                                    AttributionCounters& counters) {
+  trace::PacketRecord* pk = out_.packets.data();
+  const std::size_t window = end_pkt - win_pkt_;
+  if (pending_tail_ > 0.0) {
+    ++counters.proportional_splits;
+    counters.tail_attributions += window;  // each packet gets a tail share
+    double total_bytes = 0.0;
+    for (std::size_t i = win_pkt_; i < end_pkt; ++i) {
+      total_bytes += static_cast<double>(pk[i].bytes);
+    }
+    for (std::size_t i = win_pkt_; i < end_pkt; ++i) {
+      const double share = total_bytes > 0.0
+                               ? static_cast<double>(pk[i].bytes) / total_bytes
+                               : 1.0 / static_cast<double>(window);
+      pk[i].joules += pending_tail_ * share;
+    }
+  }
+
+  // Merge the window's packets and transitions back into time order. An
+  // order prefix holding p packets holds (its length - p) transitions.
+  const trace::StateTransition* tr = out_.transitions.data();
+  std::size_t pi = win_pkt_;
+  std::size_t ti = win_ord_ - win_pkt_;
+  const std::size_t end_ti = end_ord - end_pkt;
+  for (std::size_t o = win_ord_; o < end_ord; ++o) {
+    if (pi < end_pkt && (ti == end_ti || pk[pi].time <= tr[ti].time)) {
+      out_.order[o] = trace::EventKind::kPacket;
+      ++pi;
     } else {
-      out_.add(held_transitions_.front());
-      held_transitions_.pop_front();
+      out_.order[o] = trace::EventKind::kTransition;
+      ++ti;
     }
   }
 }
 
 void EnergyAttributor::flush_out() {
-  if (out_.empty()) return;
+  if (win_pkt_ == out_.packets.size()) win_ord_ = out_.order.size();  // no open window
+  if (win_ord_ == 0) return;
+  const std::size_t win_tr = win_ord_ - win_pkt_;
+  carry_.packets.assign(out_.packets.begin() + static_cast<std::ptrdiff_t>(win_pkt_),
+                        out_.packets.end());
+  carry_.transitions.assign(out_.transitions.begin() + static_cast<std::ptrdiff_t>(win_tr),
+                            out_.transitions.end());
+  carry_.order.assign(out_.order.begin() + static_cast<std::ptrdiff_t>(win_ord_),
+                      out_.order.end());
+  out_.packets.resize(win_pkt_);
+  out_.transitions.resize(win_tr);
+  out_.order.resize(win_ord_);
   downstream_->on_batch(out_);
   out_.clear();
-}
-
-void EnergyAttributor::finalize_packet(const trace::PacketRecord& packet) {
-  // Under the paper's rule a packet's tail attribution is settled as soon as
-  // the next packet arrives, so the previous window can drain now. Under the
-  // proportional rule the window stays open until the radio reaches idle.
-  if (policy_ == TailPolicy::kLastPacket) flush_pending();
-
-  trace::PacketRecord annotated = packet;
-  annotated.joules = current_joules_;
-  window_.push_back(annotated);
-  current_joules_ = 0.0;
-}
-
-void EnergyAttributor::on_run_segment(std::size_t index, const radio::EnergySegment& segment) {
-  // Segments of run event `index` must see exactly the state a one-packet
-  // run would have: every earlier packet of the run already finalized (its
-  // gap segments all carry indices < `index`, so they have been handled).
-  while (run_finalized_ < index) finalize_packet(run_packets_[run_finalized_++]);
-  handle_segment(segment);
+  out_.append(carry_);
+  win_pkt_ = 0;
+  win_ord_ = 0;
 }
 
 void EnergyAttributor::on_batch(const trace::EventBatch& batch) {
-  out_.reserve(batch.order.size());
+  assert(model_ != nullptr && current_ != nullptr);
+  std::size_t k = out_.packets.size();
+  const std::size_t first = out_.order.size();
+  out_.append(batch);
   out_.user = batch.user;
 
-  std::size_t run_begin = 0;  // index into batch.packets of the current run
-  run_events_.clear();
-  const auto flush_run = [&] {
-    if (run_events_.empty()) return;
-    counters_.packets += run_events_.size();
-    run_packets_ = batch.packets.data() + run_begin;
-    run_finalized_ = 0;
-    // Statically-dispatched run: the segment chain inlines end to end.
-    model_->transfers(run_events_.data(), run_events_.size(),
-                      [this](std::size_t i, const radio::EnergySegment& s) {
-                        on_run_segment(i, s);
-                      });
-    while (run_finalized_ < run_events_.size()) {
-      finalize_packet(run_packets_[run_finalized_++]);
-    }
-    run_packets_ = nullptr;
-    run_events_.clear();
-  };
-
-  trace::for_each_event(
-      batch,
-      [&](const trace::PacketRecord& p) {
-        if (run_events_.empty()) run_begin = static_cast<std::size_t>(&p - batch.packets.data());
-        run_events_.push_back({p.time, p.bytes, p.direction});
-      },
-      [&](const trace::StateTransition& t) {
-        flush_run();
-        ++counters_.transitions;
-        if (window_.empty()) {
-          out_.add(t);
-        } else {
-          held_transitions_.push_back(t);
-        }
-      });
-  flush_run();
+  Pass pass{*this, out_.packets.data(), *current_, counters_};
+  for (std::size_t o = first; o < out_.order.size(); ++o) {
+    if (out_.order[o] != trace::EventKind::kPacket) continue;
+    trace::PacketRecord& p = pass.pk[k];
+    p.joules = 0.0;
+    pass.k = k;
+    pass.ord = o;
+    model_->on_transfer({p.time, p.bytes, p.direction}, pass);
+    // The feed settled packet k - 1's tail; a packet with no window opens one.
+    if (policy_ == TailPolicy::kLastPacket || win_pkt_ == k) settle(k, o, pass.counters);
+    ++k;
+  }
+  pass.counters.packets += batch.packets.size();
+  pass.counters.transitions += batch.transitions.size();
+  pass.commit();
   flush_out();
 }
 
@@ -207,9 +215,13 @@ void EnergyAttributor::on_user_end(trace::UserId user) {
   // user's final batch, before the bracket closes.
   out_.user = user;
   if (model_) {
-    model_->finish(meta_.study_end, segment_sink_);
+    Pass pass{*this, out_.packets.data(), *current_, counters_};
+    pass.k = out_.packets.size();
+    pass.ord = out_.order.size();
+    model_->finish(meta_.study_end, pass);
+    pass.commit();
   }
-  flush_pending();
+  settle(out_.packets.size(), out_.order.size(), counters_);
   flush_out();
   downstream_->on_user_end(user);
 }

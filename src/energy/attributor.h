@@ -12,14 +12,16 @@
 //   - tail segments                 -> the last packet before the tail,
 //   - idle segments                 -> the device baseline (no app).
 // Downstream sinks receive the same trace stream with PacketRecord::joules
-// filled in, preserving time order.
+// filled in, preserving time order. A packet's joules are settled once the
+// next packet (or the user's end) has fed the radio, so the attributor hands
+// the stream on one packet behind its input (under kProportional, one active
+// period behind).
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "ckpt/checkpointable.h"
 #include "radio/burst_machine.h"
@@ -29,37 +31,6 @@
 namespace wildenergy::energy {
 
 class AccountSpill;  // energy/account_file.h
-
-/// Contiguous FIFO: a vector plus a head index. The attribution hot path
-/// (kLastPacket) oscillates between zero and one pending element, so pops
-/// recycle the buffer in place and pushes stop allocating after warm-up —
-/// unlike std::deque's segment bookkeeping, which showed up in the
-/// full-pipeline profile.
-template <class T>
-class PendingQueue {
- public:
-  [[nodiscard]] bool empty() const { return head_ == buf_.size(); }
-  [[nodiscard]] std::size_t size() const { return buf_.size() - head_; }
-  [[nodiscard]] T& front() { return buf_[head_]; }
-  [[nodiscard]] const T& front() const { return buf_[head_]; }
-  [[nodiscard]] T& back() { return buf_.back(); }
-  void push_back(const T& value) { buf_.push_back(value); }
-  void pop_front() {
-    if (++head_ == buf_.size()) clear();
-  }
-  void clear() {
-    buf_.clear();
-    head_ = 0;
-  }
-  [[nodiscard]] auto begin() { return buf_.begin() + static_cast<std::ptrdiff_t>(head_); }
-  [[nodiscard]] auto end() { return buf_.end(); }
-  [[nodiscard]] auto begin() const { return buf_.begin() + static_cast<std::ptrdiff_t>(head_); }
-  [[nodiscard]] auto end() const { return buf_.end(); }
-
- private:
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-};
 
 /// Builds one user's radio model (radio::make_lte_model and its siblings).
 using RadioModelFactory = std::function<std::unique_ptr<radio::BurstMachine>()>;
@@ -114,9 +85,9 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   void on_user_begin(trace::UserId user) override;
   void on_user_end(trace::UserId user) override;
   void on_study_end() override;
-  /// Feeds consecutive-packet runs to the radio model through
-  /// BurstMachine::transfers (one statically-dispatched segment adapter per
-  /// run instead of one per packet) and emits the annotated events as one
+  /// One pass: appends `batch` to out_, feeds each new packet straight to
+  /// the radio and annotates the segments' joules in place, then sends out_
+  /// downstream minus the unsettled window, which it carries to the next
   /// batch. Bit-identical for every batch size.
   void on_batch(const trace::EventBatch& batch) override;
 
@@ -162,24 +133,25 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   [[nodiscard]] obs::MemoryUse memory_use() const override;
 
   // CheckpointableSink: the folded aggregate and pending per-user partials
-  // (raw double bits) plus the attribution counters. Per-packet transients (window_, pending tails) are
-  // empty at user boundaries, so only the durable fold state travels.
+  // (raw double bits) plus the attribution counters. Per-packet transients
+  // (the window, pending tails) are empty at user boundaries, so only the
+  // durable fold state travels.
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
  private:
-  void handle_segment(const radio::EnergySegment& segment);
-  void flush_pending();
-  /// Settle `packet` after the model consumed its transfer: flush the
-  /// previous window under kLastPacket, then append the packet (annotated
-  /// with the promotion+transfer energy accumulated in current_joules_) to
-  /// the window and reset the accumulator.
-  void finalize_packet(const trace::PacketRecord& packet);
-  /// A segment produced by run event `index` arrived. Finalizes every
-  /// earlier event of the run first, so attribution state matches a
-  /// one-packet run exactly when the segment is handled.
-  void on_run_segment(std::size_t index, const radio::EnergySegment& segment);
-  /// Send the annotated events collected in out_ downstream as one batch.
+  struct Pass;  ///< the radio's segment sink for one pass (attributor.cpp)
+
+  /// Settle the window up to packet `end_pkt` at order position `end_ord`;
+  /// everything before `end_ord` is then final.
+  void settle(std::size_t end_pkt, std::size_t end_ord, AttributionCounters& counters);
+  /// settle()'s rare work: split pending_tail_ over the window's packets by
+  /// bytes, then merge its packets and transitions back into time order,
+  /// packets winning ties (the identity on a time-ordered stream under
+  /// kLastPacket).
+  void close_window(std::size_t end_pkt, std::size_t end_ord, AttributionCounters& counters);
+  /// Send out_ minus the unsettled window downstream as one batch, and carry
+  /// the window to the front of out_.
   void flush_out();
   /// The folded aggregate of `field` plus every pending user's, ascending.
   [[nodiscard]] double total(double UserEnergy::*field) const;
@@ -190,13 +162,19 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   std::unique_ptr<radio::BurstMachine> model_;  ///< this user's radio
   trace::StudyMeta meta_;
 
-  // Packets whose tail attribution is not yet settled. Under kLastPacket this
-  // holds at most one packet; under kProportional, the whole active window.
-  PendingQueue<trace::PacketRecord> window_;
-  // Transitions arriving while packets are pending must not overtake them.
-  PendingQueue<trace::StateTransition> held_transitions_;
-  double pending_tail_ = 0.0;   ///< tail energy awaiting proportional split
-  double current_joules_ = 0.0; ///< promo+transfer energy of the packet being fed
+  // The annotated events not yet sent: a settled prefix, then the window —
+  // packets from win_pkt_ and order entries from win_ord_ on — whose tail
+  // attribution is still open. Under kLastPacket the window is the last
+  // packet and the transitions after it; under kProportional, every event
+  // since the radio last went idle.
+  trace::EventBatch out_;
+  // Holds the window while out_'s settled prefix is sent. Swapping the two
+  // buffers instead would leave both at batch capacity, which measured
+  // ~0.8 MB more peak RSS on the 20-user 120-day panel.
+  trace::EventBatch carry_;
+  std::size_t win_pkt_ = 0;
+  std::size_t win_ord_ = 0;
+  double pending_tail_ = 0.0;  ///< tail energy awaiting proportional split
 
   // Per-user energy partials of users not yet folded: the one a stream or
   // clone is feeding, and merged ones awaiting fold_user.
@@ -207,14 +185,6 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
   UserEnergy folded_;              ///< study-wide fold over released users
-
-  // Hoisted sink adapters (building a std::function per packet was a
-  // measurable per-record cost) and reused scratch state.
-  radio::SegmentSink segment_sink_;
-  trace::EventBatch out_;             ///< annotated output batch (reused)
-  std::vector<radio::TransferEvent> run_events_;  ///< current packet run
-  const trace::PacketRecord* run_packets_ = nullptr;  ///< run's source packets
-  std::size_t run_finalized_ = 0;     ///< run packets settled so far
 };
 
 }  // namespace wildenergy::energy

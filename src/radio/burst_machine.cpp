@@ -15,12 +15,6 @@ BurstMachine::BurstMachine(BurstMachineParams params) : params_(std::move(params
   ctr_repromotions_ = &registry.counter("radio.repromotions");
 }
 
-Duration BurstMachine::transfer_duration(std::uint64_t bytes, Direction dir) const {
-  const double rate = dir == Direction::kUplink ? params_.uplink_bps : params_.downlink_bps;
-  const auto airtime = sec(static_cast<double>(bytes) * 8.0 / rate);
-  return std::max(airtime, params_.min_transfer_time);
-}
-
 double BurstMachine::isolated_burst_energy(std::uint64_t bytes, Direction dir) const {
   double joules = 0.0;
   if (params_.idle_promotion.enabled()) {
@@ -34,18 +28,6 @@ double BurstMachine::isolated_burst_energy(std::uint64_t bytes, Direction dir) c
     joules += phase.power_w * phase.duration.seconds();
   }
   return joules;
-}
-
-void BurstMachine::on_transfer(const TransferEvent& event, const SegmentSink& sink) {
-  transfer_impl(event, sink);
-}
-
-void BurstMachine::finish(TimePoint end, const SegmentSink& sink) {
-  if (started_ && end > cursor_) {
-    std::size_t phase = kIdlePhase;
-    gap_impl(end, sink, phase);
-  }
-  reset();
 }
 
 bool BurstMachine::is_powered_at(TimePoint t) const {

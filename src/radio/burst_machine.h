@@ -6,9 +6,9 @@
 // repromotion). This class implements the skeleton once; the make_*_model
 // helpers below are thin parameterizations (see DESIGN.md §2).
 //
-// The segment-emission core is templated on the sink so the batched
-// attribution path (transfers) inlines its indexed adapter without an extra
-// std::function layer per segment.
+// The feed API is templated on the sink, so the attributor's segment sink
+// inlines into the gap/tail-phase loop with no std::function layer per
+// segment; callers that pass a SegmentSink compile unchanged.
 #pragma once
 
 #include <algorithm>
@@ -30,25 +30,24 @@ class BurstMachine {
   explicit BurstMachine(BurstMachineParams params);
 
   /// Feed the next transfer. Events must arrive in non-decreasing time order;
-  /// the machine emits every energy segment that is fully determined up to
-  /// (and including) the start of this transfer's active period.
-  void on_transfer(const TransferEvent& event, const SegmentSink& sink);
-
-  /// Feed a run of consecutive transfers (the batched event path). Exactly
-  /// equivalent to calling on_transfer for each event in order; `sink` is
-  /// called as sink(index, segment) with the index of the event that
-  /// produced each segment (non-decreasing across the run), so a batch
-  /// consumer can settle earlier events lazily. The sink is a template
-  /// parameter, so the whole emit chain inlines into the caller.
+  /// the machine calls sink(segment) for every energy segment that is fully
+  /// determined up to (and including) this transfer's active period: the gap
+  /// since the last one (tail phases, then idle), any promotion, and the
+  /// transfer itself, in time order.
   template <class Sink>
-  void transfers(const TransferEvent* events, std::size_t count, Sink&& sink) {
-    std::size_t index = 0;
-    const auto adapter = [&sink, &index](const EnergySegment& s) { sink(index, s); };
-    for (; index < count; ++index) transfer_impl(events[index], adapter);
-  }
+  void on_transfer(const TransferEvent& event, Sink&& sink);
+
   /// Close out the machine at `end`: emits any remaining tail and trailing
   /// idle segments. The machine returns to its initial (idle) state.
-  void finish(TimePoint end, const SegmentSink& sink);
+  template <class Sink>
+  void finish(TimePoint end, Sink&& sink) {
+    if (started_ && end > cursor_) {
+      std::size_t phase = kIdlePhase;
+      gap_impl(end, sink, phase);
+    }
+    reset();
+  }
+
   /// True if the radio would still be in a powered (non-idle) state at `t`,
   /// assuming no transfers after the last one fed in.
   [[nodiscard]] bool is_powered_at(TimePoint t) const;
@@ -61,7 +60,11 @@ class BurstMachine {
 
   /// Airtime a burst of `bytes` occupies (rate-limited, floored at
   /// min_transfer_time). Exposed for tests and workload sizing.
-  [[nodiscard]] Duration transfer_duration(std::uint64_t bytes, Direction dir) const;
+  [[nodiscard]] Duration transfer_duration(std::uint64_t bytes, Direction dir) const {
+    const double rate = dir == Direction::kUplink ? params_.uplink_bps : params_.downlink_bps;
+    const auto airtime = sec(static_cast<double>(bytes) * 8.0 / rate);
+    return std::max(airtime, params_.min_transfer_time);
+  }
 
   /// Closed-form energy of one isolated burst starting from idle, including
   /// promotion and the full tail. Used by tests as an oracle and by app
@@ -105,51 +108,6 @@ class BurstMachine {
     cursor_ = std::max(cursor_, until);
   }
 
-  template <class Sink>
-  void transfer_impl(const TransferEvent& event, Sink&& sink) {
-    ctr_bursts_->inc();
-    TimePoint start;
-    std::size_t phase = kIdlePhase;
-    if (!started_) {
-      started_ = true;
-      cursor_ = event.time;
-      active_until_ = event.time;
-      start = event.time;
-    } else if (event.time >= active_until_) {
-      gap_impl(event.time, sink, phase);
-      start = event.time;
-    } else {
-      // The radio is still busy with the previous burst's airtime: this burst
-      // queues behind it. No gap, no promotion.
-      start = active_until_;
-      phase = kNoPhase;
-      ctr_bursts_queued_->inc();
-    }
-
-    if (phase != kNoPhase) {
-      const PromotionParams& promo = phase == kIdlePhase
-                                         ? params_.idle_promotion
-                                         : params_.tail_phases[phase].repromotion;
-      if (promo.enabled()) {
-        (phase == kIdlePhase ? ctr_promotions_ : ctr_repromotions_)->inc();
-        const TimePoint promo_end = start + promo.duration;
-        sink({start, promo_end, promo.power_w * promo.duration.seconds(),
-              SegmentKind::kPromotion, promo.state_name, false});
-        start = promo_end;
-      }
-    }
-
-    const Duration dur = transfer_duration(event.bytes, event.direction);
-    const double per_byte = event.direction == Direction::kUplink ? params_.joules_per_byte_up
-                                                                  : params_.joules_per_byte_down;
-    const TimePoint end = start + dur;
-    sink({start, end,
-          params_.active_power_w * dur.seconds() + per_byte * static_cast<double>(event.bytes),
-          SegmentKind::kTransfer, params_.active_state_name, false});
-    active_until_ = end;
-    cursor_ = end;
-  }
-
   BurstMachineParams params_;
   /// Per-tail-phase DRX flag (state_name contains "DRX"), resolved once at
   /// construction so segments carry it without a per-segment string scan.
@@ -167,6 +125,51 @@ class BurstMachine {
   obs::Counter* ctr_promotions_;
   obs::Counter* ctr_repromotions_;
 };
+
+template <class Sink>
+void BurstMachine::on_transfer(const TransferEvent& event, Sink&& sink) {
+  ctr_bursts_->inc();
+  TimePoint start;
+  std::size_t phase = kIdlePhase;
+  if (!started_) {
+    started_ = true;
+    cursor_ = event.time;
+    active_until_ = event.time;
+    start = event.time;
+  } else if (event.time >= active_until_) {
+    gap_impl(event.time, sink, phase);
+    start = event.time;
+  } else {
+    // The radio is still busy with the previous burst's airtime: this burst
+    // queues behind it. No gap, no promotion.
+    start = active_until_;
+    phase = kNoPhase;
+    ctr_bursts_queued_->inc();
+  }
+
+  if (phase != kNoPhase) {
+    const PromotionParams& promo = phase == kIdlePhase
+                                       ? params_.idle_promotion
+                                       : params_.tail_phases[phase].repromotion;
+    if (promo.enabled()) {
+      (phase == kIdlePhase ? ctr_promotions_ : ctr_repromotions_)->inc();
+      const TimePoint promo_end = start + promo.duration;
+      sink({start, promo_end, promo.power_w * promo.duration.seconds(),
+            SegmentKind::kPromotion, promo.state_name, false});
+      start = promo_end;
+    }
+  }
+
+  const Duration dur = transfer_duration(event.bytes, event.direction);
+  const double per_byte = event.direction == Direction::kUplink ? params_.joules_per_byte_up
+                                                                : params_.joules_per_byte_down;
+  const TimePoint end = start + dur;
+  sink({start, end,
+        params_.active_power_w * dur.seconds() + per_byte * static_cast<double>(event.bytes),
+        SegmentKind::kTransfer, params_.active_state_name, false});
+  active_until_ = end;
+  cursor_ = end;
+}
 
 /// Factory helpers matching the parameter sets in power_params.h.
 [[nodiscard]] std::unique_ptr<BurstMachine> make_lte_model();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "deliver.h"
+#include "stream_recorder.h"
 #include "energy/attributor.h"
 #include "energy/ledger.h"
 #include "radio/burst_machine.h"
@@ -134,6 +135,45 @@ TEST(EnergyAttributor, TransitionsDoNotOvertakePackets) {
   // Downstream order must be: packet(10), transition(11), packet(30).
   EXPECT_LE(out.packets()[0].time, out.transitions()[0].time);
   EXPECT_LE(out.transitions()[0].time, out.packets()[1].time);
+}
+
+// A transition and a packet share a timestamp, the packet inside the
+// previous packet's tail: p1@5s, T@7s, p2@7s. The proportional window merges
+// its packets and held transitions back by time with packets winning ties,
+// so it emits p1, p2, T; the last-packet rule hands the stream on in input
+// order.
+TEST(EnergyAttributor, TieInsideTheTailOrdersByPolicy) {
+  StateTransition t;
+  t.time = kEpoch + sec(7.0);
+  t.app = 1;
+  t.from = ProcessState::kForeground;
+  t.to = ProcessState::kBackground;
+  using trace::EventKind;
+  for (const TailPolicy policy : {TailPolicy::kLastPacket, TailPolicy::kProportional}) {
+    SCOPED_TRACE(policy == TailPolicy::kLastPacket ? "last-packet" : "proportional");
+    StreamRecorder out;
+    EnergyAttributor attr{radio::make_lte_model, &out, policy};
+    attr.on_study_begin(day_meta());
+    attr.on_user_begin(0);
+    deliver(attr, pkt(5.0, 1, 1000));
+    deliver(attr, t);
+    deliver(attr, pkt(7.0, 2, 1000));
+    attr.on_user_end(0);
+    attr.on_study_end();
+
+    const std::vector<EventKind> want =
+        policy == TailPolicy::kProportional
+            ? std::vector<EventKind>{EventKind::kPacket, EventKind::kPacket,
+                                     EventKind::kTransition}
+            : std::vector<EventKind>{EventKind::kPacket, EventKind::kTransition,
+                                     EventKind::kPacket};
+    EXPECT_EQ(out.stream().order, want);
+    ASSERT_EQ(out.stream().packets.size(), 2u);
+    EXPECT_EQ(out.stream().packets[0].app, 1u);
+    EXPECT_EQ(out.stream().packets[1].app, 2u);
+    ASSERT_EQ(out.stream().transitions.size(), 1u);
+    EXPECT_EQ(out.stream().transitions[0].time, t.time);
+  }
 }
 
 TEST(EnergyAttributor, UserEndFlushesPendingTail) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "ledger_compare.h"
+#include "stream_recorder.h"
 #include "analysis/case_studies.h"
 #include "analysis/figures.h"
 #include "analysis/longitudinal.h"
@@ -437,7 +438,7 @@ TEST(EnergyAttributor, BatchPathIsBitIdenticalForBothTailPolicies) {
 
   for (const energy::TailPolicy policy :
        {energy::TailPolicy::kLastPacket, energy::TailPolicy::kProportional}) {
-    trace::TraceCollector one_by_one_out;
+    StreamRecorder one_by_one_out;
     energy::EnergyAttributor one_by_one{radio::make_lte_model, &one_by_one_out, policy};
     generator.run(one_by_one, /*batch_size=*/1);
 
@@ -446,7 +447,7 @@ TEST(EnergyAttributor, BatchPathIsBitIdenticalForBothTailPolicies) {
       SCOPED_TRACE(std::string("policy=") +
                    (policy == energy::TailPolicy::kLastPacket ? "last-packet" : "proportional") +
                    " batch_size=" + std::to_string(batch_size));
-      trace::TraceCollector batched_out;
+      StreamRecorder batched_out;
       energy::EnergyAttributor batched{radio::make_lte_model, &batched_out, policy};
       generator.run(batched, batch_size);
 
@@ -464,13 +465,9 @@ TEST(EnergyAttributor, BatchPathIsBitIdenticalForBothTailPolicies) {
       EXPECT_EQ(one_by_one.counters().tail_segments, batched.counters().tail_segments);
       EXPECT_EQ(one_by_one.counters().idle_segments, batched.counters().idle_segments);
 
-      // The annotated stream downstream is identical packet for packet.
-      ASSERT_EQ(one_by_one_out.packets().size(), batched_out.packets().size());
-      for (std::size_t i = 0; i < one_by_one_out.packets().size(); ++i) {
-        EXPECT_EQ(one_by_one_out.packets()[i].time.us, batched_out.packets()[i].time.us);
-        EXPECT_EQ(one_by_one_out.packets()[i].joules, batched_out.packets()[i].joules);
-      }
-      ASSERT_EQ(one_by_one_out.transitions().size(), batched_out.transitions().size());
+      // The annotated stream downstream is identical event for event: the
+      // interleave, every packet field and every transition field.
+      expect_same_stream(one_by_one_out.stream(), batched_out.stream());
     }
   }
 }
