@@ -4,8 +4,12 @@
 // stay practical on a laptop.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/pipeline.h"
 #include "energy/attributor.h"
@@ -170,6 +174,27 @@ struct CapturedStudy final : trace::TraceSink {
   }
 };
 
+/// A replayed stream kept as delivered — the study meta and each user's
+/// batches — so a timed pass re-delivers it with no producer in the loop.
+struct RecordedStream final : trace::TraceSink {
+  trace::StudyMeta meta;
+  std::vector<std::pair<trace::UserId, std::vector<trace::EventBatch>>> users;
+
+  void on_study_begin(const trace::StudyMeta& m) override { meta = m; }
+  void on_user_begin(trace::UserId user) override { users.push_back({user, {}}); }
+  void on_batch(const trace::EventBatch& batch) override { users.back().second.push_back(batch); }
+
+  void deliver(trace::TraceSink& sink) const {
+    sink.on_study_begin(meta);
+    for (const auto& [user, batches] : users) {
+      sink.on_user_begin(user);
+      for (const trace::EventBatch& batch : batches) sink.on_batch(batch);
+      sink.on_user_end(user);
+    }
+    sink.on_study_end();
+  }
+};
+
 /// Slice one user's captured stream into contiguous spans of `batch_size`
 /// events (done outside the timed region; a real producer fills batches as
 /// it generates, which costs no extra pass).
@@ -233,9 +258,11 @@ double run_event_path(const CapturedStudy& study,
 // before this bench was redefined (each record carries "batch_size":N;
 // speedup is the batch-size-1 wall over that run's wall). Last,
 // micro_pipeline.generate times the generator alone into a counting sink.
-// micro_pipeline.attribute, timed right after the thread sweep over the
-// same store, is attribution alone; with .generate, two layers each have
-// their own trajectory.
+// micro_pipeline.attribute, right after the thread sweep, is attribution
+// alone: the store's batches are recorded first, so no replay is timed.
+// micro_pipeline.segment_replay is the WESG decoder alone, over the study
+// sealed at an 8 MiB budget. With .generate, three layers each have their
+// own trajectory.
 // Each phase starts with obs::reset_peak_rss(), so each record's
 // peak_rss_bytes is that phase's own peak where the host allows the reset.
 int main(int argc, char** argv) {
@@ -268,9 +295,13 @@ int main(int argc, char** argv) {
     }
 
     // Attribution alone (the layer after generation in ROADMAP item 1): the
-    // same store replayed into an EnergyAttributor on the default LTE model,
+    // store's stream, recorded as default-size batches before any clock
+    // starts, delivered into an EnergyAttributor on the default LTE model,
     // whose annotated stream goes nowhere; serial, best of kReps. Its joules
     // are the attributed total, which the pipeline's ledger records too.
+    RecordedStream recorded;
+    if (!store.emit(recorded, trace::kDefaultBatchSize).ok()) return 1;
+    store.clear();
     obs::reset_peak_rss();
     double best_ms = 0.0;
     energy::AttributionCounters counters;
@@ -279,13 +310,46 @@ int main(int argc, char** argv) {
       trace::TraceSink discard;
       energy::EnergyAttributor attributor{radio::make_lte_model, &discard};
       const obs::Stopwatch watch;
-      if (!store.emit(attributor, trace::kDefaultBatchSize).ok()) return 1;
+      recorded.deliver(attributor);
       const double ms = watch.elapsed_ms();
       counters = attributor.counters();
       joules = attributor.attributed_joules();
       if (rep == 0 || ms < best_ms) best_ms = ms;
     }
     benchutil::report_perf("micro_pipeline.attribute", cfg, best_ms, counters.packets, joules);
+  }
+
+  // The WESG decoder alone: the study sealed into segments under an 8 MiB
+  // resident budget (csv_sweep's), replayed serially into a counting sink at
+  // the default batch size, best of kReps. Records packets like the others
+  // and the decoded events (packets + transitions) as "events".
+  {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("wildenergy_bench_segments_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    {
+      sim::StudyGenerator generator{cfg};
+      trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = 8u << 20}};
+      if (!store.capture(generator).ok()) return 1;
+      obs::reset_peak_rss();
+      constexpr int kReps = 3;
+      double best_ms = 0.0;
+      std::uint64_t packets = 0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        CountingSink counter;
+        const obs::Stopwatch watch;
+        if (!store.emit(counter, trace::kDefaultBatchSize).ok()) return 1;
+        const double ms = watch.elapsed_ms();
+        packets = counter.packets();
+        if (rep == 0 || ms < best_ms) best_ms = ms;
+      }
+      benchutil::report_perf("micro_pipeline.segment_replay", cfg, best_ms, packets,
+                             benchutil::no_joules(), /*threads=*/1, /*speedup=*/1.0,
+                             "\"events\":" + std::to_string(store.event_count()) +
+                                 ",\"segments\":" + std::to_string(store.num_segments()));
+    }
+    std::filesystem::remove_all(dir);
   }
 
   // Sink-chain dispatch by batch size, single thread. Each configuration

@@ -88,12 +88,8 @@ std::string encode_snapshot(const Snapshot& snapshot, std::uint64_t seq) {
     out.put_string(name);
     out.put_string(payload);
   }
-  std::string bytes = out.take();
-  const std::uint64_t checksum = fnv1a(bytes);
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes.push_back(static_cast<char>((checksum >> shift) & 0xFF));
-  }
-  return bytes;
+  out.put_checksum();
+  return out.take();
 }
 
 util::StatusOr<Snapshot> decode_snapshot(std::string_view bytes, std::uint64_t* seq_out) {
@@ -105,13 +101,7 @@ util::StatusOr<Snapshot> decode_snapshot(std::string_view bytes, std::uint64_t* 
     return util::Status::data_loss("corrupt checkpoint: bad magic (not a WECK file)");
   }
   const std::string_view body = bytes.substr(0, bytes.size() - 8);
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(bytes[bytes.size() - 8 + static_cast<std::size_t>(i)]))
-              << (8 * i);
-  }
-  if (fnv1a(body) != stored) {
+  if (fnv1a(body) != read_u64le(bytes.substr(body.size()))) {
     return util::Status::data_loss("corrupt checkpoint: checksum mismatch over " +
                                    std::to_string(body.size()) + " bytes");
   }

@@ -6,8 +6,6 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-/// 10 7-bit groups cover 64 bits; an 11th continuation byte is always corrupt.
-constexpr int kMaxVarintBytes = 10;
 
 }  // namespace
 
@@ -23,6 +21,47 @@ void ByteWriter::put_varint(std::uint64_t value) {
     value >>= 7;
   }
   buf_.push_back(static_cast<char>(value));
+}
+
+std::uint64_t read_u64le(std::string_view bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[i])) << (8 * i);
+  }
+  return v;
+}
+
+void ByteWriter::put_u64le(std::uint64_t value) {
+  for (int shift = 0; shift < 64; shift += 8) put_u8(static_cast<std::uint8_t>(value >> shift));
+}
+
+void finish_indexed(ByteWriter& file, std::uint64_t index_offset) {
+  file.put_u64le(index_offset);
+  file.put_checksum();
+}
+
+util::StatusOr<std::size_t> check_indexed(std::string_view file, std::string_view magic,
+                                          std::uint8_t version) {
+  const std::size_t size = file.size();
+  if (size < kIndexedHeaderBytes + kIndexedFooterBytes) {
+    return util::Status::data_loss("file too short (" + std::to_string(size) + " bytes)");
+  }
+  // Trust nothing until the trailer checksum passes: every later parse
+  // failure is then a logic-level inconsistency, not random bit damage.
+  if (read_u64le(file.substr(size - 8)) != fnv1a(file.substr(0, size - 8))) {
+    return util::Status::data_loss("checksum mismatch");
+  }
+  if (file.substr(0, magic.size()) != magic) return util::Status::data_loss("bad magic");
+  const auto found = static_cast<std::uint8_t>(file[magic.size()]);
+  if (found != version) {
+    return util::Status::data_loss("unsupported version " + std::to_string(found));
+  }
+  const std::uint64_t index_offset = read_u64le(file.substr(size - kIndexedFooterBytes));
+  if (index_offset < kIndexedHeaderBytes || index_offset > size - kIndexedFooterBytes) {
+    return util::Status::data_loss("index offset " + std::to_string(index_offset) +
+                                   " out of range");
+  }
+  return static_cast<std::size_t>(index_offset);
 }
 
 void ByteWriter::put_f64(double value) {
@@ -63,35 +102,10 @@ util::Status ByteReader::truncated(std::string_view field) const {
                                  " at offset " + std::to_string(pos_));
 }
 
-util::StatusOr<std::uint8_t> ByteReader::get_u8(std::string_view field) {
-  if (pos_ >= data_.size()) return truncated(field);
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-util::StatusOr<std::uint64_t> ByteReader::get_varint(std::string_view field) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < kMaxVarintBytes; ++i) {
-    if (pos_ >= data_.size()) return truncated(field);
-    const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
-    // The last byte may only contribute the top bit of the 64-bit value:
-    // anything else (including a continuation bit) is an overlong varint.
-    if (i == kMaxVarintBytes - 1 && byte > 1) break;
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
-    if ((byte & 0x80) == 0) return value;
-  }
-  // Positioned at the offending byte, which has been consumed.
+util::Status ByteReader::overlong(std::string_view field) const {
   return util::Status::data_loss("corrupt checkpoint: overlong varint in " +
                                  std::string(field) + " at offset " +
                                  std::to_string(pos_ - 1));
-}
-
-util::StatusOr<double> ByteReader::get_f64(std::string_view field) {
-  if (data_.size() - pos_ < 8) return truncated(field);
-  std::uint64_t bits = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++])) << shift;
-  }
-  return std::bit_cast<double>(bits);
 }
 
 util::StatusOr<std::string> ByteReader::get_string(std::string_view field) {

@@ -40,11 +40,19 @@ namespace wildenergy::ckpt {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// The fixed 8-byte little-endian u64 at the front of `bytes` (at least 8
+/// long): the checksum trailer's encoding.
+[[nodiscard]] std::uint64_t read_u64le(std::string_view bytes);
+
 /// Append-only byte buffer with the checkpoint wire primitives.
 class ByteWriter {
  public:
   void put_u8(std::uint8_t value) { buf_.push_back(static_cast<char>(value)); }
   void put_varint(std::uint64_t value);
+  /// Fixed 8-byte little-endian.
+  void put_u64le(std::uint64_t value);
+  /// Seal the buffer: append the FNV-1a of every byte so far as a u64le.
+  void put_checksum() { put_u64le(fnv1a(buf_)); }
   /// Raw little-endian IEEE-754 bits: bit-exact round trip, NaN-safe.
   void put_f64(double value);
   /// varint length + raw bytes.
@@ -63,15 +71,56 @@ class ByteWriter {
   std::string buf_;
 };
 
+/// The framing WESG segments and WEAC account files share: a 4-byte magic
+/// and a version byte, the body, then a u64le index offset and a u64le
+/// FNV-1a over every byte before it.
+inline constexpr std::size_t kIndexedHeaderBytes = 5;
+inline constexpr std::size_t kIndexedFooterBytes = 16;
+
+/// Append that footer to `file` (which starts with the header).
+void finish_indexed(ByteWriter& file, std::uint64_t index_offset);
+
+/// Verify that framing over `file`, checksum first, and return its index
+/// offset (within [header, size - footer]); else a data_loss saying why:
+/// too short, checksum mismatch, bad magic, unsupported version, or an
+/// index offset out of range.
+[[nodiscard]] util::StatusOr<std::size_t> check_indexed(std::string_view file,
+                                                        std::string_view magic,
+                                                        std::uint8_t version);
+
 /// Cursor over a serialized snapshot. Every accessor names the field it is
 /// decoding so failures carry both *what* was being read and *where*.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
 
-  [[nodiscard]] util::StatusOr<std::uint8_t> get_u8(std::string_view field);
-  [[nodiscard]] util::StatusOr<std::uint64_t> get_varint(std::string_view field);
-  [[nodiscard]] util::StatusOr<double> get_f64(std::string_view field);
+  // The three per-field decoders every format's hot loop calls are inline;
+  // only their error paths are out of line.
+  [[nodiscard]] util::StatusOr<std::uint8_t> get_u8(std::string_view field) {
+    if (pos_ >= data_.size()) [[unlikely]] return truncated(field);
+    return static_cast<std::uint8_t>(data_[pos_++]);
+  }
+  [[nodiscard]] util::StatusOr<std::uint64_t> get_varint(std::string_view field) {
+    std::uint64_t value = 0;
+    for (int i = 0; i < kMaxVarintBytes; ++i) {
+      if (pos_ >= data_.size()) [[unlikely]] return truncated(field);
+      const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
+      // The last byte may only contribute the top bit of the 64-bit value:
+      // anything else (including a continuation bit) is an overlong varint.
+      if (i == kMaxVarintBytes - 1 && byte > 1) [[unlikely]] break;
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+      if ((byte & 0x80) == 0) return value;
+    }
+    return overlong(field);
+  }
+  [[nodiscard]] util::StatusOr<double> get_f64(std::string_view field) {
+    if (data_.size() - pos_ < 8) [[unlikely]] return truncated(field);
+    std::uint64_t bits = 0;
+    for (int shift = 0; shift < 64; shift += 8) {
+      bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++])) << shift;
+    }
+    return std::bit_cast<double>(bits);
+  }
   [[nodiscard]] util::StatusOr<std::string> get_string(std::string_view field);
   [[nodiscard]] util::StatusOr<std::string_view> get_bytes(std::size_t count,
                                                            std::string_view field);
@@ -87,7 +136,13 @@ class ByteReader {
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
 
  private:
-  [[nodiscard]] util::Status truncated(std::string_view field) const;
+  /// 10 7-bit groups cover 64 bits; an 11th continuation byte is always
+  /// corrupt.
+  static constexpr int kMaxVarintBytes = 10;
+
+  [[nodiscard, gnu::cold, gnu::noinline]] util::Status truncated(std::string_view field) const;
+  /// Positioned at the offending byte, which has been consumed.
+  [[nodiscard, gnu::cold, gnu::noinline]] util::Status overlong(std::string_view field) const;
 
   std::string_view data_;
   std::size_t pos_ = 0;

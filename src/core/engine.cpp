@@ -832,6 +832,9 @@ util::StatusOr<obs::RunStats> Engine::run() {
   if (store_ != nullptr) run.memory.store = store_->memory_use();
   run.memory.shards.resident_bytes = window_bytes_;
   run.memory.peak_rss_bytes = obs::peak_rss_bytes();
+  const obs::RssSplit rss = obs::rss_split();
+  run.memory.rss_anon_bytes = rss.anon_bytes;
+  run.memory.rss_file_bytes = rss.file_bytes;
   if (writer_ != nullptr) {
     run.checkpoints_written = writer_->checkpoints_written();
     run.checkpoint_bytes = writer_->bytes_written();

@@ -66,6 +66,8 @@ util::StatusOr<obs::RunStats> StudyPipeline::run() {
   stats_.resumed_users = run->resumed_users;
   stats_.recovered_from_seq = run->recovered_from_seq;
   stats_.memory.shards = run->memory.shards;
+  stats_.memory.rss_anon_bytes = run->memory.rss_anon_bytes;
+  stats_.memory.rss_file_bytes = run->memory.rss_file_bytes;
   off_interface_bytes_ = stats_.off_interface_bytes;
   return stats_;
 }

@@ -2,19 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define WILDENERGY_ACCOUNT_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace wildenergy::energy {
 
@@ -24,21 +14,6 @@ namespace {
 
 /// Pending-writer size that triggers a seal when no budget is configured.
 constexpr std::uint64_t kDefaultFlushBytes = 64ull << 20;
-
-void put_u64le(ckpt::ByteWriter& w, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    w.put_u8(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-std::uint64_t read_u64le(std::string_view bytes) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
 
 /// accounts_00000042.weac -> 42; 0 when the name doesn't follow the pattern.
 std::uint64_t parse_account_seq(const std::string& name) {
@@ -145,9 +120,7 @@ std::string AccountFileWriter::finish() {
       body_.put_varint(s.len);
     }
   }
-  put_u64le(body_, index_offset);
-  const std::uint64_t checksum = ckpt::fnv1a(body_.bytes());
-  put_u64le(body_, checksum);
+  ckpt::finish_indexed(body_, index_offset);
   names_.clear();
   groups_.clear();
   return body_.take();
@@ -155,77 +128,37 @@ std::string AccountFileWriter::finish() {
 
 // --- MappedAccountFile -----------------------------------------------------
 
-MappedAccountFile::~MappedAccountFile() {
-#ifdef WILDENERGY_ACCOUNT_MMAP
-  if (map_ != nullptr) ::munmap(map_, size_);
-#endif
-}
-
 util::Status MappedAccountFile::corrupt(const std::string& why) const {
   return util::Status::data_loss("account file " + path_ + ": " + why);
 }
 
 util::Status MappedAccountFile::open(const std::string& path) {
   path_ = path;
-#ifdef WILDENERGY_ACCOUNT_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st = {};
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* mapped = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
-                            MAP_PRIVATE, fd, 0);
-      if (mapped != MAP_FAILED) {
-        map_ = mapped;
-        data_ = static_cast<const char*>(mapped);
-        size_ = static_cast<std::size_t>(st.st_size);
-      }
-    }
-    ::close(fd);
-  }
-#endif
-  if (data_ == nullptr) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return corrupt("cannot open file");
-    fallback_.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
-    data_ = fallback_.data();
-    size_ = fallback_.size();
-  }
-  return parse();
+  if (!file_.open(path)) return corrupt("cannot open file");
+  data_ = file_.bytes();
+  util::Status parsed = parse();
+  // The checksum pass read every page; payload reads refault what they need.
+  file_.release();
+  return parsed;
 }
 
 util::Status MappedAccountFile::open_image(const std::string& label, std::string_view bytes) {
   path_ = label;
-  data_ = bytes.data();
-  size_ = bytes.size();
+  data_ = bytes;
   return parse();
 }
 
 util::Status MappedAccountFile::parse() {
-  constexpr std::size_t kHeader = sizeof kAccountMagic + 1;
-  constexpr std::size_t kFooter = 16;  // index offset + checksum
-  if (size_ < kHeader + kFooter) {
-    return corrupt("file too short (" + std::to_string(size_) + " bytes)");
-  }
-  const std::string_view all{data_, size_};
+  constexpr std::size_t kHeader = ckpt::kIndexedHeaderBytes;
+  constexpr std::size_t kFooter = ckpt::kIndexedFooterBytes;
+  const std::string_view all = data_;
+  const std::size_t size = all.size();
+  const auto framed =
+      ckpt::check_indexed(all, {kAccountMagic, sizeof kAccountMagic}, kAccountVersion);
+  if (!framed.ok()) return corrupt(framed.status().message());
+  const std::size_t index_offset = *framed;
 
-  // Trust nothing until the trailer checksum passes: every later parse
-  // failure is then a logic-level inconsistency, not random bit damage.
-  const std::uint64_t stored = read_u64le(all.substr(size_ - 8));
-  const std::uint64_t computed = ckpt::fnv1a(all.substr(0, size_ - 8));
-  if (stored != computed) return corrupt("checksum mismatch");
-
-  if (std::memcmp(data_, kAccountMagic, sizeof kAccountMagic) != 0) return corrupt("bad magic");
-  const auto version = static_cast<std::uint8_t>(data_[sizeof kAccountMagic]);
-  if (version != kAccountVersion) {
-    return corrupt("unsupported version " + std::to_string(version));
-  }
-
-  const std::uint64_t index_offset = read_u64le(all.substr(size_ - kFooter));
-  if (index_offset < kHeader || index_offset > size_ - kFooter) {
-    return corrupt("index offset " + std::to_string(index_offset) + " out of range");
-  }
-
-  ckpt::ByteReader index{all.substr(index_offset, size_ - kFooter - index_offset)};
+  ckpt::ByteReader index{all.substr(index_offset, size - kFooter - index_offset)};
   const auto name_count = index.get_varint("account name count");
   if (!name_count.ok()) return corrupt(name_count.status().message());
   if (*name_count > index.remaining()) {

@@ -49,6 +49,7 @@
 
 #include "ckpt/codec.h"
 #include "trace/record.h"
+#include "util/mapped_file.h"
 #include "util/status.h"
 
 namespace wildenergy::energy {
@@ -110,15 +111,11 @@ struct AccountUserRow {
   std::vector<AccountSectionRef> sections;
 };
 
-/// An open, checksum-verified account file, mapped read-only when the
-/// platform allows (buffered read otherwise).
+/// An open, checksum-verified account file, read through util::MappedFile.
+/// Its pages are released after the checksum pass, so only the payloads a
+/// cursor reads come back resident.
 class MappedAccountFile {
  public:
-  MappedAccountFile() = default;
-  ~MappedAccountFile();
-  MappedAccountFile(const MappedAccountFile&) = delete;
-  MappedAccountFile& operator=(const MappedAccountFile&) = delete;
-
   /// Open + verify `path`. Any framing, checksum, or index inconsistency is
   /// a positioned data_loss status naming the file.
   [[nodiscard]] util::Status open(const std::string& path);
@@ -134,7 +131,7 @@ class MappedAccountFile {
   [[nodiscard]] int find_name(std::string_view name) const;
   /// The payload bytes of one section (view into the mapping).
   [[nodiscard]] std::string_view payload(const AccountSectionRef& section) const {
-    return {data_ + section.offset, section.len};
+    return {data_.data() + section.offset, section.len};
   }
   /// `row`'s section named `name_id`, or nullptr when the group lacks it.
   [[nodiscard]] const AccountSectionRef* find_section(const AccountUserRow& row,
@@ -145,10 +142,8 @@ class MappedAccountFile {
   [[nodiscard]] util::Status corrupt(const std::string& why) const;
 
   std::string path_;
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  void* map_ = nullptr;   ///< munmap handle when the file is mapped
-  std::string fallback_;  ///< file bytes when mmap is unavailable
+  util::MappedFile file_;  ///< the file, when opened by path
+  std::string_view data_;  ///< the verified bytes: file_'s, or the caller's image
   std::vector<std::string> names_;
   std::vector<AccountUserRow> rows_;
 };

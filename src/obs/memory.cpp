@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -14,14 +16,25 @@ namespace wildenergy::obs {
 
 namespace {
 
-/// VmHWM from /proc/self/status in bytes, or 0 where procfs is absent.
-std::uint64_t proc_vm_hwm_bytes() {
+/// VmHWM, RssAnon and RssFile from /proc/self/status in bytes; zeros where
+/// procfs (or a field) is absent.
+struct StatusFields {
+  std::uint64_t hwm = 0;
+  RssSplit rss;
+};
+
+StatusFields read_proc_status() {
+  StatusFields f;
+  const std::pair<std::string_view, std::uint64_t*> fields[] = {
+      {"VmHWM:", &f.hwm}, {"RssAnon:", &f.rss.anon_bytes}, {"RssFile:", &f.rss.file_bytes}};
   std::ifstream status{"/proc/self/status"};
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6)) * 1024;  // kB
+    for (const auto& [key, out] : fields) {
+      if (line.rfind(key, 0) == 0) *out = std::stoull(line.substr(key.size())) * 1024;  // kB
+    }
   }
-  return 0;
+  return f;
 }
 
 std::uint64_t rusage_max_rss_bytes() {
@@ -41,9 +54,11 @@ std::uint64_t rusage_max_rss_bytes() {
 }  // namespace
 
 std::uint64_t peak_rss_bytes() {
-  const std::uint64_t hwm = proc_vm_hwm_bytes();
+  const std::uint64_t hwm = read_proc_status().hwm;
   return hwm != 0 ? hwm : rusage_max_rss_bytes();
 }
+
+RssSplit rss_split() { return read_proc_status().rss; }
 
 bool reset_peak_rss() {
 #if defined(__GLIBC__)

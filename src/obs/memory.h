@@ -39,6 +39,18 @@ struct MemoryUse {
 /// when the platform does not report it.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
 
+/// This process's current resident set, split by kind (RssAnon and RssFile
+/// from /proc/self/status). `anon_bytes` is heap and stacks, the part a RAM
+/// budget governs; `file_bytes` is mapped file pages: the binary, its
+/// libraries, and any mapped WESG segment or WEAC account pages not yet
+/// released. VmHWM (peak_rss_bytes) counts both. Zeros where procfs is
+/// absent.
+struct RssSplit {
+  std::uint64_t anon_bytes = 0;
+  std::uint64_t file_bytes = 0;
+};
+[[nodiscard]] RssSplit rss_split();
+
 /// Lower the peak-RSS mark to the current resident set (writes "5" to
 /// /proc/self/clear_refs, Linux ≥ 4.0), after returning freed heap pages to
 /// the OS (glibc malloc_trim) so the mark does not start at the previous

@@ -57,7 +57,12 @@ void RunStats::print(std::ostream& os) const {
          << " sealed (" << fmt_bytes(static_cast<double>(memory.accounts.resident_bytes))
          << " in memory)";
     }
-    os << "; peak RSS " << fmt_bytes(static_cast<double>(memory.peak_rss_bytes)) << "\n";
+    os << "; peak RSS " << fmt_bytes(static_cast<double>(memory.peak_rss_bytes));
+    if (memory.rss_anon_bytes + memory.rss_file_bytes > 0) {
+      os << " (at end: anon " << fmt_bytes(static_cast<double>(memory.rss_anon_bytes))
+         << ", file " << fmt_bytes(static_cast<double>(memory.rss_file_bytes)) << ")";
+    }
+    os << "\n";
   }
 
   if (shard_retries > 0 || !failed_users.empty()) {
@@ -194,6 +199,8 @@ void RunStats::write_json(JsonWriter& w) const {
   w.kv("shard_window_bytes", memory.shards.resident_bytes);
   w.kv("tracked_bytes", memory.tracked_bytes());
   w.kv("peak_rss_bytes", memory.peak_rss_bytes);
+  w.kv("rss_anon_bytes", memory.rss_anon_bytes);
+  w.kv("rss_file_bytes", memory.rss_file_bytes);
   w.end_object();
 
   w.key("resilience");

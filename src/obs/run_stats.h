@@ -81,6 +81,10 @@ struct MemoryStats {
   /// not part of tracked_bytes().
   MemoryUse shards;
   std::uint64_t peak_rss_bytes = 0;  ///< process-lifetime peak resident set
+  /// The resident set at the end of the run, split (obs::rss_split): anon is
+  /// what budgets govern, file is mapped pages (binary, libraries, segments).
+  std::uint64_t rss_anon_bytes = 0;
+  std::uint64_t rss_file_bytes = 0;
 
   /// Resident bytes under the run's control — what a RAM budget bounds.
   /// Spilled halves are disk, not RAM: excluded.

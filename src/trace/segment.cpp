@@ -1,35 +1,19 @@
 #include "trace/segment.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <limits>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define WILDENERGY_SEGMENT_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace wildenergy::trace {
 
 namespace {
 
-void put_u64le(ckpt::ByteWriter& w, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    w.put_u8(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-std::uint64_t read_u64le(std::string_view bytes) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
+/// The first failed status among decoded fields, or nullptr when all
+/// decoded: the fields are read first and checked once, in read order.
+template <typename... Fields>
+const util::Status* first_error(const Fields&... fields) {
+  const util::Status* bad = nullptr;
+  ([&] { if (bad == nullptr && !fields.ok()) bad = &fields.status(); }(), ...);
+  return bad;
 }
 
 std::uint8_t packet_flags(const PacketRecord& p) {
@@ -110,20 +94,12 @@ std::string SegmentWriter::finish() {
     body_.put_varint(c.transitions_len);
     body_.put_varint(c.order_len);
   }
-  put_u64le(body_, index_offset);
-  const std::uint64_t checksum = ckpt::fnv1a(body_.bytes());
-  put_u64le(body_, checksum);
+  ckpt::finish_indexed(body_, index_offset);
   chunks_.clear();
   return body_.take();
 }
 
 // --- MappedSegment ---------------------------------------------------------
-
-MappedSegment::~MappedSegment() {
-#ifdef WILDENERGY_SEGMENT_MMAP
-  if (map_ != nullptr) ::munmap(map_, size_);
-#endif
-}
 
 util::Status MappedSegment::corrupt(const std::string& why) const {
   return util::Status::data_loss("segment " + path_ + ": " + why);
@@ -131,75 +107,38 @@ util::Status MappedSegment::corrupt(const std::string& why) const {
 
 util::Status MappedSegment::open(const std::string& path) {
   path_ = path;
-#ifdef WILDENERGY_SEGMENT_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st = {};
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* mapped = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
-                            MAP_PRIVATE, fd, 0);
-      if (mapped != MAP_FAILED) {
-        map_ = mapped;
-        data_ = static_cast<const char*>(mapped);
-        size_ = static_cast<std::size_t>(st.st_size);
-      }
-    }
-    ::close(fd);
-  }
-#endif
-  if (data_ == nullptr) {
-    // Buffered fallback: no mapping support (or an empty/unreadable file,
-    // which the size checks below diagnose).
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return corrupt("cannot open file");
-    fallback_.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
-    data_ = fallback_.data();
-    size_ = fallback_.size();
-  }
-  return parse();
+  if (!file_.open(path)) return corrupt("cannot open file");
+  util::Status parsed = parse();
+  // The checksum pass read every page; replay refaults only what it reads.
+  file_.release();
+  return parsed;
 }
 
 util::Status MappedSegment::parse() {
-  constexpr std::size_t kHeader = sizeof kSegmentMagic + 1;
-  constexpr std::size_t kFooter = 16;  // index offset + checksum
-  if (size_ < kHeader + kFooter) {
-    return corrupt("file too short (" + std::to_string(size_) + " bytes)");
-  }
-  const std::string_view all{data_, size_};
-
-  // Trust nothing until the trailer checksum passes: every later parse
-  // failure is then a logic-level inconsistency, not random bit damage.
-  const std::uint64_t stored = read_u64le(all.substr(size_ - 8));
-  const std::uint64_t computed = ckpt::fnv1a(all.substr(0, size_ - 8));
-  if (stored != computed) return corrupt("checksum mismatch");
-
-  if (std::memcmp(data_, kSegmentMagic, sizeof kSegmentMagic) != 0) return corrupt("bad magic");
-  const auto version = static_cast<std::uint8_t>(data_[sizeof kSegmentMagic]);
-  if (version != kSegmentVersion) {
-    return corrupt("unsupported version " + std::to_string(version));
-  }
-
-  const std::uint64_t index_offset = read_u64le(all.substr(size_ - kFooter));
-  if (index_offset < kHeader || index_offset > size_ - kFooter) {
-    return corrupt("index offset " + std::to_string(index_offset) + " out of range");
-  }
+  constexpr std::size_t kHeader = ckpt::kIndexedHeaderBytes;
+  constexpr std::size_t kFooter = ckpt::kIndexedFooterBytes;
+  const std::string_view all = file_.bytes();
+  const std::size_t size = all.size();
+  const auto framed =
+      ckpt::check_indexed(all, {kSegmentMagic, sizeof kSegmentMagic}, kSegmentVersion);
+  if (!framed.ok()) return corrupt(framed.status().message());
+  const std::size_t index_offset = *framed;
 
   ckpt::ByteReader meta_reader{all.substr(kHeader, index_offset - kHeader)};
   const auto users = meta_reader.get_varint("segment meta users");
   const auto apps = meta_reader.get_varint("segment meta apps");
   const auto begin = meta_reader.get_varint("segment meta begin");
   const auto end = meta_reader.get_varint("segment meta end");
-  if (!users.ok()) return corrupt(users.status().message());
-  if (!apps.ok()) return corrupt(apps.status().message());
-  if (!begin.ok()) return corrupt(begin.status().message());
-  if (!end.ok()) return corrupt(end.status().message());
+  if (const util::Status* bad = first_error(users, apps, begin, end)) {
+    return corrupt(bad->message());
+  }
   meta_.num_users = static_cast<std::uint32_t>(*users);
   meta_.num_apps = static_cast<std::uint32_t>(*apps);
   meta_.study_begin.us = ckpt::unzigzag(*begin);
   meta_.study_end.us = ckpt::unzigzag(*end);
   const std::size_t payload_start = kHeader + meta_reader.offset();
 
-  ckpt::ByteReader index{all.substr(index_offset, size_ - kFooter - index_offset)};
+  ckpt::ByteReader index{all.substr(index_offset, size - kFooter - index_offset)};
   const auto count = index.get_varint("segment index count");
   if (!count.ok()) return corrupt(count.status().message());
   if (*count > index.remaining()) {
@@ -221,10 +160,9 @@ util::Status MappedSegment::parse() {
     const auto packets_len = index.get_varint("chunk packets length");
     const auto transitions_len = index.get_varint("chunk transitions length");
     const auto order_len = index.get_varint("chunk order length");
-    for (const util::Status& st :
-         {user.status(), seq.status(), flags.status(), packets.status(), transitions.status(),
-          runs.status(), packets_len.status(), transitions_len.status(), order_len.status()}) {
-      if (!st.ok()) return corrupt(st.message());
+    if (const util::Status* bad = first_error(user, seq, flags, packets, transitions, runs,
+                                              packets_len, transitions_len, order_len)) {
+      return corrupt(bad->message());
     }
     if (*user > std::numeric_limits<UserId>::max() ||
         *seq > std::numeric_limits<std::uint32_t>::max()) {
@@ -238,7 +176,7 @@ util::Status MappedSegment::parse() {
     chunk.order_runs = *runs;
     // Lower-bound sanity on stream lengths: a packet encodes to >= 13
     // bytes, a transition to >= 4, an order run to >= 2.
-    const std::size_t span = size_ - kFooter;
+    const std::size_t span = size - kFooter;
     if (*packets_len > span || *transitions_len > span || *order_len > span ||
         chunk.packets * 13 > *packets_len || chunk.transitions * 4 > *transitions_len ||
         chunk.order_runs * 2 > *order_len) {
@@ -270,15 +208,25 @@ util::Status MappedSegment::parse() {
 
 std::uint64_t MappedSegment::index_bytes() const {
   return sizeof(*this) + chunks_.capacity() * sizeof(SegmentChunkInfo) + path_.capacity() +
-         fallback_.capacity();
+         file_.buffered_bytes();
 }
 
 util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSink& sink,
                                          std::size_t batch_size,
                                          std::int64_t& last_time_us) const {
-  const std::string_view all{data_, size_};
+  util::Status status = decode_chunk(chunk, sink, batch_size, last_time_us);
+  // Done with the chunk's pages, on every path: a later replay refaults them.
+  const std::size_t end = chunk.order_offset + chunk.order_len;
+  file_.release(chunk.packets_offset, end > chunk.packets_offset ? end - chunk.packets_offset : 0);
+  return status;
+}
+
+util::Status MappedSegment::decode_chunk(const SegmentChunkInfo& chunk, TraceSink& sink,
+                                         std::size_t batch_size,
+                                         std::int64_t& last_time_us) const {
+  const std::string_view all = file_.bytes();
   const auto in_file = [&](std::size_t off, std::size_t len) {
-    return off <= size_ && len <= size_ - off;
+    return off <= all.size() && len <= all.size() - off;
   };
   if (!in_file(chunk.packets_offset, chunk.packets_len) ||
       !in_file(chunk.transitions_offset, chunk.transitions_len) ||
@@ -292,6 +240,7 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
   ckpt::ByteReader transitions{all.substr(chunk.transitions_offset, chunk.transitions_len)};
   ckpt::ByteReader order{all.substr(chunk.order_offset, chunk.order_len)};
 
+  batch_size = std::max<std::size_t>(batch_size, 1);  // 0 delivers event by event, as 1
   EventBatch scratch;
   scratch.user = chunk.user;
   scratch.reserve(std::min<std::uint64_t>(batch_size, chunk.events()));
@@ -334,37 +283,44 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
     if (*kind > 1) return corrupt(where + "bad order kind " + std::to_string(*kind));
     if (*kind == static_cast<std::uint8_t>(EventKind::kPacket)) {
       if (*run > chunk.packets - pk_seen) return corrupt(where + "packet run overflows chunk");
-      for (std::uint64_t j = 0; j < *run; ++j) {
-        const auto dt = packets.get_varint("packet dt");
-        const auto app = packets.get_varint("packet app");
-        const auto flow = packets.get_varint("packet flow");
-        const auto bytes = packets.get_varint("packet bytes");
-        const auto flags = packets.get_u8("packet flags");
-        const auto joules = packets.get_f64("packet joules");
-        for (const util::Status& st : {dt.status(), app.status(), flow.status(), bytes.status(),
-                                       flags.status(), joules.status()}) {
-          if (!st.ok()) return corrupt(where + st.message());
+      // The run decodes straight into the batch, a batch's room at a time.
+      for (std::uint64_t left = *run; left > 0;) {
+        const std::size_t piece = std::min<std::uint64_t>(left, batch_size - scratch.size());
+        const std::size_t first = scratch.packets.size();
+        scratch.packets.resize(first + piece);
+        for (std::size_t j = first; j < first + piece; ++j) {
+          const auto dt = packets.get_varint("packet dt");
+          const auto app = packets.get_varint("packet app");
+          const auto flow = packets.get_varint("packet flow");
+          const auto bytes = packets.get_varint("packet bytes");
+          const auto flags = packets.get_u8("packet flags");
+          const auto joules = packets.get_f64("packet joules");
+          if (const util::Status* bad = first_error(dt, app, flow, bytes, flags, joules))
+              [[unlikely]] {
+            return corrupt(where + bad->message());
+          }
+          const auto state = static_cast<std::uint8_t>(*flags >> 2);
+          if (*app > kNoApp || state >= kNumProcessStates) [[unlikely]] {
+            return corrupt(where + "bad packet fields at offset " +
+                           std::to_string(packets.offset()));
+          }
+          pkt_time += ckpt::unzigzag(*dt);
+          if (!in_order(pkt_time)) [[unlikely]] return out_of_order("packet", pkt_time);
+          last_time_us = pkt_time;
+          ++event;
+          PacketRecord& p = scratch.packets[j];
+          p.time.us = pkt_time;
+          p.user = chunk.user;
+          p.app = static_cast<AppId>(*app);
+          p.flow = *flow;
+          p.bytes = *bytes;
+          p.direction = (*flags & 1) ? radio::Direction::kUplink : radio::Direction::kDownlink;
+          p.interface = (*flags & 2) ? Interface::kWifi : Interface::kCellular;
+          p.state = static_cast<ProcessState>(state);
+          p.joules = *joules;
         }
-        const auto state = static_cast<std::uint8_t>(*flags >> 2);
-        if (*app > kNoApp || state >= kNumProcessStates) {
-          return corrupt(where + "bad packet fields at offset " +
-                         std::to_string(packets.offset()));
-        }
-        pkt_time += ckpt::unzigzag(*dt);
-        if (!in_order(pkt_time)) return out_of_order("packet", pkt_time);
-        last_time_us = pkt_time;
-        ++event;
-        PacketRecord p;
-        p.time.us = pkt_time;
-        p.user = chunk.user;
-        p.app = static_cast<AppId>(*app);
-        p.flow = *flow;
-        p.bytes = *bytes;
-        p.direction = (*flags & 1) ? radio::Direction::kUplink : radio::Direction::kDownlink;
-        p.interface = (*flags & 2) ? Interface::kWifi : Interface::kCellular;
-        p.state = static_cast<ProcessState>(state);
-        p.joules = *joules;
-        scratch.add(p);
+        scratch.order.insert(scratch.order.end(), piece, EventKind::kPacket);
+        left -= piece;
         deliver();
       }
       pk_seen += *run;
@@ -377,9 +333,8 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
         const auto app = transitions.get_varint("transition app");
         const auto from = transitions.get_u8("transition from");
         const auto to = transitions.get_u8("transition to");
-        for (const util::Status& st :
-             {dt.status(), app.status(), from.status(), to.status()}) {
-          if (!st.ok()) return corrupt(where + st.message());
+        if (const util::Status* bad = first_error(dt, app, from, to)) [[unlikely]] {
+          return corrupt(where + bad->message());
         }
         if (*app > kNoApp || *from >= kNumProcessStates || *to >= kNumProcessStates) {
           return corrupt(where + "bad transition fields at offset " +

@@ -5,8 +5,9 @@
 // user's stream (packet column, transition column, interleave) — for many
 // users, in stream order. SpillingTraceStore, when given a directory, seals
 // chunks into segments as its resident budget fills; replay maps the file
-// read-only and decodes one bounded span at a time, so a study much larger
-// than RAM replays with a working set of O(batch_size), not O(stream).
+// read-only, decodes one bounded span at a time and releases each chunk's
+// pages after it, so a study much larger than RAM replays with a working set
+// of O(batch_size) plus the chunks in flight, not O(stream).
 //
 // File layout (all multi-byte integers are ckpt/codec.h primitives):
 //
@@ -48,6 +49,7 @@
 #include "ckpt/codec.h"
 #include "trace/batch.h"
 #include "trace/sink.h"
+#include "util/mapped_file.h"
 #include "util/status.h"
 
 namespace wildenergy::trace {
@@ -105,33 +107,32 @@ class SegmentWriter {
   std::vector<PendingChunk> chunks_;
 };
 
-/// An open, checksum-verified segment. The file is mapped read-only when the
-/// platform allows (buffered read otherwise); replay decodes bounded spans
-/// straight off the mapping. Opening costs one checksum pass + O(index);
-/// replaying a chunk costs O(chunk) with O(batch_size) working memory.
+/// An open, checksum-verified segment, read through util::MappedFile (mapped
+/// read-only where the platform allows). Opening costs one checksum pass +
+/// O(index), then releases every page it read; replaying a chunk decodes its
+/// span straight off the mapping with O(batch_size) working memory and
+/// releases the span's pages when done, so a segment's pages are resident
+/// only while a chunk of it is being replayed.
 class MappedSegment {
  public:
-  MappedSegment() = default;
-  ~MappedSegment();
-  MappedSegment(const MappedSegment&) = delete;
-  MappedSegment& operator=(const MappedSegment&) = delete;
-
   /// Open + verify `path`. Any framing, checksum, or index inconsistency is
   /// a positioned data_loss status naming the file.
   [[nodiscard]] util::Status open(const std::string& path);
 
   [[nodiscard]] const StudyMeta& meta() const { return meta_; }
   [[nodiscard]] const std::vector<SegmentChunkInfo>& chunks() const { return chunks_; }
-  [[nodiscard]] std::uint64_t file_bytes() const { return size_; }
+  [[nodiscard]] std::uint64_t file_bytes() const { return file_.bytes().size(); }
   [[nodiscard]] const std::string& path() const { return path_; }
-  /// Resident overhead of the parsed index (the mapping itself is page
-  /// cache, reclaimable, and does not count against a RAM budget).
+  /// Resident overhead of the parsed index. The mapping does not count: its
+  /// pages are released after open and after each chunk replay, so only the
+  /// chunks being replayed hold any.
   [[nodiscard]] std::uint64_t index_bytes() const;
 
   /// Decode one chunk into `sink` as spans of batch_size (≥ 1) events,
   /// preserving the captured interleave. Emits no user brackets — the
-  /// caller owns the bracket protocol. Pure read: concurrent replay_chunk
-  /// calls on one segment are safe.
+  /// caller owns the bracket protocol. Releases the chunk's pages on return,
+  /// on error paths too. Concurrent replay_chunk calls on one segment are
+  /// safe: a page released under another reader just refaults.
   ///
   /// The decoder enforces the stream contract itself, always strictly: an
   /// event earlier than the one before it, or outside meta()'s study window
@@ -147,13 +148,13 @@ class MappedSegment {
 
  private:
   [[nodiscard]] util::Status parse();
+  [[nodiscard]] util::Status decode_chunk(const SegmentChunkInfo& chunk, TraceSink& sink,
+                                          std::size_t batch_size,
+                                          std::int64_t& last_time_us) const;
   [[nodiscard]] util::Status corrupt(const std::string& why) const;
 
   std::string path_;
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  void* map_ = nullptr;      ///< munmap handle when the file is mapped
-  std::string fallback_;     ///< file bytes when mmap is unavailable
+  util::MappedFile file_;
   StudyMeta meta_;
   std::vector<SegmentChunkInfo> chunks_;
 };

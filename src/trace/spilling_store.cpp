@@ -281,10 +281,7 @@ util::Status SpillingTraceStore::write_manifest() {
   for (const auto& segment : segments_) {
     writer.put_string(fs::path(segment->path()).filename().string());
   }
-  const std::uint64_t checksum = ckpt::fnv1a(writer.bytes());
-  for (int shift = 0; shift < 64; shift += 8) {
-    writer.put_u8(static_cast<std::uint8_t>(checksum >> shift));
-  }
+  writer.put_checksum();
   return write_file_atomic(options_.dir, kManifestName, writer.bytes());
 }
 
@@ -321,14 +318,10 @@ util::Status SpillingTraceStore::recover() {
     return util::Status::data_loss("segment manifest '" + manifest_path.string() + "': " + why);
   };
   if (bytes.size() < sizeof kManifestMagic + 1 + 8) return fail("file too short");
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(bytes[bytes.size() - 8 + static_cast<std::size_t>(i)]))
-              << (8 * i);
-  }
   const std::string_view body{bytes.data(), bytes.size() - 8};
-  if (ckpt::fnv1a(body) != stored) return fail("checksum mismatch");
+  if (ckpt::fnv1a(body) != ckpt::read_u64le(std::string_view{bytes}.substr(body.size()))) {
+    return fail("checksum mismatch");
+  }
   if (std::memcmp(bytes.data(), kManifestMagic, sizeof kManifestMagic) != 0) {
     return fail("bad magic");
   }

@@ -10,9 +10,10 @@
 //   capture                      spill (only with a dir)    replay
 //   -------                      -----------------------    ------
 //   source -> current_ column -> seal resident chunks ->    segments (mmap,
-//             per open user      seg_NNNNNN.wesg + mani-    bounded decode)
-//             complete chunks    fest rewrite (tmp+rename)  then resident
-//             queue resident                                tail, per user
+//             per open user      seg_NNNNNN.wesg + mani-    bounded decode,
+//             complete chunks    fest rewrite (tmp+rename)  pages released)
+//             queue resident                                then resident
+//                                                           tail, per user
 //
 // Without a directory (SpillOptions::dir empty) the store is all-resident:
 // nothing spills, budget_bytes is ignored, seal() leaves the tail resident,
@@ -106,8 +107,10 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   /// Total captured events (packets + transitions) across all users.
   [[nodiscard]] std::uint64_t event_count() const;
   /// Resident half counts column/current capacity (allocation slack is real
-  /// memory), user index, segment indices; mapped segment payloads are page
-  /// cache, not budget. Spilled half is the sealed segment bytes on disk.
+  /// memory), user index, segment indices. Mapped segment pages are not
+  /// counted: each segment releases them after open and after every chunk
+  /// replay (trace/segment.h), so only chunks in flight hold any. Spilled
+  /// half is the sealed segment bytes on disk.
   [[nodiscard]] obs::MemoryUse memory_use() const override;
   void clear();
 

@@ -55,6 +55,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
+#include <unistd.h>
 #endif
 
 namespace wildenergy {
@@ -420,6 +421,150 @@ TEST(SegmentCorruption, ChecksumValidOutOfOrderStreamIsDataLossOnReplay) {
   }
 }
 
+// The decoder's truncation errors, pinned field by field. A real chunk (the
+// first events of a generated user, sealed by SegmentWriter) is replayed with
+// its packet, transition or order stream cut at every byte offset — the
+// chunk record handed to replay_chunk says the stream ends there. Each cut
+// must fail with the exact message ByteReader gives for the field the cut
+// lands in: varint and u8 fields report the cut itself (the bytes read so
+// far are consumed), the fixed-width f64 reports the field's start. The
+// expected messages come from walking the documented field layout, not from
+// the decoder. Whatever is delivered before the error is a prefix of the
+// chunk's stream.
+TEST(SegmentCorruption, TruncationAtEveryFieldKeepsItsMessage) {
+  const fs::path dir = scratch_dir("truncation");
+  fs::create_directories(dir);
+  sim::StudyConfig config = sim::small_study();
+  config.num_users = 1;
+  config.num_days = 2;
+  trace::SpillingTraceStore resident;
+  sim::StudyGenerator generator{config};
+  ASSERT_TRUE(resident.capture(generator).ok());
+
+  // User 0's first events, up to its kKinds-th transition, as one chunk.
+  constexpr std::size_t kKinds = 6;
+  struct PrefixSink final : trace::TraceSink {
+    trace::EventBatch out;
+    void on_batch(const trace::EventBatch& batch) override {
+      const auto take = [this](const auto& event) {
+        if (out.transitions.size() < kKinds) out.add(event);
+      };
+      trace::for_each_event(batch, take, take);
+    }
+  } prefix;
+  ASSERT_TRUE(resident.emit_user(0, prefix, trace::kDefaultBatchSize).ok());
+  trace::EventBatch chunk = std::move(prefix.out);
+  chunk.user = 0;
+  ASSERT_EQ(chunk.transitions.size(), kKinds);
+  ASSERT_GE(chunk.packets.size(), kKinds);
+
+  trace::SegmentWriter writer{resident.meta()};
+  writer.add_chunk(chunk, 0, true);
+  const fs::path file = dir / "seg_000001.wesg";
+  write_file(file, writer.finish());
+  trace::MappedSegment segment;
+  ASSERT_TRUE(segment.open(file.string()).ok());
+  ASSERT_EQ(segment.chunks().size(), 1u);
+  const trace::SegmentChunkInfo info = segment.chunks()[0];
+  std::string bytes;
+  {
+    std::ifstream in{file, std::ios::binary};
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+
+  // One encoded field: its name as the decoder reports it and its span.
+  struct Field {
+    std::string name;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool fixed = false;  ///< f64: a short read does not consume
+  };
+  // Walk a stream whose records repeat `layout` (field name, width; width 0
+  // = varint) until the stream ends.
+  const auto walk = [&bytes](std::size_t offset, std::size_t len,
+                             const std::vector<std::pair<std::string, int>>& layout) {
+    std::vector<Field> fields;
+    std::size_t pos = 0;
+    while (pos < len) {
+      for (const auto& [name, width] : layout) {
+        Field f{name, pos, pos, width == 8};
+        if (width == 0) {
+          while (static_cast<std::uint8_t>(bytes[offset + f.end]) & 0x80) ++f.end;
+          ++f.end;
+        } else {
+          f.end += static_cast<std::size_t>(width);
+        }
+        pos = f.end;
+        fields.push_back(std::move(f));
+      }
+    }
+    EXPECT_EQ(pos, len) << "layout walk overran the stream";
+    return fields;
+  };
+  struct Stream {
+    const char* name;
+    std::size_t trace::SegmentChunkInfo::*len;
+    std::vector<Field> fields;
+  };
+  const std::vector<Stream> streams = {
+      {"packets", &trace::SegmentChunkInfo::packets_len,
+       walk(info.packets_offset, info.packets_len,
+            {{"packet dt", 0}, {"packet app", 0}, {"packet flow", 0}, {"packet bytes", 0},
+             {"packet flags", 1}, {"packet joules", 8}})},
+      {"transitions", &trace::SegmentChunkInfo::transitions_len,
+       walk(info.transitions_offset, info.transitions_len,
+            {{"transition dt", 0}, {"transition app", 0}, {"transition from", 1},
+             {"transition to", 1}})},
+      {"order", &trace::SegmentChunkInfo::order_len,
+       walk(info.order_offset, info.order_len, {{"order kind", 1}, {"order run", 0}})},
+  };
+
+  const trace::EventBatch full = collect_chunk(segment, info, trace::kDefaultBatchSize);
+  const std::string prefix_of_message = "segment " + file.string() + ": user 0 chunk 0: ";
+  std::size_t cuts = 0;
+  for (const Stream& stream : streams) {
+    SCOPED_TRACE(stream.name);
+    for (const Field& field : stream.fields) {
+      for (std::size_t cut = field.begin; cut < field.end; ++cut) {
+        trace::SegmentChunkInfo damaged = info;
+        damaged.*stream.len = cut;
+        const std::string expected =
+            prefix_of_message + "truncated checkpoint: EOF mid-" + field.name + " at offset " +
+            std::to_string(field.fixed ? field.begin : cut);
+        for (const std::size_t batch_size : {std::size_t{1}, std::size_t{4096}}) {
+          trace::EventBatch delivered;
+          struct Collect final : trace::TraceSink {
+            trace::EventBatch* out;
+            explicit Collect(trace::EventBatch* o) : out(o) {}
+            void on_batch(const trace::EventBatch& batch) override { out->append(batch); }
+          } sink{&delivered};
+          std::int64_t last_time_us = std::numeric_limits<std::int64_t>::min();
+          const util::Status st = segment.replay_chunk(damaged, sink, batch_size, last_time_us);
+          ASSERT_EQ(st.code(), util::StatusCode::kDataLoss)
+              << "cut at " << cut << " batch " << batch_size << ": " << st.to_string();
+          ASSERT_EQ(st.message(), expected) << "cut at " << cut << " batch " << batch_size;
+          // What was delivered is a strict prefix of the chunk's stream.
+          ASSERT_LT(delivered.size(), full.size());
+          ASSERT_LE(delivered.packets.size(), full.packets.size());
+          ASSERT_LE(delivered.transitions.size(), full.transitions.size());
+          for (std::size_t i = 0; i < delivered.order.size(); ++i) {
+            ASSERT_EQ(delivered.order[i], full.order[i]);
+          }
+          for (std::size_t i = 0; i < delivered.packets.size(); ++i) {
+            ASSERT_EQ(delivered.packets[i].time.us, full.packets[i].time.us);
+            ASSERT_EQ(delivered.packets[i].joules, full.packets[i].joules);
+          }
+          for (std::size_t i = 0; i < delivered.transitions.size(); ++i) {
+            ASSERT_EQ(delivered.transitions[i].time.us, full.transitions[i].time.us);
+          }
+        }
+        ++cuts;
+      }
+    }
+  }
+  EXPECT_EQ(cuts, info.packets_len + info.transitions_len + info.order_len);
+}
+
 // -------------------------------------------------------- spilling store
 
 TEST(SpillingStore, ReplayBitIdenticalToRamStoreAcrossBatchAndThreads) {
@@ -724,6 +869,85 @@ TEST(SpillingStore, NoDirectoryResumeTouchesNoFile) {
   EXPECT_EQ(replayed.transitions().size(), live.transitions().size());
   EXPECT_EQ(listing(), before);
   EXPECT_EQ(fs::last_write_time(dir / "manifest.wesm"), manifest_time);
+}
+
+/// Sum of `Rss:` over the /proc/self/smaps mappings of files under `dir`, or
+/// -1 where smaps is absent.
+std::int64_t mapped_rss_under(const fs::path& dir) {
+  std::ifstream smaps{"/proc/self/smaps"};
+  if (!smaps) return -1;
+  const std::string prefix = fs::canonical(dir).string() + "/";
+  std::int64_t total = 0;
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    if (line.empty()) continue;
+    const char first = line[0];
+    if ((first >= '0' && first <= '9') || (first >= 'a' && first <= 'f')) {
+      // Mapping header: "start-end perms offset dev inode [path]".
+      std::istringstream header{line};
+      std::string range, perms, offset, dev, inode, path;
+      header >> range >> perms >> offset >> dev >> inode >> path;
+      inside = path.rfind(prefix, 0) == 0;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      total += std::stoll(line.substr(4)) * 1024;  // kB
+    }
+  }
+  return total;
+}
+
+// A sealed segment's pages stay in the process only while they are read:
+// open releases the mapping after its checksum pass, and each chunk replay
+// releases its span. So after capture, and after a full replay at any thread
+// count, the mapped segment bytes resident in this process stay within one
+// chunk's span plus a boundary page per segment — not the whole store.
+TEST(SpillingStore, ReplayReleasesMappedPages) {
+  if (!fs::exists("/proc/self/smaps")) GTEST_SKIP() << "no /proc/self/smaps on this platform";
+  const fs::path dir = scratch_dir("release_pages");
+  trace::SpillOptions spill;
+  spill.dir = dir.string();
+  spill.budget_bytes = 64 * 1024;  // several segments, several chunks each
+  trace::SpillingTraceStore store{spill};
+  sim::StudyGenerator generator{ooc_study()};
+  ASSERT_TRUE(store.capture(generator).ok());
+  ASSERT_GT(store.num_segments(), 1u);
+
+#if defined(__unix__) || defined(__APPLE__)
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+#else
+  const std::uint64_t page = 4096;
+#endif
+  std::uint64_t largest_span = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".wesg") continue;
+    trace::MappedSegment segment;  // unmapped again before anything is measured
+    ASSERT_TRUE(segment.open(entry.path().string()).ok());
+    for (const trace::SegmentChunkInfo& chunk : segment.chunks()) {
+      largest_span = std::max<std::uint64_t>(
+          largest_span, chunk.order_offset + chunk.order_len - chunk.packets_offset);
+    }
+  }
+  const std::uint64_t bound = (largest_span + page - 1) / page * page + page * store.num_segments();
+  // Keeping every page would break the bound: the check is not vacuous.
+  ASSERT_GT(store.spilled_bytes(), 2 * bound);
+
+  const std::int64_t after_capture = mapped_rss_under(dir);
+  ASSERT_GE(after_capture, 0);
+  EXPECT_LE(static_cast<std::uint64_t>(after_capture), bound)
+      << "after capture; store holds " << store.spilled_bytes() << " sealed bytes";
+
+  for (const unsigned threads : {1u, 4u}) {
+    core::PipelineOptions options;
+    options.num_threads = threads;
+    core::StudyPipeline pipeline{&store, options};
+    const auto stats = pipeline.run();
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    ASSERT_GT(stats->packets, 0u);
+    const std::int64_t after_replay = mapped_rss_under(dir);
+    EXPECT_LE(static_cast<std::uint64_t>(after_replay), bound)
+        << "after a replay at " << threads << " threads; store holds " << store.spilled_bytes()
+        << " sealed bytes";
+  }
 }
 
 // --------------------------------------------- sweep over a sealed store

@@ -7,9 +7,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -256,6 +258,35 @@ TEST(TelemetryMemory, PeakRssIsMonotone) {
 #ifdef __linux__
   EXPECT_GT(first, 0u);
 #endif
+}
+
+// The split reads RssAnon/RssFile: a touched heap block shows up in anon and
+// not in file, the binary's own mapped text keeps file above zero, and a run
+// records both at its end.
+TEST(TelemetryMemory, RssSplitSeparatesAnonFromFile) {
+  if (!std::ifstream{"/proc/self/status"}) GTEST_SKIP() << "no /proc/self/status here";
+  const obs::RssSplit before = obs::rss_split();
+  ASSERT_GT(before.anon_bytes, 0u);
+  ASSERT_GT(before.file_bytes, 0u);
+  constexpr std::size_t kBlock = std::size_t{32} << 20;
+  std::vector<char> block(kBlock);
+  char* volatile data = block.data();
+  for (std::size_t i = 0; i < kBlock; i += 4096) data[i] = 1;  // touch every page
+  const obs::RssSplit with_block = obs::rss_split();
+  EXPECT_GE(with_block.anon_bytes, before.anon_bytes + kBlock / 2);
+  EXPECT_LT(with_block.file_bytes, before.file_bytes + kBlock / 2);
+
+  sim::StudyGenerator generator{telemetry_config()};
+  core::StudyPipeline pipeline{&generator};
+  const auto run = pipeline.run();
+  ASSERT_TRUE(run.ok());
+  EXPECT_GT(run->memory.rss_anon_bytes, 0u);
+  EXPECT_GT(run->memory.rss_file_bytes, 0u);
+  EXPECT_LE(run->memory.rss_anon_bytes + run->memory.rss_file_bytes,
+            obs::peak_rss_bytes() + 4096);
+  std::ostringstream text;
+  run->print(text);
+  EXPECT_NE(text.str().find("(at end: anon "), std::string::npos) << text.str();
 }
 
 TEST(TelemetryMemory, ResetPeakRssLowersTheMarkAfterAFreedBlock) {
