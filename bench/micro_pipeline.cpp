@@ -5,6 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <istream>
+#include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "radio/burst_machine.h"
 #include "sim/generator.h"
 #include "trace/batch.h"
+#include "trace/csv_io.h"
 #include "trace/instrumented_sink.h"
 #include "trace/interface_filter.h"
 #include "trace/spilling_store.h"
@@ -139,6 +143,14 @@ BENCHMARK(BM_ShardedPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::k
 // batch size 1, the most dispatch-bound slicing.
 
 /// A cheap analysis leaf; batch-native like the production sinks.
+/// Reads a string in place: its whole body is the get area, with no copy.
+class MemoryStreamBuf final : public std::streambuf {
+ public:
+  explicit MemoryStreamBuf(std::string& text) {
+    setg(text.data(), text.data(), text.data() + text.size());
+  }
+};
+
 class CountingSink final : public trace::TraceSink {
  public:
   void on_batch(const trace::EventBatch& batch) override {
@@ -262,7 +274,8 @@ double run_event_path(const CapturedStudy& study,
 // alone: the store's batches are recorded first, so no replay is timed.
 // micro_pipeline.segment_replay is the WESG decoder alone, over the study
 // sealed at an 8 MiB budget. With .generate, three layers each have their
-// own trajectory.
+// own trajectory. micro_pipeline.csv_capture is the CSV reader and the WESG
+// encoder: an in-memory CSV of the study captured into that sealed store.
 // Each phase starts with obs::reset_peak_rss(), so each record's
 // peak_rss_bytes is that phase's own peak where the host allows the reset.
 int main(int argc, char** argv) {
@@ -350,6 +363,53 @@ int main(int argc, char** argv) {
                                  ",\"segments\":" + std::to_string(store.num_segments()));
     }
     std::filesystem::remove_all(dir);
+  }
+
+  // CSV capture alone (csv_sweep's serial first half): the study written as
+  // CSV into memory, untimed, then read by a CsvTraceSource and sealed into
+  // a store at an 8 MiB budget, serial, best of kReps. Records the CSV read
+  // rate as "mb_per_s" and the captured events as "events".
+  {
+    std::string csv;
+    std::uint64_t packets = 0;
+    {
+      std::ostringstream os;
+      trace::CsvTraceWriter writer{os};
+      CountingSink counter;
+      trace::TraceMulticast fan;
+      fan.add(&writer);
+      fan.add(&counter);
+      sim::StudyGenerator{cfg}.run(fan);
+      csv = std::move(os).str();
+      packets = counter.packets();
+    }
+    obs::reset_peak_rss();  // the peak of the capture, with the CSV held
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("wildenergy_bench_csv_capture_" + std::to_string(::getpid()));
+    constexpr int kReps = 3;
+    double best_ms = 0.0;
+    std::uint64_t events = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      std::filesystem::remove_all(dir);
+      MemoryStreamBuf buf{csv};
+      std::istream is{&buf};
+      trace::CsvTraceSource source{is};
+      trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = 8u << 20}};
+      const obs::Stopwatch watch;
+      if (!store.capture(source).ok()) return 1;
+      const double ms = watch.elapsed_ms();
+      events = store.event_count();
+      if (rep == 0 || ms < best_ms) best_ms = ms;
+    }
+    std::filesystem::remove_all(dir);
+    const double mb_per_s =
+        best_ms > 0.0 ? static_cast<double>(csv.size()) / 1e6 / (best_ms / 1e3) : 0.0;
+    benchutil::report_perf("micro_pipeline.csv_capture", cfg, best_ms, packets,
+                           benchutil::no_joules(), /*threads=*/1, /*speedup=*/1.0,
+                           "\"events\":" + std::to_string(events) +
+                               ",\"csv_bytes\":" + std::to_string(csv.size()) +
+                               ",\"mb_per_s\":" + std::to_string(mb_per_s));
   }
 
   // Sink-chain dispatch by batch size, single thread. Each configuration

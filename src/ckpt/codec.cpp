@@ -16,11 +16,14 @@ std::uint64_t fnv1a(std::string_view data) {
 }
 
 void ByteWriter::put_varint(std::uint64_t value) {
-  while (value >= 0x80) {
-    buf_.push_back(static_cast<char>(static_cast<std::uint8_t>(value) | 0x80));
-    value >>= 7;
-  }
-  buf_.push_back(static_cast<char>(value));
+  char bytes[kMaxVarintBytes];
+  buf_.append(bytes, encode_varint(value, bytes));
+}
+
+void ByteWriter::put_u64le(std::uint64_t value) {
+  char bytes[8];
+  encode_u64le(value, bytes);
+  buf_.append(bytes, sizeof bytes);
 }
 
 std::uint64_t read_u64le(std::string_view bytes) {
@@ -29,10 +32,6 @@ std::uint64_t read_u64le(std::string_view bytes) {
     v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[i])) << (8 * i);
   }
   return v;
-}
-
-void ByteWriter::put_u64le(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) put_u8(static_cast<std::uint8_t>(value >> shift));
 }
 
 void finish_indexed(ByteWriter& file, std::uint64_t index_offset) {
@@ -62,13 +61,6 @@ util::StatusOr<std::size_t> check_indexed(std::string_view file, std::string_vie
                                    " out of range");
   }
   return static_cast<std::size_t>(index_offset);
-}
-
-void ByteWriter::put_f64(double value) {
-  const auto bits = std::bit_cast<std::uint64_t>(value);
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<char>((bits >> shift) & 0xFF));
-  }
 }
 
 void ByteWriter::put_string(std::string_view text) {

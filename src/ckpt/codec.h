@@ -40,6 +40,28 @@ namespace wildenergy::ckpt {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// 10 7-bit groups cover 64 bits; an 11th continuation byte is always
+/// corrupt.
+inline constexpr int kMaxVarintBytes = 10;
+
+/// Write `value` as a LEB128 varint at `out`, which has room for
+/// kMaxVarintBytes; returns the bytes written. ByteWriter::put_varint and
+/// encoders that lay a whole record out on the stack share it.
+inline std::size_t encode_varint(std::uint64_t value, char* out) {
+  std::size_t n = 0;
+  while (value >= 0x80) {
+    out[n++] = static_cast<char>(static_cast<std::uint8_t>(value) | 0x80);
+    value >>= 7;
+  }
+  out[n++] = static_cast<char>(value);
+  return n;
+}
+
+/// Write `value` as 8 little-endian bytes at `out`.
+inline void encode_u64le(std::uint64_t value, char* out) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(value >> (8 * i));
+}
+
 /// The fixed 8-byte little-endian u64 at the front of `bytes` (at least 8
 /// long): the checksum trailer's encoding.
 [[nodiscard]] std::uint64_t read_u64le(std::string_view bytes);
@@ -54,7 +76,7 @@ class ByteWriter {
   /// Seal the buffer: append the FNV-1a of every byte so far as a u64le.
   void put_checksum() { put_u64le(fnv1a(buf_)); }
   /// Raw little-endian IEEE-754 bits: bit-exact round trip, NaN-safe.
-  void put_f64(double value);
+  void put_f64(double value) { put_u64le(std::bit_cast<std::uint64_t>(value)); }
   /// varint length + raw bytes.
   void put_string(std::string_view text);
   void put_bytes(std::string_view raw) { buf_.append(raw); }
@@ -136,10 +158,6 @@ class ByteReader {
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
 
  private:
-  /// 10 7-bit groups cover 64 bits; an 11th continuation byte is always
-  /// corrupt.
-  static constexpr int kMaxVarintBytes = 10;
-
   [[nodiscard, gnu::cold, gnu::noinline]] util::Status truncated(std::string_view field) const;
   /// Positioned at the offending byte, which has been consumed.
   [[nodiscard, gnu::cold, gnu::noinline]] util::Status overlong(std::string_view field) const;

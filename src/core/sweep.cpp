@@ -36,6 +36,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
         "store_dir)");
   }
   const obs::Stopwatch total;
+  double capture_ms = 0.0;
   if (store_.empty()) {  // simulate once
     if (base_ == nullptr) {
       return util::Status::failed_precondition(
@@ -45,6 +46,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
         !captured.ok()) {
       return captured;
     }
+    capture_ms = total.elapsed_ms();
   }
 
   // Results are rebuilt per run; their ledgers are the parents the shard
@@ -84,7 +86,8 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
 
   auto run = internal::run_scenarios(store_, plan, options_, options_.progress);
   if (!run.ok()) return run.status();
-  run->wall_ms = total.elapsed_ms();  // the capture counts too
+  run->wall_ms = total.elapsed_ms();
+  run->capture_ms = capture_ms;
   return run;
 }
 

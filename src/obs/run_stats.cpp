@@ -20,8 +20,12 @@ void RunStats::print(std::ostream& os) const {
   os << "-- run stats --\n"
      << "wall time:     " << fmt(wall_ms, 1) << " ms";
   if (num_threads > 1) os << " (" << num_threads << " worker threads)";
-  os << "\n"
-     << "throughput:    " << fmt_sig(packets_per_sec()) << " packets/s, "
+  os << "\n";
+  if (capture_ms > 0.0) {
+    os << "capture:       " << fmt(capture_ms, 1)
+       << " ms of the wall time (serial, before any scenario runs)\n";
+  }
+  os << "throughput:    " << fmt_sig(packets_per_sec()) << " packets/s, "
      << fmt_bytes(bytes_per_sec()) << "/s\n"
      << "stream:        " << users << " users, " << packets << " packets, " << fmt_bytes(static_cast<double>(bytes))
      << ", " << transitions << " transitions\n"
@@ -157,6 +161,7 @@ void RunStats::write_json(JsonWriter& w) const {
   w.begin_object();
   w.kv("schema", "wildenergy.run_stats.v2");
   w.kv("wall_ms", wall_ms);
+  w.kv("capture_ms", capture_ms);
   w.kv("num_threads", num_threads);
   w.kv("users", users);
   w.kv("packets", packets);

@@ -97,6 +97,10 @@ struct MemoryStats {
 struct RunStats {
   // Always collected.
   double wall_ms = 0.0;
+  /// The part of wall_ms a sweep spends capturing its base source into the
+  /// store, serially, before any scenario worker starts; 0 when nothing was
+  /// captured (a pipeline run, or a sweep over a filled store).
+  double capture_ms = 0.0;
   unsigned num_threads = 1;  ///< worker threads the run actually used
   std::uint64_t users = 0;
   std::uint64_t packets = 0;      ///< attributed packets (post interface filter)

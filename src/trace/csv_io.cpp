@@ -1,6 +1,9 @@
 #include "trace/csv_io.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string_view>
@@ -36,16 +39,82 @@ void CsvTraceWriter::on_study_end() { os_ << "E\n"; }
 
 namespace {
 
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= line.size(); ++i) {
-    if (i == line.size() || line[i] == ',') {
-      fields.push_back(line.substr(start, i - start));
-      start = i + 1;
+/// Cuts an istream into lines a block at a time, with std::getline's
+/// semantics: a final line without '\n' is still a line, '\r' stays part of
+/// the line, and input ending in '\n' has no empty line after it. A line that
+/// crosses a block boundary moves to the front of the buffer before the next
+/// read; a line longer than the buffer doubles it.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& is) : is_(is), buf_(kBlockBytes) {}
+
+  /// The next line (valid until the next call), or false at end of input.
+  bool next(std::string_view& line) {
+    std::size_t scan = begin_;
+    for (;;) {
+      if (const void* nl = std::memchr(buf_.data() + scan, '\n', end_ - scan)) {
+        const auto at = static_cast<std::size_t>(static_cast<const char*>(nl) - buf_.data());
+        line = {buf_.data() + begin_, at - begin_};
+        begin_ = at + 1;
+        return true;
+      }
+      if (at_eof_) {
+        if (begin_ == end_) return false;
+        line = {buf_.data() + begin_, end_ - begin_};
+        begin_ = end_;
+        return true;
+      }
+      const std::size_t partial = end_ - begin_;
+      std::memmove(buf_.data(), buf_.data() + begin_, partial);
+      begin_ = 0;
+      end_ = partial;
+      scan = partial;
+      if (end_ == buf_.size()) buf_.resize(buf_.size() * 2);
+      is_.read(buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
+      end_ += static_cast<std::size_t>(is_.gcount());
+      // istream::read comes up short only at end of input or on an error;
+      // getline stops at either too.
+      if (!is_) at_eof_ = true;
     }
   }
-  return fields;
+
+ private:
+  static constexpr std::size_t kBlockBytes = std::size_t{128} << 10;
+
+  std::istream& is_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  ///< first byte of the unread input in buf_
+  std::size_t end_ = 0;    ///< one past the last byte read into buf_
+  bool at_eof_ = false;
+};
+
+/// The widest record (P) has this many fields; wider lines only need their
+/// count, for the "expected N fields, got M" message.
+constexpr std::size_t kMaxFields = 10;
+
+/// A line split at its commas: the first kMaxFields fields and the true count.
+struct Fields {
+  std::array<std::string_view, kMaxFields> views;
+  std::size_t count = 0;
+
+  [[nodiscard]] std::size_t size() const { return count; }
+  [[nodiscard]] std::string_view operator[](std::size_t i) const { return views[i]; }
+};
+
+Fields split(std::string_view line) {
+  Fields fields;
+  const char* const end = line.data() + line.size();
+  const char* start = line.data();
+  for (const char* p = start;; ++p) {
+    if (p == end || *p == ',') {
+      if (fields.count < kMaxFields) {
+        fields.views[fields.count] = {start, static_cast<std::size_t>(p - start)};
+      }
+      ++fields.count;
+      if (p == end) return fields;
+      start = p + 1;
+    }
+  }
 }
 
 template <typename T>
@@ -75,12 +144,14 @@ struct LineError {
   std::string reason;
 };
 
-std::string format_error(std::uint64_t line_no, const LineError& err,
-                         const std::vector<std::string_view>& fields, std::string_view line) {
+std::string format_error(std::uint64_t line_no, const LineError& err, const Fields& fields,
+                         std::string_view line) {
   std::string msg = "line " + std::to_string(line_no) + ": ";
   if (err.field != kNoField) {
     msg += "field " + std::to_string(err.field);
-    if (err.field < fields.size()) msg += " ('" + std::string(fields[err.field]) + "')";
+    if (err.field < std::min(fields.size(), kMaxFields)) {
+      msg += " ('" + std::string(fields[err.field]) + "')";
+    }
     msg += ": ";
   }
   msg += err.reason;
@@ -93,11 +164,12 @@ std::string format_error(std::uint64_t line_no, const LineError& err,
 void decode_csv(std::istream& is, EventBatcher& batcher, const ReadOptions& options,
                 ReadSummary& result) {
   auto& registry = obs::MetricsRegistry::current();
-  std::string line;
+  LineReader lines{is};
+  std::string_view line;
   bool saw_any_record = false;
   bool study_ended = false;
 
-  while (std::getline(is, line)) {
+  while (lines.next(line)) {
     ++result.records;
     if (line.empty()) continue;
     const auto fields = split(line);

@@ -51,6 +51,17 @@ class CsvTraceWriter final : public TraceSink {
 /// also counted in obs::MetricsRegistry::current() under
 /// "ingest.records_dropped" / "ingest.records_repaired" (parser) and
 /// "validate.records_dropped" / "validate.records_repaired" (protocol).
+///
+/// The reader pulls `is` in 128 KiB blocks (istream::read) and cuts lines
+/// with memchr; a line that crosses a block boundary moves to the front of
+/// the buffer, and one longer than the buffer grows it. Lines keep
+/// std::getline's semantics — a final line without '\n' is a line, '\r'
+/// stays part of its line — so ReadSummary::records and every line number
+/// are what a getline loop would count. Each line splits into at most 10
+/// field views plus its true field count, with no allocation. Because whole
+/// blocks are read, a strict failure leaves `is` positioned past the failing
+/// line (up to a block past it), not just after it; CsvTraceSource::emit
+/// rewinds before a second read all the same.
 [[nodiscard]] ReadSummary read_csv_trace(std::istream& is, TraceSink& sink,
                                          const ReadOptions& options = {});
 

@@ -3,13 +3,25 @@
 namespace wildenergy::trace {
 
 bool parse_process_state(std::string_view text, ProcessState& out) {
-  for (ProcessState s : kAllProcessStates) {
-    if (text == to_string(s)) {
-      out = s;
-      return true;
-    }
+  // The five spellings differ in length or first letter: pick the one
+  // candidate, then compare once.
+  ProcessState candidate{};
+  switch (text.size()) {
+    case 7:
+      candidate = text[0] == 'v' ? ProcessState::kVisible : ProcessState::kService;
+      break;
+    case 10:
+      candidate = text[0] == 'f' ? ProcessState::kForeground : ProcessState::kBackground;
+      break;
+    case 11:
+      candidate = ProcessState::kPerceptible;
+      break;
+    default:
+      return false;
   }
-  return false;
+  if (text != to_string(candidate)) return false;
+  out = candidate;
+  return true;
 }
 
 }  // namespace wildenergy::trace

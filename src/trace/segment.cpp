@@ -1,6 +1,8 @@
 #include "trace/segment.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <limits>
 
 namespace wildenergy::trace {
@@ -36,29 +38,36 @@ SegmentWriter::SegmentWriter(const StudyMeta& meta) {
 }
 
 void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool final_chunk) {
-  ckpt::ByteWriter packets;
+  // The three column streams go straight into the body, one after another;
+  // their lengths are the distances between the offsets they start at.
+  // Each record is laid out on the stack and appended in one call.
+  const std::size_t packets_at = body_.size();
   std::int64_t pkt_time = 0;
   for (const PacketRecord& p : events.packets) {
-    packets.put_varint(ckpt::zigzag(p.time.us - pkt_time));
+    char record[4 * ckpt::kMaxVarintBytes + 1 + 8];
+    std::size_t n = ckpt::encode_varint(ckpt::zigzag(p.time.us - pkt_time), record);
     pkt_time = p.time.us;
-    packets.put_varint(p.app);
-    packets.put_varint(p.flow);
-    packets.put_varint(p.bytes);
-    packets.put_u8(packet_flags(p));
-    packets.put_f64(p.joules);
+    n += ckpt::encode_varint(p.app, record + n);
+    n += ckpt::encode_varint(p.flow, record + n);
+    n += ckpt::encode_varint(p.bytes, record + n);
+    record[n++] = static_cast<char>(packet_flags(p));
+    ckpt::encode_u64le(std::bit_cast<std::uint64_t>(p.joules), record + n);
+    body_.put_bytes({record, n + 8});
   }
 
-  ckpt::ByteWriter transitions;
+  const std::size_t transitions_at = body_.size();
   std::int64_t tr_time = 0;
   for (const StateTransition& t : events.transitions) {
-    transitions.put_varint(ckpt::zigzag(t.time.us - tr_time));
+    char record[2 * ckpt::kMaxVarintBytes + 2];
+    std::size_t n = ckpt::encode_varint(ckpt::zigzag(t.time.us - tr_time), record);
     tr_time = t.time.us;
-    transitions.put_varint(t.app);
-    transitions.put_u8(static_cast<std::uint8_t>(t.from));
-    transitions.put_u8(static_cast<std::uint8_t>(t.to));
+    n += ckpt::encode_varint(t.app, record + n);
+    record[n++] = static_cast<char>(t.from);
+    record[n++] = static_cast<char>(t.to);
+    body_.put_bytes({record, n});
   }
 
-  ckpt::ByteWriter order;
+  const std::size_t order_at = body_.size();
   std::uint64_t runs = 0;
   std::size_t oi = 0;
   const std::size_t n = events.order.size();
@@ -66,18 +75,15 @@ void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool 
     const EventKind kind = events.order[oi];
     std::size_t run = 1;
     while (oi + run < n && events.order[oi + run] == kind) ++run;
-    order.put_u8(static_cast<std::uint8_t>(kind));
-    order.put_varint(run);
+    body_.put_u8(static_cast<std::uint8_t>(kind));
+    body_.put_varint(run);
     ++runs;
     oi += run;
   }
 
   chunks_.push_back({events.user, seq, final_chunk, events.packets.size(),
-                     events.transitions.size(), runs, packets.size(), transitions.size(),
-                     order.size()});
-  body_.put_bytes(packets.bytes());
-  body_.put_bytes(transitions.bytes());
-  body_.put_bytes(order.bytes());
+                     events.transitions.size(), runs, transitions_at - packets_at,
+                     order_at - transitions_at, body_.size() - order_at});
 }
 
 std::string SegmentWriter::finish() {
@@ -214,6 +220,7 @@ std::uint64_t MappedSegment::index_bytes() const {
 util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSink& sink,
                                          std::size_t batch_size,
                                          std::int64_t& last_time_us) const {
+  assert(batch_size >= 1);
   util::Status status = decode_chunk(chunk, sink, batch_size, last_time_us);
   // Done with the chunk's pages, on every path: a later replay refaults them.
   const std::size_t end = chunk.order_offset + chunk.order_len;
@@ -240,7 +247,6 @@ util::Status MappedSegment::decode_chunk(const SegmentChunkInfo& chunk, TraceSin
   ckpt::ByteReader transitions{all.substr(chunk.transitions_offset, chunk.transitions_len)};
   ckpt::ByteReader order{all.substr(chunk.order_offset, chunk.order_len)};
 
-  batch_size = std::max<std::size_t>(batch_size, 1);  // 0 delivers event by event, as 1
   EventBatch scratch;
   scratch.user = chunk.user;
   scratch.reserve(std::min<std::uint64_t>(batch_size, chunk.events()));

@@ -1,6 +1,7 @@
 #include "trace/spilling_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -68,6 +69,7 @@ util::Status write_file_atomic(const std::string& dir, const std::string& name,
 }  // namespace
 
 void replay_column_span(const EventBatch& events, TraceSink& sink, std::size_t batch_size) {
+  assert(batch_size >= 1);
   if (events.size() <= batch_size) {
     if (!events.empty()) sink.on_batch(events);  // whole span at once, zero copies
     return;
@@ -473,6 +475,7 @@ util::Status SpillingTraceStore::replay_user_body(const UserState& state, UserId
 }
 
 util::Status SpillingTraceStore::emit(TraceSink& sink, std::size_t batch_size) {
+  batch_size = std::max<std::size_t>(batch_size, 1);  // 0 delivers event by event, as 1
   if (!health_.ok()) return health_;
   if (in_user_) {
     return util::Status::failed_precondition("spilling store is mid-capture; cannot replay");
@@ -488,6 +491,7 @@ util::Status SpillingTraceStore::emit(TraceSink& sink, std::size_t batch_size) {
 
 util::Status SpillingTraceStore::emit_user(UserId user, TraceSink& sink,
                                            std::size_t batch_size) {
+  batch_size = std::max<std::size_t>(batch_size, 1);  // 0 delivers event by event, as 1
   if (!health_.ok()) return health_;
   if (in_user_) {
     return util::Status::failed_precondition("spilling store is mid-capture; cannot replay");

@@ -93,6 +93,7 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize);
 
   // -- replay (TraceSource) -------------------------------------------------
+  // batch_size 0 is treated as 1 here, once, for both slicers behind them.
   util::Status emit(TraceSink& sink, std::size_t batch_size) override;
   util::Status emit_user(UserId user, TraceSink& sink, std::size_t batch_size) override;
   [[nodiscard]] StudyMeta meta() const override { return meta_; }

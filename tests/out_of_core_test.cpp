@@ -660,6 +660,45 @@ TEST(SpillingStore, EmitUserMatchesRamColumns) {
   }
 }
 
+// batch_size 0 is normalized to 1 once, at the store's public entries: both
+// the resident slicer and the sealed decoder then deliver event by event.
+TEST(SpillingStore, BatchSizeZeroDeliversOneEventPerBatch) {
+  struct BatchCounter final : trace::TraceSink {
+    void on_batch(const trace::EventBatch& batch) override {
+      ++batches;
+      events += batch.size();
+      if (batch.size() != 1) ++wider;
+    }
+    std::uint64_t batches = 0;
+    std::uint64_t events = 0;
+    std::uint64_t wider = 0;
+  };
+  sim::StudyConfig config = sim::small_study(/*seed=*/3);
+  config.num_users = 2;
+  config.num_days = 3;
+  sim::StudyGenerator generator{config};
+  const fs::path dir = scratch_dir("batch_zero");
+  trace::SpillingTraceStore resident;
+  trace::SpillingTraceStore sealed{{.dir = dir.string(), .budget_bytes = 0}};
+  for (trace::SpillingTraceStore* store : {&resident, &sealed}) {
+    ASSERT_TRUE(store->capture(generator).ok());
+    SCOPED_TRACE(store == &sealed ? "sealed" : "resident");
+    ASSERT_GT(store->event_count(), 0u);
+    BatchCounter all;
+    ASSERT_TRUE(store->emit(all, 0).ok());
+    EXPECT_EQ(all.events, store->event_count());
+    EXPECT_EQ(all.batches, all.events);
+    EXPECT_EQ(all.wider, 0u);
+    BatchCounter one;
+    ASSERT_TRUE(store->emit_user(1, one, 0).ok());
+    EXPECT_GT(one.events, 0u);
+    EXPECT_EQ(one.batches, one.events);
+    EXPECT_EQ(one.wider, 0u);
+  }
+  EXPECT_GT(sealed.num_segments(), 0u);
+  EXPECT_EQ(resident.num_segments(), 0u);
+}
+
 TEST(SpillingStore, BudgetBoundsResidentColumns) {
   const fs::path dir = scratch_dir("budget");
   const sim::StudyConfig config = ooc_study();

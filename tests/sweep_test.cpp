@@ -584,6 +584,40 @@ TEST(SweepEngine, ExhaustedRetriesSkipTheUserInThatScenarioOnly) {
   }
 }
 
+// The serial capture is its own figure inside the wall time: a CSV sweep
+// reports it, and a second run over the filled store captures nothing.
+TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
+  sim::StudyConfig config = sim::small_study(/*seed=*/17);
+  config.num_users = 3;
+  config.num_days = 10;
+  std::ostringstream csv_text;
+  {
+    trace::CsvTraceWriter writer{csv_text};
+    sim::StudyGenerator{config}.run(writer);
+  }
+  std::istringstream csv_in{csv_text.str()};
+  trace::CsvTraceSource source{csv_in};
+  core::SweepOptions options;
+  options.num_threads = 2;
+  core::SweepEngine sweep{&source, options};
+  core::Scenario scenario;
+  scenario.name = "baseline";
+  sweep.add_scenario(std::move(scenario));
+
+  const auto first = sweep.run();
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  EXPECT_GT(first->capture_ms, 0.0);
+  EXPECT_LE(first->capture_ms, first->wall_ms);
+  EXPECT_NE(first->to_json().find("\"capture_ms\":"), std::string::npos);
+  std::ostringstream printed;
+  first->print(printed);
+  EXPECT_NE(printed.str().find("capture:"), std::string::npos);
+
+  const auto second = sweep.run();
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  EXPECT_EQ(second->capture_ms, 0.0);
+}
+
 TEST(SweepEngine, EmptyStoreWithoutBaseFails) {
   core::SweepEngine sweep{nullptr};
   core::Scenario scenario;
