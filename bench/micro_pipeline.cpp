@@ -365,10 +365,12 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(dir);
   }
 
-  // CSV capture alone (csv_sweep's serial first half): the study written as
-  // CSV into memory, untimed, then read by a CsvTraceSource and sealed into
-  // a store at an 8 MiB budget, serial, best of kReps. Records the CSV read
-  // rate as "mb_per_s" and the captured events as "events".
+  // CSV capture alone (csv_sweep's first half): the study written as CSV
+  // into memory, untimed, then read by a CsvTraceSource and sealed into a
+  // store at an 8 MiB budget, best of kReps, with seals inline (threads 1)
+  // and on a sealer thread (threads 2). Records the CSV read rate as
+  // "mb_per_s", the captured events as "events" and the speedup over
+  // threads 1.
   {
     std::string csv;
     std::uint64_t packets = 0;
@@ -383,33 +385,38 @@ int main(int argc, char** argv) {
       csv = std::move(os).str();
       packets = counter.packets();
     }
-    obs::reset_peak_rss();  // the peak of the capture, with the CSV held
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
         ("wildenergy_bench_csv_capture_" + std::to_string(::getpid()));
     constexpr int kReps = 3;
-    double best_ms = 0.0;
-    std::uint64_t events = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      std::filesystem::remove_all(dir);
-      MemoryStreamBuf buf{csv};
-      std::istream is{&buf};
-      trace::CsvTraceSource source{is};
-      trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = 8u << 20}};
-      const obs::Stopwatch watch;
-      if (!store.capture(source).ok()) return 1;
-      const double ms = watch.elapsed_ms();
-      events = store.event_count();
-      if (rep == 0 || ms < best_ms) best_ms = ms;
+    double serial_ms = 0.0;
+    for (const unsigned threads : {1u, 2u}) {
+      obs::reset_peak_rss();  // the peak of the capture, with the CSV held
+      double best_ms = 0.0;
+      std::uint64_t events = 0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        std::filesystem::remove_all(dir);
+        MemoryStreamBuf buf{csv};
+        std::istream is{&buf};
+        trace::CsvTraceSource source{is};
+        trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = 8u << 20}};
+        const obs::Stopwatch watch;
+        if (!store.capture(source, trace::kDefaultBatchSize, threads).ok()) return 1;
+        const double ms = watch.elapsed_ms();
+        events = store.event_count();
+        if (rep == 0 || ms < best_ms) best_ms = ms;
+      }
+      if (threads == 1) serial_ms = best_ms;
+      const double mb_per_s =
+          best_ms > 0.0 ? static_cast<double>(csv.size()) / 1e6 / (best_ms / 1e3) : 0.0;
+      benchutil::report_perf("micro_pipeline.csv_capture", cfg, best_ms, packets,
+                             benchutil::no_joules(), threads,
+                             best_ms > 0.0 ? serial_ms / best_ms : 1.0,
+                             "\"events\":" + std::to_string(events) +
+                                 ",\"csv_bytes\":" + std::to_string(csv.size()) +
+                                 ",\"mb_per_s\":" + std::to_string(mb_per_s));
     }
     std::filesystem::remove_all(dir);
-    const double mb_per_s =
-        best_ms > 0.0 ? static_cast<double>(csv.size()) / 1e6 / (best_ms / 1e3) : 0.0;
-    benchutil::report_perf("micro_pipeline.csv_capture", cfg, best_ms, packets,
-                           benchutil::no_joules(), /*threads=*/1, /*speedup=*/1.0,
-                           "\"events\":" + std::to_string(events) +
-                               ",\"csv_bytes\":" + std::to_string(csv.size()) +
-                               ",\"mb_per_s\":" + std::to_string(mb_per_s));
   }
 
   // Sink-chain dispatch by batch size, single thread. Each configuration

@@ -614,7 +614,8 @@ int cmd_run(const CliOptions& options) {
     store.emplace(trace::SpillOptions{.dir = options.store_dir,
                                       .budget_bytes = options.store_budget,
                                       .resume = options.run.resume});
-    if (const util::Status captured = store->capture(generator, options.run.batch_size);
+    if (const util::Status captured =
+            store->capture(generator, options.run.batch_size, options.run.num_threads);
         !captured.ok()) {
       std::cerr << "capture failed: " << captured.to_string() << "\n";
       return 1;

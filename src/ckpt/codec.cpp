@@ -1,16 +1,22 @@
 #include "ckpt/codec.h"
 
+#include <algorithm>
+
+#include "util/mapped_file.h"
+
 namespace wildenergy::ckpt {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+
+/// The verify pass's window: large enough that releasing costs nothing next
+/// to hashing, small next to any segment or account file.
+constexpr std::size_t kVerifyWindowBytes = std::size_t{1} << 20;
 
 }  // namespace
 
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = kFnvOffset;
+std::uint64_t fnv1a(std::string_view data, std::uint64_t hash) {
   for (const char c : data) hash = (hash ^ static_cast<std::uint8_t>(c)) * kFnvPrime;
   return hash;
 }
@@ -34,20 +40,27 @@ std::uint64_t read_u64le(std::string_view bytes) {
   return v;
 }
 
-void finish_indexed(ByteWriter& file, std::uint64_t index_offset) {
+void finish_indexed(ByteWriter& file, std::uint64_t index_offset, std::uint64_t hash) {
   file.put_u64le(index_offset);
-  file.put_checksum();
+  file.put_checksum(hash);
 }
 
-util::StatusOr<std::size_t> check_indexed(std::string_view file, std::string_view magic,
-                                          std::uint8_t version) {
+util::StatusOr<std::size_t> check_indexed(const util::MappedFile& mapped,
+                                          std::string_view magic, std::uint8_t version) {
+  const std::string_view file = mapped.bytes();
   const std::size_t size = file.size();
   if (size < kIndexedHeaderBytes + kIndexedFooterBytes) {
     return util::Status::data_loss("file too short (" + std::to_string(size) + " bytes)");
   }
   // Trust nothing until the trailer checksum passes: every later parse
   // failure is then a logic-level inconsistency, not random bit damage.
-  if (read_u64le(file.substr(size - 8)) != fnv1a(file.substr(0, size - 8))) {
+  std::uint64_t hash = kFnv1aBasis;
+  for (std::size_t at = 0; at < size - 8; at += kVerifyWindowBytes) {
+    const std::size_t len = std::min(kVerifyWindowBytes, size - 8 - at);
+    hash = fnv1a(file.substr(at, len), hash);
+    mapped.release(at, len);
+  }
+  if (read_u64le(file.substr(size - 8)) != hash) {
     return util::Status::data_loss("checksum mismatch");
   }
   if (file.substr(0, magic.size()) != magic) return util::Status::data_loss("bad magic");

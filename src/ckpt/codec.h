@@ -24,12 +24,20 @@
 
 #include "util/status.h"
 
+namespace wildenergy::util {
+class MappedFile;
+}  // namespace wildenergy::util
+
 namespace wildenergy::ckpt {
+
+/// The FNV-1a (64-bit) offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ULL;
 
 /// FNV-1a (64-bit) over a byte range: the checksum trailer of every binary
 /// file in the repo (WECK snapshots, WESG segments and their manifest, WEAC
-/// account files).
-[[nodiscard]] std::uint64_t fnv1a(std::string_view data);
+/// account files). Incremental: fnv1a(b, fnv1a(a)) == fnv1a(a + b), so a
+/// file can be hashed piece by piece as it is written or read.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnv1aBasis);
 
 /// Signed integers go on the wire zig-zag mapped, so small negative deltas
 /// stay short varints.
@@ -74,7 +82,9 @@ class ByteWriter {
   /// Fixed 8-byte little-endian.
   void put_u64le(std::uint64_t value);
   /// Seal the buffer: append the FNV-1a of every byte so far as a u64le.
-  void put_checksum() { put_u64le(fnv1a(buf_)); }
+  /// `hash` is the FNV-1a of bytes the file holds before this buffer (ones
+  /// already written out); the checksum then covers them too.
+  void put_checksum(std::uint64_t hash = kFnv1aBasis) { put_u64le(fnv1a(buf_, hash)); }
   /// Raw little-endian IEEE-754 bits: bit-exact round trip, NaN-safe.
   void put_f64(double value) { put_u64le(std::bit_cast<std::uint64_t>(value)); }
   /// varint length + raw bytes.
@@ -88,6 +98,9 @@ class ByteWriter {
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] std::string take() { return std::move(buf_); }
+  /// Empty the buffer, keeping its allocation for reuse.
+  void clear() { buf_.clear(); }
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
  private:
   std::string buf_;
@@ -99,14 +112,19 @@ class ByteWriter {
 inline constexpr std::size_t kIndexedHeaderBytes = 5;
 inline constexpr std::size_t kIndexedFooterBytes = 16;
 
-/// Append that footer to `file` (which starts with the header).
-void finish_indexed(ByteWriter& file, std::uint64_t index_offset);
+/// Append that footer to `file`, the file's last bytes. `hash` is the
+/// FNV-1a of the bytes before them, when the front of the file has already
+/// been written out (SegmentWriter drains); by default `file` is the whole.
+void finish_indexed(ByteWriter& file, std::uint64_t index_offset,
+                    std::uint64_t hash = kFnv1aBasis);
 
-/// Verify that framing over `file`, checksum first, and return its index
-/// offset (within [header, size - footer]); else a data_loss saying why:
-/// too short, checksum mismatch, bad magic, unsupported version, or an
-/// index offset out of range.
-[[nodiscard]] util::StatusOr<std::size_t> check_indexed(std::string_view file,
+/// Verify that framing over `file`'s bytes, checksum first, and return its
+/// index offset (within [header, size - footer]); else a data_loss saying
+/// why: too short, checksum mismatch, bad magic, unsupported version, or an
+/// index offset out of range. The checksum pass hashes 1 MiB windows and
+/// releases each one's pages, so verifying never holds a whole file
+/// resident.
+[[nodiscard]] util::StatusOr<std::size_t> check_indexed(const util::MappedFile& file,
                                                         std::string_view magic,
                                                         std::uint8_t version);
 

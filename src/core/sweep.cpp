@@ -42,7 +42,10 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
       return util::Status::failed_precondition(
           "sweep store is empty and no base source was given");
     }
-    if (const util::Status captured = store_.capture(*base_, options_.batch_size);
+    // The sweep's threads are idle until the capture ends: one of them seals
+    // segments while the calling thread reads the source.
+    if (const util::Status captured =
+            store_.capture(*base_, options_.batch_size, options_.num_threads);
         !captured.ok()) {
       return captured;
     }
@@ -88,6 +91,10 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
   if (!run.ok()) return run.status();
   run->wall_ms = total.elapsed_ms();
   run->capture_ms = capture_ms;
+  if (capture_ms > 0.0) {
+    run->capture_seal_ms = store_.capture_seal_ms();
+    run->capture_wait_ms = store_.capture_wait_ms();
+  }
   return run;
 }
 

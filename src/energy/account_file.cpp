@@ -135,26 +135,26 @@ util::Status MappedAccountFile::corrupt(const std::string& why) const {
 util::Status MappedAccountFile::open(const std::string& path) {
   path_ = path;
   if (!file_.open(path)) return corrupt("cannot open file");
-  data_ = file_.bytes();
   util::Status parsed = parse();
-  // The checksum pass read every page; payload reads refault what they need.
+  // The checksum pass released each window as it went; drop what the index
+  // parse read, so payload reads refault only what they need.
   file_.release();
   return parsed;
 }
 
 util::Status MappedAccountFile::open_image(const std::string& label, std::string_view bytes) {
   path_ = label;
-  data_ = bytes;
+  file_.view(bytes);
   return parse();
 }
 
 util::Status MappedAccountFile::parse() {
   constexpr std::size_t kHeader = ckpt::kIndexedHeaderBytes;
   constexpr std::size_t kFooter = ckpt::kIndexedFooterBytes;
-  const std::string_view all = data_;
+  const std::string_view all = file_.bytes();
   const std::size_t size = all.size();
   const auto framed =
-      ckpt::check_indexed(all, {kAccountMagic, sizeof kAccountMagic}, kAccountVersion);
+      ckpt::check_indexed(file_, {kAccountMagic, sizeof kAccountMagic}, kAccountVersion);
   if (!framed.ok()) return corrupt(framed.status().message());
   const std::size_t index_offset = *framed;
 

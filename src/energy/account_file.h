@@ -112,8 +112,9 @@ struct AccountUserRow {
 };
 
 /// An open, checksum-verified account file, read through util::MappedFile.
-/// Its pages are released after the checksum pass, so only the payloads a
-/// cursor reads come back resident.
+/// The checksum pass releases each 1 MiB window once hashed and open drops
+/// what the index parse read, so only the payloads a cursor reads come back
+/// resident.
 class MappedAccountFile {
  public:
   /// Open + verify `path`. Any framing, checksum, or index inconsistency is
@@ -131,7 +132,7 @@ class MappedAccountFile {
   [[nodiscard]] int find_name(std::string_view name) const;
   /// The payload bytes of one section (view into the mapping).
   [[nodiscard]] std::string_view payload(const AccountSectionRef& section) const {
-    return {data_.data() + section.offset, section.len};
+    return {file_.bytes().data() + section.offset, section.len};
   }
   /// `row`'s section named `name_id`, or nullptr when the group lacks it.
   [[nodiscard]] const AccountSectionRef* find_section(const AccountUserRow& row,
@@ -142,8 +143,7 @@ class MappedAccountFile {
   [[nodiscard]] util::Status corrupt(const std::string& why) const;
 
   std::string path_;
-  util::MappedFile file_;  ///< the file, when opened by path
-  std::string_view data_;  ///< the verified bytes: file_'s, or the caller's image
+  util::MappedFile file_;  ///< the file, or a view of the caller's image
   std::vector<std::string> names_;
   std::vector<AccountUserRow> rows_;
 };

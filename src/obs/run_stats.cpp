@@ -23,7 +23,12 @@ void RunStats::print(std::ostream& os) const {
   os << "\n";
   if (capture_ms > 0.0) {
     os << "capture:       " << fmt(capture_ms, 1)
-       << " ms of the wall time (serial, before any scenario runs)\n";
+       << " ms of the wall time (before any scenario runs)";
+    if (capture_seal_ms > 0.0) {
+      os << "; segment seals busy " << fmt(capture_seal_ms, 1) << " ms, waited on "
+         << fmt(capture_wait_ms, 1) << " ms";
+    }
+    os << "\n";
   }
   os << "throughput:    " << fmt_sig(packets_per_sec()) << " packets/s, "
      << fmt_bytes(bytes_per_sec()) << "/s\n"
@@ -162,6 +167,8 @@ void RunStats::write_json(JsonWriter& w) const {
   w.kv("schema", "wildenergy.run_stats.v2");
   w.kv("wall_ms", wall_ms);
   w.kv("capture_ms", capture_ms);
+  w.kv("capture_seal_ms", capture_seal_ms);
+  w.kv("capture_wait_ms", capture_wait_ms);
   w.kv("num_threads", num_threads);
   w.kv("users", users);
   w.kv("packets", packets);

@@ -101,6 +101,12 @@ struct RunStats {
   /// store, serially, before any scenario worker starts; 0 when nothing was
   /// captured (a pipeline run, or a sweep over a filled store).
   double capture_ms = 0.0;
+  /// Of a sealed capture: the time its segment seals were busy (encode,
+  /// write, rename, verify) — on the sealer thread at num_threads > 1, so it
+  /// overlaps capture_ms — and the time the capturing thread waited on a seal
+  /// in flight (part of capture_ms; 0 when seals ran inline).
+  double capture_seal_ms = 0.0;
+  double capture_wait_ms = 0.0;
   unsigned num_threads = 1;  ///< worker threads the run actually used
   std::uint64_t users = 0;
   std::uint64_t packets = 0;      ///< attributed packets (post interface filter)

@@ -69,6 +69,10 @@ class CsvTraceWriter final : public TraceSink {
 /// --replay, lifted onto the one producer API. Forward-only — no per-user
 /// random access — so the engine splits it per user on the reading thread.
 /// A second emit() rewinds seekable streams and fails cleanly on pipes.
+/// Parsing is serial; when a sweep captures it into a sealed store at more
+/// than one thread, the reading thread only parses and appends columns
+/// while a sealer thread encodes, writes and verifies the segments
+/// (SpillingTraceStore::capture).
 class CsvTraceSource final : public TraceSource {
  public:
   /// `options.batch_size` is overridden per emit() by the caller's

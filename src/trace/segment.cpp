@@ -4,10 +4,16 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <ostream>
 
 namespace wildenergy::trace {
 
 namespace {
+
+/// Room past kDrainBytes for the most add_chunk or finish append between two
+/// drain checks (the index count and one entry, then the footer), so a
+/// draining buffer never reallocates.
+constexpr std::size_t kDrainSlackBytes = 256;
 
 /// The first failed status among decoded fields, or nullptr when all
 /// decoded: the fields are read first and checked once, in read order.
@@ -28,7 +34,13 @@ std::uint8_t packet_flags(const PacketRecord& p) {
 
 // --- SegmentWriter ---------------------------------------------------------
 
-SegmentWriter::SegmentWriter(const StudyMeta& meta) {
+void SegmentWriter::begin(const StudyMeta& meta, std::ostream& out) {
+  out_ = &out;
+  drained_ = 0;
+  hash_ = ckpt::kFnv1aBasis;
+  chunks_.clear();
+  body_.clear();
+  body_.reserve(kDrainBytes + kDrainSlackBytes);
   body_.put_bytes({kSegmentMagic, sizeof kSegmentMagic});
   body_.put_u8(kSegmentVersion);
   body_.put_varint(meta.num_users);
@@ -37,11 +49,19 @@ SegmentWriter::SegmentWriter(const StudyMeta& meta) {
   body_.put_varint(ckpt::zigzag(meta.study_end.us));
 }
 
+void SegmentWriter::drain() {
+  const std::string& bytes = body_.bytes();
+  hash_ = ckpt::fnv1a(bytes, hash_);
+  out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  drained_ += bytes.size();
+  body_.clear();
+}
+
 void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool final_chunk) {
-  // The three column streams go straight into the body, one after another;
-  // their lengths are the distances between the offsets they start at.
-  // Each record is laid out on the stack and appended in one call.
-  const std::size_t packets_at = body_.size();
+  // The three column streams go into the file one after another; their
+  // lengths are the distances between the offsets they start at. Each
+  // record is laid out on the stack and appended in one call.
+  const std::size_t packets_at = size();
   std::int64_t pkt_time = 0;
   for (const PacketRecord& p : events.packets) {
     char record[4 * ckpt::kMaxVarintBytes + 1 + 8];
@@ -53,9 +73,10 @@ void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool 
     record[n++] = static_cast<char>(packet_flags(p));
     ckpt::encode_u64le(std::bit_cast<std::uint64_t>(p.joules), record + n);
     body_.put_bytes({record, n + 8});
+    drain_if_full();
   }
 
-  const std::size_t transitions_at = body_.size();
+  const std::size_t transitions_at = size();
   std::int64_t tr_time = 0;
   for (const StateTransition& t : events.transitions) {
     char record[2 * ckpt::kMaxVarintBytes + 2];
@@ -65,9 +86,10 @@ void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool 
     record[n++] = static_cast<char>(t.from);
     record[n++] = static_cast<char>(t.to);
     body_.put_bytes({record, n});
+    drain_if_full();
   }
 
-  const std::size_t order_at = body_.size();
+  const std::size_t order_at = size();
   std::uint64_t runs = 0;
   std::size_t oi = 0;
   const std::size_t n = events.order.size();
@@ -77,17 +99,18 @@ void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool 
     while (oi + run < n && events.order[oi + run] == kind) ++run;
     body_.put_u8(static_cast<std::uint8_t>(kind));
     body_.put_varint(run);
+    drain_if_full();
     ++runs;
     oi += run;
   }
 
   chunks_.push_back({events.user, seq, final_chunk, events.packets.size(),
                      events.transitions.size(), runs, transitions_at - packets_at,
-                     order_at - transitions_at, body_.size() - order_at});
+                     order_at - transitions_at, size() - order_at});
 }
 
-std::string SegmentWriter::finish() {
-  const std::uint64_t index_offset = body_.size();
+void SegmentWriter::finish() {
+  const std::uint64_t index_offset = size();
   body_.put_varint(chunks_.size());
   for (const PendingChunk& c : chunks_) {
     body_.put_varint(c.user);
@@ -99,10 +122,12 @@ std::string SegmentWriter::finish() {
     body_.put_varint(c.packets_len);
     body_.put_varint(c.transitions_len);
     body_.put_varint(c.order_len);
+    drain_if_full();
   }
-  ckpt::finish_indexed(body_, index_offset);
+  ckpt::finish_indexed(body_, index_offset, hash_);
   chunks_.clear();
-  return body_.take();
+  drain();
+  out_ = nullptr;
 }
 
 // --- MappedSegment ---------------------------------------------------------
@@ -115,7 +140,8 @@ util::Status MappedSegment::open(const std::string& path) {
   path_ = path;
   if (!file_.open(path)) return corrupt("cannot open file");
   util::Status parsed = parse();
-  // The checksum pass read every page; replay refaults only what it reads.
+  // The checksum pass released each window as it went; drop what the index
+  // parse read, so replay refaults only what it reads.
   file_.release();
   return parsed;
 }
@@ -126,7 +152,7 @@ util::Status MappedSegment::parse() {
   const std::string_view all = file_.bytes();
   const std::size_t size = all.size();
   const auto framed =
-      ckpt::check_indexed(all, {kSegmentMagic, sizeof kSegmentMagic}, kSegmentVersion);
+      ckpt::check_indexed(file_, {kSegmentMagic, sizeof kSegmentMagic}, kSegmentVersion);
   if (!framed.ok()) return corrupt(framed.status().message());
   const std::size_t index_offset = *framed;
 

@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,22 +78,31 @@ struct SegmentChunkInfo {
   [[nodiscard]] std::uint64_t events() const { return packets + transitions; }
 };
 
-/// Builds one segment file in memory; chunks append in stream order.
+/// Encodes one segment file into a stream; chunks append in stream order.
+/// The writer holds at most ~kDrainBytes: whenever that much is buffered the
+/// bytes are folded into a running FNV-1a and written out, so nothing
+/// segment-sized is ever built. The drain buffer is allocated once and
+/// reused by every later begin().
 class SegmentWriter {
  public:
-  explicit SegmentWriter(const StudyMeta& meta);
+  /// Bytes buffered before a drain writes them out.
+  static constexpr std::size_t kDrainBytes = 64 * 1024;
+
+  /// Start a new segment for `meta`, written to `out` (which the caller
+  /// opened and checks).
+  void begin(const StudyMeta& meta, std::ostream& out);
 
   /// Encode one chunk of `events.user`'s stream. `seq` is the per-user chunk
   /// ordinal; `final_chunk` marks the last chunk of that user's stream.
   void add_chunk(const EventBatch& events, std::uint32_t seq, bool final_chunk);
 
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-  /// Payload bytes encoded so far (header included) — sizing for spill policy.
-  [[nodiscard]] std::size_t size() const { return body_.size(); }
+  /// File bytes encoded so far (header included, drained or buffered).
+  [[nodiscard]] std::size_t size() const { return drained_ + body_.size(); }
 
-  /// Append index + footer and return the complete file bytes. The writer is
-  /// spent afterwards.
-  [[nodiscard]] std::string finish();
+  /// Append index + footer and write out the rest. The segment is spent
+  /// afterwards.
+  void finish();
 
  private:
   struct PendingChunk {
@@ -103,13 +113,23 @@ class SegmentWriter {
     std::size_t packets_len, transitions_len, order_len;
   };
 
-  ckpt::ByteWriter body_;
+  /// Hash and write out the buffer once it holds kDrainBytes.
+  void drain_if_full() {
+    if (body_.size() >= kDrainBytes) drain();
+  }
+  void drain();
+
+  ckpt::ByteWriter body_;  ///< the file's undrained bytes
+  std::ostream* out_ = nullptr;
+  std::size_t drained_ = 0;                ///< bytes already written to out_
+  std::uint64_t hash_ = ckpt::kFnv1aBasis;  ///< FNV-1a of those bytes
   std::vector<PendingChunk> chunks_;
 };
 
 /// An open, checksum-verified segment, read through util::MappedFile (mapped
-/// read-only where the platform allows). Opening costs one checksum pass +
-/// O(index), then releases every page it read; replaying a chunk decodes its
+/// read-only where the platform allows). Opening costs one checksum pass,
+/// which releases each 1 MiB window once hashed, + O(index), then releases
+/// what the index parse read; replaying a chunk decodes its
 /// span straight off the mapping with O(batch_size) working memory and
 /// releases the span's pages when done, so a segment's pages are resident
 /// only while a chunk of it is being replayed.

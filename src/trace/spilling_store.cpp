@@ -10,6 +10,11 @@
 #include <limits>
 
 #include "ckpt/codec.h"
+#include "obs/stopwatch.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace wildenergy::trace {
 
@@ -45,8 +50,22 @@ std::uint64_t parse_segment_seq(const std::string& name) {
   return seq;
 }
 
-util::Status write_file_atomic(const std::string& dir, const std::string& name,
-                               std::string_view bytes) {
+/// Hand the allocator's free pages back to the OS. glibc keeps freed blocks
+/// below the top of its heap resident, and a sealed capture frees every
+/// column it grows, so without this the replay stacks its memory on the
+/// capture's free heap (a budget-0 CSV sweep at 4 threads peaked ~2 MB
+/// higher). Each page handed back costs a fault when the heap reuses it, so
+/// this runs once, at the end of a sealed capture, never per seal.
+void return_free_heap_pages() {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
+}
+
+/// Write `dir`/`name` via a tmp file and a rename, so a crash leaves the old
+/// file or the new one, never a torn one; `fill` writes the bytes.
+template <typename Fill>
+util::Status write_file_atomic(const std::string& dir, const std::string& name, Fill&& fill) {
   std::error_code ec;
   fs::create_directories(dir, ec);  // best effort; the open below diagnoses
   const fs::path tmp = fs::path(dir) / (name + ".tmp");
@@ -54,7 +73,7 @@ util::Status write_file_atomic(const std::string& dir, const std::string& name,
   {
     std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
     if (!out) return util::Status::internal("cannot open '" + tmp.string() + "' for writing");
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    fill(out);
     out.flush();
     if (!out) return util::Status::internal("cannot write '" + tmp.string() + "'");
   }
@@ -165,7 +184,9 @@ void SpillingTraceStore::on_user_begin(UserId user) {
   if (resuming_capture_ && state.complete) return;
   if (state.complete) {
     // Recapture of an already-complete user supersedes the old stream; the
-    // stale chunks stay in their segments but are no longer referenced.
+    // stale chunks stay in their segments but are no longer referenced —
+    // including any in flight, so commit that seal first.
+    finish_seal();
     if (state.resident != kNoResident) {
       resident_bytes_ -= column_bytes(resident_[state.resident].events);
       resident_[state.resident].dead = true;
@@ -227,48 +248,71 @@ void SpillingTraceStore::maybe_spill_mid_user() {
 }
 
 util::Status SpillingTraceStore::spill_resident() {
+  finish_seal();  // at most one seal in flight
   if (!health_.ok()) return health_;
-  std::vector<std::size_t> live;
-  live.reserve(resident_.size());
-  for (std::size_t i = 0; i < resident_.size(); ++i) {
-    if (!resident_[i].dead) live.push_back(i);
+  SealJob job;
+  for (ResidentChunk& chunk : resident_) {
+    if (chunk.dead) continue;
+    users_[chunk.events.user].resident = kNoResident;
+    job.users.push_back(chunk.events.user);
+    job.chunks.push_back(std::move(chunk));
   }
-  if (live.empty()) {
-    resident_.clear();
-    resident_bytes_ = 0;
-    return util::Status::ok_status();
+  resident_.clear();
+  resident_bytes_ = 0;
+  if (job.chunks.empty()) return health_;
+  job.meta = meta_;
+  job.name = segment_name(next_segment_seq_);
+  job.segment = std::make_unique<MappedSegment>();
+  if (seal_threads_ <= 1) {
+    run_seal(job);
+    commit_seal(job);
+    return health_;
   }
+  in_flight_ = std::move(job);
+  sealer_ = std::thread([this] { run_seal(in_flight_); });
+  return health_;
+}
 
-  SegmentWriter writer{meta_};
-  for (const std::size_t i : live) {
-    writer.add_chunk(resident_[i].events, resident_[i].seq, resident_[i].final_chunk);
+void SpillingTraceStore::run_seal(SealJob& job) {
+  const obs::Stopwatch busy;
+  job.status = write_file_atomic(options_.dir, job.name, [&](std::ostream& out) {
+    writer_.begin(job.meta, out);
+    for (ResidentChunk& chunk : job.chunks) {
+      writer_.add_chunk(chunk.events, chunk.seq, chunk.final_chunk);
+      chunk.events = EventBatch{};  // encoded: its columns are no longer needed
+    }
+    writer_.finish();
+  });
+  job.chunks.clear();
+  if (job.status.ok()) {
+    job.status = job.segment->open((fs::path(options_.dir) / job.name).string());
   }
-  const std::string name = segment_name(next_segment_seq_);
-  util::Status wrote = write_file_atomic(options_.dir, name, writer.finish());
-  if (!wrote.ok()) {
-    health_ = wrote;
-    return health_;
-  }
-  auto segment = std::make_unique<MappedSegment>();
-  util::Status opened = segment->open((fs::path(options_.dir) / name).string());
-  if (!opened.ok()) {
-    health_ = opened;
-    return health_;
+  job.busy_ms = busy.elapsed_ms();
+}
+
+void SpillingTraceStore::finish_seal() {
+  if (!sealer_.joinable()) return;
+  const obs::Stopwatch waited;
+  sealer_.join();
+  wait_ms_ += waited.elapsed_ms();
+  commit_seal(in_flight_);
+  in_flight_ = SealJob{};
+}
+
+void SpillingTraceStore::commit_seal(SealJob& job) {
+  seal_ms_ += job.busy_ms;
+  if (!job.status.ok()) {
+    health_ = job.status;
+    return;
   }
   ++next_segment_seq_;
   const auto segment_index = static_cast<std::uint32_t>(segments_.size());
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    UserState& state = users_[resident_[live[k]].events.user];
-    state.spilled.push_back({segment_index, static_cast<std::uint32_t>(k)});
-    state.resident = kNoResident;
+  for (std::size_t k = 0; k < job.users.size(); ++k) {
+    users_[job.users[k]].spilled.push_back({segment_index, static_cast<std::uint32_t>(k)});
   }
-  spilled_bytes_ += segment->file_bytes();
-  segments_.push_back(std::move(segment));
-  resident_.clear();
-  resident_bytes_ = 0;
-  util::Status manifest = write_manifest();
-  if (!manifest.ok()) health_ = manifest;
-  return manifest;
+  spilled_bytes_ += job.segment->file_bytes();
+  segments_.push_back(std::move(job.segment));
+  if (util::Status manifest = write_manifest(); !manifest.ok()) health_ = manifest;
 }
 
 util::Status SpillingTraceStore::write_manifest() {
@@ -284,16 +328,21 @@ util::Status SpillingTraceStore::write_manifest() {
     writer.put_string(fs::path(segment->path()).filename().string());
   }
   writer.put_checksum();
-  return write_file_atomic(options_.dir, kManifestName, writer.bytes());
+  return write_file_atomic(options_.dir, kManifestName, [&](std::ostream& out) {
+    out.write(writer.bytes().data(), static_cast<std::streamsize>(writer.size()));
+  });
 }
 
 util::Status SpillingTraceStore::seal() {
+  finish_seal();
   if (!health_.ok()) return health_;
   if (in_user_) {
     return util::Status::failed_precondition("cannot seal a spilling store mid-user");
   }
   if (options_.dir.empty() || resident_.empty()) return util::Status::ok_status();
-  return spill_resident();
+  (void)spill_resident();
+  finish_seal();
+  return health_;
 }
 
 // --- recovery --------------------------------------------------------------
@@ -413,7 +462,27 @@ std::vector<UserId> SpillingTraceStore::completed_users() const {
   return done;
 }
 
-util::Status SpillingTraceStore::capture(TraceSource& source, std::size_t batch_size) {
+SpillingTraceStore::~SpillingTraceStore() { finish_seal(); }
+
+util::Status SpillingTraceStore::capture(TraceSource& source, std::size_t batch_size,
+                                         unsigned threads) {
+  seal_ms_ = 0.0;
+  wait_ms_ = 0.0;
+  seal_threads_ = threads;
+  // On every way out — an early return or a throwing source — no seal is
+  // left in flight and later spills run inline again.
+  struct Settle {
+    SpillingTraceStore& store;
+    ~Settle() {
+      store.finish_seal();
+      store.seal_threads_ = 1;
+      if (!store.options_.dir.empty()) return_free_heap_pages();
+    }
+  } settle{*this};
+  return capture_pass(source, batch_size);
+}
+
+util::Status SpillingTraceStore::capture_pass(TraceSource& source, std::size_t batch_size) {
   if (options_.resume) {
     util::Status recovered = recover();
     if (!recovered.ok()) return recovered;
@@ -536,6 +605,7 @@ obs::MemoryUse SpillingTraceStore::memory_use() const {
 }
 
 void SpillingTraceStore::clear() {
+  finish_seal();
   meta_ = {};
   users_.clear();
   order_.clear();

@@ -31,9 +31,24 @@
 // the batch-interleave contract allows). The replay side mutates nothing,
 // so concurrent emit_user() calls from sweep shard workers are safe.
 //
+// Sealing: a spill hands the complete resident chunks to one seal, which
+// encodes them into a SegmentWriter that drains to the tmp file through a
+// bounded buffer, hashing as it goes (nothing segment-sized is built), then
+// renames the file into place and opens and verifies it. capture() at
+// `threads` > 1 runs each seal on a sealer thread while the calling thread
+// keeps parsing and appending; at 1 the same routine runs inline and no
+// thread starts. At most one seal is in flight: the next spill, seal(),
+// clear(), a recapture of a complete user and the destructor join it first.
+// The calling thread then commits the seal's results in order — the user
+// chunk refs, segments_, spilled_bytes_, then the manifest rewrite — so
+// split points, segment names and every byte are the same at any thread
+// count, and a seal that failed latches health() with the status it has
+// inline. A seal in flight owns its chunks and frees each once encoded.
+//
 // Durability: a manifest (manifest.wesm) lists the sealed segments; both
 // manifest and segments land via tmp-write + rename, so a crash leaves
-// either the old or the new state, never a torn file. Reopening with
+// either the old or the new state, never a torn file. The manifest lists a
+// segment only after it was renamed into place and verified. Reopening with
 // `resume = true` recovers every complete sealed user and capture() then
 // pulls ONLY the missing users from the source (per-user access) or skips
 // completed ones (forward-only source) — sealed work is never regenerated.
@@ -43,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/batch.h"
@@ -74,6 +90,10 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
  public:
   /// Default: no directory, every user resident.
   explicit SpillingTraceStore(SpillOptions options = {}) : options_(std::move(options)) {}
+  /// Joins and commits a seal still in flight.
+  ~SpillingTraceStore() override;
+  SpillingTraceStore(const SpillingTraceStore&) = delete;
+  SpillingTraceStore& operator=(const SpillingTraceStore&) = delete;
 
   // -- capture (TraceSink) --------------------------------------------------
   void on_study_begin(const StudyMeta& meta) override;
@@ -90,7 +110,11 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   /// stream is durable and resumable; a store fed as a plain sink
   /// (source.emit(store, …)) keeps its tail resident until seal(). Returns
   /// the source's emit status, or the store's health when capture degraded.
-  util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize);
+  /// With `threads` > 1 each seal runs on a sealer thread, overlapping the
+  /// source's parsing; the files, the store and the status are the same as
+  /// at 1, where seals run inline. No seal is in flight when this returns.
+  util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize,
+                       unsigned threads = 1);
 
   // -- replay (TraceSource) -------------------------------------------------
   // batch_size 0 is treated as 1 here, once, for both slicers behind them.
@@ -132,6 +156,12 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   [[nodiscard]] std::uint64_t max_resident_bytes() const { return max_resident_bytes_; }
   /// Users recovered from sealed segments by the last resuming capture().
   [[nodiscard]] std::size_t resumed_users() const { return resumed_users_; }
+  /// Time the last capture()'s seals were busy (encode, write, rename,
+  /// verify), on whichever thread ran them.
+  [[nodiscard]] double capture_seal_ms() const { return seal_ms_; }
+  /// Time the last capture()'s calling thread waited on an in-flight seal;
+  /// 0 when seals ran inline.
+  [[nodiscard]] double capture_wait_ms() const { return wait_ms_; }
   /// Recover sealed state from `dir` without capturing (capture() does this
   /// implicitly when options_.resume is set).
   util::Status open_existing();
@@ -157,11 +187,33 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
     bool dead = false;  ///< superseded by a recapture before it was sealed
   };
 
+  /// One seal: the chunks it encodes (owned, freed as encoded), its segment
+  /// name, and what it produced. run_seal touches nothing else of the
+  /// store's but options_.dir and writer_.
+  struct SealJob {
+    StudyMeta meta;
+    std::vector<ResidentChunk> chunks;
+    std::vector<UserId> users;  ///< chunks[k]'s user
+    std::string name;
+    std::unique_ptr<MappedSegment> segment;
+    util::Status status;
+    double busy_ms = 0.0;
+  };
+
   [[nodiscard]] static std::uint64_t column_bytes(const EventBatch& events);
   void note_source_meta(const StudyMeta& meta);
   void maybe_spill_mid_user();
+  /// Hand the live resident chunks to a seal: inline, or on the sealer
+  /// thread during a capture() at threads > 1. Returns health_ (a seal in
+  /// flight reports at its commit).
   util::Status spill_resident();
+  void run_seal(SealJob& job);
+  /// Join the seal in flight, if any, and commit it.
+  void finish_seal();
+  void commit_seal(SealJob& job);
   util::Status write_manifest();
+  /// capture()'s work, before the last seal in flight is joined.
+  util::Status capture_pass(TraceSource& source, std::size_t batch_size);
   util::Status recover();
   util::Status replay_user_body(const UserState& state, UserId user, TraceSink& sink,
                                 std::size_t batch_size);
@@ -189,6 +241,13 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   std::uint64_t next_segment_seq_ = 1;
   std::size_t resumed_users_ = 0;
   util::Status health_;
+
+  unsigned seal_threads_ = 1;  ///< capture()'s threads while it runs
+  SegmentWriter writer_;       ///< the one encoder; its drain buffer is reused
+  SealJob in_flight_;          ///< the sealer thread's job while sealer_ runs
+  std::thread sealer_;
+  double seal_ms_ = 0.0;
+  double wait_ms_ = 0.0;
 };
 
 }  // namespace wildenergy::trace

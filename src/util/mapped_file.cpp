@@ -1,6 +1,7 @@
 #include "util/mapped_file.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -46,6 +47,12 @@ bool MappedFile::open(const std::string& path) {
   data_ = buffer_.data();
   size_ = buffer_.size();
   return true;
+}
+
+void MappedFile::view(std::string_view bytes) {
+  assert(data_ == nullptr && "view() on an opened file");
+  data_ = bytes.data();
+  size_ = bytes.size();
 }
 
 void MappedFile::release([[maybe_unused]] std::size_t offset,

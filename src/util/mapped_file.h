@@ -24,6 +24,9 @@ class MappedFile {
   /// Map `path` read-only, or read it into memory where it cannot be mapped
   /// (an empty file reads as no bytes). False when the file cannot be read.
   [[nodiscard]] bool open(const std::string& path);
+  /// On an unopened file: read `bytes`, which the caller keeps alive, in
+  /// place. Nothing is mapped or copied, so release() is a no-op.
+  void view(std::string_view bytes);
 
   [[nodiscard]] std::string_view bytes() const { return {data_, size_}; }
   /// Heap bytes of the buffered copy: 0 when the file is mapped.
@@ -33,7 +36,7 @@ class MappedFile {
   /// clamped to the file and widened to the kernel's fault-around granule
   /// (a read fault maps up to 64 KiB of cached neighbours), so it also drops
   /// what a read inside the span mapped around it. A no-op for a buffered
-  /// file. Safe to call concurrently with reads.
+  /// file or a view. Safe to call concurrently with reads.
   void release(std::size_t offset, std::size_t len) const;
   void release() const { release(0, size_); }
 

@@ -8,9 +8,15 @@
 // explaining why there is none. Deliberately tiny — no payloads, no
 // stack traces — because every consumer in this codebase either prints the
 // message or branches on ok().
+//
+// The message lives behind a pointer that is null when it is empty, so an
+// OK Status — and so every OK StatusOr, which the binary decoders build
+// once per decoded field — constructs and destroys no std::string. Copies
+// stay deep.
 #pragma once
 
 #include <cassert>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -46,7 +52,18 @@ class Status {
   /// Default status is OK; error statuses carry a non-empty message.
   Status() = default;
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(message.empty() ? nullptr
+                                 : std::make_unique<std::string>(std::move(message))) {}
+  Status(const Status& other)
+      : code_(other.code_),
+        message_(other.message_ ? std::make_unique<std::string>(*other.message_) : nullptr) {}
+  Status(Status&&) noexcept = default;
+  Status& operator=(const Status& other) {
+    if (this != &other) *this = Status(other);
+    return *this;
+  }
+  Status& operator=(Status&&) noexcept = default;
 
   [[nodiscard]] static Status ok_status() { return {}; }
   [[nodiscard]] static Status invalid_argument(std::string m) {
@@ -70,12 +87,15 @@ class Status {
 
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }
   [[nodiscard]] StatusCode code() const { return code_; }
-  [[nodiscard]] const std::string& message() const { return message_; }
+  [[nodiscard]] const std::string& message() const {
+    static const std::string kEmpty;
+    return message_ ? *message_ : kEmpty;
+  }
 
   /// "ok" or "<code>: <message>" — the one-line diagnostic the CLI prints.
   [[nodiscard]] std::string to_string() const {
     if (ok()) return "ok";
-    return std::string(util::to_string(code_)) + ": " + message_;
+    return std::string(util::to_string(code_)) + ": " + message();
   }
 
   /// Keep the first error: assigning onto an error status is a no-op, so a
@@ -85,12 +105,12 @@ class Status {
   }
 
   friend bool operator==(const Status& a, const Status& b) {
-    return a.code_ == b.code_ && a.message_ == b.message_;
+    return a.code_ == b.code_ && a.message() == b.message();
   }
 
  private:
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  std::unique_ptr<std::string> message_;  ///< null when the message is empty
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {

@@ -180,7 +180,7 @@ TEST(BinaryIo, EmptyStudyRoundTrips) {
   StudyMeta meta;
   meta.num_users = 0;
   meta.num_apps = 0;
-  SegmentWriter writer{meta};
+  SegmentImage writer{meta};
   TraceCollector sink;
   const util::Status status = replay_bytes(writer.finish(), "empty", sink);
   EXPECT_TRUE(status.ok()) << status.to_string();
@@ -223,7 +223,7 @@ TEST(BinaryRobustness, TruncationAtEveryByteOffsetFailsCleanly) {
   t.from = ProcessState::kForeground;
   t.to = ProcessState::kService;
   events.add(t);
-  SegmentWriter writer{meta};
+  SegmentImage writer{meta};
   writer.add_chunk(events, 0, true);
   const std::string bytes = writer.finish();
   ASSERT_GT(bytes.size(), 16u);

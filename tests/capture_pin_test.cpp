@@ -9,11 +9,17 @@
 //     1 MiB, lines with more than 10 fields and a NUL byte. The record
 //     counts, the strict error and the event digests are pinned literally.
 //   - SegmentBytes: an FNV-1a over the files a budget-0 spilling store seals
-//     for a fixed small study.
+//     for a fixed small study, and over the files a CSV capture seals at
+//     every sealer thread count and budget, with the store's segment count,
+//     resident high-water mark and replay digest.
+//   - SpillingStore.InFlightSealFailureLatchesHealth: a seal that fails on
+//     the sealer thread surfaces as the same capture status it has inline,
+//     and the store leaves no thread behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +28,7 @@
 #include <streambuf>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "ckpt/codec.h"
@@ -261,6 +268,96 @@ TEST(CsvChunkedRead, DamagedInputReadsTheSameAtEveryRefillSize) {
 
 // -------------------------------------------------------- segment bytes pin
 
+/// Every file under `dir` in name order, each as its name, a NUL and its
+/// bytes, concatenated.
+std::string directory_bytes(const fs::path& dir, std::size_t* files_out = nullptr) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  std::string all;
+  for (const fs::path& file : files) {
+    std::ifstream is{file, std::ios::binary};
+    all += file.filename().string();
+    all += '\0';
+    all.append(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+  }
+  if (files_out != nullptr) *files_out = files.size();
+  return all;
+}
+
+/// A generated multi-user study as CSV text: the imported-trace input.
+std::string study_csv(std::uint32_t users, std::uint32_t days, std::uint64_t seed) {
+  sim::StudyConfig config = sim::small_study(seed);
+  config.num_users = users;
+  config.num_days = days;
+  std::ostringstream os;
+  trace::CsvTraceWriter writer{os};
+  sim::StudyGenerator{config}.run(writer);
+  return os.str();
+}
+
+/// Threads of this process, from /proc/self/task; 0 where there is none.
+std::size_t live_threads() {
+  const fs::path tasks{"/proc/self/task"};
+  std::error_code ec;
+  if (!fs::exists(tasks, ec)) return 0;
+  std::size_t n = 0;
+  for (auto it = fs::directory_iterator(tasks, ec); !ec && it != fs::directory_iterator();
+       it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+/// live_threads() once it has fallen back to `expect`, or after ~2 s: a
+/// joined thread can linger in /proc for a moment after its join.
+std::size_t settled_threads(std::size_t expect) {
+  std::size_t n = live_threads();
+  for (int i = 0; i < 200 && n != expect; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    n = live_threads();
+  }
+  return n;
+}
+
+/// Forwards a stream to `target` and records the most threads this process
+/// had at any user end.
+class ThreadProbe final : public trace::TraceSink {
+ public:
+  explicit ThreadProbe(trace::TraceSink* target) : target_(target) {}
+  void on_study_begin(const trace::StudyMeta& meta) override { target_->on_study_begin(meta); }
+  void on_user_begin(trace::UserId user) override { target_->on_user_begin(user); }
+  void on_batch(const trace::EventBatch& batch) override { target_->on_batch(batch); }
+  void on_user_end(trace::UserId user) override {
+    target_->on_user_end(user);
+    max_threads_ = std::max(max_threads_, live_threads());
+  }
+  void on_study_end() override { target_->on_study_end(); }
+  [[nodiscard]] std::size_t max_threads() const { return max_threads_; }
+
+ private:
+  trace::TraceSink* target_;
+  std::size_t max_threads_ = 0;
+};
+
+/// A forward-only CSV source whose stream passes a ThreadProbe on its way.
+class ProbedCsvSource final : public trace::TraceSource {
+ public:
+  explicit ProbedCsvSource(std::istream& is) : csv_(is) {}
+  util::Status emit(trace::TraceSink& sink, std::size_t batch_size) override {
+    ThreadProbe probe{&sink};
+    util::Status status = csv_.emit(probe, batch_size);
+    max_threads_ = probe.max_threads();
+    return status;
+  }
+  [[nodiscard]] trace::StudyMeta meta() const override { return csv_.meta(); }
+  [[nodiscard]] std::size_t max_threads() const { return max_threads_; }
+
+ private:
+  trace::CsvTraceSource csv_;
+  std::size_t max_threads_ = 0;
+};
+
 TEST(SegmentBytes, BudgetZeroStoreSealsTheSameFiles) {
   const fs::path dir = fs::temp_directory_path() / "wildenergy_capture_pin_segments";
   fs::remove_all(dir);
@@ -272,20 +369,89 @@ TEST(SegmentBytes, BudgetZeroStoreSealsTheSameFiles) {
     trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = 0}};
     ASSERT_TRUE(store.capture(generator).ok());
   }
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir)) files.push_back(entry.path());
-  std::sort(files.begin(), files.end());
-  std::string all;
-  for (const fs::path& file : files) {
-    std::ifstream is{file, std::ios::binary};
-    all += file.filename().string();
-    all += '\0';
-    all.append(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
-  }
+  std::size_t files = 0;
+  const std::string all = directory_bytes(dir, &files);
   fs::remove_all(dir);
-  EXPECT_EQ(files.size(), 5u);  // four segments and the manifest
+  EXPECT_EQ(files, 5u);  // four segments and the manifest
   EXPECT_EQ(all.size(), 2805855u);
   EXPECT_EQ(hex(ckpt::fnv1a(all)), "7515bb61c5cbc0d7");
+}
+
+
+// A CSV capture seals the same files, segment count and resident high-water
+// mark whether each seal runs inline (threads 1) or on the sealer thread, at
+// a budget that spills every user, one that splits users into many chunks,
+// and one the whole study fits under (one seal at the end).
+TEST(SegmentBytes, SealerThreadWritesTheSameFiles) {
+  const std::string csv = study_csv(/*users=*/4, /*days=*/6, /*seed=*/23);
+  ASSERT_EQ(csv.size(), 4127773u);
+  struct Expect {
+    std::uint64_t budget;
+    std::size_t segments;
+    std::uint64_t max_resident;
+    const char* files_fnv;
+  };
+  const Expect expects[] = {
+      {0, 4, 1585664, "9ee701835db4a4c3"},
+      {64 * 1024, 57, 113191, "26574ccea0f3c992"},
+      {8 * 1024 * 1024, 1, 6214736, "2fc8a162c5369313"},
+  };
+  const fs::path dir = fs::temp_directory_path() / "wildenergy_capture_pin_sealer";
+  for (const Expect& e : expects) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("budget " + std::to_string(e.budget) + ", threads " + std::to_string(threads));
+      fs::remove_all(dir);
+      std::uint64_t replay = 0;
+      {
+        std::istringstream in{csv};
+        trace::CsvTraceSource source{in};
+        trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = e.budget}};
+        const util::Status captured = store.capture(source, /*batch_size=*/512, threads);
+        ASSERT_TRUE(captured.ok()) << captured.to_string();
+        EXPECT_EQ(store.num_segments(), e.segments);
+        EXPECT_EQ(store.max_resident_bytes(), e.max_resident);
+        DigestSink digest;
+        ASSERT_TRUE(store.emit(digest, /*batch_size=*/256).ok());
+        replay = digest.digest();
+      }
+      EXPECT_EQ(hex(replay), "1bbeec6117c28e88");
+      EXPECT_EQ(hex(ckpt::fnv1a(directory_bytes(dir))), e.files_fnv);
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// A seal that fails (here: the second segment's tmp path is a directory)
+// latches the store's health with the same status whether it failed inline
+// or on the sealer thread, and no sealer thread outlives the store. At
+// threads 1 the capture starts no thread at all.
+TEST(SpillingStore, InFlightSealFailureLatchesHealth) {
+  const std::string csv = study_csv(/*users=*/4, /*days=*/4, /*seed=*/29);
+  const fs::path dir = fs::temp_directory_path() / "wildenergy_capture_pin_seal_failure";
+  const fs::path blocked = dir / "seg_000002.wesg.tmp";
+  const std::size_t before = live_threads();
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    fs::remove_all(dir);
+    fs::create_directories(blocked);
+    {
+      std::istringstream in{csv};
+      ProbedCsvSource source{in};
+      trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = 0}};
+      const util::Status captured = store.capture(source, /*batch_size=*/512, threads);
+      EXPECT_FALSE(captured.ok());
+      EXPECT_EQ(captured.to_string(), store.health().to_string());
+      // The inline seal's own status, at every thread count.
+      EXPECT_EQ(captured.to_string(),
+                "internal: cannot open '" + blocked.string() + "' for writing");
+      EXPECT_EQ(store.num_segments(), 1u);  // the first seal committed
+      if (threads == 1 && before > 0) {
+        EXPECT_EQ(source.max_threads(), before);  // inline seals start no thread
+      }
+    }
+    EXPECT_EQ(settled_threads(before), before);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "ledger_compare.h"
+#include "seal.h"
 #include "analysis/figures.h"
 #include "analysis/persistence.h"
 #include "appmodel/catalog.h"
@@ -212,7 +213,7 @@ TEST(SegmentFormat, ChunksRoundTripBitExactlyAtEveryBatchSize) {
   chunks.push_back(test_chunk(2, 2'250'000, 1));   // single-event chunk
   chunks.push_back(test_chunk(1, 9'000'000, 260)); // spans several batches
 
-  trace::SegmentWriter writer{meta};
+  SegmentImage writer{meta};
   writer.add_chunk(chunks[0], 0, true);
   writer.add_chunk(chunks[1], 0, true);
   writer.add_chunk(chunks[2], 0, true);
@@ -247,7 +248,7 @@ TEST(SegmentFormat, EmptyChunkRoundTrips) {
   fs::create_directories(dir);
   trace::EventBatch empty;
   empty.user = 5;
-  trace::SegmentWriter writer{test_meta()};
+  SegmentImage writer{test_meta()};
   writer.add_chunk(empty, 0, true);
   const fs::path file = dir / "seg_000001.wesg";
   write_file(file, writer.finish());
@@ -269,7 +270,7 @@ TEST(SegmentFormat, EmptyChunkRoundTrips) {
 TEST(SegmentCorruption, EveryDamageKindIsDetectedNeverSilent) {
   const fs::path dir = scratch_dir("corruption");
   fs::create_directories(dir);
-  trace::SegmentWriter writer{test_meta()};
+  SegmentImage writer{test_meta()};
   const trace::EventBatch chunk_a = test_chunk(0, 1'200'000, 120);
   const trace::EventBatch chunk_b = test_chunk(1, 3'400'000, 75);
   writer.add_chunk(chunk_a, 0, true);
@@ -381,7 +382,7 @@ TEST(SegmentCorruption, ChecksumValidOutOfOrderStreamIsDataLossOnReplay) {
   };
   for (const Crafted& c : crafted) {
     SCOPED_TRACE(c.name);
-    trace::SegmentWriter writer{meta};
+    SegmentImage writer{meta};
     for (std::size_t seq = 0; seq < c.chunks.size(); ++seq) {
       writer.add_chunk(c.chunks[seq], static_cast<std::uint32_t>(seq),
                        seq + 1 == c.chunks.size());
@@ -458,7 +459,7 @@ TEST(SegmentCorruption, TruncationAtEveryFieldKeepsItsMessage) {
   ASSERT_EQ(chunk.transitions.size(), kKinds);
   ASSERT_GE(chunk.packets.size(), kKinds);
 
-  trace::SegmentWriter writer{resident.meta()};
+  SegmentImage writer{resident.meta()};
   writer.add_chunk(chunk, 0, true);
   const fs::path file = dir / "seg_000001.wesg";
   write_file(file, writer.finish());

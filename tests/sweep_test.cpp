@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -584,8 +585,10 @@ TEST(SweepEngine, ExhaustedRetriesSkipTheUserInThatScenarioOnly) {
   }
 }
 
-// The serial capture is its own figure inside the wall time: a CSV sweep
-// reports it, and a second run over the filled store captures nothing.
+// The capture is its own figure inside the wall time: a CSV sweep reports
+// it, and a second run over the filled store captures nothing. A sealed
+// sweep also reports how long its segment seals were busy and how long the
+// capturing thread waited on one in flight.
 TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
   sim::StudyConfig config = sim::small_study(/*seed=*/17);
   config.num_users = 3;
@@ -608,6 +611,9 @@ TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
   ASSERT_TRUE(first.ok()) << first.status().to_string();
   EXPECT_GT(first->capture_ms, 0.0);
   EXPECT_LE(first->capture_ms, first->wall_ms);
+  EXPECT_EQ(first->capture_seal_ms, 0.0);  // resident: nothing sealed
+  EXPECT_GE(first->capture_wait_ms, 0.0);
+  EXPECT_LE(first->capture_wait_ms, first->capture_ms);
   EXPECT_NE(first->to_json().find("\"capture_ms\":"), std::string::npos);
   std::ostringstream printed;
   first->print(printed);
@@ -616,6 +622,39 @@ TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
   const auto second = sweep.run();
   ASSERT_TRUE(second.ok()) << second.status().to_string();
   EXPECT_EQ(second->capture_ms, 0.0);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "wildenergy_sweep_capture_timed";
+  std::filesystem::remove_all(dir);
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("sealed, threads " + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    std::istringstream sealed_in{csv_text.str()};
+    trace::CsvTraceSource sealed_source{sealed_in};
+    core::SweepOptions sealed_options;
+    sealed_options.num_threads = threads;
+    sealed_options.store_dir = dir.string();
+    sealed_options.store_budget_bytes = 0;  // every user seals
+    core::SweepEngine sealed{&sealed_source, sealed_options};
+    core::Scenario baseline;
+    baseline.name = "baseline";
+    sealed.add_scenario(std::move(baseline));
+    const auto run = sealed.run();
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_GT(sealed.store().num_segments(), 1u);
+    EXPECT_GT(run->capture_seal_ms, 0.0);
+    EXPECT_GE(run->capture_wait_ms, 0.0);
+    EXPECT_LE(run->capture_wait_ms, run->capture_ms);
+    if (threads == 1) {
+      EXPECT_EQ(run->capture_wait_ms, 0.0);  // inline seals never wait
+    }
+    EXPECT_NE(run->to_json().find("\"capture_seal_ms\":"), std::string::npos);
+    EXPECT_NE(run->to_json().find("\"capture_wait_ms\":"), std::string::npos);
+    std::ostringstream sealed_printed;
+    run->print(sealed_printed);
+    EXPECT_NE(sealed_printed.str().find("segment seals busy"), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepEngine, EmptyStoreWithoutBaseFails) {
