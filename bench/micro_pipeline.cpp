@@ -367,8 +367,9 @@ int main(int argc, char** argv) {
 
   // CSV capture alone (csv_sweep's first half): the study written as CSV
   // into memory, untimed, then read by a CsvTraceSource and sealed into a
-  // store at an 8 MiB budget, best of kReps, with seals inline (threads 1)
-  // and on a sealer thread (threads 2). Records the CSV read rate as
+  // store at an 8 MiB budget, best of kReps: at threads 1 lines parse and
+  // seals run inline; at threads 2 and 4 that many workers parse lines and
+  // a sealer thread seals. Records the CSV read rate as
   // "mb_per_s", the captured events as "events" and the speedup over
   // threads 1.
   {
@@ -390,7 +391,7 @@ int main(int argc, char** argv) {
         ("wildenergy_bench_csv_capture_" + std::to_string(::getpid()));
     constexpr int kReps = 3;
     double serial_ms = 0.0;
-    for (const unsigned threads : {1u, 2u}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
       obs::reset_peak_rss();  // the peak of the capture, with the CSV held
       double best_ms = 0.0;
       std::uint64_t events = 0;

@@ -792,7 +792,7 @@ util::StatusOr<obs::RunStats> Engine::run() {
   } else {
     assert(plans_.size() == 1);  // sweeps always replay a store
     UserSplitter splitter{*this};
-    const util::Status emitted = source_.emit(splitter, opt_.batch_size);
+    const util::Status emitted = source_.emit(splitter, opt_.batch_size, opt_.num_threads);
     if (!splitter.status().ok()) return splitter.status();
     if (!emitted.ok()) return emitted;
     if (!splitter.opened()) {

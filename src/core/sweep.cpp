@@ -42,8 +42,9 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
       return util::Status::failed_precondition(
           "sweep store is empty and no base source was given");
     }
-    // The sweep's threads are idle until the capture ends: one of them seals
-    // segments while the calling thread reads the source.
+    // The sweep's threads are idle until the capture ends: they parse the
+    // source (a CSV source's workers) and one seals segments while the
+    // calling thread appends what the source emits.
     if (const util::Status captured =
             store_.capture(*base_, options_.batch_size, options_.num_threads);
         !captured.ok()) {
@@ -94,6 +95,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
   if (capture_ms > 0.0) {
     run->capture_seal_ms = store_.capture_seal_ms();
     run->capture_wait_ms = store_.capture_wait_ms();
+    run->capture_parse_ms = base_->emit_worker_ms();
   }
   return run;
 }

@@ -24,6 +24,9 @@ void RunStats::print(std::ostream& os) const {
   if (capture_ms > 0.0) {
     os << "capture:       " << fmt(capture_ms, 1)
        << " ms of the wall time (before any scenario runs)";
+    if (capture_parse_ms > 0.0) {
+      os << "; parse workers busy " << fmt(capture_parse_ms, 1) << " ms";
+    }
     if (capture_seal_ms > 0.0) {
       os << "; segment seals busy " << fmt(capture_seal_ms, 1) << " ms, waited on "
          << fmt(capture_wait_ms, 1) << " ms";
@@ -169,6 +172,7 @@ void RunStats::write_json(JsonWriter& w) const {
   w.kv("capture_ms", capture_ms);
   w.kv("capture_seal_ms", capture_seal_ms);
   w.kv("capture_wait_ms", capture_wait_ms);
+  w.kv("capture_parse_ms", capture_parse_ms);
   w.kv("num_threads", num_threads);
   w.kv("users", users);
   w.kv("packets", packets);

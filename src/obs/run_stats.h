@@ -107,6 +107,10 @@ struct RunStats {
   /// in flight (part of capture_ms; 0 when seals ran inline).
   double capture_seal_ms = 0.0;
   double capture_wait_ms = 0.0;
+  /// Of a capture from a CSV source at num_threads > 1: its parse workers'
+  /// busy time, summed over workers (it overlaps capture_ms); 0 when the
+  /// capturing thread parsed every line itself.
+  double capture_parse_ms = 0.0;
   unsigned num_threads = 1;  ///< worker threads the run actually used
   std::uint64_t users = 0;
   std::uint64_t packets = 0;      ///< attributed packets (post interface filter)

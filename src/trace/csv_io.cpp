@@ -3,15 +3,22 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <istream>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/stopwatch.h"
 #include "trace/batch.h"
 #include "trace/validating_sink.h"
+#include "util/thread_pool.h"
 
 namespace wildenergy::trace {
 
@@ -39,52 +46,48 @@ void CsvTraceWriter::on_study_end() { os_ << "E\n"; }
 
 namespace {
 
-/// Cuts an istream into lines a block at a time, with std::getline's
-/// semantics: a final line without '\n' is still a line, '\r' stays part of
-/// the line, and input ending in '\n' has no empty line after it. A line that
-/// crosses a block boundary moves to the front of the buffer before the next
-/// read; a line longer than the buffer doubles it.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is), buf_(kBlockBytes) {}
+/// Bytes a block reads before it is cut after its last '\n'.
+constexpr std::size_t kBlockBytes = std::size_t{128} << 10;
 
-  /// The next line (valid until the next call), or false at end of input.
-  bool next(std::string_view& line) {
-    std::size_t scan = begin_;
-    for (;;) {
-      if (const void* nl = std::memchr(buf_.data() + scan, '\n', end_ - scan)) {
-        const auto at = static_cast<std::size_t>(static_cast<const char*>(nl) - buf_.data());
-        line = {buf_.data() + begin_, at - begin_};
-        begin_ = at + 1;
+/// Cuts an istream into blocks of whole lines, with std::getline's line
+/// semantics: a final line without '\n' is still a line, '\r' stays part of
+/// its line, and input ending in '\n' has no empty line after it. A block
+/// reads kBlockBytes and ends after its last '\n'; the partial line behind
+/// it opens the next block. A block holding no '\n' doubles its read until
+/// it does, so a line longer than kBlockBytes grows its block.
+class BlockReader {
+ public:
+  explicit BlockReader(std::istream& is) : is_(is) {}
+
+  /// Fill `text` with the next block, or return false at end of input.
+  bool next(std::vector<char>& text) {
+    text.assign(tail_.begin(), tail_.end());
+    tail_.clear();
+    for (std::size_t want = kBlockBytes;; want *= 2) {
+      if (!at_eof_ && text.size() < want) {
+        const std::size_t have = text.size();
+        text.resize(want);
+        is_.read(text.data() + have, static_cast<std::streamsize>(want - have));
+        text.resize(have + static_cast<std::size_t>(is_.gcount()));
+        // istream::read comes up short only at end of input or on an error;
+        // getline stops at either too.
+        if (!is_) at_eof_ = true;
+      }
+      // The last block keeps everything, a final line without '\n' included.
+      if (at_eof_) return !text.empty();
+      const auto nl = std::find(text.rbegin(), text.rend(), '\n');
+      if (nl != text.rend()) {
+        const auto cut = nl.base();
+        tail_.assign(cut, text.end());
+        text.erase(cut, text.end());
         return true;
       }
-      if (at_eof_) {
-        if (begin_ == end_) return false;
-        line = {buf_.data() + begin_, end_ - begin_};
-        begin_ = end_;
-        return true;
-      }
-      const std::size_t partial = end_ - begin_;
-      std::memmove(buf_.data(), buf_.data() + begin_, partial);
-      begin_ = 0;
-      end_ = partial;
-      scan = partial;
-      if (end_ == buf_.size()) buf_.resize(buf_.size() * 2);
-      is_.read(buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
-      end_ += static_cast<std::size_t>(is_.gcount());
-      // istream::read comes up short only at end of input or on an error;
-      // getline stops at either too.
-      if (!is_) at_eof_ = true;
     }
   }
 
  private:
-  static constexpr std::size_t kBlockBytes = std::size_t{128} << 10;
-
   std::istream& is_;
-  std::vector<char> buf_;
-  std::size_t begin_ = 0;  ///< first byte of the unread input in buf_
-  std::size_t end_ = 0;    ///< one past the last byte read into buf_
+  std::vector<char> tail_;  ///< the partial line after the last block's cut
   bool at_eof_ = false;
 };
 
@@ -144,9 +147,10 @@ struct LineError {
   std::string reason;
 };
 
-std::string format_error(std::uint64_t line_no, const LineError& err, const Fields& fields,
-                         std::string_view line) {
-  std::string msg = "line " + std::to_string(line_no) + ": ";
+/// The error message of a line, without its "line N: " prefix: only the
+/// ordered apply step knows the line number.
+std::string describe(const LineError& err, const Fields& fields, std::string_view line) {
+  std::string msg;
   if (err.field != kNoField) {
     msg += "field " + std::to_string(err.field);
     if (err.field < std::min(fields.size(), kMaxFields)) {
@@ -159,169 +163,342 @@ std::string format_error(std::uint64_t line_no, const LineError& err, const Fiel
   return msg;
 }
 
-/// Parses lines one record at a time into `batcher`, which hands
-/// EventBatches to the validator and flushes before every bracket.
-void decode_csv(std::istream& is, EventBatcher& batcher, const ReadOptions& options,
-                ReadSummary& result) {
-  auto& registry = obs::MetricsRegistry::current();
-  LineReader lines{is};
-  std::string_view line;
-  bool saw_any_record = false;
-  bool study_ended = false;
+enum class LineKind : std::uint8_t {
+  kEmpty,
+  kMeta,
+  kUserBegin,
+  kUserEnd,
+  kPacket,
+  kTransition,
+  kStudyEnd,
+  kError,
+};
 
-  while (lines.next(line)) {
-    ++result.records;
-    if (line.empty()) continue;
-    const auto fields = split(line);
-    const std::string_view tag = fields[0];
-    LineError err;
-    const auto bad = [&](std::size_t field, std::string reason) {
-      err = {field, std::move(reason)};
-      return false;
-    };
-    const auto want_fields = [&](std::size_t n) {
-      if (fields.size() == n) return true;
-      return bad(kNoField, "expected " + std::to_string(n) + " fields, got " +
-                               std::to_string(fields.size()));
-    };
-    const auto want_int = [&](std::size_t field, auto& out) {
-      if (parse_int(fields[field], out)) return true;
-      return bad(field, "not an integer");
-    };
-    const auto want_app = [&](std::size_t field, AppId& out) {
-      if (parse_int(fields[field], out)) return true;
-      if (options.app_resolver) {
-        out = options.app_resolver(fields[field]);
-        if (out != kNoApp) return true;
-        return bad(field, "unknown app name");
-      }
-      return bad(field, "not an integer");
-    };
+/// What one line says on its own, before the stream's order decides what it
+/// means.
+struct ParsedLine {
+  ParsedLine() : user(0) {}
 
-    bool line_ok = true;
-    bool repaired_line = false;
-    std::string repair_reason;
-    if (study_ended) {
-      line_ok = bad(kNoField, "record after study end (E)");
-    } else if (tag == "M") {
-      StudyMeta meta;
-      line_ok = want_fields(5) && want_int(1, meta.num_users) && want_int(2, meta.num_apps) &&
-                want_int(3, meta.study_begin.us) && want_int(4, meta.study_end.us);
-      if (line_ok) batcher.on_study_begin(meta);
-    } else if (tag == "U" || tag == "V") {
-      UserId user = 0;
-      line_ok = want_fields(2) && want_int(1, user);
-      if (line_ok) {
-        if (tag == "U") {
-          batcher.on_user_begin(user);
-        } else {
-          batcher.on_user_end(user);
-        }
-      }
-    } else if (tag == "P") {
-      PacketRecord p;
-      line_ok = want_fields(10) && want_int(1, p.time.us) && want_int(2, p.user) &&
-                want_app(3, p.app) && want_int(4, p.flow) && want_int(5, p.bytes);
-      if (line_ok) {
-        if (fields[6] == "up") {
-          p.direction = radio::Direction::kUplink;
-        } else if (fields[6] == "down") {
-          p.direction = radio::Direction::kDownlink;
-        } else {
-          line_ok = bad(6, "bad direction (want up|down)");
-        }
-      }
-      if (line_ok) {
-        if (fields[7] == "cell") {
-          p.interface = Interface::kCellular;
-        } else if (fields[7] == "wifi") {
-          p.interface = Interface::kWifi;
-        } else {
-          line_ok = bad(7, "bad interface (want cell|wifi)");
-        }
-      }
-      if (line_ok && !parse_process_state(fields[8], p.state)) {
-        line_ok = bad(8, "bad process state");
-      }
-      if (line_ok && !parse_double(fields[9], p.joules)) {
-        if (options.policy == ReadPolicy::kBestEffort) {
-          // Energy is recomputed by the attribution stage on re-analysis, so
-          // a garbled joules field alone need not cost the whole record.
-          p.joules = 0.0;
-          repaired_line = true;
-          repair_reason = "unparseable joules repaired to 0";
-        } else {
-          line_ok = bad(9, "bad joules value");
-        }
-      }
-      if (line_ok) batcher.add(p);
-    } else if (tag == "T") {
-      StateTransition t;
-      line_ok = want_fields(6) && want_int(1, t.time.us) && want_int(2, t.user) &&
-                want_app(3, t.app);
-      if (line_ok && !parse_process_state(fields[4], t.from)) {
-        line_ok = bad(4, "bad process state");
-      }
-      if (line_ok && !parse_process_state(fields[5], t.to)) {
-        line_ok = bad(5, "bad process state");
-      }
-      if (line_ok) batcher.add(t);
-    } else if (tag == "E") {
-      if ((line_ok = want_fields(1))) {
-        batcher.on_study_end();
-        study_ended = true;
-      }
-    } else {
-      line_ok = bad(0, "unknown record tag");
+  LineKind kind = LineKind::kEmpty;
+  bool repaired = false;  ///< kPacket: its joules were repaired to 0
+  std::size_t begin = 0;  ///< the line's offset in its block's text
+  union {
+    PacketRecord packet;
+    StateTransition transition;
+    StudyMeta meta;
+    UserId user;
+    std::uint32_t error;  ///< kError: index of its message in Block::errors
+  };
+};
+
+/// A block of whole lines and what parse_line made of each, reused from
+/// block to block.
+struct Block {
+  std::vector<char> text;
+  std::vector<ParsedLine> lines;
+  std::vector<std::string> errors;  ///< kError messages, without "line N: "
+  std::exception_ptr thrown;        ///< what parsing the block threw
+  double parse_ms = 0.0;            ///< a worker's time parsing the block
+  bool parsed = false;              ///< guarded by the window's mutex
+
+  /// The text of line `i`, without its '\n'.
+  [[nodiscard]] std::string_view line(std::size_t i) const {
+    const std::size_t end = i + 1 < lines.size() ? lines[i + 1].begin - 1
+                                                 : text.size() - (text.back() == '\n' ? 1 : 0);
+    return {text.data() + lines[i].begin, end - lines[i].begin};
+  }
+};
+
+/// Parse one line: split, fields, enums, the kBestEffort joules repair and
+/// the line's error. Touches nothing but its arguments (and the options'
+/// app_resolver), so workers call it concurrently.
+ParsedLine parse_line(std::string_view line, const ReadOptions& options,
+                      std::vector<std::string>& errors) {
+  ParsedLine out;
+  if (line.empty()) return out;
+  const auto fields = split(line);
+  const std::string_view tag = fields[0];
+  LineError err;
+  const auto bad = [&](std::size_t field, std::string reason) {
+    err = {field, std::move(reason)};
+    return false;
+  };
+  const auto want_fields = [&](std::size_t n) {
+    if (fields.size() == n) return true;
+    return bad(kNoField, "expected " + std::to_string(n) + " fields, got " +
+                             std::to_string(fields.size()));
+  };
+  const auto want_int = [&](std::size_t field, auto& value) {
+    if (parse_int(fields[field], value)) return true;
+    return bad(field, "not an integer");
+  };
+  const auto want_app = [&](std::size_t field, AppId& app) {
+    if (parse_int(fields[field], app)) return true;
+    if (options.app_resolver) {
+      app = options.app_resolver(fields[field]);
+      if (app != kNoApp) return true;
+      return bad(field, "unknown app name");
     }
+    return bad(field, "not an integer");
+  };
 
+  bool line_ok = true;
+  if (tag == "M") {
+    out.kind = LineKind::kMeta;
+    out.meta = {};
+    StudyMeta& meta = out.meta;
+    line_ok = want_fields(5) && want_int(1, meta.num_users) && want_int(2, meta.num_apps) &&
+              want_int(3, meta.study_begin.us) && want_int(4, meta.study_end.us);
+  } else if (tag == "U" || tag == "V") {
+    out.kind = tag == "U" ? LineKind::kUserBegin : LineKind::kUserEnd;
+    line_ok = want_fields(2) && want_int(1, out.user);
+  } else if (tag == "P") {
+    out.kind = LineKind::kPacket;
+    out.packet = {};
+    PacketRecord& p = out.packet;
+    line_ok = want_fields(10) && want_int(1, p.time.us) && want_int(2, p.user) &&
+              want_app(3, p.app) && want_int(4, p.flow) && want_int(5, p.bytes);
     if (line_ok) {
-      saw_any_record = true;
-      if (repaired_line) {
-        ++result.records_repaired;
-        registry.counter("ingest.records_repaired").inc();
-        if (result.quarantine.size() < options.max_quarantine) {
-          result.quarantine.push_back({result.records, repair_reason, snippet_of(line)});
-        }
+      if (fields[6] == "up") {
+        p.direction = radio::Direction::kUplink;
+      } else if (fields[6] == "down") {
+        p.direction = radio::Direction::kDownlink;
+      } else {
+        line_ok = bad(6, "bad direction (want up|down)");
       }
-      continue;
     }
-    const std::string message = format_error(result.records, err, fields, line);
-    if (options.policy == ReadPolicy::kStrict) {
-      result.status = util::Status::data_loss(message);
-      return;
+    if (line_ok) {
+      if (fields[7] == "cell") {
+        p.interface = Interface::kCellular;
+      } else if (fields[7] == "wifi") {
+        p.interface = Interface::kWifi;
+      } else {
+        line_ok = bad(7, "bad interface (want cell|wifi)");
+      }
     }
-    ++result.records_dropped;
-    registry.counter("ingest.records_dropped").inc();
-    if (result.quarantine.size() < options.max_quarantine) {
-      result.quarantine.push_back({result.records, message, snippet_of(line)});
+    if (line_ok && !parse_process_state(fields[8], p.state)) {
+      line_ok = bad(8, "bad process state");
+    }
+    if (line_ok && !parse_double(fields[9], p.joules)) {
+      if (options.policy == ReadPolicy::kBestEffort) {
+        // Energy is recomputed by the attribution stage on re-analysis, so
+        // a garbled joules field alone need not cost the whole record.
+        p.joules = 0.0;
+        out.repaired = true;
+      } else {
+        line_ok = bad(9, "bad joules value");
+      }
+    }
+  } else if (tag == "T") {
+    out.kind = LineKind::kTransition;
+    out.transition = {};
+    StateTransition& t = out.transition;
+    line_ok = want_fields(6) && want_int(1, t.time.us) && want_int(2, t.user) &&
+              want_app(3, t.app);
+    if (line_ok && !parse_process_state(fields[4], t.from)) {
+      line_ok = bad(4, "bad process state");
+    }
+    if (line_ok && !parse_process_state(fields[5], t.to)) {
+      line_ok = bad(5, "bad process state");
+    }
+  } else if (tag == "E") {
+    out.kind = LineKind::kStudyEnd;
+    line_ok = want_fields(1);
+  } else {
+    line_ok = bad(0, "unknown record tag");
+  }
+  if (!line_ok) {
+    out.kind = LineKind::kError;
+    out.error = static_cast<std::uint32_t>(errors.size());
+    errors.push_back(describe(err, fields, line));
+  }
+  return out;
+}
+
+/// Parse every line of `block.text` into `block.lines`.
+void parse_block(Block& block, const ReadOptions& options) {
+  block.lines.clear();
+  block.errors.clear();
+  const char* const data = block.text.data();
+  const char* const end = data + block.text.size();
+  for (const char* p = data; p < end;) {
+    const auto* nl =
+        static_cast<const char*>(std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char* const line_end = nl != nullptr ? nl : end;
+    ParsedLine& line = block.lines.emplace_back(
+        parse_line({p, static_cast<std::size_t>(line_end - p)}, options, block.errors));
+    line.begin = static_cast<std::size_t>(p - data);
+    p = line_end + 1;
+  }
+}
+
+/// The stream's state across lines, on the calling thread: applies parsed
+/// lines in input order — line numbers, the study-end rule, the policy's
+/// drop/repair/quarantine, the ingest counters and every EventBatcher call.
+class LineApplier {
+ public:
+  LineApplier(EventBatcher& batcher, const ReadOptions& options, ReadSummary& result)
+      : batcher_(batcher),
+        options_(options),
+        result_(result),
+        registry_(obs::MetricsRegistry::current()) {}
+
+  /// Apply `block`'s lines; false once a strict failure has stopped the read.
+  bool apply(const Block& block) {
+    for (std::size_t i = 0; i < block.lines.size(); ++i) {
+      const ParsedLine& line = block.lines[i];
+      ++result_.records;
+      if (line.kind == LineKind::kEmpty) continue;
+      if (study_ended_) {
+        if (!reject("record after study end (E); line: \"" + snippet_of(block.line(i)) + "\"",
+                    block.line(i))) {
+          return false;
+        }
+        continue;
+      }
+      switch (line.kind) {
+        case LineKind::kEmpty: break;
+        case LineKind::kMeta: batcher_.on_study_begin(line.meta); break;
+        case LineKind::kUserBegin: batcher_.on_user_begin(line.user); break;
+        case LineKind::kUserEnd: batcher_.on_user_end(line.user); break;
+        case LineKind::kPacket: batcher_.add(line.packet); break;
+        case LineKind::kTransition: batcher_.add(line.transition); break;
+        case LineKind::kStudyEnd:
+          batcher_.on_study_end();
+          study_ended_ = true;
+          break;
+        case LineKind::kError:
+          if (!reject(block.errors[line.error], block.line(i))) return false;
+          continue;
+      }
+      saw_any_record_ = true;
+      if (line.repaired) {
+        ++result_.records_repaired;
+        registry_.counter("ingest.records_repaired").inc();
+        quarantine("unparseable joules repaired to 0", block.line(i));
+      }
+    }
+    return true;
+  }
+
+  /// The end of input: a stream that began but never ended.
+  void finish() {
+    if (!saw_any_record_ || study_ended_) return;
+    if (options_.policy == ReadPolicy::kBestEffort) {
+      result_.truncated = true;
+      if (result_.quarantine.size() < options_.max_quarantine) {
+        result_.quarantine.push_back(
+            {result_.records, "truncated stream: no study end (E) record", ""});
+      }
+    } else {
+      result_.status = util::Status::data_loss(
+          "truncated stream: no study end (E) record after line " +
+          std::to_string(result_.records));
     }
   }
 
-  if (saw_any_record && !study_ended) {
-    if (options.policy == ReadPolicy::kBestEffort) {
-      result.truncated = true;
-      if (result.quarantine.size() < options.max_quarantine) {
-        result.quarantine.push_back(
-            {result.records, "truncated stream: no study end (E) record", ""});
-      }
-    } else {
-      result.status = util::Status::data_loss(
-          "truncated stream: no study end (E) record after line " +
-          std::to_string(result.records));
+ private:
+  /// The current line is malformed: fatal under kStrict (returns false),
+  /// else dropped, counted and quarantined.
+  bool reject(const std::string& error, std::string_view line) {
+    std::string message = "line " + std::to_string(result_.records) + ": " + error;
+    if (options_.policy == ReadPolicy::kStrict) {
+      result_.status = util::Status::data_loss(std::move(message));
+      return false;
+    }
+    ++result_.records_dropped;
+    registry_.counter("ingest.records_dropped").inc();
+    quarantine(std::move(message), line);
+    return true;
+  }
+
+  void quarantine(std::string reason, std::string_view line) {
+    if (result_.quarantine.size() < options_.max_quarantine) {
+      result_.quarantine.push_back({result_.records, std::move(reason), snippet_of(line)});
     }
   }
+
+  EventBatcher& batcher_;
+  const ReadOptions& options_;
+  ReadSummary& result_;
+  obs::MetricsRegistry& registry_;
+  bool saw_any_record_ = false;
+  bool study_ended_ = false;
+};
+
+/// Reads `is` block by block into `batcher`. At `threads` > 1 a pool of that
+/// many workers parses up to 2 × threads blocks ahead while this thread reads
+/// the next blocks and applies the front one once it is parsed; at 1 each
+/// block is parsed and applied here, in turn.
+void decode_csv(std::istream& is, EventBatcher& batcher, const ReadOptions& options,
+                unsigned threads, ReadSummary& result) {
+  BlockReader reader{is};
+  LineApplier applier{batcher, options, result};
+  const std::size_t window = threads <= 1 ? 1 : 2 * std::size_t{threads};
+  // Declared before the pool: its destructor finishes every queued job, so
+  // the blocks a worker parses outlive it when a strict failure stops the
+  // read early or a sink throws.
+  std::vector<Block> blocks(window);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<util::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+
+  std::size_t front = 0;
+  std::size_t in_flight = 0;
+  bool more = true;
+  for (;;) {
+    while (more && in_flight < window) {
+      Block& block = blocks[(front + in_flight) % window];
+      more = reader.next(block.text);
+      if (!more) break;
+      ++in_flight;
+      if (!pool) {
+        parse_block(block, options);
+        continue;
+      }
+      pool->submit([&block, &options, &mu, &cv](unsigned) {
+        const obs::Stopwatch watch;
+        try {
+          parse_block(block, options);
+        } catch (...) {
+          block.thrown = std::current_exception();
+        }
+        {
+          const std::lock_guard<std::mutex> lock{mu};
+          block.parse_ms = watch.elapsed_ms();
+          block.parsed = true;
+        }
+        cv.notify_all();
+      });
+    }
+    if (in_flight == 0) break;
+    Block& block = blocks[front];
+    if (pool) {
+      std::unique_lock<std::mutex> lock{mu};
+      cv.wait(lock, [&block] { return block.parsed; });
+      block.parsed = false;
+      result.parse_ms += block.parse_ms;
+    }
+    if (block.thrown) std::rethrow_exception(std::exchange(block.thrown, nullptr));
+    if (!applier.apply(block)) return;
+    if (block.text.capacity() > 2 * kBlockBytes) block = Block{};  // a long line's block
+    front = (front + 1) % window;
+    --in_flight;
+  }
+  applier.finish();
 }
 
 }  // namespace
 
-ReadSummary read_csv_trace(std::istream& is, TraceSink& sink, const ReadOptions& options) {
+ReadSummary read_csv_trace(std::istream& is, TraceSink& sink, const ReadOptions& options,
+                           unsigned threads) {
   return read_validated(sink, options, [&](EventBatcher& batcher, ReadSummary& result) {
-    decode_csv(is, batcher, options, result);
+    decode_csv(is, batcher, options, threads, result);
   });
 }
 
-util::Status CsvTraceSource::emit(TraceSink& sink, std::size_t batch_size) {
+util::Status CsvTraceSource::emit(TraceSink& sink, std::size_t batch_size, unsigned threads) {
   if (consumed_) {
     // Rewind for replay-many consumers (sweep fallback, repeated runs).
     is_.clear();
@@ -335,7 +512,7 @@ util::Status CsvTraceSource::emit(TraceSink& sink, std::size_t batch_size) {
   ReadOptions options = options_;
   options.batch_size = batch_size;
   MetaCaptureSink capture(&sink, &meta_);
-  summary_ = read_csv_trace(is_, capture, options);
+  summary_ = read_csv_trace(is_, capture, options, threads);
   return summary_.status;
 }
 

@@ -52,26 +52,39 @@ class CsvTraceWriter final : public TraceSink {
 /// "ingest.records_dropped" / "ingest.records_repaired" (parser) and
 /// "validate.records_dropped" / "validate.records_repaired" (protocol).
 ///
-/// The reader pulls `is` in 128 KiB blocks (istream::read) and cuts lines
-/// with memchr; a line that crosses a block boundary moves to the front of
-/// the buffer, and one longer than the buffer grows it. Lines keep
-/// std::getline's semantics — a final line without '\n' is a line, '\r'
-/// stays part of its line — so ReadSummary::records and every line number
-/// are what a getline loop would count. Each line splits into at most 10
-/// field views plus its true field count, with no allocation. Because whole
-/// blocks are read, a strict failure leaves `is` positioned past the failing
-/// line (up to a block past it), not just after it; CsvTraceSource::emit
-/// rewinds before a second read all the same.
+/// The reader pulls `is` in blocks of whole lines: it reads 128 KiB
+/// (istream::read) and cuts after the last '\n', the partial line behind the
+/// cut opening the next block; a line longer than that grows its block.
+/// Lines keep std::getline's semantics — a final line without '\n' is a
+/// line, '\r' stays part of its line — so ReadSummary::records and every
+/// line number are what a getline loop would count. Each block is decoded
+/// in two steps: a pure per-line parse (split into at most 10 field views,
+/// numbers, enums, the kBestEffort joules repair, the line's error), then an
+/// ordered apply on the reading thread (line numbers, the study-end rule,
+/// drops, repairs, quarantine, the ingest counters and every batch handed
+/// to the sink). At `threads` > 1 a pool of that many workers parses up to
+/// 2 × threads blocks ahead of the apply, so the sink sees the same batches
+/// and brackets, and the summary is the same, at every thread count; at 1
+/// both steps run here and no thread starts. ReadSummary::parse_ms is the
+/// workers' busy time. Because whole blocks are read ahead, a strict failure
+/// leaves `is` positioned past the failing line — up to the in-flight window
+/// of blocks past it — not just after it; CsvTraceSource::emit rewinds
+/// before a second read all the same.
 [[nodiscard]] ReadSummary read_csv_trace(std::istream& is, TraceSink& sink,
-                                         const ReadOptions& options = {});
+                                         const ReadOptions& options = {},
+                                         unsigned threads = 1);
 
 /// TraceSource over a CSV stream: the reader behind StudyPipeline / CLI
 /// --replay, lifted onto the one producer API. Forward-only — no per-user
 /// random access — so the engine splits it per user on the reading thread.
 /// A second emit() rewinds seekable streams and fails cleanly on pipes.
-/// Parsing is serial; when a sweep captures it into a sealed store at more
-/// than one thread, the reading thread only parses and appends columns
-/// while a sealer thread encodes, writes and verifies the segments
+/// The two-argument emit() parses on the calling thread; emit(sink,
+/// batch_size, threads), which a sweep's capture and the engine's
+/// forward-only path call with their thread count, parses lines on that
+/// many workers and applies them in order here (read_csv_trace). When a
+/// sweep captures it into a sealed store at more than one thread, the
+/// reading thread applies lines and appends columns while workers parse
+/// and a sealer thread encodes, writes and verifies the segments
 /// (SpillingTraceStore::capture).
 class CsvTraceSource final : public TraceSource {
  public:
@@ -80,7 +93,12 @@ class CsvTraceSource final : public TraceSource {
   explicit CsvTraceSource(std::istream& is, ReadOptions options = {})
       : is_(is), options_(options) {}
 
-  util::Status emit(TraceSink& sink, std::size_t batch_size) override;
+  util::Status emit(TraceSink& sink, std::size_t batch_size) override {
+    return emit(sink, batch_size, 1);
+  }
+  util::Status emit(TraceSink& sink, std::size_t batch_size, unsigned threads) override;
+  /// The last emit()'s parse workers' busy time (ReadSummary::parse_ms).
+  [[nodiscard]] double emit_worker_ms() const override { return summary_.parse_ms; }
   /// Zero-valued until the first emit() has passed the header line.
   [[nodiscard]] StudyMeta meta() const override { return meta_; }
 

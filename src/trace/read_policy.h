@@ -56,6 +56,11 @@ struct ReadOptions {
   /// non-numeric app field is resolved through this (return kNoApp for
   /// unknown names). Callers wire AppCatalog::find here, whose transparent
   /// name index makes reader-path resolution O(1) with no per-row allocation.
+  /// A read at more than one thread (CsvTraceSource::emit's `threads`) calls
+  /// it from several parse workers at once, so it must be thread-safe there;
+  /// AppCatalog::find only reads. An exception it throws propagates from
+  /// the read before any line of the block holding the offending line is
+  /// applied.
   std::function<AppId(std::string_view)> app_resolver;
 };
 
@@ -78,6 +83,9 @@ struct ReadSummary {
   std::uint64_t records_repaired = 0;
   bool truncated = false;  ///< kBestEffort: the stream ended early and was closed
   std::vector<QuarantinedRecord> quarantine;  ///< first few rejects, verbatim
+  /// Busy time of the CSV reader's parse workers, summed over workers; 0
+  /// when every line was parsed on the reading thread (threads ≤ 1).
+  double parse_ms = 0.0;
 
   [[nodiscard]] bool ok() const { return status.ok(); }
   [[nodiscard]] const std::string& error() const { return status.message(); }

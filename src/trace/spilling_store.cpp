@@ -204,6 +204,20 @@ void SpillingTraceStore::on_user_begin(UserId user) {
 
 void SpillingTraceStore::on_batch(const EventBatch& batch) {
   if (!in_user_) return;
+  // A capture that outruns its sealer (a CSV parsed on workers) would grow
+  // new columns beside the chunks still sealing. With a seal in flight, the
+  // resident columns grow past half the budget only once it is done and its
+  // freed columns make room, so a capture holds one seal's chunks and half a
+  // budget beside them. Joining early moves no split point and no byte.
+  const auto grows = [](const auto& column, const auto& added) {
+    return column.size() + added.size() > column.capacity();
+  };
+  if (sealer_.joinable() && options_.budget_bytes > 0 &&
+      (grows(current_.packets, batch.packets) || grows(current_.order, batch.order) ||
+       grows(current_.transitions, batch.transitions)) &&
+      resident_bytes_ + 2 * column_bytes(current_) > options_.budget_bytes / 2) {
+    finish_seal();
+  }
   current_.append(batch);
   maybe_spill_mid_user();
 }
@@ -515,7 +529,7 @@ util::Status SpillingTraceStore::capture_pass(TraceSource& source, std::size_t b
     }
   } else {
     // Forward-only sources replay in full; sealed users drop at the store.
-    emitted = source.emit(*this, batch_size);
+    emitted = source.emit(*this, batch_size, seal_threads_);
   }
   resuming_capture_ = false;
   if (!emitted.ok()) return emitted;

@@ -36,9 +36,12 @@
 // bounded buffer, hashing as it goes (nothing segment-sized is built), then
 // renames the file into place and opens and verifies it. capture() at
 // `threads` > 1 runs each seal on a sealer thread while the calling thread
-// keeps parsing and appending; at 1 the same routine runs inline and no
-// thread starts. At most one seal is in flight: the next spill, seal(),
-// clear(), a recapture of a complete user and the destructor join it first.
+// keeps appending what the source emits; at 1 the same routine runs inline
+// and no thread starts. At most one seal is in flight: the next spill,
+// seal(), clear(), a recapture of a complete user and the destructor join it
+// first, and so does growing the resident columns past half a nonzero
+// budget, so a source that outruns the sealer holds one seal's chunks and
+// half a budget beside them, not two budgets.
 // The calling thread then commits the seal's results in order — the user
 // chunk refs, segments_, spilled_bytes_, then the manifest rewrite — so
 // split points, segment names and every byte are the same at any thread
@@ -111,8 +114,11 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   /// (source.emit(store, …)) keeps its tail resident until seal(). Returns
   /// the source's emit status, or the store's health when capture degraded.
   /// With `threads` > 1 each seal runs on a sealer thread, overlapping the
-  /// source's parsing; the files, the store and the status are the same as
-  /// at 1, where seals run inline. No seal is in flight when this returns.
+  /// source's parsing, and the source gets the count too (a CSV source
+  /// parses on that many workers, TraceSource::emit); the files, the store
+  /// and the status are the same as at 1, where seals run inline and the
+  /// source emits on the calling thread. No seal is in flight when this
+  /// returns.
   util::Status capture(TraceSource& source, std::size_t batch_size = kDefaultBatchSize,
                        unsigned threads = 1);
 

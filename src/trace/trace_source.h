@@ -46,6 +46,18 @@ class TraceSource {
   /// policy); sink-side exceptions propagate unchanged.
   virtual util::Status emit(TraceSink& sink, std::size_t batch_size) = 0;
 
+  /// emit() with `threads` the caller can spend producing the stream. The
+  /// stream is the same at every count. The default ignores the count and
+  /// emits on the calling thread; CsvTraceSource parses on workers.
+  virtual util::Status emit(TraceSink& sink, std::size_t batch_size, unsigned threads) {
+    (void)threads;
+    return emit(sink, batch_size);
+  }
+
+  /// Busy time of the worker threads the last emit() produced on, summed
+  /// over workers; 0 when it ran on the calling thread alone.
+  [[nodiscard]] virtual double emit_worker_ms() const { return 0.0; }
+
   /// Study header. Zero-valued for stream sources before their first emit().
   [[nodiscard]] virtual StudyMeta meta() const = 0;
 

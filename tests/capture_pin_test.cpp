@@ -15,6 +15,15 @@
 //   - SpillingStore.InFlightSealFailureLatchesHealth: a seal that fails on
 //     the sealer thread surfaces as the same capture status it has inline,
 //     and the store leaves no thread behind.
+//   - CsvParallelRead: CsvTraceSource::emit at threads {1, 2, 4, 8} under
+//     every read policy, on inputs of many reader blocks with damage on the
+//     first and last lines of blocks, a line longer than 1 MiB, CRLF, NUL, a
+//     final line without '\n', records after "E", a missing "E" and a strict
+//     failure in a late block, gives the summary, the events and the batch
+//     and bracket sequence the serial reader gave, pinned literally; no parse
+//     worker outlives emit(), even when the sink throws.
+//   - CsvParallelMutation: a fixed-seed stream of corrupted copies of a small
+//     multi-block CSV reads the same at threads 1 and 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +34,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <string_view>
@@ -32,6 +42,7 @@
 #include <vector>
 
 #include "ckpt/codec.h"
+#include "fault/injector.h"
 #include "sim/generator.h"
 #include "sim/study_config.h"
 #include "trace/csv_io.h"
@@ -452,6 +463,328 @@ TEST(SpillingStore, InFlightSealFailureLatchesHealth) {
     EXPECT_EQ(settled_threads(before), before);
   }
   fs::remove_all(dir);
+}
+
+
+// --------------------------------------------------- parallel parse pins
+
+/// The CSV reader's block: it reads this many bytes and cuts after the last
+/// '\n' (trace/csv_io.cpp). Lines below end exactly on this grid, so each
+/// such line is the last line of one block and the next line the first of
+/// the next.
+constexpr std::size_t kReaderBlock = std::size_t{128} << 10;
+
+/// Builds a CSV line by line: valid body lines for one user with advancing
+/// times, and damaged lines placed at byte offsets.
+class CsvBuilder {
+ public:
+  explicit CsvBuilder(std::string header) : csv_(std::move(header)) {}
+
+  std::string& text() { return csv_; }
+  std::string time() { return std::to_string(t_ += 100); }
+
+  /// One valid packet or transition line of `user`.
+  void body_line(int user) {
+    ++i_;
+    t_ += 1000 + (i_ % 7) * 13;
+    const std::string head = std::to_string(t_) + "," + std::to_string(user) + "," +
+                             std::to_string(1 + (i_ * 7) % 79) + ",";
+    if (i_ % 50 == 7) {
+      csv_ += "T," + head + kStates[i_ % 5] + "," + kStates[(i_ / 5) % 5] + "\n";
+    } else {
+      csv_ += "P," + head + std::to_string(i_ % 11) + "," + std::to_string(40 + i_ % 900 * 3) +
+              "," + (i_ % 2 == 0 ? "up" : "down") + "," + (i_ % 3 == 0 ? "wifi" : "cell") + "," +
+              kStates[i_ % 5] + "," + std::to_string(0.001 * (i_ % 97)) + "\n";
+    }
+  }
+  /// Body lines of `user` until the text reaches `offset`.
+  void body_until(int user, std::size_t offset) {
+    while (csv_.size() < offset) body_line(user);
+  }
+  /// Body lines of `user`, then an unknown-tag line padded to end exactly at
+  /// `offset`.
+  void bad_line_ending_at(int user, std::size_t offset) {
+    while (csv_.size() + 256 < offset) body_line(user);
+    csv_ += "X," + std::string(offset - csv_.size() - 3, 'x') + "\n";
+  }
+
+ private:
+  std::string csv_;
+  std::int64_t t_ = 1'000'000;
+  int i_ = 0;
+};
+
+/// Many blocks with damage at their edges: bad lines end blocks 1 and 2 and
+/// begin blocks 2 and 3; CRLF lines, a NUL byte and a valid packet line
+/// longer than 1 MiB sit in the middle; after "E" come a packet, an empty
+/// line and a final "V,1" without '\n'.
+std::string edge_damaged_csv() {
+  CsvBuilder b{"M,3,80,0,86400000000\nU,0\n"};
+  std::string& csv = b.text();
+  for (const std::size_t block : {1u, 2u}) {
+    b.bad_line_ending_at(0, block * kReaderBlock);
+    csv += "P," + b.time() + ",0,5,384,900,sideways,cell,service,0.5\n";
+  }
+  b.body_until(0, 5 * kReaderBlock + 1000);
+  csv += "P," + b.time() + ",0,5,384,900,up,cell,service,0.5\r\n";
+  csv += "T," + b.time() + ",0,5,foreground,background\r\n";
+  csv += "P," + b.time() + ",0,5,384,900,up,cell,serv";
+  csv += '\0';
+  csv += "ice,0.5\n";
+  b.body_until(0, 7 * kReaderBlock);
+  csv += "P," + b.time() + ",0,5,384,900,up,cell,service,0." +
+         std::string(std::size_t{1} << 20, '3') + "7\n";
+  b.body_until(0, csv.size() + 9 * kReaderBlock);
+  csv += "V,0\nU,1\n";
+  b.body_until(1, csv.size() + 3 * kReaderBlock);
+  csv += "V,1\nE\n";
+  csv += "P," + b.time() + ",1,5,384,900,up,cell,service,0.5\n\nV,1";
+  return csv;
+}
+
+/// A clean stream of many blocks whose first bad line (an unknown
+/// interface) sits in a late block, and which ends without "E".
+std::string late_damage_csv() {
+  CsvBuilder b{"M,1,80,0,86400000000\nU,0\n"};
+  std::string& csv = b.text();
+  b.body_until(0, 14 * kReaderBlock + 5000);
+  csv += "P," + b.time() + ",0,5,384,900,up,satellite,service,0.5\n";
+  b.body_until(0, 16 * kReaderBlock + 700);
+  csv += "V,0\n";
+  return csv;
+}
+
+/// Folds the shape of the delivered stream (every bracket and every batch
+/// size, in order) into one FNV-1a, and the events into a DigestSink.
+class ShapeSink final : public trace::TraceSink {
+ public:
+  void on_study_begin(const trace::StudyMeta& meta) override {
+    mix(1);
+    events_.on_study_begin(meta);
+  }
+  void on_user_begin(trace::UserId user) override {
+    mix(2, user);
+    events_.on_user_begin(user);
+  }
+  void on_batch(const trace::EventBatch& batch) override {
+    mix(3, batch.size());
+    events_.on_batch(batch);
+  }
+  void on_user_end(trace::UserId user) override {
+    mix(4, user);
+    events_.on_user_end(user);
+  }
+  void on_study_end() override {
+    mix(5);
+    events_.on_study_end();
+  }
+
+  [[nodiscard]] std::uint64_t shape() const { return hash_; }
+  [[nodiscard]] std::uint64_t events() const { return events_.digest(); }
+
+ private:
+  void mix(std::uint64_t tag, std::uint64_t value = 0) {
+    hash_ = (hash_ ^ tag) * 0x100000001B3ULL;
+    hash_ = (hash_ ^ value) * 0x100000001B3ULL;
+  }
+  DigestSink events_;
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// FNV-1a over every quarantined record's location, reason and echo.
+std::string quarantine_fnv(const trace::ReadSummary& summary) {
+  std::string all;
+  for (const trace::QuarantinedRecord& q : summary.quarantine) {
+    all += std::to_string(q.location) + '\0' + q.reason + '\0' + q.snippet + '\0';
+  }
+  return hex(ckpt::fnv1a(all));
+}
+
+struct ParallelRead {
+  trace::ReadSummary summary;
+  std::uint64_t events = 0;
+  std::uint64_t shape = 0;
+};
+
+/// One CsvTraceSource::emit of `csv` at `threads` under `policy`.
+ParallelRead read_parallel(const std::string& csv, ReadPolicy policy, unsigned threads,
+                           std::size_t* max_threads = nullptr) {
+  std::istringstream in{csv};
+  trace::ReadOptions options;
+  options.policy = policy;
+  options.max_quarantine = 16;  // every reject of these inputs
+  trace::CsvTraceSource source{in, options};
+  ShapeSink sink;
+  ThreadProbe probe{&sink};
+  const util::Status status = source.emit(probe, /*batch_size=*/97, threads);
+  EXPECT_EQ(status.to_string(), source.summary().status.to_string());
+  if (max_threads != nullptr) *max_threads = probe.max_threads();
+  return {source.summary(), sink.events(), sink.shape()};
+}
+
+/// What a read must give, recorded by the serial reader.
+struct ParallelPin {
+  ReadPolicy policy;
+  const char* status;
+  std::uint64_t records;
+  std::uint64_t dropped;
+  std::uint64_t repaired;
+  bool truncated;
+  std::size_t quarantined;
+  const char* quarantine;
+  const char* events;
+  const char* shape;
+};
+
+/// Reads `csv` at threads {1, 2, 4, 8} under each pin's policy; every read
+/// must match the pin, threads 1 must start no thread, and no thread may
+/// outlive emit().
+void expect_parallel_pins(const std::string& csv, const std::vector<ParallelPin>& pins) {
+  const std::size_t before = live_threads();
+  for (const ParallelPin& pin : pins) {
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(trace::to_string(pin.policy)) + ", threads " +
+                   std::to_string(threads));
+      std::size_t max_threads = 0;
+      const ParallelRead read = read_parallel(csv, pin.policy, threads, &max_threads);
+      EXPECT_EQ(read.summary.status.to_string(), pin.status);
+      EXPECT_EQ(read.summary.records, pin.records);
+      EXPECT_EQ(read.summary.records_dropped, pin.dropped);
+      EXPECT_EQ(read.summary.records_repaired, pin.repaired);
+      EXPECT_EQ(read.summary.truncated, pin.truncated);
+      EXPECT_EQ(read.summary.quarantine.size(), pin.quarantined);
+      EXPECT_EQ(quarantine_fnv(read.summary), pin.quarantine);
+      EXPECT_EQ(hex(read.events), pin.events);
+      EXPECT_EQ(hex(read.shape), pin.shape);
+      if (threads == 1 && before > 0 && max_threads > 0) {
+        EXPECT_EQ(max_threads, before);  // parsed inline: no thread started
+      }
+      EXPECT_EQ(settled_threads(before), before);
+    }
+  }
+}
+
+TEST(CsvParallelRead, EdgeDamageReadsTheSameAtEveryThreadCount) {
+  const std::string csv = edge_damaged_csv();
+  ASSERT_EQ(csv.size(), 3539114u);
+  expect_parallel_pins(
+      csv,
+      {{ReadPolicy::kStrict,
+        "data loss: line 2660: field 0 ('X'): unknown record tag; line: "
+        "\"X,xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx...\"",
+        2660, 0, 0, false, 0, "cbf29ce484222325", "3df69d47e0fc5ed6", "b9593e95cf7be9ff"},
+       {ReadPolicy::kSkipAndCount, "ok", 49743, 9, 0, false, 9, "500e32576affa109",
+        "4da55fc5d1a92c03", "3b778624d7c05f2b"},
+       {ReadPolicy::kBestEffort, "ok", 49743, 8, 1, false, 9, "aa52a614861fa7a",
+        "61745f44b78f0740", "baf71761f1c864ce"}});
+}
+
+TEST(CsvParallelRead, LateStrictFailureReadsTheSameAtEveryThreadCount) {
+  const std::string csv = late_damage_csv();
+  ASSERT_EQ(csv.size(), 2097894u);
+  expect_parallel_pins(
+      csv,
+      {{ReadPolicy::kStrict,
+        "data loss: line 36796: field 7 ('satellite'): bad interface (want cell|wifi); line: "
+        "\"P,39228001,0,5,384,900,up,satellite,service,0.5\"",
+        36796, 0, 0, false, 0, "cbf29ce484222325", "781b9a13b5914558", "c0c61d29d77f3ea7"},
+       {ReadPolicy::kSkipAndCount,
+        "data loss: truncated stream: no study end (E) record after line 41930", 41930, 1, 0,
+        false, 1, "1b6505d48c59ab29", "fc72ad95e1a77722", "63198179ceb4e97"},
+       {ReadPolicy::kBestEffort, "ok", 41930, 1, 0, true, 2, "201c02c807ed40bc",
+        "485c15d021a2c3a4", "d501b1c3657f0b62"}});
+}
+
+
+/// Forwards to a ShapeSink and throws at its `nth` batch.
+class ThrowingSink final : public trace::TraceSink {
+ public:
+  explicit ThrowingSink(std::size_t nth) : nth_(nth) {}
+  void on_study_begin(const trace::StudyMeta& meta) override { seen_.on_study_begin(meta); }
+  void on_user_begin(trace::UserId user) override { seen_.on_user_begin(user); }
+  void on_batch(const trace::EventBatch& batch) override {
+    if (++batches_ == nth_) throw std::runtime_error("sink failed");
+    seen_.on_batch(batch);
+  }
+  void on_user_end(trace::UserId user) override { seen_.on_user_end(user); }
+  void on_study_end() override { seen_.on_study_end(); }
+  [[nodiscard]] const ShapeSink& seen() const { return seen_; }
+
+ private:
+  std::size_t nth_;
+  std::size_t batches_ = 0;
+  ShapeSink seen_;
+};
+
+// A sink that throws in a late block unwinds emit() at every thread count
+// after the same events, and no parse worker outlives it (under ASan, none
+// may touch a freed block either).
+TEST(CsvParallelRead, ThrowingSinkLeavesNoWorkerBehind) {
+  const std::string csv = late_damage_csv();
+  const std::size_t before = live_threads();
+  std::uint64_t shape = 0;
+  std::uint64_t events = 0;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::istringstream in{csv};
+    trace::CsvTraceSource source{in};
+    ThrowingSink sink{/*nth=*/300};
+    EXPECT_THROW((void)source.emit(sink, /*batch_size=*/97, threads), std::runtime_error);
+    if (threads == 1) {
+      shape = sink.seen().shape();
+      events = sink.seen().events();
+    }
+    EXPECT_EQ(sink.seen().shape(), shape);
+    EXPECT_EQ(sink.seen().events(), events);
+    EXPECT_EQ(settled_threads(before), before);
+  }
+}
+
+// ------------------------------------------------ differential mutation
+
+/// Every field of two summaries and two streams equal.
+void expect_same_parallel_read(const ParallelRead& expect, const ParallelRead& got) {
+  EXPECT_EQ(got.summary.status.to_string(), expect.summary.status.to_string());
+  EXPECT_EQ(got.summary.records, expect.summary.records);
+  EXPECT_EQ(got.summary.records_dropped, expect.summary.records_dropped);
+  EXPECT_EQ(got.summary.records_repaired, expect.summary.records_repaired);
+  EXPECT_EQ(got.summary.truncated, expect.summary.truncated);
+  EXPECT_EQ(got.summary.quarantine.size(), expect.summary.quarantine.size());
+  EXPECT_EQ(quarantine_fnv(got.summary), quarantine_fnv(expect.summary));
+  EXPECT_EQ(got.events, expect.events);
+  EXPECT_EQ(got.shape, expect.shape);
+}
+
+// A fixed-seed stream of mutants of a small multi-block CSV — every
+// fault::CorruptionKind, one or two corruptions stacked, under every read
+// policy — reads the same at threads 1 and 4: the same summary, the same
+// events and the same batches, and never a crash.
+TEST(CsvParallelMutation, OneAndFourThreadsReadEveryMutantTheSame) {
+  const std::string clean = study_csv(/*users=*/2, /*days=*/1, /*seed=*/31);
+  ASSERT_GT(clean.size(), 2 * kReaderBlock);
+  constexpr fault::CorruptionKind kKinds[] = {
+      fault::CorruptionKind::kBitFlip,       fault::CorruptionKind::kTruncate,
+      fault::CorruptionKind::kDuplicateSpan, fault::CorruptionKind::kSwapSpans,
+      fault::CorruptionKind::kBadEnum,       fault::CorruptionKind::kBadTimestamp};
+  constexpr ReadPolicy kPolicies[] = {ReadPolicy::kStrict, ReadPolicy::kSkipAndCount,
+                                      ReadPolicy::kBestEffort};
+  std::size_t damaged = 0;
+  for (std::uint64_t i = 0; i < 240; ++i) {
+    const fault::CorruptionKind kind = kKinds[i % 6];
+    const ReadPolicy policy = kPolicies[(i / 6) % 3];
+    SCOPED_TRACE("mutant " + std::to_string(i) + ": " + std::string(fault::to_string(kind)) +
+                 ", " + trace::to_string(policy));
+    auto mutant = fault::apply_corruption(clean, {kind, i});
+    ASSERT_TRUE(mutant.ok()) << mutant.status().to_string();
+    if (i % 3 == 2) {  // stack a second corruption of another kind
+      mutant = fault::apply_corruption(std::move(*mutant), {kKinds[(i / 6 + 1) % 6], i + 1000});
+      ASSERT_TRUE(mutant.ok()) << mutant.status().to_string();
+    }
+    const ParallelRead serial = read_parallel(*mutant, policy, 1);
+    if (!serial.summary.ok() || serial.summary.degraded()) ++damaged;
+    expect_same_parallel_read(serial, read_parallel(*mutant, policy, 4));
+  }
+  EXPECT_GT(damaged, 120u);  // most mutants are damage the reader sees
 }
 
 }  // namespace

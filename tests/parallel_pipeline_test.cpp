@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "radio/burst_machine.h"
 #include "sim/generator.h"
 #include "sim/study_config.h"
+#include "trace/csv_io.h"
 #include "trace/sink.h"
 #include "util/thread_pool.h"
 
@@ -299,6 +301,45 @@ TEST(ParallelDeterminism, ThreadCountsProduceBitIdenticalOutputs) {
     EXPECT_EQ(shard_packets, stats.packets);
     EXPECT_EQ(stats.serial_fallback_sinks, 0u);  // every analysis is shardable now
   }
+}
+
+// The engine's forward-only path hands its thread count to the source: a
+// CSV replay parses its lines on that many workers and applies them in
+// order, so every output is the serial replay's, bit for bit.
+TEST(ParallelDeterminism, CsvReplayParsedOnWorkersIsBitIdentical) {
+  sim::StudyConfig config = sim::small_study(/*seed=*/7);
+  config.num_users = 4;
+  config.num_days = 4;
+  std::ostringstream csv;
+  {
+    trace::CsvTraceWriter writer{csv};
+    sim::StudyGenerator{config}.run(writer);
+  }
+  ASSERT_GT(csv.str().size(), std::size_t{2} << 20);  // many reader blocks
+
+  std::istringstream serial_in{csv.str()};
+  trace::CsvTraceSource serial_source{serial_in};
+  core::StudyPipeline serial{&serial_source};
+  AnalysisSet serial_set;
+  serial_set.attach(serial);
+  ASSERT_TRUE(serial.run().ok());
+  ASSERT_GT(serial.ledger().total_joules(), 0.0);
+
+  std::istringstream parallel_in{csv.str()};
+  trace::CsvTraceSource parallel_source{parallel_in};
+  core::StudyPipeline parallel{&parallel_source, {{.num_threads = 4}}};
+  AnalysisSet parallel_set;
+  parallel_set.attach(parallel);
+  ASSERT_TRUE(parallel.run().ok());
+
+  EXPECT_EQ(serial_source.emit_worker_ms(), 0.0);  // threads 1 parses inline
+  EXPECT_GT(parallel_source.emit_worker_ms(), 0.0);
+  EXPECT_EQ(parallel_source.summary().records, serial_source.summary().records);
+  expect_identical_ledgers(serial.ledger(), parallel.ledger());
+  expect_identical_figures(serial.ledger(), parallel.ledger());
+  expect_identical_analyses(serial_set, parallel_set);
+  EXPECT_EQ(serial.attributor().device_joules(), parallel.attributor().device_joules());
+  EXPECT_EQ(serial.attributor().counters().packets, parallel.attributor().counters().packets);
 }
 
 TEST(ParallelDeterminism, RepeatedShardedRunsAreIdempotent) {

@@ -614,10 +614,13 @@ TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
   EXPECT_EQ(first->capture_seal_ms, 0.0);  // resident: nothing sealed
   EXPECT_GE(first->capture_wait_ms, 0.0);
   EXPECT_LE(first->capture_wait_ms, first->capture_ms);
+  EXPECT_GT(first->capture_parse_ms, 0.0);  // two parse workers
   EXPECT_NE(first->to_json().find("\"capture_ms\":"), std::string::npos);
+  EXPECT_NE(first->to_json().find("\"capture_parse_ms\":"), std::string::npos);
   std::ostringstream printed;
   first->print(printed);
   EXPECT_NE(printed.str().find("capture:"), std::string::npos);
+  EXPECT_NE(printed.str().find("parse workers busy"), std::string::npos);
 
   const auto second = sweep.run();
   ASSERT_TRUE(second.ok()) << second.status().to_string();
@@ -646,13 +649,19 @@ TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
     EXPECT_GE(run->capture_wait_ms, 0.0);
     EXPECT_LE(run->capture_wait_ms, run->capture_ms);
     if (threads == 1) {
-      EXPECT_EQ(run->capture_wait_ms, 0.0);  // inline seals never wait
+      EXPECT_EQ(run->capture_wait_ms, 0.0);   // inline seals never wait
+      EXPECT_EQ(run->capture_parse_ms, 0.0);  // and lines parse inline
+    } else {
+      EXPECT_GT(run->capture_parse_ms, 0.0);
     }
     EXPECT_NE(run->to_json().find("\"capture_seal_ms\":"), std::string::npos);
     EXPECT_NE(run->to_json().find("\"capture_wait_ms\":"), std::string::npos);
+    EXPECT_NE(run->to_json().find("\"capture_parse_ms\":"), std::string::npos);
     std::ostringstream sealed_printed;
     run->print(sealed_printed);
     EXPECT_NE(sealed_printed.str().find("segment seals busy"), std::string::npos);
+    EXPECT_EQ(sealed_printed.str().find("parse workers busy") != std::string::npos,
+              threads > 1);
   }
   std::filesystem::remove_all(dir);
 }
