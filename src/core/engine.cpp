@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -26,7 +23,7 @@
 #include "trace/interface_filter.h"
 #include "trace/shardable.h"
 #include "trace/spilling_store.h"
-#include "util/thread_pool.h"
+#include "util/ordered_window.h"
 
 namespace wildenergy::core::internal {
 namespace {
@@ -129,7 +126,6 @@ struct Task {
   std::uint64_t chain_bytes = 0;  ///< chain footprint once its stream finished
   util::Status error;             ///< non-OK while the latest attempt has failed
   std::exception_ptr thrown;      ///< what the latest attempt threw, if anything
-  bool done = false;              ///< set under the window mutex by a worker
 };
 
 /// One scenario's run state.
@@ -518,20 +514,16 @@ void Engine::absorb(Task& task) const {
 
 util::Status Engine::run_window() {
   const std::size_t users = user_ids_.size();
-  const std::size_t window =
+  const std::size_t capacity =
       opt_.num_threads <= 1
           ? 1
           : std::clamp<std::size_t>(2 * std::size_t{opt_.num_threads}, 1,
                                     std::max<std::size_t>(users, 1));
-  // Declared before the pool: its destructor finishes every queued job, so
-  // the tasks and the mutex those jobs touch outlive them even when a merge
-  // throws or returns early.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::unique_ptr<Task>> inflight;
-  std::optional<util::ThreadPool> pool;
-  if (window > 1) pool.emplace(std::min<unsigned>(opt_.num_threads, window));
-  threads_ = pool ? pool->size() : 1;
+  // A window of one shard runs it inline, as one thread does.
+  util::OrderedWindow<std::unique_ptr<Task>> window{
+      capacity > 1 ? opt_.num_threads : 1, capacity,
+      [this](std::unique_ptr<Task>& task, unsigned worker) { execute(*task, worker); }};
+  threads_ = std::max(1u, window.workers());
   keep_rows_ =
       threads_ > 1 || retry_then_skip_ || (fault_plan_ != nullptr && !fault_plan_->empty());
 
@@ -546,42 +538,29 @@ util::Status Engine::run_window() {
     }
     return false;
   };
-  const auto in_flight = [&](trace::UserId user) {
-    return std::any_of(inflight.begin(), inflight.end(),
-                       [user](const auto& t) { return t->user == user; });
+  const auto in_flight = [&window](trace::UserId user) {
+    bool found = false;
+    window.visit([&](const std::unique_ptr<Task>& t, bool) { found = found || t->user == user; });
+    return found;
   };
 
   if (util::Status st = close_ready(); !st.ok()) return st;
   for (;;) {
-    while (inflight.size() < window && next_task() && !in_flight(user_ids_[ui])) {
-      inflight.push_back(make_task(si, user_ids_[ui++]));
-      Task* task = inflight.back().get();
-      if (!pool) {
-        execute(*task, 0);
-        task->done = true;
-        continue;
-      }
-      pool->submit([this, task, &mu, &cv](unsigned worker) {
-        execute(*task, worker);
-        {
-          const std::lock_guard<std::mutex> lock{mu};
-          task->done = true;
-        }
-        cv.notify_all();
-      });
+    while (!window.full() && next_task() && !in_flight(user_ids_[ui])) {
+      window.next() = make_task(si, user_ids_[ui++]);
+      window.push();
     }
-    if (inflight.empty()) break;
-    Task& front = *inflight.front();
-    {
-      std::unique_lock<std::mutex> lock{mu};
-      cv.wait(lock, [&front] { return front.done; });
-      std::uint64_t bytes = 0;
-      for (const auto& t : inflight) bytes += t->done ? t->chain_bytes : 0;
-      note_window(bytes);
-    }
-    if (util::Status st = settle(front); !st.ok()) return st;
-    --plans_[front.scenario].pending;
-    inflight.pop_front();
+    if (window.empty()) break;
+    std::unique_ptr<Task>& front = window.front();
+    std::uint64_t bytes = 0;
+    window.visit([&bytes](const std::unique_ptr<Task>& t, bool done) {
+      bytes += done ? t->chain_bytes : 0;
+    });
+    note_window(bytes);
+    if (util::Status st = settle(*front); !st.ok()) return st;
+    --plans_[front->scenario].pending;
+    front.reset();  // the merged chain's memory goes back before the next build
+    window.pop();
     if (util::Status st = close_ready(); !st.ok()) return st;
   }
   return util::Status::ok_status();

@@ -7,16 +7,16 @@
 // interface filter — and merges back into the parents in task order, so every
 // output is bit-identical at any thread count (trace/shardable.h).
 //
-// A bounded, ordered window schedules the tasks. At most
-// W = 2 × threads chains are alive at once, clamped to [1, users per
-// scenario]; the window also never holds two tasks of the same user, so a
-// user's retries settle before its next-scenario chain is built and
-// fault::FaultPlan arming does not depend on thread timing. The calling
-// thread builds chains serially, in task order (policy factories and
-// clone_shard() need not be thread-safe); workers only run
-// TraceSource::emit_user; the calling thread merges the completed prefix, in
-// order: retries, merge_from, the fold round, and the ShardRunStats row.
-// W = 1 (one thread) runs each task inline, no pool.
+// A util::OrderedWindow schedules the tasks. At most W = 2 × threads
+// chains are alive at once, clamped to [1, users per scenario]; the window
+// also never holds two tasks of the same user, so a user's retries settle
+// before its next-scenario chain is built and fault::FaultPlan arming does
+// not depend on thread timing. The calling thread builds chains serially, in
+// task order (policy factories and clone_shard() need not be thread-safe);
+// workers only run TraceSource::emit_user; the calling thread merges the
+// window's front, in order: retries, merge_from, the fold round, and the
+// ShardRunStats row. W = 1 (one thread) runs each task inline and starts no
+// thread.
 //
 // Every merged user folds (DESIGN.md §15): its rows move from the parents'
 // pending state into their aggregates and its detail into the scenario's

@@ -70,7 +70,7 @@ struct RunOptions {
   /// (scenario, user); at most 2 × num_threads shard chains are alive at
   /// once and they merge back in scenario-major, user-id order. 1 (default)
   /// runs every shard inline on the calling thread; N > 1 uses
-  /// min(N, users per scenario) pool workers. Every output is bit-identical
+  /// min(N, users per scenario) workers. Every output is bit-identical
   /// for every value (see trace/shardable.h). With N > 1 the radio factories
   /// must be safe to invoke concurrently.
   unsigned num_threads = 1;

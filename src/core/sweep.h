@@ -7,7 +7,7 @@
 // byte-identical events. The sweep engine captures the base source into a
 // trace::SpillingTraceStore once — all resident, or sealed into WESG segments
 // under SweepOptions::store_dir — then fans N scenarios out as
-// (scenario × user) shards over one worker pool, replaying the cached columns:
+// (scenario × user) shards over one window of workers, replaying the cached columns:
 //
 //   core::SweepEngine sweep{&generator};
 //   sweep.add_scenario({.name = "baseline"});

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <istream>
-#include <mutex>
-#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -18,7 +14,7 @@
 #include "obs/stopwatch.h"
 #include "trace/batch.h"
 #include "trace/validating_sink.h"
-#include "util/thread_pool.h"
+#include "util/ordered_window.h"
 
 namespace wildenergy::trace {
 
@@ -197,9 +193,7 @@ struct Block {
   std::vector<char> text;
   std::vector<ParsedLine> lines;
   std::vector<std::string> errors;  ///< kError messages, without "line N: "
-  std::exception_ptr thrown;        ///< what parsing the block threw
-  double parse_ms = 0.0;            ///< a worker's time parsing the block
-  bool parsed = false;              ///< guarded by the window's mutex
+  double parse_ms = 0.0;            ///< the time parsing the block took
 
   /// The text of line `i`, without its '\n'.
   [[nodiscard]] std::string_view line(std::size_t i) const {
@@ -426,65 +420,30 @@ class LineApplier {
   bool study_ended_ = false;
 };
 
-/// Reads `is` block by block into `batcher`. At `threads` > 1 a pool of that
-/// many workers parses up to 2 × threads blocks ahead while this thread reads
-/// the next blocks and applies the front one once it is parsed; at 1 each
-/// block is parsed and applied here, in turn.
+/// Reads `is` block by block into `batcher`: a window of 2 × threads blocks
+/// parses on `threads` workers while this thread reads the next blocks and
+/// applies the front one (inline, one block at a time, at 1).
 void decode_csv(std::istream& is, EventBatcher& batcher, const ReadOptions& options,
                 unsigned threads, ReadSummary& result) {
   BlockReader reader{is};
   LineApplier applier{batcher, options, result};
-  const std::size_t window = threads <= 1 ? 1 : 2 * std::size_t{threads};
-  // Declared before the pool: its destructor finishes every queued job, so
-  // the blocks a worker parses outlive it when a strict failure stops the
-  // read early or a sink throws.
-  std::vector<Block> blocks(window);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-
-  std::size_t front = 0;
-  std::size_t in_flight = 0;
-  bool more = true;
-  for (;;) {
-    while (more && in_flight < window) {
-      Block& block = blocks[(front + in_flight) % window];
-      more = reader.next(block.text);
-      if (!more) break;
-      ++in_flight;
-      if (!pool) {
-        parse_block(block, options);
-        continue;
-      }
-      pool->submit([&block, &options, &mu, &cv](unsigned) {
-        const obs::Stopwatch watch;
-        try {
-          parse_block(block, options);
-        } catch (...) {
-          block.thrown = std::current_exception();
-        }
-        {
-          const std::lock_guard<std::mutex> lock{mu};
-          block.parse_ms = watch.elapsed_ms();
-          block.parsed = true;
-        }
-        cv.notify_all();
-      });
+  util::OrderedWindow<Block> window{threads, threads <= 1 ? 1 : 2 * std::size_t{threads},
+                                    [&options](Block& block, unsigned) {
+                                      const obs::Stopwatch watch;
+                                      parse_block(block, options);
+                                      block.parse_ms = watch.elapsed_ms();
+                                    }};
+  for (bool more = true;;) {
+    while (more && !window.full()) {
+      more = reader.next(window.next().text);
+      if (more) window.push();
     }
-    if (in_flight == 0) break;
-    Block& block = blocks[front];
-    if (pool) {
-      std::unique_lock<std::mutex> lock{mu};
-      cv.wait(lock, [&block] { return block.parsed; });
-      block.parsed = false;
-      result.parse_ms += block.parse_ms;
-    }
-    if (block.thrown) std::rethrow_exception(std::exchange(block.thrown, nullptr));
+    if (window.empty()) break;
+    Block& block = window.front();
+    if (window.workers() > 0) result.parse_ms += block.parse_ms;
     if (!applier.apply(block)) return;
     if (block.text.capacity() > 2 * kBlockBytes) block = Block{};  // a long line's block
-    front = (front + 1) % window;
-    --in_flight;
+    window.pop();
   }
   applier.finish();
 }

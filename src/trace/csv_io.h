@@ -62,10 +62,11 @@ class CsvTraceWriter final : public TraceSink {
 /// numbers, enums, the kBestEffort joules repair, the line's error), then an
 /// ordered apply on the reading thread (line numbers, the study-end rule,
 /// drops, repairs, quarantine, the ingest counters and every batch handed
-/// to the sink). At `threads` > 1 a pool of that many workers parses up to
-/// 2 × threads blocks ahead of the apply, so the sink sees the same batches
-/// and brackets, and the summary is the same, at every thread count; at 1
-/// both steps run here and no thread starts. ReadSummary::parse_ms is the
+/// to the sink). Blocks parse on a util::OrderedWindow of 2 × threads
+/// blocks: at `threads` > 1 that many workers parse ahead of the apply, so
+/// the sink sees the same batches and brackets, and the summary is the
+/// same, at every thread count; at 1 both steps run here and no thread
+/// starts. ReadSummary::parse_ms is the
 /// workers' busy time. Because whole blocks are read ahead, a strict failure
 /// leaves `is` positioned past the failing line — up to the in-flight window
 /// of blocks past it — not just after it; CsvTraceSource::emit rewinds

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "ckpt/checkpointable.h"
 #include "obs/memory.h"
 #include "trace/record.h"
 #include "trace/shardable.h"
@@ -93,9 +92,7 @@ class TraceMulticast final : public TraceSink {
 /// shard's events onto this collector. Merges arrive in user-id order, which
 /// is exactly the serial stream order, so the collected vectors are
 /// bit-identical at any thread count.
-class TraceCollector final : public TraceSink,
-                             public ShardableSink,
-                             public ckpt::CheckpointableSink {
+class TraceCollector final : public TraceSink, public ShardableSink {
  public:
   void on_study_begin(const StudyMeta& meta) override {
     meta_ = meta;
@@ -106,10 +103,6 @@ class TraceCollector final : public TraceSink,
 
   [[nodiscard]] std::unique_ptr<TraceSink> clone_shard() const override;
   void merge_from(TraceSink& shard) override;
-
-  // CheckpointableSink: the collected event columns, verbatim and in order.
-  void save_state(ckpt::ByteWriter& out) const override;
-  [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
   [[nodiscard]] const StudyMeta& meta() const { return meta_; }
   [[nodiscard]] const std::vector<PacketRecord>& packets() const { return packets_; }

@@ -212,7 +212,7 @@ void SpillingTraceStore::on_batch(const EventBatch& batch) {
   const auto grows = [](const auto& column, const auto& added) {
     return column.size() + added.size() > column.capacity();
   };
-  if (sealer_.joinable() && options_.budget_bytes > 0 &&
+  if (!seals_->empty() && options_.budget_bytes > 0 &&
       (grows(current_.packets, batch.packets) || grows(current_.order, batch.order) ||
        grows(current_.transitions, batch.transitions)) &&
       resident_bytes_ + 2 * column_bytes(current_) > options_.budget_bytes / 2) {
@@ -235,7 +235,7 @@ void SpillingTraceStore::on_user_end(UserId /*user*/) {
   // Budget 0 means fully out-of-core: every completed user spills at once.
   if (!options_.dir.empty() &&
       (options_.budget_bytes == 0 || resident_bytes_ > options_.budget_bytes)) {
-    (void)spill_resident();  // failures latch health_
+    spill_resident();  // failures latch health_
   }
 }
 
@@ -247,7 +247,7 @@ void SpillingTraceStore::maybe_spill_mid_user() {
   if (options_.dir.empty() || options_.budget_bytes == 0 || live <= options_.budget_bytes) {
     return;
   }
-  if (resident_bytes_ > 0) (void)spill_resident();
+  if (resident_bytes_ > 0) spill_resident();
   if (column_bytes(current_) > options_.budget_bytes) {
     // One user alone overflows the budget: seal what we have as a non-final
     // chunk and keep capturing into a fresh column set.
@@ -255,15 +255,15 @@ void SpillingTraceStore::maybe_spill_mid_user() {
     UserState& state = users_[user];
     resident_.push_back({std::move(current_), state.next_seq++, /*final_chunk=*/false});
     resident_bytes_ += column_bytes(resident_.back().events);
-    (void)spill_resident();
+    spill_resident();
     current_ = EventBatch{};
     current_.user = user;
   }
 }
 
-util::Status SpillingTraceStore::spill_resident() {
+void SpillingTraceStore::spill_resident() {
   finish_seal();  // at most one seal in flight
-  if (!health_.ok()) return health_;
+  if (!health_.ok()) return;
   SealJob job;
   for (ResidentChunk& chunk : resident_) {
     if (chunk.dead) continue;
@@ -273,18 +273,17 @@ util::Status SpillingTraceStore::spill_resident() {
   }
   resident_.clear();
   resident_bytes_ = 0;
-  if (job.chunks.empty()) return health_;
+  if (job.chunks.empty()) return;
   job.meta = meta_;
   job.name = segment_name(next_segment_seq_);
   job.segment = std::make_unique<MappedSegment>();
-  if (seal_threads_ <= 1) {
-    run_seal(job);
-    commit_seal(job);
-    return health_;
-  }
-  in_flight_ = std::move(job);
-  sealer_ = std::thread([this] { run_seal(in_flight_); });
-  return health_;
+  seals_->next() = std::move(job);
+  seals_->push();
+  if (seals_->workers() == 0) finish_seal();  // sealed inline: commit it now
+}
+
+void SpillingTraceStore::open_seals(unsigned threads) {
+  seals_.emplace(threads, 1, [this](SealJob& job, unsigned) { run_seal(job); });
 }
 
 void SpillingTraceStore::run_seal(SealJob& job) {
@@ -305,12 +304,17 @@ void SpillingTraceStore::run_seal(SealJob& job) {
 }
 
 void SpillingTraceStore::finish_seal() {
-  if (!sealer_.joinable()) return;
+  if (seals_->empty()) return;
   const obs::Stopwatch waited;
-  sealer_.join();
-  wait_ms_ += waited.elapsed_ms();
-  commit_seal(in_flight_);
-  in_flight_ = SealJob{};
+  SealJob job;
+  try {
+    job = std::move(seals_->front());
+  } catch (const std::exception& e) {
+    job.status = util::Status::internal(std::string{"segment seal failed: "} + e.what());
+  }
+  seals_->pop();
+  if (seals_->workers() > 0) wait_ms_ += waited.elapsed_ms();
+  commit_seal(job);
 }
 
 void SpillingTraceStore::commit_seal(SealJob& job) {
@@ -354,7 +358,7 @@ util::Status SpillingTraceStore::seal() {
     return util::Status::failed_precondition("cannot seal a spilling store mid-user");
   }
   if (options_.dir.empty() || resident_.empty()) return util::Status::ok_status();
-  (void)spill_resident();
+  spill_resident();
   finish_seal();
   return health_;
 }
@@ -482,21 +486,22 @@ util::Status SpillingTraceStore::capture(TraceSource& source, std::size_t batch_
                                          unsigned threads) {
   seal_ms_ = 0.0;
   wait_ms_ = 0.0;
-  seal_threads_ = threads;
+  open_seals(options_.dir.empty() ? 1 : threads);  // a resident store never seals
   // On every way out — an early return or a throwing source — no seal is
   // left in flight and later spills run inline again.
   struct Settle {
     SpillingTraceStore& store;
     ~Settle() {
       store.finish_seal();
-      store.seal_threads_ = 1;
+      store.open_seals(1);
       if (!store.options_.dir.empty()) return_free_heap_pages();
     }
   } settle{*this};
-  return capture_pass(source, batch_size);
+  return capture_pass(source, batch_size, threads);
 }
 
-util::Status SpillingTraceStore::capture_pass(TraceSource& source, std::size_t batch_size) {
+util::Status SpillingTraceStore::capture_pass(TraceSource& source, std::size_t batch_size,
+                                              unsigned threads) {
   if (options_.resume) {
     util::Status recovered = recover();
     if (!recovered.ok()) return recovered;
@@ -529,7 +534,7 @@ util::Status SpillingTraceStore::capture_pass(TraceSource& source, std::size_t b
     }
   } else {
     // Forward-only sources replay in full; sealed users drop at the store.
-    emitted = source.emit(*this, batch_size, seal_threads_);
+    emitted = source.emit(*this, batch_size, threads);
   }
   resuming_capture_ = false;
   if (!emitted.ok()) return emitted;

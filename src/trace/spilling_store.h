@@ -34,19 +34,19 @@
 // Sealing: a spill hands the complete resident chunks to one seal, which
 // encodes them into a SegmentWriter that drains to the tmp file through a
 // bounded buffer, hashing as it goes (nothing segment-sized is built), then
-// renames the file into place and opens and verifies it. capture() at
-// `threads` > 1 runs each seal on a sealer thread while the calling thread
-// keeps appending what the source emits; at 1 the same routine runs inline
-// and no thread starts. At most one seal is in flight: the next spill,
-// seal(), clear(), a recapture of a complete user and the destructor join it
-// first, and so does growing the resident columns past half a nonzero
-// budget, so a source that outruns the sealer holds one seal's chunks and
-// half a budget beside them, not two budgets.
-// The calling thread then commits the seal's results in order — the user
-// chunk refs, segments_, spilled_bytes_, then the manifest rewrite — so
-// split points, segment names and every byte are the same at any thread
-// count, and a seal that failed latches health() with the status it has
-// inline. A seal in flight owns its chunks and frees each once encoded.
+// renames the file into place and opens and verifies it. Seals run on a
+// util::OrderedWindow of one job: during a capture() at `threads` > 1 on
+// its one sealer thread, while the calling thread keeps appending what the
+// source emits; otherwise inline, committed at once. The next spill,
+// seal(), clear(), a recapture of a complete user and the destructor commit
+// the seal in flight first, and so does growing the resident columns past
+// half a nonzero budget, so a source that outruns the sealer holds one
+// seal's chunks and half a budget beside them, not two budgets.
+// Commits run on the calling thread, in order — the user chunk refs,
+// segments_, spilled_bytes_, then the manifest rewrite — so split points,
+// segment names and every byte are the same at any thread count. A seal
+// that failed, or threw, latches health() the same way on either thread.
+// A seal in flight owns its chunks and frees each once encoded.
 //
 // Durability: a manifest (manifest.wesm) lists the sealed segments; both
 // manifest and segments land via tmp-write + rename, so a crash leaves
@@ -60,14 +60,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/batch.h"
 #include "trace/segment.h"
 #include "trace/sink.h"
 #include "trace/trace_source.h"
+#include "util/ordered_window.h"
 #include "util/status.h"
 
 namespace wildenergy::trace {
@@ -92,8 +93,10 @@ struct SpillOptions {
 class SpillingTraceStore final : public TraceSink, public TraceSource {
  public:
   /// Default: no directory, every user resident.
-  explicit SpillingTraceStore(SpillOptions options = {}) : options_(std::move(options)) {}
-  /// Joins and commits a seal still in flight.
+  explicit SpillingTraceStore(SpillOptions options = {}) : options_(std::move(options)) {
+    open_seals(1);
+  }
+  /// Waits for and commits a seal still in flight.
   ~SpillingTraceStore() override;
   SpillingTraceStore(const SpillingTraceStore&) = delete;
   SpillingTraceStore& operator=(const SpillingTraceStore&) = delete;
@@ -113,7 +116,7 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   /// stream is durable and resumable; a store fed as a plain sink
   /// (source.emit(store, …)) keeps its tail resident until seal(). Returns
   /// the source's emit status, or the store's health when capture degraded.
-  /// With `threads` > 1 each seal runs on a sealer thread, overlapping the
+  /// With `threads` > 1 seals run on one sealer thread, overlapping the
   /// source's parsing, and the source gets the count too (a CSV source
   /// parses on that many workers, TraceSource::emit); the files, the store
   /// and the status are the same as at 1, where seals run inline and the
@@ -210,16 +213,19 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   void note_source_meta(const StudyMeta& meta);
   void maybe_spill_mid_user();
   /// Hand the live resident chunks to a seal: inline, or on the sealer
-  /// thread during a capture() at threads > 1. Returns health_ (a seal in
-  /// flight reports at its commit).
-  util::Status spill_resident();
+  /// thread during a capture() at threads > 1. Failures latch health_ (a
+  /// seal in flight's at its commit).
+  void spill_resident();
+  /// A fresh seal window: one sealer thread at `threads` > 1, else inline.
+  void open_seals(unsigned threads);
   void run_seal(SealJob& job);
-  /// Join the seal in flight, if any, and commit it.
+  /// Wait for the seal in flight, if any, and commit it; what it threw
+  /// latches health_ like a failed status.
   void finish_seal();
   void commit_seal(SealJob& job);
   util::Status write_manifest();
-  /// capture()'s work, before the last seal in flight is joined.
-  util::Status capture_pass(TraceSource& source, std::size_t batch_size);
+  /// capture()'s work, before the last seal in flight is committed.
+  util::Status capture_pass(TraceSource& source, std::size_t batch_size, unsigned threads);
   util::Status recover();
   util::Status replay_user_body(const UserState& state, UserId user, TraceSink& sink,
                                 std::size_t batch_size);
@@ -248,12 +254,12 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   std::size_t resumed_users_ = 0;
   util::Status health_;
 
-  unsigned seal_threads_ = 1;  ///< capture()'s threads while it runs
-  SegmentWriter writer_;       ///< the one encoder; its drain buffer is reused
-  SealJob in_flight_;          ///< the sealer thread's job while sealer_ runs
-  std::thread sealer_;
+  SegmentWriter writer_;  ///< the one encoder; its drain buffer is reused
   double seal_ms_ = 0.0;
   double wait_ms_ = 0.0;
+  /// At most one seal in flight, committed in push order. Last: its sealer
+  /// thread uses options_ and writer_.
+  std::optional<util::OrderedWindow<SealJob>> seals_;
 };
 
 }  // namespace wildenergy::trace

@@ -13,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ledger_compare.h"
@@ -181,6 +182,39 @@ TEST(KillRecoverPipeline, ResumeFallsBackPastATornCheckpointLoudly) {
   EXPECT_EQ(stats->resumed_users, 2u);
   expect_identical_ledgers(reference.ledger(), resumed.ledger());
   fs::remove_all(dir);
+}
+
+TEST(KillRecoverPipeline, RefusesANonCheckpointableSinkBeforeAnySnapshot) {
+  // A sink without save/restore would be silently absent from every
+  // snapshot, so a checkpointed run refuses it up front, by name.
+  std::ostringstream csv;
+  trace::CsvTraceWriter writer{csv};
+  trace::TraceCollector collector;
+  for (const auto& [name, sink] : {std::pair<std::string, trace::TraceSink*>{"csv", &writer},
+                                   std::pair<std::string, trace::TraceSink*>{"collector",
+                                                                             &collector}}) {
+    SCOPED_TRACE(name);
+    const fs::path dir = scratch_dir("refusal_" + name);
+    core::PipelineOptions options;
+    options.checkpoint_dir = dir.string();
+    options.checkpoint_every_users = 1;
+    sim::StudyGenerator gen{test_config()};
+    core::StudyPipeline pipeline{&gen, options};
+    pipeline.add_analysis(name, sink);
+    const auto stats = pipeline.run();
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), util::StatusCode::kFailedPrecondition);
+    EXPECT_NE(stats.status().message().find("sink '" + name + "'"), std::string::npos)
+        << stats.status().to_string();
+    EXPECT_TRUE(csv.str().empty());
+    EXPECT_TRUE(collector.packets().empty());
+    std::error_code ec;
+    for (auto it = fs::recursive_directory_iterator{dir, ec};
+         !ec && it != fs::recursive_directory_iterator{}; it.increment(ec)) {
+      EXPECT_NE(it->path().filename().string().rfind("ckpt_", 0), 0u) << it->path();
+    }
+    fs::remove_all(dir);
+  }
 }
 
 TEST(KillRecoverPipeline, IoErrorWriteFailureIsCountedAndTheRunCompletes) {

@@ -3,16 +3,22 @@
 // The hard requirement under test: for ANY num_threads, every output —
 // ledger totals, per-account values, attributor totals, and the Fig. 1-3
 // queries — is bit-identical to the serial run, and repeated run() calls are
-// idempotent. Plus unit coverage for the pieces: util::ThreadPool,
+// idempotent. Plus unit coverage for the pieces: util::OrderedWindow,
 // ScopedMetricsRegistry, EnergyLedger::merge, and the serial-replay fallback
 // for non-shardable sinks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <latch>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ledger_compare.h"
@@ -31,74 +37,131 @@
 #include "sim/study_config.h"
 #include "trace/csv_io.h"
 #include "trace/sink.h"
-#include "util/thread_pool.h"
+#include "util/ordered_window.h"
 
 namespace wildenergy {
 namespace {
 
-// ---------------------------------------------------------------- ThreadPool
+// ------------------------------------------------------------- OrderedWindow
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  util::ThreadPool pool{4};
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<int>> hits(100);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    pool.submit([&hits, i](unsigned) { hits[i].fetch_add(1); });
+TEST(OrderedWindow, ReturnsJobsInPushOrderWhenLaterJobsFinishFirst) {
+  // Job 0 waits until jobs 1..3 have finished, so it finishes last.
+  std::latch later_done{3};
+  std::mutex mu;
+  std::vector<int> finished;
+  util::OrderedWindow<int> window{4, 4, [&](int& job, unsigned) {
+                                    if (job == 0) later_done.wait();
+                                    {
+                                      const std::lock_guard<std::mutex> lock{mu};
+                                      finished.push_back(job);
+                                    }
+                                    if (job != 0) later_done.count_down();
+                                  }};
+  EXPECT_EQ(window.workers(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    window.next() = i;
+    window.push();
   }
-  pool.wait_idle();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, WorkerIdsAreWithinPoolSize) {
-  util::ThreadPool pool{3};
-  std::vector<unsigned> worker_of(64, 999);
-  for (std::size_t i = 0; i < worker_of.size(); ++i) {
-    pool.submit([&worker_of, i](unsigned w) { worker_of[i] = w; });
+  EXPECT_TRUE(window.full());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(window.front(), i);
+    window.pop();
   }
-  pool.wait_idle();
-  for (const unsigned w : worker_of) EXPECT_LT(w, 3u);
+  EXPECT_TRUE(window.empty());
+  EXPECT_EQ(finished.back(), 0);
 }
 
-TEST(ThreadPool, ReusableAcrossBatchesAndZeroIsNoop) {
-  util::ThreadPool pool{2};
-  pool.wait_idle();  // nothing submitted: returns at once
-  std::atomic<int> total{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&](unsigned) { total.fetch_add(1); });
-  pool.wait_idle();
-  for (int i = 0; i < 7; ++i) pool.submit([&](unsigned) { total.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(total.load(), 17);
-}
-
-TEST(ThreadPool, PropagatesFirstExceptionAfterDrainingBatch) {
-  util::ThreadPool pool{2};
-  std::atomic<int> completed{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&, i](unsigned) {
-      if (i == 3) throw std::runtime_error{"shard failed"};
-      completed.fetch_add(1);
-    });
+TEST(OrderedWindow, ThrowingJobRethrowsAtItsOwnTurn) {
+  std::latch thrown{1};
+  util::OrderedWindow<int> window{2, 4, [&](int& job, unsigned) {
+                                    if (job == 1) {
+                                      thrown.count_down();
+                                      throw std::runtime_error{"job 1 failed"};
+                                    }
+                                    if (job == 0) thrown.wait();  // finishes after job 1 threw
+                                  }};
+  for (int i = 0; i < 4; ++i) {
+    window.next() = i;
+    window.push();
   }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(completed.load(), 7);
-  // The pool survives a throwing batch.
-  for (int i = 0; i < 2; ++i) pool.submit([&](unsigned) { completed.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(completed.load(), 9);
+  EXPECT_EQ(window.front(), 0);  // job 1's exception is not job 0's
+  window.pop();
+  EXPECT_THROW(window.front(), std::runtime_error);
+  EXPECT_EQ(window.front(), 1);  // rethrown once; the job stays at the front
+  window.pop();
+  // Destroyed with jobs 2 and 3 in the window: nothing else is thrown.
 }
 
-TEST(ThreadPool, DestructorFinishesQueuedJobs) {
-  std::atomic<int> completed{0};
+TEST(OrderedWindow, OneThreadRunsEveryJobInlineInPush) {
+  for (const unsigned threads : {0u, 1u}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on;
+    util::OrderedWindow<int> window{threads, 3, [&](int& job, unsigned worker) {
+                                      EXPECT_EQ(worker, 0u);
+                                      ran_on.push_back(std::this_thread::get_id());
+                                      if (job == 2) throw std::runtime_error{"inline"};
+                                    }};
+    EXPECT_EQ(window.workers(), 0u);
+    for (int i = 0; i < 3; ++i) {
+      window.next() = i;
+      window.push();
+      EXPECT_EQ(ran_on.size(), static_cast<std::size_t>(i + 1));  // ran inside push()
+    }
+    for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+    EXPECT_EQ(window.front(), 0);
+    window.pop();
+    EXPECT_EQ(window.front(), 1);
+    window.pop();
+    EXPECT_THROW(window.front(), std::runtime_error);  // at its turn, not in push()
+  }
+}
+
+TEST(OrderedWindow, DestructorWaitsForRunningJobs) {
+  std::latch started{2};
+  std::latch release{1};
+  std::atomic<int> finished{0};
+  std::thread releaser;
   {
-    util::ThreadPool pool{1};
-    for (int i = 0; i < 16; ++i) pool.submit([&](unsigned) { completed.fetch_add(1); });
+    util::OrderedWindow<std::vector<int>> window{2, 2, [&](std::vector<int>& job, unsigned) {
+                                                   started.count_down();
+                                                   release.wait();
+                                                   job.assign(1000, 7);  // writes its own slot
+                                                   finished.fetch_add(1);
+                                                 }};
+    for (int i = 0; i < 2; ++i) {
+      window.next().clear();
+      window.push();
+    }
+    started.wait();
+    // Both jobs are running and blocked; the destructor must wait for them
+    // while another thread lets them go. The pause only gives a destructor
+    // that does not wait the time to return before the release.
+    releaser = std::thread{[&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds{20});
+      release.count_down();
+    }};
   }
-  EXPECT_EQ(completed.load(), 16);
+  EXPECT_EQ(finished.load(), 2);
+  releaser.join();
 }
 
-TEST(ThreadPool, SizeClampedToAtLeastOneWorker) {
-  util::ThreadPool pool{0};
-  EXPECT_EQ(pool.size(), 1u);
+TEST(OrderedWindow, WorkerIdsStayBelowTheWorkerCount) {
+  // min(threads, capacity) workers: 3 here, 2 when the window is smaller.
+  for (const auto& [threads, capacity] :
+       {std::pair{3u, std::size_t{6}}, std::pair{8u, std::size_t{2}}}) {
+    util::OrderedWindow<unsigned> window{threads, capacity,
+                                         [](unsigned& job, unsigned worker) { job = worker; }};
+    const unsigned workers = std::min<unsigned>(threads, static_cast<unsigned>(capacity));
+    EXPECT_EQ(window.workers(), workers);
+    for (int i = 0; i < 64; ++i) {
+      while (!window.full()) {
+        window.next() = 999;
+        window.push();
+      }
+      EXPECT_LT(window.front(), workers);
+      window.pop();
+    }
+  }
 }
 
 // ---------------------------------------------------- per-shard metrics cells
