@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "obs/memory.h"
 #include "obs/stopwatch.h"
 
 namespace wildenergy::core {
@@ -37,6 +38,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
   }
   const obs::Stopwatch total;
   double capture_ms = 0.0;
+  std::uint64_t capture_peak_rss = 0;
   if (store_.empty()) {  // simulate once
     if (base_ == nullptr) {
       return util::Status::failed_precondition(
@@ -51,6 +53,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
       return captured;
     }
     capture_ms = total.elapsed_ms();
+    capture_peak_rss = obs::peak_rss_bytes();
   }
 
   // Results are rebuilt per run; their ledgers are the parents the shard
@@ -96,6 +99,7 @@ util::StatusOr<obs::RunStats> SweepEngine::run() {
     run->capture_seal_ms = store_.capture_seal_ms();
     run->capture_wait_ms = store_.capture_wait_ms();
     run->capture_parse_ms = base_->emit_worker_ms();
+    run->capture_peak_rss_bytes = capture_peak_rss;
   }
   return run;
 }

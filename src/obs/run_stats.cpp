@@ -31,6 +31,9 @@ void RunStats::print(std::ostream& os) const {
       os << "; segment seals busy " << fmt(capture_seal_ms, 1) << " ms, waited on "
          << fmt(capture_wait_ms, 1) << " ms";
     }
+    if (capture_peak_rss_bytes > 0) {
+      os << "; peak RSS at its end " << fmt_bytes(static_cast<double>(capture_peak_rss_bytes));
+    }
     os << "\n";
   }
   os << "throughput:    " << fmt_sig(packets_per_sec()) << " packets/s, "
@@ -173,6 +176,7 @@ void RunStats::write_json(JsonWriter& w) const {
   w.kv("capture_seal_ms", capture_seal_ms);
   w.kv("capture_wait_ms", capture_wait_ms);
   w.kv("capture_parse_ms", capture_parse_ms);
+  w.kv("capture_peak_rss_bytes", capture_peak_rss_bytes);
   w.kv("num_threads", num_threads);
   w.kv("users", users);
   w.kv("packets", packets);

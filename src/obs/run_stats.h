@@ -111,6 +111,10 @@ struct RunStats {
   /// busy time, summed over workers (it overlaps capture_ms); 0 when the
   /// capturing thread parsed every line itself.
   double capture_parse_ms = 0.0;
+  /// The process peak resident set (VmHWM) read as the capture ended, so at
+  /// most memory.peak_rss_bytes: whether the capture or the replay set the
+  /// run's peak. 0 when nothing was captured.
+  std::uint64_t capture_peak_rss_bytes = 0;
   unsigned num_threads = 1;  ///< worker threads the run actually used
   std::uint64_t users = 0;
   std::uint64_t packets = 0;      ///< attributed packets (post interface filter)

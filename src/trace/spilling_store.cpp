@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 #include "ckpt/codec.h"
 #include "obs/stopwatch.h"
@@ -60,6 +61,20 @@ void return_free_heap_pages() {
 #if defined(__GLIBC__)
   ::malloc_trim(0);
 #endif
+}
+
+/// The bytes `events`' columns hold: what the budget counts.
+std::uint64_t column_bytes(const EventBatch& events) {
+  return events.packets.size() * sizeof(PacketRecord) +
+         events.transitions.size() * sizeof(StateTransition) +
+         events.order.size() * sizeof(EventKind);
+}
+
+/// The bytes `events`' columns hold allocated, slack included.
+std::uint64_t allocated_bytes(const EventBatch& events) {
+  return events.packets.capacity() * sizeof(PacketRecord) +
+         events.transitions.capacity() * sizeof(StateTransition) +
+         events.order.capacity() * sizeof(EventKind);
 }
 
 /// Write `dir`/`name` via a tmp file and a rename, so a crash leaves the old
@@ -146,12 +161,6 @@ class SpillingTraceStore::BracketStrip final : public TraceSink {
 
 // --- capture ---------------------------------------------------------------
 
-std::uint64_t SpillingTraceStore::column_bytes(const EventBatch& events) {
-  return events.packets.capacity() * sizeof(PacketRecord) +
-         events.transitions.capacity() * sizeof(StateTransition) +
-         events.order.capacity() * sizeof(EventKind);
-}
-
 void SpillingTraceStore::note_source_meta(const StudyMeta& meta) {
   if (!same_meta(meta, meta_)) {
     health_ = util::Status::failed_precondition(
@@ -204,22 +213,17 @@ void SpillingTraceStore::on_user_begin(UserId user) {
 
 void SpillingTraceStore::on_batch(const EventBatch& batch) {
   if (!in_user_) return;
-  // A capture that outruns its sealer (a CSV parsed on workers) would grow
-  // new columns beside the chunks still sealing. With a seal in flight, the
-  // resident columns grow past half the budget only once it is done and its
-  // freed columns make room, so a capture holds one seal's chunks and half a
-  // budget beside them. Joining early moves no split point and no byte.
-  const auto grows = [](const auto& column, const auto& added) {
-    return column.size() + added.size() > column.capacity();
-  };
-  if (!seals_->empty() && options_.budget_bytes > 0 &&
-      (grows(current_.packets, batch.packets) || grows(current_.order, batch.order) ||
-       grows(current_.transitions, batch.transitions)) &&
-      resident_bytes_ + 2 * column_bytes(current_) > options_.budget_bytes / 2) {
-    finish_seal();
+  // Cut before an append would take the queued chunks and the capturing
+  // columns past half the budget, so the capture holds at most half of it
+  // and the one seal in flight the other half. The cut reads sizes only, so
+  // split points are the same at every thread count.
+  const std::uint64_t live = resident_bytes_ + column_bytes(current_);
+  if (!options_.dir.empty() && options_.budget_bytes > 0 && live > 0 &&
+      live + column_bytes(batch) > options_.budget_bytes / 2) {
+    cut_chunk();
   }
   current_.append(batch);
-  maybe_spill_mid_user();
+  max_resident_bytes_ = std::max(max_resident_bytes_, resident_bytes_ + column_bytes(current_));
 }
 
 void SpillingTraceStore::on_user_end(UserId /*user*/) {
@@ -230,35 +234,24 @@ void SpillingTraceStore::on_user_end(UserId /*user*/) {
   state.resident = resident_.size() - 1;
   state.complete = true;
   resident_bytes_ += column_bytes(resident_.back().events);
-  if (resident_bytes_ > max_resident_bytes_) max_resident_bytes_ = resident_bytes_;
-  current_ = EventBatch{};
   // Budget 0 means fully out-of-core: every completed user spills at once.
-  if (!options_.dir.empty() &&
-      (options_.budget_bytes == 0 || resident_bytes_ > options_.budget_bytes)) {
+  if (!options_.dir.empty() && options_.budget_bytes == 0) {
     spill_resident();  // failures latch health_
   }
+  current_ = std::exchange(spare_, EventBatch{});
 }
 
 void SpillingTraceStore::on_study_end() { in_user_ = false; }
 
-void SpillingTraceStore::maybe_spill_mid_user() {
-  const std::uint64_t live = resident_bytes_ + column_bytes(current_);
-  if (live > max_resident_bytes_) max_resident_bytes_ = live;
-  if (options_.dir.empty() || options_.budget_bytes == 0 || live <= options_.budget_bytes) {
-    return;
-  }
-  if (resident_bytes_ > 0) spill_resident();
-  if (column_bytes(current_) > options_.budget_bytes) {
-    // One user alone overflows the budget: seal what we have as a non-final
-    // chunk and keep capturing into a fresh column set.
-    const UserId user = current_.user;
-    UserState& state = users_[user];
-    resident_.push_back({std::move(current_), state.next_seq++, /*final_chunk=*/false});
+void SpillingTraceStore::cut_chunk() {
+  const UserId user = current_.user;
+  if (!current_.empty()) {
+    resident_.push_back({std::move(current_), users_[user].next_seq++, /*final_chunk=*/false});
     resident_bytes_ += column_bytes(resident_.back().events);
-    spill_resident();
-    current_ = EventBatch{};
-    current_.user = user;
   }
+  spill_resident();
+  current_ = std::exchange(spare_, EventBatch{});
+  current_.user = user;
 }
 
 void SpillingTraceStore::spill_resident() {
@@ -292,7 +285,11 @@ void SpillingTraceStore::run_seal(SealJob& job) {
     writer_.begin(job.meta, out);
     for (ResidentChunk& chunk : job.chunks) {
       writer_.add_chunk(chunk.events, chunk.seq, chunk.final_chunk);
-      chunk.events = EventBatch{};  // encoded: its columns are no longer needed
+      // Encoded: keep the roomiest columns for the capture to refill.
+      if (allocated_bytes(chunk.events) > allocated_bytes(job.recycled)) {
+        std::swap(chunk.events, job.recycled);
+      }
+      chunk.events = EventBatch{};
     }
     writer_.finish();
   });
@@ -319,6 +316,8 @@ void SpillingTraceStore::finish_seal() {
 
 void SpillingTraceStore::commit_seal(SealJob& job) {
   seal_ms_ += job.busy_ms;
+  spare_ = std::move(job.recycled);
+  spare_.clear();
   if (!job.status.ok()) {
     health_ = job.status;
     return;
@@ -494,6 +493,8 @@ util::Status SpillingTraceStore::capture(TraceSource& source, std::size_t batch_
     ~Settle() {
       store.finish_seal();
       store.open_seals(1);
+      store.spare_ = EventBatch{};
+      if (!store.in_user_) store.current_ = EventBatch{};
       if (!store.options_.dir.empty()) return_free_heap_pages();
     }
   } settle{*this};
@@ -611,8 +612,8 @@ std::uint64_t SpillingTraceStore::event_count() const {
 obs::MemoryUse SpillingTraceStore::memory_use() const {
   std::uint64_t bytes = sizeof(*this);
   bytes += resident_.capacity() * sizeof(ResidentChunk);
-  for (const ResidentChunk& chunk : resident_) bytes += column_bytes(chunk.events);
-  bytes += column_bytes(current_);
+  for (const ResidentChunk& chunk : resident_) bytes += allocated_bytes(chunk.events);
+  bytes += allocated_bytes(current_) + allocated_bytes(spare_);
   bytes += order_.capacity() * sizeof(UserId);
   for (const auto& [user, state] : users_) {
     bytes += sizeof(UserId) + sizeof(UserState) + 3 * sizeof(void*) + sizeof(int);
@@ -631,6 +632,7 @@ void SpillingTraceStore::clear() {
   segments_.clear();
   resident_.clear();
   current_ = EventBatch{};
+  spare_ = EventBatch{};
   in_user_ = false;
   started_ = false;
   resuming_capture_ = false;

@@ -18,12 +18,14 @@
 // Without a directory (SpillOptions::dir empty) the store is all-resident:
 // nothing spills, budget_bytes is ignored, seal() leaves the tail resident,
 // and the store never touches the filesystem — resume included. With a
-// directory it keeps only a bounded resident tail: as captured columns
-// approach `budget_bytes`, complete chunks are sealed into WESG segment
-// files (trace/segment.h) under `dir` and their RAM is released. A user
-// whose single stream exceeds the budget is split into multiple chunks
-// (seq 0..k, the last marked final), so even one enormous user cannot blow
-// the cap.
+// directory it keeps only a bounded resident tail: before an append would
+// take the captured columns past half of `budget_bytes`, the complete
+// chunks and the capturing user's columns so far (a non-final chunk) are
+// sealed together into one WESG segment file (trace/segment.h) under `dir`
+// and their RAM is released. A user whose single stream exceeds half the
+// budget is thus split into multiple chunks (seq 0..k, the last marked
+// final), so even one enormous user cannot blow the cap. Budget 0 seals
+// each user whole as their bracket closes.
 //
 // Replay contract: for any user and any batch size, the emitted event
 // sequence is the captured stream — resident or sealed, downstream outputs
@@ -39,14 +41,18 @@
 // its one sealer thread, while the calling thread keeps appending what the
 // source emits; otherwise inline, committed at once. The next spill,
 // seal(), clear(), a recapture of a complete user and the destructor commit
-// the seal in flight first, and so does growing the resident columns past
-// half a nonzero budget, so a source that outruns the sealer holds one
-// seal's chunks and half a budget beside them, not two budgets.
+// the seal in flight first. So the capturing columns (at most half the
+// budget) and the one seal in flight (at most the other half) hold at most
+// `budget_bytes` together, plus one batch, at every thread count. A
+// committed seal hands its roomiest encoded columns back as the next
+// capturing column set, so chunks do not regrow from empty; capture()
+// releases both column sets when it returns.
 // Commits run on the calling thread, in order — the user chunk refs,
 // segments_, spilled_bytes_, then the manifest rewrite — so split points,
 // segment names and every byte are the same at any thread count. A seal
 // that failed, or threw, latches health() the same way on either thread.
-// A seal in flight owns its chunks and frees each once encoded.
+// A seal in flight owns its chunks and frees each once encoded, all but
+// the roomiest, which it keeps to hand back.
 //
 // Durability: a manifest (manifest.wesm) lists the sealed segments; both
 // manifest and segments land via tmp-write + rename, so a crash leaves
@@ -83,8 +89,11 @@ struct SpillOptions {
   /// Directory for segment files + manifest; created if missing. Empty keeps
   /// every captured user resident and never touches the filesystem.
   std::string dir{};
-  /// Resident column budget. 0 = fully out-of-core: every user spills as
-  /// soon as their bracket closes. Ignored without a directory.
+  /// Resident column budget: the capturing columns stay within half of it
+  /// (plus one batch) and the one seal in flight holds the rest. 0 = fully
+  /// out-of-core: every user spills as soon as their bracket closes, so one
+  /// user's columns being sealed sit beside one user's being captured — the
+  /// bound is then the largest user, twice. Ignored without a directory.
   std::uint64_t budget_bytes = 0;
   /// Reuse sealed segments already in `dir` instead of regenerating them.
   bool resume = false;
@@ -140,11 +149,11 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   [[nodiscard]] std::size_t num_users() const { return order_.size(); }
   /// Total captured events (packets + transitions) across all users.
   [[nodiscard]] std::uint64_t event_count() const;
-  /// Resident half counts column/current capacity (allocation slack is real
-  /// memory), user index, segment indices. Mapped segment pages are not
-  /// counted: each segment releases them after open and after every chunk
-  /// replay (trace/segment.h), so only chunks in flight hold any. Spilled
-  /// half is the sealed segment bytes on disk.
+  /// Resident half counts the capacity of every column set held (allocation
+  /// slack is real memory), user index, segment indices. Mapped segment
+  /// pages are not counted: each segment releases them after open and after
+  /// every chunk replay (trace/segment.h), so only chunks in flight hold
+  /// any. Spilled half is the sealed segment bytes on disk.
   [[nodiscard]] obs::MemoryUse memory_use() const override;
   void clear();
 
@@ -160,8 +169,9 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   [[nodiscard]] util::Status health() const { return health_; }
 
   // -- spill/resume accounting ----------------------------------------------
-  /// High-water mark of resident column bytes during capture — what the
-  /// budget actually bounded.
+  /// High-water mark of the captured column bytes (sizes) queued or being
+  /// captured — what the budget bounds: at most budget / 2 plus one batch
+  /// with a directory and a nonzero budget, the largest user at budget 0.
   [[nodiscard]] std::uint64_t max_resident_bytes() const { return max_resident_bytes_; }
   /// Users recovered from sealed segments by the last resuming capture().
   [[nodiscard]] std::size_t resumed_users() const { return resumed_users_; }
@@ -205,13 +215,16 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
     std::vector<UserId> users;  ///< chunks[k]'s user
     std::string name;
     std::unique_ptr<MappedSegment> segment;
+    EventBatch recycled;  ///< the roomiest encoded columns, handed back at commit
     util::Status status;
     double busy_ms = 0.0;
   };
 
-  [[nodiscard]] static std::uint64_t column_bytes(const EventBatch& events);
   void note_source_meta(const StudyMeta& meta);
-  void maybe_spill_mid_user();
+  /// Queue the capturing user's columns as a non-final chunk (unless empty),
+  /// spill every queued chunk in one seal and capture on into the spare
+  /// columns.
+  void cut_chunk();
   /// Hand the live resident chunks to a seal: inline, or on the sealer
   /// thread during a capture() at threads > 1. Failures latch health_ (a
   /// seal in flight's at its commit).
@@ -242,12 +255,13 @@ class SpillingTraceStore final : public TraceSink, public TraceSource {
   std::vector<std::unique_ptr<MappedSegment>> segments_;
   std::vector<ResidentChunk> resident_;  ///< sealed at the next spill
   EventBatch current_;                   ///< capture target inside a user bracket
+  EventBatch spare_;  ///< the last committed seal's columns, for the next capture target
   bool in_user_ = false;
   bool started_ = false;
   /// Study begin must extend, not clear; sealed users are skipped.
   bool resuming_capture_ = false;
   bool recovered_ = false;
-  std::uint64_t resident_bytes_ = 0;  ///< complete-chunk column bytes queued
+  std::uint64_t resident_bytes_ = 0;  ///< column bytes (sizes) queued in resident_
   std::uint64_t max_resident_bytes_ = 0;
   std::uint64_t spilled_bytes_ = 0;
   std::uint64_t next_segment_seq_ = 1;

@@ -12,6 +12,9 @@
 //     for a fixed small study, and over the files a CSV capture seals at
 //     every sealer thread count and budget, with the store's segment count,
 //     resident high-water mark and replay digest.
+//   - SpillingStore.ColumnsStayUnderHalfTheBudgetAtEveryThreadCount: a CSV
+//     and a generator capture keep their columns within half the store
+//     budget plus one batch, and seal the same files at every thread count.
 //   - SpillingStore.InFlightSealFailureLatchesHealth: a seal that fails on
 //     the sealer thread surfaces as the same capture status it has inline,
 //     and the store leaves no thread behind.
@@ -403,9 +406,9 @@ TEST(SegmentBytes, SealerThreadWritesTheSameFiles) {
     const char* files_fnv;
   };
   const Expect expects[] = {
-      {0, 4, 1585664, "9ee701835db4a4c3"},
-      {64 * 1024, 57, 113191, "26574ccea0f3c992"},
-      {8 * 1024 * 1024, 1, 6214736, "2fc8a162c5369313"},
+      {0, 4, 1101222, "9ee701835db4a4c3"},
+      {64 * 1024, 162, 27886, "8e3b2542c3a27ae0"},
+      {8 * 1024 * 1024, 1, 4007443, "2fc8a162c5369313"},
   };
   const fs::path dir = fs::temp_directory_path() / "wildenergy_capture_pin_sealer";
   for (const Expect& e : expects) {
@@ -427,6 +430,66 @@ TEST(SegmentBytes, SealerThreadWritesTheSameFiles) {
       }
       EXPECT_EQ(hex(replay), "1bbeec6117c28e88");
       EXPECT_EQ(hex(ckpt::fnv1a(directory_bytes(dir))), e.files_fnv);
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// A capture's columns stay within half the store budget plus one batch, so
+// they and the one seal in flight hold at most the budget; and the cut reads
+// sizes only, so every thread count seals the same files — for a CSV source
+// (parsed on workers at threads > 1) and for the generator.
+TEST(SpillingStore, ColumnsStayUnderHalfTheBudgetAtEveryThreadCount) {
+  const std::string csv = study_csv(/*users=*/4, /*days=*/6, /*seed=*/23);
+  sim::StudyConfig config = sim::small_study(/*seed=*/31);
+  config.num_users = 3;
+  config.num_days = 8;
+  constexpr std::size_t kBatch = 512;
+  const std::uint64_t batch_bytes =
+      kBatch * (std::max(sizeof(trace::PacketRecord), sizeof(trace::StateTransition)) +
+                sizeof(trace::EventKind));
+  struct Result {
+    std::size_t segments = 0;
+    std::uint64_t max_resident = 0;
+    std::string replay;
+    std::string files_fnv;
+  };
+  const fs::path dir = fs::temp_directory_path() / "wildenergy_capture_pin_half_budget";
+  for (const bool from_csv : {true, false}) {
+    for (const std::uint64_t budget : {std::uint64_t{64} << 10, std::uint64_t{1} << 20,
+                                       std::uint64_t{8} << 20}) {
+      std::vector<Result> results;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::string{from_csv ? "csv" : "generator"} + ", budget " +
+                     std::to_string(budget) + ", threads " + std::to_string(threads));
+        fs::remove_all(dir);
+        Result got;
+        {
+          std::istringstream in{csv};
+          trace::CsvTraceSource csv_source{in};
+          sim::StudyGenerator generator{config};
+          trace::TraceSource& source =
+              from_csv ? static_cast<trace::TraceSource&>(csv_source) : generator;
+          trace::SpillingTraceStore store{{.dir = dir.string(), .budget_bytes = budget}};
+          const util::Status captured = store.capture(source, kBatch, threads);
+          ASSERT_TRUE(captured.ok()) << captured.to_string();
+          got.segments = store.num_segments();
+          got.max_resident = store.max_resident_bytes();
+          EXPECT_GT(got.max_resident, 0u);
+          EXPECT_LE(got.max_resident, budget / 2 + batch_bytes);
+          DigestSink digest;
+          ASSERT_TRUE(store.emit(digest, /*batch_size=*/256).ok());
+          got.replay = hex(digest.digest());
+        }
+        got.files_fnv = hex(ckpt::fnv1a(directory_bytes(dir)));
+        if (!results.empty()) {
+          EXPECT_EQ(got.segments, results.front().segments);
+          EXPECT_EQ(got.max_resident, results.front().max_resident);
+          EXPECT_EQ(got.replay, results.front().replay);
+          EXPECT_EQ(got.files_fnv, results.front().files_fnv);
+        }
+        results.push_back(got);
+      }
     }
   }
   fs::remove_all(dir);

@@ -615,16 +615,22 @@ TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
   EXPECT_GE(first->capture_wait_ms, 0.0);
   EXPECT_LE(first->capture_wait_ms, first->capture_ms);
   EXPECT_GT(first->capture_parse_ms, 0.0);  // two parse workers
+  // The peak as the capture ended: part of the run's, which the replay may raise.
+  EXPECT_GT(first->capture_peak_rss_bytes, 0u);
+  EXPECT_LE(first->capture_peak_rss_bytes, first->memory.peak_rss_bytes);
   EXPECT_NE(first->to_json().find("\"capture_ms\":"), std::string::npos);
+  EXPECT_NE(first->to_json().find("\"capture_peak_rss_bytes\":"), std::string::npos);
   EXPECT_NE(first->to_json().find("\"capture_parse_ms\":"), std::string::npos);
   std::ostringstream printed;
   first->print(printed);
   EXPECT_NE(printed.str().find("capture:"), std::string::npos);
   EXPECT_NE(printed.str().find("parse workers busy"), std::string::npos);
+  EXPECT_NE(printed.str().find("peak RSS at its end"), std::string::npos);
 
   const auto second = sweep.run();
   ASSERT_TRUE(second.ok()) << second.status().to_string();
   EXPECT_EQ(second->capture_ms, 0.0);
+  EXPECT_EQ(second->capture_peak_rss_bytes, 0u);
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "wildenergy_sweep_capture_timed";
@@ -648,6 +654,8 @@ TEST(SweepEngine, CaptureIsTimedInsideTheWallTime) {
     EXPECT_GT(run->capture_seal_ms, 0.0);
     EXPECT_GE(run->capture_wait_ms, 0.0);
     EXPECT_LE(run->capture_wait_ms, run->capture_ms);
+    EXPECT_GT(run->capture_peak_rss_bytes, 0u);
+    EXPECT_LE(run->capture_peak_rss_bytes, run->memory.peak_rss_bytes);
     if (threads == 1) {
       EXPECT_EQ(run->capture_wait_ms, 0.0);   // inline seals never wait
       EXPECT_EQ(run->capture_parse_ms, 0.0);  // and lines parse inline
