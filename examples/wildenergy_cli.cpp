@@ -29,11 +29,13 @@
 //       harness for the observability flags below (DESIGN.md §11).
 //
 //   example_wildenergy_cli sweep [--days N] [--users N] [--seed S]
+//                                [--replay FILE [--read-policy POLICY]]
 //                                [--threads N] [--progress]
-//       Simulate once, replay a fixed what-if scenario set (baseline,
-//       kill-after-idle 1/3/7 days, doze) over the cached trace and print
-//       one row per scenario. --progress reports completed (scenario x user)
-//       shards to stderr as the sweep runs.
+//       Simulate once — or with --replay read the CSV trace FILE once — and
+//       replay a fixed what-if scenario set (baseline, kill-after-idle
+//       1/3/7 days, doze) over the cached trace, printing one row per
+//       scenario. --progress reports completed (scenario x user) shards to
+//       stderr as the sweep runs.
 //
 // Observability (generate/analyze/report/figures/run/sweep): --stats prints
 // the per-stage wall-time + throughput breakdown after the run (under
@@ -451,7 +453,17 @@ void print_quarantine(const std::vector<trace::QuarantinedRecord>& quarantine) {
   }
 }
 
-/// The CSV input of `analyze`: stdin, or --replay FILE, damaged first when
+/// What a CSV read quarantined and, when degraded, dropped — to stderr.
+void print_read_summary(const trace::CsvTraceSource& csv) {
+  const trace::ReadSummary& summary = csv.summary();
+  print_quarantine(summary.quarantine);
+  if (!summary.degraded()) return;
+  std::cerr << "degraded read: " << summary.records_dropped << " record(s) dropped, "
+            << summary.records_repaired << " repaired"
+            << (summary.truncated ? ", stream truncated before the E record" : "") << "\n";
+}
+
+/// The CSV input of `analyze` and `sweep`: stdin, or --replay FILE, damaged first when
 /// --corrupt asks. Returns nullptr (after complaining) when it cannot.
 std::istream* open_csv_input(const CliOptions& options, std::ifstream& file,
                              std::istringstream& corrupted) {
@@ -521,17 +533,13 @@ int cmd_analyze(const CliOptions& options) {
   analysis::PersistenceAnalysis persistence;
   pipeline.add_analysis("persistence", &persistence);
   const auto stats = run_guarded(pipeline);
-  if (csv) print_quarantine(csv->summary().quarantine);
+  if (csv) print_read_summary(*csv);
   if (!stats) return 1;
   print_checkpoint_notes(options, *stats);
   if (store) {
     std::cerr << "replayed " << store->num_users() << " sealed user(s), "
               << store->num_segments() << " segment(s), "
               << fmt(static_cast<double>(store->spilled_bytes()) / 1e6, 1) << " MB\n";
-  } else if (const trace::ReadSummary& summary = csv->summary(); summary.degraded()) {
-    std::cerr << "degraded read: " << summary.records_dropped << " record(s) dropped, "
-              << summary.records_repaired << " repaired"
-              << (summary.truncated ? ", stream truncated before the E record" : "") << "\n";
   }
 
   // App names are unknown for external traces; use the default catalog's
@@ -643,10 +651,27 @@ int cmd_run(const CliOptions& options) {
   return finish_observability(options, *stats, spans, std::cout) ? 0 : 1;
 }
 
-/// Simulate once, replay the fixed what-if scenario set over the cached
-/// trace (core/sweep.h). One row per scenario; --progress streams completed
-/// (scenario x user) shard counts to stderr while the sweep runs.
+/// Simulate once — or read the --replay CSV once — and replay the fixed
+/// what-if scenario set over the cached trace (core/sweep.h). One row per
+/// scenario; --progress streams completed (scenario x user) shard counts to
+/// stderr while the sweep runs.
 int cmd_sweep(const CliOptions& options) {
+  std::optional<sim::StudyGenerator> generator;
+  std::ifstream file;
+  std::istringstream corrupted;
+  std::optional<trace::CsvTraceSource> csv;
+  if (options.replay.empty()) {
+    generator.emplace(options.study);
+  } else {
+    std::istream* input = open_csv_input(options, file, corrupted);
+    if (input == nullptr) return 1;
+    trace::ReadOptions read_options;
+    read_options.policy = options.read_policy;
+    csv.emplace(*input, read_options);
+  }
+  trace::TraceSource& source =
+      csv ? static_cast<trace::TraceSource&>(*csv) : static_cast<trace::TraceSource&>(*generator);
+
   obs::TraceWriter spans;
   fault::FaultPlan plan;
   core::SweepOptions sweep_options{run_options(options, spans, plan)};
@@ -660,8 +685,7 @@ int cmd_sweep(const CliOptions& options) {
     };
   }
 
-  sim::StudyGenerator generator{options.study};
-  core::SweepEngine sweep{&generator, sweep_options};
+  core::SweepEngine sweep{&source, sweep_options};
   sweep.add_scenario({.name = "baseline"});
   for (const double idle_days : {1.0, 3.0, 7.0}) {
     core::Scenario scenario;
@@ -682,6 +706,7 @@ int cmd_sweep(const CliOptions& options) {
     std::cerr << "sweep failed: " << e.what() << "\n";
     return 1;
   }
+  if (csv) print_read_summary(*csv);
   if (!stats.ok()) {
     std::cerr << "sweep failed: " << stats.status().to_string() << "\n";
     return 1;
@@ -729,7 +754,8 @@ int main(int argc, char** argv) {
               << "       --trace-out FILE (Perfetto spans; under sweep one per scenario x "
                  "user shard)\n"
               << "sweep only: --progress (per-shard progress on stderr)\n"
-              << "analyze: --replay FILE (read FILE instead of stdin)\n"
+              << "analyze: --replay FILE (read FILE instead of stdin; under sweep, the "
+                 "CSV trace to sweep instead of a simulated study)\n"
               << "         --read-policy strict|skip-and-count|best-effort\n"
               << "         --corrupt bit-flip|truncate|duplicate-span|swap-spans|bad-enum|"
                  "bad-timestamp --corrupt-seed N\n"

@@ -7,9 +7,11 @@
 // progress), and named per-sink sections holding each CheckpointableSink's
 // serialized state.
 //
-// On disk a snapshot is "WECK" magic, a version byte (2: every sink section
-// holds folded aggregates plus pending per-user rows, with no mode byte;
-// version 1 snapshots are refused), the payload
+// On disk a snapshot is "WECK" magic, a version byte (3: one snapshot covers
+// every scenario of a run — each scenario's sections plus one completed-user
+// list — and every sink section holds folded aggregates plus pending per-user
+// rows; version 2's scenario-major sweep snapshots and version 1's mode-byte
+// sections are refused), the payload
 // (ckpt/codec.h primitives), and a u64 FNV-1a checksum trailer over every
 // byte before it; the checksum is verified before any field is trusted. Files are named ckpt_<seq> with monotonically increasing sequence
 // numbers, written to a temp name and renamed into place so a crash mid-write
@@ -34,7 +36,7 @@
 namespace wildenergy::ckpt {
 
 inline constexpr char kCheckpointMagic[4] = {'W', 'E', 'C', 'K'};
-inline constexpr std::uint8_t kCheckpointVersion = 2;
+inline constexpr std::uint8_t kCheckpointVersion = 3;
 
 struct Snapshot {
   trace::StudyMeta meta;

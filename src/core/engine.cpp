@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,18 +114,100 @@ class CollectSpliceSink final : public trace::TraceSink, public trace::Shardable
   trace::EventBatch events_;
 };
 
-/// One (scenario, user) task and its scheduling record.
-struct Task {
+/// One scenario's chain inside a user task, and its settle record.
+struct Lane {
   std::size_t scenario = 0;
-  trace::UserId user = 0;
   std::unique_ptr<ShardChain> chain;
   unsigned attempts = 0;
-  unsigned worker = 0;
+  /// Time this lane cost: its chain's callbacks, plus — for a task's first
+  /// lane — the shared decode, plus every retry's whole replay.
   double wall_ms = 0.0;
-  std::int64_t span_start_us = 0;
+  std::int64_t span_start_us = 0;  ///< its latest replay, for the shard span
+  double span_ms = 0.0;
   std::uint64_t chain_bytes = 0;  ///< chain footprint once its stream finished
   util::Status error;             ///< non-OK while the latest attempt has failed
   std::exception_ptr thrown;      ///< what the latest attempt threw, if anything
+};
+
+/// One user's task: one lane per scenario, fed by one replay of the user.
+struct Task {
+  trace::UserId user = 0;
+  unsigned worker = 0;
+  std::vector<Lane> lanes;  ///< scenario order
+};
+
+/// One replay of a user through some of its task's lanes: hands each
+/// callback to every lane's chain, in scenario order, each under its own
+/// metrics registry and stopwatch. A chain that throws keeps what it threw
+/// and is fed nothing more; the other chains run on. finish() closes the
+/// replay: every lane records its span and footprint, and the wall no chain
+/// spent — the decode — is charged to the first lane.
+class LaneFanout final : public trace::TraceSink {
+ public:
+  LaneFanout(std::span<Lane> lanes, obs::TraceWriter* writer)
+      : lanes_(lanes), start_us_(writer != nullptr ? writer->now_us() : 0) {
+    for (Lane& lane : lanes_) {
+      ++lane.attempts;
+      chains_before_ms_ += lane.wall_ms;
+    }
+  }
+
+  void on_study_begin(const trace::StudyMeta& meta) override {
+    each([&meta](trace::TraceSink& s) { s.on_study_begin(meta); });
+  }
+  void on_user_begin(trace::UserId user) override {
+    each([user](trace::TraceSink& s) { s.on_user_begin(user); });
+  }
+  void on_batch(const trace::EventBatch& batch) override {
+    each([&batch](trace::TraceSink& s) { s.on_batch(batch); });
+  }
+  void on_user_end(trace::UserId user) override {
+    each([user](trace::TraceSink& s) { s.on_user_end(user); });
+  }
+  void on_study_end() override {
+    each([](trace::TraceSink& s) { s.on_study_end(); });
+  }
+
+  void finish() {
+    const double wall_ms = ms_since(start_ns_);
+    double chains_ms = -chains_before_ms_;
+    for (Lane& lane : lanes_) {
+      chains_ms += lane.wall_ms;
+      lane.span_start_us = start_us_;
+      lane.span_ms = wall_ms;
+      if (!lane.thrown) lane.chain_bytes = lane.chain->resident_bytes();
+    }
+    if (!lanes_.empty()) lanes_.front().wall_ms += std::max(0.0, wall_ms - chains_ms);
+  }
+
+ private:
+  template <typename Call>
+  void each(const Call& call) {
+    for (Lane& lane : lanes_) {
+      if (lane.thrown) continue;
+      // Chain-local metrics: the radio model built in on_user_begin resolves
+      // its counters from current(), i.e. this chain's registry.
+      const obs::ScopedMetricsRegistry scoped{&lane.chain->registry};
+      const std::int64_t start_ns = obs::PhaseStack::steady_now_ns();
+      try {
+        call(*lane.chain->entry);
+      } catch (...) {
+        lane.thrown = std::current_exception();
+      }
+      lane.wall_ms += ms_since(start_ns);
+    }
+  }
+
+  // Nanosecond reads: a callback can take less than the microsecond an
+  // obs::Stopwatch resolves.
+  static double ms_since(std::int64_t start_ns) {
+    return static_cast<double>(obs::PhaseStack::steady_now_ns() - start_ns) / 1e6;
+  }
+
+  std::span<Lane> lanes_;
+  const std::int64_t start_us_;
+  double chains_before_ms_ = 0.0;  ///< the lanes' wall before this replay
+  const std::int64_t start_ns_ = obs::PhaseStack::steady_now_ns();
 };
 
 /// One scenario's run state.
@@ -134,19 +216,32 @@ struct Plan {
   std::vector<std::unique_ptr<CollectSpliceSink>> adapters;
   std::vector<trace::ShardableSink*> shardable;  ///< parallel to sc->sinks
   std::vector<trace::TraceSink*> parents;        ///< each sink, or its adapter
-  std::vector<trace::UserId> done;       ///< sorted users a checkpoint covers
-  std::vector<trace::UserId> completed;  ///< merged users, stream order (checkpointing only)
   std::vector<trace::UserId> unfolded;   ///< merged users whose fold waits for close
-  std::size_t pending = 0;               ///< tasks not yet merged
-  std::size_t since_checkpoint = 0;      ///< tasks merged since the last snapshot
   std::uint64_t dropped_packets = 0;
   std::uint64_t dropped_bytes = 0;
   std::array<std::uint64_t, kRadioCounters.size()> radio{};
   std::vector<obs::StageStats> stages;  ///< per-chain profiles, folded in merge order
-  double source_ms = 0.0;               ///< per-chain wall the stages did not account for
+  double source_ms = 0.0;               ///< per-lane wall the stages did not account for
 };
 
 std::string prefix(std::size_t scenario) { return "s" + std::to_string(scenario) + "."; }
+
+/// Fold `from` into `into` by stage name. A stage `into` lacks (a policy)
+/// goes in after the stage `from` lists before it, so display order holds.
+void merge_stages(std::vector<obs::StageStats>& into, const std::vector<obs::StageStats>& from) {
+  auto at = into.begin();
+  for (const obs::StageStats& stage : from) {
+    const auto it = std::find_if(into.begin(), into.end(), [&stage](const obs::StageStats& s) {
+      return s.name == stage.name;
+    });
+    if (it == into.end()) {
+      at = into.insert(at, stage) + 1;
+    } else {
+      it->merge_from(stage);
+      at = it + 1;
+    }
+  }
+}
 
 void add_to_aggregate(obs::RunStats& aggregate, const obs::RunStats& s) {
   aggregate.packets += s.packets;
@@ -164,6 +259,9 @@ void add_to_aggregate(obs::RunStats& aggregate, const obs::RunStats& s) {
   aggregate.memory.ledger += s.memory.ledger;
   aggregate.memory.analyses += s.memory.analyses;
   aggregate.memory.accounts += s.memory.accounts;
+  aggregate.timed = s.timed;
+  merge_stages(aggregate.stages, s.stages);
+  aggregate.shards.insert(aggregate.shards.end(), s.shards.begin(), s.shards.end());
 }
 
 class Engine {
@@ -187,25 +285,26 @@ class Engine {
   // -- stream hooks, for the forward-only splitter --------------------------
   util::Status open(const trace::StudyMeta& meta);
   [[nodiscard]] bool covered(trace::UserId user) const {
-    return std::binary_search(plans_[0].done.begin(), plans_[0].done.end(), user);
+    return std::binary_search(done_.begin(), done_.end(), user);
   }
-  std::unique_ptr<Task> make_task(std::size_t scenario, trace::UserId user);
+  std::unique_ptr<Task> make_task(trace::UserId user);
   util::Status settle(Task& task);
   void note_window(std::uint64_t bytes) { window_bytes_ = std::max(window_bytes_, bytes); }
   [[nodiscard]] const trace::StudyMeta& meta() const { return meta_; }
-  [[nodiscard]] obs::TraceWriter* writer() const { return opt_.trace_writer; }
 
  private:
   util::Status prepare();
   util::Status restore(const ckpt::Snapshot& snap);
   util::Status run_window();
-  void execute(Task& task, unsigned worker) const;
-  void absorb(Task& task) const;
-  void merge(Plan& plan, Task& task, obs::ShardRunStats& row);
+  std::unique_ptr<ShardChain> make_chain(std::size_t scenario, trace::UserId user);
+  /// One replay of `user` through every lane of `lanes`.
+  void replay(trace::UserId user, std::span<Lane> lanes) const;
+  void absorb(Lane& lane) const;
+  util::Status settle_lane(Task& task, std::size_t index);
+  void merge(Plan& plan, trace::UserId user, Lane& lane, obs::ShardRunStats& row);
   /// One fold round: `user`'s rows leave every parent for the spill.
   void fold(Plan& plan, trace::UserId user);
-  util::Status close_ready();
-  util::Status close(std::size_t scenario);
+  util::Status close();
   void write_snapshot();
   [[nodiscard]] std::size_t num_users() const {
     return random_access_ ? user_ids_.size() : meta_.num_users;
@@ -224,28 +323,28 @@ class Engine {
   const bool retry_then_skip_;
   const bool timed_;
   fault::FaultPlan* const fault_plan_;
-  bool keep_rows_ = false;  ///< record a ShardRunStats row per task
+  bool keep_rows_ = false;  ///< record a ShardRunStats row per lane
   unsigned threads_ = 1;    ///< worker threads actually used
   std::vector<Plan> plans_;
   trace::StudyMeta meta_;
   std::vector<trace::UserId> user_ids_;  ///< random-access sources only
   std::unique_ptr<ckpt::CheckpointWriter> writer_;
   std::optional<ckpt::Snapshot> resumed_;
-  std::size_t resumed_done_ = 0;  ///< scenarios the loaded snapshot had finished
-  std::size_t restored_ = 0;      ///< scenarios the loaded snapshot held state for
-  std::size_t closed_ = 0;        ///< scenarios closed so far, in order
-  std::size_t total_tasks_ = 0;
-  std::size_t merged_tasks_ = 0;
+  std::vector<trace::UserId> done_;       ///< sorted users a checkpoint covers
+  std::vector<trace::UserId> completed_;  ///< users merged in some scenario, stream order
+  std::size_t since_checkpoint_ = 0;      ///< user tasks settled since the last snapshot
+  std::size_t total_lanes_ = 0;
+  std::size_t merged_lanes_ = 0;
   std::uint64_t window_bytes_ = 0;  ///< high-water of finished, unmerged chains
   obs::RunStats run_;               ///< run-level resume accounting
 };
 
-/// The forward-only path: opens a chain at each user bracket on the reading
-/// thread, forwards the bracket's events into it, and settles it when the
-/// bracket closes — the same merge path as the window, at W = 1.
+/// The forward-only path: opens a user task at each user bracket on the
+/// reading thread, fans the bracket's events out to its lanes, and settles
+/// it when the bracket closes — the same merge path as the window, at W = 1.
 class UserSplitter final : public trace::TraceSink {
  public:
-  explicit UserSplitter(Engine& engine) : engine_(engine) {}
+  UserSplitter(Engine& engine, obs::TraceWriter* writer) : engine_(engine), writer_(writer) {}
 
   [[nodiscard]] const util::Status& status() const { return status_; }
   [[nodiscard]] bool opened() const { return opened_; }
@@ -256,25 +355,23 @@ class UserSplitter final : public trace::TraceSink {
   }
   void on_user_begin(trace::UserId user) override {
     if (!status_.ok() || engine_.covered(user)) return;  // a checkpoint covers the user
-    task_ = engine_.make_task(0, user);
-    scope_.emplace(&task_->chain->registry);
-    task_->attempts = 1;
-    task_->span_start_us = engine_.writer() != nullptr ? engine_.writer()->now_us() : 0;
-    watch_.restart();
-    task_->chain->entry->on_study_begin(engine_.meta());
-    task_->chain->entry->on_user_begin(user);
+    task_ = engine_.make_task(user);
+    fanout_.emplace(task_->lanes, writer_);
+    fanout_->on_study_begin(engine_.meta());
+    fanout_->on_user_begin(user);
   }
   void on_batch(const trace::EventBatch& batch) override {
-    if (task_) task_->chain->entry->on_batch(batch);
+    if (task_) fanout_->on_batch(batch);
   }
   void on_user_end(trace::UserId user) override {
     if (!task_) return;
-    task_->chain->entry->on_user_end(user);
-    task_->chain->entry->on_study_end();
-    scope_.reset();
-    task_->wall_ms = watch_.elapsed_ms();
-    task_->chain_bytes = task_->chain->resident_bytes();
-    engine_.note_window(task_->chain_bytes);
+    fanout_->on_user_end(user);
+    fanout_->on_study_end();
+    fanout_->finish();
+    fanout_.reset();
+    std::uint64_t bytes = 0;
+    for (const Lane& lane : task_->lanes) bytes += lane.chain_bytes;
+    engine_.note_window(bytes);
     status_ = engine_.settle(*task_);
     task_.reset();
   }
@@ -282,11 +379,11 @@ class UserSplitter final : public trace::TraceSink {
 
  private:
   Engine& engine_;
+  obs::TraceWriter* const writer_;
   util::Status status_;
   bool opened_ = false;
   std::unique_ptr<Task> task_;
-  std::optional<obs::ScopedMetricsRegistry> scope_;  ///< destroyed before task_
-  obs::Stopwatch watch_;
+  std::optional<LaneFanout> fanout_;  ///< reset before task_
 };
 
 util::Status Engine::prepare() {
@@ -347,16 +444,13 @@ util::Status Engine::open(const trace::StudyMeta& meta) {
   if (resumed_) {
     if (util::Status st = restore(*resumed_); !st.ok()) return st;
   }
+  if (random_access_) total_lanes_ = plans_.size() * (num_users() - done_.size());
   for (std::size_t si = 0; si < plans_.size(); ++si) {
-    Plan& plan = plans_[si];
-    if (si >= resumed_done_ && random_access_) plan.pending = num_users() - plan.done.size();
-    total_tasks_ += plan.pending;
     // Keep the account-file prefix the checkpoint vouches for; later files
     // hold rows of users the resume re-runs (they respill).
-    util::Status st =
-        si < restored_
-            ? plan.sc->spill->resume(resumed_->counter(prefix(si) + "account_sealed_files"))
-            : plan.sc->spill->open_fresh();
+    energy::AccountSpill& spill = *plans_[si].sc->spill;
+    util::Status st = resumed_ ? spill.resume(resumed_->counter(prefix(si) + "account_sealed_files"))
+                               : spill.open_fresh();
     if (!st.ok()) return st;
   }
   return util::Status::ok_status();
@@ -380,30 +474,29 @@ util::Status Engine::restore(const ckpt::Snapshot& snap) {
     }
     return util::Status::ok_status();
   };
-  resumed_done_ = snap.counter("scenarios_done");
-  if (resumed_done_ > plans_.size()) {
+  if (snap.section(prefix(plans_.size()) + "scenario") != nullptr) {
     return util::Status::failed_precondition(
-        "checkpoint covers " + std::to_string(resumed_done_) + " finished scenarios but only " +
-        std::to_string(plans_.size()) + " are registered — the scenario list changed");
+        "checkpoint holds more than the " + std::to_string(plans_.size()) +
+        " registered scenario(s) — the scenario list changed");
   }
-  for (std::size_t si = 0; si < plans_.size() && si <= resumed_done_; ++si) {
+  done_ = snap.completed_users;
+  for (std::size_t si = 0; si < plans_.size(); ++si) {
     Plan& plan = plans_[si];
     const std::string p = prefix(si);
     const std::string* name = snap.section(p + "scenario");
-    if (name == nullptr && si == resumed_done_) {
-      if (snap.completed_users.empty()) break;  // nothing was in progress
+    if (name == nullptr) {
       // Progress without the scenario's sections: not a snapshot this engine
       // wrote (e.g. one from before analyze ran on the engine).
       return util::Status::failed_precondition(
           "checkpoint lists " + std::to_string(snap.completed_users.size()) +
           " completed user(s) but holds no section '" + p +
-          "scenario' — it was written in an older, unprefixed layout");
+          "scenario' — it was written in an older, unprefixed layout or under a shorter "
+          "scenario list");
     }
-    if (name == nullptr || *name != plan.sc->name) {
-      return util::Status::failed_precondition(
-          "checkpointed scenario '" + (name != nullptr ? *name : "<missing>") +
-          "' does not match registered scenario '" + plan.sc->name +
-          "' — the scenario list changed");
+    if (*name != plan.sc->name) {
+      return util::Status::failed_precondition("checkpointed scenario '" + *name +
+                                               "' does not match registered scenario '" +
+                                               plan.sc->name + "' — the scenario list changed");
     }
     obs::RunStats& stats = *plan.sc->stats;
     stats.shard_retries = snap.counter(p + "shard_retries");
@@ -432,27 +525,31 @@ util::Status Engine::restore(const ckpt::Snapshot& snap) {
         return st;
       }
     }
-    restored_ = si + 1;
-    if (si < resumed_done_) continue;  // finished: nothing of it runs again
-    plan.completed = snap.completed_users;
-    // Deferred folds: the snapshot's users are still pending in the sinks.
-    if (!fold_on_merge_) plan.unfolded = plan.completed;
-    plan.done = plan.completed;
-    plan.done.insert(plan.done.end(), stats.failed_users.begin(), stats.failed_users.end());
-    std::sort(plan.done.begin(), plan.done.end());
+    // Deferred folds: the users this scenario merged are still pending in
+    // its sinks — every completed user it did not skip.
+    if (!fold_on_merge_) {
+      std::vector<std::uint64_t> skipped = stats.failed_users;
+      std::sort(skipped.begin(), skipped.end());
+      for (const trace::UserId user : snap.completed_users) {
+        if (!std::binary_search(skipped.begin(), skipped.end(), user)) {
+          plan.unfolded.push_back(user);
+        }
+      }
+    }
+    // A user every scenario skipped is settled without being completed.
+    done_.insert(done_.end(), stats.failed_users.begin(), stats.failed_users.end());
   }
-  run_.resumed_users = resumed_done_ * num_users();
-  if (resumed_done_ < plans_.size()) run_.resumed_users += plans_[resumed_done_].done.size();
+  completed_ = snap.completed_users;
+  std::sort(done_.begin(), done_.end());
+  done_.erase(std::unique(done_.begin(), done_.end()), done_.end());
+  run_.resumed_users = done_.size();
   return util::Status::ok_status();
 }
 
-std::unique_ptr<Task> Engine::make_task(std::size_t scenario, trace::UserId user) {
+std::unique_ptr<ShardChain> Engine::make_chain(std::size_t scenario, trace::UserId user) {
   const Plan& plan = plans_[scenario];
-  auto task = std::make_unique<Task>();
-  task->scenario = scenario;
-  task->user = user;
-  task->chain = std::make_unique<ShardChain>();
-  ShardChain& chain = *task->chain;
+  auto built = std::make_unique<ShardChain>();
+  ShardChain& chain = *built;
   const auto wrap = [&](std::string name, trace::TraceSink* sink) -> trace::TraceSink* {
     if (!timed_) return sink;
     chain.wrappers.push_back(
@@ -478,37 +575,47 @@ std::unique_ptr<Task> Engine::make_task(std::size_t scenario, trace::UserId user
     chain.fault = fault_plan_->wrap(user, chain.entry);
     if (chain.fault != nullptr) chain.entry = chain.fault.get();
   }
+  return built;
+}
+
+// A user task builds its chains in scenario order, so fault-plan arming (one
+// attempt per build) follows scenario order too.
+std::unique_ptr<Task> Engine::make_task(trace::UserId user) {
+  auto task = std::make_unique<Task>();
+  task->user = user;
+  task->lanes.resize(plans_.size());
+  for (std::size_t si = 0; si < plans_.size(); ++si) {
+    task->lanes[si].scenario = si;
+    task->lanes[si].chain = make_chain(si, user);
+  }
   return task;
 }
 
-void Engine::execute(Task& task, unsigned worker) const {
-  // Chain-local metrics: the radio model built in on_user_begin resolves its
-  // counters from current(), i.e. this chain's registry.
-  const obs::ScopedMetricsRegistry scoped{&task.chain->registry};
-  task.worker = worker;
-  ++task.attempts;
-  task.span_start_us = opt_.trace_writer != nullptr ? opt_.trace_writer->now_us() : 0;
-  const obs::Stopwatch watch;
+void Engine::replay(trace::UserId user, std::span<Lane> lanes) const {
+  LaneFanout fanout{lanes, opt_.trace_writer};
+  util::Status status;
   try {
-    task.error = source_.emit_user(task.user, *task.chain->entry, opt_.batch_size);
-    task.chain_bytes = task.chain->resident_bytes();
-  } catch (...) {
-    task.thrown = std::current_exception();
+    status = source_.emit_user(user, fanout, opt_.batch_size);
+  } catch (...) {  // the source itself threw: every lane's attempt failed
+    for (Lane& lane : lanes) {
+      if (!lane.thrown) lane.thrown = std::current_exception();
+    }
   }
-  task.wall_ms = watch.elapsed_ms();
+  for (Lane& lane : lanes) lane.error = status;
+  fanout.finish();
 }
 
 // A throwing attempt propagates under kFailFast — rethrown here, on the
 // calling thread, in task order — and becomes a failed status under
 // kRetryThenSkip.
-void Engine::absorb(Task& task) const {
-  if (!task.thrown) return;
-  const std::exception_ptr thrown = std::exchange(task.thrown, nullptr);
+void Engine::absorb(Lane& lane) const {
+  if (!lane.thrown) return;
+  const std::exception_ptr thrown = std::exchange(lane.thrown, nullptr);
   if (!retry_then_skip_) std::rethrow_exception(thrown);
   try {
     std::rethrow_exception(thrown);
   } catch (const std::exception& e) {
-    task.error = util::Status::aborted(e.what());
+    lane.error = util::Status::aborted(e.what());
   }
 }
 
@@ -519,100 +626,98 @@ util::Status Engine::run_window() {
           ? 1
           : std::clamp<std::size_t>(2 * std::size_t{opt_.num_threads}, 1,
                                     std::max<std::size_t>(users, 1));
-  // A window of one shard runs it inline, as one thread does.
+  // A window of one task runs it inline, as one thread does.
   util::OrderedWindow<std::unique_ptr<Task>> window{
       capacity > 1 ? opt_.num_threads : 1, capacity,
-      [this](std::unique_ptr<Task>& task, unsigned worker) { execute(*task, worker); }};
+      [this](std::unique_ptr<Task>& task, unsigned worker) {
+        task->worker = worker;
+        replay(task->user, task->lanes);
+      }};
   threads_ = std::max(1u, window.workers());
   keep_rows_ =
       threads_ > 1 || retry_then_skip_ || (fault_plan_ != nullptr && !fault_plan_->empty());
 
-  // Task cursor: scenario-major over the users, skipping covered ones.
-  std::size_t si = resumed_done_;
-  std::size_t ui = 0;
-  const auto next_task = [&]() -> bool {
-    for (; si < plans_.size(); ++si, ui = 0) {
-      const std::vector<trace::UserId>& done = plans_[si].done;
-      while (ui < users && std::binary_search(done.begin(), done.end(), user_ids_[ui])) ++ui;
-      if (ui < users) return true;
-    }
-    return false;
-  };
-  const auto in_flight = [&window](trace::UserId user) {
-    bool found = false;
-    window.visit([&](const std::unique_ptr<Task>& t, bool) { found = found || t->user == user; });
-    return found;
-  };
-
-  if (util::Status st = close_ready(); !st.ok()) return st;
+  std::size_t next = 0;  // user cursor, skipping the users a checkpoint covers
   for (;;) {
-    while (!window.full() && next_task() && !in_flight(user_ids_[ui])) {
-      window.next() = make_task(si, user_ids_[ui++]);
+    while (!window.full() && !plans_.empty() && next < users) {
+      const trace::UserId user = user_ids_[next++];
+      if (covered(user)) continue;
+      window.next() = make_task(user);
       window.push();
     }
     if (window.empty()) break;
     std::unique_ptr<Task>& front = window.front();
     std::uint64_t bytes = 0;
     window.visit([&bytes](const std::unique_ptr<Task>& t, bool done) {
-      bytes += done ? t->chain_bytes : 0;
+      for (const Lane& lane : t->lanes) bytes += done ? lane.chain_bytes : 0;
     });
     note_window(bytes);
     if (util::Status st = settle(*front); !st.ok()) return st;
-    --plans_[front->scenario].pending;
-    front.reset();  // the merged chain's memory goes back before the next build
+    front.reset();  // the merged chains' memory goes back before the next build
     window.pop();
-    if (util::Status st = close_ready(); !st.ok()) return st;
   }
   return util::Status::ok_status();
 }
 
+// Lanes settle in scenario order, then the task counts toward the next
+// snapshot, which therefore always covers whole users.
 util::Status Engine::settle(Task& task) {
-  Plan& plan = plans_[task.scenario];
+  bool merged = false;
+  for (std::size_t i = 0; i < task.lanes.size(); ++i) {
+    if (util::Status st = settle_lane(task, i); !st.ok()) return st;
+    merged = merged || task.lanes[i].error.ok();
+  }
+  if (writer_ == nullptr) return util::Status::ok_status();
+  if (merged) completed_.push_back(task.user);
+  if (++since_checkpoint_ >= std::max<std::size_t>(1, opt_.checkpoint_every_users)) {
+    write_snapshot();
+    since_checkpoint_ = 0;
+  }
+  return util::Status::ok_status();
+}
+
+util::Status Engine::settle_lane(Task& task, std::size_t index) {
+  Lane& lane = task.lanes[index];
+  Plan& plan = plans_[lane.scenario];
   obs::RunStats& stats = *plan.sc->stats;
-  absorb(task);
-  if (!task.error.ok() && !retry_then_skip_) return task.error;  // the source failed
-  // Retries run here, serially: a fresh build has no partial state, so a
-  // re-run is the same deterministic computation.
-  for (unsigned retry = 0; !task.error.ok() && retry < opt_.max_shard_retries; ++retry) {
+  absorb(lane);
+  if (!lane.error.ok() && !retry_then_skip_) return lane.error;  // the source failed
+  // Retries run here, serially, each lane alone with its own replay: a fresh
+  // build has no partial state, so a re-run is the same deterministic
+  // computation. A forward-only stream cannot be replayed.
+  for (unsigned retry = 0;
+       random_access_ && !lane.error.ok() && retry < opt_.max_shard_retries; ++retry) {
     ++stats.shard_retries;
-    const unsigned attempts = task.attempts;
-    task.chain.reset();  // free the failed chain first: the window bound holds
-    task.chain = std::move(make_task(task.scenario, task.user)->chain);
-    task.attempts = attempts;
-    task.error = util::Status::ok_status();
-    execute(task, task.worker);
-    absorb(task);
+    lane.chain.reset();  // free the failed chain first: the window bound holds
+    lane.chain = make_chain(lane.scenario, task.user);
+    replay(task.user, {&lane, 1});
+    absorb(lane);
   }
   obs::ShardRunStats row;
   row.user = task.user;
   row.worker = task.worker;
-  row.wall_ms = task.wall_ms;
-  row.attempts = std::max(1u, task.attempts);
-  row.skipped = !task.error.ok();
-  row.status = task.error;
+  row.wall_ms = lane.wall_ms;
+  row.attempts = std::max(1u, lane.attempts);
+  row.skipped = !lane.error.ok();
+  row.status = lane.error;
   if (row.skipped) {
-    stats.failed_users.push_back(task.user);  // nothing of the user survives
+    stats.failed_users.push_back(task.user);  // nothing of the user survives here
   } else {
-    merge(plan, task, row);
+    merge(plan, task.user, lane, row);
   }
   if (keep_rows_) stats.shards.push_back(std::move(row));
   if (opt_.trace_writer != nullptr) {
     opt_.trace_writer->add_complete("user " + std::to_string(task.user), "shard",
-                                    task.span_start_us,
-                                    static_cast<std::int64_t>(task.wall_ms * 1e3),
+                                    lane.span_start_us,
+                                    static_cast<std::int64_t>(lane.span_ms * 1e3),
                                     1 + static_cast<int>(task.worker));
   }
-  if (progress_) progress_({++merged_tasks_, total_tasks_, task.scenario, task.user});
-  if (writer_ != nullptr &&
-      ++plan.since_checkpoint >= std::max<std::size_t>(1, opt_.checkpoint_every_users)) {
-    write_snapshot();
-    plan.since_checkpoint = 0;
-  }
+  if (progress_) progress_({++merged_lanes_, total_lanes_, lane.scenario, task.user});
   return util::Status::ok_status();
 }
 
-void Engine::merge(Plan& plan, Task& task, obs::ShardRunStats& row) {
-  ShardChain& chain = *task.chain;
+void Engine::merge(Plan& plan, trace::UserId user, Lane& lane, obs::ShardRunStats& row) {
+  ShardChain& chain = *lane.chain;
   // The ledger is sinks[0]; read its totals before merge_from empties it.
   const auto& ledger = dynamic_cast<const energy::EnergyLedger&>(*chain.clones[0]);
   row.packets = ledger.total_packets();
@@ -623,9 +728,9 @@ void Engine::merge(Plan& plan, Task& task, obs::ShardRunStats& row) {
     plan.shardable[i]->merge_from(*chain.clones[i]);
   }
   if (fold_on_merge_) {
-    fold(plan, task.user);
+    fold(plan, user);
   } else {
-    plan.unfolded.push_back(task.user);
+    plan.unfolded.push_back(user);
   }
   plan.dropped_packets += chain.filter->dropped_packets();
   plan.dropped_bytes += chain.filter->dropped_bytes();
@@ -633,7 +738,6 @@ void Engine::merge(Plan& plan, Task& task, obs::ShardRunStats& row) {
     plan.radio[r] += chain.registry.counter_value(kRadioCounters[r]);
   }
   obs::MetricsRegistry::global().merge_from(chain.registry);
-  if (writer_ != nullptr) plan.completed.push_back(task.user);
   if (!timed_) return;
   const std::vector<obs::StageStats> stages = chain.stage_stats(plan.shardable.size());
   if (plan.stages.empty()) plan.stages.resize(stages.size());
@@ -642,7 +746,7 @@ void Engine::merge(Plan& plan, Task& task, obs::ShardRunStats& row) {
     accounted_ms += stages[i].self_ms;
     plan.stages[i].merge_from(stages[i]);
   }
-  plan.source_ms += std::max(0.0, task.wall_ms - accounted_ms);
+  plan.source_ms += std::max(0.0, lane.wall_ms - accounted_ms);
 }
 
 // Section order within a row group: attributor, ledger, analyses.
@@ -654,84 +758,69 @@ void Engine::fold(Plan& plan, trace::UserId user) {
   spill.end_user();
 }
 
-util::Status Engine::close_ready() {
-  while (closed_ < plans_.size() && plans_[closed_].pending == 0) {
-    if (util::Status st = close(closed_); !st.ok()) return st;
+// Every scenario closes once the last user task has settled.
+util::Status Engine::close() {
+  if (writer_ != nullptr && since_checkpoint_ > 0) {
+    write_snapshot();  // the last stretch
+    since_checkpoint_ = 0;
+  }
+  for (Plan& plan : plans_) {
+    // Deferred folds run after the last snapshot, so no snapshot ever
+    // records a user both pending and folded.
+    std::sort(plan.unfolded.begin(), plan.unfolded.end());
+    for (const trace::UserId user : plan.unfolded) fold(plan, user);
+    plan.unfolded.clear();
+    for (auto* parent : plan.parents) parent->on_study_end();
+    obs::RunStats& s = *plan.sc->stats;
+    const auto& ledger = dynamic_cast<const energy::EnergyLedger&>(*plan.sc->sinks[0].second);
+    s.num_threads = threads_;
+    s.users = num_users();
+    s.packets = ledger.total_packets();
+    s.bytes = ledger.total_bytes();
+    s.joules = ledger.total_joules();
+    s.off_interface_packets = plan.dropped_packets;
+    s.off_interface_bytes = plan.dropped_bytes;
+    const energy::AttributionCounters& ac = plan.sc->attributor->counters();
+    s.transitions = ac.transitions;
+    s.tail_attributions = ac.tail_attributions;
+    s.proportional_splits = ac.proportional_splits;
+    s.promotion_segments = ac.promotion_segments;
+    s.transfer_segments = ac.transfer_segments;
+    s.tail_segments = ac.tail_segments;
+    s.drx_segments = ac.drx_segments;
+    s.idle_segments = ac.idle_segments;
+    s.radio_bursts = plan.radio[0];
+    s.radio_bursts_queued = plan.radio[1];
+    s.radio_promotions = plan.radio[2];
+    s.radio_repromotions = plan.radio[3];
+    s.memory.ledger = ledger.memory_use();
+    for (std::size_t i = 1; i < plan.sc->sinks.size(); ++i) {
+      s.memory.analyses += plan.sc->sinks[i].second->memory_use();
+    }
+    if (store_ != nullptr) s.memory.store = store_->memory_use();
+    // Resident is read before the final seal so the number describes the
+    // bounded pending-writer footprint the run held, not the post-seal zero.
+    energy::AccountSpill& spill = *plan.sc->spill;
+    s.memory.accounts.resident_bytes = spill.resident_bytes();
+    if (util::Status st = spill.seal(); !st.ok()) return st;
+    s.memory.accounts.spilled_bytes = spill.spilled_bytes();
+    s.memory.peak_rss_bytes = obs::peak_rss_bytes();
   }
   return util::Status::ok_status();
 }
 
-util::Status Engine::close(std::size_t scenario) {
-  Plan& plan = plans_[scenario];
-  if (writer_ != nullptr && plan.since_checkpoint > 0) {
-    write_snapshot();  // the scenario's last stretch
-    plan.since_checkpoint = 0;
-  }
-  // Deferred folds run after the last snapshot, so no snapshot ever records
-  // a user both pending and folded.
-  std::sort(plan.unfolded.begin(), plan.unfolded.end());
-  for (const trace::UserId user : plan.unfolded) fold(plan, user);
-  plan.unfolded.clear();
-  for (auto* parent : plan.parents) parent->on_study_end();
-  obs::RunStats& s = *plan.sc->stats;
-  const auto& ledger = dynamic_cast<const energy::EnergyLedger&>(*plan.sc->sinks[0].second);
-  s.num_threads = threads_;
-  s.users = num_users();
-  s.packets = ledger.total_packets();
-  s.bytes = ledger.total_bytes();
-  s.joules = ledger.total_joules();
-  s.off_interface_packets = plan.dropped_packets;
-  s.off_interface_bytes = plan.dropped_bytes;
-  const energy::AttributionCounters& ac = plan.sc->attributor->counters();
-  s.transitions = ac.transitions;
-  s.tail_attributions = ac.tail_attributions;
-  s.proportional_splits = ac.proportional_splits;
-  s.promotion_segments = ac.promotion_segments;
-  s.transfer_segments = ac.transfer_segments;
-  s.tail_segments = ac.tail_segments;
-  s.drx_segments = ac.drx_segments;
-  s.idle_segments = ac.idle_segments;
-  s.radio_bursts = plan.radio[0];
-  s.radio_bursts_queued = plan.radio[1];
-  s.radio_promotions = plan.radio[2];
-  s.radio_repromotions = plan.radio[3];
-  s.memory.ledger = ledger.memory_use();
-  for (std::size_t i = 1; i < plan.sc->sinks.size(); ++i) {
-    s.memory.analyses += plan.sc->sinks[i].second->memory_use();
-  }
-  if (store_ != nullptr) s.memory.store = store_->memory_use();
-  // Resident is read before the final seal so the number describes the
-  // bounded pending-writer footprint the run held, not the post-seal zero.
-  energy::AccountSpill& spill = *plan.sc->spill;
-  s.memory.accounts.resident_bytes = spill.resident_bytes();
-  if (util::Status st = spill.seal(); !st.ok()) return st;
-  s.memory.accounts.spilled_bytes = spill.spilled_bytes();
-  s.memory.peak_rss_bytes = obs::peak_rss_bytes();
-  ++closed_;
-  // Between scenarios, snapshot the closed one too, so a resume restores it
-  // as finished rather than re-closing it.
-  if (writer_ != nullptr && closed_ < plans_.size() && scenario >= resumed_done_) {
-    write_snapshot();
-  }
-  return util::Status::ok_status();
-}
-
-// The one snapshot writer. Every closed scenario plus the one in progress
-// (if any task of it merged) saves its name, counters, failed users, and the
-// state of its attributor and sinks under the "s<index>." prefix; the
-// in-progress scenario's merged users go in completed_users. A failed write
-// is counted and the run continues; an injected hard stop throws here.
+// The one snapshot writer, called between user tasks. Every scenario saves
+// its name, counters, failed users, and the state of its attributor and
+// sinks under the "s<index>." prefix; the users merged in any scenario go in
+// completed_users. A failed write is counted and the run continues; an
+// injected hard stop throws here.
 void Engine::write_snapshot() {
   ckpt::Snapshot snap;
   snap.meta = meta_;
-  snap.set_counter("scenarios_done", closed_);
-  for (std::size_t si = 0; si <= closed_ && si < plans_.size(); ++si) {
+  snap.completed_users = completed_;
+  for (std::size_t si = 0; si < plans_.size(); ++si) {
     Plan& plan = plans_[si];
     const obs::RunStats& stats = *plan.sc->stats;
-    if (si == closed_) {
-      if (plan.completed.empty() && stats.failed_users.empty()) break;
-      snap.completed_users = plan.completed;
-    }
     const std::string p = prefix(si);
     snap.add_section(p + "scenario", plan.sc->name);
     snap.set_counter(p + "shard_retries", stats.shard_retries);
@@ -769,16 +858,15 @@ util::StatusOr<obs::RunStats> Engine::run() {
     if (util::Status st = open(source_.meta()); !st.ok()) return st;
     if (util::Status st = run_window(); !st.ok()) return st;
   } else {
-    assert(plans_.size() == 1);  // sweeps always replay a store
-    UserSplitter splitter{*this};
+    UserSplitter splitter{*this, opt_.trace_writer};
     const util::Status emitted = source_.emit(splitter, opt_.batch_size, opt_.num_threads);
     if (!splitter.status().ok()) return splitter.status();
     if (!emitted.ok()) return emitted;
     if (!splitter.opened()) {
       if (util::Status st = open(source_.meta()); !st.ok()) return st;
     }
-    if (util::Status st = close_ready(); !st.ok()) return st;
   }
+  if (util::Status st = close(); !st.ok()) return st;
 
   obs::RunStats run = run_;
   run.wall_ms = total.elapsed_ms();

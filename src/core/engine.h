@@ -1,39 +1,44 @@
 // The one execution engine behind StudyPipeline (one scenario) and
 // SweepEngine (K scenarios). DESIGN.md §7 describes it in full.
 //
-// Work is the (scenario × user) task list in scenario-major order. Each task
-// runs one user's stream through a private shard chain — clones of every
-// parent sink behind a fresh attributor, optional policy filter, and
-// interface filter — and merges back into the parents in task order, so every
-// output is bit-identical at any thread count (trace/shardable.h).
+// Work is one task per user, in stream order. A user task holds one private
+// shard chain per scenario — clones of every parent sink behind a fresh
+// attributor, optional policy filter, and interface filter — and a worker
+// replays the user once (TraceSource::emit_user) into an engine-private
+// fan-out that hands each decoded batch to every chain, in scenario order,
+// each under its own metrics registry. A chain that throws keeps what it
+// threw and is fed nothing more; the others run on. Chains merge back into
+// their scenario's parents in user order, so every output is bit-identical
+// at any thread count (trace/shardable.h).
 //
-// A util::OrderedWindow schedules the tasks. At most W = 2 × threads
-// chains are alive at once, clamped to [1, users per scenario]; the window
-// also never holds two tasks of the same user, so a user's retries settle
-// before its next-scenario chain is built and fault::FaultPlan arming does
-// not depend on thread timing. The calling thread builds chains serially, in
-// task order (policy factories and clone_shard() need not be thread-safe);
-// workers only run TraceSource::emit_user; the calling thread merges the
-// window's front, in order: retries, merge_from, the fold round, and the
-// ShardRunStats row. W = 1 (one thread) runs each task inline and starts no
-// thread.
+// A util::OrderedWindow schedules the user tasks. At most W = 2 × threads
+// tasks are in flight, clamped to [1, users], so at most W × S chains are
+// alive for S scenarios. The calling thread builds every chain serially —
+// a task's chains in scenario order (policy factories and clone_shard()
+// need not be thread-safe, and fault::FaultPlan arming does not depend on
+// thread timing); workers only replay. The calling thread settles the
+// window's front task one chain per scenario, in scenario order: retries
+// (a failed chain is rebuilt and replayed alone), merge_from, the fold
+// round, and the ShardRunStats row. W = 1 (one thread) runs each task
+// inline and starts no thread.
 //
 // Every merged user folds (DESIGN.md §15): its rows move from the parents'
 // pending state into their aggregates and its detail into the scenario's
 // AccountSpill. Folds must run in ascending user order, so a source whose
 // users arrive in ascending order folds each user right after its merge;
 // any other source keeps merged users pending and folds them, ascending,
-// when the scenario closes.
+// when the run closes.
 //
-// Forward-only sources (the CSV reader) feed the same merge path
-// at W = 1: a per-user splitter on the reading thread opens a chain at each
-// user bracket and settles it when the bracket closes. Their user order is
-// unknown until the stream ends, so they always take the deferred folds.
+// Forward-only sources (the CSV reader) feed the same fan-out and merge
+// path at W = 1: a per-user splitter on the reading thread opens a user task
+// at each user bracket and settles it when the bracket closes. Their user
+// order is unknown until the stream ends, so they always take the deferred
+// folds.
 //
-// Checkpoints (src/ckpt/) fire every checkpoint_every_users merged tasks of
-// a scenario, when a scenario's last task has merged, and as a scenario
-// closes with more to follow; one writer and one restore path serve both
-// façades.
+// Checkpoints (src/ckpt/) fire every checkpoint_every_users settled user
+// tasks and once more before the run closes; each snapshot covers every
+// scenario and one completed-user list. One writer and one restore path
+// serve both façades.
 #pragma once
 
 #include <cstddef>
@@ -83,8 +88,8 @@ struct EngineScenario {
 /// numbers (wall time, threads, users, totals summed over scenarios,
 /// checkpoint and memory accounting). A source or spill error returns its
 /// status; under FailurePolicy::kFailFast a throwing shard rethrows here.
-/// `progress`, when set, is called on the calling thread as each task
-/// merges. The engine resumes only from options.checkpoint_dir.
+/// `progress`, when set, is called on the calling thread as each
+/// (scenario, user) chain settles. The engine resumes only from options.checkpoint_dir.
 [[nodiscard]] util::StatusOr<obs::RunStats> run_scenarios(
     trace::TraceSource& source, std::vector<EngineScenario>& scenarios,
     const RunOptions& options, const std::function<void(const SweepProgress&)>& progress = {});

@@ -6,8 +6,9 @@
 // trace generation — ~75% of pipeline wall time — once per scenario for
 // byte-identical events. The sweep engine captures the base source into a
 // trace::SpillingTraceStore once — all resident, or sealed into WESG segments
-// under SweepOptions::store_dir — then fans N scenarios out as
-// (scenario × user) shards over one window of workers, replaying the cached columns:
+// under SweepOptions::store_dir — then runs one task per user over one
+// window of workers: each task replays its user's cached columns once and
+// feeds every scenario's chain from that one decode:
 //
 //   core::SweepEngine sweep{&generator};
 //   sweep.add_scenario({.name = "baseline"});

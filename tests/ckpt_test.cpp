@@ -157,7 +157,8 @@ TEST(CheckpointSnapshot, Version1SnapshotIsRefusedByName) {
   // resident per-user arrays; version 2 carries folded aggregates plus
   // pending rows. Re-seal the checksum so the version is the only damage.
   std::string bytes = ckpt::encode_snapshot(test_snapshot(/*tag=*/1), /*seq=*/1);
-  ASSERT_EQ(static_cast<std::uint8_t>(bytes[sizeof ckpt::kCheckpointMagic]), 2u);
+  ASSERT_EQ(static_cast<std::uint8_t>(bytes[sizeof ckpt::kCheckpointMagic]),
+            ckpt::kCheckpointVersion);
   bytes[sizeof ckpt::kCheckpointMagic] = 1;
   const std::uint64_t checksum = ckpt::fnv1a(std::string_view{bytes}.substr(0, bytes.size() - 8));
   for (std::size_t i = 0; i < 8; ++i) {

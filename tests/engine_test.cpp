@@ -3,13 +3,17 @@
 //   - CloneFootprint: every built-in shardable sink's clone holds only its
 //     own user's slot, so a clone's footprint does not depend on the study
 //     size or on which user it runs.
-//   - EngineWindow: at most W = 2 × threads shard chains are alive at once
-//     (clamped to [1, users]; 1 thread runs inline), for pipelines and
-//     sweeps alike, and fault-plan arming — hence retries, skipped users and
-//     per-shard attempts — is identical at every thread count.
+//   - EngineWindow: at most W = 2 × threads user tasks are in flight
+//     (clamped to [1, users]; 1 thread runs inline), each holding one chain
+//     per scenario — so a pipeline keeps ≤ W chains alive and an S-scenario
+//     sweep ≤ W × S — and fault-plan arming — hence retries, skipped users
+//     and per-shard attempts — is identical at every thread count.
+//   - EngineDecodeOnce: a run replays each user's stream once for all its
+//     scenarios — the source's emit_user is called once per user, plus once
+//     per retried chain.
 //   - KillRecoverFoldSweep: a checkpointed sweep with an account directory
-//     killed mid-scenario resumes bit-identically to an uninterrupted one,
-//     account-file read-back included.
+//     killed between user tasks resumes bit-identically to an uninterrupted
+//     one, account-file read-back included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +21,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "analysis/persistence.h"
 #include "analysis/time_since_fg.h"
 #include "analysis/waste.h"
+#include "core/engine.h"
 #include "core/pipeline.h"
 #include "core/policy.h"
 #include "core/sweep.h"
@@ -38,6 +45,8 @@
 #include "sim/generator.h"
 #include "sim/study_config.h"
 #include "trace/sink.h"
+#include "trace/spilling_store.h"
+#include "trace/trace_source.h"
 #include "util/time.h"
 
 namespace wildenergy {
@@ -197,7 +206,9 @@ TEST(EngineWindow, LiveClonesNeverExceedTheWindow) {
       CloneCounter::reset();
       ASSERT_TRUE(sweep.run().ok());
       EXPECT_EQ(CloneCounter::live.load(), 0);
-      EXPECT_LE(static_cast<std::size_t>(CloneCounter::peak.load()), window_for(threads, 50));
+      // Each user task holds one chain per scenario.
+      EXPECT_LE(static_cast<std::size_t>(CloneCounter::peak.load()),
+                window_for(threads, 50) * counters.size());
     }
   }
 }
@@ -251,8 +262,9 @@ TEST(EngineWindow, SweepFaultArmingIsIdenticalAtEveryThreadCount) {
     unsigned max_retries;
   };
   // A transient fault, an exhausted one, and one whose armed attempts span
-  // scenarios — which only stays deterministic if a user's retries settle
-  // before its next scenario's chain is built.
+  // scenarios — which only stays deterministic because the calling thread
+  // builds a user's chains in scenario order, then its retries in scenario
+  // order.
   const std::vector<Script> scripts = {
       {"transient", {/*user=*/1, /*nth_callback=*/40, /*fail_attempts=*/1}, 2},
       {"exhausted", {/*user=*/2, /*nth_callback=*/10, /*fail_attempts=*/99}, 2},
@@ -267,22 +279,176 @@ TEST(EngineWindow, SweepFaultArmingIsIdenticalAtEveryThreadCount) {
       EXPECT_TRUE(run_faulted_sweep(script.spec, script.max_retries, threads) == reference);
     }
   }
-  // The spanning script: scenario a burns attempts 1-2 and skips the user,
-  // scenario b fails attempt 3 and recovers on attempt 4, c runs clean.
+  // The spanning script: user 3's task builds its three chains as attempts
+  // 1-3, all armed; the retries rebuild them in scenario order as attempts
+  // 4-6, all clean. Each scenario retries once and none skips the user.
   const auto spanning = run_faulted_sweep(scripts[2].spec, scripts[2].max_retries, 8);
-  EXPECT_EQ(spanning[0].failed_users, std::vector<std::uint64_t>{3});
-  EXPECT_EQ(spanning[1].shard_retries, 1u);
-  EXPECT_TRUE(spanning[1].failed_users.empty());
-  EXPECT_EQ(spanning[2].shard_retries, 0u);
+  for (const FaultOutcome& outcome : spanning) {
+    EXPECT_EQ(outcome.shard_retries, 1u);
+    EXPECT_TRUE(outcome.failed_users.empty());
+  }
 }
 
-// ------------------------------------------------ checkpointed fold sweeps
+// ---------------------------------------------------------- decode once
 
 fs::path scratch_dir(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() / ("wildenergy_engine_" + name);
   fs::remove_all(dir);
   return dir;
 }
+
+/// Counts emit_user() calls per user over a wrapped source.
+class CountingSource final : public trace::TraceSource {
+ public:
+  explicit CountingSource(trace::TraceSource& inner) : inner_(inner) {}
+
+  util::Status emit(trace::TraceSink& sink, std::size_t batch_size) override {
+    return inner_.emit(sink, batch_size);
+  }
+  [[nodiscard]] trace::StudyMeta meta() const override { return inner_.meta(); }
+  [[nodiscard]] bool supports_user_access() const override {
+    return inner_.supports_user_access();
+  }
+  [[nodiscard]] std::vector<trace::UserId> users() const override { return inner_.users(); }
+  util::Status emit_user(trace::UserId user, trace::TraceSink& sink,
+                         std::size_t batch_size) override {
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      ++calls_[user];
+    }
+    return inner_.emit_user(user, sink, batch_size);
+  }
+
+  [[nodiscard]] std::map<trace::UserId, unsigned> calls() const {
+    const std::lock_guard<std::mutex> lock{mu_};
+    return calls_;
+  }
+
+ private:
+  trace::TraceSource& inner_;
+  mutable std::mutex mu_;
+  std::map<trace::UserId, unsigned> calls_;
+};
+
+/// What one engine scenario needs alive while the engine runs.
+struct EngineParts {
+  energy::EnergyLedger ledger;
+  trace::TraceMulticast none;
+  energy::EnergyAttributor attributor{radio::make_lte_model, &none};
+  energy::AccountSpill spill{energy::AccountSpill::Options{}};
+  obs::RunStats stats;
+};
+
+/// Run `num_scenarios` scenarios (baseline, kill-3d, doze, ...) over
+/// `source` through the engine; the per-scenario stats land in `parts`.
+void run_engine(trace::TraceSource& source, std::size_t num_scenarios,
+                const core::RunOptions& options,
+                std::vector<std::unique_ptr<EngineParts>>& parts) {
+  const std::vector<core::PolicyFactory> policies = {
+      {},
+      [](trace::TraceSink* d) { return std::make_unique<core::KillAfterIdlePolicy>(d, days(3.0)); },
+      [](trace::TraceSink* d) { return std::make_unique<core::DozeLikePolicy>(d); },
+  };
+  parts.clear();
+  std::vector<core::internal::EngineScenario> scenarios(num_scenarios);
+  for (std::size_t si = 0; si < num_scenarios; ++si) {
+    parts.push_back(std::make_unique<EngineParts>());
+    core::internal::EngineScenario& sc = scenarios[si];
+    sc.name = "s" + std::to_string(si);
+    sc.attributor = &parts.back()->attributor;
+    sc.policy = policies[si % policies.size()];
+    sc.sinks.emplace_back("ledger", &parts.back()->ledger);
+    sc.spill = &parts.back()->spill;
+    sc.stats = &parts.back()->stats;
+  }
+  const auto run = core::internal::run_scenarios(source, scenarios, options);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+}
+
+/// A small generated study sealed into WESG segments, one per user.
+struct SealedStudy {
+  fs::path dir;
+  trace::SpillingTraceStore store;
+
+  explicit SealedStudy(const std::string& name)
+      : dir(scratch_dir(name)), store({.dir = dir.string(), .budget_bytes = 0}) {
+    sim::StudyConfig cfg = sim::small_study(/*seed=*/29);
+    cfg.num_days = 5;
+    sim::StudyGenerator generator{cfg};
+    EXPECT_TRUE(store.capture(generator, 512, 1).ok());
+    EXPECT_GT(store.num_segments(), 1u);
+  }
+  ~SealedStudy() { fs::remove_all(dir); }
+};
+
+TEST(EngineDecodeOnce, EachUserIsReplayedOnceForEveryScenario) {
+  SealedStudy sealed{"decode_once"};
+  const std::vector<trace::UserId> users = sealed.store.users();
+  for (const std::size_t num_scenarios : {std::size_t{1}, std::size_t{3}}) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::to_string(num_scenarios) + " scenario(s), threads=" +
+                   std::to_string(threads));
+      CountingSource source{sealed.store};
+      core::RunOptions options;
+      options.num_threads = threads;
+      std::vector<std::unique_ptr<EngineParts>> parts;
+      run_engine(source, num_scenarios, options, parts);
+      const auto calls = source.calls();
+      ASSERT_EQ(calls.size(), users.size());
+      for (const trace::UserId user : users) {
+        EXPECT_EQ(calls.at(user), 1u) << "user " << user;
+      }
+      for (const auto& p : parts) EXPECT_GT(p->stats.packets, 0u);
+    }
+  }
+}
+
+TEST(EngineDecodeOnce, EachRetriedChainAddsOneReplay) {
+  SealedStudy sealed{"decode_once_retry"};
+  struct Script {
+    const char* name;
+    fault::ShardFaultSpec spec;
+    unsigned max_retries;
+  };
+  // Scenario order builds user 1's chains as attempts 1-3: two armed
+  // chains retry once each; the always-failing user retries every chain.
+  const std::vector<Script> scripts = {
+      {"two armed chains", {/*user=*/1, /*nth_callback=*/3, /*fail_attempts=*/2}, 2},
+      {"exhausted", {/*user=*/2, /*nth_callback=*/3, /*fail_attempts=*/99}, 1},
+  };
+  for (const Script& script : scripts) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string{script.name} + ", threads=" + std::to_string(threads));
+      fault::FaultPlan plan;
+      plan.add(script.spec);
+      core::RunOptions options;
+      options.num_threads = threads;
+      options.failure_policy = core::FailurePolicy::kRetryThenSkip;
+      options.max_shard_retries = script.max_retries;
+      options.fault_plan = &plan;
+      CountingSource source{sealed.store};
+      std::vector<std::unique_ptr<EngineParts>> parts;
+      run_engine(source, 3, options, parts);
+      std::map<trace::UserId, unsigned> retries;
+      std::uint64_t total_retries = 0;
+      for (const auto& p : parts) {
+        total_retries += p->stats.shard_retries;
+        for (const auto& row : p->stats.shards) {
+          retries[static_cast<trace::UserId>(row.user)] += row.attempts - 1;
+        }
+      }
+      EXPECT_GT(total_retries, 0u);
+      for (const auto& [user, count] : source.calls()) {
+        EXPECT_EQ(count, 1u + retries[user]) << "user " << user;
+      }
+      const unsigned expected_retries = script.spec.fail_attempts == 2 ? 2u : 3u;
+      EXPECT_EQ(total_retries, expected_retries);
+      EXPECT_EQ(source.calls().at(script.spec.user), 1u + expected_retries);
+    }
+  }
+}
+
+// ------------------------------------------------ checkpointed fold sweeps
 
 struct FoldSweep {
   analysis::PersistenceAnalysis baseline_persist;
@@ -324,10 +490,10 @@ TEST(KillRecoverFoldSweep, ResumedFoldSweepBitIdenticalAtEveryThreadCount) {
     FoldSweep reference{&reference_gen, reference_options};
     ASSERT_TRUE(reference.sweep->run().ok());
 
-    // Kill: per-user checkpoints; scenario 0 writes six plus its closing
-    // snapshot, so write 9 lands after the second user of scenario 1.
+    // Kill: one snapshot per settled user task, each covering both
+    // scenarios, so write 4 lands after user 3.
     fault::FaultPlan plan;
-    plan.add_checkpoint_fault(fault::parse_checkpoint_fault_spec("nth=9,kind=hard-stop").value());
+    plan.add_checkpoint_fault(fault::parse_checkpoint_fault_spec("nth=4,kind=hard-stop").value());
     {
       sim::StudyGenerator killed_gen{cfg};
       core::SweepOptions options = base;
@@ -347,7 +513,7 @@ TEST(KillRecoverFoldSweep, ResumedFoldSweepBitIdenticalAtEveryThreadCount) {
     FoldSweep resumed{&resumed_gen, options};
     const auto stats = resumed.sweep->run();
     ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-    EXPECT_EQ(stats->resumed_users, static_cast<std::uint64_t>(cfg.num_users) + 2);
+    EXPECT_EQ(stats->resumed_users, 4u);
 
     for (std::size_t i = 0; i < 2; ++i) {
       const core::ScenarioResult& a = reference.sweep->results()[i];

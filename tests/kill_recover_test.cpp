@@ -2,7 +2,7 @@
 // hard-stop checkpoint fault and then resumed must produce *bit-identical*
 // outputs to the same run left uninterrupted — for the sharded pipeline at
 // every thread count, for the serial forward-only path, and for a sweep
-// killed mid-scenario. Recovery is never silent: fallbacks past damaged
+// killed between user tasks (each snapshot covers every scenario). Recovery is never silent: fallbacks past damaged
 // checkpoints, resumed user counts, and write failures all surface through
 // obs::RunStats.
 #include <gtest/gtest.h>
@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -423,11 +425,10 @@ TEST(KillRecoverSweep, MidScenarioKillResumesBitIdenticalAtEveryThreadCount) {
     ASSERT_TRUE(flat.run().ok());
 
     const fs::path dir = scratch_dir("sweep_t" + std::to_string(threads));
-    // Kill inside scenario 2: per-user epochs give scenario 1 six epoch
-    // writes plus one boundary write, so write #9 lands after the second
-    // user epoch of scenario 2.
+    // Kill mid-run: one snapshot per settled user task, each covering both
+    // scenarios, so write #3 lands after user 2.
     fault::FaultPlan plan;
-    arm_hard_stop(plan, 9);
+    arm_hard_stop(plan, 3);
     {
       sim::StudyGenerator gen{cfg};
       core::SweepOptions options;
@@ -451,8 +452,8 @@ TEST(KillRecoverSweep, MidScenarioKillResumesBitIdenticalAtEveryThreadCount) {
     resumed_setup.add_scenarios(resumed);
     const auto stats = resumed.run();
     ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-    // One full scenario plus two user epochs of the next were on disk.
-    EXPECT_EQ(stats->resumed_users, static_cast<std::uint64_t>(cfg.num_users) + 2);
+    // Three users, each in both scenarios, were on disk.
+    EXPECT_EQ(stats->resumed_users, 3u);
 
     expect_identical_sweeps(flat, flat_setup, resumed, resumed_setup);
     fs::remove_all(dir);
@@ -463,7 +464,7 @@ TEST(KillRecoverSweep, ChangedScenarioListIsRejectedOnResume) {
   const sim::StudyConfig cfg = test_config();
   const fs::path dir = scratch_dir("sweep_stale");
   fault::FaultPlan plan;
-    arm_hard_stop(plan, 9);
+  arm_hard_stop(plan, 3);
   {
     sim::StudyGenerator gen{cfg};
     core::SweepOptions options;
@@ -496,6 +497,56 @@ TEST(KillRecoverSweep, ChangedScenarioListIsRejectedOnResume) {
   const auto stats = resumed.run();
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), util::StatusCode::kFailedPrecondition);
+  fs::remove_all(dir);
+}
+
+TEST(KillRecoverSweep, Version2CheckpointIsRefusedOnResume) {
+  // Version 2 sweep snapshots were scenario-major: finished scenarios plus
+  // one in progress. Version 3 covers every scenario at once, so a v2 file
+  // must be refused, never misread as one.
+  const sim::StudyConfig cfg = test_config();
+  const fs::path dir = scratch_dir("sweep_v2");
+  {
+    sim::StudyGenerator gen{cfg};
+    core::SweepOptions options;
+    options.checkpoint_dir = dir.string();
+    options.checkpoint_every_users = 2;
+    core::SweepEngine sweep{&gen, options};
+    SweepSetup setup;
+    setup.add_scenarios(sweep);
+    ASSERT_TRUE(sweep.run().ok());
+  }
+  std::size_t rewritten = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::string bytes;
+    {
+      std::ifstream in{entry.path(), std::ios::binary};
+      bytes.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+    }
+    ASSERT_EQ(static_cast<std::uint8_t>(bytes[sizeof ckpt::kCheckpointMagic]), 3u);
+    bytes[sizeof ckpt::kCheckpointMagic] = 2;
+    const std::uint64_t checksum =
+        ckpt::fnv1a(std::string_view{bytes}.substr(0, bytes.size() - 8));
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + i] = static_cast<char>(checksum >> (8 * i));
+    }
+    std::ofstream{entry.path(), std::ios::binary | std::ios::trunc} << bytes;
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+
+  sim::StudyGenerator gen{cfg};
+  core::SweepOptions options;
+  options.checkpoint_dir = dir.string();
+  options.resume = true;
+  core::SweepEngine resumed{&gen, options};
+  SweepSetup setup;
+  setup.add_scenarios(resumed);
+  const auto stats = resumed.run();
+  ASSERT_FALSE(stats.ok()) << "a version-2 snapshot was resumed";
+  EXPECT_NE(stats.status().message().find("unsupported checkpoint version 2"), std::string::npos)
+      << stats.status().to_string();
   fs::remove_all(dir);
 }
 

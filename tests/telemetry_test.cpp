@@ -387,6 +387,11 @@ TEST(TelemetryShardedProfile, SweepScenarioStagesAreProfiledWhenRequested) {
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->memory.store.resident_bytes, 0u);  // the cached trace is accounted
 
+  // Each user task replays its user once for both scenarios: the decode is
+  // charged to the first scenario's replay row and each shard row, so the
+  // stage self times, summed over scenarios, decompose the summed task wall.
+  double self_sum = 0.0;
+  double shard_wall = 0.0;
   for (const auto& result : sweep.results()) {
     SCOPED_TRACE(result.name);
     ASSERT_TRUE(result.status.ok());
@@ -395,9 +400,14 @@ TEST(TelemetryShardedProfile, SweepScenarioStagesAreProfiledWhenRequested) {
     std::uint64_t stage_packets = 0;
     for (const auto& stage : result.stats.stages) {
       if (stage.name == "ledger") stage_packets = stage.packets;
+      self_sum += stage.self_ms;
     }
     EXPECT_EQ(stage_packets, result.stats.packets);
+    EXPECT_EQ(result.stats.shards.size(), config.num_users);
+    for (const auto& shard : result.stats.shards) shard_wall += shard.wall_ms;
   }
+  EXPECT_GT(shard_wall, 0.0);
+  EXPECT_NEAR(self_sum, shard_wall, shard_wall * 1e-3 + 1e-3);
 }
 
 // ------------------------------------------------------- sweep progress --
